@@ -1,18 +1,18 @@
 """Stochastic physical-layer primitives.
 
 Circularly symmetric complex Gaussian fading, additive receiver noise and
-uniform phase dithers.  All samplers are pure functions of (key,
-parameters): calling one twice with the same key returns bit-identical
-values, and sibling keys give independent draws.  Passing ``size`` draws a
-whole vector from the stream in one call, which is what the Monte Carlo
-loops use.
+uniform phase dithers.  Every sampler draws from the generator it is given,
+so the caller decides which stream a quantity comes from: the estimator
+builds one generator per (chip, branch) stream address and draws all of its
+blocks from it in a fixed order.  Two generators built from the same
+:class:`~reedsim.streams.StreamKey` give bit-identical draws.  Passing
+``size`` draws a whole array in one call; powers broadcast against it, so
+one call can give every client its own mean power.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .streams import StreamKey
 
 __all__ = [
     "sample_fading",
@@ -22,56 +22,62 @@ __all__ = [
 ]
 
 
-def _complex_gaussian(rng: np.random.Generator, energy: float, size) -> np.ndarray | complex:
-    # E|x|^2 = energy; real and imaginary parts iid N(0, energy/2)
-    scale = np.sqrt(energy / 2.0)
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    out = scale * (re + 1j * im)
+def _complex_gaussian(rng: np.random.Generator, energy, size) -> np.ndarray | complex:
+    # E|x|^2 = energy; real and imaginary parts iid N(0, energy/2), drawn as
+    # interleaved (re, im) pairs of one standard-normal array
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    unit = rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+    out = np.sqrt(np.asarray(energy) / 2.0) * unit
     return out if size is not None else complex(out)
 
 
-def sample_fading(key: StreamKey, mean_power: float, size=None):
+def _unit_phasor(phi: np.ndarray) -> np.ndarray:
+    # e^{j phi}, filled from cos and sin: faster than a complex exp
+    out = np.empty(np.shape(phi), dtype=np.complex128)
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+    return out
+
+
+def sample_fading(rng: np.random.Generator, mean_power, size=None):
     """Rayleigh fading coefficient h ~ CN(0, mean_power)."""
-    if mean_power < 0:
+    if np.any(np.asarray(mean_power) < 0):
         raise ValueError(f"mean_power must be >= 0, got {mean_power}")
-    return _complex_gaussian(key.generator(), mean_power, size)
+    return _complex_gaussian(rng, mean_power, size)
 
 
-def sample_noise(key: StreamKey, noise_var: float, size=None):
+def sample_noise(rng: np.random.Generator, noise_var: float, size=None):
     """Receiver noise z ~ CN(0, noise_var)."""
     if noise_var < 0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    return _complex_gaussian(key.generator(), noise_var, size)
+    return _complex_gaussian(rng, noise_var, size)
 
 
-def sample_dither(key: StreamKey, size=None):
+def sample_dither(rng: np.random.Generator, size=None):
     """Unit-modulus phase dither e^{j phi}, phi ~ Unif[0, 2 pi)."""
-    rng = key.generator()
-    phi = rng.uniform(0.0, 2.0 * np.pi, size)
-    out = np.exp(1j * phi)
+    out = _unit_phasor(rng.uniform(0.0, 2.0 * np.pi, size))
     return out if size is not None else complex(out)
 
 
-def sample_general_fading(key: StreamKey, mean_power: float, kappa: float, size=None):
+def sample_general_fading(rng: np.random.Generator, mean_power, kappa: float, size=None):
     """Zero-mean proper fading with E|h|^2 = mean_power and fourth-moment
     ratio E|h|^4 / (E|h|^2)^2 = kappa.
 
     Realized as a uniform phase times a two-point energy law: |h|^2 equals
     kappa * mean_power with probability 1/kappa and 0 otherwise, which
     matches both target moments exactly for any kappa >= 1 (kappa = 1
-    degenerates to constant modulus).
+    degenerates to constant modulus).  All phases are drawn before all
+    on/off flags.
     """
-    if mean_power < 0:
+    if np.any(np.asarray(mean_power) < 0):
         raise ValueError(f"mean_power must be >= 0, got {mean_power}")
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    rng = key.generator()
     phi = rng.uniform(0.0, 2.0 * np.pi, size)
     if kappa == 1.0:
         energy = np.full(np.shape(phi), mean_power)
     else:
         on = rng.random(size) < 1.0 / kappa
-        energy = np.where(on, kappa * mean_power, 0.0)
-    out = np.sqrt(energy) * np.exp(1j * phi)
+        energy = np.where(on, kappa * np.asarray(mean_power), 0.0)
+    out = np.sqrt(energy) * _unit_phasor(phi)
     return out if size is not None else complex(out)

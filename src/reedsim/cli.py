@@ -21,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from .config import ConfigError, load_config
+from .datasets import IdxFormatError
 from .experiments import (default_moment_matrix, run_single_trial, validate_point)
 
 __all__ = ["main", "cmd_validate_moments", "cmd_run_fedavg", "cmd_sweep"]
@@ -190,16 +191,14 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--axis", required=True, choices=sorted(_SWEEP_AXES))
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = load_config(args.config, args.seed)
         out_dir = args.out if args.out is not None else cfg["output.dir"]
         if args.command == "validate-moments":
             return cmd_validate_moments(cfg, out_dir, args.workers)
         if args.command == "run-fedavg":
             return cmd_run_fedavg(cfg, out_dir, args.workers)
         return cmd_sweep(cfg, out_dir, args.axis, args.workers)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, IdxFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -97,9 +97,10 @@ SCHEMA: dict[str, tuple] = {
 }
 
 
-def parse_config(text: str) -> dict[str, Any]:
+def parse_config(text: str, seed: int | None = None) -> dict[str, Any]:
     """Parse and fully validate a config document.  Returns a key->value
-    mapping with schema defaults filled in."""
+    mapping with schema defaults filled in; ``seed``, when given, replaces
+    the document's seed before validation."""
     values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -122,6 +123,8 @@ def parse_config(text: str) -> dict[str, Any]:
         if not checker(value):
             raise ConfigError(f"{key}: expected {type_name}, got {value!r}")
         values[key] = value
+    if seed is not None:
+        values["seed"] = seed
     for key, (_, _, default) in SCHEMA.items():
         values.setdefault(key, default)
     _cross_validate(values)
@@ -129,6 +132,8 @@ def parse_config(text: str) -> dict[str, Any]:
 
 
 def _cross_validate(cfg: dict[str, Any]) -> None:
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed: must be >= 0, got {cfg['seed']}")
     for key in ("trials", "workers", "fed.K", "fed.Q", "fed.T", "fed.batch_size",
                 "phy.chips", "phy.antennas", "moments.n_trials"):
         if cfg[key] < 1:
@@ -169,9 +174,9 @@ def _cross_validate(cfg: dict[str, Any]) -> None:
         raise ConfigError("invalid quadratic curvature range")
 
 
-def load_config(path: str) -> dict[str, Any]:
+def load_config(path: str, seed: int | None = None) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+        return parse_config(f.read(), seed)
 
 
 def resolve_noise_var(cfg: dict[str, Any]) -> float:

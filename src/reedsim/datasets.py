@@ -123,11 +123,18 @@ def write_idx(array: np.ndarray, rows: int | None = None, cols: int | None = Non
     raise ValueError("array must be 1-D labels or 2-D images")
 
 
+def _read_idx(path: str) -> np.ndarray:
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return parse_idx(data)
+    except IdxFormatError as exc:
+        raise IdxFormatError(f"{path}: {exc}") from None
+
+
 def load_idx_dataset(images_path: str, labels_path: str) -> LabeledDataset:
-    with open(images_path, "rb") as f:
-        features = parse_idx(f.read())
-    with open(labels_path, "rb") as f:
-        labels = parse_idx(f.read())
+    features = _read_idx(images_path)
+    labels = _read_idx(labels_path)
     if features.ndim != 2 or labels.ndim != 1:
         raise IdxFormatError("images/labels files swapped or malformed")
     return LabeledDataset(features=features, labels=labels)

@@ -6,6 +6,11 @@ channel power, with a random phase dither), all clients superpose through
 independently sampled fading, and the receiver subtracts the two received
 energies.  Chip diversity repeats the pair over M independently faded
 chips; SIMO reception repeats it over R receive antennas.
+
+Both vector entry points run one kernel, ``_paired_energy``, which adds
+two stream levels, (chip, branch), below the caller's key.
+``PairedEnergies`` and the functions around it are a per-client scalar
+reference that reads the same draws.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ __all__ = [
 
 # branch indices inside stream paths
 _PLUS, _MINUS = 0, 1
-# reserved client slot for receiver noise inside stream paths
-_NOISE_SLOT_OFFSET = 0  # noise uses client index K (one past the last client)
+# columns drawn per block; bounds the (Ka, R, block) fading array
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ class ReedPhyConfig:
     chip_weights: np.ndarray = field(default_factory=lambda: np.ones(1))
     antennas: int = 1
     kappa: float = 2.0
-    ideal_channel: bool = False  # deterministic test mode, see aggregate_reed
+    ideal_channel: bool = False  # deterministic test mode, see _paired_energy
 
     def __post_init__(self):
         object.__setattr__(self, "mean_powers", np.asarray(self.mean_powers, dtype=float))
@@ -146,47 +151,93 @@ def encode_branch_symbol(u: float, branch: str, chip_weight: float, eta: float,
     return np.sqrt(eta * chip_weight * part) / np.sqrt(mean_power) * dither
 
 
-def _fading(key: StreamKey, mean_power: float, kappa: float, size=None):
+def _fading(rng: np.random.Generator, mean_power, kappa: float, size=None):
     if kappa == 2.0:
-        return sample_fading(key, mean_power, size)
-    return sample_general_fading(key, mean_power, kappa, size)
+        return sample_fading(rng, mean_power, size)
+    return sample_general_fading(rng, mean_power, kappa, size)
+
+
+def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
+                   key: StreamKey, n: int) -> np.ndarray:
+    """The paired-energy pipeline: encode, fade, superpose, add noise and
+    detect, for n independent columns at once.
+
+    ``pos`` and ``neg`` are the nonnegative branch parts, shape (K, n), or
+    (K, 1) when every column carries the same values.  Returns the
+    normalized weighted energy difference, shape (n,).
+
+    Stream layout: chip m and branch b draw from the single stream
+    ``key.child(m, b)``.  Columns are drawn in blocks of ``_BLOCK``; each
+    block of width w draws noise (R, w), then dithers (Ka, w), then fading
+    (Ka, R, w).  Ka counts the clients whose part is nonzero somewhere in
+    the row, so a silent client draws nothing.  The dither is common to
+    all receive antennas because the transmitted symbol is.
+
+    In ideal-channel test mode only the noise is drawn: fading is pinned
+    at its root-mean power with zero phase, dithers are 1 and the branch
+    energies add with no cross terms, e = eta * c * S + |z|^2, so with
+    zero noise the output equals aggregate_ideal exactly.
+    """
+    K = pos.shape[0]
+    R = cfg.antennas
+    mu2 = np.broadcast_to(cfg.mean_powers, (K,))
+    total = np.zeros(n)
+    for m, c in enumerate(cfg.chip_weights):
+        for branch, sign, part in ((_PLUS, 1.0, pos), (_MINUS, -1.0, neg)):
+            rng = key.child(m, branch).generator()
+            if cfg.ideal_channel:
+                signal = np.broadcast_to(cfg.eta * c * part.sum(axis=0), (n,))
+            else:
+                active = part.any(axis=1)
+                Ka = int(active.sum())
+                powers = mu2[active]
+                amps = np.broadcast_to(
+                    np.sqrt(cfg.eta * c * part[active]) / np.sqrt(powers)[:, None], (Ka, n))
+            for start in range(0, n, _BLOCK):
+                cols = slice(start, min(start + _BLOCK, n))
+                w = cols.stop - start
+                z = sample_noise(rng, cfg.noise_var, (R, w))
+                if cfg.ideal_channel:
+                    energy = signal[cols] + (z.real**2 + z.imag**2)
+                else:
+                    a = amps[:, cols] * sample_dither(rng, (Ka, w))
+                    h = _fading(rng, powers[:, None, None], cfg.kappa, (Ka, R, w))
+                    y = (h * a[:, None, :]).sum(axis=0) + z
+                    energy = y.real**2 + y.imag**2
+                total[cols] += sign * energy.sum(axis=0)
+    return total / (cfg.eta * cfg.weight_sum * R)
 
 
 def simulate_paired_observation(inputs: ScalarInputs, cfg: ReedPhyConfig,
                                 key: StreamKey, chip: int, antenna: int) -> PairedEnergies:
-    """One positive/negative pair: superpose all clients through fresh
-    fading, add receiver noise per branch, return squared magnitudes.
+    """Scalar reference of the paired-energy kernel: one positive/negative
+    pair at one (chip, antenna), superposed client by client.
 
-    Stream paths are (chip, branch, client[, antenna]); dithers do not
-    depend on the antenna because the transmitted symbol is common to all
-    receive antennas.
+    It reads the kernel's draws at n = 1 from the (chip, branch) stream:
+    noise for every antenna, one dither per active client, then fading for
+    every (active client, antenna), and keeps this antenna's share.  The
+    ideal-channel test mode has no scalar reference.
     """
+    if cfg.ideal_channel:
+        raise ValueError("ideal_channel has no scalar reference; use aggregate_reed")
     if not 0 <= chip < cfg.n_chips:
         raise ValueError(f"chip index {chip} out of range [0, {cfg.n_chips})")
     if not 0 <= antenna < cfg.antennas:
         raise ValueError(f"antenna index {antenna} out of range [0, {cfg.antennas})")
-    K = inputs.values.size
+    R = cfg.antennas
     c = float(cfg.chip_weights[chip])
     energies = []
-    for branch_idx, branch in ((_PLUS, "plus"), (_MINUS, "minus")):
-        if cfg.ideal_channel:
-            # degenerate test mode: branch energies superpose additively
-            part = inputs.pos if branch == "plus" else inputs.neg
-            e = cfg.eta * c * float(part.sum())
-            if cfg.noise_var > 0:
-                z = sample_noise(key.child(chip, branch_idx, K, antenna), cfg.noise_var)
-                e += abs(z) ** 2
-            energies.append(e)
-            continue
+    for branch_idx, branch, part in ((_PLUS, "plus", inputs.pos), (_MINUS, "minus", inputs.neg)):
+        active = [k for k in range(part.size) if part[k] > 0]
+        powers = np.array([cfg.mean_power_for(k) for k in active])
+        rng = key.child(chip, branch_idx).generator()
+        z = sample_noise(rng, cfg.noise_var, (R, 1))[antenna, 0]
+        dithers = sample_dither(rng, (len(active), 1))[:, 0]
+        h = _fading(rng, powers[:, None, None], cfg.kappa, (len(active), R, 1))[:, antenna, 0]
         y = 0.0 + 0.0j
-        for k in range(K):
-            mu2 = cfg.mean_power_for(k)
-            dither = sample_dither(key.child(chip, branch_idx, k))
-            h = _fading(key.child(chip, branch_idx, k, antenna), mu2, cfg.kappa)
-            a = encode_branch_symbol(float(inputs.values[k]), branch, c,
-                                     cfg.eta, mu2, dither)
-            y += h * a
-        z = sample_noise(key.child(chip, branch_idx, K, antenna), cfg.noise_var)
+        for i, k in enumerate(active):
+            y += h[i] * encode_branch_symbol(float(inputs.values[k]), branch, c,
+                                             cfg.eta, powers[i], dithers[i])
         energies.append(abs(y + z) ** 2)
     return PairedEnergies(e_plus=energies[0], e_minus=energies[1],
                           chip_index=chip, antenna_index=antenna)
@@ -215,39 +266,9 @@ def reed_estimate_chip(observations: list[PairedEnergies], cfg: ReedPhyConfig) -
 
 def sample_estimates(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey,
                      n_trials: int) -> np.ndarray:
-    """Vectorized Monte Carlo: n_trials independent chip-diverse estimates.
-
-    Trials occupy the draw axis of each (chip, branch, client, antenna)
-    substream, so the full pipeline (encode, superpose, detect) is run
-    without per-trial key churn.
-    """
-    eta = cfg.eta
-    K = inputs.values.size
-    pos, neg = inputs.pos, inputs.neg
-    total = np.zeros(n_trials)
-    for m in range(cfg.n_chips):
-        c = float(cfg.chip_weights[m])
-        for branch_idx, part in ((_PLUS, pos), (_MINUS, neg)):
-            amps = np.sqrt(eta * c * part)  # |a_k| * mu_k
-            dithers = [
-                sample_dither(key.child(m, branch_idx, k), size=n_trials)
-                for k in range(K)
-            ]
-            for r in range(cfg.antennas):
-                y = np.zeros(n_trials, dtype=complex)
-                for k in range(K):
-                    if amps[k] == 0.0:
-                        continue
-                    mu2 = cfg.mean_power_for(k)
-                    h = _fading(key.child(m, branch_idx, k, r), mu2, cfg.kappa,
-                                size=n_trials)
-                    y += h * (amps[k] / np.sqrt(mu2)) * dithers[k]
-                z = sample_noise(key.child(m, branch_idx, K, r), cfg.noise_var,
-                                 size=n_trials)
-                y += z
-                sign = 1.0 if branch_idx == _PLUS else -1.0
-                total += sign * np.abs(y) ** 2
-    return total / (eta * cfg.weight_sum * cfg.antennas)
+    """Vectorized Monte Carlo: n_trials independent chip-diverse estimates
+    of ``inputs.signed_sum``, one kernel column per trial."""
+    return _paired_energy(inputs.pos[:, None], inputs.neg[:, None], cfg, key, n_trials)
 
 
 def aggregate_ideal(increments: list[np.ndarray] | np.ndarray, dim: int) -> np.ndarray:
@@ -263,52 +284,17 @@ def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig
     """Noncoherent aggregation of client increments, coordinate-wise.
 
     Coordinate j uses scalar inputs u_{k,j} = [increment_k]_j / K so the
-    estimate targets the ideal mean.  All coordinates of one (chip,
-    branch, client, antenna) substream are drawn as a single vector;
-    fading, dithers and noise are therefore independent across
-    coordinates, clients, branches, chips and antennas.
-
-    In ideal-channel test mode the fading is pinned at its root-mean
-    power with zero phase, dithers are 1 and branch energies superpose
-    additively (no cross terms), so with zero noise the output equals
-    aggregate_ideal exactly.
+    estimate targets the ideal mean.  Coordinates are the kernel's
+    columns, so fading, dithers and noise are independent across
+    coordinates, clients, branches, chips and antennas.  In ideal-channel
+    test mode with zero noise the output equals aggregate_ideal.
     """
     arr = np.asarray(increments, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"increments must be a (K, d) array, got shape {arr.shape}")
     K, d = arr.shape
     u = arr / K
-    eta = cfg.eta
-    total = np.zeros(d)
-    for m in range(cfg.n_chips):
-        c = float(cfg.chip_weights[m])
-        for branch_idx, part in ((_PLUS, np.maximum(u, 0.0)), (_MINUS, np.maximum(-u, 0.0))):
-            sign = 1.0 if branch_idx == _PLUS else -1.0
-            if cfg.ideal_channel:
-                # energies add with no cross terms: |y|^2 = eta*c*S_branch + |z|^2
-                for r in range(cfg.antennas):
-                    e = eta * c * part.sum(axis=0)
-                    if cfg.noise_var > 0:
-                        z = sample_noise(key.child(m, branch_idx, K, r),
-                                         cfg.noise_var, size=d)
-                        e = e + np.abs(z) ** 2
-                    total += sign * e
-                continue
-            amps = np.sqrt(eta * c * part)  # (K, d)
-            dithers = [
-                sample_dither(key.child(m, branch_idx, k), size=d)
-                for k in range(K)
-            ]
-            for r in range(cfg.antennas):
-                y = np.zeros(d, dtype=complex)
-                for k in range(K):
-                    mu2 = cfg.mean_power_for(k)
-                    h = _fading(key.child(m, branch_idx, k, r), mu2, cfg.kappa, size=d)
-                    y += h * (amps[k] / np.sqrt(mu2)) * dithers[k]
-                z = sample_noise(key.child(m, branch_idx, K, r), cfg.noise_var, size=d)
-                y += z
-                total += sign * np.abs(y) ** 2
-    return total / (eta * cfg.weight_sum * cfg.antennas)
+    return _paired_energy(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg, key, d)
 
 
 def aggregate_coherent_csit(increments: list[np.ndarray] | np.ndarray, eta: float,
@@ -325,5 +311,5 @@ def aggregate_coherent_csit(increments: list[np.ndarray] | np.ndarray, eta: floa
     mean = arr.mean(axis=0)
     if noise_var == 0:
         return mean
-    z = sample_noise(key, noise_var, size=arr.shape[1])
+    z = sample_noise(key.generator(), noise_var, size=arr.shape[1])
     return mean + z.real / np.sqrt(eta)

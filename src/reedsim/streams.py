@@ -20,9 +20,12 @@ __all__ = ["StreamKey"]
 class StreamKey:
     """Address of one independent random substream.
 
-    The path is an ordered tuple of nonnegative indices (trial, round,
-    coordinate, chip, branch, client, antenna, ...); callers append only
-    the levels they need via :meth:`child`.
+    The path is an ordered tuple of nonnegative indices; callers append
+    only the levels they need via :meth:`child`.  Under a FedAvg trial
+    seed the paths are (domain[, round[, client]]) for initialisation,
+    local training and the coherent reference, and (domain, round, chip,
+    branch) for the paired-energy channel; validate-moments uses (point,
+    chip, branch) under the run seed.
     """
 
     seed: int

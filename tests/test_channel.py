@@ -9,17 +9,21 @@ N = 1_000_000
 KEY = StreamKey(31415)
 
 
+def _rng(*path):
+    return KEY.child(*path).generator()
+
+
 def test_fading_zero_power_is_exactly_zero():
-    assert sample_fading(KEY.child(0), 0.0) == 0j
+    assert sample_fading(_rng(0), 0.0) == 0j
 
 
 def test_fading_negative_power_rejected():
     with pytest.raises(ValueError):
-        sample_fading(KEY.child(0), -1.0)
+        sample_fading(_rng(0), -1.0)
 
 
 def test_fading_energy_moments():
-    h = sample_fading(KEY.child(1), 1.0, size=N)
+    h = sample_fading(_rng(1), 1.0, size=N)
     e = np.abs(h) ** 2
     # CLT bands: Var(|h|^2) = 1, Var(|h|^4) = E|h|^8 - 4 = 24 - 4 = 20
     assert abs(e.mean() - 1.0) < 4e-3
@@ -27,59 +31,59 @@ def test_fading_energy_moments():
 
 
 def test_fading_circular_symmetry():
-    h = sample_fading(KEY.child(2), 1.0, size=N)
+    h = sample_fading(_rng(2), 1.0, size=N)
     second = (h**2).mean()
     assert abs(second) < 4e-3
 
 
 def test_noise_zero_var_exact():
-    assert sample_noise(KEY.child(3), 0.0) == 0j
+    assert sample_noise(_rng(3), 0.0) == 0j
 
 
 def test_noise_negative_var_rejected():
     with pytest.raises(ValueError):
-        sample_noise(KEY.child(3), -0.5)
+        sample_noise(_rng(3), -0.5)
 
 
 def test_noise_energy_moment():
-    z = sample_noise(KEY.child(4), 0.5, size=N)
+    z = sample_noise(_rng(4), 0.5, size=N)
     assert abs(np.mean(np.abs(z) ** 2) - 0.5) < 4e-3
 
 
 def test_paired_noise_energies_uncorrelated():
-    zp = sample_noise(KEY.child(5, 0), 1.0, size=N)
-    zm = sample_noise(KEY.child(5, 1), 1.0, size=N)
+    zp = sample_noise(_rng(5, 0), 1.0, size=N)
+    zm = sample_noise(_rng(5, 1), 1.0, size=N)
     corr = np.corrcoef(np.abs(zp) ** 2, np.abs(zm) ** 2)[0, 1]
     assert abs(corr) < 0.005
 
 
 def test_dither_unit_modulus():
-    d = sample_dither(KEY.child(6), size=1000)
+    d = sample_dither(_rng(6), size=1000)
     assert np.max(np.abs(np.abs(d) - 1.0)) < 1e-12
 
 
 def test_dither_zero_mean():
-    d = sample_dither(KEY.child(7), size=N)
+    d = sample_dither(_rng(7), size=N)
     m = d.mean()
     assert abs(m.real) < 4e-3 and abs(m.imag) < 4e-3
 
 
 def test_dither_deterministic():
-    assert sample_dither(KEY.child(8)) == sample_dither(KEY.child(8))
+    assert sample_dither(_rng(8)) == sample_dither(_rng(8))
 
 
 def test_general_fading_kappa_limits():
     with pytest.raises(ValueError):
-        sample_general_fading(KEY.child(9), 1.0, 0.5)
+        sample_general_fading(_rng(9), 1.0, 0.5)
 
 
 def test_general_fading_kappa_one_constant_modulus():
-    h = sample_general_fading(KEY.child(10), 2.0, 1.0, size=1000)
+    h = sample_general_fading(_rng(10), 2.0, 1.0, size=1000)
     assert np.max(np.abs(np.abs(h) ** 2 - 2.0)) < 1e-12
 
 
 def test_general_fading_kappa_two_matches_rayleigh_moments():
-    h = sample_general_fading(KEY.child(11), 1.0, 2.0, size=N)
+    h = sample_general_fading(_rng(11), 1.0, 2.0, size=N)
     e = np.abs(h) ** 2
     assert abs(e.mean() - 1.0) < 4e-3
     assert abs((e**2).mean() - 2.0) < 2e-2
@@ -87,7 +91,16 @@ def test_general_fading_kappa_two_matches_rayleigh_moments():
 
 
 def test_general_fading_kappa_three_fourth_moment():
-    h = sample_general_fading(KEY.child(12), 1.0, 3.0, size=N)
+    h = sample_general_fading(_rng(12), 1.0, 3.0, size=N)
     e = np.abs(h) ** 2
     assert abs(e.mean() - 1.0) < 6e-3
     assert abs((e**2).mean() - 3.0) < 5e-2
+
+
+def test_per_row_mean_powers_broadcast():
+    powers = np.array([[0.5], [4.0]])
+    h = sample_fading(_rng(13), powers, size=(2, N // 2))
+    g = sample_general_fading(_rng(14), powers, 3.0, size=(2, N // 2))
+    for x in (h, g):
+        e = np.abs(x) ** 2
+        assert np.allclose(e.mean(axis=1), powers[:, 0], rtol=1.5e-2)

@@ -183,6 +183,28 @@ class TestMain:
         assert status == 2
         assert "phy.warp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config_seed, flag", [(-1, []), (3, ["--seed", "-1"])])
+    def test_negative_seed_rejected(self, tmp_path, capsys, config_seed, flag):
+        cfgfile = tmp_path / "neg.cfg"
+        cfgfile.write_text(f"seed = {config_seed}\nmoments.n_trials = 10\n")
+        status = main(["validate-moments", str(cfgfile), "--out", str(tmp_path / "o"), *flag])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: seed: ")
+        assert "Traceback" not in err
+
+    def test_malformed_idx_file_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(b"\x12\x34\x56\x78\x00\x00")
+        cfgfile = tmp_path / "idx.cfg"
+        cfgfile.write_text(FAST_FED + f'data.source = "idx"\n'
+                           f'data.idx_images = "{bad}"\ndata.idx_labels = "{bad}"\n')
+        status = main(["run-fedavg", str(cfgfile), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: ") and "bad IDX magic" in err and str(bad) in err
+        assert "Traceback" not in err
+
     def test_cli_end_to_end(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(FAST_FED)

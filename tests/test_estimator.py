@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reedsim.estimator import (PairedEnergies, ReedPhyConfig, ScalarInputs,
+from reedsim.estimator import (_BLOCK, PairedEnergies, ReedPhyConfig, ScalarInputs,
                                aggregate_coherent_csit, aggregate_ideal,
                                aggregate_reed, encode_branch_symbol,
                                reed_estimate_chip, reed_estimate_single,
@@ -86,14 +86,63 @@ class TestPairedObservation:
         assert abs(draws.mean() - 2.0) < 4.0 * np.sqrt(4.0 / 1e6)
         assert abs(draws.var() - 4.0) < 0.015 * 4.0
 
-    def test_matches_vectorized_pipeline(self):
-        inp = ScalarInputs([1.5, -0.5])
-        cfg = ReedPhyConfig(eta=2.0, noise_var=0.3, chip_weights=[1.0, 0.5])
-        obs = [simulate_paired_observation(inp, cfg, KEY.child(3), m, 0)
-               for m in range(2)]
-        est = reed_estimate_chip(obs, cfg)
-        vec = sample_estimates(inp, cfg, KEY.child(3), 1)
-        assert est == pytest.approx(float(vec[0]))
+    def test_ideal_channel_has_no_scalar_reference(self):
+        cfg = ReedPhyConfig(ideal_channel=True)
+        with pytest.raises(ValueError, match="ideal_channel"):
+            simulate_paired_observation(ScalarInputs([1.0]), cfg, KEY, 0, 0)
+
+    @pytest.mark.parametrize("kappa", [2.0, 3.0], ids=["kappa2", "kappa3"])
+    @pytest.mark.parametrize("antennas", [1, 2], ids=["R1", "R2"])
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.5]], ids=["M1", "M2"])
+    @pytest.mark.parametrize("values", [[-0.8], [1.5, 0.0, -0.5]], ids=["K1", "K3"])
+    def test_matches_vectorized_pipeline(self, values, weights, antennas, kappa):
+        # the scalar reference reads the kernel's draws at n = 1
+        inp = ScalarInputs(values)
+        powers = np.linspace(0.5, 2.0, inp.values.size)
+        cfg = ReedPhyConfig(eta=2.0, noise_var=0.3, mean_powers=powers,
+                            chip_weights=weights, antennas=antennas, kappa=kappa)
+        for i in range(4):
+            key = KEY.child(3, i)
+            obs = [simulate_paired_observation(inp, cfg, key, m, r)
+                   for m in range(cfg.n_chips) for r in range(antennas)]
+            est = reed_estimate_chip(obs, cfg)
+            vec = sample_estimates(inp, cfg, key, 1)
+            assert est == pytest.approx(float(vec[0]), rel=1e-12, abs=0.0)
+
+
+class TestKernelStreams:
+    def _count_generators(self, monkeypatch):
+        calls = []
+        original = StreamKey.generator
+
+        def counting(key):
+            calls.append(key.path)
+            return original(key)
+
+        monkeypatch.setattr(StreamKey, "generator", counting)
+        return calls
+
+    @pytest.mark.parametrize("chips", [1, 3])
+    def test_one_generator_per_chip_and_branch(self, monkeypatch, chips):
+        cfg = ReedPhyConfig(eta=1.0, noise_var=0.5, chip_weights=np.ones(chips),
+                            antennas=2, kappa=3.0)
+        calls = self._count_generators(monkeypatch)
+        aggregate_reed(np.arange(-6.0, 6.0).reshape(4, 3), cfg, KEY.child(14))
+        assert sorted(calls) == [(14, m, b) for m in range(chips) for b in (0, 1)]
+        calls.clear()
+        sample_estimates(ScalarInputs([1.0, -2.0, 0.5]), cfg, KEY.child(15), 10)
+        assert len(calls) == 2 * chips
+
+    def test_multi_block_draws_finite_and_repeatable(self):
+        n = 2 * _BLOCK + 3
+        inp = ScalarInputs([1.0, -0.5, 0.0])
+        cfg = ReedPhyConfig(eta=1.0, noise_var=0.5, chip_weights=[1.0, 0.5], antennas=2)
+        a = sample_estimates(inp, cfg, KEY.child(16), n)
+        b = sample_estimates(inp, cfg, KEY.child(16), n)
+        assert a.shape == (n,)
+        assert np.all(np.isfinite(a))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a[:_BLOCK], a[_BLOCK:2 * _BLOCK])
 
 
 class TestEstimates:
