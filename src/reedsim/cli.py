@@ -184,20 +184,22 @@ def main(argv: list[str] | None = None) -> int:
     for name in ("validate-moments", "run-fedavg", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a dotted-key config file")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker processes override (default: config workers)")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         if name == "sweep":
             p.add_argument("--axis", required=True, choices=sorted(_SWEEP_AXES))
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.seed)
+        cfg = load_config(args.config, args.seed, args.workers)
         out_dir = args.out if args.out is not None else cfg["output.dir"]
+        workers = cfg["workers"]
         if args.command == "validate-moments":
-            return cmd_validate_moments(cfg, out_dir, args.workers)
+            return cmd_validate_moments(cfg, out_dir, workers)
         if args.command == "run-fedavg":
-            return cmd_run_fedavg(cfg, out_dir, args.workers)
-        return cmd_sweep(cfg, out_dir, args.axis, args.workers)
+            return cmd_run_fedavg(cfg, out_dir, workers)
+        return cmd_sweep(cfg, out_dir, args.axis, workers)
     except (ConfigError, IdxFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -97,10 +97,11 @@ SCHEMA: dict[str, tuple] = {
 }
 
 
-def parse_config(text: str, seed: int | None = None) -> dict[str, Any]:
+def parse_config(text: str, seed: int | None = None,
+                 workers: int | None = None) -> dict[str, Any]:
     """Parse and fully validate a config document.  Returns a key->value
-    mapping with schema defaults filled in; ``seed``, when given, replaces
-    the document's seed before validation."""
+    mapping with schema defaults filled in; ``seed`` and ``workers``, when
+    given, replace the document's values before validation."""
     values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -123,8 +124,9 @@ def parse_config(text: str, seed: int | None = None) -> dict[str, Any]:
         if not checker(value):
             raise ConfigError(f"{key}: expected {type_name}, got {value!r}")
         values[key] = value
-    if seed is not None:
-        values["seed"] = seed
+    for key, override in (("seed", seed), ("workers", workers)):
+        if override is not None:
+            values[key] = override
     for key, (_, _, default) in SCHEMA.items():
         values.setdefault(key, default)
     _cross_validate(values)
@@ -174,9 +176,10 @@ def _cross_validate(cfg: dict[str, Any]) -> None:
         raise ConfigError("invalid quadratic curvature range")
 
 
-def load_config(path: str, seed: int | None = None) -> dict[str, Any]:
+def load_config(path: str, seed: int | None = None,
+                workers: int | None = None) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read(), seed)
+        return parse_config(f.read(), seed, workers)
 
 
 def resolve_noise_var(cfg: dict[str, Any]) -> float:

@@ -6,6 +6,18 @@ paired-energy, or coherent channel-inversion reference), apply the server
 update and record a trace.  All randomness flows through per-(round,
 client) stream keys, so runs are reproducible and the aggregator choice
 never perturbs data order or model initialization.
+
+Local training is batched across clients.  At the start of a round each
+client draws all of its minibatch indices from its own (round, client)
+stream, exactly as the single-client reference :func:`local_round` does.
+They are stacked into a (Q, K, B) index array, with short batches padded
+and masked, and each of the Q steps is one
+:meth:`Objective.stacked_gradient` call over all K clients.
+
+The train loss that closes round t and the diagnostic gradient that opens
+round t + 1 are taken at the same model, so one :meth:`Objective.evaluate`
+call computes both and the gradient is carried into the next round.  Only
+round 0 computes its diagnostic gradient on its own.
 """
 
 from __future__ import annotations
@@ -35,23 +47,52 @@ __all__ = [
 # stream-path domains under the run seed
 _DOM_INIT, _DOM_LOCAL, _DOM_CHANNEL = 0, 1, 2
 
+# the whole training set, as a batch
+_ALL = slice(None)
+
 
 class Objective:
     """Differentiable empirical risk with exact analytic gradients.
 
-    Subclasses bind the training data; batches are index arrays into it.
+    Subclasses bind the training data; a batch is an index into it, an
+    index array or ``slice(None)`` for every sample.  Gradients of several
+    clients at once come from :meth:`stacked_gradient`; the single-batch
+    :meth:`stochastic_gradient` is its K = 1 case.
     """
 
     dim: int
 
-    def loss(self, params: np.ndarray, batch: np.ndarray) -> float:
+    # ``grad_norm_is_proxy`` marks objectives whose diagnostic gradient is
+    # subsampled rather than exact.
+    grad_norm_is_proxy: bool = False
+
+    def loss(self, params: np.ndarray, batch) -> float:
         raise NotImplementedError
 
-    def stochastic_gradient(self, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    def stochastic_gradient(self, params: np.ndarray, batch) -> np.ndarray:
+        raise NotImplementedError
+
+    def stacked_gradient(self, params: np.ndarray, batches: np.ndarray,
+                         lengths: np.ndarray) -> np.ndarray:
+        """Minibatch gradients of K clients in one call.
+
+        ``params`` is (K, dim) and ``batches`` a (K, B) index array whose
+        row k holds ``lengths[k]`` valid indices; entries past that are
+        padding and do not contribute.  Returns (K, dim).
+        """
         raise NotImplementedError
 
     def full_gradient(self, params: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def diagnostic_gradient(self, params: np.ndarray, key: StreamKey) -> np.ndarray:
+        """The gradient whose squared norm the trace records; exact unless
+        ``grad_norm_is_proxy``."""
+        return self.full_gradient(params)
+
+    def evaluate(self, params: np.ndarray, key: StreamKey) -> tuple[float, np.ndarray]:
+        """Full-train loss and diagnostic gradient at ``params``."""
+        return self.loss(params, _ALL), self.diagnostic_gradient(params, key)
 
     def init_params(self, key: StreamKey) -> np.ndarray:
         raise NotImplementedError
@@ -60,10 +101,6 @@ class Objective:
                  labels: np.ndarray) -> float:
         """Classification accuracy; 0.0 for objectives without classes."""
         return 0.0
-
-    # ``grad_norm_is_proxy`` marks objectives whose diagnostic gradient is
-    # subsampled rather than exact.
-    grad_norm_is_proxy: bool = False
 
 
 class QuadraticObjective(Objective):
@@ -81,6 +118,9 @@ class QuadraticObjective(Objective):
     def stochastic_gradient(self, params, batch=None):
         return self.curvatures * params
 
+    def stacked_gradient(self, params, batches=None, lengths=None):
+        return self.curvatures * params
+
     def full_gradient(self, params):
         return self.curvatures * params
 
@@ -89,62 +129,114 @@ class QuadraticObjective(Objective):
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over axis 1, the class axis of (K, C, B) logits."""
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
 
-class LogisticObjective(Objective):
-    """Multinomial logistic regression with bias, mean cross-entropy."""
+def _mean_xent(P: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of one batch from its (1, C, n) class
+    probabilities and (1, n) labels."""
+    y = labels[0]
+    return float(-np.mean(np.log(P[0, y, np.arange(y.size)] + 1e-300)))
+
+
+def _xent_logit_grad(P: np.ndarray, labels: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
+    """Gradient of each client's summed cross-entropy with respect to its
+    logits, computed in place from (K, C, B) class probabilities.  Columns
+    past a client's batch length are padding and come out zero; callers
+    divide the parameter gradient by the lengths."""
+    K, _, B = P.shape
+    cols = np.arange(B)
+    P[np.arange(K)[:, None], labels, cols] -= 1.0
+    if lengths.min() < B:
+        P *= (cols < lengths[:, None])[:, None, :]
+    return P
+
+
+class _Classifier(Objective):
+    """Softmax classifier over a labeled dataset.
+
+    Subclasses write the forward and backward pass once, over stacked
+    (K, dim) parameters and (K, B, p) features.  Activations are kept
+    feature-major, as (K, C, B) logits and (K, H, B) hidden units, so that
+    reductions over the classes run along contiguous rows.
+    """
 
     def __init__(self, data: LabeledDataset, n_classes: int):
-        if n_classes < 2:
-            raise ValueError("need at least 2 classes")
         if len(data) and data.labels.max() >= n_classes:
             raise ValueError("labels exceed the declared class count")
         self.data = data
         self.n_classes = n_classes
         self.n_features = data.features.shape[1]
+
+    def _single(self, batch):
+        """Features (1, n, p), labels (1, n) and length (1,) of one batch."""
+        y = self.data.labels[batch]
+        return self.data.features[batch][None], y[None], np.array([y.size])
+
+    def stacked_gradient(self, params, batches, lengths):
+        return self._gradients(params, self.data.features[batches],
+                               self.data.labels[batches], lengths)
+
+    def _gradients(self, params, X, labels, lengths):
+        raise NotImplementedError
+
+
+class LogisticObjective(_Classifier):
+    """Multinomial logistic regression with bias, mean cross-entropy."""
+
+    def __init__(self, data: LabeledDataset, n_classes: int):
+        if n_classes < 2:
+            raise ValueError("need at least 2 classes")
+        super().__init__(data, n_classes)
         self.dim = (self.n_features + 1) * n_classes
 
-    def _unpack(self, params):
-        W = params[: self.n_features * self.n_classes].reshape(
-            self.n_features, self.n_classes)
-        b = params[self.n_features * self.n_classes:]
-        return W, b
-
     def _probs(self, params, X):
-        W, b = self._unpack(params)
-        return _softmax(X @ W + b)
+        """(K, C, B) class probabilities."""
+        split = self.n_features * self.n_classes
+        W = params[:, :split].reshape(len(params), self.n_features, self.n_classes)
+        b = params[:, split:, None]
+        return _softmax(W.transpose(0, 2, 1) @ X.transpose(0, 2, 1) + b)
+
+    def _backward(self, X, P, labels, lengths):
+        """Gradients (K, dim) from the forward pass's probabilities, which
+        are overwritten."""
+        dZ = _xent_logit_grad(P, labels, lengths)
+        gW = (dZ @ X).transpose(0, 2, 1)
+        grads = np.concatenate([gW.reshape(len(X), -1), dZ.sum(axis=2)], axis=1)
+        return grads / lengths[:, None]
+
+    def _gradients(self, params, X, labels, lengths):
+        return self._backward(X, self._probs(params, X), labels, lengths)
 
     def loss(self, params, batch):
-        X = self.data.features[batch]
-        y = self.data.labels[batch]
-        P = self._probs(params, X)
-        return float(-np.mean(np.log(P[np.arange(len(y)), y] + 1e-300)))
+        X, y, _ = self._single(batch)
+        return _mean_xent(self._probs(params[None], X), y)
 
     def stochastic_gradient(self, params, batch):
-        X = self.data.features[batch]
-        y = self.data.labels[batch]
-        P = self._probs(params, X)
-        P[np.arange(len(y)), y] -= 1.0
-        P /= len(y)
-        gW = X.T @ P
-        gb = P.sum(axis=0)
-        return np.concatenate([gW.ravel(), gb])
+        return self._gradients(params[None], *self._single(batch))[0]
 
     def full_gradient(self, params):
-        return self.stochastic_gradient(params, np.arange(len(self.data)))
+        return self.stochastic_gradient(params, _ALL)
+
+    def evaluate(self, params, key):
+        """Loss and exact gradient from one pass over the training set."""
+        X, y, n = self._single(_ALL)
+        P = self._probs(params[None], X)
+        return _mean_xent(P, y), self._backward(X, P, y, n)[0]
 
     def init_params(self, key):
         return np.zeros(self.dim)
 
     def accuracy(self, params, features, labels):
-        P = self._probs(params, features)
-        return float(np.mean(P.argmax(axis=1) == labels))
+        P = self._probs(params[None], features[None])[0]
+        return float(np.mean(P.argmax(axis=0) == labels))
 
 
-class MlpObjective(Objective):
+class MlpObjective(_Classifier):
     """One-hidden-layer tanh perceptron with softmax cross-entropy."""
 
     grad_norm_is_proxy = True
@@ -153,52 +245,50 @@ class MlpObjective(Objective):
     def __init__(self, data: LabeledDataset, hidden: int, n_classes: int):
         if hidden < 1 or n_classes < 2:
             raise ValueError("need hidden >= 1 and classes >= 2")
-        self.data = data
+        super().__init__(data, n_classes)
         self.hidden = hidden
-        self.n_classes = n_classes
-        self.n_features = data.features.shape[1]
         p, H, C = self.n_features, hidden, n_classes
         self.dim = p * H + H + H * C + C
-        self._shapes = [(p, H), (H,), (H, C), (C,)]
+        self._shapes = [(p, H), (H, 1), (H, C), (C, 1)]
 
     def _unpack(self, params):
+        """W1 (K, p, H), b1 (K, H, 1), W2 (K, H, C), b2 (K, C, 1) of
+        (K, dim) parameters."""
         out, start = [], 0
         for shape in self._shapes:
             size = int(np.prod(shape))
-            out.append(params[start:start + size].reshape(shape))
+            out.append(params[:, start:start + size].reshape((len(params),) + shape))
             start += size
         return out
 
     def _forward(self, params, X):
+        """(K, H, B) hidden activations and (K, C, B) logits."""
         W1, b1, W2, b2 = self._unpack(params)
-        A = np.tanh(X @ W1 + b1)
-        return A, _softmax(A @ W2 + b2)
+        A = np.tanh(W1.transpose(0, 2, 1) @ X.transpose(0, 2, 1) + b1)
+        return A, W2.transpose(0, 2, 1) @ A + b2
+
+    def _gradients(self, params, X, labels, lengths):
+        W2 = self._unpack(params)[2]
+        A, Z = self._forward(params, X)
+        dZ = _xent_logit_grad(_softmax(Z), labels, lengths)
+        dA = (W2 @ dZ) * (1.0 - A**2)
+        K = len(params)
+        grads = np.concatenate([
+            (dA @ X).transpose(0, 2, 1).reshape(K, -1), dA.sum(axis=2),
+            (A @ dZ.transpose(0, 2, 1)).reshape(K, -1), dZ.sum(axis=2)], axis=1)
+        return grads / lengths[:, None]
 
     def loss(self, params, batch):
-        X = self.data.features[batch]
-        y = self.data.labels[batch]
-        _, P = self._forward(params, X)
-        return float(-np.mean(np.log(P[np.arange(len(y)), y] + 1e-300)))
+        X, y, _ = self._single(batch)
+        return _mean_xent(_softmax(self._forward(params[None], X)[1]), y)
 
     def stochastic_gradient(self, params, batch):
-        X = self.data.features[batch]
-        y = self.data.labels[batch]
-        W1, b1, W2, b2 = self._unpack(params)
-        A = np.tanh(X @ W1 + b1)
-        P = _softmax(A @ W2 + b2)
-        P[np.arange(len(y)), y] -= 1.0
-        P /= len(y)
-        gW2 = A.T @ P
-        gb2 = P.sum(axis=0)
-        dA = (P @ W2.T) * (1.0 - A**2)
-        gW1 = X.T @ dA
-        gb1 = dA.sum(axis=0)
-        return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+        return self._gradients(params[None], *self._single(batch))[0]
 
     def full_gradient(self, params):
-        return self.stochastic_gradient(params, np.arange(len(self.data)))
+        return self.stochastic_gradient(params, _ALL)
 
-    def diagnostic_gradient(self, params, key: StreamKey):
+    def diagnostic_gradient(self, params, key):
         n = len(self.data)
         if n <= self.proxy_samples:
             return self.full_gradient(params)
@@ -210,10 +300,8 @@ class MlpObjective(Objective):
         return 0.05 * rng.standard_normal(self.dim)
 
     def accuracy(self, params, features, labels):
-        W1, b1, W2, b2 = self._unpack(params)
-        A = np.tanh(features @ W1 + b1)
-        pred = (A @ W2 + b2).argmax(axis=1)
-        return float(np.mean(pred == labels))
+        Z = self._forward(params[None], features[None])[1][0]
+        return float(np.mean(Z.argmax(axis=0) == labels))
 
 
 def build_objective(kind: str, data: LabeledDataset | None = None, *, d: int = 0,
@@ -295,48 +383,70 @@ class RoundTrace:
 
 
 def clip_gradient(g: np.ndarray, clip_G: float | None) -> np.ndarray:
+    """Scale a gradient, or each row of a stack of them, to norm at most
+    clip_G."""
     if clip_G is None:
         return g
-    norm = float(np.linalg.norm(g))
-    if norm > clip_G:
-        return g * (clip_G / norm)
-    return g
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    return g * (clip_G / np.maximum(norm, clip_G))
+
+
+def _client_batches(indices, Q: int, batch_size: int,
+                    key: StreamKey) -> tuple[np.ndarray, list[int]]:
+    """The minibatches of one client's Q local steps.
+
+    Minibatches are taken without replacement from a shuffle of the
+    client's indices, reshuffling whenever the shuffle is used up.  Returns
+    a (Q, min(batch_size, n)) index array whose row q holds batch q,
+    padded with index 0, and the Q batch lengths.
+    """
+    indices = np.asarray(indices)
+    n = indices.size
+    if n == 0:
+        raise ValueError("client dataset is empty")
+    width = min(batch_size, n)
+    per_shuffle = -(-n // width)
+    rng = key.generator()
+    shuffles = np.zeros((-(-Q // per_shuffle), per_shuffle * width), dtype=np.intp)
+    for row in shuffles:
+        row[:n] = rng.permutation(indices)
+    lengths = [min(width, n - width * (q % per_shuffle)) for q in range(Q)]
+    return shuffles.reshape(-1, width)[:Q], lengths
+
+
+def _round_batches(partitions: list[np.ndarray], Q: int, batch_size: int,
+                   key: StreamKey) -> tuple[np.ndarray, np.ndarray]:
+    """The minibatches of every client's Q local steps, client k drawn
+    from ``key.child(k)``: a (Q, K, B) index array and the (Q, K) batch
+    lengths."""
+    width = min(batch_size, max(np.size(p) for p in partitions))
+    batches = np.zeros((Q, len(partitions), width), dtype=np.intp)
+    lengths = np.empty((Q, len(partitions)), dtype=np.intp)
+    for k, part in enumerate(partitions):
+        rows, lengths[:, k] = _client_batches(part, Q, batch_size, key.child(k))
+        batches[:, k, :rows.shape[1]] = rows
+    return batches, lengths
 
 
 def local_round(params: np.ndarray, objective: Objective, client_indices: np.ndarray,
                 Q: int, beta: float, batch_size: int, key: StreamKey,
                 clip_G: float | None = None) -> np.ndarray:
-    """Q local minibatch SGD steps; returns the increment w_Q - w_0.
+    """Q local minibatch SGD steps of one client; returns the increment
+    w_Q - w_0.
 
-    Minibatches are taken without replacement from a per-round shuffle,
-    reshuffling whenever the client's data is exhausted.
+    The single-client reference for the batched steps of
+    :func:`run_fedavg`: the same minibatches, one gradient call each.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    idx = np.asarray(client_indices)
-    if idx.size == 0:
-        raise ValueError("client dataset is empty")
-    rng = key.generator()
+    batches, lengths = _client_batches(client_indices, Q, batch_size, key)
     w = params.copy()
-    order = rng.permutation(idx)
-    pos = 0
-    for _ in range(Q):
-        if pos >= order.size:
-            order = rng.permutation(idx)
-            pos = 0
-        batch = order[pos:pos + batch_size]
-        pos += batch_size
-        g = clip_gradient(objective.stochastic_gradient(w, batch), clip_G)
+    for batch, n in zip(batches, lengths):
+        g = clip_gradient(objective.stochastic_gradient(w, batch[:n]), clip_G)
         w = w - beta * g
     return w - params
-
-
-def _diagnostic_grad(objective: Objective, w: np.ndarray, key: StreamKey) -> np.ndarray:
-    if isinstance(objective, MlpObjective):
-        return objective.diagnostic_gradient(w, key)
-    return objective.full_gradient(w)
 
 
 def run_fedavg(cfg: FedRunConfig, objective: Objective,
@@ -352,19 +462,20 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     root = StreamKey(cfg.seed)
     w = objective.init_params(root.child(_DOM_INIT))
     d = objective.dim
-    full_train = np.arange(len(objective.data)) if hasattr(objective, "data") else None
+    grad = objective.diagnostic_gradient(w, root.child(_DOM_LOCAL, 0, cfg.K))
     traces: list[RoundTrace] = []
 
     for t in range(cfg.T):
         beta = cfg.stepsize(t)
-        grad = _diagnostic_grad(objective, w, root.child(_DOM_LOCAL, t, cfg.K))
         grad_norm_sq = float(grad @ grad)
 
-        increments = np.empty((cfg.K, d))
-        for k in range(cfg.K):
-            increments[k] = local_round(
-                w, objective, partitions[k], cfg.Q, beta, cfg.batch_size,
-                root.child(_DOM_LOCAL, t, k), cfg.clip_G)
+        batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
+                                          root.child(_DOM_LOCAL, t))
+        local = np.repeat(w[None], cfg.K, axis=0)
+        for q in range(cfg.Q):
+            g = objective.stacked_gradient(local, batches[q], lengths[q])
+            local = local - beta * clip_gradient(g, cfg.clip_G)
+        increments = local - w
 
         phy = cfg.phy
         if cfg.aggregator == "reed" and cfg.budgets is not None:
@@ -395,8 +506,8 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         if not np.all(np.isfinite(w)):
             raise RuntimeError(f"non-finite model after round {t}")
 
-        train_loss = objective.loss(w, full_train) if full_train is not None \
-            else objective.loss(w, None)
+        # the gradient is round t + 1's diagnostic gradient
+        train_loss, grad = objective.evaluate(w, root.child(_DOM_LOCAL, t + 1, cfg.K))
         if not np.isfinite(train_loss):
             raise RuntimeError(f"non-finite train loss after round {t}")
         test_acc = (objective.accuracy(w, test_data.features, test_data.labels)

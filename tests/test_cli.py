@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reedsim import cli
 from reedsim.cli import cmd_run_fedavg, cmd_sweep, cmd_validate_moments, main
 from reedsim.config import SCHEMA, ConfigError, parse_config, resolve_noise_var
 from reedsim.estimator import ReedPhyConfig, ScalarInputs
@@ -192,6 +193,37 @@ class TestMain:
         assert status == 2
         assert err.startswith("error: seed: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config_workers, flag", [
+        (0, []), (-1, []), (2, ["--workers", "0"]), (2, ["--workers", "-1"])])
+    def test_nonpositive_workers_rejected(self, tmp_path, capsys, config_workers, flag):
+        cfgfile = tmp_path / "workers.cfg"
+        cfgfile.write_text(f"workers = {config_workers}\nmoments.n_trials = 10\n")
+        status = main(["validate-moments", str(cfgfile), "--out", str(tmp_path / "o"), *flag])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: workers: must be >= 1")
+        assert "Traceback" not in err
+
+    def test_config_workers_used_and_byte_identical(self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        outputs = []
+        for workers, flag in ((1, []), (2, []), (2, ["--workers", "1"])):
+            cfgfile = tmp_path / "workers.cfg"
+            cfgfile.write_text(FAST_FED + f"workers = {workers}\n")
+            out = tmp_path / f"o{len(outputs)}"
+            assert main(["run-fedavg", str(cfgfile), "--out", str(out), *flag]) == 0
+            outputs.append((out / "fedavg_trace.csv").read_bytes())
+        # only the config's workers = 2 starts a pool; --workers overrides it
+        assert pools == [2]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_malformed_idx_file_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.idx"

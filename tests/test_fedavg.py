@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from reedsim import fedavg
 from reedsim.datasets import PartitionSpec, partition, synth_dataset
-from reedsim.estimator import ReedPhyConfig
+from reedsim.estimator import ReedPhyConfig, aggregate_ideal
 from reedsim.fedavg import (FedRunConfig, LogisticObjective, MlpObjective,
-                            QuadraticObjective, build_objective, local_round,
-                            run_fedavg)
+                            QuadraticObjective, _round_batches, build_objective,
+                            local_round, run_fedavg)
 from reedsim.streams import StreamKey
 
 KEY = StreamKey(8128)
@@ -180,3 +181,136 @@ class TestRunFedavg:
         noisy = self._run("coherent_csit", T=1,
                          phy=ReedPhyConfig(eta=1e12, noise_var=1e-12))
         assert clean[0].train_loss == pytest.approx(noisy[0].train_loss, rel=1e-6)
+
+
+def _ragged_setup():
+    # Dirichlet clients of 5, 19, 5, 1 and 90 samples: three smaller than a
+    # 16-sample batch (one of them a single sample) and two with a short
+    # last batch
+    ds = synth_dataset("gaussian-blobs", 120, seed=0, classes=3, p=4, separation=3.0)
+    parts = partition(ds, PartitionSpec("dirichlet", 5, seed=3, alpha=0.1))
+    assert [p.size for p in parts] == [5, 19, 5, 1, 90]
+    return ds, parts
+
+
+def _objective(kind, ds):
+    return build_objective(kind, ds, hidden=6, d=5, curvature_range=(0.5, 2.0), seed=2)
+
+
+def _assert_rel(actual, reference, rel=1e-12):
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    assert actual.shape == reference.shape
+    assert np.max(np.abs(actual - reference)) <= rel * np.max(np.abs(reference))
+
+
+def _record_local_round_batches(monkeypatch, obj, parts, Q, batch_size, key):
+    """The minibatches local_round feeds to stochastic_gradient, per client."""
+    seen = []
+    original = type(obj).stochastic_gradient
+    monkeypatch.setattr(type(obj), "stochastic_gradient",
+                        lambda self, w, batch: seen.append(batch) or original(self, w, batch))
+    per_client = []
+    for k, part in enumerate(parts):
+        seen.clear()
+        local_round(np.zeros(obj.dim), obj, part, Q, 0.1, batch_size, key.child(k))
+        per_client.append(list(seen))
+    return per_client
+
+
+class TestBatchedTraining:
+    """run_fedavg's stacked steps against the per-client local_round loop."""
+
+    Q, BATCH = 7, 16  # Q forces a reshuffle on every client but the largest
+
+    def test_batch_indices_equal_local_round(self, monkeypatch):
+        ds, parts = _ragged_setup()
+        obj = _objective("logistic", ds)
+        batches, lengths = _round_batches(parts, self.Q, self.BATCH, KEY)
+        expected = _record_local_round_batches(monkeypatch, obj, parts, self.Q,
+                                               self.BATCH, KEY)
+        assert batches.shape == (self.Q, len(parts), self.BATCH)
+        for k, client in enumerate(expected):
+            assert len(client) == self.Q
+            for q, batch in enumerate(client):
+                assert lengths[q, k] == batch.size
+                assert np.array_equal(batches[q, k, :lengths[q, k]], batch)
+        # the single-sample client sees its one sample every step
+        assert np.all(lengths[:, 3] == 1)
+        assert np.all(batches[:, 3, 0] == parts[3][0])
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+    def test_stacked_gradient_matches_per_client(self, kind):
+        ds, parts = _ragged_setup()
+        obj = _objective(kind, ds)
+        batches, lengths = _round_batches(parts, self.Q, self.BATCH, KEY)
+        params = 0.3 * StreamKey(5).generator().standard_normal((len(parts), obj.dim))
+        for q in range(self.Q):
+            stacked = obj.stacked_gradient(params, batches[q], lengths[q])
+            for k in range(len(parts)):
+                single = obj.stochastic_gradient(params[k], batches[q, k, :lengths[q, k]])
+                _assert_rel(stacked[k], single)
+
+    @pytest.mark.parametrize("clip_G", [None, 0.05])
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+    def test_run_fedavg_matches_local_round_loop(self, monkeypatch, kind, clip_G):
+        ds, parts = _ragged_setup()
+        obj = _objective(kind, ds)
+        K, T = len(parts), 4
+        cfg = FedRunConfig(K=K, Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.2,
+                           schedule="inv_sqrt", clip_G=clip_G, seed=9)
+        recorded = []
+        monkeypatch.setattr(fedavg, "aggregate_ideal",
+                            lambda inc, d: recorded.append(inc) or aggregate_ideal(inc, d))
+        traces = run_fedavg(cfg, obj, parts)
+        assert len(recorded) == T
+
+        root = StreamKey(cfg.seed)
+        w = obj.init_params(root.child(0))
+        for t in range(T):
+            _assert_rel(traces[t].grad_norm_sq,
+                        float(np.sum(obj.diagnostic_gradient(w, root.child(1, t, K))**2)))
+            inc = np.stack([local_round(w, obj, parts[k], self.Q, cfg.stepsize(t),
+                                        self.BATCH, root.child(1, t, k), clip_G)
+                            for k in range(K)])
+            _assert_rel(recorded[t], inc)
+            w = w + aggregate_ideal(inc, obj.dim)
+            _assert_rel(traces[t].train_loss, obj.loss(w, np.arange(len(ds))))
+        if clip_G is not None:
+            # clipping is active from the first step on
+            batches, lengths = _round_batches(parts, self.Q, self.BATCH, root.child(1, 0))
+            w0 = np.tile(obj.init_params(root.child(0)), (K, 1))
+            g0 = obj.stacked_gradient(w0, batches[0], lengths[0])
+            assert np.max(np.linalg.norm(g0, axis=1)) > clip_G
+
+    def test_fused_logistic_evaluate_equals_loss_and_full_gradient(self):
+        ds, _ = _ragged_setup()
+        obj = _objective("logistic", ds)
+        w = 0.3 * StreamKey(6).generator().standard_normal(obj.dim)
+        loss, grad = obj.evaluate(w, KEY)
+        assert loss == obj.loss(w, np.arange(len(ds)))
+        assert np.array_equal(grad, obj.full_gradient(w))
+
+    def test_one_stacked_gradient_per_step_and_one_full_pass_per_round(self, monkeypatch):
+        ds, parts = _ragged_setup()
+        obj = _objective("logistic", ds)
+        calls = {"stacked": 0, "stochastic": 0, "local_round": 0}
+        full_passes = []
+        cls = LogisticObjective
+        for name in ("stacked_gradient", "stochastic_gradient"):
+            def spy(self, *args, _fn=getattr(cls, name), _key=name.split("_")[0]):
+                calls[_key] += 1
+                return _fn(self, *args)
+            monkeypatch.setattr(cls, name, spy)
+        probs = cls._probs
+        monkeypatch.setattr(cls, "_probs", lambda self, params, X: (
+            full_passes.append(X.shape[1] == len(ds)) or probs(self, params, X)))
+        monkeypatch.setattr(fedavg, "local_round", lambda *a, **kw: calls.update(
+            local_round=calls["local_round"] + 1))
+        K, T = len(parts), 3
+        cfg = FedRunConfig(K=K, Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.1, seed=1)
+        run_fedavg(cfg, obj, parts)
+        assert calls["stacked"] == self.Q * T  # not K * Q * T
+        assert calls["local_round"] == 0
+        # round 0: its own diagnostic gradient; every round: one evaluate pass
+        assert calls["stochastic"] == 1
+        assert sum(full_passes) == T + 1
