@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, check_config, load_config
 from .datasets import IdxFormatError
 from .experiments import (default_moment_matrix, run_single_trial, validate_point)
 
@@ -140,11 +140,12 @@ def cmd_run_fedavg(cfg: dict[str, Any], out_dir: str, workers: int = 1) -> int:
 
 
 def _apply_axis(cfg: dict[str, Any], axis: str, value) -> dict[str, Any]:
+    """The config of one sweep point, validated like a parsed config."""
     out = dict(cfg)
     if axis == "M":
         # per-chip receive-SNR convention held fixed: eta and noise_var
         # unchanged, weights replicated at the configured per-chip energy
-        out["phy.chips"] = int(value)
+        out["phy.chips"] = value
         out["phy.chip_weights"] = None
     elif axis == "snr_db":
         out["phy.snr_db"] = float(value)
@@ -153,6 +154,10 @@ def _apply_axis(cfg: dict[str, Any], axis: str, value) -> dict[str, Any]:
         out["data.alpha"] = float(value)
     elif axis == "beta0":
         out["fed.beta0"] = float(value)
+    try:
+        check_config(out)
+    except ConfigError as exc:
+        raise ConfigError(f"{_SWEEP_AXES[axis]}: value {_fmt(value)}: {exc}") from None
     return out
 
 
@@ -163,10 +168,11 @@ def cmd_sweep(cfg: dict[str, Any], out_dir: str, axis: str, workers: int = 1) ->
     values = cfg[_SWEEP_AXES[axis]]
     if not values:
         raise ConfigError(f"{_SWEEP_AXES[axis]}: empty or unset axis")
+    # every point is validated before the first one runs
+    points = [_apply_axis(cfg, axis, value) for value in values]
     rows = []
     summary = {}
-    for value in values:
-        point_cfg = _apply_axis(cfg, axis, value)
+    for value, point_cfg in zip(values, points):
         point_rows = _run_fedavg_rows(point_cfg, workers)
         rows.extend([[_fmt(value)] + r for r in point_rows])
         summary[_fmt(value)] = _summarize(point_rows, cfg["fed.T"] - 1)

@@ -2,16 +2,26 @@
 
 A config file is a plain text document of ``section.key = value`` lines
 (values in JSON syntax, ``#`` comments).  The whole document is validated
-against the schema before any computation: unknown keys, type mismatches
-and malformed values are reported with the offending key path.
+before any computation: unknown keys, type mismatches and malformed values
+are reported with the offending key path.  Value rules belong to the typed
+objects built here, whose errors are reported under the key of the field.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import Any
 
-__all__ = ["ConfigError", "SCHEMA", "parse_config", "load_config", "resolve_noise_var"]
+import numpy as np
+
+from .datasets import LabeledDataset, PartitionSpec, partition, synth_dataset
+from .estimator import ReedPhyConfig
+from .fedavg import FedRunConfig, Objective, build_objective
+
+__all__ = ["ConfigError", "SCHEMA", "parse_config", "load_config", "check_config",
+           "resolve_noise_var", "synth_data", "client_partition", "run_objective",
+           "fed_run_config"]
 
 
 class ConfigError(ValueError):
@@ -90,7 +100,8 @@ SCHEMA: dict[str, tuple] = {
     "moments.n_trials": (_is_int, "int", 1_000_000),
     "moments.tolerance": (_num, "number", 0.015),
 
-    "sweep.M_values": (_num_list, "list of numbers", [1, 2, 4]),
+    "sweep.M_values": (lambda x: _num_list(x) and all(map(_is_int, x)),
+                       "list of ints", [1, 2, 4]),
     "sweep.snr_db_values": (_num_list, "list of numbers", None),
     "sweep.alpha_values": (_num_list, "list of numbers", None),
     "sweep.beta0_values": (_num_list, "list of numbers", None),
@@ -129,51 +140,43 @@ def parse_config(text: str, seed: int | None = None,
             values[key] = override
     for key, (_, _, default) in SCHEMA.items():
         values.setdefault(key, default)
-    _cross_validate(values)
+    check_config(values)
     return values
+
+
+def check_config(cfg: dict[str, Any]) -> None:
+    """Validate a filled-in config: the rules no constructor owns, then the
+    typed objects of a trial for every listed aggregator, built on no data."""
+    _cross_validate(cfg)
+    if cfg["data.source"] == "synth":
+        synth_data(cfg, 0, 0)
+    _partition_spec(cfg, 0)
+    run_objective(cfg, LabeledDataset(np.zeros((0, 1)), np.zeros(0)), 0)
+    for aggregator in cfg["fed.aggregators"]:
+        fed_run_config(cfg, 0, aggregator)
 
 
 def _cross_validate(cfg: dict[str, Any]) -> None:
     if cfg["seed"] < 0:
         raise ConfigError(f"seed: must be >= 0, got {cfg['seed']}")
-    for key in ("trials", "workers", "fed.K", "fed.Q", "fed.T", "fed.batch_size",
-                "phy.chips", "phy.antennas", "moments.n_trials"):
+    for key in ("trials", "workers", "moments.n_trials"):
         if cfg[key] < 1:
             raise ConfigError(f"{key}: must be >= 1, got {cfg[key]}")
-    for key in ("phy.eta", "fed.beta0", "phy.mean_power", "phy.snr_ref_power",
-                "moments.tolerance"):
+    for key in ("phy.snr_ref_power", "moments.tolerance"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key}: must be > 0, got {cfg[key]}")
-    if cfg["phy.noise_var"] < 0:
-        raise ConfigError(f"phy.noise_var: must be >= 0, got {cfg['phy.noise_var']}")
-    if cfg["phy.kappa"] < 1:
-        raise ConfigError(f"phy.kappa: must be >= 1, got {cfg['phy.kappa']}")
-    if cfg["phy.chip_weights"] is not None:
-        w = cfg["phy.chip_weights"]
-        if any(v < 0 for v in w) or sum(w) <= 0:
-            raise ConfigError("phy.chip_weights: must be >= 0 with positive sum")
-    for agg in cfg["fed.aggregators"]:
-        if agg not in ("ideal", "reed", "coherent_csit"):
-            raise ConfigError(f"fed.aggregators: unknown aggregator {agg!r}")
-    if cfg["fed.budget"] is not None:
-        if cfg["fed.budget"] <= 0:
-            raise ConfigError("fed.budget: must be > 0")
-        if cfg["fed.clip_G"] is None:
-            raise ConfigError("fed.budget requires fed.clip_G to be set")
-    if cfg["fed.clip_G"] is not None and cfg["fed.clip_G"] <= 0:
-        raise ConfigError("fed.clip_G: must be > 0")
+    if cfg["data.test_n"] < 0:
+        raise ConfigError(f"data.test_n: must be >= 0, got {cfg['data.test_n']}")
+    if cfg["data.synth_n"] < cfg["fed.K"]:
+        raise ConfigError("data.synth_n: must be >= fed.K")
     if cfg["data.source"] == "idx":
         for key in ("data.idx_images", "data.idx_labels"):
             if cfg[key] is None:
                 raise ConfigError(f"{key}: required when data.source = 'idx'")
-    if cfg["data.partition"] == "dirichlet" and cfg["data.alpha"] <= 0:
-        raise ConfigError("data.alpha: must be > 0 for dirichlet partitions")
-    if cfg["data.synth_n"] < cfg["fed.K"]:
-        raise ConfigError("data.synth_n: must be >= fed.K")
-    if cfg["fed.model"] == "quadratic" and cfg["fed.quad_dim"] < 1:
-        raise ConfigError("fed.quad_dim: must be >= 1")
-    if cfg["fed.quad_curv_min"] <= 0 or cfg["fed.quad_curv_max"] < cfg["fed.quad_curv_min"]:
-        raise ConfigError("invalid quadratic curvature range")
+        for key, other in (("data.idx_test_labels", "data.idx_test_images"),
+                           ("data.idx_test_images", "data.idx_test_labels")):
+            if cfg[key] is None and cfg[other] is not None:
+                raise ConfigError(f"{key}: required when {other} is set")
 
 
 def load_config(path: str, seed: int | None = None,
@@ -188,3 +191,86 @@ def resolve_noise_var(cfg: dict[str, Any]) -> float:
     if cfg["phy.snr_db"] is not None:
         return 10.0 ** (-cfg["phy.snr_db"] / 10.0) * cfg["phy.snr_ref_power"]
     return float(cfg["phy.noise_var"])
+
+
+# constructor field -> config key; constructor errors start with the field
+_FIELD_KEYS = {
+    "eta": "phy.eta", "noise_var": "phy.noise_var", "mean_powers": "phy.mean_power",
+    "n_chips": "phy.chips", "chip_weights": "phy.chip_weights",
+    "antennas": "phy.antennas", "kappa": "phy.kappa", "K": "fed.K", "Q": "fed.Q",
+    "T": "fed.T", "batch_size": "fed.batch_size", "beta0": "fed.beta0",
+    "aggregator": "fed.aggregators", "budgets": "fed.budget", "clip_G": "fed.clip_G",
+    "hidden": "fed.hidden", "d": "fed.quad_dim",
+    "curvature_range": "fed.quad_curv_min, fed.quad_curv_max",
+    "alpha": "data.alpha", "classes": "data.classes", "n_classes": "data.classes",
+    "p": "data.features", "separation": "data.separation",
+}
+
+
+@contextmanager
+def _keyed(**fields: str):
+    """Turn a constructor's ValueError into a ConfigError naming the config
+    key of the field the message starts with; ``fields`` overrides keys."""
+    try:
+        yield
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        key = fields.get(field, _FIELD_KEYS.get(field))
+        if key is None:
+            raise
+        raise ConfigError(f"{key}: {rest}") from None
+
+
+def _trial_seed(cfg: dict[str, Any], trial: int) -> int:
+    return cfg["seed"] * 1_000_003 + trial
+
+
+@_keyed()
+def synth_data(cfg: dict[str, Any], n: int, trial: int) -> LabeledDataset:
+    return synth_dataset(cfg["data.synth_kind"], n, seed=_trial_seed(cfg, trial),
+                         classes=cfg["data.classes"], p=cfg["data.features"],
+                         separation=cfg["data.separation"])
+
+
+@_keyed()
+def _partition_spec(cfg: dict[str, Any], trial: int) -> PartitionSpec:
+    return PartitionSpec(kind=cfg["data.partition"], K=cfg["fed.K"],
+                         seed=_trial_seed(cfg, trial) + 2, alpha=cfg["data.alpha"])
+
+
+@_keyed()
+def client_partition(cfg: dict[str, Any], train: LabeledDataset,
+                     trial: int) -> list[np.ndarray]:
+    return partition(train, _partition_spec(cfg, trial))
+
+
+@_keyed()
+def run_objective(cfg: dict[str, Any], train: LabeledDataset, trial: int) -> Objective:
+    if cfg["fed.model"] == "quadratic":
+        return build_objective(
+            "quadratic", d=cfg["fed.quad_dim"],
+            curvature_range=(cfg["fed.quad_curv_min"], cfg["fed.quad_curv_max"]),
+            seed=_trial_seed(cfg, trial))
+    return build_objective(cfg["fed.model"], train, hidden=cfg["fed.hidden"],
+                           n_classes=cfg["data.classes"])
+
+
+@_keyed()
+def fed_run_config(cfg: dict[str, Any], trial: int, aggregator: str) -> FedRunConfig:
+    weights, weight_key = cfg["phy.chip_weights"], "phy.chip_weights"
+    if weights is None:
+        # a count below 1 gives no chips, which ReedPhyConfig rejects
+        weights = np.full(max(cfg["phy.chips"], 0), cfg["phy.chip_weight"])
+        weight_key = "phy.chip_weight"
+    with _keyed(chip_weights=weight_key):
+        phy = ReedPhyConfig(
+            eta=cfg["phy.eta"], noise_var=resolve_noise_var(cfg),
+            mean_powers=np.array([cfg["phy.mean_power"]]), chip_weights=weights,
+            antennas=cfg["phy.antennas"], kappa=cfg["phy.kappa"],
+            ideal_channel=cfg["phy.ideal_channel"])
+    # one budget, like one mean power, is shared by every client
+    budgets = None if cfg["fed.budget"] is None else np.array([cfg["fed.budget"]])
+    return FedRunConfig(
+        K=cfg["fed.K"], Q=cfg["fed.Q"], T=cfg["fed.T"], batch_size=cfg["fed.batch_size"],
+        beta0=cfg["fed.beta0"], schedule=cfg["fed.schedule"], clip_G=cfg["fed.clip_G"],
+        aggregator=aggregator, phy=phy, budgets=budgets, seed=_trial_seed(cfg, trial))

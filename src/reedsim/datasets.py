@@ -69,11 +69,11 @@ class PartitionSpec:
 
     def __post_init__(self):
         if self.kind not in ("iid", "dirichlet"):
-            raise ValueError(f"unknown partition kind {self.kind!r}")
+            raise ValueError(f"kind must be 'iid' or 'dirichlet', got {self.kind!r}")
         if self.K < 1:
-            raise ValueError("K must be >= 1")
+            raise ValueError(f"K must be >= 1, got {self.K}")
         if self.kind == "dirichlet" and self.alpha <= 0:
-            raise ValueError("dirichlet partitions need alpha > 0")
+            raise ValueError(f"alpha must be > 0 for dirichlet partitions, got {self.alpha}")
 
 
 def parse_idx(data: bytes) -> np.ndarray:
@@ -144,7 +144,7 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
     """Split sample indices into K disjoint lists covering the dataset."""
     n = len(dataset)
     if spec.K > n:
-        raise ValueError(f"K={spec.K} exceeds dataset size {n}")
+        raise ValueError(f"K must be <= the dataset size {n}, got {spec.K}")
     rng = StreamKey(spec.seed).generator()
     if spec.kind == "iid":
         perm = rng.permutation(n)
@@ -193,13 +193,14 @@ def synth_dataset(kind: str, n: int, seed: int, classes: int = 2, p: int = 2,
     "quadratic-free": placeholder rows for dataset-free objectives.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ValueError(f"n must be >= 0, got {n}")
     if kind == "quadratic-free":
         return LabeledDataset(features=np.zeros((n, 1)), labels=np.zeros(n, dtype=int))
     if kind != "gaussian-blobs":
-        raise ValueError(f"unknown synthetic dataset kind {kind!r}")
-    if classes < 1 or p < 1 or separation < 0:
-        raise ValueError("invalid gaussian-blobs parameters")
+        raise ValueError(f"kind must be 'gaussian-blobs' or 'quadratic-free', got {kind!r}")
+    for name, value, low in (("classes", classes, 1), ("p", p, 1), ("separation", separation, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     rng = StreamKey(seed).generator()
     means = separation * rng.standard_normal((classes, p))
     labels = rng.integers(0, classes, size=n)

@@ -96,9 +96,11 @@ class ReedPhyConfig:
         if self.noise_var < 0:
             raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
         if np.any(self.mean_powers <= 0):
-            raise ValueError("every mean power must be > 0")
+            raise ValueError("mean_powers must be > 0")
+        if self.n_chips < 1:
+            raise ValueError("n_chips must be >= 1")
         if np.any(self.chip_weights < 0) or self.chip_weights.sum() <= 0:
-            raise ValueError("chip weights must be >= 0 with positive sum")
+            raise ValueError("chip_weights must be >= 0 with positive sum")
         if self.antennas < 1:
             raise ValueError(f"antennas must be >= 1, got {self.antennas}")
         if self.kappa < 1:
@@ -111,12 +113,6 @@ class ReedPhyConfig:
     @property
     def weight_sum(self) -> float:
         return float(self.chip_weights.sum())
-
-    def mean_power_for(self, k: int) -> float:
-        # a scalar mean-power array is shared by all clients
-        if self.mean_powers.size == 1:
-            return float(self.mean_powers[0])
-        return float(self.mean_powers[k])
 
 
 @dataclass(frozen=True)
@@ -228,8 +224,8 @@ def simulate_paired_observation(inputs: ScalarInputs, cfg: ReedPhyConfig,
     c = float(cfg.chip_weights[chip])
     energies = []
     for branch_idx, branch, part in ((_PLUS, "plus", inputs.pos), (_MINUS, "minus", inputs.neg)):
-        active = [k for k in range(part.size) if part[k] > 0]
-        powers = np.array([cfg.mean_power_for(k) for k in active])
+        active = np.flatnonzero(part > 0)
+        powers = np.broadcast_to(cfg.mean_powers, part.shape)[active]
         rng = key.child(chip, branch_idx).generator()
         z = sample_noise(rng, cfg.noise_var, (R, 1))[antenna, 0]
         dithers = sample_dither(rng, (len(active), 1))[:, 0]

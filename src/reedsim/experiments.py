@@ -14,11 +14,10 @@ from typing import Any
 
 import numpy as np
 
-from .datasets import (LabeledDataset, PartitionSpec, load_idx_dataset, partition,
-                       synth_dataset)
+from .config import client_partition, fed_run_config, run_objective, synth_data
+from .datasets import LabeledDataset, load_idx_dataset
 from .estimator import ReedPhyConfig, ScalarInputs, sample_estimates
-from .fedavg import FedRunConfig, Objective, RoundTrace, build_objective, run_fedavg
-from .config import resolve_noise_var
+from .fedavg import RoundTrace, run_fedavg
 from .moments import variance_chip
 from .streams import StreamKey
 
@@ -115,29 +114,13 @@ def validate_point(point: MomentPoint, n_trials: int, tolerance: float,
                         mc_var, cf.variance, rel_err, passed)
 
 
-def _phy_from_config(cfg: dict[str, Any]) -> ReedPhyConfig:
-    if cfg["phy.chip_weights"] is not None:
-        weights = np.asarray(cfg["phy.chip_weights"], dtype=float)
-    else:
-        weights = np.full(cfg["phy.chips"], cfg["phy.chip_weight"])
-    return ReedPhyConfig(
-        eta=cfg["phy.eta"],
-        noise_var=resolve_noise_var(cfg),
-        mean_powers=np.array([cfg["phy.mean_power"]]),
-        chip_weights=weights,
-        antennas=cfg["phy.antennas"],
-        kappa=cfg["phy.kappa"],
-        ideal_channel=cfg["phy.ideal_channel"],
-    )
-
-
 def build_experiment_data(cfg: dict[str, Any], trial: int
                           ) -> tuple[LabeledDataset, LabeledDataset | None, list[np.ndarray]]:
     """Train set, optional test set and client partition for one trial.
 
     Depends only on the data config, base seed and trial index, never on
-    the aggregator (matched-seed contract)."""
-    data_seed = cfg["seed"] * 1_000_003 + trial
+    the aggregator (matched-seed contract).  A ``fed.K`` above the number
+    of samples is a ConfigError."""
     if cfg["data.source"] == "idx":
         train = load_idx_dataset(cfg["data.idx_images"], cfg["data.idx_labels"])
         test = None
@@ -145,49 +128,22 @@ def build_experiment_data(cfg: dict[str, Any], trial: int
             test = load_idx_dataset(cfg["data.idx_test_images"],
                                     cfg["data.idx_test_labels"])
     else:
-        kind = cfg["data.synth_kind"]
         n_train, n_test = cfg["data.synth_n"], cfg["data.test_n"]
-        if kind == "gaussian-blobs" and n_test > 0:
+        if cfg["data.synth_kind"] == "gaussian-blobs" and n_test > 0:
             # one pool so train and test share the class means
-            pool = synth_dataset(kind, n_train + n_test, seed=data_seed,
-                                 classes=cfg["data.classes"], p=cfg["data.features"],
-                                 separation=cfg["data.separation"])
+            pool = synth_data(cfg, n_train + n_test, trial)
             train = LabeledDataset(pool.features[:n_train], pool.labels[:n_train])
             test = LabeledDataset(pool.features[n_train:], pool.labels[n_train:])
         else:
-            train = synth_dataset(kind, n_train, seed=data_seed,
-                                  classes=cfg["data.classes"], p=cfg["data.features"],
-                                  separation=cfg["data.separation"])
+            train = synth_data(cfg, n_train, trial)
             test = None
-    spec = PartitionSpec(kind=cfg["data.partition"], K=cfg["fed.K"],
-                         seed=data_seed + 2, alpha=cfg["data.alpha"])
-    return train, test, partition(train, spec)
-
-
-def _objective_from_config(cfg: dict[str, Any], train: LabeledDataset,
-                           trial: int) -> Objective:
-    model = cfg["fed.model"]
-    if model == "quadratic":
-        return build_objective(
-            "quadratic", d=cfg["fed.quad_dim"],
-            curvature_range=(cfg["fed.quad_curv_min"], cfg["fed.quad_curv_max"]),
-            seed=cfg["seed"] * 1_000_003 + trial)
-    return build_objective(model, train, hidden=cfg["fed.hidden"],
-                           n_classes=cfg["data.classes"])
+    return train, test, client_partition(cfg, train, trial)
 
 
 def run_single_trial(cfg: dict[str, Any], trial: int, aggregator: str
                      ) -> list[RoundTrace]:
-    """One (trial, aggregator) FedAvg run from a validated config."""
+    """One (trial, aggregator) FedAvg run from a validated config.  A label
+    of the training data at or above ``data.classes`` is a ConfigError."""
     train, test, parts = build_experiment_data(cfg, trial)
-    objective = _objective_from_config(cfg, train, trial)
-    budgets = None
-    if cfg["fed.budget"] is not None:
-        budgets = np.full(cfg["fed.K"], cfg["fed.budget"])
-    run_cfg = FedRunConfig(
-        K=cfg["fed.K"], Q=cfg["fed.Q"], T=cfg["fed.T"],
-        batch_size=cfg["fed.batch_size"], beta0=cfg["fed.beta0"],
-        schedule=cfg["fed.schedule"], clip_G=cfg["fed.clip_G"],
-        aggregator=aggregator, phy=_phy_from_config(cfg), budgets=budgets,
-        seed=cfg["seed"] * 1_000_003 + trial)
-    return run_fedavg(run_cfg, objective, parts, test)
+    return run_fedavg(fed_run_config(cfg, trial, aggregator),
+                      run_objective(cfg, train, trial), parts, test)

@@ -22,7 +22,7 @@ round 0 computes its diagnostic gradient on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -166,8 +166,11 @@ class _Classifier(Objective):
     """
 
     def __init__(self, data: LabeledDataset, n_classes: int):
+        if n_classes < 2:
+            raise ValueError(f"n_classes must be >= 2, got {n_classes}")
         if len(data) and data.labels.max() >= n_classes:
-            raise ValueError("labels exceed the declared class count")
+            raise ValueError(f"n_classes must exceed every label, got {n_classes} "
+                             f"for labels up to {data.labels.max()}")
         self.data = data
         self.n_classes = n_classes
         self.n_features = data.features.shape[1]
@@ -189,8 +192,6 @@ class LogisticObjective(_Classifier):
     """Multinomial logistic regression with bias, mean cross-entropy."""
 
     def __init__(self, data: LabeledDataset, n_classes: int):
-        if n_classes < 2:
-            raise ValueError("need at least 2 classes")
         super().__init__(data, n_classes)
         self.dim = (self.n_features + 1) * n_classes
 
@@ -243,8 +244,8 @@ class MlpObjective(_Classifier):
     proxy_samples = 512
 
     def __init__(self, data: LabeledDataset, hidden: int, n_classes: int):
-        if hidden < 1 or n_classes < 2:
-            raise ValueError("need hidden >= 1 and classes >= 2")
+        if hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {hidden}")
         super().__init__(data, n_classes)
         self.hidden = hidden
         p, H, C = self.n_features, hidden, n_classes
@@ -311,10 +312,10 @@ def build_objective(kind: str, data: LabeledDataset | None = None, *, d: int = 0
     """Construct one of the supported objective families."""
     if kind == "quadratic":
         if d < 1:
-            raise ValueError("quadratic objective needs d >= 1")
+            raise ValueError(f"d must be >= 1, got {d}")
         lo, hi = curvature_range
         if lo <= 0 or hi < lo:
-            raise ValueError("invalid curvature range")
+            raise ValueError(f"curvature_range must satisfy 0 < low <= high, got ({lo}, {hi})")
         rng = StreamKey(seed).generator()
         return QuadraticObjective(rng.uniform(lo, hi, size=d))
     if data is None:
@@ -344,22 +345,24 @@ class FedRunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.K, self.Q, self.T, self.batch_size) < 1:
-            raise ValueError("K, Q, T and batch_size must be positive")
+        for name in ("K", "Q", "T", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.beta0 <= 0:
-            raise ValueError("beta0 must be > 0")
+            raise ValueError(f"beta0 must be > 0, got {self.beta0}")
         if self.schedule not in ("constant", "inv_sqrt"):
-            raise ValueError(f"unknown stepsize schedule {self.schedule!r}")
+            raise ValueError(f"schedule must be 'constant' or 'inv_sqrt', got {self.schedule!r}")
         if self.aggregator not in ("ideal", "reed", "coherent_csit"):
-            raise ValueError(f"unknown aggregator {self.aggregator!r}")
+            raise ValueError("aggregator must be 'ideal', 'reed' or 'coherent_csit', "
+                             f"got {self.aggregator!r}")
         if self.budgets is not None:
             object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float))
             if np.any(self.budgets <= 0):
-                raise ValueError("energy budgets must be > 0")
+                raise ValueError("budgets must be > 0")
             if self.clip_G is None:
-                raise ValueError("energy budgets require clip_G (bounded updates)")
+                raise ValueError("budgets need clip_G set, to bound each update")
         if self.clip_G is not None and self.clip_G <= 0:
-            raise ValueError("clip_G must be > 0")
+            raise ValueError(f"clip_G must be > 0, got {self.clip_G}")
 
     def stepsize(self, t: int) -> float:
         if self.schedule == "constant":
@@ -481,10 +484,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         if cfg.aggregator == "reed" and cfg.budgets is not None:
             eta_t = eta_schedule(cfg.budgets, cfg.K, d, phy.mean_powers,
                                  phy.weight_sum, beta, cfg.Q, cfg.clip_G)
-            phy = ReedPhyConfig(
-                eta=eta_t, noise_var=phy.noise_var, mean_powers=phy.mean_powers,
-                chip_weights=phy.chip_weights, antennas=phy.antennas,
-                kappa=phy.kappa, ideal_channel=phy.ideal_channel)
+            phy = replace(phy, eta=eta_t)
 
         ideal = aggregate_ideal(increments, d)
         if cfg.aggregator == "ideal":

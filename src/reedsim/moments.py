@@ -157,12 +157,8 @@ def eta_schedule(budgets, K: int, d: int, mean_powers, C_M: float, beta: float,
         raise ValueError("budgets and mean powers must be > 0")
     if K < 1 or d < 1 or C_M <= 0 or beta <= 0 or Q < 1 or G <= 0:
         raise ValueError("invalid eta_schedule parameters")
-    if E.size == 1:
-        E = np.full(mu2.shape, E[0])
-    if mu2.size == 1:
-        mu2 = np.full(E.shape, mu2[0])
-    if E.shape != mu2.shape:
-        raise ValueError("budgets and mean powers must have matching lengths")
+    # one budget or mean power is shared by every client; numpy rejects
+    # lengths that neither match nor are 1
     return float(np.min(E * K * np.sqrt(d) * mu2 / (C_M * beta * Q * G)))
 
 
@@ -173,7 +169,7 @@ def energy_audit(increments, cfg: ReedPhyConfig, K: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != K:
         raise ValueError(f"increments must be (K={K}, d), got shape {arr.shape}")
     d = arr.shape[1]
-    mu2 = np.array([cfg.mean_power_for(k) for k in range(K)])
+    mu2 = np.broadcast_to(cfg.mean_powers, (K,))
     l1 = np.abs(arr).sum(axis=1)
     return cfg.eta * cfg.weight_sum / (K * mu2 * d) * l1
 

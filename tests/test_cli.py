@@ -1,13 +1,14 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from reedsim import cli
 from reedsim.cli import cmd_run_fedavg, cmd_sweep, cmd_validate_moments, main
-from reedsim.config import SCHEMA, ConfigError, parse_config, resolve_noise_var
+from reedsim.config import SCHEMA, ConfigError, load_config, parse_config, resolve_noise_var
+from reedsim.datasets import write_idx
 from reedsim.estimator import ReedPhyConfig, ScalarInputs
 from reedsim.experiments import (MomentPoint, default_moment_matrix,
                                  run_single_trial, validate_point)
@@ -27,6 +28,21 @@ data.classes = 3
 data.features = 4
 data.separation = 3.0
 """
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+def _with(text: str, overrides: dict[str, str]) -> str:
+    """A config document with each key of ``overrides`` set to its JSON
+    value text, replacing any line that sets it."""
+    lines = [line for line in text.splitlines()
+             if line.partition("=")[0].strip() not in overrides]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in overrides.items()]) + "\n"
+
+
+# FAST_FED cut to one trial, with both aggregators and a quick moment matrix
+TINY = _with(FAST_FED, {"trials": "1", "fed.aggregators": '["ideal", "reed"]',
+                        "moments.n_trials": "2000", "moments.tolerance": "1.0"})
 
 
 class TestConfigParsing:
@@ -58,6 +74,10 @@ class TestConfigParsing:
     def test_cross_validation(self):
         with pytest.raises(ConfigError, match="fed.budget"):
             parse_config("fed.budget = 1.0")  # requires clip_G
+        with pytest.raises(ConfigError, match=r"^phy\.eta: must be > 0, got -1$"):
+            parse_config("phy.eta = -1")
+        with pytest.raises(ConfigError, match=r"^fed\.Q: must be >= 1, got 0$"):
+            parse_config("fed.Q = 0")
         with pytest.raises(ConfigError, match="data.idx_images"):
             parse_config('data.source = "idx"')
 
@@ -67,16 +87,35 @@ class TestConfigParsing:
         cfg = parse_config("phy.snr_db = 0\nphy.snr_ref_power = 2.0")
         assert resolve_noise_var(cfg) == pytest.approx(2.0)
 
-    @given(key=st.sampled_from(sorted(SCHEMA)),
-           garbage=st.sampled_from(['"x"', "[]", "-3", "1.5", "{}", "null", "true"]))
-    @settings(max_examples=60, deadline=None)
-    def test_mutated_configs_never_crash_unvalidated(self, key, garbage):
-        # any malformed value is either accepted by the schema checker or
-        # rejected as ConfigError at parse time, never later
-        try:
-            parse_config(f"{key} = {garbage}")
-        except ConfigError:
-            pass
+    def test_mutated_configs_never_crash_unvalidated(self, tmp_path, capsys):
+        # every key set to every garbage value, as a tiny end-to-end CLI
+        # run: it succeeds, or stops with status 2 and an "error:" line,
+        # never with a traceback
+        axis_of = {key: axis for axis, key in cli._SWEEP_AXES.items()}
+        cfgfile = tmp_path / "mutated.cfg"
+        for key in sorted(SCHEMA):
+            if key.startswith("moments."):
+                command = ["validate-moments"]
+            elif key in axis_of:
+                command = ["sweep", "--axis", axis_of[key]]
+            else:
+                command = ["run-fedavg"]
+            for garbage in ['"x"', "[]", "-3", "1.5", "{}", "null", "true",
+                            "0", "[0]", "[-3]", "[1.5]"]:
+                cfgfile.write_text(_with(TINY, {key: garbage}))
+                status = main([command[0], str(cfgfile), "--out", str(tmp_path / "o"),
+                               *command[1:]])
+                err = capsys.readouterr().err
+                assert status in (0, 2), (key, garbage)
+                assert "Traceback" not in err
+                assert status == 0 or err.startswith("error: "), (key, garbage)
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+    def test_script_configs_validate(self, path):
+        cfg = load_config(str(path))
+        for axis, key in cli._SWEEP_AXES.items():
+            for value in cfg[key] or []:
+                cli._apply_axis(cfg, axis, value)
 
 
 class TestValidateMoments:
@@ -176,7 +215,52 @@ class TestSweep:
         assert mean["0"] < mean["-10"]
 
 
+# (config overrides, sweep axis or None, key the error must start with);
+# the IDX cases read six samples with labels 0, 1, 2
+BAD_INPUTS = [
+    ({"data.classes": "0"}, None, "data.classes"),
+    ({"data.classes": "1"}, None, "data.classes"),
+    ({"data.features": "0"}, None, "data.features"),
+    ({"data.separation": "-1"}, None, "data.separation"),
+    ({"fed.model": '"mlp"', "fed.hidden": "0"}, None, "fed.hidden"),
+    ({"phy.chip_weight": "-1"}, None, "phy.chip_weight"),
+    ({"data.test_n": "-1"}, None, "data.test_n"),
+    ({"sweep.alpha_values": "[-1]"}, "alpha", "sweep.alpha_values"),
+    ({"sweep.M_values": "[0]"}, "M", "sweep.M_values"),
+    ({"sweep.M_values": "[1, 0]"}, "M", "sweep.M_values"),
+    ({"sweep.M_values": "[1.5]"}, "M", "sweep.M_values"),
+    ({"sweep.beta0_values": "[0]"}, "beta0", "sweep.beta0_values"),
+    ({"data.source": '"idx"', "data.idx_test_images": '"{images}"'},
+     None, "data.idx_test_labels"),
+    ({"data.source": '"idx"', "data.idx_test_labels": '"{labels}"'},
+     None, "data.idx_test_images"),
+    ({"data.source": '"idx"', "fed.K": "7"}, None, "fed.K"),
+    ({"data.source": '"idx"', "data.classes": "2"}, None, "data.classes"),
+]
+
+
 class TestMain:
+    @pytest.mark.parametrize("overrides, axis, key", BAD_INPUTS, ids=[
+        ",".join(f"{k}={v}" for k, v in o.items() if k != "data.source")
+        for o, _, _ in BAD_INPUTS])
+    def test_bad_input_names_its_key(self, tmp_path, capsys, overrides, axis, key):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(write_idx(np.linspace(0.0, 1.0, 24).reshape(6, 4)))
+        labels.write_bytes(write_idx(np.array([0, 1, 2, 0, 1, 2])))
+        overrides = {"data.idx_images": f'"{images}"', "data.idx_labels": f'"{labels}"',
+                     **{k: v.format(images=images, labels=labels)
+                        for k, v in overrides.items()}}
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(_with(FAST_FED, overrides))
+        out = tmp_path / "o"
+        command = ["run-fedavg"] if axis is None else ["sweep", "--axis", axis]
+        status = main([command[0], str(cfgfile), "--out", str(out), *command[1:]])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith(f"error: {key}: ")
+        assert "Traceback" not in err
+        assert not out.exists()  # nothing ran
+
     def test_cli_error_reporting(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("phy.warp = 9\n")

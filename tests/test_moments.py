@@ -150,10 +150,15 @@ class TestEnergyAudit:
         cfg = ReedPhyConfig(eta=3.0)
         out = energy_audit(np.array([[2.0]]), cfg, 1)
         assert out[0] == pytest.approx(6.0)
+        per_client = ReedPhyConfig(mean_powers=[1.0, 2.0])
+        assert energy_audit(np.ones((2, 1)), per_client, 2).tolist() == [0.5, 0.25]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             energy_audit(np.zeros((2, 3)), ReedPhyConfig(), 3)
+        # mean powers broadcast as in the kernel: one shared, or one per client
+        with pytest.raises(ValueError):
+            energy_audit(np.zeros((2, 3)), ReedPhyConfig(mean_powers=[1.0, 2.0, 3.0]), 2)
 
     def test_feasible_under_schedule(self):
         # random increments with norm <= beta*Q*G never exceed the budget
