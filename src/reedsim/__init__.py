@@ -5,11 +5,8 @@ aggregation via energy differences over paired resource elements.
 """
 
 from .streams import StreamKey
-from .estimator import (PairedEnergies, ReedPhyConfig, ScalarInputs,
-                        aggregate_coherent_csit, aggregate_ideal, aggregate_reed,
-                        encode_branch_symbol, reed_estimate_chip,
-                        reed_estimate_single, sample_estimates,
-                        simulate_paired_observation)
+from .estimator import (ReedPhyConfig, ScalarInputs, aggregate_coherent_csit,
+                        aggregate_ideal, aggregate_reed, sample_estimates)
 from .moments import (ConvergenceConstants, MomentReport, energy_audit,
                       eta_schedule, sigma_air_bound, theorem_bound_rhs,
                       variance_chip, variance_single, variance_single_kappa)
@@ -20,9 +17,7 @@ from .datasets import (LabeledDataset, PartitionSpec, parse_idx, partition,
 
 __all__ = [
     "StreamKey",
-    "ScalarInputs", "ReedPhyConfig", "PairedEnergies",
-    "encode_branch_symbol", "simulate_paired_observation", "sample_estimates",
-    "reed_estimate_single", "reed_estimate_chip",
+    "ScalarInputs", "ReedPhyConfig", "sample_estimates",
     "aggregate_ideal", "aggregate_reed", "aggregate_coherent_csit",
     "MomentReport", "ConvergenceConstants",
     "variance_single", "variance_single_kappa", "variance_chip",

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -57,20 +58,23 @@ def _write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
+def _map(fn, items: list, workers: int) -> list:
+    """``fn`` over ``items`` in order: in a pool of ``workers`` processes
+    when there is more than one, else in this process."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def cmd_validate_moments(cfg: dict[str, Any], out_dir: str, workers: int = 1) -> int:
     """Run the moment-law matrix; returns a nonzero exit status if any
     point misses its tolerance."""
     points = default_moment_matrix()
     n_trials = cfg["moments.n_trials"]
     tol = cfg["moments.tolerance"]
-    seed = cfg["seed"]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(validate_point, points,
-                                    [n_trials] * len(points), [tol] * len(points),
-                                    [seed] * len(points)))
-    else:
-        results = [validate_point(p, n_trials, tol, seed) for p in points]
+    results = _map(partial(validate_point, n_trials=n_trials, tolerance=tol,
+                           seed=cfg["seed"]), points, workers)
     rows = [[r.point_id, r.s, r.mc_mean, r.cf_mean, r.mc_var, r.cf_var,
              r.rel_err, r.passed] for r in results]
     _write_csv(os.path.join(out_dir, "moments.csv"),
@@ -92,13 +96,8 @@ def _run_fedavg_rows(cfg: dict[str, Any], workers: int) -> list[list]:
     jobs = [(cfg, trial, agg)
             for agg in cfg["fed.aggregators"]
             for trial in range(cfg["trials"])]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_job, jobs))
-    else:
-        outcomes = [_trial_job(j) for j in jobs]
     rows = []
-    for trial, agg, traces in outcomes:
+    for trial, agg, traces in _map(_trial_job, jobs, workers):
         for tr in traces:
             rows.append([trial, tr.round, agg, tr.train_loss, tr.test_accuracy,
                          tr.grad_norm_sq, tr.eps_norm_sq, tr.max_client_energy])

@@ -10,6 +10,7 @@ objects built here, whose errors are reported under the key of the field.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from typing import Any
 
@@ -28,12 +29,17 @@ class ConfigError(ValueError):
     """Malformed or invalid experiment configuration."""
 
 
-def _num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _num(x) -> bool:
+    # JSON NaN and Infinity parse as floats, and a long int literal
+    # overflows one
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _num_list(x) -> bool:
@@ -60,7 +66,6 @@ SCHEMA: dict[str, tuple] = {
     "phy.chip_weights": (_num_list, "list of numbers", None),
     "phy.antennas": (_is_int, "int", 1),
     "phy.kappa": (_num, "number", 2.0),
-    "phy.ideal_channel": (lambda x: isinstance(x, bool), "bool", False),
 
     "fed.K": (_is_int, "int", 10),
     "fed.Q": (_is_int, "int", 10),
@@ -188,9 +193,16 @@ def load_config(path: str, seed: int | None = None,
 def resolve_noise_var(cfg: dict[str, Any]) -> float:
     """Receive-SNR convention: snr_db maps to sigma_z^2 =
     10^(-snr_db/10) * reference branch signal power (default 1)."""
-    if cfg["phy.snr_db"] is not None:
-        return 10.0 ** (-cfg["phy.snr_db"] / 10.0) * cfg["phy.snr_ref_power"]
-    return float(cfg["phy.noise_var"])
+    snr_db = cfg["phy.snr_db"]
+    if snr_db is None:
+        return float(cfg["phy.noise_var"])
+    try:
+        noise_var = 10.0 ** (-snr_db / 10.0) * cfg["phy.snr_ref_power"]
+    except OverflowError:
+        noise_var = math.inf
+    if not math.isfinite(noise_var):
+        raise ConfigError(f"phy.snr_db: {snr_db} dB gives a non-finite noise variance")
+    return noise_var
 
 
 # constructor field -> config key; constructor errors start with the field
@@ -266,8 +278,7 @@ def fed_run_config(cfg: dict[str, Any], trial: int, aggregator: str) -> FedRunCo
         phy = ReedPhyConfig(
             eta=cfg["phy.eta"], noise_var=resolve_noise_var(cfg),
             mean_powers=np.array([cfg["phy.mean_power"]]), chip_weights=weights,
-            antennas=cfg["phy.antennas"], kappa=cfg["phy.kappa"],
-            ideal_channel=cfg["phy.ideal_channel"])
+            antennas=cfg["phy.antennas"], kappa=cfg["phy.kappa"])
     # one budget, like one mean power, is shared by every client
     budgets = None if cfg["fed.budget"] is None else np.array([cfg["fed.budget"]])
     return FedRunConfig(

@@ -14,7 +14,8 @@ from typing import Any
 
 import numpy as np
 
-from .config import client_partition, fed_run_config, run_objective, synth_data
+from .config import (ConfigError, client_partition, fed_run_config, run_objective,
+                     synth_data)
 from .datasets import LabeledDataset, load_idx_dataset
 from .estimator import ReedPhyConfig, ScalarInputs, sample_estimates
 from .fedavg import RoundTrace, run_fedavg
@@ -120,13 +121,18 @@ def build_experiment_data(cfg: dict[str, Any], trial: int
 
     Depends only on the data config, base seed and trial index, never on
     the aggregator (matched-seed contract).  A ``fed.K`` above the number
-    of samples is a ConfigError."""
+    of samples, or an IDX test label at or above ``data.classes`` for a
+    classifier, is a ConfigError."""
     if cfg["data.source"] == "idx":
         train = load_idx_dataset(cfg["data.idx_images"], cfg["data.idx_labels"])
         test = None
         if cfg["data.idx_test_images"] is not None:
             test = load_idx_dataset(cfg["data.idx_test_images"],
                                     cfg["data.idx_test_labels"])
+            classes = cfg["data.classes"]
+            if cfg["fed.model"] != "quadratic" and test.labels.max(initial=0) >= classes:
+                raise ConfigError(f"data.classes: must exceed every test label, got "
+                                  f"{classes} for test labels up to {test.labels.max()}")
     else:
         n_train, n_test = cfg["data.synth_n"], cfg["data.test_n"]
         if cfg["data.synth_kind"] == "gaussian-blobs" and n_test > 0:

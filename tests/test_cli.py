@@ -101,7 +101,7 @@ class TestConfigParsing:
             else:
                 command = ["run-fedavg"]
             for garbage in ['"x"', "[]", "-3", "1.5", "{}", "null", "true",
-                            "0", "[0]", "[-3]", "[1.5]"]:
+                            "0", "[0]", "[-3]", "[1.5]", "NaN", "Infinity", "-Infinity"]:
                 cfgfile.write_text(_with(TINY, {key: garbage}))
                 status = main([command[0], str(cfgfile), "--out", str(tmp_path / "o"),
                                *command[1:]])
@@ -216,8 +216,14 @@ class TestSweep:
 
 
 # (config overrides, sweep axis or None, key the error must start with);
-# the IDX cases read six samples with labels 0, 1, 2
+# the IDX cases read six samples with labels 0, 1, 2, and {test_labels}
+# holds six labels 5
 BAD_INPUTS = [
+    ({"phy.eta": "NaN"}, None, "phy.eta"),
+    ({"fed.beta0": "Infinity"}, None, "fed.beta0"),
+    ({"data.separation": "NaN"}, None, "data.separation"),
+    ({"phy.snr_db": "-4000"}, None, "phy.snr_db"),
+    ({"phy.kappa": "1" + "0" * 400}, None, "phy.kappa"),
     ({"data.classes": "0"}, None, "data.classes"),
     ({"data.classes": "1"}, None, "data.classes"),
     ({"data.features": "0"}, None, "data.features"),
@@ -236,19 +242,23 @@ BAD_INPUTS = [
      None, "data.idx_test_images"),
     ({"data.source": '"idx"', "fed.K": "7"}, None, "fed.K"),
     ({"data.source": '"idx"', "data.classes": "2"}, None, "data.classes"),
+    ({"data.source": '"idx"', "data.idx_test_images": '"{images}"',
+      "data.idx_test_labels": '"{test_labels}"'}, None, "data.classes"),
 ]
 
 
 class TestMain:
     @pytest.mark.parametrize("overrides, axis, key", BAD_INPUTS, ids=[
-        ",".join(f"{k}={v}" for k, v in o.items() if k != "data.source")
+        ",".join(f"{k}={v[:24]}" for k, v in o.items() if k != "data.source")
         for o, _, _ in BAD_INPUTS])
     def test_bad_input_names_its_key(self, tmp_path, capsys, overrides, axis, key):
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        test_labels = tmp_path / "test_labels.idx"
         images.write_bytes(write_idx(np.linspace(0.0, 1.0, 24).reshape(6, 4)))
         labels.write_bytes(write_idx(np.array([0, 1, 2, 0, 1, 2])))
+        test_labels.write_bytes(write_idx(np.full(6, 5)))
         overrides = {"data.idx_images": f'"{images}"', "data.idx_labels": f'"{labels}"',
-                     **{k: v.format(images=images, labels=labels)
+                     **{k: v.format(images=images, labels=labels, test_labels=test_labels)
                         for k, v in overrides.items()}}
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(_with(FAST_FED, overrides))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reedsim.estimator import (_BLOCK, PairedEnergies, ReedPhyConfig, ScalarInputs,
+import reedsim
+from reedsim import estimator
+from reedsim.estimator import (_BLOCK, ReedPhyConfig, ScalarInputs,
                                aggregate_coherent_csit, aggregate_ideal,
-                               aggregate_reed, encode_branch_symbol,
-                               reed_estimate_chip, reed_estimate_single,
-                               sample_estimates, simulate_paired_observation)
+                               aggregate_reed, reference_estimate, sample_estimates)
 from reedsim.moments import variance_chip, variance_single
 from reedsim.streams import StreamKey
 
@@ -32,49 +32,18 @@ class TestScalarInputs:
         assert inp.s_plus >= 0 and inp.s_minus >= 0
 
 
-class TestEncode:
-    def test_positive_part_of_negative_is_zero(self):
-        assert encode_branch_symbol(-3.0, "plus", 1.0, 1.0, 1.0, 1.0) == 0j
-
-    def test_direct_substitution(self):
-        out = encode_branch_symbol(4.0, "plus", 1.0, 1.0, 1.0, 1.0 + 0j)
-        assert out == pytest.approx(2.0 + 0j)
-
-    def test_rotated_by_dither(self):
-        out = encode_branch_symbol(4.0, "plus", 0.25, 4.0, 4.0, 1j)
-        assert out == pytest.approx(1j)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            encode_branch_symbol(1.0, "plus", 1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            encode_branch_symbol(1.0, "plus", 1.0, 1.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            encode_branch_symbol(1.0, "sideways", 1.0, 1.0, 1.0, 1.0)
-
-
 class TestPairedObservation:
     def test_no_signal_no_noise(self):
-        obs = simulate_paired_observation(
-            ScalarInputs([0.0, 0.0]), ReedPhyConfig(noise_var=0.0),
-            KEY.child(0), 0, 0)
-        assert obs.e_plus == 0.0 and obs.e_minus == 0.0
-
-    def test_index_range_checks(self):
-        cfg = ReedPhyConfig()
-        with pytest.raises(ValueError):
-            simulate_paired_observation(ScalarInputs([1.0]), cfg, KEY, 1, 0)
-        with pytest.raises(ValueError):
-            simulate_paired_observation(ScalarInputs([1.0]), cfg, KEY, 0, 1)
+        est = reference_estimate(ScalarInputs([0.0, 0.0]), ReedPhyConfig(noise_var=0.0),
+                                 KEY.child(0))
+        assert est == 0.0
 
     def test_single_client_noiseless_mean(self):
-        # e_plus = |h|^2 with unit mean power; e_minus exactly zero
+        # the estimate is e_plus = |h|^2 with unit mean power; e_minus is zero
         inp = ScalarInputs([1.0])
         cfg = ReedPhyConfig(noise_var=0.0)
-        means = [simulate_paired_observation(inp, cfg, KEY.child(1, i), 0, 0)
-                 for i in range(2000)]
-        assert all(o.e_minus == 0.0 for o in means)
-        e = np.array([o.e_plus for o in means])
+        e = np.array([reference_estimate(inp, cfg, KEY.child(1, i)) for i in range(2000)])
+        assert np.all(e >= 0.0)
         assert abs(e.mean() - 1.0) < 4.0 / np.sqrt(2000)
 
     def test_two_client_superposition_moments(self):
@@ -85,11 +54,6 @@ class TestPairedObservation:
         # e_minus is identically 0 here so the estimate is e_plus / eta
         assert abs(draws.mean() - 2.0) < 4.0 * np.sqrt(4.0 / 1e6)
         assert abs(draws.var() - 4.0) < 0.015 * 4.0
-
-    def test_ideal_channel_has_no_scalar_reference(self):
-        cfg = ReedPhyConfig(ideal_channel=True)
-        with pytest.raises(ValueError, match="ideal_channel"):
-            simulate_paired_observation(ScalarInputs([1.0]), cfg, KEY, 0, 0)
 
     @pytest.mark.parametrize("kappa", [2.0, 3.0], ids=["kappa2", "kappa3"])
     @pytest.mark.parametrize("antennas", [1, 2], ids=["R1", "R2"])
@@ -103,9 +67,7 @@ class TestPairedObservation:
                             chip_weights=weights, antennas=antennas, kappa=kappa)
         for i in range(4):
             key = KEY.child(3, i)
-            obs = [simulate_paired_observation(inp, cfg, key, m, r)
-                   for m in range(cfg.n_chips) for r in range(antennas)]
-            est = reed_estimate_chip(obs, cfg)
+            est = reference_estimate(inp, cfg, key)
             vec = sample_estimates(inp, cfg, key, 1)
             assert est == pytest.approx(float(vec[0]), rel=1e-12, abs=0.0)
 
@@ -146,41 +108,11 @@ class TestKernelStreams:
 
 
 class TestEstimates:
-    def test_single_arithmetic(self):
-        assert reed_estimate_single(PairedEnergies(5.0, 3.0), 2.0) == 1.0
-
-    def test_single_symmetry(self):
-        for eta in (0.5, 1.0, 7.0):
-            assert reed_estimate_single(PairedEnergies(2.5, 2.5), eta) == 0.0
-
-    def test_single_eta_validation(self):
-        with pytest.raises(ValueError):
-            reed_estimate_single(PairedEnergies(1.0, 0.0), 0.0)
-
     def test_single_unbiased(self):
         inp = ScalarInputs([2.0, -1.0])
         cfg = ReedPhyConfig(eta=1.0, noise_var=1.0)
         draws = sample_estimates(inp, cfg, KEY.child(4), 1_000_000)
         assert abs(draws.mean() - 1.0) < 4.0 * np.sqrt(13.0 / 1e6)
-
-    def test_chip_equal_differences_reduce_to_single(self):
-        cfg = ReedPhyConfig(eta=1.0, chip_weights=[1.0, 1.0])
-        obs = [PairedEnergies(3.0, 1.0, chip_index=0),
-               PairedEnergies(4.0, 2.0, chip_index=1)]
-        assert reed_estimate_chip(obs, cfg) == pytest.approx(2.0)
-
-    def test_chip_zero_energies(self):
-        cfg = ReedPhyConfig(chip_weights=[1.0, 1.0])
-        obs = [PairedEnergies(0.0, 0.0, chip_index=m) for m in range(2)]
-        assert reed_estimate_chip(obs, cfg) == 0.0
-
-    def test_chip_coverage_validation(self):
-        cfg = ReedPhyConfig(chip_weights=[1.0, 1.0])
-        with pytest.raises(ValueError):
-            reed_estimate_chip([PairedEnergies(1.0, 0.0, chip_index=0)], cfg)
-        with pytest.raises(ValueError):
-            reed_estimate_chip([PairedEnergies(1.0, 0.0, chip_index=0),
-                                PairedEnergies(1.0, 0.0, chip_index=0)], cfg)
 
     def test_chip_variance_halves(self):
         inp = ScalarInputs([2.0, -1.0])
@@ -226,11 +158,13 @@ class TestAggregators:
         with pytest.raises(ValueError):
             aggregate_ideal([np.array([1.0, 0.0])], 3)
 
-    def test_reed_ideal_channel_exact(self):
-        inc = np.array([[1.0, -2.0, 0.5], [0.2, 0.4, -0.1]])
-        cfg = ReedPhyConfig(noise_var=0.0, ideal_channel=True)
+    def test_reed_single_client_constant_modulus_exact(self):
+        # K = 1, |h|^2 = mu^2 and no noise: every energy is eta * c * [u]_b
+        inc = np.array([[1.0, -2.0, 0.5, 0.0]])
+        cfg = ReedPhyConfig(noise_var=0.0, mean_powers=[2.0], chip_weights=[1.0, 0.5],
+                            antennas=2, kappa=1.0)
         out = aggregate_reed(inc, cfg, KEY.child(8))
-        assert np.allclose(out, aggregate_ideal(inc, 3), atol=1e-12)
+        assert np.allclose(out, aggregate_ideal(inc, 4), rtol=1e-14, atol=0.0)
 
     def test_reed_zero_increments(self):
         inc = np.zeros((3, 4))
@@ -276,3 +210,8 @@ class TestAggregators:
     def test_coherent_eta_validation(self):
         with pytest.raises(ValueError):
             aggregate_coherent_csit(np.zeros((1, 1)), 0.0, 1.0, KEY)
+
+
+@pytest.mark.parametrize("module", [reedsim, estimator], ids=lambda m: m.__name__)
+def test_public_names_resolve(module):
+    assert all(hasattr(module, name) for name in module.__all__)

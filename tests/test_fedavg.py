@@ -101,10 +101,10 @@ class TestLocalRound:
 
 
 class TestRunFedavg:
-    def _run(self, aggregator, T=5, seed=4, phy=None, **kw):
-        ds, parts = _blob_setup(K=3)
+    def _run(self, aggregator, T=5, seed=4, phy=None, K=3, **kw):
+        ds, parts = _blob_setup(K=K)
         obj = build_objective("logistic", ds)
-        cfg = FedRunConfig(K=3, Q=2, T=T, batch_size=32, beta0=0.1,
+        cfg = FedRunConfig(K=K, Q=2, T=T, batch_size=32, beta0=0.1,
                            aggregator=aggregator, seed=seed,
                            phy=phy or ReedPhyConfig(), **kw)
         return run_fedavg(cfg, obj, parts, ds)
@@ -132,11 +132,12 @@ class TestRunFedavg:
             assert t.eps_norm_sq >= 0.0
             assert np.isfinite(t.train_loss)
 
-    def test_reed_ideal_channel_matches_ideal_trajectory(self):
-        clean = self._run("ideal")
+    def test_reed_single_client_constant_modulus_matches_ideal_trajectory(self):
+        # K = 1, |h|^2 = mu^2 and no noise: reed agrees with ideal up to
+        # float roundoff in sqrt(eta * c * u)^2 / eta
+        clean = self._run("ideal", K=1)
         degenerate = self._run(
-            "reed", phy=ReedPhyConfig(noise_var=0.0, ideal_channel=True))
-        # noiseless degenerate mode agrees up to float roundoff in eta * c / eta
+            "reed", K=1, phy=ReedPhyConfig(noise_var=0.0, kappa=1.0))
         for a, b in zip(clean, degenerate):
             assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
             assert a.test_accuracy == b.test_accuracy
