@@ -1,13 +1,17 @@
 """Stochastic physical-layer primitives.
 
-Circularly symmetric complex Gaussian fading, additive receiver noise and
-uniform phase dithers.  Every sampler draws from the generator it is given,
-so the caller decides which stream a quantity comes from: the estimator
-builds one generator per (chip, branch) stream address and draws all of its
-blocks from it in a fixed order.  Two generators built from the same
-:class:`~reedsim.streams.StreamKey` give bit-identical draws.  Passing
-``size`` draws a whole array in one call; powers broadcast against it, so
-one call can give every client its own mean power.
+Circularly symmetric complex Gaussian fading and receiver noise, the
+two-point general fading law, and the detected energy |y|^2 of a
+circularly symmetric Gaussian symbol.  Every sampler draws from the
+generator it is given, so the caller decides which stream a quantity comes
+from: the estimator builds one generator per (chip, branch) stream address
+and draws all of its arrays from it in a fixed order.  Two generators built
+from the same :class:`~reedsim.streams.StreamKey` give bit-identical draws.
+Passing ``size`` draws a whole array in one call; powers broadcast against
+it, so one call can give every client its own mean power.
+
+The estimator draws no ``sample_dither`` phase: every fading law here
+already carries an independent uniform phase.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 __all__ = [
     "sample_fading",
     "sample_noise",
+    "sample_energy",
     "sample_dither",
     "sample_general_fading",
 ]
@@ -51,6 +56,15 @@ def sample_noise(rng: np.random.Generator, noise_var: float, size=None):
     if noise_var < 0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
     return _complex_gaussian(rng, noise_var, size)
+
+
+def sample_energy(rng: np.random.Generator, mean_energy, size=None):
+    """Detected energy |y|^2 of y ~ CN(0, mean_energy): mean_energy times a
+    standard exponential."""
+    if np.any(np.asarray(mean_energy) < 0):
+        raise ValueError(f"mean_energy must be >= 0, got {mean_energy}")
+    out = np.asarray(mean_energy) * rng.standard_exponential(size)
+    return out if size is not None else float(out)
 
 
 def sample_dither(rng: np.random.Generator, size=None):

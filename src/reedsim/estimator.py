@@ -2,15 +2,23 @@
 
 A scalar is split into positive and negative parts, each part is
 amplitude-encoded on its own resource element (normalized by the average
-channel power, with a random phase dither), all clients superpose through
-independently sampled fading, and the receiver subtracts the two received
-energies.  Chip diversity repeats the pair over M independently faded
-chips; SIMO reception repeats it over R receive antennas.
+channel power), all clients superpose through independently sampled
+fading, and the receiver subtracts the two received energies.  Chip
+diversity repeats the pair over M independently faded chips; SIMO
+reception repeats it over R receive antennas.
+
+With Rayleigh fading (kappa = 2) the received symbol of one (chip, branch,
+antenna, column) is y = sum_k h_k a_k + z ~ CN(0, eta * c_m * S + sigma^2),
+where S is the branch's sum of parts in that column, and these symbols
+are independent given the parts.  So the kernel draws the detected energy
+|y|^2 directly, one exponential per (antenna, column).  Other fading laws
+have no closed energy law and are superposed client by client; their
+uniform fading phase makes a transmit phase dither redundant.
 
 Both vector entry points run one kernel, ``_paired_energy``, which adds
 two stream levels, (chip, branch), below the caller's key.
-``reference_estimate`` is a per-client scalar reference that reads the
-same draws.
+``reference_estimate`` is a per-client scalar superposition: it reads the
+kernel's draws for kappa != 2 and matches it in law for kappa = 2.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import sample_dither, sample_fading, sample_general_fading, sample_noise
+from .channel import sample_energy, sample_fading, sample_general_fading, sample_noise
 from .streams import StreamKey
 
 __all__ = [
@@ -32,7 +40,7 @@ __all__ = [
     "aggregate_coherent_csit",
 ]
 
-# columns drawn per block; bounds the (Ka, R, block) fading array
+# columns superposed per block; bounds the (Ka, R, block) fading array
 _BLOCK = 8192
 
 
@@ -108,10 +116,25 @@ class ReedPhyConfig:
         return float(self.chip_weights.sum())
 
 
-def _fading(rng: np.random.Generator, mean_power, kappa: float, size=None):
-    if kappa == 2.0:
-        return sample_fading(rng, mean_power, size)
-    return sample_general_fading(rng, mean_power, kappa, size)
+def _superposed_energy(rng: np.random.Generator, part: np.ndarray, c: float,
+                       cfg: ReedPhyConfig, n: int) -> np.ndarray:
+    """Received energy of one (chip, branch) stream summed over antennas,
+    superposed client by client; shape (n,)."""
+    R = cfg.antennas
+    active = part.any(axis=1)
+    Ka = int(active.sum())
+    powers = np.broadcast_to(cfg.mean_powers, (len(part),))[active]
+    amps = np.broadcast_to(
+        np.sqrt(cfg.eta * c * part[active]) / np.sqrt(powers)[:, None], (Ka, n))
+    out = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        cols = slice(start, min(start + _BLOCK, n))
+        w = cols.stop - start
+        z = sample_noise(rng, cfg.noise_var, (R, w))
+        h = sample_general_fading(rng, powers[:, None, None], cfg.kappa, (Ka, R, w))
+        y = (h * amps[:, None, cols]).sum(axis=0) + z
+        out[cols] = (y.real**2 + y.imag**2).sum(axis=0)
+    return out
 
 
 def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
@@ -124,35 +147,26 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
     normalized weighted energy difference, shape (n,).
 
     Stream layout: chip m and branch b (0 for the positive part, 1 for the
-    negative) draw from the single stream ``key.child(m, b)``.  Columns are
-    drawn in blocks of ``_BLOCK``; each block of width w draws noise
-    (R, w), then dithers (Ka, w), then fading (Ka, R, w).  Ka counts the
-    clients whose part is nonzero somewhere in the row, so a silent client
-    draws nothing.  The dither is common to all receive antennas because
-    the transmitted symbol is.
+    negative) draw from the single stream ``key.child(m, b)``.
+
+    - kappa = 2: one (R, n) array of detected energies, exponential with
+      mean eta * c_m * S_bj + noise_var, where S_bj is the branch's sum of
+      parts in column j.
+    - kappa != 2: columns in blocks of ``_BLOCK``; each block of width w
+      draws noise (R, w), then fading (Ka, R, w).  Ka counts the clients
+      whose part is nonzero somewhere in the row, so a silent client draws
+      nothing.
     """
-    K = pos.shape[0]
-    R = cfg.antennas
-    mu2 = np.broadcast_to(cfg.mean_powers, (K,))
     total = np.zeros(n)
     for m, c in enumerate(cfg.chip_weights):
         for branch, sign, part in ((0, 1.0, pos), (1, -1.0, neg)):
             rng = key.child(m, branch).generator()
-            active = part.any(axis=1)
-            Ka = int(active.sum())
-            powers = mu2[active]
-            amps = np.broadcast_to(
-                np.sqrt(cfg.eta * c * part[active]) / np.sqrt(powers)[:, None], (Ka, n))
-            for start in range(0, n, _BLOCK):
-                cols = slice(start, min(start + _BLOCK, n))
-                w = cols.stop - start
-                z = sample_noise(rng, cfg.noise_var, (R, w))
-                a = amps[:, cols] * sample_dither(rng, (Ka, w))
-                h = _fading(rng, powers[:, None, None], cfg.kappa, (Ka, R, w))
-                y = (h * a[:, None, :]).sum(axis=0) + z
-                energy = y.real**2 + y.imag**2
-                total[cols] += sign * energy.sum(axis=0)
-    return total / (cfg.eta * cfg.weight_sum * R)
+            if cfg.kappa == 2.0:
+                mean = cfg.eta * c * part.sum(axis=0) + cfg.noise_var
+                total += sign * sample_energy(rng, mean, (cfg.antennas, n)).sum(axis=0)
+            else:
+                total += sign * _superposed_energy(rng, part, c, cfg, n)
+    return total / (cfg.eta * cfg.weight_sum * cfg.antennas)
 
 
 def reference_estimate(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey) -> float:
@@ -160,10 +174,11 @@ def reference_estimate(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey)
     antenna-diverse estimate of ``inputs.signed_sum``, superposed client
     by client.
 
-    It reads the kernel's draws at n = 1 from each (chip, branch) stream:
-    noise for every antenna, one dither per active client, then fading for
-    every (active client, antenna).  Returns the sum over chips, branches
-    and antennas of sign * |y|^2, divided by eta * C_M * R.
+    Each (chip, branch) stream draws noise for every antenna, then fading
+    for every (active client, antenna).  For kappa != 2 these are the
+    kernel's draws at n = 1; for kappa = 2 the kernel draws the detected
+    energies instead, so the two agree in law.  Returns the sum over chips,
+    branches and antennas of sign * |y|^2, divided by eta * C_M * R.
     """
     R = cfg.antennas
     total = 0.0
@@ -172,14 +187,14 @@ def reference_estimate(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey)
             active = np.flatnonzero(part > 0)
             powers = np.broadcast_to(cfg.mean_powers, part.shape)[active]
             rng = key.child(m, branch).generator()
-            z = sample_noise(rng, cfg.noise_var, (R, 1))[:, 0]
-            dithers = sample_dither(rng, (active.size, 1))[:, 0]
-            h = _fading(rng, powers[:, None, None], cfg.kappa, (active.size, R, 1))[:, :, 0]
+            z = sample_noise(rng, cfg.noise_var, R)
+            size = (active.size, R)
+            h = (sample_fading(rng, powers[:, None], size) if cfg.kappa == 2.0 else
+                 sample_general_fading(rng, powers[:, None], cfg.kappa, size))
             for r in range(R):
                 y = 0.0 + 0.0j
                 for i, k in enumerate(active):
-                    symbol = np.sqrt(cfg.eta * c * part[k]) / np.sqrt(powers[i]) * dithers[i]
-                    y += h[i, r] * symbol
+                    y += h[i, r] * (np.sqrt(cfg.eta * c * part[k]) / np.sqrt(powers[i]))
                 total += sign * abs(y + z[r]) ** 2
     return float(total / (cfg.eta * cfg.weight_sum * R))
 
@@ -205,8 +220,8 @@ def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig
 
     Coordinate j uses scalar inputs u_{k,j} = [increment_k]_j / K so the
     estimate targets the ideal mean.  Coordinates are the kernel's
-    columns, so fading, dithers and noise are independent across
-    coordinates, clients, branches, chips and antennas.
+    columns, so the received energies are independent across coordinates,
+    branches, chips and antennas.
     """
     arr = np.asarray(increments, dtype=float)
     if arr.ndim != 2:

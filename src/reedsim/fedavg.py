@@ -17,7 +17,9 @@ and masked, and each of the Q steps is one
 The train loss that closes round t and the diagnostic gradient that opens
 round t + 1 are taken at the same model, so one :meth:`Objective.evaluate`
 call computes both and the gradient is carried into the next round.  Only
-round 0 computes its diagnostic gradient on its own.
+round 0 computes its diagnostic gradient on its own, and the last round
+computes only its loss.  Objectives whose gradients never read the batch
+(``uses_batches`` False) draw no minibatch indices.
 """
 
 from __future__ import annotations
@@ -63,8 +65,10 @@ class Objective:
     dim: int
 
     # ``grad_norm_is_proxy`` marks objectives whose diagnostic gradient is
-    # subsampled rather than exact.
+    # subsampled rather than exact; ``uses_batches`` is False for objectives
+    # whose gradients never read the batch, so no minibatch is drawn.
     grad_norm_is_proxy: bool = False
+    uses_batches: bool = True
 
     def loss(self, params: np.ndarray, batch) -> float:
         raise NotImplementedError
@@ -105,6 +109,8 @@ class Objective:
 
 class QuadraticObjective(Objective):
     """f(w) = 1/2 sum_i lambda_i w_i^2, independent of the data rows."""
+
+    uses_batches = False
 
     def __init__(self, curvatures: np.ndarray):
         self.curvatures = np.asarray(curvatures, dtype=float)
@@ -472,8 +478,11 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         beta = cfg.stepsize(t)
         grad_norm_sq = float(grad @ grad)
 
-        batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
-                                          root.child(_DOM_LOCAL, t))
+        if objective.uses_batches:
+            batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
+                                              root.child(_DOM_LOCAL, t))
+        else:
+            batches = lengths = [None] * cfg.Q
         local = np.repeat(w[None], cfg.K, axis=0)
         for q in range(cfg.Q):
             g = objective.stacked_gradient(local, batches[q], lengths[q])
@@ -506,8 +515,12 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         if not np.all(np.isfinite(w)):
             raise RuntimeError(f"non-finite model after round {t}")
 
-        # the gradient is round t + 1's diagnostic gradient
-        train_loss, grad = objective.evaluate(w, root.child(_DOM_LOCAL, t + 1, cfg.K))
+        # the gradient is round t + 1's diagnostic gradient; after the last
+        # round no trace reads it
+        if t + 1 < cfg.T:
+            train_loss, grad = objective.evaluate(w, root.child(_DOM_LOCAL, t + 1, cfg.K))
+        else:
+            train_loss = objective.loss(w, _ALL)
         if not np.isfinite(train_loss):
             raise RuntimeError(f"non-finite train loss after round {t}")
         test_acc = (objective.accuracy(w, test_data.features, test_data.labels)

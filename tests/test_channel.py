@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from reedsim.channel import (sample_dither, sample_fading, sample_general_fading,
-                             sample_noise)
+from reedsim.channel import (sample_dither, sample_energy, sample_fading,
+                             sample_general_fading, sample_noise)
 from reedsim.streams import StreamKey
 
 N = 1_000_000
@@ -55,6 +55,30 @@ def test_paired_noise_energies_uncorrelated():
     zm = sample_noise(_rng(5, 1), 1.0, size=N)
     corr = np.corrcoef(np.abs(zp) ** 2, np.abs(zm) ** 2)[0, 1]
     assert abs(corr) < 0.005
+
+
+def test_energy_moments():
+    e = sample_energy(_rng(15), 2.5, size=N)
+    # exponential with mean m = 2.5: variance m^2, fourth central moment
+    # 9 m^4, so the sample variance has standard error sqrt(8 / N) m^2
+    assert np.all(e >= 0.0)
+    assert abs(e.mean() - 2.5) < 4.0 * 2.5 / np.sqrt(N)
+    assert abs(e.var() - 6.25) < 4.0 * np.sqrt(8.0 / N) * 6.25
+
+
+def test_energy_zero_mean_exact_and_negative_rejected():
+    assert sample_energy(_rng(16), 0.0) == 0.0
+    with pytest.raises(ValueError):
+        sample_energy(_rng(16), -1.0)
+
+
+def test_energy_deterministic_and_broadcast():
+    means = np.array([0.5, 4.0])
+    a = sample_energy(_rng(17), means, size=(3, 2))
+    b = sample_energy(_rng(17), means, size=(3, 2))
+    assert np.array_equal(a, b)
+    # the means are powers of two, so dividing them out is exact
+    assert np.array_equal(a / means, sample_energy(_rng(17), 1.0, size=(3, 2)))
 
 
 def test_dither_unit_modulus():

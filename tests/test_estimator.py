@@ -55,21 +55,48 @@ class TestPairedObservation:
         assert abs(draws.mean() - 2.0) < 4.0 * np.sqrt(4.0 / 1e6)
         assert abs(draws.var() - 4.0) < 0.015 * 4.0
 
-    @pytest.mark.parametrize("kappa", [2.0, 3.0], ids=["kappa2", "kappa3"])
+    @staticmethod
+    def _cfg(values, weights, antennas, kappa):
+        # heterogeneous mean powers; K3 has one silent client
+        inp = ScalarInputs(values)
+        powers = np.linspace(0.5, 2.0, inp.values.size)
+        return inp, ReedPhyConfig(eta=2.0, noise_var=0.3, mean_powers=powers,
+                                  chip_weights=weights, antennas=antennas, kappa=kappa)
+
+    @pytest.mark.parametrize("kappa", [3.0], ids=["kappa3"])
     @pytest.mark.parametrize("antennas", [1, 2], ids=["R1", "R2"])
     @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.5]], ids=["M1", "M2"])
     @pytest.mark.parametrize("values", [[-0.8], [1.5, 0.0, -0.5]], ids=["K1", "K3"])
     def test_matches_vectorized_pipeline(self, values, weights, antennas, kappa):
-        # the scalar reference reads the kernel's draws at n = 1
-        inp = ScalarInputs(values)
-        powers = np.linspace(0.5, 2.0, inp.values.size)
-        cfg = ReedPhyConfig(eta=2.0, noise_var=0.3, mean_powers=powers,
-                            chip_weights=weights, antennas=antennas, kappa=kappa)
+        # for kappa != 2 the scalar reference reads the kernel's draws at n = 1
+        inp, cfg = self._cfg(values, weights, antennas, kappa)
         for i in range(4):
             key = KEY.child(3, i)
             est = reference_estimate(inp, cfg, key)
             vec = sample_estimates(inp, cfg, key, 1)
             assert est == pytest.approx(float(vec[0]), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("antennas", [1, 2], ids=["R1", "R2"])
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.5]], ids=["M1", "M2"])
+    @pytest.mark.parametrize("values", [[-0.8], [1.5, 0.0, -0.5]], ids=["K1", "K3"])
+    def test_rayleigh_kernel_matches_reference_in_law(self, values, weights, antennas):
+        # for kappa = 2 the kernel draws detected energies, not the
+        # superposition: compare its first two moments with the closed form
+        # and with the client-by-client reference.  The estimate is a signed
+        # weighted sum of independent exponentials, so its excess kurtosis is
+        # at most 6 and a sample variance of n draws has relative standard
+        # error at most sqrt(8 / n).
+        inp, cfg = self._cfg(values, weights, antennas, 2.0)
+        law = variance_chip(inp, cfg)
+        n_vec, n_ref = 200_000, 20_000
+        vec = sample_estimates(inp, cfg, KEY.child(17), n_vec)
+        ref = np.array([reference_estimate(inp, cfg, KEY.child(18, i)) for i in range(n_ref)])
+        se_mean = np.sqrt(law.variance / np.array([n_vec, n_ref]))
+        se_var = law.variance * np.sqrt(8.0 / np.array([n_vec, n_ref]))
+        assert abs(vec.mean() - law.mean) < 5.0 * se_mean[0]
+        assert abs(vec.var() - law.variance) < 5.0 * se_var[0]
+        assert abs(vec.mean() - ref.mean()) < 5.0 * np.hypot(*se_mean)
+        assert abs(vec.var() - ref.var()) < 5.0 * np.hypot(*se_var)
 
 
 class TestKernelStreams:
@@ -86,19 +113,33 @@ class TestKernelStreams:
 
     @pytest.mark.parametrize("chips", [1, 3])
     def test_one_generator_per_chip_and_branch(self, monkeypatch, chips):
-        cfg = ReedPhyConfig(eta=1.0, noise_var=0.5, chip_weights=np.ones(chips),
-                            antennas=2, kappa=3.0)
         calls = self._count_generators(monkeypatch)
-        aggregate_reed(np.arange(-6.0, 6.0).reshape(4, 3), cfg, KEY.child(14))
-        assert sorted(calls) == [(14, m, b) for m in range(chips) for b in (0, 1)]
-        calls.clear()
-        sample_estimates(ScalarInputs([1.0, -2.0, 0.5]), cfg, KEY.child(15), 10)
-        assert len(calls) == 2 * chips
+        for kappa in (3.0, 2.0):
+            cfg = ReedPhyConfig(eta=1.0, noise_var=0.5, chip_weights=np.ones(chips),
+                                antennas=2, kappa=kappa)
+            calls.clear()
+            aggregate_reed(np.arange(-6.0, 6.0).reshape(4, 3), cfg, KEY.child(14))
+            assert sorted(calls) == [(14, m, b) for m in range(chips) for b in (0, 1)]
+            calls.clear()
+            sample_estimates(ScalarInputs([1.0, -2.0, 0.5]), cfg, KEY.child(15), 10)
+            assert len(calls) == 2 * chips
+
+    def test_rayleigh_kernel_draws_only_energies(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the kappa = 2 kernel superposes no symbols")
+
+        for name in ("sample_fading", "sample_general_fading", "sample_noise"):
+            monkeypatch.setattr(estimator, name, forbidden)
+        cfg = ReedPhyConfig(eta=1.0, noise_var=0.5, chip_weights=[1.0, 0.5], antennas=2)
+        out = aggregate_reed(np.arange(-6.0, 6.0).reshape(4, 3), cfg, KEY.child(19))
+        assert out.shape == (3,) and np.all(np.isfinite(out))
 
     def test_multi_block_draws_finite_and_repeatable(self):
+        # only the superposition (kappa != 2) draws in blocks
         n = 2 * _BLOCK + 3
         inp = ScalarInputs([1.0, -0.5, 0.0])
-        cfg = ReedPhyConfig(eta=1.0, noise_var=0.5, chip_weights=[1.0, 0.5], antennas=2)
+        cfg = ReedPhyConfig(eta=1.0, noise_var=0.5, chip_weights=[1.0, 0.5], antennas=2,
+                            kappa=3.0)
         a = sample_estimates(inp, cfg, KEY.child(16), n)
         b = sample_estimates(inp, cfg, KEY.child(16), n)
         assert a.shape == (n,)

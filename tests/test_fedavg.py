@@ -302,9 +302,12 @@ class TestBatchedTraining:
                 calls[_key] += 1
                 return _fn(self, *args)
             monkeypatch.setattr(cls, name, spy)
-        probs = cls._probs
+        full_backward = []
+        probs, backward = cls._probs, cls._backward
         monkeypatch.setattr(cls, "_probs", lambda self, params, X: (
             full_passes.append(X.shape[1] == len(ds)) or probs(self, params, X)))
+        monkeypatch.setattr(cls, "_backward", lambda self, X, *a: (
+            full_backward.append(X.shape[1] == len(ds)) or backward(self, X, *a)))
         monkeypatch.setattr(fedavg, "local_round", lambda *a, **kw: calls.update(
             local_round=calls["local_round"] + 1))
         K, T = len(parts), 3
@@ -312,6 +315,21 @@ class TestBatchedTraining:
         run_fedavg(cfg, obj, parts)
         assert calls["stacked"] == self.Q * T  # not K * Q * T
         assert calls["local_round"] == 0
-        # round 0: its own diagnostic gradient; every round: one evaluate pass
+        # round 0: its own diagnostic gradient; every round: one evaluate
+        # pass, which after the last round computes the loss alone
         assert calls["stochastic"] == 1
         assert sum(full_passes) == T + 1
+        assert sum(full_backward) == T
+
+    @pytest.mark.parametrize("kind,draws", [("quadratic", False), ("logistic", True)])
+    def test_batch_free_objective_draws_no_batches(self, monkeypatch, kind, draws):
+        ds, parts = _ragged_setup()
+        obj = _objective(kind, ds)
+        keys = []
+        monkeypatch.setattr(fedavg, "_round_batches", lambda parts, Q, B, key: (
+            keys.append(key) or _round_batches(parts, Q, B, key)))
+        T = 3
+        cfg = FedRunConfig(K=len(parts), Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.1)
+        run_fedavg(cfg, obj, parts)
+        assert obj.uses_batches is draws
+        assert len(keys) == (T if draws else 0)
