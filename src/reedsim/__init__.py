@@ -9,7 +9,7 @@ from .estimator import (ReedPhyConfig, ScalarInputs, aggregate_coherent_csit,
                         aggregate_ideal, aggregate_reed, sample_estimates)
 from .moments import (ConvergenceConstants, MomentReport, energy_audit,
                       eta_schedule, sigma_air_bound, theorem_bound_rhs,
-                      variance_chip, variance_single, variance_single_kappa)
+                      variance_chip)
 from .fedavg import (FedRunConfig, Objective, RoundTrace, build_objective,
                      local_round, run_fedavg)
 from .datasets import (LabeledDataset, PartitionSpec, parse_idx, partition,
@@ -20,8 +20,8 @@ __all__ = [
     "ScalarInputs", "ReedPhyConfig", "sample_estimates",
     "aggregate_ideal", "aggregate_reed", "aggregate_coherent_csit",
     "MomentReport", "ConvergenceConstants",
-    "variance_single", "variance_single_kappa", "variance_chip",
-    "sigma_air_bound", "eta_schedule", "energy_audit", "theorem_bound_rhs",
+    "variance_chip", "sigma_air_bound", "eta_schedule", "energy_audit",
+    "theorem_bound_rhs",
     "Objective", "FedRunConfig", "RoundTrace", "build_objective",
     "local_round", "run_fedavg",
     "LabeledDataset", "PartitionSpec", "parse_idx", "write_idx",

@@ -23,6 +23,7 @@ kernel's draws for kappa != 2 and matches it in law for kappa = 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,16 +93,21 @@ class ReedPhyConfig:
     def __post_init__(self):
         object.__setattr__(self, "mean_powers", np.asarray(self.mean_powers, dtype=float))
         object.__setattr__(self, "chip_weights", np.asarray(self.chip_weights, dtype=float))
+        for name in ("eta", "noise_var", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta <= 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if self.noise_var < 0:
             raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
-        if np.any(self.mean_powers <= 0):
-            raise ValueError("mean_powers must be > 0")
+        # a comparison with NaN is false, so these also reject NaN
+        mu2, c = self.mean_powers, self.chip_weights
+        if not ((mu2 > 0) & (mu2 < np.inf)).all():
+            raise ValueError("mean_powers must be finite and > 0")
         if self.n_chips < 1:
             raise ValueError("n_chips must be >= 1")
-        if np.any(self.chip_weights < 0) or self.chip_weights.sum() <= 0:
-            raise ValueError("chip_weights must be >= 0 with positive sum")
+        if not ((c >= 0) & (c < np.inf)).all() or c.sum() <= 0:
+            raise ValueError("chip_weights must be finite and >= 0 with positive sum")
         if self.antennas < 1:
             raise ValueError(f"antennas must be >= 1, got {self.antennas}")
         if self.kappa < 1:
@@ -231,19 +237,16 @@ def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig
     return _paired_energy(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg, key, d)
 
 
-def aggregate_coherent_csit(increments: list[np.ndarray] | np.ndarray, eta: float,
-                            noise_var: float, key: StreamKey) -> np.ndarray:
+def aggregate_coherent_csit(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig,
+                            key: StreamKey) -> np.ndarray:
     """Coherent channel-inversion reference: ideal mean plus Re(z)/sqrt(eta)
-    with fresh receiver noise per coordinate."""
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    if noise_var < 0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
+    with fresh receiver noise per coordinate; reads only ``cfg.eta`` and
+    ``cfg.noise_var``."""
     arr = np.asarray(increments, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"increments must be a (K, d) array, got shape {arr.shape}")
     mean = arr.mean(axis=0)
-    if noise_var == 0:
+    if cfg.noise_var == 0:
         return mean
-    z = sample_noise(key.generator(), noise_var, size=arr.shape[1])
-    return mean + z.real / np.sqrt(eta)
+    z = sample_noise(key.generator(), cfg.noise_var, size=arr.shape[1])
+    return mean + z.real / np.sqrt(cfg.eta)

@@ -505,8 +505,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             eps_norm_sq = float(eps @ eps)
             max_energy = float(energy_audit(increments, phy, cfg.K).max())
         else:
-            update = aggregate_coherent_csit(increments, phy.eta, phy.noise_var,
-                                             root.child(_DOM_CHANNEL, t))
+            update = aggregate_coherent_csit(increments, phy, root.child(_DOM_CHANNEL, t))
             eps = update - ideal
             eps_norm_sq = float(eps @ eps)
             max_energy = 0.0

@@ -1,9 +1,13 @@
 """Closed-form moment laws and convergence-side evaluators.
 
 These are the deterministic oracles the Monte Carlo pipeline is checked
-against: exact mean/variance of the paired-energy estimator (single-shot,
-chip-diverse, SIMO, non-Rayleigh), the aggregation-error second-moment
-bound, the energy-feasible gain schedule and the stationarity bound.
+against.  ``variance_chip`` is the one exact mean/variance law of the
+paired-energy estimator, split into self-noise, signal-noise and receiver
+noise, for any chip weights, antenna count and fading fourth-moment ratio
+kappa; the single-shot Rayleigh estimator is its one-chip, one-antenna,
+kappa = 2 case.  The aggregation-error second-moment bound reads the same
+coefficients.  The energy-feasible gain schedule and the stationarity
+bound complete the module.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from .estimator import ReedPhyConfig, ScalarInputs
 __all__ = [
     "MomentReport",
     "ConvergenceConstants",
-    "variance_single",
-    "variance_single_kappa",
     "variance_chip",
     "sigma_air_bound",
     "eta_schedule",
@@ -61,90 +63,54 @@ class ConvergenceConstants:
             raise ValueError("sigma_g_sq and F0_minus_Fstar must be >= 0")
 
 
-def variance_single(inputs: ScalarInputs, eta: float, noise_var: float) -> MomentReport:
-    """Single-shot paired-energy moments.
-
-    Var = (S_+^2 + S_-^2) + (2 sigma_z^2 / eta) sum|u_k| + 2 sigma_z^4 / eta^2.
-    """
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    if noise_var < 0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    sp, sm = inputs.s_plus, inputs.s_minus
-    abs_sum = sp + sm
-    return MomentReport(
-        mean=inputs.signed_sum,
-        self_noise=sp**2 + sm**2,
-        signal_noise=2.0 * noise_var / eta * abs_sum,
-        receiver_noise=2.0 * noise_var**2 / eta**2,
-    )
-
-
-def variance_single_kappa(inputs: ScalarInputs, eta: float, noise_var: float,
-                          kappa: float) -> MomentReport:
-    """Single-shot moments under general proper fading with fourth-moment
-    ratio kappa; the (kappa - 2) correction is a fading effect and is
-    folded into the self-noise component.  kappa = 2 reduces to
-    variance_single."""
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
-    base = variance_single(inputs, eta, noise_var)
-    correction = (kappa - 2.0) * float(np.sum(inputs.pos**2 + inputs.neg**2))
-    return MomentReport(
-        mean=base.mean,
-        self_noise=base.self_noise + correction,
-        signal_noise=base.signal_noise,
-        receiver_noise=base.receiver_noise,
-    )
+def _coefficients(cfg: ReedPhyConfig) -> tuple[float, float, float]:
+    """The variance law's three coefficients, with C = C_M * R:
+    self-noise R sum(c_m^2) / C^2, signal-noise 2 sigma_z^2 / (eta C) and
+    receiver noise 2 M R sigma_z^4 / (eta C)^2."""
+    R = cfg.antennas
+    C = cfg.weight_sum * R
+    return (float(np.sum(cfg.chip_weights**2)) * R / C**2,
+            2.0 * cfg.noise_var / (cfg.eta * C),
+            2.0 * (cfg.n_chips * R) * cfg.noise_var**2 / (cfg.eta**2 * C**2))
 
 
 def variance_chip(inputs: ScalarInputs, cfg: ReedPhyConfig) -> MomentReport:
-    """Chip-diverse (and SIMO) paired-energy moments.
+    """Paired-energy moments for any chip weights, antenna count R and
+    fading fourth-moment ratio kappa.
 
-    R antennas replicate the chip weights across antennas: the effective
-    weight set has sum C_M * R, squared sum R * sum(c_m^2), and M * R
-    noisy pairs.  Non-Rayleigh fading adds the (kappa - 2) self-noise
-    correction scaled by the same diversity factor.
+    Var = a (S_+^2 + S_-^2 + (kappa - 2) sum(pos^2 + neg^2))
+    + b (S_+ + S_-) + r, with (a, b, r) from ``_coefficients``.  R antennas
+    replicate the chip weights, and the (kappa - 2) fading correction joins
+    the self-noise.  One chip, one antenna and kappa = 2 give the
+    single-shot Rayleigh law (S_+^2 + S_-^2) + (2 sigma_z^2 / eta)(S_+ + S_-)
+    + 2 sigma_z^4 / eta^2.
     """
-    c = cfg.chip_weights
-    R = cfg.antennas
-    C = cfg.weight_sum * R
-    sq = float(np.sum(c**2)) * R
-    M_eff = cfg.n_chips * R
+    self_coef, signal_coef, receiver_noise = _coefficients(cfg)
     sp, sm = inputs.s_plus, inputs.s_minus
-    self_noise = sq / C**2 * (sp**2 + sm**2)
-    if cfg.kappa != 2.0:
-        self_noise += sq / C**2 * (cfg.kappa - 2.0) * float(
-            np.sum(inputs.pos**2 + inputs.neg**2))
+    fourth = (cfg.kappa - 2.0) * float(np.sum(inputs.pos**2 + inputs.neg**2))
     return MomentReport(
         mean=inputs.signed_sum,
-        self_noise=self_noise,
-        signal_noise=2.0 * cfg.noise_var / (cfg.eta * C) * (sp + sm),
-        receiver_noise=2.0 * M_eff * cfg.noise_var**2 / (cfg.eta**2 * C**2),
+        self_noise=self_coef * (sp**2 + sm**2 + fourth),
+        signal_noise=signal_coef * (sp + sm),
+        receiver_noise=receiver_noise,
     )
 
 
 def sigma_air_bound(beta: float, Q: int, G: float, d: int, eta: float,
                     noise_var: float, chip_weights=(1.0,)) -> float:
-    """Second-moment bound on the vector aggregation error.
+    """Second-moment bound on the vector aggregation error, built from the
+    variance law's coefficients at one antenna:
 
     (sum c^2 / C^2)(beta Q G)^2 + (2 sigma_z^2 sqrt(d) / (eta C)) beta Q G
     + 2 d M sigma_z^4 / (eta^2 C^2).  chip_weights=[1] is the single-pair
     case.
     """
-    if beta <= 0 or Q < 1 or G <= 0 or d < 1 or eta <= 0 or noise_var < 0:
+    if beta <= 0 or Q < 1 or G <= 0 or d < 1:
         raise ValueError("invalid sigma_air_bound parameters")
-    c = np.asarray(chip_weights, dtype=float)
-    if np.any(c < 0) or c.sum() <= 0:
-        raise ValueError("chip weights must be >= 0 with positive sum")
-    C = float(c.sum())
-    M = c.size
+    self_coef, signal_coef, receiver_noise = _coefficients(
+        ReedPhyConfig(eta=eta, noise_var=noise_var, chip_weights=chip_weights))
     bqg = beta * Q * G
-    return (
-        float(np.sum(c**2)) / C**2 * bqg**2
-        + 2.0 * noise_var * np.sqrt(d) / (eta * C) * bqg
-        + 2.0 * d * M * noise_var**2 / (eta**2 * C**2)
-    )
+    return self_coef * bqg**2 + signal_coef * np.sqrt(d) * bqg + d * receiver_noise
 
 
 def eta_schedule(budgets, K: int, d: int, mean_powers, C_M: float, beta: float,

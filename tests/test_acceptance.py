@@ -14,8 +14,7 @@ from reedsim.estimator import (ReedPhyConfig, ScalarInputs, aggregate_ideal,
 from reedsim.experiments import run_single_trial
 from reedsim.fedavg import (FedRunConfig, build_objective, local_round, run_fedavg)
 from reedsim.moments import (energy_audit, eta_schedule, sigma_air_bound,
-                             variance_chip, variance_single,
-                             variance_single_kappa)
+                             variance_chip)
 from reedsim.streams import StreamKey
 
 N = 1_000_000
@@ -53,7 +52,7 @@ def test_c3_fourth_moment_correction():
     k2 = ReedPhyConfig(eta=1.0, noise_var=1.0, kappa=2.0)
     v3 = sample_estimates(U, k3, KEY.child(3, 0), N).var(ddof=1)
     v2 = sample_estimates(U, k2, KEY.child(3, 1), N).var(ddof=1)
-    assert variance_single_kappa(U, 1.0, 1.0, 3.0).variance == 18.0
+    assert variance_chip(U, k3).variance == 18.0
     ok3 = abs(v3 - 18.0) <= 0.02 * 18.0
     ok2 = abs(v2 - 13.0) <= 0.02 * 13.0
     _report("C3", ok3 and ok2, f"kappa=3 var={v3:.4f} vs 18.0, "

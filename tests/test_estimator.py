@@ -7,7 +7,7 @@ from reedsim import estimator
 from reedsim.estimator import (_BLOCK, ReedPhyConfig, ScalarInputs,
                                aggregate_coherent_csit, aggregate_ideal,
                                aggregate_reed, reference_estimate, sample_estimates)
-from reedsim.moments import variance_chip, variance_single
+from reedsim.moments import variance_chip
 from reedsim.streams import StreamKey
 
 KEY = StreamKey(271828)
@@ -76,6 +76,19 @@ class TestPairedObservation:
             vec = sample_estimates(inp, cfg, key, 1)
             assert est == pytest.approx(float(vec[0]), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("kappa,weights,antennas", [
+        (3.0, [1.0, 0.5], 2), (4.0, [1.0], 3), (1.0, [0.7, 0.3, 1.0], 2)],
+        ids=["kappa3-M2-R2", "kappa4-M1-R3", "kappa1-M3-R2"])
+    def test_general_fading_matches_closed_form(self, kappa, weights, antennas):
+        # the (kappa - 2) self-noise term scaled by chips and antennas; two
+        # positive clients make sum(pos^2) differ from S_+^2
+        inp, cfg = self._cfg([1.5, 0.0, -0.5, 0.8], weights, antennas, kappa)
+        law = variance_chip(inp, cfg)
+        n = 400_000
+        draws = sample_estimates(inp, cfg, KEY.child(20, int(kappa)), n)
+        assert abs(draws.mean() - law.mean) < 5.0 * np.sqrt(law.variance / n)
+        assert abs(draws.var() - law.variance) < 0.02 * law.variance
+
     @pytest.mark.parametrize("antennas", [1, 2], ids=["R1", "R2"])
     @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.5]], ids=["M1", "M2"])
     @pytest.mark.parametrize("values", [[-0.8], [1.5, 0.0, -0.5]], ids=["K1", "K3"])
@@ -97,6 +110,17 @@ class TestPairedObservation:
         assert abs(vec.var() - law.variance) < 5.0 * se_var[0]
         assert abs(vec.mean() - ref.mean()) < 5.0 * np.hypot(*se_mean)
         assert abs(vec.var() - ref.var()) < 5.0 * np.hypot(*se_var)
+
+
+class TestReedPhyConfig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["eta", "noise_var", "mean_powers", "chip_weights",
+                                       "kappa"])
+    def test_rejects_nonfinite(self, field, value):
+        # the message starts with the field so config errors name the key
+        arg = [1.0, value] if field in ("mean_powers", "chip_weights") else value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ReedPhyConfig(**{field: arg})
 
 
 class TestKernelStreams:
@@ -167,7 +191,7 @@ class TestEstimates:
         n = 200_000
         a = sample_estimates(inp, cfg, KEY.child(6, 0), n)
         b = sample_estimates(ScalarInputs(-inp.values), cfg, KEY.child(6, 1), n)
-        var = variance_single(inp, 1.0, 0.5).variance
+        var = variance_chip(inp, cfg).variance
         assert abs((a + b).mean()) < 4.0 * np.sqrt(2.0 * var / n)
 
     def test_simo_matches_fixed_per_chip(self):
@@ -236,21 +260,23 @@ class TestAggregators:
 
     def test_coherent_zero_noise_is_ideal(self):
         inc = np.array([[1.0, 2.0], [3.0, -4.0]])
-        out = aggregate_coherent_csit(inc, 1.0, 0.0, KEY.child(12))
+        out = aggregate_coherent_csit(inc, ReedPhyConfig(noise_var=0.0), KEY.child(12))
         assert np.array_equal(out, aggregate_ideal(inc, 2))
 
     @pytest.mark.parametrize("eta,target,tol", [(1.0, 0.5, 0.01), (100.0, 0.005, 0.02)])
     def test_coherent_noise_variance(self, eta, target, tol):
         inc = np.zeros((1, 1))
+        cfg = ReedPhyConfig(eta=eta, noise_var=1.0)
         draws = np.array([
-            aggregate_coherent_csit(inc, eta, 1.0, KEY.child(13, int(eta), i))[0]
+            aggregate_coherent_csit(inc, cfg, KEY.child(13, int(eta), i))[0]
             for i in range(1_000_000 // 10)])
         # 1e5 draws: CLT band at relative ~0.9%; tolerances from the contract
         assert abs(draws.var() - target) < 2 * tol * target
 
     def test_coherent_eta_validation(self):
-        with pytest.raises(ValueError):
-            aggregate_coherent_csit(np.zeros((1, 1)), 0.0, 1.0, KEY)
+        # the coherent aggregator reads eta from the config, which rejects it
+        with pytest.raises(ValueError, match="^eta "):
+            ReedPhyConfig(eta=0.0, noise_var=1.0)
 
 
 @pytest.mark.parametrize("module", [reedsim, estimator], ids=lambda m: m.__name__)

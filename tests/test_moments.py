@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from reedsim.estimator import ReedPhyConfig, ScalarInputs
 from reedsim.moments import (ConvergenceConstants, energy_audit, eta_schedule,
-                             sigma_air_bound, theorem_bound_rhs, variance_chip,
-                             variance_single, variance_single_kappa)
+                             sigma_air_bound, theorem_bound_rhs, variance_chip)
 from reedsim.streams import StreamKey
 
 inputs_strategy = st.lists(
@@ -13,9 +12,14 @@ inputs_strategy = st.lists(
 ).map(ScalarInputs)
 
 
+def _single(inputs, eta, noise_var, kappa=2.0):
+    # the single-shot law: one chip, one antenna
+    return variance_chip(inputs, ReedPhyConfig(eta=eta, noise_var=noise_var, kappa=kappa))
+
+
 class TestVarianceSingle:
     def test_reference_point(self):
-        rep = variance_single(ScalarInputs([2.0, -1.0]), 1.0, 1.0)
+        rep = _single(ScalarInputs([2.0, -1.0]), 1.0, 1.0)
         assert rep.mean == 1.0
         assert rep.self_noise == 5.0
         assert rep.signal_noise == 6.0
@@ -23,43 +27,37 @@ class TestVarianceSingle:
         assert rep.variance == 13.0
 
     def test_all_zero_noiseless(self):
-        rep = variance_single(ScalarInputs([0.0, 0.0]), 1.0, 0.0)
+        rep = _single(ScalarInputs([0.0, 0.0]), 1.0, 0.0)
         assert rep.variance == 0.0
 
     def test_pure_receiver_noise(self):
-        rep = variance_single(ScalarInputs([0.0]), 1.0, 1.0)
+        rep = _single(ScalarInputs([0.0]), 1.0, 1.0)
         assert rep.variance == 2.0
         assert rep.receiver_noise == 2.0
 
     def test_eta_validation(self):
         with pytest.raises(ValueError):
-            variance_single(ScalarInputs([1.0]), 0.0, 1.0)
+            _single(ScalarInputs([1.0]), 0.0, 1.0)
 
     @given(inputs=inputs_strategy, eta=st.floats(0.1, 10), nv=st.floats(0, 5))
     def test_decomposition_additivity(self, inputs, eta, nv):
-        rep = variance_single(inputs, eta, nv)
+        rep = _single(inputs, eta, nv)
         assert rep.variance == rep.self_noise + rep.signal_noise + rep.receiver_noise
         assert rep.self_noise >= 0 and rep.signal_noise >= 0 and rep.receiver_noise >= 0
 
 
 class TestVarianceKappa:
-    def test_kappa_two_identical(self):
-        inp = ScalarInputs([2.0, -1.0, 0.3])
-        a = variance_single(inp, 1.5, 0.7)
-        b = variance_single_kappa(inp, 1.5, 0.7, 2.0)
-        assert a == b
-
     def test_kappa_three_reference(self):
-        rep = variance_single_kappa(ScalarInputs([2.0, -1.0]), 1.0, 1.0, 3.0)
+        rep = _single(ScalarInputs([2.0, -1.0]), 1.0, 1.0, kappa=3.0)
         assert rep.variance == 18.0
 
     def test_kappa_one_constant_modulus_single_user(self):
-        rep = variance_single_kappa(ScalarInputs([1.0]), 1.0, 0.0, 1.0)
+        rep = _single(ScalarInputs([1.0]), 1.0, 0.0, kappa=1.0)
         assert rep.variance == 0.0
 
     def test_kappa_validation(self):
         with pytest.raises(ValueError):
-            variance_single_kappa(ScalarInputs([1.0]), 1.0, 0.0, 0.5)
+            _single(ScalarInputs([1.0]), 1.0, 0.0, kappa=0.5)
 
 
 class TestVarianceChip:
@@ -74,16 +72,6 @@ class TestVarianceChip:
         assert rep.self_noise == pytest.approx(2.5)
         assert rep.signal_noise == pytest.approx(6.0)
         assert rep.receiver_noise == pytest.approx(4.0)
-
-    @given(inputs=inputs_strategy, eta=st.floats(0.1, 10), nv=st.floats(0, 5))
-    def test_reduction_chain(self, inputs, eta, nv):
-        cfg = ReedPhyConfig(eta=eta, noise_var=nv, chip_weights=[1.0])
-        chip = variance_chip(inputs, cfg)
-        single = variance_single(inputs, eta, nv)
-        kappa = variance_single_kappa(inputs, eta, nv, 2.0)
-        for a, b in ((chip, single), (single, kappa)):
-            assert a.mean == pytest.approx(b.mean, rel=1e-12, abs=1e-12)
-            assert a.variance == pytest.approx(b.variance, rel=1e-12, abs=1e-12)
 
     def test_simo_scaling(self):
         inp = ScalarInputs([2.0, -1.0])
