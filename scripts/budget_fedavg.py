@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Energy-budgeted FedAvg on the synthetic quadratic: logs the realized
-per-client energies and the scheduled gain alongside the optimization trace."""
+"""Energy-budgeted FedAvg on the synthetic quadratic: the trace logs each
+round's largest realized per-client energy (``max_client_energy``)
+alongside the optimization trace; the scheduled gain is not written."""
 import pathlib
 import sys
 

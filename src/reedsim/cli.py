@@ -87,50 +87,46 @@ def cmd_validate_moments(cfg: dict[str, Any], out_dir: str, workers: int = 1) ->
     return 1 if n_fail else 0
 
 
-def _trial_job(args):
-    cfg, trial, aggregator = args
-    return trial, aggregator, run_single_trial(cfg, trial, aggregator)
-
-
-def _run_fedavg_rows(cfg: dict[str, Any], workers: int) -> list[list]:
-    jobs = [(cfg, trial, agg)
-            for agg in cfg["fed.aggregators"]
-            for trial in range(cfg["trials"])]
-    rows = []
-    for trial, agg, traces in _map(_trial_job, jobs, workers):
-        for tr in traces:
-            rows.append([trial, tr.round, agg, tr.train_loss, tr.test_accuracy,
-                         tr.grad_norm_sq, tr.eps_norm_sq, tr.max_client_energy])
-    return rows
+def _trial_job(job):
+    _, cfg, trial, aggregator = job
+    return run_single_trial(cfg, trial, aggregator)
 
 
 _FEDAVG_HEADER = ["trial", "round", "aggregator", "train_loss", "test_acc",
                   "grad_norm_sq", "eps_norm_sq", "max_client_energy"]
 
 
-def _summarize(rows: list[list], final_round: int) -> dict:
-    summary: dict[str, dict] = {}
-    by_agg: dict[str, list[list]] = {}
-    for row in rows:
-        if row[1] == final_round:
-            by_agg.setdefault(row[2], []).append(row)
-    for agg, final_rows in sorted(by_agg.items()):
-        acc = np.array([r[4] for r in final_rows], dtype=float)
-        loss = np.array([r[3] for r in final_rows], dtype=float)
-        summary[agg] = {
-            "final_test_acc_mean": float(acc.mean()),
-            "final_test_acc_std": float(acc.std(ddof=1)) if acc.size > 1 else 0.0,
-            "final_train_loss_mean": float(loss.mean()),
-            "final_train_loss_std": float(loss.std(ddof=1)) if loss.size > 1 else 0.0,
-            "trials": int(acc.size),
-        }
-    return summary
+def _summary(final: list) -> dict:
+    """Mean and spread over the trials of one aggregator's final-round
+    traces."""
+    out = {"trials": len(final)}
+    for name, values in (("test_acc", [tr.test_accuracy for tr in final]),
+                         ("train_loss", [tr.train_loss for tr in final])):
+        x = np.array(values)
+        out[f"final_{name}_mean"] = float(x.mean())
+        out[f"final_{name}_std"] = float(x.std(ddof=1)) if x.size > 1 else 0.0
+    return out
+
+
+def _run_points(points: list[dict[str, Any]], workers: int) -> list[tuple[list, dict]]:
+    """The trace rows and per-aggregator summary of each config in
+    ``points``, with every (point, aggregator, trial) run in one map."""
+    jobs = [(i, cfg, trial, agg) for i, cfg in enumerate(points)
+            for agg in cfg["fed.aggregators"] for trial in range(cfg["trials"])]
+    rows: list[list] = [[] for _ in points]
+    finals: list[dict] = [{} for _ in points]
+    for (i, _, trial, agg), traces in zip(jobs, _map(_trial_job, jobs, workers)):
+        rows[i] += [[trial, tr.round, agg, tr.train_loss, tr.test_accuracy,
+                     tr.grad_norm_sq, tr.eps_norm_sq, tr.max_client_energy]
+                    for tr in traces]
+        finals[i].setdefault(agg, []).append(traces[-1])
+    return [(r, {agg: _summary(f) for agg, f in sorted(fin.items())})
+            for r, fin in zip(rows, finals)]
 
 
 def cmd_run_fedavg(cfg: dict[str, Any], out_dir: str, workers: int = 1) -> int:
-    rows = _run_fedavg_rows(cfg, workers)
+    [(rows, summary)] = _run_points([cfg], workers)
     _write_csv(os.path.join(out_dir, "fedavg_trace.csv"), _FEDAVG_HEADER, rows)
-    summary = _summarize(rows, cfg["fed.T"] - 1)
     _write_json(os.path.join(out_dir, "fedavg_summary.json"), summary)
     for agg, stats in summary.items():
         print(f"{agg}: final acc {stats['final_test_acc_mean']:.4f} "
@@ -169,12 +165,10 @@ def cmd_sweep(cfg: dict[str, Any], out_dir: str, axis: str, workers: int = 1) ->
         raise ConfigError(f"{_SWEEP_AXES[axis]}: empty or unset axis")
     # every point is validated before the first one runs
     points = [_apply_axis(cfg, axis, value) for value in values]
-    rows = []
-    summary = {}
-    for value, point_cfg in zip(values, points):
-        point_rows = _run_fedavg_rows(point_cfg, workers)
-        rows.extend([[_fmt(value)] + r for r in point_rows])
-        summary[_fmt(value)] = _summarize(point_rows, cfg["fed.T"] - 1)
+    rows, summary = [], {}
+    for value, (point_rows, point_summary) in zip(values, _run_points(points, workers)):
+        rows += [[_fmt(value)] + row for row in point_rows]
+        summary[_fmt(value)] = point_summary
     _write_csv(os.path.join(out_dir, f"sweep_{axis}.csv"),
                [axis] + _FEDAVG_HEADER, rows)
     _write_json(os.path.join(out_dir, f"sweep_{axis}_summary.json"), summary)

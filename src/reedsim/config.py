@@ -19,6 +19,7 @@ import numpy as np
 from .datasets import LabeledDataset, PartitionSpec, partition, synth_dataset
 from .estimator import ReedPhyConfig
 from .fedavg import FedRunConfig, Objective, build_objective
+from .streams import StreamKey
 
 __all__ = ["ConfigError", "SCHEMA", "parse_config", "load_config", "check_config",
            "resolve_noise_var", "synth_data", "client_partition", "run_objective",
@@ -246,8 +247,10 @@ def synth_data(cfg: dict[str, Any], n: int, trial: int) -> LabeledDataset:
 
 @_keyed()
 def _partition_spec(cfg: dict[str, Any], trial: int) -> PartitionSpec:
-    return PartitionSpec(kind=cfg["data.partition"], K=cfg["fed.K"],
-                         seed=_trial_seed(cfg, trial) + 2, alpha=cfg["data.alpha"])
+    # the trial's own domain 3 (a run uses 0-2): replays no trial's root stream
+    seed = int(StreamKey(_trial_seed(cfg, trial)).child(3).generator().integers(2**63))
+    return PartitionSpec(kind=cfg["data.partition"], K=cfg["fed.K"], seed=seed,
+                         alpha=cfg["data.alpha"])
 
 
 @_keyed()

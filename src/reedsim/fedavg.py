@@ -64,10 +64,8 @@ class Objective:
 
     dim: int
 
-    # ``grad_norm_is_proxy`` marks objectives whose diagnostic gradient is
-    # subsampled rather than exact; ``uses_batches`` is False for objectives
-    # whose gradients never read the batch, so no minibatch is drawn.
-    grad_norm_is_proxy: bool = False
+    # False for objectives whose gradients never read the batch, so no
+    # minibatch is drawn
     uses_batches: bool = True
 
     def loss(self, params: np.ndarray, batch) -> float:
@@ -91,7 +89,7 @@ class Objective:
 
     def diagnostic_gradient(self, params: np.ndarray, key: StreamKey) -> np.ndarray:
         """The gradient whose squared norm the trace records; exact unless
-        ``grad_norm_is_proxy``."""
+        an objective overrides it with a subsampled proxy."""
         return self.full_gradient(params)
 
     def evaluate(self, params: np.ndarray, key: StreamKey) -> tuple[float, np.ndarray]:
@@ -246,7 +244,7 @@ class LogisticObjective(_Classifier):
 class MlpObjective(_Classifier):
     """One-hidden-layer tanh perceptron with softmax cross-entropy."""
 
-    grad_norm_is_proxy = True
+    # the diagnostic gradient is taken on this many training samples
     proxy_samples = 512
 
     def __init__(self, data: LabeledDataset, hidden: int, n_classes: int):
@@ -354,8 +352,8 @@ class FedRunConfig:
         for name in ("K", "Q", "T", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.beta0 <= 0:
-            raise ValueError(f"beta0 must be > 0, got {self.beta0}")
+        if not 0 < self.beta0 < np.inf:
+            raise ValueError(f"beta0 must be finite and > 0, got {self.beta0}")
         if self.schedule not in ("constant", "inv_sqrt"):
             raise ValueError(f"schedule must be 'constant' or 'inv_sqrt', got {self.schedule!r}")
         if self.aggregator not in ("ideal", "reed", "coherent_csit"):
@@ -363,12 +361,12 @@ class FedRunConfig:
                              f"got {self.aggregator!r}")
         if self.budgets is not None:
             object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float))
-            if np.any(self.budgets <= 0):
-                raise ValueError("budgets must be > 0")
+            if not ((self.budgets > 0) & (self.budgets < np.inf)).all():
+                raise ValueError("budgets must be finite and > 0")
             if self.clip_G is None:
                 raise ValueError("budgets need clip_G set, to bound each update")
-        if self.clip_G is not None and self.clip_G <= 0:
-            raise ValueError(f"clip_G must be > 0, got {self.clip_G}")
+        if self.clip_G is not None and not 0 < self.clip_G < np.inf:
+            raise ValueError(f"clip_G must be finite and > 0, got {self.clip_G}")
 
     def stepsize(self, t: int) -> float:
         if self.schedule == "constant":
@@ -378,17 +376,16 @@ class FedRunConfig:
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """Per-round record of one FedAvg run."""
+    """Per-round record of one FedAvg run: the trace CSV's ``round``,
+    ``train_loss``, ``test_acc`` (``test_accuracy``), ``grad_norm_sq``,
+    ``eps_norm_sq`` and ``max_client_energy`` columns."""
 
     round: int
     train_loss: float
     test_accuracy: float
     grad_norm_sq: float
-    grad_norm_is_proxy: bool
     eps_norm_sq: float
     max_client_energy: float
-    eta: float
-    beta: float
 
 
 def clip_gradient(g: np.ndarray, clip_G: float | None) -> np.ndarray:
@@ -489,26 +486,21 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             local = local - beta * clip_gradient(g, cfg.clip_G)
         increments = local - w
 
-        phy = cfg.phy
-        if cfg.aggregator == "reed" and cfg.budgets is not None:
-            eta_t = eta_schedule(cfg.budgets, cfg.K, d, phy.mean_powers,
-                                 phy.weight_sum, beta, cfg.Q, cfg.clip_G)
-            phy = replace(phy, eta=eta_t)
-
+        phy, key = cfg.phy, root.child(_DOM_CHANNEL, t)
+        reed = cfg.aggregator == "reed"
+        if reed and cfg.budgets is not None:
+            phy = replace(phy, eta=eta_schedule(cfg.budgets, cfg.K, d, phy.mean_powers,
+                                                phy.weight_sum, beta, cfg.Q, cfg.clip_G))
         ideal = aggregate_ideal(increments, d)
-        if cfg.aggregator == "ideal":
-            update, eps_norm_sq = ideal, 0.0
-            max_energy = 0.0
-        elif cfg.aggregator == "reed":
-            update = aggregate_reed(increments, phy, root.child(_DOM_CHANNEL, t))
-            eps = update - ideal
-            eps_norm_sq = float(eps @ eps)
-            max_energy = float(energy_audit(increments, phy, cfg.K).max())
+        if reed:
+            update = aggregate_reed(increments, phy, key)
+        elif cfg.aggregator == "coherent_csit":
+            update = aggregate_coherent_csit(increments, phy, key)
         else:
-            update = aggregate_coherent_csit(increments, phy, root.child(_DOM_CHANNEL, t))
-            eps = update - ideal
-            eps_norm_sq = float(eps @ eps)
-            max_energy = 0.0
+            update = ideal
+        eps = update - ideal
+        eps_norm_sq = float(eps @ eps)
+        max_energy = float(energy_audit(increments, phy, cfg.K).max()) if reed else 0.0
 
         w = w + update
         if not np.all(np.isfinite(w)):
@@ -524,10 +516,6 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             raise RuntimeError(f"non-finite train loss after round {t}")
         test_acc = (objective.accuracy(w, test_data.features, test_data.labels)
                     if test_data is not None else 0.0)
-        traces.append(RoundTrace(
-            round=t, train_loss=train_loss, test_accuracy=test_acc,
-            grad_norm_sq=grad_norm_sq,
-            grad_norm_is_proxy=objective.grad_norm_is_proxy,
-            eps_norm_sq=eps_norm_sq, max_client_energy=max_energy,
-            eta=phy.eta, beta=beta))
+        traces.append(RoundTrace(t, train_loss, test_acc, grad_norm_sq, eps_norm_sq,
+                                 max_energy))
     return traces

@@ -57,10 +57,17 @@ class ConvergenceConstants:
     F0_minus_Fstar: float
 
     def __post_init__(self):
-        if self.L <= 0 or self.G <= 0:
-            raise ValueError("L and G must be > 0")
-        if self.sigma_g_sq < 0 or self.F0_minus_Fstar < 0:
-            raise ValueError("sigma_g_sq and F0_minus_Fstar must be >= 0")
+        _check(L=self.L, G=self.G)
+        _check(strict=False, sigma_g_sq=self.sigma_g_sq, F0_minus_Fstar=self.F0_minus_Fstar)
+
+
+def _check(strict: bool = True, **values) -> None:
+    """Reject a value, or an array with an entry, that is not finite and > 0
+    (>= 0 unless ``strict``), naming it first; NaN fails every comparison."""
+    for name, x in values.items():
+        lo, hi = (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
+        if not (0 < lo if strict else 0 <= lo) or not hi < np.inf:
+            raise ValueError(f"{name} must be finite and >{'' if strict else '='} 0, got {x}")
 
 
 def _coefficients(cfg: ReedPhyConfig) -> tuple[float, float, float]:
@@ -105,8 +112,9 @@ def sigma_air_bound(beta: float, Q: int, G: float, d: int, eta: float,
     + 2 d M sigma_z^4 / (eta^2 C^2).  chip_weights=[1] is the single-pair
     case.
     """
-    if beta <= 0 or Q < 1 or G <= 0 or d < 1:
-        raise ValueError("invalid sigma_air_bound parameters")
+    _check(beta=beta, G=G)
+    if Q < 1 or d < 1:
+        raise ValueError(f"Q and d must be >= 1, got {Q} and {d}")
     self_coef, signal_coef, receiver_noise = _coefficients(
         ReedPhyConfig(eta=eta, noise_var=noise_var, chip_weights=chip_weights))
     bqg = beta * Q * G
@@ -119,10 +127,9 @@ def eta_schedule(budgets, K: int, d: int, mean_powers, C_M: float, beta: float,
     min_k E_k K sqrt(d) mu_k^2 / (C_M beta Q G)."""
     E = np.atleast_1d(np.asarray(budgets, dtype=float))
     mu2 = np.atleast_1d(np.asarray(mean_powers, dtype=float))
-    if np.any(E <= 0) or np.any(mu2 <= 0):
-        raise ValueError("budgets and mean powers must be > 0")
-    if K < 1 or d < 1 or C_M <= 0 or beta <= 0 or Q < 1 or G <= 0:
-        raise ValueError("invalid eta_schedule parameters")
+    _check(budgets=E, mean_powers=mu2, C_M=C_M, beta=beta, G=G)
+    if K < 1 or d < 1 or Q < 1:
+        raise ValueError(f"K, d and Q must be >= 1, got {K}, {d} and {Q}")
     # one budget or mean power is shared by every client; numpy rejects
     # lengths that neither match nor are 1
     return float(np.min(E * K * np.sqrt(d) * mu2 / (C_M * beta * Q * G)))
@@ -143,8 +150,10 @@ def energy_audit(increments, cfg: ReedPhyConfig, K: int) -> np.ndarray:
 def theorem_bound_rhs(consts: ConvergenceConstants, beta: float, Q: int, T: int,
                       K: int, sigma_air_sq: float) -> float:
     """Five-term stationarity bound on the average squared gradient norm."""
-    if beta <= 0 or Q < 1 or T < 1 or K < 1 or sigma_air_sq < 0:
-        raise ValueError("invalid theorem_bound_rhs parameters")
+    _check(beta=beta)
+    _check(strict=False, sigma_air_sq=sigma_air_sq)
+    if Q < 1 or T < 1 or K < 1:
+        raise ValueError(f"Q, T and K must be >= 1, got {Q}, {T} and {K}")
     L, G = consts.L, consts.G
     if beta > 1.0 / (8.0 * L * Q):
         raise ValueError(

@@ -7,11 +7,13 @@ import pytest
 
 from reedsim import cli
 from reedsim.cli import cmd_run_fedavg, cmd_sweep, cmd_validate_moments, main
-from reedsim.config import SCHEMA, ConfigError, load_config, parse_config, resolve_noise_var
+from reedsim.config import (SCHEMA, ConfigError, _partition_spec, _trial_seed, load_config,
+                            parse_config, resolve_noise_var)
 from reedsim.datasets import write_idx
 from reedsim.estimator import ReedPhyConfig, ScalarInputs
 from reedsim.experiments import (MomentPoint, default_moment_matrix,
                                  run_single_trial, validate_point)
+from reedsim.streams import StreamKey
 
 FAST_FED = """
 trials = 2
@@ -43,6 +45,20 @@ def _with(text: str, overrides: dict[str, str]) -> str:
 # FAST_FED cut to one trial, with both aggregators and a quick moment matrix
 TINY = _with(FAST_FED, {"trials": "1", "fed.aggregators": '["ideal", "reed"]',
                         "moments.n_trials": "2000", "moments.tolerance": "1.0"})
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool that cli starts."""
+    started = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return started
 
 
 class TestConfigParsing:
@@ -109,6 +125,18 @@ class TestConfigParsing:
                 assert status in (0, 2), (key, garbage)
                 assert "Traceback" not in err
                 assert status == 0 or err.startswith("error: "), (key, garbage)
+
+    def test_partition_stream_replays_no_trial_root(self):
+        # trial t's client partition must not redraw the root stream that
+        # seeds trial u's synthetic data and quadratic curvatures
+        cfg = parse_config("")
+
+        def first_draws(seed):
+            return StreamKey(seed).generator().random(4).tolist()
+
+        roots = [first_draws(_trial_seed(cfg, u)) for u in range(10)]
+        for t in range(10):
+            assert first_draws(_partition_spec(cfg, t).seed) not in roots, t
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
     def test_script_configs_validate(self, path):
@@ -183,12 +211,26 @@ class TestRunFedavg:
 
 class TestSweep:
     def test_single_value_axis_matches_run_fedavg(self, tmp_path):
-        cfg = parse_config(FAST_FED + 'sweep.M_values = [1]\n')
+        cfg = parse_config(_with(FAST_FED, {"fed.aggregators": '["ideal", "reed"]',
+                                            "sweep.M_values": "[1]"}))
         cmd_run_fedavg(cfg, str(tmp_path / "run"))
         cmd_sweep(cfg, str(tmp_path / "sweep"), "M")
         run_rows = (tmp_path / "run" / "fedavg_trace.csv").read_text().splitlines()[1:]
         sweep_rows = (tmp_path / "sweep" / "sweep_M.csv").read_text().splitlines()[1:]
         assert [r.split(",", 1)[1] for r in sweep_rows] == run_rows
+        run_summary = json.loads((tmp_path / "run" / "fedavg_summary.json").read_text())
+        sweep_summary = json.loads((tmp_path / "sweep" / "sweep_M_summary.json").read_text())
+        assert sweep_summary == {"1": run_summary}
+
+    def test_one_pool_per_sweep_and_workers_match_serial(self, tmp_path, pools):
+        cfg = parse_config(FAST_FED + "sweep.beta0_values = [0.05, 0.2]\n")
+        cmd_sweep(cfg, str(tmp_path / "serial"), "beta0", workers=1)
+        cmd_sweep(cfg, str(tmp_path / "parallel"), "beta0", workers=2)
+        # every (point, aggregator, trial) run goes through one pool
+        assert pools == [2]
+        for name in ("sweep_beta0.csv", "sweep_beta0_summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "parallel" / name).read_bytes()
 
     def test_empty_axis_rejected(self, tmp_path):
         cfg = parse_config(FAST_FED)
@@ -299,15 +341,7 @@ class TestMain:
         assert err.startswith("error: workers: must be >= 1")
         assert "Traceback" not in err
 
-    def test_config_workers_used_and_byte_identical(self, tmp_path, monkeypatch):
-        pools = []
-
-        class RecordingPool(cli.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_config_workers_used_and_byte_identical(self, tmp_path, pools):
         outputs = []
         for workers, flag in ((1, []), (2, []), (2, ["--workers", "1"])):
             cfgfile = tmp_path / "workers.cfg"

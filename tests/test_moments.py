@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reedsim.estimator import ReedPhyConfig, ScalarInputs
+from reedsim.fedavg import FedRunConfig
 from reedsim.moments import (ConvergenceConstants, energy_audit, eta_schedule,
                              sigma_air_bound, theorem_bound_rhs, variance_chip)
 from reedsim.streams import StreamKey
@@ -190,3 +191,36 @@ class TestTheoremBound:
     def test_constants_validation(self):
         with pytest.raises(ValueError):
             ConvergenceConstants(L=0.0, G=1.0, sigma_g_sq=0.0, F0_minus_Fstar=0.0)
+
+
+_FED = dict(K=2, Q=1, T=1, batch_size=4, beta0=0.1)
+_CONSTS = dict(L=1.0, G=1.0, sigma_g_sq=0.0, F0_minus_Fstar=1.0)
+
+# (called object, field the message must start with, call given one bad value)
+_NON_FINITE_CASES = [
+    ("FedRunConfig", "beta0", lambda x: FedRunConfig(**{**_FED, "beta0": x})),
+    ("FedRunConfig", "clip_G", lambda x: FedRunConfig(**_FED, clip_G=x)),
+    ("FedRunConfig", "budgets", lambda x: FedRunConfig(**_FED, clip_G=1.0, budgets=[1.0, x])),
+    ("ConvergenceConstants", "L", lambda x: ConvergenceConstants(**{**_CONSTS, "L": x})),
+    ("ConvergenceConstants", "G", lambda x: ConvergenceConstants(**{**_CONSTS, "G": x})),
+    ("ConvergenceConstants", "sigma_g_sq",
+     lambda x: ConvergenceConstants(**{**_CONSTS, "sigma_g_sq": x})),
+    ("eta_schedule", "budgets", lambda x: eta_schedule(x, 10, 100, 1.0, 1.0, 0.1, 10, 1.0)),
+    ("eta_schedule", "mean_powers", lambda x: eta_schedule(1.0, 10, 100, x, 1.0, 0.1, 10, 1.0)),
+    ("eta_schedule", "beta", lambda x: eta_schedule(1.0, 10, 100, 1.0, 1.0, x, 10, 1.0)),
+    ("eta_schedule", "G", lambda x: eta_schedule(1.0, 10, 100, 1.0, 1.0, 0.1, 10, x)),
+    ("sigma_air_bound", "beta", lambda x: sigma_air_bound(x, 10, 1.0, 100, 1.0, 1.0)),
+    ("sigma_air_bound", "G", lambda x: sigma_air_bound(0.1, 10, x, 100, 1.0, 1.0)),
+    ("theorem_bound_rhs", "beta",
+     lambda x: theorem_bound_rhs(TestTheoremBound.CONSTS, x, 1, 10, 1, 0.0)),
+    ("theorem_bound_rhs", "sigma_air_sq",
+     lambda x: theorem_bound_rhs(TestTheoremBound.CONSTS, 0.1, 1, 10, 1, x)),
+]
+
+
+@pytest.mark.parametrize("field, call", [pytest.param(field, call, id=f"{where}.{field}")
+                                         for where, field, call in _NON_FINITE_CASES])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+def test_non_finite_rejected_by_field(field, call, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        call(bad)
