@@ -7,8 +7,8 @@ generator it is given, so the caller decides which stream a quantity comes
 from: the estimator builds one generator per (chip, branch) stream address
 and draws all of its arrays from it in a fixed order.  Two generators built
 from the same :class:`~reedsim.streams.StreamKey` give bit-identical draws.
-Passing ``size`` draws a whole array in one call; powers broadcast against
-it, so one call can give every client its own mean power.
+Each call draws and returns one array of shape ``size``; powers broadcast
+against it, so one call can give every client its own mean power.
 
 The estimator draws no ``sample_dither`` phase: every fading law here
 already carries an independent uniform phase.
@@ -27,13 +27,11 @@ __all__ = [
 ]
 
 
-def _complex_gaussian(rng: np.random.Generator, energy, size) -> np.ndarray | complex:
+def _complex_gaussian(rng: np.random.Generator, energy, size) -> np.ndarray:
     # E|x|^2 = energy; real and imaginary parts iid N(0, energy/2), drawn as
     # interleaved (re, im) pairs of one standard-normal array
-    shape = () if size is None else tuple(np.atleast_1d(size))
-    unit = rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
-    out = np.sqrt(np.asarray(energy) / 2.0) * unit
-    return out if size is not None else complex(out)
+    unit = rng.standard_normal(tuple(np.atleast_1d(size)) + (2,)).view(np.complex128)
+    return np.sqrt(np.asarray(energy) / 2.0) * unit[..., 0]
 
 
 def _unit_phasor(phi: np.ndarray) -> np.ndarray:
@@ -44,36 +42,34 @@ def _unit_phasor(phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_fading(rng: np.random.Generator, mean_power, size=None):
+def sample_fading(rng: np.random.Generator, mean_power, size):
     """Rayleigh fading coefficient h ~ CN(0, mean_power)."""
     if np.any(np.asarray(mean_power) < 0):
         raise ValueError(f"mean_power must be >= 0, got {mean_power}")
     return _complex_gaussian(rng, mean_power, size)
 
 
-def sample_noise(rng: np.random.Generator, noise_var: float, size=None):
+def sample_noise(rng: np.random.Generator, noise_var: float, size):
     """Receiver noise z ~ CN(0, noise_var)."""
     if noise_var < 0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
     return _complex_gaussian(rng, noise_var, size)
 
 
-def sample_energy(rng: np.random.Generator, mean_energy, size=None):
+def sample_energy(rng: np.random.Generator, mean_energy, size):
     """Detected energy |y|^2 of y ~ CN(0, mean_energy): mean_energy times a
     standard exponential."""
     if np.any(np.asarray(mean_energy) < 0):
         raise ValueError(f"mean_energy must be >= 0, got {mean_energy}")
-    out = np.asarray(mean_energy) * rng.standard_exponential(size)
-    return out if size is not None else float(out)
+    return np.asarray(mean_energy) * rng.standard_exponential(size)
 
 
-def sample_dither(rng: np.random.Generator, size=None):
+def sample_dither(rng: np.random.Generator, size):
     """Unit-modulus phase dither e^{j phi}, phi ~ Unif[0, 2 pi)."""
-    out = _unit_phasor(rng.uniform(0.0, 2.0 * np.pi, size))
-    return out if size is not None else complex(out)
+    return _unit_phasor(rng.uniform(0.0, 2.0 * np.pi, size))
 
 
-def sample_general_fading(rng: np.random.Generator, mean_power, kappa: float, size=None):
+def sample_general_fading(rng: np.random.Generator, mean_power, kappa: float, size):
     """Zero-mean proper fading with E|h|^2 = mean_power and fourth-moment
     ratio E|h|^4 / (E|h|^2)^2 = kappa.
 
@@ -93,5 +89,4 @@ def sample_general_fading(rng: np.random.Generator, mean_power, kappa: float, si
     else:
         on = rng.random(size) < 1.0 / kappa
         energy = np.where(on, kappa * np.asarray(mean_power), 0.0)
-    out = np.sqrt(energy) * _unit_phasor(phi)
-    return out if size is not None else complex(out)
+    return np.sqrt(energy) * _unit_phasor(phi)

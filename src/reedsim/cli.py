@@ -16,14 +16,16 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from functools import partial
 from typing import Any
 
 import numpy as np
 
-from .config import ConfigError, check_config, load_config
+from .config import ConfigError, check_config, load_config, reject_repeats
 from .datasets import IdxFormatError
 from .experiments import (default_moment_matrix, run_single_trial, validate_point)
+from .fedavg import RoundTrace
 
 __all__ = ["main", "cmd_validate_moments", "cmd_run_fedavg", "cmd_sweep"]
 
@@ -92,17 +94,17 @@ def _trial_job(job):
     return run_single_trial(cfg, trial, aggregator)
 
 
-_FEDAVG_HEADER = ["trial", "round", "aggregator", "train_loss", "test_acc",
-                  "grad_norm_sq", "eps_norm_sq", "max_client_energy"]
+# trial, round and aggregator, then every other RoundTrace field
+_TRACE_FIELDS = [f.name for f in fields(RoundTrace) if f.name != "round"]
+_FEDAVG_HEADER = ["trial", "round", "aggregator"] + _TRACE_FIELDS
 
 
 def _summary(final: list) -> dict:
     """Mean and spread over the trials of one aggregator's final-round
     traces."""
     out = {"trials": len(final)}
-    for name, values in (("test_acc", [tr.test_accuracy for tr in final]),
-                         ("train_loss", [tr.train_loss for tr in final])):
-        x = np.array(values)
+    for name in ("test_acc", "train_loss"):
+        x = np.array([getattr(tr, name) for tr in final])
         out[f"final_{name}_mean"] = float(x.mean())
         out[f"final_{name}_std"] = float(x.std(ddof=1)) if x.size > 1 else 0.0
     return out
@@ -116,8 +118,7 @@ def _run_points(points: list[dict[str, Any]], workers: int) -> list[tuple[list, 
     rows: list[list] = [[] for _ in points]
     finals: list[dict] = [{} for _ in points]
     for (i, _, trial, agg), traces in zip(jobs, _map(_trial_job, jobs, workers)):
-        rows[i] += [[trial, tr.round, agg, tr.train_loss, tr.test_accuracy,
-                     tr.grad_norm_sq, tr.eps_norm_sq, tr.max_client_energy]
+        rows[i] += [[trial, tr.round, agg] + [getattr(tr, f) for f in _TRACE_FIELDS]
                     for tr in traces]
         finals[i].setdefault(agg, []).append(traces[-1])
     return [(r, {agg: _summary(f) for agg, f in sorted(fin.items())})
@@ -139,9 +140,8 @@ def _apply_axis(cfg: dict[str, Any], axis: str, value) -> dict[str, Any]:
     out = dict(cfg)
     if axis == "M":
         # per-chip receive-SNR convention held fixed: eta and noise_var
-        # unchanged, weights replicated at the configured per-chip energy
+        # unchanged, every chip at unit weight
         out["phy.chips"] = value
-        out["phy.chip_weights"] = None
     elif axis == "snr_db":
         out["phy.snr_db"] = float(value)
     elif axis == "alpha":
@@ -163,6 +163,8 @@ def cmd_sweep(cfg: dict[str, Any], out_dir: str, axis: str, workers: int = 1) ->
     values = cfg[_SWEEP_AXES[axis]]
     if not values:
         raise ConfigError(f"{_SWEEP_AXES[axis]}: empty or unset axis")
+    # each value's printed form keys its summary
+    reject_repeats(_SWEEP_AXES[axis], [_fmt(value) for value in values])
     # every point is validated before the first one runs
     points = [_apply_axis(cfg, axis, value) for value in values]
     rows, summary = [], {}

@@ -22,8 +22,8 @@ from .fedavg import FedRunConfig, Objective, build_objective
 from .streams import StreamKey
 
 __all__ = ["ConfigError", "SCHEMA", "parse_config", "load_config", "check_config",
-           "resolve_noise_var", "synth_data", "client_partition", "run_objective",
-           "fed_run_config"]
+           "reject_repeats", "resolve_noise_var", "synth_data", "client_partition",
+           "run_objective", "fed_run_config"]
 
 
 class ConfigError(ValueError):
@@ -60,11 +60,8 @@ SCHEMA: dict[str, tuple] = {
     "phy.eta": (_num, "number", 1.0),
     "phy.noise_var": (_num, "number", 0.0),
     "phy.snr_db": (_num, "number", None),
-    "phy.snr_ref_power": (_num, "number", 1.0),
     "phy.mean_power": (_num, "number", 1.0),
     "phy.chips": (_is_int, "int", 1),
-    "phy.chip_weight": (_num, "number", 1.0),
-    "phy.chip_weights": (_num_list, "list of numbers", None),
     "phy.antennas": (_is_int, "int", 1),
     "phy.kappa": (_num, "number", 2.0),
 
@@ -141,6 +138,9 @@ def parse_config(text: str, seed: int | None = None,
         if not checker(value):
             raise ConfigError(f"{key}: expected {type_name}, got {value!r}")
         values[key] = value
+    # one quantity, one key; checked before the snr_db sweep axis overrides
+    if "phy.snr_db" in values and "phy.noise_var" in values:
+        raise ConfigError("phy.noise_var: cannot be set together with phy.snr_db")
     for key, override in (("seed", seed), ("workers", workers)):
         if override is not None:
             values[key] = override
@@ -163,16 +163,13 @@ def check_config(cfg: dict[str, Any]) -> None:
 
 
 def _cross_validate(cfg: dict[str, Any]) -> None:
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed: must be >= 0, got {cfg['seed']}")
-    for key in ("trials", "workers", "moments.n_trials"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key}: must be >= 1, got {cfg[key]}")
-    for key in ("phy.snr_ref_power", "moments.tolerance"):
-        if cfg[key] <= 0:
-            raise ConfigError(f"{key}: must be > 0, got {cfg[key]}")
-    if cfg["data.test_n"] < 0:
-        raise ConfigError(f"data.test_n: must be >= 0, got {cfg['data.test_n']}")
+    for key, low in (("seed", 0), ("trials", 1), ("workers", 1), ("moments.n_trials", 1),
+                     ("phy.chips", 1), ("data.test_n", 0)):
+        if cfg[key] < low:
+            raise ConfigError(f"{key}: must be >= {low}, got {cfg[key]}")
+    if cfg["moments.tolerance"] <= 0:
+        raise ConfigError(f"moments.tolerance: must be > 0, got {cfg['moments.tolerance']}")
+    reject_repeats("fed.aggregators", cfg["fed.aggregators"])
     if cfg["data.synth_n"] < cfg["fed.K"]:
         raise ConfigError("data.synth_n: must be >= fed.K")
     if cfg["data.source"] == "idx":
@@ -191,14 +188,21 @@ def load_config(path: str, seed: int | None = None,
         return parse_config(f.read(), seed, workers)
 
 
+def reject_repeats(key: str, labels: list) -> None:
+    """Reject a list that holds one label twice, naming the label."""
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"{key}: repeated value {label}")
+
+
 def resolve_noise_var(cfg: dict[str, Any]) -> float:
-    """Receive-SNR convention: snr_db maps to sigma_z^2 =
-    10^(-snr_db/10) * reference branch signal power (default 1)."""
+    """Receive-SNR convention: snr_db maps to sigma_z^2 = 10^(-snr_db/10),
+    the noise variance at unit branch signal power."""
     snr_db = cfg["phy.snr_db"]
     if snr_db is None:
         return float(cfg["phy.noise_var"])
     try:
-        noise_var = 10.0 ** (-snr_db / 10.0) * cfg["phy.snr_ref_power"]
+        noise_var = 10.0 ** (-snr_db / 10.0)
     except OverflowError:
         noise_var = math.inf
     if not math.isfinite(noise_var):
@@ -209,7 +213,6 @@ def resolve_noise_var(cfg: dict[str, Any]) -> float:
 # constructor field -> config key; constructor errors start with the field
 _FIELD_KEYS = {
     "eta": "phy.eta", "noise_var": "phy.noise_var", "mean_powers": "phy.mean_power",
-    "n_chips": "phy.chips", "chip_weights": "phy.chip_weights",
     "antennas": "phy.antennas", "kappa": "phy.kappa", "K": "fed.K", "Q": "fed.Q",
     "T": "fed.T", "batch_size": "fed.batch_size", "beta0": "fed.beta0",
     "aggregator": "fed.aggregators", "budgets": "fed.budget", "clip_G": "fed.clip_G",
@@ -221,14 +224,14 @@ _FIELD_KEYS = {
 
 
 @contextmanager
-def _keyed(**fields: str):
+def _keyed():
     """Turn a constructor's ValueError into a ConfigError naming the config
-    key of the field the message starts with; ``fields`` overrides keys."""
+    key of the field the message starts with."""
     try:
         yield
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
-        key = fields.get(field, _FIELD_KEYS.get(field))
+        key = _FIELD_KEYS.get(field)
         if key is None:
             raise
         raise ConfigError(f"{key}: {rest}") from None
@@ -261,30 +264,23 @@ def client_partition(cfg: dict[str, Any], train: LabeledDataset,
 
 @_keyed()
 def run_objective(cfg: dict[str, Any], train: LabeledDataset, trial: int) -> Objective:
-    if cfg["fed.model"] == "quadratic":
-        return build_objective(
-            "quadratic", d=cfg["fed.quad_dim"],
-            curvature_range=(cfg["fed.quad_curv_min"], cfg["fed.quad_curv_max"]),
-            seed=_trial_seed(cfg, trial))
-    return build_objective(cfg["fed.model"], train, hidden=cfg["fed.hidden"],
-                           n_classes=cfg["data.classes"])
+    # each model reads its own fields and ignores the others
+    return build_objective(
+        cfg["fed.model"], train, d=cfg["fed.quad_dim"],
+        curvature_range=(cfg["fed.quad_curv_min"], cfg["fed.quad_curv_max"]),
+        seed=_trial_seed(cfg, trial), hidden=cfg["fed.hidden"],
+        n_classes=cfg["data.classes"])
 
 
 @_keyed()
 def fed_run_config(cfg: dict[str, Any], trial: int, aggregator: str) -> FedRunConfig:
-    weights, weight_key = cfg["phy.chip_weights"], "phy.chip_weights"
-    if weights is None:
-        # a count below 1 gives no chips, which ReedPhyConfig rejects
-        weights = np.full(max(cfg["phy.chips"], 0), cfg["phy.chip_weight"])
-        weight_key = "phy.chip_weight"
-    with _keyed(chip_weights=weight_key):
-        phy = ReedPhyConfig(
-            eta=cfg["phy.eta"], noise_var=resolve_noise_var(cfg),
-            mean_powers=np.array([cfg["phy.mean_power"]]), chip_weights=weights,
-            antennas=cfg["phy.antennas"], kappa=cfg["phy.kappa"])
+    phy = ReedPhyConfig(
+        eta=cfg["phy.eta"], noise_var=resolve_noise_var(cfg), antennas=cfg["phy.antennas"],
+        mean_powers=np.array([cfg["phy.mean_power"]]), chip_weights=np.ones(cfg["phy.chips"]),
+        kappa=cfg["phy.kappa"])
     # one budget, like one mean power, is shared by every client
     budgets = None if cfg["fed.budget"] is None else np.array([cfg["fed.budget"]])
     return FedRunConfig(
-        K=cfg["fed.K"], Q=cfg["fed.Q"], T=cfg["fed.T"], batch_size=cfg["fed.batch_size"],
+        Q=cfg["fed.Q"], T=cfg["fed.T"], batch_size=cfg["fed.batch_size"],
         beta0=cfg["fed.beta0"], schedule=cfg["fed.schedule"], clip_G=cfg["fed.clip_G"],
         aggregator=aggregator, phy=phy, budgets=budgets, seed=_trial_seed(cfg, trial))

@@ -104,8 +104,6 @@ class ReedPhyConfig:
         mu2, c = self.mean_powers, self.chip_weights
         if not ((mu2 > 0) & (mu2 < np.inf)).all():
             raise ValueError("mean_powers must be finite and > 0")
-        if self.n_chips < 1:
-            raise ValueError("n_chips must be >= 1")
         if not ((c >= 0) & (c < np.inf)).all() or c.sum() <= 0:
             raise ValueError("chip_weights must be finite and >= 0 with positive sum")
         if self.antennas < 1:
@@ -212,11 +210,11 @@ def sample_estimates(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey,
     return _paired_energy(inputs.pos[:, None], inputs.neg[:, None], cfg, key, n_trials)
 
 
-def aggregate_ideal(increments: list[np.ndarray] | np.ndarray, dim: int) -> np.ndarray:
-    """Coordinate-wise arithmetic mean of client increments."""
+def aggregate_ideal(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Coordinate-wise arithmetic mean of (K, d) client increments."""
     arr = np.asarray(increments, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"increments must be (K, {dim}), got shape {arr.shape}")
+    if arr.ndim != 2:
+        raise ValueError(f"increments must be a (K, d) array, got shape {arr.shape}")
     return arr.mean(axis=0)
 
 

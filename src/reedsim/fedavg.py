@@ -336,7 +336,6 @@ def build_objective(kind: str, data: LabeledDataset | None = None, *, d: int = 0
 class FedRunConfig:
     """One FedAvg run: protocol sizes, stepsizes, aggregator and radio."""
 
-    K: int
     Q: int
     T: int
     batch_size: int
@@ -349,7 +348,7 @@ class FedRunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("K", "Q", "T", "batch_size"):
+        for name in ("Q", "T", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.beta0 < np.inf:
@@ -376,13 +375,11 @@ class FedRunConfig:
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """Per-round record of one FedAvg run: the trace CSV's ``round``,
-    ``train_loss``, ``test_acc`` (``test_accuracy``), ``grad_norm_sq``,
-    ``eps_norm_sq`` and ``max_client_energy`` columns."""
+    """Per-round record of one FedAvg run; each field is a trace CSV column."""
 
     round: int
     train_loss: float
-    test_accuracy: float
+    test_acc: float
     grad_norm_sq: float
     eps_norm_sq: float
     max_client_energy: float
@@ -460,15 +457,17 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                test_data: LabeledDataset | None = None) -> list[RoundTrace]:
     """Run T rounds of full-participation FedAvg and return the trace.
 
-    With aggregator="reed" and budgets set, the aggregation gain is
-    rescheduled every round from the round's stepsize.
+    There is one client per partition.  With aggregator="reed" and budgets
+    set, the aggregation gain is rescheduled every round from the round's
+    stepsize.
     """
-    if len(partitions) != cfg.K:
-        raise ValueError(f"need {cfg.K} partitions, got {len(partitions)}")
+    K = len(partitions)
+    if K == 0:
+        raise ValueError("partitions must hold at least one client")
     root = StreamKey(cfg.seed)
     w = objective.init_params(root.child(_DOM_INIT))
     d = objective.dim
-    grad = objective.diagnostic_gradient(w, root.child(_DOM_LOCAL, 0, cfg.K))
+    grad = objective.diagnostic_gradient(w, root.child(_DOM_LOCAL, 0, K))
     traces: list[RoundTrace] = []
 
     for t in range(cfg.T):
@@ -480,7 +479,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                                               root.child(_DOM_LOCAL, t))
         else:
             batches = lengths = [None] * cfg.Q
-        local = np.repeat(w[None], cfg.K, axis=0)
+        local = np.repeat(w[None], K, axis=0)
         for q in range(cfg.Q):
             g = objective.stacked_gradient(local, batches[q], lengths[q])
             local = local - beta * clip_gradient(g, cfg.clip_G)
@@ -489,9 +488,9 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         phy, key = cfg.phy, root.child(_DOM_CHANNEL, t)
         reed = cfg.aggregator == "reed"
         if reed and cfg.budgets is not None:
-            phy = replace(phy, eta=eta_schedule(cfg.budgets, cfg.K, d, phy.mean_powers,
+            phy = replace(phy, eta=eta_schedule(cfg.budgets, K, d, phy.mean_powers,
                                                 phy.weight_sum, beta, cfg.Q, cfg.clip_G))
-        ideal = aggregate_ideal(increments, d)
+        ideal = aggregate_ideal(increments)
         if reed:
             update = aggregate_reed(increments, phy, key)
         elif cfg.aggregator == "coherent_csit":
@@ -500,7 +499,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             update = ideal
         eps = update - ideal
         eps_norm_sq = float(eps @ eps)
-        max_energy = float(energy_audit(increments, phy, cfg.K).max()) if reed else 0.0
+        max_energy = float(energy_audit(increments, phy).max()) if reed else 0.0
 
         w = w + update
         if not np.all(np.isfinite(w)):
@@ -509,7 +508,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         # the gradient is round t + 1's diagnostic gradient; after the last
         # round no trace reads it
         if t + 1 < cfg.T:
-            train_loss, grad = objective.evaluate(w, root.child(_DOM_LOCAL, t + 1, cfg.K))
+            train_loss, grad = objective.evaluate(w, root.child(_DOM_LOCAL, t + 1, K))
         else:
             train_loss = objective.loss(w, _ALL)
         if not np.isfinite(train_loss):

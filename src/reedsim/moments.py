@@ -135,13 +135,13 @@ def eta_schedule(budgets, K: int, d: int, mean_powers, C_M: float, beta: float,
     return float(np.min(E * K * np.sqrt(d) * mu2 / (C_M * beta * Q * G)))
 
 
-def energy_audit(increments, cfg: ReedPhyConfig, K: int) -> np.ndarray:
-    """Realized per-client average transmit energy,
+def energy_audit(increments, cfg: ReedPhyConfig) -> np.ndarray:
+    """Realized per-client average transmit energy of (K, d) increments,
     (eta C_M) / (K mu_k^2 d) * ||increment_k||_1."""
     arr = np.asarray(increments, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != K:
-        raise ValueError(f"increments must be (K={K}, d), got shape {arr.shape}")
-    d = arr.shape[1]
+    if arr.ndim != 2:
+        raise ValueError(f"increments must be a (K, d) array, got shape {arr.shape}")
+    K, d = arr.shape
     mu2 = np.broadcast_to(cfg.mean_powers, (K,))
     l1 = np.abs(arr).sum(axis=1)
     return cfg.eta * cfg.weight_sum / (K * mu2 * d) * l1

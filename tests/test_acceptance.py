@@ -97,7 +97,7 @@ def test_c5_chip_diversity_closes_the_accuracy_gap():
                           ("M2", "reed", 2), ("M4", "reed", 4)]:
         point = dict(cfg)
         point["phy.chips"] = M
-        accs = [run_single_trial(point, t, agg)[-1].test_accuracy
+        accs = [run_single_trial(point, t, agg)[-1].test_acc
                 for t in range(trials)]
         final_acc[label] = float(np.mean(accs))
     gap = {M: final_acc["ideal"] - final_acc[f"M{M}"] for M in (1, 2, 4)}
@@ -128,7 +128,7 @@ def test_c6_aggregation_error_audit():
     weights = [1.0, 1.0]
     eta = eta_schedule(1.0, K, d, 1.0, sum(weights), beta, Q, G)
     cfg = ReedPhyConfig(eta=eta, noise_var=1.0, chip_weights=weights)
-    ideal = aggregate_ideal(inc, d)
+    ideal = aggregate_ideal(inc)
     n_trials = 2000
     eps = np.empty((n_trials, d))
     for i in range(n_trials):
@@ -153,7 +153,7 @@ def test_c7_energy_feasibility_and_scaling():
     parts = partition(ds, PartitionSpec("iid", 5, seed=32))
     obj = build_objective("logistic", ds, n_classes=3)
     budget = 1.0
-    run_cfg = FedRunConfig(K=5, Q=5, T=50, batch_size=16, beta0=0.05,
+    run_cfg = FedRunConfig(Q=5, T=50, batch_size=16, beta0=0.05,
                            schedule="inv_sqrt", clip_G=0.5, aggregator="reed",
                            phy=ReedPhyConfig(noise_var=1.0),
                            budgets=np.full(5, budget), seed=33)
@@ -171,7 +171,7 @@ def test_c7_energy_feasibility_and_scaling():
         inc = rng.standard_normal((K, d))
         inc *= beta * Q * G * rng.random((K, 1)) / np.linalg.norm(
             inc, axis=1, keepdims=True)
-        if np.any(energy_audit(inc, cfg, K) > budgets + 1e-12):
+        if np.any(energy_audit(inc, cfg) > budgets + 1e-12):
             prop_ok = False
 
     # (c) bound / beta^2 stays bounded under the schedule
@@ -189,7 +189,7 @@ def _c8_avg_grad_norm(seed: int, T: int) -> float:
     obj = build_objective("quadratic", d=20, curvature_range=(0.5, 2.0), seed=123)
     ds = synth_dataset("quadratic-free", 200, seed=0)
     parts = partition(ds, PartitionSpec("iid", 10, seed=1))
-    cfg = FedRunConfig(K=10, Q=5, T=T, batch_size=20,
+    cfg = FedRunConfig(Q=5, T=T, batch_size=20,
                        beta0=0.4 / np.sqrt(T), schedule="constant",
                        clip_G=1.0, aggregator="reed",
                        phy=ReedPhyConfig(noise_var=1.0),

@@ -14,12 +14,12 @@ def _rng(*path):
 
 
 def test_fading_zero_power_is_exactly_zero():
-    assert sample_fading(_rng(0), 0.0) == 0j
+    assert sample_fading(_rng(0), 0.0, size=1) == 0j
 
 
 def test_fading_negative_power_rejected():
     with pytest.raises(ValueError):
-        sample_fading(_rng(0), -1.0)
+        sample_fading(_rng(0), -1.0, size=1)
 
 
 def test_fading_energy_moments():
@@ -37,12 +37,12 @@ def test_fading_circular_symmetry():
 
 
 def test_noise_zero_var_exact():
-    assert sample_noise(_rng(3), 0.0) == 0j
+    assert sample_noise(_rng(3), 0.0, size=1) == 0j
 
 
 def test_noise_negative_var_rejected():
     with pytest.raises(ValueError):
-        sample_noise(_rng(3), -0.5)
+        sample_noise(_rng(3), -0.5, size=1)
 
 
 def test_noise_energy_moment():
@@ -67,9 +67,9 @@ def test_energy_moments():
 
 
 def test_energy_zero_mean_exact_and_negative_rejected():
-    assert sample_energy(_rng(16), 0.0) == 0.0
+    assert sample_energy(_rng(16), 0.0, size=1) == 0.0
     with pytest.raises(ValueError):
-        sample_energy(_rng(16), -1.0)
+        sample_energy(_rng(16), -1.0, size=1)
 
 
 def test_energy_deterministic_and_broadcast():
@@ -93,12 +93,12 @@ def test_dither_zero_mean():
 
 
 def test_dither_deterministic():
-    assert sample_dither(_rng(8)) == sample_dither(_rng(8))
+    assert sample_dither(_rng(8), size=1) == sample_dither(_rng(8), size=1)
 
 
 def test_general_fading_kappa_limits():
     with pytest.raises(ValueError):
-        sample_general_fading(_rng(9), 1.0, 0.5)
+        sample_general_fading(_rng(9), 1.0, 0.5, size=1)
 
 
 def test_general_fading_kappa_one_constant_modulus():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -13,6 +14,7 @@ from reedsim.datasets import write_idx
 from reedsim.estimator import ReedPhyConfig, ScalarInputs
 from reedsim.experiments import (MomentPoint, default_moment_matrix,
                                  run_single_trial, validate_point)
+from reedsim.fedavg import RoundTrace
 from reedsim.streams import StreamKey
 
 FAST_FED = """
@@ -100,8 +102,13 @@ class TestConfigParsing:
     def test_snr_convention(self):
         cfg = parse_config("phy.snr_db = -10")
         assert resolve_noise_var(cfg) == pytest.approx(10.0)
-        cfg = parse_config("phy.snr_db = 0\nphy.snr_ref_power = 2.0")
-        assert resolve_noise_var(cfg) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("key", ["phy.chip_weight", "phy.chip_weights",
+                                     "phy.snr_ref_power"])
+    def test_restating_keys_unknown(self, key):
+        # eta, noise_var and chips each have one key
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config(f"{key} = 1.0")
 
     def test_mutated_configs_never_crash_unvalidated(self, tmp_path, capsys):
         # every key set to every garbage value, as a tiny end-to-end CLI
@@ -201,6 +208,14 @@ class TestRunFedavg:
         alongside = run_single_trial(cfg2, 0, "ideal")
         assert alone == alongside
 
+    def test_trace_header_is_round_trace_fields(self, tmp_path):
+        cfg = parse_config(FAST_FED)
+        cmd_run_fedavg(cfg, str(tmp_path))
+        header = (tmp_path / "fedavg_trace.csv").read_text().splitlines()[0].split(",")
+        names = [f.name for f in dataclasses.fields(RoundTrace)]
+        assert names[0] == "round"
+        assert header == ["trial", "round", "aggregator"] + names[1:]
+
     def test_workers_match_serial(self, tmp_path):
         cfg = parse_config(FAST_FED)
         cmd_run_fedavg(cfg, str(tmp_path / "serial"), workers=1)
@@ -271,13 +286,18 @@ BAD_INPUTS = [
     ({"data.features": "0"}, None, "data.features"),
     ({"data.separation": "-1"}, None, "data.separation"),
     ({"fed.model": '"mlp"', "fed.hidden": "0"}, None, "fed.hidden"),
-    ({"phy.chip_weight": "-1"}, None, "phy.chip_weight"),
     ({"data.test_n": "-1"}, None, "data.test_n"),
     ({"sweep.alpha_values": "[-1]"}, "alpha", "sweep.alpha_values"),
     ({"sweep.M_values": "[0]"}, "M", "sweep.M_values"),
     ({"sweep.M_values": "[1, 0]"}, "M", "sweep.M_values"),
     ({"sweep.M_values": "[1.5]"}, "M", "sweep.M_values"),
     ({"sweep.beta0_values": "[0]"}, "beta0", "sweep.beta0_values"),
+    # a repeated value would rerun its trials and share one summary key
+    ({"fed.aggregators": '["ideal", "ideal"]'}, None, "fed.aggregators"),
+    ({"sweep.M_values": "[1, 1]"}, "M", "sweep.M_values"),
+    ({"sweep.snr_db_values": "[1, 1.0]"}, "snr_db", "sweep.snr_db_values"),
+    # one key per quantity: snr_db sets the noise variance
+    ({"phy.snr_db": "0", "phy.noise_var": "1.0"}, None, "phy.noise_var"),
     ({"data.source": '"idx"', "data.idx_test_images": '"{images}"'},
      None, "data.idx_test_labels"),
     ({"data.source": '"idx"', "data.idx_test_labels": '"{labels}"'},

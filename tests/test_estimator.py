@@ -122,6 +122,11 @@ class TestReedPhyConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ReedPhyConfig(**{field: arg})
 
+    def test_no_chips_rejected_by_weight_rule(self):
+        # an empty weight vector sums to 0
+        with pytest.raises(ValueError, match="^chip_weights .* positive sum"):
+            ReedPhyConfig(chip_weights=[])
+
 
 class TestKernelStreams:
     def _count_generators(self, monkeypatch):
@@ -207,21 +212,23 @@ class TestEstimates:
 
 class TestAggregators:
     def test_ideal_mean(self):
-        out = aggregate_ideal([np.array([1.0, 0.0]), np.array([3.0, 2.0])], 2)
+        out = aggregate_ideal([np.array([1.0, 0.0]), np.array([3.0, 2.0])])
         assert np.array_equal(out, [2.0, 1.0])
 
     def test_ideal_idempotent_on_copies(self):
         v = np.array([0.3, -0.2, 1.1])
-        out = aggregate_ideal([v] * 5, 3)
+        out = aggregate_ideal([v] * 5)
         assert np.allclose(out, v)
 
     def test_ideal_zero_sum(self):
-        out = aggregate_ideal([np.array([1.0, -2.0]), np.array([-1.0, 2.0])], 2)
+        out = aggregate_ideal([np.array([1.0, -2.0]), np.array([-1.0, 2.0])])
         assert np.array_equal(out, [0.0, 0.0])
 
-    def test_ideal_length_mismatch(self):
-        with pytest.raises(ValueError):
-            aggregate_ideal([np.array([1.0, 0.0])], 3)
+    def test_ideal_rejects_non_matrix(self):
+        # K and d come from the shape, so only a (K, d) array is accepted
+        for bad in (np.ones(3), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="must be a"):
+                aggregate_ideal(bad)
 
     def test_reed_single_client_constant_modulus_exact(self):
         # K = 1, |h|^2 = mu^2 and no noise: every energy is eta * c * [u]_b
@@ -229,7 +236,7 @@ class TestAggregators:
         cfg = ReedPhyConfig(noise_var=0.0, mean_powers=[2.0], chip_weights=[1.0, 0.5],
                             antennas=2, kappa=1.0)
         out = aggregate_reed(inc, cfg, KEY.child(8))
-        assert np.allclose(out, aggregate_ideal(inc, 4), rtol=1e-14, atol=0.0)
+        assert np.allclose(out, aggregate_ideal(inc), rtol=1e-14, atol=0.0)
 
     def test_reed_zero_increments(self):
         inc = np.zeros((3, 4))
@@ -248,7 +255,7 @@ class TestAggregators:
             sq += est**2
         mean = sums / n
         std = np.sqrt(sq / n - mean**2)
-        ideal = aggregate_ideal(inc, 3)
+        ideal = aggregate_ideal(inc)
         assert np.all(np.abs(mean - ideal) <= 4.0 * std / np.sqrt(n))
 
     def test_reed_can_go_negative(self):
@@ -261,7 +268,7 @@ class TestAggregators:
     def test_coherent_zero_noise_is_ideal(self):
         inc = np.array([[1.0, 2.0], [3.0, -4.0]])
         out = aggregate_coherent_csit(inc, ReedPhyConfig(noise_var=0.0), KEY.child(12))
-        assert np.array_equal(out, aggregate_ideal(inc, 2))
+        assert np.array_equal(out, aggregate_ideal(inc))
 
     @pytest.mark.parametrize("eta,target,tol", [(1.0, 0.5, 0.01), (100.0, 0.005, 0.02)])
     def test_coherent_noise_variance(self, eta, target, tol):

@@ -104,17 +104,17 @@ class TestRunFedavg:
     def _run(self, aggregator, T=5, seed=4, phy=None, K=3, **kw):
         ds, parts = _blob_setup(K=K)
         obj = build_objective("logistic", ds)
-        cfg = FedRunConfig(K=K, Q=2, T=T, batch_size=32, beta0=0.1,
+        cfg = FedRunConfig(Q=2, T=T, batch_size=32, beta0=0.1,
                            aggregator=aggregator, seed=seed,
                            phy=phy or ReedPhyConfig(), **kw)
         return run_fedavg(cfg, obj, parts, ds)
 
-    def test_partition_count_checked(self):
-        ds, parts = _blob_setup(K=3)
+    def test_empty_partition_list_rejected(self):
+        ds, _ = _blob_setup(K=3)
         obj = build_objective("logistic", ds)
-        cfg = FedRunConfig(K=4, Q=1, T=1, batch_size=8, beta0=0.1)
-        with pytest.raises(ValueError):
-            run_fedavg(cfg, obj, parts, ds)
+        cfg = FedRunConfig(Q=1, T=1, batch_size=8, beta0=0.1)
+        with pytest.raises(ValueError, match="at least one client"):
+            run_fedavg(cfg, obj, [], ds)
 
     def test_seed_determinism(self):
         a = self._run("reed", phy=ReedPhyConfig(eta=5.0, noise_var=0.5))
@@ -128,7 +128,7 @@ class TestRunFedavg:
     def test_trace_fields_sane(self):
         traces = self._run("reed", phy=ReedPhyConfig(eta=5.0, noise_var=0.5))
         for t in traces:
-            assert 0.0 <= t.test_accuracy <= 1.0
+            assert 0.0 <= t.test_acc <= 1.0
             assert t.eps_norm_sq >= 0.0
             assert np.isfinite(t.train_loss)
 
@@ -140,13 +140,13 @@ class TestRunFedavg:
             "reed", K=1, phy=ReedPhyConfig(noise_var=0.0, kappa=1.0))
         for a, b in zip(clean, degenerate):
             assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
-            assert a.test_accuracy == b.test_accuracy
+            assert a.test_acc == b.test_acc
             assert b.eps_norm_sq < 1e-20
 
     def test_single_client_ideal_is_centralized_sgd(self):
         obj = build_objective("quadratic", d=3, curvature_range=(1.0, 1.0))
         parts = [np.arange(10)]
-        cfg = FedRunConfig(K=1, Q=1, T=4, batch_size=10, beta0=0.1,
+        cfg = FedRunConfig(Q=1, T=4, batch_size=10, beta0=0.1,
                            aggregator="ideal", seed=0)
         traces = run_fedavg(cfg, obj, parts)
         w = np.ones(3)
@@ -158,7 +158,7 @@ class TestRunFedavg:
     def test_ideal_quadratic_loss_monotone(self):
         obj = build_objective("quadratic", d=5, curvature_range=(0.5, 2.0), seed=1)
         parts = [np.arange(i * 5, (i + 1) * 5) for i in range(2)]
-        cfg = FedRunConfig(K=2, Q=3, T=10, batch_size=5, beta0=0.05,
+        cfg = FedRunConfig(Q=3, T=10, batch_size=5, beta0=0.05,
                            aggregator="ideal", seed=2)
         traces = run_fedavg(cfg, obj, parts)
         losses = [t.train_loss for t in traces]
@@ -166,7 +166,7 @@ class TestRunFedavg:
 
     def test_budget_requires_clipping(self):
         with pytest.raises(ValueError):
-            FedRunConfig(K=2, Q=1, T=1, batch_size=4, beta0=0.1,
+            FedRunConfig(Q=1, T=1, batch_size=4, beta0=0.1,
                          budgets=np.ones(2))
 
     def test_energy_feasible_under_schedule(self):
@@ -257,11 +257,11 @@ class TestBatchedTraining:
         ds, parts = _ragged_setup()
         obj = _objective(kind, ds)
         K, T = len(parts), 4
-        cfg = FedRunConfig(K=K, Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.2,
+        cfg = FedRunConfig(Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.2,
                            schedule="inv_sqrt", clip_G=clip_G, seed=9)
         recorded = []
         monkeypatch.setattr(fedavg, "aggregate_ideal",
-                            lambda inc, d: recorded.append(inc) or aggregate_ideal(inc, d))
+                            lambda inc: recorded.append(inc) or aggregate_ideal(inc))
         traces = run_fedavg(cfg, obj, parts)
         assert len(recorded) == T
 
@@ -274,7 +274,7 @@ class TestBatchedTraining:
                                         self.BATCH, root.child(1, t, k), clip_G)
                             for k in range(K)])
             _assert_rel(recorded[t], inc)
-            w = w + aggregate_ideal(inc, obj.dim)
+            w = w + aggregate_ideal(inc)
             _assert_rel(traces[t].train_loss, obj.loss(w, np.arange(len(ds))))
         if clip_G is not None:
             # clipping is active from the first step on
@@ -311,7 +311,7 @@ class TestBatchedTraining:
         monkeypatch.setattr(fedavg, "local_round", lambda *a, **kw: calls.update(
             local_round=calls["local_round"] + 1))
         K, T = len(parts), 3
-        cfg = FedRunConfig(K=K, Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.1, seed=1)
+        cfg = FedRunConfig(Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.1, seed=1)
         run_fedavg(cfg, obj, parts)
         assert calls["stacked"] == self.Q * T  # not K * Q * T
         assert calls["local_round"] == 0
@@ -329,7 +329,7 @@ class TestBatchedTraining:
         monkeypatch.setattr(fedavg, "_round_batches", lambda parts, Q, B, key: (
             keys.append(key) or _round_batches(parts, Q, B, key)))
         T = 3
-        cfg = FedRunConfig(K=len(parts), Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.1)
+        cfg = FedRunConfig(Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.1)
         run_fedavg(cfg, obj, parts)
         assert obj.uses_batches is draws
         assert len(keys) == (T if draws else 0)

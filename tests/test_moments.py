@@ -133,21 +133,22 @@ class TestEtaSchedule:
 class TestEnergyAudit:
     def test_zero_increment(self):
         cfg = ReedPhyConfig()
-        assert energy_audit(np.zeros((2, 3)), cfg, 2).tolist() == [0.0, 0.0]
+        assert energy_audit(np.zeros((2, 3)), cfg).tolist() == [0.0, 0.0]
 
     def test_reference_point(self):
         cfg = ReedPhyConfig(eta=3.0)
-        out = energy_audit(np.array([[2.0]]), cfg, 1)
+        out = energy_audit(np.array([[2.0]]), cfg)
         assert out[0] == pytest.approx(6.0)
         per_client = ReedPhyConfig(mean_powers=[1.0, 2.0])
-        assert energy_audit(np.ones((2, 1)), per_client, 2).tolist() == [0.5, 0.25]
+        assert energy_audit(np.ones((2, 1)), per_client).tolist() == [0.5, 0.25]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            energy_audit(np.zeros((2, 3)), ReedPhyConfig(), 3)
+        # K and d come from the shape, so only a (K, d) array is accepted
+        with pytest.raises(ValueError, match="must be a"):
+            energy_audit(np.zeros(3), ReedPhyConfig())
         # mean powers broadcast as in the kernel: one shared, or one per client
         with pytest.raises(ValueError):
-            energy_audit(np.zeros((2, 3)), ReedPhyConfig(mean_powers=[1.0, 2.0, 3.0]), 2)
+            energy_audit(np.zeros((2, 3)), ReedPhyConfig(mean_powers=[1.0, 2.0, 3.0]))
 
     def test_feasible_under_schedule(self):
         # random increments with norm <= beta*Q*G never exceed the budget
@@ -161,7 +162,7 @@ class TestEnergyAudit:
             for _ in range(1000):
                 inc = rng.standard_normal((K, d))
                 inc *= beta * Q * G * rng.random((K, 1)) / np.linalg.norm(inc, axis=1, keepdims=True)
-                audit = energy_audit(inc, cfg, K)
+                audit = energy_audit(inc, cfg)
                 assert np.all(audit <= budgets + 1e-12)
 
 
@@ -193,7 +194,7 @@ class TestTheoremBound:
             ConvergenceConstants(L=0.0, G=1.0, sigma_g_sq=0.0, F0_minus_Fstar=0.0)
 
 
-_FED = dict(K=2, Q=1, T=1, batch_size=4, beta0=0.1)
+_FED = dict(Q=1, T=1, batch_size=4, beta0=0.1)
 _CONSTS = dict(L=1.0, G=1.0, sigma_g_sq=0.0, F0_minus_Fstar=1.0)
 
 # (called object, field the message must start with, call given one bad value)
