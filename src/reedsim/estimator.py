@@ -111,6 +111,16 @@ class ReedPhyConfig:
         if self.kappa < 1:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
 
+    def with_eta(self, eta: float) -> "ReedPhyConfig":
+        """This configuration with gain ``eta``.  Checks only ``eta``: the
+        other fields were checked when this configuration was built."""
+        if not 0 < eta < math.inf:  # NaN fails the comparison too
+            raise ValueError(f"eta must be finite and > 0, got {eta}")
+        # a copy without __init__, which would check every field again
+        out = object.__new__(type(self))
+        out.__dict__.update(vars(self), eta=eta)
+        return out
+
     @property
     def n_chips(self) -> int:
         return int(self.chip_weights.size)

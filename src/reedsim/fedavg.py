@@ -24,7 +24,7 @@ computes only its loss.  Objectives whose gradients never read the batch
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -390,7 +390,8 @@ def clip_gradient(g: np.ndarray, clip_G: float | None) -> np.ndarray:
     clip_G."""
     if clip_G is None:
         return g
-    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    # the reduction np.linalg.norm runs, without its wrapper
+    norm = np.sqrt(np.add.reduce(g * g, axis=-1, keepdims=True))
     return g * (clip_G / np.maximum(norm, clip_G))
 
 
@@ -467,7 +468,13 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     root = StreamKey(cfg.seed)
     w = objective.init_params(root.child(_DOM_INIT))
     d = objective.dim
-    grad = objective.diagnostic_gradient(w, root.child(_DOM_LOCAL, 0, K))
+    # every (round, client) and (round, chip, branch) key of the run at once
+    local_keys, channel_keys = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
+    if objective.uses_batches:
+        local_keys = local_keys.grid(cfg.T, K)
+    if cfg.aggregator == "reed":
+        channel_keys = channel_keys.grid(cfg.T, cfg.phy.n_chips, 2)
+    grad = objective.diagnostic_gradient(w, local_keys.child(0, K))
     traces: list[RoundTrace] = []
 
     for t in range(cfg.T):
@@ -476,7 +483,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
 
         if objective.uses_batches:
             batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
-                                              root.child(_DOM_LOCAL, t))
+                                              local_keys.child(t))
         else:
             batches = lengths = [None] * cfg.Q
         local = np.repeat(w[None], K, axis=0)
@@ -485,11 +492,11 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             local = local - beta * clip_gradient(g, cfg.clip_G)
         increments = local - w
 
-        phy, key = cfg.phy, root.child(_DOM_CHANNEL, t)
+        phy, key = cfg.phy, channel_keys.child(t)
         reed = cfg.aggregator == "reed"
         if reed and cfg.budgets is not None:
-            phy = replace(phy, eta=eta_schedule(cfg.budgets, K, d, phy.mean_powers,
-                                                phy.weight_sum, beta, cfg.Q, cfg.clip_G))
+            phy = phy.with_eta(eta_schedule(cfg.budgets, K, d, phy.mean_powers,
+                                            phy.weight_sum, beta, cfg.Q, cfg.clip_G))
         ideal = aggregate_ideal(increments)
         if reed:
             update = aggregate_reed(increments, phy, key)
@@ -508,7 +515,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         # the gradient is round t + 1's diagnostic gradient; after the last
         # round no trace reads it
         if t + 1 < cfg.T:
-            train_loss, grad = objective.evaluate(w, root.child(_DOM_LOCAL, t + 1, K))
+            train_loss, grad = objective.evaluate(w, local_keys.child(t + 1, K))
         else:
             train_loss = objective.loss(w, _ALL)
         if not np.isfinite(train_loss):

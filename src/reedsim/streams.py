@@ -5,15 +5,62 @@ by a (seed, path) pair.  Distinct paths under the same seed give
 statistically independent substreams, and the same (seed, path) always
 reproduces the identical sample sequence, regardless of how many workers
 run in parallel or in what order streams are consumed.
+
+A stream is a Philox generator with a zero counter, so it is fixed by its
+128-bit key, which ``SeedSequence(seed, spawn_key=path)`` derives.
+:meth:`StreamKey.grid` derives the keys of a whole block of child paths
+in one NumPy pass that replays SeedSequence's hash, instead of building one
+SeedSequence per stream.  Its keys are the same as SeedSequence's, bit for
+bit (``tests/test_streams.py`` checks this over seeds and paths that take
+one or several 32-bit words), so a grid changes no draw.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["StreamKey"]
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value: int) -> int:
+    """The uint32 words SeedSequence splits a nonnegative integer into."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _hash_steps(const: int, mult: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Four successive hash constants before and after each multiply, as
+    uint32 arrays, and the constant that follows them."""
+    seq = [const]
+    for _ in range(4):
+        seq.append(seq[-1] * mult & 0xFFFFFFFF)
+    return np.array(seq[:4], np.uint32), np.array(seq[1:], np.uint32), seq[4]
+
+
+@functools.cache
+def _fixed_key_seed():
+    """A seed sequence that hands Philox a stored key.  Defined on first
+    use, so importing this module does not load ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedKey(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a fixed key seeds only Philox's two-word key")
+            return self.key
+
+    return FixedKey
 
 
 @dataclass(frozen=True)
@@ -26,16 +73,65 @@ class StreamKey:
     local training and the coherent reference, and (domain, round, chip,
     branch) for the paired-energy channel; validate-moments uses (point,
     chip, branch) under the run seed.
+
+    ``keys`` is set only on the nodes of a :meth:`grid`: the Philox keys
+    of the node's grid below it, shape (..., 2), or one key, shape (2,),
+    on a leaf.  It takes no part in ``==`` or the hash.
     """
 
     seed: int
     path: tuple[int, ...] = field(default_factory=tuple)
+    keys: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def child(self, *indices: int) -> "StreamKey":
-        """Extend the path, addressing an independent substream."""
-        return StreamKey(self.seed, self.path + tuple(int(i) for i in indices))
+        """Extend the path, addressing an independent substream.
+
+        On a grid node, a child inside the grid keeps its keys; any other
+        child is a plain key of the same stream.
+        """
+        indices = tuple(map(int, indices))
+        keys = self.keys
+        if keys is not None and len(indices) < keys.ndim and all(
+                0 <= i < n for i, n in zip(indices, keys.shape)):
+            return StreamKey(self.seed, self.path + indices, keys[indices])
+        return StreamKey(self.seed, self.path + indices)
+
+    def grid(self, *shape: int) -> "StreamKey":
+        """This stream as a grid node: every child ``child(*i)`` with
+        ``i < shape`` carries its Philox key, computed here for all of them
+        at once.
+
+        Replays ``SeedSequence(seed, spawn_key=path + i).generate_state(2,
+        uint64)``: start from the pool that mixed the seed (padded to the
+        pool's 4 words) and the path, mix each index word into all 4 pool
+        words, then apply the output hash.
+        """
+        pool = np.random.SeedSequence(self.seed, spawn_key=self.path).pool
+        # the first 4 words take 16 hashmix steps, each further word 4
+        mixed = max(4, _words(self.seed)) + sum(_words(i) for i in self.path)
+        const = _INIT_A * pow(_MULT_A, 4 * mixed, 1 << 32) & 0xFFFFFFFF
+        index = np.indices(shape, dtype=np.uint32).reshape(len(shape), math.prod(shape))
+        mixer = np.broadcast_to(pool, (index.shape[1], 4))
+        for word in index:
+            before, after, const = _hash_steps(const, _MULT_A)
+            h = (word[:, None] ^ before) * after
+            h ^= h >> 16
+            mixer = _MIX_L * mixer - _MIX_R * h
+            mixer ^= mixer >> 16
+        before, after, _ = _hash_steps(_INIT_B, _MULT_B)
+        out = (mixer ^ before) * after
+        out ^= out >> 16
+        out = out.astype(np.uint64)
+        keys = out[:, 0::2] | out[:, 1::2] << 32
+        return StreamKey(self.seed, self.path, keys.reshape(*shape, 2))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream (Philox, counter-based)."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(ss))
+        if self.keys is None:
+            seed = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
+        elif self.keys.shape == (2,):
+            seed = _fixed_key_seed()(self.keys)
+        else:
+            raise ValueError(f"stream {self.path} is a grid node, not a leaf; "
+                             "address a leaf with child()")
+        return np.random.Generator(np.random.Philox(seed))

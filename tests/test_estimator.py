@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,7 +105,8 @@ class TestPairedObservation:
         law = variance_chip(inp, cfg)
         n_vec, n_ref = 200_000, 20_000
         vec = sample_estimates(inp, cfg, KEY.child(17), n_vec)
-        ref = np.array([reference_estimate(inp, cfg, KEY.child(18, i)) for i in range(n_ref)])
+        keys = KEY.child(18).grid(n_ref, cfg.n_chips, 2)
+        ref = np.array([reference_estimate(inp, cfg, keys.child(i)) for i in range(n_ref)])
         se_mean = np.sqrt(law.variance / np.array([n_vec, n_ref]))
         se_var = law.variance * np.sqrt(8.0 / np.array([n_vec, n_ref]))
         assert abs(vec.mean() - law.mean) < 5.0 * se_mean[0]
@@ -121,6 +124,22 @@ class TestReedPhyConfig:
         arg = [1.0, value] if field in ("mean_powers", "chip_weights") else value
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ReedPhyConfig(**{field: arg})
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_with_eta_rejects(self, eta):
+        # the message starts with the field so config errors name the key
+        with pytest.raises(ValueError, match="^eta "):
+            ReedPhyConfig().with_eta(eta)
+
+    def test_with_eta_equals_replace(self):
+        cfg = ReedPhyConfig(eta=2.0, noise_var=0.3, mean_powers=[0.5, 2.0],
+                            chip_weights=[1.0, 0.5], antennas=2, kappa=3.0)
+        for eta in (0.25, 7.0):
+            new, ref = cfg.with_eta(eta), dataclasses.replace(cfg, eta=eta)
+            assert type(new) is ReedPhyConfig and cfg.eta == 2.0
+            for f in dataclasses.fields(ReedPhyConfig):
+                assert np.array_equal(getattr(new, f.name), getattr(ref, f.name)), f.name
 
     def test_no_chips_rejected_by_weight_rule(self):
         # an empty weight vector sums to 0
@@ -247,10 +266,11 @@ class TestAggregators:
         inc = np.array([[1.0, -0.5, 0.2], [0.5, 1.0, -0.4]])
         cfg = ReedPhyConfig(eta=1.0, noise_var=0.5)
         n = 20_000
+        keys = KEY.child(10).grid(n, 1, 2)
         sums = np.zeros(3)
         sq = np.zeros(3)
         for i in range(n):
-            est = aggregate_reed(inc, cfg, KEY.child(10, i))
+            est = aggregate_reed(inc, cfg, keys.child(i))
             sums += est
             sq += est**2
         mean = sums / n
@@ -262,7 +282,8 @@ class TestAggregators:
         # tiny positive signal, noisy channel: some draws must be negative
         inc = np.array([[0.01]])
         cfg = ReedPhyConfig(eta=1.0, noise_var=1.0)
-        draws = [aggregate_reed(inc, cfg, KEY.child(11, i))[0] for i in range(10_000)]
+        keys = KEY.child(11).grid(10_000, 1, 2)
+        draws = [aggregate_reed(inc, cfg, keys.child(i))[0] for i in range(10_000)]
         assert min(draws) < 0.0
 
     def test_coherent_zero_noise_is_ideal(self):
@@ -274,9 +295,10 @@ class TestAggregators:
     def test_coherent_noise_variance(self, eta, target, tol):
         inc = np.zeros((1, 1))
         cfg = ReedPhyConfig(eta=eta, noise_var=1.0)
-        draws = np.array([
-            aggregate_coherent_csit(inc, cfg, KEY.child(13, int(eta), i))[0]
-            for i in range(1_000_000 // 10)])
+        n = 1_000_000 // 10
+        keys = KEY.child(13, int(eta)).grid(n)
+        draws = np.array([aggregate_coherent_csit(inc, cfg, keys.child(i))[0]
+                          for i in range(n)])
         # 1e5 draws: CLT band at relative ~0.9%; tolerances from the contract
         assert abs(draws.var() - target) < 2 * tol * target
 

@@ -1,0 +1,81 @@
+"""Golden outputs: the exact bytes of three tiny run-fedavg runs.
+
+Every draw of a run comes from a fixed stream layout, so any change to how
+stream keys are derived or consumed changes these hashes.  A change that
+alters the layout on purpose updates them, and says so.
+"""
+
+import hashlib
+
+import pytest
+
+from reedsim.cli import cmd_run_fedavg
+from reedsim.config import parse_config
+
+_COMMON = """
+trials = 1
+seed = 11
+fed.K = 4
+fed.Q = 2
+fed.T = 6
+fed.batch_size = 8
+"""
+
+CONFIGS = {
+    "budget-quadratic-reed": _COMMON + """
+fed.beta0 = 0.05
+fed.clip_G = 1.0
+fed.budget = 1.0
+fed.model = "quadratic"
+fed.quad_dim = 6
+fed.quad_curv_min = 0.5
+fed.quad_curv_max = 2.0
+fed.aggregators = ["reed"]
+data.synth_kind = "quadratic-free"
+data.synth_n = 40
+data.test_n = 0
+phy.noise_var = 1.0
+""",
+    "dirichlet-logistic-reed-M2": _COMMON + """
+fed.beta0 = 0.1
+fed.aggregators = ["reed"]
+data.synth_n = 120
+data.test_n = 40
+data.classes = 3
+data.features = 4
+data.partition = "dirichlet"
+data.alpha = 0.5
+phy.chips = 2
+phy.noise_var = 0.5
+""",
+    "logistic-coherent-csit": _COMMON + """
+fed.beta0 = 0.1
+fed.aggregators = ["coherent_csit"]
+data.synth_n = 120
+data.test_n = 40
+data.classes = 3
+data.features = 4
+phy.noise_var = 0.5
+""",
+}
+
+# sha256 of fedavg_trace.csv and fedavg_summary.json
+GOLDEN = {
+    "budget-quadratic-reed": (
+        "7cf1e84463810ffb1b44e473dfcf6cf599022f3dec497a284d3e3b78dbf2a8a2",
+        "b317a08fc5408a10020b45b695e3eec1f60f5d08478193576889f3e07055b1ee"),
+    "dirichlet-logistic-reed-M2": (
+        "319aa3a10ed2db0017133fefb57d5ac82e30422c5ed10cf7259c13f8104b4945",
+        "e0ab455f7583fa1c0180bae474bdf96aced82dba25334b46a1e3c89a79ce430a"),
+    "logistic-coherent-csit": (
+        "1143108352bb31a6422db4b6269f31c5e1719d024fa30f5ed483ea75d521a0c2",
+        "c55962ba8b8a42c9f847052b6b3cc4ab03fb865414db2974ec1d37853d5cbd4e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_run_fedavg_bytes_pinned(tmp_path, name):
+    cmd_run_fedavg(parse_config(CONFIGS[name]), str(tmp_path))
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("fedavg_trace.csv", "fedavg_summary.json"))
+    assert digests == GOLDEN[name]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reedsim.streams import StreamKey
 
@@ -54,3 +54,62 @@ def test_path_prefix_not_aliased():
     a = k.child(1).generator().standard_normal(10)
     b = k.child(1, 0).generator().standard_normal(10)
     assert not np.array_equal(a, b)
+
+
+# seeds of one, two and five 32-bit words (SeedSequence pads a seed to 4
+# words only when it is shorter); path entries of one and of several words
+_SEEDS = st.sampled_from([0, 2**32, 2**63 - 1, 2**130 + 7]) | st.integers(0, 2**64)
+_ENTRY = st.integers(0, 40) | st.integers(2**32, 2**70)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, prefix=st.lists(_ENTRY, max_size=4),
+       shape=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+def test_grid_matches_seed_sequence(seed, prefix, shape, data):
+    key = StreamKey(seed, tuple(prefix))
+    grid = key.grid(*shape)
+    index = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+    leaf, plain = grid.child(*index), key.child(*index)
+    expected = np.random.SeedSequence(seed, spawn_key=plain.path).generate_state(2, np.uint64)
+    assert np.array_equal(leaf.keys, expected)
+    assert np.array_equal(leaf.generator().random(4), plain.generator().random(4))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1, 2**130 + 7])
+@pytest.mark.parametrize("prefix", [(), (3,), (2**32, 1), (0, 7, 2**40, 5)])
+def test_every_grid_key_matches_seed_sequence(seed, prefix):
+    key = StreamKey(seed, prefix)
+    grid = key.grid(3, 2, 2)
+    for index in np.ndindex(3, 2, 2):
+        # a leaf reached in steps is the leaf reached at once
+        leaf = grid.child(index[0]).child(*index[1:])
+        expected = np.random.SeedSequence(seed, spawn_key=prefix + index).generate_state(
+            2, np.uint64)
+        assert np.array_equal(leaf.keys, expected)
+
+
+def test_grid_leaf_equals_plain_key():
+    key = StreamKey(31, (2,))
+    leaf, plain = key.grid(4, 3).child(2, 1), key.child(2, 1)
+    assert leaf == plain
+    assert hash(leaf) == hash(plain)
+    assert {leaf: 1}[plain] == 1
+
+
+def test_grid_node_is_not_a_leaf():
+    grid = StreamKey(8).grid(2, 3)
+    for node in (grid, grid.child(1)):
+        with pytest.raises(ValueError, match="not a leaf"):
+            node.generator()
+
+
+def test_child_outside_grid_is_plain_key():
+    key = StreamKey(8, (1,))
+    grid = key.grid(2, 3)
+    for index in ((1, 3), (2, 0), (1, 2, 5)):
+        child = grid.child(*index)
+        assert child.keys is None
+        assert child == key.child(*index)
+        assert np.array_equal(child.generator().random(3), key.child(*index).generator().random(3))
+    # NumPy would wrap a negative index; it addresses no stream of the grid
+    assert grid.child(-1, 0).keys is None
