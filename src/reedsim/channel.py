@@ -10,6 +10,12 @@ from the same :class:`~reedsim.streams.StreamKey` give bit-identical draws.
 Each call draws and returns one array of shape ``size``; powers broadcast
 against it, so one call can give every client its own mean power.
 
+The public samplers reject a negative or NaN power.  ``_sample_energy`` is
+``sample_energy`` without that check, for callers whose mean energy is
+>= 0 by construction: the paired-energy kernel in ``reedsim.estimator``,
+whose means are sums of nonnegative parts scaled by an already checked
+``ReedPhyConfig``.  Nothing else should call it.
+
 The estimator draws no ``sample_dither`` phase: every fading law here
 already carries an independent uniform phase.
 """
@@ -44,14 +50,15 @@ def _unit_phasor(phi: np.ndarray) -> np.ndarray:
 
 def sample_fading(rng: np.random.Generator, mean_power, size):
     """Rayleigh fading coefficient h ~ CN(0, mean_power)."""
-    if np.any(np.asarray(mean_power) < 0):
+    # NaN fails every comparison, so these checks reject it too
+    if not np.all(np.asarray(mean_power) >= 0):
         raise ValueError(f"mean_power must be >= 0, got {mean_power}")
     return _complex_gaussian(rng, mean_power, size)
 
 
 def sample_noise(rng: np.random.Generator, noise_var: float, size):
     """Receiver noise z ~ CN(0, noise_var)."""
-    if noise_var < 0:
+    if not noise_var >= 0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
     return _complex_gaussian(rng, noise_var, size)
 
@@ -59,9 +66,15 @@ def sample_noise(rng: np.random.Generator, noise_var: float, size):
 def sample_energy(rng: np.random.Generator, mean_energy, size):
     """Detected energy |y|^2 of y ~ CN(0, mean_energy): mean_energy times a
     standard exponential."""
-    if np.any(np.asarray(mean_energy) < 0):
+    mean = np.asarray(mean_energy)
+    if not np.all(mean >= 0):
         raise ValueError(f"mean_energy must be >= 0, got {mean_energy}")
-    return np.asarray(mean_energy) * rng.standard_exponential(size)
+    return _sample_energy(rng, mean, size)
+
+
+def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, size):
+    """``sample_energy`` without its check, for means >= 0 by construction."""
+    return mean_energy * rng.standard_exponential(size)
 
 
 def sample_dither(rng: np.random.Generator, size):
@@ -79,9 +92,9 @@ def sample_general_fading(rng: np.random.Generator, mean_power, kappa: float, si
     degenerates to constant modulus).  All phases are drawn before all
     on/off flags.
     """
-    if np.any(np.asarray(mean_power) < 0):
+    if not np.all(np.asarray(mean_power) >= 0):
         raise ValueError(f"mean_power must be >= 0, got {mean_power}")
-    if kappa < 1:
+    if not kappa >= 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     phi = rng.uniform(0.0, 2.0 * np.pi, size)
     if kappa == 1.0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import sample_energy, sample_fading, sample_general_fading, sample_noise
+from .channel import _sample_energy, sample_fading, sample_general_fading, sample_noise
 from .streams import StreamKey
 
 __all__ = [
@@ -89,6 +89,10 @@ class ReedPhyConfig:
     chip_weights: np.ndarray = field(default_factory=lambda: np.ones(1))
     antennas: int = 1
     kappa: float = 2.0
+    # set from chip_weights in __post_init__, so a read reduces nothing;
+    # with_eta copies them
+    n_chips: int = field(init=False, repr=False, compare=False)
+    weight_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean_powers", np.asarray(self.mean_powers, dtype=float))
@@ -110,6 +114,8 @@ class ReedPhyConfig:
             raise ValueError(f"antennas must be >= 1, got {self.antennas}")
         if self.kappa < 1:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+        object.__setattr__(self, "n_chips", int(c.size))
+        object.__setattr__(self, "weight_sum", float(c.sum()))
 
     def with_eta(self, eta: float) -> "ReedPhyConfig":
         """This configuration with gain ``eta``.  Checks only ``eta``: the
@@ -120,14 +126,6 @@ class ReedPhyConfig:
         out = object.__new__(type(self))
         out.__dict__.update(vars(self), eta=eta)
         return out
-
-    @property
-    def n_chips(self) -> int:
-        return int(self.chip_weights.size)
-
-    @property
-    def weight_sum(self) -> float:
-        return float(self.chip_weights.sum())
 
 
 def _superposed_energy(rng: np.random.Generator, part: np.ndarray, c: float,
@@ -176,8 +174,10 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
         for branch, sign, part in ((0, 1.0, pos), (1, -1.0, neg)):
             rng = key.child(m, branch).generator()
             if cfg.kappa == 2.0:
+                # >= 0 by construction: the parts are >= 0, and eta, c and
+                # noise_var were checked by ReedPhyConfig
                 mean = cfg.eta * c * part.sum(axis=0) + cfg.noise_var
-                total += sign * sample_energy(rng, mean, (cfg.antennas, n)).sum(axis=0)
+                total += sign * _sample_energy(rng, mean, (cfg.antennas, n)).sum(axis=0)
             else:
                 total += sign * _superposed_energy(rng, part, c, cfg, n)
     return total / (cfg.eta * cfg.weight_sum * cfg.antennas)

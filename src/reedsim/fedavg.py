@@ -31,7 +31,7 @@ import numpy as np
 from .estimator import (ReedPhyConfig, aggregate_coherent_csit, aggregate_ideal,
                         aggregate_reed)
 from .datasets import LabeledDataset
-from .moments import energy_audit, eta_schedule
+from .moments import _audit, _audit_denominator, _gain, _gain_numerator, eta_schedule
 from .streams import StreamKey
 
 __all__ = [
@@ -460,7 +460,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
 
     There is one client per partition.  With aggregator="reed" and budgets
     set, the aggregation gain is rescheduled every round from the round's
-    stepsize.
+    stepsize; the schedule's inputs are checked once, when the run starts.
     """
     K = len(partitions)
     if K == 0:
@@ -472,8 +472,17 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     local_keys, channel_keys = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
     if objective.uses_batches:
         local_keys = local_keys.grid(cfg.T, K)
-    if cfg.aggregator == "reed":
+    reed = cfg.aggregator == "reed"
+    budgeted = reed and cfg.budgets is not None
+    # the parts of the audit and the gain that no round changes; the public
+    # eta_schedule checks the gain's inputs once, for the whole run
+    if reed:
         channel_keys = channel_keys.grid(cfg.T, cfg.phy.n_chips, 2)
+        kmd = _audit_denominator(cfg.phy, K, d)
+    if budgeted:
+        eta_schedule(cfg.budgets, K, d, cfg.phy.mean_powers, cfg.phy.weight_sum,
+                     cfg.stepsize(0), cfg.Q, cfg.clip_G)
+        numerator = _gain_numerator(cfg.budgets, K, d, cfg.phy.mean_powers)
     grad = objective.diagnostic_gradient(w, local_keys.child(0, K))
     traces: list[RoundTrace] = []
 
@@ -493,10 +502,8 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         increments = local - w
 
         phy, key = cfg.phy, channel_keys.child(t)
-        reed = cfg.aggregator == "reed"
-        if reed and cfg.budgets is not None:
-            phy = phy.with_eta(eta_schedule(cfg.budgets, K, d, phy.mean_powers,
-                                            phy.weight_sum, beta, cfg.Q, cfg.clip_G))
+        if budgeted:
+            phy = phy.with_eta(_gain(numerator, phy.weight_sum, beta, cfg.Q, cfg.clip_G))
         ideal = aggregate_ideal(increments)
         if reed:
             update = aggregate_reed(increments, phy, key)
@@ -506,7 +513,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             update = ideal
         eps = update - ideal
         eps_norm_sq = float(eps @ eps)
-        max_energy = float(energy_audit(increments, phy).max()) if reed else 0.0
+        max_energy = float(_audit(increments, phy, kmd).max()) if reed else 0.0
 
         w = w + update
         if not np.all(np.isfinite(w)):

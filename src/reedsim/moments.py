@@ -130,9 +130,26 @@ def eta_schedule(budgets, K: int, d: int, mean_powers, C_M: float, beta: float,
     _check(budgets=E, mean_powers=mu2, C_M=C_M, beta=beta, G=G)
     if K < 1 or d < 1 or Q < 1:
         raise ValueError(f"K, d and Q must be >= 1, got {K}, {d} and {Q}")
-    # one budget or mean power is shared by every client; numpy rejects
-    # lengths that neither match nor are 1
-    return float(np.min(E * K * np.sqrt(d) * mu2 / (C_M * beta * Q * G)))
+    return _gain(_gain_numerator(E, K, d, mu2), C_M, beta, Q, G)
+
+
+# The unchecked cores below let a FedAvg run check its inputs once, through
+# the public functions, and then reuse the per-run parts every round.
+
+def _gain_numerator(E: np.ndarray, K: int, d: int, mu2: np.ndarray) -> np.float64:
+    """min_k E_k K sqrt(d) mu_k^2, the part of the gain fixed for a run.
+
+    One budget or mean power is shared by every client; numpy rejects
+    lengths that neither match nor are 1.  A numpy scalar, so that a
+    denominator that underflows to 0 gives inf, not ZeroDivisionError."""
+    return np.min(E * K * np.sqrt(d) * mu2)
+
+
+def _gain(numerator: np.float64, C_M: float, beta: float, Q: int, G: float) -> float:
+    """The gain from its per-run numerator.  Taking the min before dividing
+    by the positive C_M beta Q G gives the same float: correctly rounded
+    division by a positive number is monotone."""
+    return float(numerator / (C_M * beta * Q * G))
 
 
 def energy_audit(increments, cfg: ReedPhyConfig) -> np.ndarray:
@@ -141,10 +158,17 @@ def energy_audit(increments, cfg: ReedPhyConfig) -> np.ndarray:
     arr = np.asarray(increments, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"increments must be a (K, d) array, got shape {arr.shape}")
-    K, d = arr.shape
-    mu2 = np.broadcast_to(cfg.mean_powers, (K,))
-    l1 = np.abs(arr).sum(axis=1)
-    return cfg.eta * cfg.weight_sum / (K * mu2 * d) * l1
+    return _audit(arr, cfg, _audit_denominator(cfg, *arr.shape))
+
+
+def _audit_denominator(cfg: ReedPhyConfig, K: int, d: int) -> np.ndarray:
+    """K mu_k^2 d per client, the part of the audit fixed for a run."""
+    return K * np.broadcast_to(cfg.mean_powers, (K,)) * d
+
+
+def _audit(increments: np.ndarray, cfg: ReedPhyConfig, kmd: np.ndarray) -> np.ndarray:
+    """The audit of (K, d) increments from its per-run denominator."""
+    return cfg.eta * cfg.weight_sum / kmd * np.abs(increments).sum(axis=1)
 
 
 def theorem_bound_rhs(consts: ConvergenceConstants, beta: float, Q: int, T: int,

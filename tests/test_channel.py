@@ -101,6 +101,29 @@ def test_general_fading_kappa_limits():
         sample_general_fading(_rng(9), 1.0, 0.5, size=1)
 
 
+# NaN fails every comparison, so a check written as "x < 0" let it through
+def test_fading_nan_power_rejected():
+    with pytest.raises(ValueError, match="^mean_power "):
+        sample_fading(_rng(0), [1.0, np.nan], size=2)
+
+
+def test_noise_nan_var_rejected():
+    with pytest.raises(ValueError, match="^noise_var "):
+        sample_noise(_rng(3), np.nan, size=1)
+
+
+def test_energy_nan_mean_rejected():
+    with pytest.raises(ValueError, match="^mean_energy "):
+        sample_energy(_rng(16), np.nan, size=2)
+
+
+def test_general_fading_nan_power_and_kappa_rejected():
+    with pytest.raises(ValueError, match="^mean_power "):
+        sample_general_fading(_rng(9), np.nan, 2.0, size=1)
+    with pytest.raises(ValueError, match="^kappa "):
+        sample_general_fading(_rng(9), 1.0, np.nan, size=1)
+
+
 def test_general_fading_kappa_one_constant_modulus():
     h = sample_general_fading(_rng(10), 2.0, 1.0, size=1000)
     assert np.max(np.abs(np.abs(h) ** 2 - 2.0)) < 1e-12

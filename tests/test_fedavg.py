@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reedsim import fedavg
+from reedsim import fedavg, moments
 from reedsim.datasets import PartitionSpec, partition, synth_dataset
 from reedsim.estimator import ReedPhyConfig, aggregate_ideal
 from reedsim.fedavg import (FedRunConfig, LogisticObjective, MlpObjective,
@@ -174,6 +174,24 @@ class TestRunFedavg:
                           phy=ReedPhyConfig(noise_var=0.5))
         for t in traces:
             assert t.max_client_energy <= 1.0 + 1e-12
+
+    def test_budgeted_reed_checks_once_per_run(self, monkeypatch):
+        # the round loop reuses the parts of the gain and the audit that the
+        # run checked at its start, so the check count does not grow with T
+        calls = []
+        check = moments._check
+        monkeypatch.setattr(moments, "_check",
+                            lambda *a, **kw: calls.append(1) or check(*a, **kw))
+        obj = build_objective("quadratic", d=4, curvature_range=(0.5, 2.0), seed=1)
+        counts = []
+        for T in (3, 12):
+            calls.clear()
+            cfg = FedRunConfig(Q=2, T=T, batch_size=5, beta0=0.05, schedule="inv_sqrt",
+                               clip_G=1.0, aggregator="reed", budgets=np.ones(3),
+                               phy=ReedPhyConfig(noise_var=0.5))
+            run_fedavg(cfg, obj, [np.arange(5)] * 3)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_matched_seed_aggregators_share_local_randomness(self):
         # identical increments round 0: the first-round ideal update of the

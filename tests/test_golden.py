@@ -1,4 +1,4 @@
-"""Golden outputs: the exact bytes of three tiny run-fedavg runs.
+"""Golden outputs: the exact bytes of four tiny run-fedavg runs.
 
 Every draw of a run comes from a fixed stream layout, so any change to how
 stream keys are derived or consumed changes these hashes.  A change that
@@ -21,8 +21,7 @@ fed.T = 6
 fed.batch_size = 8
 """
 
-CONFIGS = {
-    "budget-quadratic-reed": _COMMON + """
+_BUDGET_QUADRATIC = _COMMON + """
 fed.beta0 = 0.05
 fed.clip_G = 1.0
 fed.budget = 1.0
@@ -35,6 +34,17 @@ data.synth_kind = "quadratic-free"
 data.synth_n = 40
 data.test_n = 0
 phy.noise_var = 1.0
+"""
+
+CONFIGS = {
+    "budget-quadratic-reed": _BUDGET_QUADRATIC,
+    # the gain changes every round with the inv_sqrt stepsize, across three
+    # chips, two antennas and a mean power other than 1
+    "budget-quadratic-reed-inv-sqrt": _BUDGET_QUADRATIC + """
+fed.schedule = "inv_sqrt"
+phy.chips = 3
+phy.antennas = 2
+phy.mean_power = 0.7
 """,
     "dirichlet-logistic-reed-M2": _COMMON + """
 fed.beta0 = 0.1
@@ -64,6 +74,9 @@ GOLDEN = {
     "budget-quadratic-reed": (
         "7cf1e84463810ffb1b44e473dfcf6cf599022f3dec497a284d3e3b78dbf2a8a2",
         "b317a08fc5408a10020b45b695e3eec1f60f5d08478193576889f3e07055b1ee"),
+    "budget-quadratic-reed-inv-sqrt": (
+        "1adb1dff2e8d7b1466fb015eab123cec8fba407117965583ed8dac52a39f90ac",
+        "da40f689d95853d986f4e5e7b4539cbc08849ac183f371a1b73f73355f10d9a6"),
     "dirichlet-logistic-reed-M2": (
         "319aa3a10ed2db0017133fefb57d5ac82e30422c5ed10cf7259c13f8104b4945",
         "e0ab455f7583fa1c0180bae474bdf96aced82dba25334b46a1e3c89a79ce430a"),

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from reedsim.estimator import ReedPhyConfig, ScalarInputs
 from reedsim.fedavg import FedRunConfig
-from reedsim.moments import (ConvergenceConstants, energy_audit, eta_schedule,
-                             sigma_air_bound, theorem_bound_rhs, variance_chip)
+from reedsim.moments import (ConvergenceConstants, _audit, _audit_denominator, _gain,
+                             _gain_numerator, energy_audit, eta_schedule, sigma_air_bound,
+                             theorem_bound_rhs, variance_chip)
 from reedsim.streams import StreamKey
 
 inputs_strategy = st.lists(
@@ -164,6 +165,54 @@ class TestEnergyAudit:
                 inc *= beta * Q * G * rng.random((K, 1)) / np.linalg.norm(inc, axis=1, keepdims=True)
                 audit = energy_audit(inc, cfg)
                 assert np.all(audit <= budgets + 1e-12)
+
+
+_positive = st.floats(1e-3, 1e3)
+
+
+def _per_client(data, K):
+    """A shared value or one per client."""
+    n = data.draw(st.sampled_from([1, K]))
+    return np.array(data.draw(st.lists(_positive, min_size=n, max_size=n)))
+
+
+class TestPerRunCores:
+    """A FedAvg run computes these parts once and reuses them every round;
+    the result must equal the public functions bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), K=st.integers(1, 8), d=st.integers(1, 10**6),
+           Q=st.integers(1, 50), C_M=_positive, G=_positive, beta0=_positive,
+           schedule=st.sampled_from(["constant", "inv_sqrt"]))
+    def test_gain_from_run_numerator_is_eta_schedule(self, data, K, d, Q, C_M, G, beta0,
+                                                     schedule):
+        E, mu2 = _per_client(data, K), _per_client(data, K)
+        numerator = _gain_numerator(E, K, d, mu2)
+        fed = FedRunConfig(Q=Q, T=1, batch_size=1, beta0=beta0, schedule=schedule)
+        for t in (0, 1, 2, 7, 99, 12345):
+            beta = fed.stepsize(t)
+            eta = eta_schedule(E, K, d, mu2, C_M, beta, Q, G)
+            assert _gain(numerator, C_M, beta, Q, G) == eta
+            # the min taken after dividing each client's term, as written
+            assert np.min(E * K * np.sqrt(d) * mu2 / (C_M * beta * Q * G)) == eta
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), K=st.integers(1, 6), d=st.integers(1, 20),
+           chips=st.lists(_positive, min_size=1, max_size=3),
+           etas=st.lists(_positive, min_size=1, max_size=4))
+    def test_audit_from_run_denominator_is_energy_audit(self, data, K, d, chips, etas):
+        cfg = ReedPhyConfig(mean_powers=_per_client(data, K), chip_weights=chips)
+        kmd = _audit_denominator(cfg, K, d)
+        rng = StreamKey(data.draw(st.integers(0, 2**32))).generator()
+        for eta in etas:
+            inc = rng.standard_normal((K, d))
+            phy = cfg.with_eta(eta)
+            audit = energy_audit(inc, phy)
+            assert np.array_equal(_audit(inc, phy, kmd), audit)
+            # the formula in one expression, as its docstring writes it
+            mu2 = np.broadcast_to(cfg.mean_powers, (K,))
+            assert np.array_equal(
+                eta * cfg.chip_weights.sum() / (K * mu2 * d) * np.abs(inc).sum(axis=1), audit)
 
 
 class TestTheoremBound:
