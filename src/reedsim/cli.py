@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ConfigError, check_config, load_config, reject_repeats
 from .datasets import IdxFormatError
-from .experiments import (default_moment_matrix, run_single_trial, validate_point)
+from .experiments import default_moment_matrix, run_trial, validate_point
 from .fedavg import RoundTrace
 
 __all__ = ["main", "cmd_validate_moments", "cmd_run_fedavg", "cmd_sweep"]
@@ -61,8 +61,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _map(fn, items: list, workers: int) -> list:
-    """``fn`` over ``items`` in order: in a pool of ``workers`` processes
-    when there is more than one, else in this process."""
+    """``fn`` over ``items`` in order: in a pool of ``workers`` processes,
+    at most one per item, when that is more than one, else in this
+    process."""
+    workers = min(workers, len(items))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
@@ -90,8 +92,7 @@ def cmd_validate_moments(cfg: dict[str, Any], out_dir: str, workers: int = 1) ->
 
 
 def _trial_job(job):
-    _, cfg, trial, aggregator = job
-    return run_single_trial(cfg, trial, aggregator)
+    return run_trial(*job)
 
 
 # trial, round and aggregator, then every other RoundTrace field
@@ -112,17 +113,19 @@ def _summary(final: list) -> dict:
 
 def _run_points(points: list[dict[str, Any]], workers: int) -> list[tuple[list, dict]]:
     """The trace rows and per-aggregator summary of each config in
-    ``points``, with every (point, aggregator, trial) run in one map."""
-    jobs = [(i, cfg, trial, agg) for i, cfg in enumerate(points)
-            for agg in cfg["fed.aggregators"] for trial in range(cfg["trials"])]
-    rows: list[list] = [[] for _ in points]
-    finals: list[dict] = [{} for _ in points]
-    for (i, _, trial, agg), traces in zip(jobs, _map(_trial_job, jobs, workers)):
-        rows[i] += [[trial, tr.round, agg] + [getattr(tr, f) for f in _TRACE_FIELDS]
-                    for tr in traces]
-        finals[i].setdefault(agg, []).append(traces[-1])
-    return [(r, {agg: _summary(f) for agg, f in sorted(fin.items())})
-            for r, fin in zip(rows, finals)]
+    ``points``, with every (point, trial) run in one map.  Rows go by
+    aggregator, then trial, then round."""
+    jobs = [(cfg, trial) for cfg in points for trial in range(cfg["trials"])]
+    runs = iter(_map(_trial_job, jobs, workers))
+    out = []
+    for cfg in points:
+        trials = [next(runs) for _ in range(cfg["trials"])]
+        aggs = cfg["fed.aggregators"]
+        rows = [[trial, tr.round, agg] + [getattr(tr, f) for f in _TRACE_FIELDS]
+                for agg in aggs for trial, run in enumerate(trials) for tr in run[agg]]
+        out.append((rows, {agg: _summary([run[agg][-1] for run in trials])
+                           for agg in sorted(aggs)}))
+    return out
 
 
 def cmd_run_fedavg(cfg: dict[str, Any], out_dir: str, workers: int = 1) -> int:

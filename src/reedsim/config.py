@@ -152,14 +152,13 @@ def parse_config(text: str, seed: int | None = None,
 
 def check_config(cfg: dict[str, Any]) -> None:
     """Validate a filled-in config: the rules no constructor owns, then the
-    typed objects of a trial for every listed aggregator, built on no data."""
+    typed objects of a trial, built on no data."""
     _cross_validate(cfg)
     if cfg["data.source"] == "synth":
         synth_data(cfg, 0, 0)
     _partition_spec(cfg, 0)
     run_objective(cfg, LabeledDataset(np.zeros((0, 1)), np.zeros(0)), 0)
-    for aggregator in cfg["fed.aggregators"]:
-        fed_run_config(cfg, 0, aggregator)
+    fed_run_config(cfg, 0)
 
 
 def _cross_validate(cfg: dict[str, Any]) -> None:
@@ -169,7 +168,6 @@ def _cross_validate(cfg: dict[str, Any]) -> None:
             raise ConfigError(f"{key}: must be >= {low}, got {cfg[key]}")
     if cfg["moments.tolerance"] <= 0:
         raise ConfigError(f"moments.tolerance: must be > 0, got {cfg['moments.tolerance']}")
-    reject_repeats("fed.aggregators", cfg["fed.aggregators"])
     if cfg["data.synth_n"] < cfg["fed.K"]:
         raise ConfigError("data.synth_n: must be >= fed.K")
     if cfg["data.source"] == "idx":
@@ -215,7 +213,7 @@ _FIELD_KEYS = {
     "eta": "phy.eta", "noise_var": "phy.noise_var", "mean_powers": "phy.mean_power",
     "antennas": "phy.antennas", "kappa": "phy.kappa", "K": "fed.K", "Q": "fed.Q",
     "T": "fed.T", "batch_size": "fed.batch_size", "beta0": "fed.beta0",
-    "aggregator": "fed.aggregators", "budgets": "fed.budget", "clip_G": "fed.clip_G",
+    "aggregators": "fed.aggregators", "budgets": "fed.budget", "clip_G": "fed.clip_G",
     "hidden": "fed.hidden", "d": "fed.quad_dim",
     "curvature_range": "fed.quad_curv_min, fed.quad_curv_max",
     "alpha": "data.alpha", "classes": "data.classes", "n_classes": "data.classes",
@@ -273,7 +271,7 @@ def run_objective(cfg: dict[str, Any], train: LabeledDataset, trial: int) -> Obj
 
 
 @_keyed()
-def fed_run_config(cfg: dict[str, Any], trial: int, aggregator: str) -> FedRunConfig:
+def fed_run_config(cfg: dict[str, Any], trial: int) -> FedRunConfig:
     phy = ReedPhyConfig(
         eta=cfg["phy.eta"], noise_var=resolve_noise_var(cfg), antennas=cfg["phy.antennas"],
         mean_powers=np.array([cfg["phy.mean_power"]]), chip_weights=np.ones(cfg["phy.chips"]),
@@ -283,4 +281,5 @@ def fed_run_config(cfg: dict[str, Any], trial: int, aggregator: str) -> FedRunCo
     return FedRunConfig(
         Q=cfg["fed.Q"], T=cfg["fed.T"], batch_size=cfg["fed.batch_size"],
         beta0=cfg["fed.beta0"], schedule=cfg["fed.schedule"], clip_G=cfg["fed.clip_G"],
-        aggregator=aggregator, phy=phy, budgets=budgets, seed=_trial_seed(cfg, trial))
+        aggregators=cfg["fed.aggregators"], phy=phy, budgets=budgets,
+        seed=_trial_seed(cfg, trial))

@@ -1,9 +1,10 @@
 """Experiment drivers shared by the CLI and the test suite.
 
 Moment-law validation points (Monte Carlo against closed form) and
-config-driven FedAvg runs with the matched-seed contract: the aggregator
-choice never perturbs data partitioning, model initialization or local
-minibatch order.
+config-driven FedAvg trials.  A trial builds its data, partition and
+objective once and runs every aggregator on them in lockstep, so the
+matched-seed contract holds by construction: the aggregator choice never
+perturbs data partitioning, model initialization or local minibatch order.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "default_moment_matrix",
     "validate_point",
     "build_experiment_data",
+    "run_trial",
     "run_single_trial",
 ]
 
@@ -146,10 +148,19 @@ def build_experiment_data(cfg: dict[str, Any], trial: int
     return train, test, client_partition(cfg, train, trial)
 
 
+def run_trial(cfg: dict[str, Any], trial: int) -> dict[str, list[RoundTrace]]:
+    """One trial of a validated config: its data, partition and objective
+    are built once, and every aggregator of ``fed.aggregators`` runs on them
+    in one :func:`run_fedavg` call.  Returns each aggregator's trace, in the
+    config's order.  A label of the training data at or above
+    ``data.classes`` is a ConfigError."""
+    train, test, parts = build_experiment_data(cfg, trial)
+    return run_fedavg(fed_run_config(cfg, trial), run_objective(cfg, train, trial),
+                      parts, test)
+
+
 def run_single_trial(cfg: dict[str, Any], trial: int, aggregator: str
                      ) -> list[RoundTrace]:
-    """One (trial, aggregator) FedAvg run from a validated config.  A label
-    of the training data at or above ``data.classes`` is a ConfigError."""
-    train, test, parts = build_experiment_data(cfg, trial)
-    return run_fedavg(fed_run_config(cfg, trial, aggregator),
-                      run_objective(cfg, train, trial), parts, test)
+    """The trace of one aggregator's run of one trial, whatever
+    ``fed.aggregators`` lists."""
+    return run_trial({**cfg, "fed.aggregators": [aggregator]}, trial)[aggregator]

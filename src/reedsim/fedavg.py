@@ -7,12 +7,19 @@ update and record a trace.  All randomness flows through per-(round,
 client) stream keys, so runs are reproducible and the aggregator choice
 never perturbs data order or model initialization.
 
-Local training is batched across clients.  At the start of a round each
-client draws all of its minibatch indices from its own (round, client)
-stream, exactly as the single-client reference :func:`local_round` does.
-They are stacked into a (Q, K, B) index array, with short batches padded
-and masked, and each of the Q steps is one
-:meth:`Objective.stacked_gradient` call over all K clients.
+One run holds several aggregators, each with its own global model, in
+lockstep.  The local streams and minibatches do not depend on the
+aggregator, so they are drawn once per round for all of them, and a run
+of several aggregators equals each one run alone, trace for trace.
+
+Local training is batched across clients and aggregators.  At the start
+of a round each client draws all of its minibatch indices from its own
+(round, client) stream, exactly as the single-client reference
+:func:`local_round` does.  They are stacked into a (Q, K, B) index array,
+with short batches padded and masked, and each of the Q steps is one
+:meth:`Objective.stacked_gradient` call over all K clients of all A
+aggregators, A·K rows in aggregator-major order.  Aggregation and
+evaluation stay per aggregator.
 
 The train loss that closes round t and the diagnostic gradient that opens
 round t + 1 are taken at the same model, so one :meth:`Objective.evaluate`
@@ -334,7 +341,7 @@ def build_objective(kind: str, data: LabeledDataset | None = None, *, d: int = 0
 
 @dataclass(frozen=True)
 class FedRunConfig:
-    """One FedAvg run: protocol sizes, stepsizes, aggregator and radio."""
+    """One FedAvg run: protocol sizes, stepsizes, aggregators and radio."""
 
     Q: int
     T: int
@@ -342,7 +349,7 @@ class FedRunConfig:
     beta0: float
     schedule: str = "constant"  # "constant" | "inv_sqrt"
     clip_G: float | None = None
-    aggregator: str = "ideal"  # "ideal" | "reed" | "coherent_csit"
+    aggregators: tuple[str, ...] = ("ideal",)
     phy: ReedPhyConfig = field(default_factory=ReedPhyConfig)
     budgets: np.ndarray | None = None
     seed: int = 0
@@ -355,9 +362,12 @@ class FedRunConfig:
             raise ValueError(f"beta0 must be finite and > 0, got {self.beta0}")
         if self.schedule not in ("constant", "inv_sqrt"):
             raise ValueError(f"schedule must be 'constant' or 'inv_sqrt', got {self.schedule!r}")
-        if self.aggregator not in ("ideal", "reed", "coherent_csit"):
-            raise ValueError("aggregator must be 'ideal', 'reed' or 'coherent_csit', "
-                             f"got {self.aggregator!r}")
+        object.__setattr__(self, "aggregators", tuple(self.aggregators))
+        names = set(self.aggregators)
+        if not names <= {"ideal", "reed", "coherent_csit"} or not (
+                0 < len(names) == len(self.aggregators)):
+            raise ValueError("aggregators must be distinct names out of 'ideal', 'reed' "
+                             f"and 'coherent_csit', got {self.aggregators!r}")
         if self.budgets is not None:
             object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float))
             if not ((self.budgets > 0) & (self.budgets < np.inf)).all():
@@ -455,80 +465,93 @@ def local_round(params: np.ndarray, objective: Objective, client_indices: np.nda
 
 def run_fedavg(cfg: FedRunConfig, objective: Objective,
                partitions: list[np.ndarray],
-               test_data: LabeledDataset | None = None) -> list[RoundTrace]:
-    """Run T rounds of full-participation FedAvg and return the trace.
+               test_data: LabeledDataset | None = None) -> dict[str, list[RoundTrace]]:
+    """Run T rounds of full-participation FedAvg under every aggregator of
+    ``cfg`` and return each one's trace, in the order of ``cfg.aggregators``.
 
-    There is one client per partition.  With aggregator="reed" and budgets
-    set, the aggregation gain is rescheduled every round from the round's
-    stepsize; the schedule's inputs are checked once, when the run starts.
+    There is one client per partition.  The aggregators run in lockstep on
+    one set of minibatches, each with its own model; a run of several equals
+    each aggregator run alone.  With "reed" and budgets set, the aggregation
+    gain is rescheduled every round from the round's stepsize; the
+    schedule's inputs are checked once, when the run starts.
     """
     K = len(partitions)
     if K == 0:
         raise ValueError("partitions must hold at least one client")
+    names = cfg.aggregators
+    A = len(names)
     root = StreamKey(cfg.seed)
     w = objective.init_params(root.child(_DOM_INIT))
     d = objective.dim
+    models = [w] * A
     # every (round, client) and (round, chip, branch) key of the run at once
     local_keys, channel_keys = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
     if objective.uses_batches:
         local_keys = local_keys.grid(cfg.T, K)
-    reed = cfg.aggregator == "reed"
-    budgeted = reed and cfg.budgets is not None
+    budgeted = "reed" in names and cfg.budgets is not None
     # the parts of the audit and the gain that no round changes; the public
     # eta_schedule checks the gain's inputs once, for the whole run
-    if reed:
-        channel_keys = channel_keys.grid(cfg.T, cfg.phy.n_chips, 2)
+    if "reed" in names:
+        reed_keys = channel_keys.grid(cfg.T, cfg.phy.n_chips, 2)
         kmd = _audit_denominator(cfg.phy, K, d)
     if budgeted:
         eta_schedule(cfg.budgets, K, d, cfg.phy.mean_powers, cfg.phy.weight_sum,
                      cfg.stepsize(0), cfg.Q, cfg.clip_G)
         numerator = _gain_numerator(cfg.budgets, K, d, cfg.phy.mean_powers)
-    grad = objective.diagnostic_gradient(w, local_keys.child(0, K))
-    traces: list[RoundTrace] = []
+    grads = [objective.diagnostic_gradient(w, local_keys.child(0, K))] * A
+    traces: dict[str, list[RoundTrace]] = {name: [] for name in names}
 
     for t in range(cfg.T):
         beta = cfg.stepsize(t)
-        grad_norm_sq = float(grad @ grad)
 
+        # the minibatches do not depend on the aggregator; row a·K + k of the
+        # (A·K)-row stack is client k under aggregator a
         if objective.uses_batches:
             batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
                                               local_keys.child(t))
+            if A > 1:
+                batches, lengths = np.tile(batches, (1, A, 1)), np.tile(lengths, (1, A))
         else:
             batches = lengths = [None] * cfg.Q
-        local = np.repeat(w[None], K, axis=0)
+        local = np.repeat(np.stack(models) if A > 1 else models[0][None], K, axis=0)
         for q in range(cfg.Q):
             g = objective.stacked_gradient(local, batches[q], lengths[q])
             local = local - beta * clip_gradient(g, cfg.clip_G)
-        increments = local - w
 
-        phy, key = cfg.phy, channel_keys.child(t)
+        phy = cfg.phy
         if budgeted:
             phy = phy.with_eta(_gain(numerator, phy.weight_sum, beta, cfg.Q, cfg.clip_G))
-        ideal = aggregate_ideal(increments)
-        if reed:
-            update = aggregate_reed(increments, phy, key)
-        elif cfg.aggregator == "coherent_csit":
-            update = aggregate_coherent_csit(increments, phy, key)
-        else:
-            update = ideal
-        eps = update - ideal
-        eps_norm_sq = float(eps @ eps)
-        max_energy = float(_audit(increments, phy, kmd).max()) if reed else 0.0
+        for a, name in enumerate(names):
+            w = models[a]
+            increments = local[a * K:(a + 1) * K] - w
+            ideal = aggregate_ideal(increments)
+            max_energy = 0.0
+            if name == "reed":
+                update = aggregate_reed(increments, phy, reed_keys.child(t))
+                max_energy = float(_audit(increments, phy, kmd).max())
+            elif name == "coherent_csit":
+                update = aggregate_coherent_csit(increments, cfg.phy, channel_keys.child(t))
+            else:
+                update = ideal
+            eps = update - ideal
+            eps_norm_sq = float(eps @ eps)
 
-        w = w + update
-        if not np.all(np.isfinite(w)):
-            raise RuntimeError(f"non-finite model after round {t}")
+            w = models[a] = w + update
+            if not np.all(np.isfinite(w)):
+                raise RuntimeError(f"aggregator {name!r}: non-finite model after round {t}")
 
-        # the gradient is round t + 1's diagnostic gradient; after the last
-        # round no trace reads it
-        if t + 1 < cfg.T:
-            train_loss, grad = objective.evaluate(w, local_keys.child(t + 1, K))
-        else:
-            train_loss = objective.loss(w, _ALL)
-        if not np.isfinite(train_loss):
-            raise RuntimeError(f"non-finite train loss after round {t}")
-        test_acc = (objective.accuracy(w, test_data.features, test_data.labels)
-                    if test_data is not None else 0.0)
-        traces.append(RoundTrace(t, train_loss, test_acc, grad_norm_sq, eps_norm_sq,
-                                 max_energy))
+            # the gradient is round t + 1's diagnostic gradient; after the
+            # last round no trace reads it
+            grad_norm_sq = float(grads[a] @ grads[a])
+            if t + 1 < cfg.T:
+                train_loss, grads[a] = objective.evaluate(w, local_keys.child(t + 1, K))
+            else:
+                train_loss = objective.loss(w, _ALL)
+            if not np.isfinite(train_loss):
+                raise RuntimeError(f"aggregator {name!r}: non-finite train loss "
+                                   f"after round {t}")
+            test_acc = (objective.accuracy(w, test_data.features, test_data.labels)
+                        if test_data is not None else 0.0)
+            traces[name].append(RoundTrace(t, train_loss, test_acc, grad_norm_sq,
+                                           eps_norm_sq, max_energy))
     return traces

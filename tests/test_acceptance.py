@@ -154,10 +154,10 @@ def test_c7_energy_feasibility_and_scaling():
     obj = build_objective("logistic", ds, n_classes=3)
     budget = 1.0
     run_cfg = FedRunConfig(Q=5, T=50, batch_size=16, beta0=0.05,
-                           schedule="inv_sqrt", clip_G=0.5, aggregator="reed",
+                           schedule="inv_sqrt", clip_G=0.5, aggregators=("reed",),
                            phy=ReedPhyConfig(noise_var=1.0),
                            budgets=np.full(5, budget), seed=33)
-    traces = run_fedavg(run_cfg, obj, parts)
+    traces = run_fedavg(run_cfg, obj, parts)["reed"]
     run_ok = all(t.max_client_energy <= budget + 1e-12 for t in traces)
 
     # (b) 1000 random bounded increments stay within heterogeneous budgets
@@ -191,10 +191,10 @@ def _c8_avg_grad_norm(seed: int, T: int) -> float:
     parts = partition(ds, PartitionSpec("iid", 10, seed=1))
     cfg = FedRunConfig(Q=5, T=T, batch_size=20,
                        beta0=0.4 / np.sqrt(T), schedule="constant",
-                       clip_G=1.0, aggregator="reed",
+                       clip_G=1.0, aggregators=("reed",),
                        phy=ReedPhyConfig(noise_var=1.0),
                        budgets=np.ones(10), seed=seed)
-    traces = run_fedavg(cfg, obj, parts)
+    traces = run_fedavg(cfg, obj, parts)["reed"]
     return float(np.mean([t.grad_norm_sq for t in traces]))
 
 

@@ -13,7 +13,7 @@ from reedsim.config import (SCHEMA, ConfigError, _partition_spec, _trial_seed, l
 from reedsim.datasets import write_idx
 from reedsim.estimator import ReedPhyConfig, ScalarInputs
 from reedsim.experiments import (MomentPoint, default_moment_matrix,
-                                 run_single_trial, validate_point)
+                                 run_single_trial, run_trial, validate_point)
 from reedsim.fedavg import RoundTrace
 from reedsim.streams import StreamKey
 
@@ -205,7 +205,7 @@ class TestRunFedavg:
         alone = run_single_trial(cfg, 0, "ideal")
         cfg2 = dict(cfg)
         cfg2["fed.aggregators"] = ["ideal", "reed"]
-        alongside = run_single_trial(cfg2, 0, "ideal")
+        alongside = run_trial(cfg2, 0)["ideal"]
         assert alone == alongside
 
     def test_trace_header_is_round_trace_fields(self, tmp_path):
@@ -215,6 +215,16 @@ class TestRunFedavg:
         names = [f.name for f in dataclasses.fields(RoundTrace)]
         assert names[0] == "round"
         assert header == ["trial", "round", "aggregator"] + names[1:]
+
+    def test_one_job_starts_no_pool(self, tmp_path, pools):
+        # one trial is one job, which runs in this process
+        cfg = parse_config(_with(FAST_FED, {"trials": "1"}))
+        cmd_run_fedavg(cfg, str(tmp_path / "serial"), workers=1)
+        cmd_run_fedavg(cfg, str(tmp_path / "parallel"), workers=2)
+        assert pools == []
+        for name in ("fedavg_trace.csv", "fedavg_summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "parallel" / name).read_bytes()
 
     def test_workers_match_serial(self, tmp_path):
         cfg = parse_config(FAST_FED)
@@ -241,7 +251,7 @@ class TestSweep:
         cfg = parse_config(FAST_FED + "sweep.beta0_values = [0.05, 0.2]\n")
         cmd_sweep(cfg, str(tmp_path / "serial"), "beta0", workers=1)
         cmd_sweep(cfg, str(tmp_path / "parallel"), "beta0", workers=2)
-        # every (point, aggregator, trial) run goes through one pool
+        # every (point, trial) run goes through one pool
         assert pools == [2]
         for name in ("sweep_beta0.csv", "sweep_beta0_summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == \
@@ -294,6 +304,7 @@ BAD_INPUTS = [
     ({"sweep.beta0_values": "[0]"}, "beta0", "sweep.beta0_values"),
     # a repeated value would rerun its trials and share one summary key
     ({"fed.aggregators": '["ideal", "ideal"]'}, None, "fed.aggregators"),
+    ({"fed.aggregators": '["ideal", "bogus"]'}, None, "fed.aggregators"),
     ({"sweep.M_values": "[1, 1]"}, "M", "sweep.M_values"),
     ({"sweep.snr_db_values": "[1, 1.0]"}, "snr_db", "sweep.snr_db_values"),
     # one key per quantity: snr_db sets the noise variance

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from reedsim import fedavg, moments
+from reedsim import experiments, fedavg, moments
+from reedsim.config import parse_config
 from reedsim.datasets import PartitionSpec, partition, synth_dataset
 from reedsim.estimator import ReedPhyConfig, aggregate_ideal
 from reedsim.fedavg import (FedRunConfig, LogisticObjective, MlpObjective,
@@ -105,9 +108,9 @@ class TestRunFedavg:
         ds, parts = _blob_setup(K=K)
         obj = build_objective("logistic", ds)
         cfg = FedRunConfig(Q=2, T=T, batch_size=32, beta0=0.1,
-                           aggregator=aggregator, seed=seed,
+                           aggregators=(aggregator,), seed=seed,
                            phy=phy or ReedPhyConfig(), **kw)
-        return run_fedavg(cfg, obj, parts, ds)
+        return run_fedavg(cfg, obj, parts, ds)[aggregator]
 
     def test_empty_partition_list_rejected(self):
         ds, _ = _blob_setup(K=3)
@@ -147,8 +150,8 @@ class TestRunFedavg:
         obj = build_objective("quadratic", d=3, curvature_range=(1.0, 1.0))
         parts = [np.arange(10)]
         cfg = FedRunConfig(Q=1, T=4, batch_size=10, beta0=0.1,
-                           aggregator="ideal", seed=0)
-        traces = run_fedavg(cfg, obj, parts)
+                           aggregators=("ideal",), seed=0)
+        traces = run_fedavg(cfg, obj, parts)["ideal"]
         w = np.ones(3)
         for t in range(4):
             w = w - 0.1 * w
@@ -159,8 +162,8 @@ class TestRunFedavg:
         obj = build_objective("quadratic", d=5, curvature_range=(0.5, 2.0), seed=1)
         parts = [np.arange(i * 5, (i + 1) * 5) for i in range(2)]
         cfg = FedRunConfig(Q=3, T=10, batch_size=5, beta0=0.05,
-                           aggregator="ideal", seed=2)
-        traces = run_fedavg(cfg, obj, parts)
+                           aggregators=("ideal",), seed=2)
+        traces = run_fedavg(cfg, obj, parts)["ideal"]
         losses = [t.train_loss for t in traces]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -187,7 +190,7 @@ class TestRunFedavg:
         for T in (3, 12):
             calls.clear()
             cfg = FedRunConfig(Q=2, T=T, batch_size=5, beta0=0.05, schedule="inv_sqrt",
-                               clip_G=1.0, aggregator="reed", budgets=np.ones(3),
+                               clip_G=1.0, aggregators=("reed",), budgets=np.ones(3),
                                phy=ReedPhyConfig(noise_var=0.5))
             run_fedavg(cfg, obj, [np.arange(5)] * 3)
             counts.append(len(calls))
@@ -280,7 +283,7 @@ class TestBatchedTraining:
         recorded = []
         monkeypatch.setattr(fedavg, "aggregate_ideal",
                             lambda inc: recorded.append(inc) or aggregate_ideal(inc))
-        traces = run_fedavg(cfg, obj, parts)
+        traces = run_fedavg(cfg, obj, parts)["ideal"]
         assert len(recorded) == T
 
         root = StreamKey(cfg.seed)
@@ -351,3 +354,72 @@ class TestBatchedTraining:
         run_fedavg(cfg, obj, parts)
         assert obj.uses_batches is draws
         assert len(keys) == (T if draws else 0)
+
+
+class TestLockstep:
+    """Several aggregators in one run_fedavg call against each run alone."""
+
+    AGGREGATORS = ("ideal", "reed", "coherent_csit")
+
+    def _setups(self):
+        phy = ReedPhyConfig(eta=4.0, noise_var=0.5, chip_weights=np.ones(2))
+        quadratic = build_objective("quadratic", d=6, curvature_range=(0.5, 2.0), seed=1)
+        yield (FedRunConfig(Q=3, T=5, batch_size=5, beta0=0.05, schedule="inv_sqrt",
+                            clip_G=1.0, budgets=np.ones(4), phy=phy, seed=3),
+               quadratic, [np.arange(5)] * 4, None)
+        ds, parts = _ragged_setup()
+        yield (FedRunConfig(Q=7, T=4, batch_size=16, beta0=0.2, clip_G=0.05, phy=phy,
+                            seed=9),
+               _objective("logistic", ds), parts, ds)
+        # above proxy_samples, the MLP's diagnostic gradient is subsampled
+        ds, parts = _blob_setup(n=MlpObjective.proxy_samples + 88, K=4)
+        yield (FedRunConfig(Q=3, T=4, batch_size=32, beta0=0.1, phy=phy, seed=5),
+               _objective("mlp", ds), parts, ds)
+
+    def test_lockstep_equals_each_aggregator_alone(self):
+        for cfg, obj, parts, test in self._setups():
+            together = run_fedavg(replace(cfg, aggregators=self.AGGREGATORS), obj,
+                                  parts, test)
+            assert list(together) == list(self.AGGREGATORS)
+            for name in self.AGGREGATORS:
+                alone = run_fedavg(replace(cfg, aggregators=(name,)), obj, parts, test)
+                assert together[name] == alone[name], (type(obj).__name__, name)
+
+    def test_one_data_build_and_one_batch_draw_per_round(self, monkeypatch):
+        calls = {"build": 0, "batches": 0}
+        build, batches = experiments.build_experiment_data, fedavg._round_batches
+
+        def counting(name, fn):
+            return lambda *a: calls.update({name: calls[name] + 1}) or fn(*a)
+
+        monkeypatch.setattr(experiments, "build_experiment_data", counting("build", build))
+        monkeypatch.setattr(fedavg, "_round_batches", counting("batches", batches))
+        T = 3
+        cfg = parse_config(f"""
+fed.K = 3
+fed.Q = 2
+fed.T = {T}
+fed.batch_size = 8
+fed.aggregators = ["ideal", "reed"]
+data.synth_n = 60
+data.test_n = 20
+data.classes = 3
+data.features = 4
+""")
+        traces = experiments.run_trial(cfg, 0)
+        assert [len(traces[name]) for name in ("ideal", "reed")] == [T, T]
+        assert calls == {"build": 1, "batches": T}
+
+    def test_divergence_names_the_aggregator(self):
+        ds, parts = _blob_setup(K=3)
+        cfg = FedRunConfig(Q=2, T=2, batch_size=32, beta0=0.1, aggregators=("ideal", "reed"),
+                           phy=ReedPhyConfig(noise_var=1e308))
+        with pytest.raises(RuntimeError,
+                           match=r"^aggregator 'reed': non-finite model after round 0$"):
+            run_fedavg(cfg, build_objective("logistic", ds), parts, ds)
+
+    @pytest.mark.parametrize("aggregators", [(), ("ideal", "bogus"), ("reed", "reed"),
+                                             "reed"])
+    def test_aggregators_rejected(self, aggregators):
+        with pytest.raises(ValueError, match="^aggregators must"):
+            FedRunConfig(Q=1, T=1, batch_size=4, beta0=0.1, aggregators=aggregators)

@@ -1,4 +1,4 @@
-"""Golden outputs: the exact bytes of four tiny run-fedavg runs.
+"""Golden outputs: the exact bytes of five tiny run-fedavg runs.
 
 Every draw of a run comes from a fixed stream layout, so any change to how
 stream keys are derived or consumed changes these hashes.  A change that
@@ -67,6 +67,18 @@ data.classes = 3
 data.features = 4
 phy.noise_var = 0.5
 """,
+    # every aggregator over two trials: pins the row order (aggregator,
+    # then trial, then round) whatever the job map runs together
+    "logistic-three-aggregators-2-trials": _COMMON.replace("trials = 1", "trials = 2") + """
+fed.beta0 = 0.1
+fed.aggregators = ["ideal", "reed", "coherent_csit"]
+data.synth_n = 120
+data.test_n = 40
+data.classes = 3
+data.features = 4
+phy.chips = 2
+phy.noise_var = 0.5
+""",
 }
 
 # sha256 of fedavg_trace.csv and fedavg_summary.json
@@ -83,6 +95,9 @@ GOLDEN = {
     "logistic-coherent-csit": (
         "1143108352bb31a6422db4b6269f31c5e1719d024fa30f5ed483ea75d521a0c2",
         "c55962ba8b8a42c9f847052b6b3cc4ab03fb865414db2974ec1d37853d5cbd4e"),
+    "logistic-three-aggregators-2-trials": (
+        "6fd8301083eafc6584d344eaecd1a5e7953a0d3e0e0814f00ba5ca1801208b55",
+        "27cbdffb19afc55ec40d5f1e016766e5123909525ef9d3c53815eef40edce0d6"),
 }
 
 
