@@ -14,7 +14,9 @@ The public samplers reject a negative or NaN power.  ``_sample_energy`` is
 ``sample_energy`` without that check, for callers whose mean energy is
 >= 0 by construction: the paired-energy kernel in ``reedsim.estimator``,
 whose means are sums of nonnegative parts scaled by an already checked
-``ReedPhyConfig``.  Nothing else should call it.
+``ReedPhyConfig``.  Nothing else should call it.  It can also fill an
+array the caller owns (``out``), so the kernel draws every (chip, branch)
+stream into one reused (R, n) buffer instead of allocating one per stream.
 
 The estimator draws no ``sample_dither`` phase: every fading law here
 already carries an independent uniform phase.
@@ -72,9 +74,18 @@ def sample_energy(rng: np.random.Generator, mean_energy, size):
     return _sample_energy(rng, mean, size)
 
 
-def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, size):
-    """``sample_energy`` without its check, for means >= 0 by construction."""
-    return mean_energy * rng.standard_exponential(size)
+def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, size=None, out=None):
+    """``sample_energy`` without its check, for means >= 0 by construction.
+
+    With ``out`` the standard exponentials are drawn into it and scaled in
+    place, and ``out`` is returned: the same draws and the same products as
+    a call with ``size = out.shape``, and no array is allocated.
+    """
+    if out is None:
+        return mean_energy * rng.standard_exponential(size)
+    rng.standard_exponential(out=out)
+    out *= mean_energy
+    return out
 
 
 def sample_dither(rng: np.random.Generator, size):

@@ -25,7 +25,7 @@ import numpy as np
 from .config import ConfigError, check_config, load_config, reject_repeats
 from .datasets import IdxFormatError
 from .experiments import default_moment_matrix, run_trial, validate_point
-from .fedavg import RoundTrace
+from .fedavg import DivergenceError, RoundTrace
 
 __all__ = ["main", "cmd_validate_moments", "cmd_run_fedavg", "cmd_sweep"]
 
@@ -207,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, IdxFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -163,24 +163,41 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
 
     - kappa = 2: one (R, n) array of detected energies, exponential with
       mean eta * c_m * S_bj + noise_var, where S_bj is the branch's sum of
-      parts in column j.
+      parts in column j.  Every stream draws into one (R, n) buffer that
+      the call owns; its antennas are summed into row 0 in place, and the
+      positive branch is added to the returned total, the negative one
+      subtracted.  So a call holds about (R + 1) * n doubles at its peak,
+      plus, for (K, n) parts, the n means of the stream being drawn.
     - kappa != 2: columns in blocks of ``_BLOCK``; each block of width w
       draws noise (R, w), then fading (Ka, R, w).  Ka counts the clients
       whose part is nonzero somewhere in the row, so a silent client draws
       nothing.
     """
     total = np.zeros(n)
+    if cfg.kappa == 2.0:
+        energy = np.empty((cfg.antennas, n))
     for m, c in enumerate(cfg.chip_weights):
-        for branch, sign, part in ((0, 1.0, pos), (1, -1.0, neg)):
+        for branch, part in enumerate((pos, neg)):
             rng = key.child(m, branch).generator()
             if cfg.kappa == 2.0:
                 # >= 0 by construction: the parts are >= 0, and eta, c and
                 # noise_var were checked by ReedPhyConfig
-                mean = cfg.eta * c * part.sum(axis=0) + cfg.noise_var
-                total += sign * _sample_energy(rng, mean, (cfg.antennas, n)).sum(axis=0)
+                mean = part.sum(axis=0)
+                mean *= cfg.eta * c
+                mean += cfg.noise_var
+                _sample_energy(rng, mean, out=energy)
+                # row by row, the order in which sum(axis=0) adds the rows
+                for r in range(1, cfg.antennas):
+                    energy[0] += energy[r]
+                received = energy[0]
             else:
-                total += sign * _superposed_energy(rng, part, c, cfg, n)
-    return total / (cfg.eta * cfg.weight_sum * cfg.antennas)
+                received = _superposed_energy(rng, part, c, cfg, n)
+            if branch == 0:
+                total += received
+            else:
+                total -= received
+    total /= cfg.eta * cfg.weight_sum * cfg.antennas
+    return total
 
 
 def reference_estimate(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey) -> float:

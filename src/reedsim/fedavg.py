@@ -31,7 +31,9 @@ computes only its loss.  Objectives whose gradients never read the batch
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +51,7 @@ __all__ = [
     "build_objective",
     "FedRunConfig",
     "RoundTrace",
+    "DivergenceError",
     "local_round",
     "run_fedavg",
 ]
@@ -248,6 +251,16 @@ class LogisticObjective(_Classifier):
         return float(np.mean(P.argmax(axis=0) == labels))
 
 
+@lru_cache(maxsize=1)
+def _proxy_rows(key: StreamKey, n: int, size: int) -> np.ndarray:
+    """``size`` of ``n`` training rows, drawn without replacement from
+    ``key``.  Every aggregator of a run evaluates a round with the same key,
+    so the last draw is kept, read-only, and shared."""
+    rows = key.generator().choice(n, size=size, replace=False)
+    rows.flags.writeable = False
+    return rows
+
+
 class MlpObjective(_Classifier):
     """One-hidden-layer tanh perceptron with softmax cross-entropy."""
 
@@ -304,8 +317,7 @@ class MlpObjective(_Classifier):
         n = len(self.data)
         if n <= self.proxy_samples:
             return self.full_gradient(params)
-        idx = key.generator().choice(n, size=self.proxy_samples, replace=False)
-        return self.stochastic_gradient(params, idx)
+        return self.stochastic_gradient(params, _proxy_rows(key, n, self.proxy_samples))
 
     def init_params(self, key):
         rng = key.generator()
@@ -393,6 +405,12 @@ class RoundTrace:
     grad_norm_sq: float
     eps_norm_sq: float
     max_client_energy: float
+
+
+class DivergenceError(RuntimeError):
+    """A run left the finite numbers: its model, train loss, aggregation
+    error or largest client energy is NaN or infinite.  The message names
+    the aggregator and the round."""
 
 
 def clip_gradient(g: np.ndarray, clip_G: float | None) -> np.ndarray:
@@ -537,8 +555,12 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             eps_norm_sq = float(eps @ eps)
 
             w = models[a] = w + update
-            if not np.all(np.isfinite(w)):
-                raise RuntimeError(f"aggregator {name!r}: non-finite model after round {t}")
+            for what, finite in (("model", np.isfinite(w).all()),
+                                 ("eps_norm_sq", math.isfinite(eps_norm_sq)),
+                                 ("max_client_energy", math.isfinite(max_energy))):
+                if not finite:
+                    raise DivergenceError(f"aggregator {name!r}: non-finite {what} "
+                                          f"after round {t}")
 
             # the gradient is round t + 1's diagnostic gradient; after the
             # last round no trace reads it
@@ -548,8 +570,8 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             else:
                 train_loss = objective.loss(w, _ALL)
             if not np.isfinite(train_loss):
-                raise RuntimeError(f"aggregator {name!r}: non-finite train loss "
-                                   f"after round {t}")
+                raise DivergenceError(f"aggregator {name!r}: non-finite train loss "
+                                      f"after round {t}")
             test_acc = (objective.accuracy(w, test_data.features, test_data.labels)
                         if test_data is not None else 0.0)
             traces[name].append(RoundTrace(t, train_loss, test_acc, grad_norm_sq,

@@ -6,12 +6,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from reedsim import cli
+from reedsim import cli, experiments
 from reedsim.cli import cmd_run_fedavg, cmd_sweep, cmd_validate_moments, main
 from reedsim.config import (SCHEMA, ConfigError, _partition_spec, _trial_seed, load_config,
                             parse_config, resolve_noise_var)
 from reedsim.datasets import write_idx
-from reedsim.estimator import ReedPhyConfig, ScalarInputs
+from reedsim.estimator import ReedPhyConfig, ScalarInputs, sample_estimates
 from reedsim.experiments import (MomentPoint, default_moment_matrix,
                                  run_single_trial, run_trial, validate_point)
 from reedsim.fedavg import RoundTrace
@@ -164,6 +164,22 @@ class TestValidateMoments:
         lines = (tmp_path / "moments.csv").read_text().splitlines()
         assert lines[0].startswith("point_id,s,mc_mean,cf_mean,mc_var,cf_var")
         assert len(lines) == 1 + len(default_moment_matrix())
+
+    def test_moments_are_numpys_bits(self, monkeypatch):
+        # validate_point takes the variance in place on the draws; it must
+        # give np.var's bits
+        kept = []
+
+        def keep(*args):
+            draws = sample_estimates(*args)
+            kept.append(draws.copy())
+            return draws
+
+        monkeypatch.setattr(experiments, "sample_estimates", keep)
+        for point in default_moment_matrix()[:4]:
+            result = validate_point(point, 5000, 0.2, seed=3)
+            assert result.mc_mean == float(kept[-1].mean())
+            assert result.mc_var == float(kept[-1].var(ddof=1))
 
     def test_negative_control_flagged(self):
         point = MomentPoint(
@@ -383,6 +399,44 @@ class TestMain:
         # only the config's workers = 2 starts a pool; --workers overrides it
         assert pools == [2]
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("overrides, what", [
+        # the model stays finite, but the aggregation error overflows
+        ({"fed.beta0": "1e300"}, "eps_norm_sq"),
+        # the energies overflow and their difference is NaN
+        ({"phy.noise_var": "1e308"}, "model")], ids=["beta0", "noise_var"])
+    def test_divergence_is_one_error_line(self, tmp_path, capsys, overrides, what):
+        cfgfile = tmp_path / "diverge.cfg"
+        cfgfile.write_text(_with(FAST_FED, {"fed.aggregators": '["reed"]', **overrides}))
+        out = tmp_path / "o"
+        status = main(["run-fedavg", str(cfgfile), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert status == 1
+        # NumPy's overflow warnings may come first, but no traceback
+        assert err.splitlines()[-1] == \
+            f"error: aggregator 'reed': non-finite {what} after round 0"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_idx_parsed_once_per_run(self, tmp_path, monkeypatch):
+        # the data does not depend on the trial: five trials parse it once
+        # and share it read-only; a changed file is parsed again
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        parsed = []
+        load = experiments.load_idx_dataset
+        monkeypatch.setattr(experiments, "load_idx_dataset",
+                            lambda *paths: parsed.append(paths) or load(*paths))
+        cfg = parse_config(_with(FAST_FED, {
+            "trials": "5", "data.source": '"idx"', "data.idx_images": f'"{images}"',
+            "data.idx_labels": f'"{labels}"'}))
+        for n in (6, 9):
+            images.write_bytes(write_idx(np.linspace(0.0, 1.0, 4 * n).reshape(n, 4)))
+            labels.write_bytes(write_idx(np.arange(n) % 3))
+            assert cmd_run_fedavg(cfg, str(tmp_path / f"o{n}")) == 0
+            assert parsed == [(str(images), str(labels))] * (1 + (n == 9))
+        train = experiments.build_experiment_data(cfg, 0)[0]
+        assert len(train) == 9
+        assert not train.features.flags.writeable and not train.labels.flags.writeable
 
     def test_malformed_idx_file_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.idx"

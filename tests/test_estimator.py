@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,55 @@ class TestKernelStreams:
         assert np.all(np.isfinite(a))
         assert np.array_equal(a, b)
         assert not np.array_equal(a[:_BLOCK], a[_BLOCK:2 * _BLOCK])
+
+
+def _rayleigh_with_temporaries(pos, neg, cfg, key, n):
+    """The kappa = 2 kernel as sum over chips and branches of
+    sign * (mean * E).sum(axis=0), over eta * C_M * R, with every
+    temporary it names: the arithmetic the in-place kernel must keep."""
+    total = np.zeros(n)
+    for m, c in enumerate(cfg.chip_weights):
+        for branch, sign, part in ((0, 1.0, pos), (1, -1.0, neg)):
+            E = key.child(m, branch).generator().standard_exponential((cfg.antennas, n))
+            mean = cfg.eta * c * part.sum(axis=0) + cfg.noise_var
+            total += sign * (mean * E).sum(axis=0)
+    return total / (cfg.eta * cfg.weight_sum * cfg.antennas)
+
+
+class TestRayleighKernelBits:
+    @pytest.mark.parametrize("noise_var", [0.0, 0.7], ids=["nv0", "nv0.7"])
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.5, 2.0]], ids=["M1", "M3"])
+    @pytest.mark.parametrize("antennas", [1, 2, 3], ids=["R1", "R2", "R3"])
+    def test_bit_identical_to_temporaries(self, antennas, weights, noise_var):
+        # per-client mean powers, a silent client and a zero coordinate
+        inc = np.array([[1.5, -0.4, 0.0, 2.0], [0.0, 0.0, 0.0, 0.0],
+                        [-0.5, 0.9, 0.0, -3.0]])
+        cfg = ReedPhyConfig(eta=2.5, noise_var=noise_var, mean_powers=[0.5, 1.0, 2.0],
+                            chip_weights=weights, antennas=antennas)
+        u = inc / len(inc)
+        assert np.array_equal(
+            aggregate_reed(inc, cfg, KEY.child(22)),
+            _rayleigh_with_temporaries(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg,
+                                       KEY.child(22), inc.shape[1]))
+        inp = ScalarInputs(inc[:, 0])
+        assert np.array_equal(
+            sample_estimates(inp, cfg, KEY.child(23), 1000),
+            _rayleigh_with_temporaries(inp.pos[:, None], inp.neg[:, None], cfg,
+                                       KEY.child(23), 1000))
+
+    def test_sample_estimates_peak_is_total_and_one_buffer(self):
+        # at R = 1 the call owns the n-long total and one (1, n) energy
+        # buffer; one more n-long temporary per stream would reach 3 * 8n
+        n = 200_000
+        inp = ScalarInputs([1.0, -0.5])
+        cfg = ReedPhyConfig(noise_var=0.5)
+        tracemalloc.start()
+        try:
+            sample_estimates(inp, cfg, KEY.child(24), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n
 
 
 class TestEstimates:

@@ -410,6 +410,25 @@ data.features = 4
         assert [len(traces[name]) for name in ("ideal", "reed")] == [T, T]
         assert calls == {"build": 1, "batches": T}
 
+    def test_mlp_proxy_rows_drawn_once_per_round(self, monkeypatch):
+        # every aggregator evaluates round t with the key (local, t, K), so
+        # the proxy rows are drawn once per round, not once per aggregator
+        cfg, obj, parts, test = list(self._setups())[-1]
+        assert isinstance(obj, MlpObjective)
+        K = len(parts)
+        draws = []
+        original = StreamKey.generator
+
+        def counting(key):
+            if len(key.path) == 3 and key.path[2] == K:
+                draws.append(key.path)
+            return original(key)
+
+        monkeypatch.setattr(StreamKey, "generator", counting)
+        fedavg._proxy_rows.cache_clear()
+        run_fedavg(replace(cfg, aggregators=self.AGGREGATORS), obj, parts, test)
+        assert draws == [(fedavg._DOM_LOCAL, t, K) for t in range(cfg.T)]
+
     def test_divergence_names_the_aggregator(self):
         ds, parts = _blob_setup(K=3)
         cfg = FedRunConfig(Q=2, T=2, batch_size=32, beta0=0.1, aggregators=("ideal", "reed"),

@@ -1,4 +1,5 @@
-"""Golden outputs: the exact bytes of five tiny run-fedavg runs.
+"""Golden outputs: the exact bytes of five tiny run-fedavg runs and one
+small validate-moments run.
 
 Every draw of a run comes from a fixed stream layout, so any change to how
 stream keys are derived or consumed changes these hashes.  A change that
@@ -9,7 +10,7 @@ import hashlib
 
 import pytest
 
-from reedsim.cli import cmd_run_fedavg
+from reedsim.cli import cmd_run_fedavg, cmd_validate_moments
 from reedsim.config import parse_config
 
 _COMMON = """
@@ -107,3 +108,14 @@ def test_run_fedavg_bytes_pinned(tmp_path, name):
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                     for f in ("fedavg_trace.csv", "fedavg_summary.json"))
     assert digests == GOLDEN[name]
+
+
+# sha256 of moments.csv of the default matrix at 2000 trials per point
+MOMENTS_GOLDEN = "ae253b4abffe9fb65ba47527a19bf0ea95058681be9b940a44b08ba6144f47b0"
+
+
+def test_validate_moments_bytes_pinned(tmp_path):
+    cfg = parse_config("seed = 7\nmoments.n_trials = 2000\nmoments.tolerance = 0.2\n")
+    assert cmd_validate_moments(cfg, str(tmp_path)) == 0
+    digest = hashlib.sha256((tmp_path / "moments.csv").read_bytes()).hexdigest()
+    assert digest == MOMENTS_GOLDEN
