@@ -162,7 +162,7 @@ def check_config(cfg: dict[str, Any]) -> None:
 
 
 def _cross_validate(cfg: dict[str, Any]) -> None:
-    for key, low in (("seed", 0), ("trials", 1), ("workers", 1), ("moments.n_trials", 1),
+    for key, low in (("seed", 0), ("trials", 1), ("workers", 1), ("moments.n_trials", 2),
                      ("phy.chips", 1), ("data.test_n", 0)):
         if cfg[key] < low:
             raise ConfigError(f"{key}: must be >= {low}, got {cfg[key]}")

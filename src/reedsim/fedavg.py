@@ -519,61 +519,64 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     grads = [objective.diagnostic_gradient(w, local_keys.child(0, K))] * A
     traces: dict[str, list[RoundTrace]] = {name: [] for name in names}
 
-    for t in range(cfg.T):
-        beta = cfg.stepsize(t)
+    # a diverging run overflows; the checks below name what went non-finite
+    # instead of letting NumPy warn about every step on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.T):
+            beta = cfg.stepsize(t)
 
-        # the minibatches do not depend on the aggregator; row a·K + k of the
-        # (A·K)-row stack is client k under aggregator a
-        if objective.uses_batches:
-            batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
-                                              local_keys.child(t))
-            if A > 1:
-                batches, lengths = np.tile(batches, (1, A, 1)), np.tile(lengths, (1, A))
-        else:
-            batches = lengths = [None] * cfg.Q
-        local = np.repeat(np.stack(models) if A > 1 else models[0][None], K, axis=0)
-        for q in range(cfg.Q):
-            g = objective.stacked_gradient(local, batches[q], lengths[q])
-            local = local - beta * clip_gradient(g, cfg.clip_G)
-
-        phy = cfg.phy
-        if budgeted:
-            phy = phy.with_eta(_gain(numerator, phy.weight_sum, beta, cfg.Q, cfg.clip_G))
-        for a, name in enumerate(names):
-            w = models[a]
-            increments = local[a * K:(a + 1) * K] - w
-            ideal = aggregate_ideal(increments)
-            max_energy = 0.0
-            if name == "reed":
-                update = aggregate_reed(increments, phy, reed_keys.child(t))
-                max_energy = float(_audit(increments, phy, kmd).max())
-            elif name == "coherent_csit":
-                update = aggregate_coherent_csit(increments, cfg.phy, channel_keys.child(t))
+            # the minibatches do not depend on the aggregator; row a·K + k of the
+            # (A·K)-row stack is client k under aggregator a
+            if objective.uses_batches:
+                batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
+                                                  local_keys.child(t))
+                if A > 1:
+                    batches, lengths = np.tile(batches, (1, A, 1)), np.tile(lengths, (1, A))
             else:
-                update = ideal
-            eps = update - ideal
-            eps_norm_sq = float(eps @ eps)
+                batches = lengths = [None] * cfg.Q
+            local = np.repeat(np.stack(models) if A > 1 else models[0][None], K, axis=0)
+            for q in range(cfg.Q):
+                g = objective.stacked_gradient(local, batches[q], lengths[q])
+                local = local - beta * clip_gradient(g, cfg.clip_G)
 
-            w = models[a] = w + update
-            for what, finite in (("model", np.isfinite(w).all()),
-                                 ("eps_norm_sq", math.isfinite(eps_norm_sq)),
-                                 ("max_client_energy", math.isfinite(max_energy))):
-                if not finite:
-                    raise DivergenceError(f"aggregator {name!r}: non-finite {what} "
+            phy = cfg.phy
+            if budgeted:
+                phy = phy.with_eta(_gain(numerator, phy.weight_sum, beta, cfg.Q, cfg.clip_G))
+            for a, name in enumerate(names):
+                w = models[a]
+                increments = local[a * K:(a + 1) * K] - w
+                ideal = aggregate_ideal(increments)
+                max_energy = 0.0
+                if name == "reed":
+                    update = aggregate_reed(increments, phy, reed_keys.child(t))
+                    max_energy = float(_audit(increments, phy, kmd).max())
+                elif name == "coherent_csit":
+                    update = aggregate_coherent_csit(increments, cfg.phy, channel_keys.child(t))
+                else:
+                    update = ideal
+                eps = update - ideal
+                eps_norm_sq = float(eps @ eps)
+
+                w = models[a] = w + update
+                for what, finite in (("model", np.isfinite(w).all()),
+                                     ("eps_norm_sq", math.isfinite(eps_norm_sq)),
+                                     ("max_client_energy", math.isfinite(max_energy))):
+                    if not finite:
+                        raise DivergenceError(f"aggregator {name!r}: non-finite {what} "
+                                              f"after round {t}")
+
+                # the gradient is round t + 1's diagnostic gradient; after the
+                # last round no trace reads it
+                grad_norm_sq = float(grads[a] @ grads[a])
+                if t + 1 < cfg.T:
+                    train_loss, grads[a] = objective.evaluate(w, local_keys.child(t + 1, K))
+                else:
+                    train_loss = objective.loss(w, _ALL)
+                if not np.isfinite(train_loss):
+                    raise DivergenceError(f"aggregator {name!r}: non-finite train loss "
                                           f"after round {t}")
-
-            # the gradient is round t + 1's diagnostic gradient; after the
-            # last round no trace reads it
-            grad_norm_sq = float(grads[a] @ grads[a])
-            if t + 1 < cfg.T:
-                train_loss, grads[a] = objective.evaluate(w, local_keys.child(t + 1, K))
-            else:
-                train_loss = objective.loss(w, _ALL)
-            if not np.isfinite(train_loss):
-                raise DivergenceError(f"aggregator {name!r}: non-finite train loss "
-                                      f"after round {t}")
-            test_acc = (objective.accuracy(w, test_data.features, test_data.labels)
-                        if test_data is not None else 0.0)
-            traces[name].append(RoundTrace(t, train_loss, test_acc, grad_norm_sq,
-                                           eps_norm_sq, max_energy))
+                test_acc = (objective.accuracy(w, test_data.features, test_data.labels)
+                            if test_data is not None else 0.0)
+                traces[name].append(RoundTrace(t, train_loss, test_acc, grad_norm_sq,
+                                               eps_norm_sq, max_energy))
     return traces

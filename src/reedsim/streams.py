@@ -1,4 +1,4 @@
-"""Hierarchical counter-based random streams.
+"""Hierarchical seeded random streams.
 
 Every stochastic quantity in the simulator is drawn from a stream addressed
 by a (seed, path) pair.  Distinct paths under the same seed give
@@ -6,13 +6,14 @@ statistically independent substreams, and the same (seed, path) always
 reproduces the identical sample sequence, regardless of how many workers
 run in parallel or in what order streams are consumed.
 
-A stream is a Philox generator with a zero counter, so it is fixed by its
-128-bit key, which ``SeedSequence(seed, spawn_key=path)`` derives.
-:meth:`StreamKey.grid` derives the keys of a whole block of child paths
-in one NumPy pass that replays SeedSequence's hash, instead of building one
-SeedSequence per stream.  Its keys are the same as SeedSequence's, bit for
-bit (``tests/test_streams.py`` checks this over seeds and paths that take
-one or several 32-bit words), so a grid changes no draw.
+A stream is an SFC64 generator, NumPy's fastest bit generator, so it is
+fixed by its three 64-bit seed words, which ``SeedSequence(seed,
+spawn_key=path)`` derives.  :meth:`StreamKey.grid` derives the seed words
+of a whole block of child paths in one NumPy pass that replays
+SeedSequence's hash, instead of building one SeedSequence per stream.  Its
+words are the same as SeedSequence's, bit for bit (``tests/test_streams.py``
+checks this, and the first draws of every leaf, over seeds and paths that
+take one or several 32-bit words), so a grid changes no draw.
 """
 
 from __future__ import annotations
@@ -36,18 +37,18 @@ def _words(value: int) -> int:
     return max(1, -(-value.bit_length() // 32))
 
 
-def _hash_steps(const: int, mult: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Four successive hash constants before and after each multiply, as
-    uint32 arrays, and the constant that follows them."""
+def _hash_steps(const: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``steps`` successive hash constants before and after each multiply,
+    as uint32 arrays, and the constant that follows them."""
     seq = [const]
-    for _ in range(4):
+    for _ in range(steps):
         seq.append(seq[-1] * mult & 0xFFFFFFFF)
-    return np.array(seq[:4], np.uint32), np.array(seq[1:], np.uint32), seq[4]
+    return np.array(seq[:-1], np.uint32), np.array(seq[1:], np.uint32), seq[-1]
 
 
 @functools.cache
 def _fixed_key_seed():
-    """A seed sequence that hands Philox a stored key.  Defined on first
+    """A seed sequence that hands SFC64 stored seed words.  Defined on first
     use, so importing this module does not load ``numpy.random``."""
     from numpy.random.bit_generator import ISeedSequence
 
@@ -56,9 +57,11 @@ def _fixed_key_seed():
             self.key = key
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a fixed key seeds only Philox's two-word key")
-            return self.key
+            if n_words != 3 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a fixed key seeds only SFC64's three words")
+            # SFC64 reads the words from the raw buffer, ignoring strides, and
+            # a grid leaf's words are a strided row of the grid's array
+            return np.ascontiguousarray(self.key)
 
     return FixedKey
 
@@ -74,9 +77,9 @@ class StreamKey:
     branch) for the paired-energy channel; validate-moments uses (point,
     chip, branch) under the run seed.
 
-    ``keys`` is set only on the nodes of a :meth:`grid`: the Philox keys
-    of the node's grid below it, shape (..., 2), or one key, shape (2,),
-    on a leaf.  It takes no part in ``==`` or the hash.
+    ``keys`` is set only on the nodes of a :meth:`grid`: the SFC64 seed
+    words of the node's grid below it, shape (..., 3), or one leaf's
+    words, shape (3,).  It takes no part in ``==`` or the hash.
     """
 
     seed: int
@@ -98,13 +101,14 @@ class StreamKey:
 
     def grid(self, *shape: int) -> "StreamKey":
         """This stream as a grid node: every child ``child(*i)`` with
-        ``i < shape`` carries its Philox key, computed here for all of them
-        at once.
+        ``i < shape`` carries its SFC64 seed words, computed here for all
+        of them at once.
 
-        Replays ``SeedSequence(seed, spawn_key=path + i).generate_state(2,
+        Replays ``SeedSequence(seed, spawn_key=path + i).generate_state(3,
         uint64)``: start from the pool that mixed the seed (padded to the
         pool's 4 words) and the path, mix each index word into all 4 pool
-        words, then apply the output hash.
+        words, then apply the output hash to the pool words 0, 1, 2, 3, 0, 1
+        to give six 32-bit output words.
         """
         pool = np.random.SeedSequence(self.seed, spawn_key=self.path).pool
         # the first 4 words take 16 hashmix steps, each further word 4
@@ -113,25 +117,25 @@ class StreamKey:
         index = np.indices(shape, dtype=np.uint32).reshape(len(shape), math.prod(shape))
         mixer = np.broadcast_to(pool, (index.shape[1], 4))
         for word in index:
-            before, after, const = _hash_steps(const, _MULT_A)
+            before, after, const = _hash_steps(const, _MULT_A, 4)
             h = (word[:, None] ^ before) * after
             h ^= h >> 16
             mixer = _MIX_L * mixer - _MIX_R * h
             mixer ^= mixer >> 16
-        before, after, _ = _hash_steps(_INIT_B, _MULT_B)
-        out = (mixer ^ before) * after
+        before, after, _ = _hash_steps(_INIT_B, _MULT_B, 6)
+        out = (mixer[:, [0, 1, 2, 3, 0, 1]] ^ before) * after
         out ^= out >> 16
         out = out.astype(np.uint64)
         keys = out[:, 0::2] | out[:, 1::2] << 32
-        return StreamKey(self.seed, self.path, keys.reshape(*shape, 2))
+        return StreamKey(self.seed, self.path, keys.reshape(*shape, 3))
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator for this stream (Philox, counter-based)."""
+        """Fresh generator for this stream (SFC64)."""
         if self.keys is None:
             seed = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        elif self.keys.shape == (2,):
+        elif self.keys.shape == (3,):
             seed = _fixed_key_seed()(self.keys)
         else:
             raise ValueError(f"stream {self.path} is a grid node, not a leaf; "
                              "address a leaf with child()")
-        return np.random.Generator(np.random.Philox(seed))
+        return np.random.Generator(np.random.SFC64(seed))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,8 @@ BAD_INPUTS = [
     ({"sweep.M_values": "[1, 0]"}, "M", "sweep.M_values"),
     ({"sweep.M_values": "[1.5]"}, "M", "sweep.M_values"),
     ({"sweep.beta0_values": "[0]"}, "beta0", "sweep.beta0_values"),
+    # a ddof = 1 variance needs two trials
+    ({"moments.n_trials": "1"}, None, "moments.n_trials"),
     # a repeated value would rerun its trials and share one summary key
     ({"fed.aggregators": '["ideal", "ideal"]'}, None, "fed.aggregators"),
     ({"fed.aggregators": '["ideal", "bogus"]'}, None, "fed.aggregators"),
@@ -409,13 +412,14 @@ class TestMain:
         cfgfile = tmp_path / "diverge.cfg"
         cfgfile.write_text(_with(FAST_FED, {"fed.aggregators": '["reed"]', **overrides}))
         out = tmp_path / "o"
-        status = main(["run-fedavg", str(cfgfile), "--out", str(out)])
+        # record every warning the run would print to stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = main(["run-fedavg", str(cfgfile), "--out", str(out)])
         err = capsys.readouterr().err
         assert status == 1
-        # NumPy's overflow warnings may come first, but no traceback
-        assert err.splitlines()[-1] == \
-            f"error: aggregator 'reed': non-finite {what} after round 0"
-        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: aggregator 'reed': non-finite {what} after round 0"]
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not out.exists()
 
     def test_idx_parsed_once_per_run(self, tmp_path, monkeypatch):

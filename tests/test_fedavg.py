@@ -206,11 +206,13 @@ class TestRunFedavg:
 
 
 def _ragged_setup():
-    # Dirichlet clients of 5, 19, 5, 1 and 90 samples: three smaller than a
-    # 16-sample batch (one of them a single sample) and two with a short
-    # last batch
+    # clients of 5, 19, 5, 1 and 90 samples: three smaller than a 16-sample
+    # batch (one of them a single sample) and two with a short last batch.
+    # The index arrays are fixed (a stride-7 walk over the 120 rows) rather
+    # than drawn, so no stream layout moves them
     ds = synth_dataset("gaussian-blobs", 120, seed=0, classes=3, p=4, separation=3.0)
-    parts = partition(ds, PartitionSpec("dirichlet", 5, seed=3, alpha=0.1))
+    order = np.arange(120) * 7 % 120
+    parts = [np.sort(chunk) for chunk in np.split(order, np.cumsum([5, 19, 5, 1]))]
     assert [p.size for p in parts] == [5, 19, 5, 1, 90]
     return ds, parts
 

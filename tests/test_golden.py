@@ -3,7 +3,8 @@ small validate-moments run.
 
 Every draw of a run comes from a fixed stream layout, so any change to how
 stream keys are derived or consumed changes these hashes.  A change that
-alters the layout on purpose updates them, and says so.
+alters the layout on purpose updates them, and says so.  These are the
+digests of stream layout 4 (SFC64 streams).
 """
 
 import hashlib
@@ -85,20 +86,20 @@ phy.noise_var = 0.5
 # sha256 of fedavg_trace.csv and fedavg_summary.json
 GOLDEN = {
     "budget-quadratic-reed": (
-        "7cf1e84463810ffb1b44e473dfcf6cf599022f3dec497a284d3e3b78dbf2a8a2",
-        "b317a08fc5408a10020b45b695e3eec1f60f5d08478193576889f3e07055b1ee"),
+        "688023fbdee98734e998aecceea92a4327cf30395a24b9a41ffa12d6ed2e203f",
+        "ffb025bcba9d158ccf787b39ab0f28c32adee18bdf31989a1d108cec248da9a1"),
     "budget-quadratic-reed-inv-sqrt": (
-        "1adb1dff2e8d7b1466fb015eab123cec8fba407117965583ed8dac52a39f90ac",
-        "da40f689d95853d986f4e5e7b4539cbc08849ac183f371a1b73f73355f10d9a6"),
+        "c16cbb7fd333df86143cc64795cd049d27e044cd63c61863fcc5d5d115009cdb",
+        "cb35e4543bd833cb3d421b0ccb50727801beb33e1f3311863046ea5d2fbcaf35"),
     "dirichlet-logistic-reed-M2": (
-        "319aa3a10ed2db0017133fefb57d5ac82e30422c5ed10cf7259c13f8104b4945",
-        "e0ab455f7583fa1c0180bae474bdf96aced82dba25334b46a1e3c89a79ce430a"),
+        "9d7e76aaef1a98a130ed68aefd8bd7c8b9daa3084587a0475684e1dc6d557e4b",
+        "2b1d1cdf39b1f39afcc8a4855ce4ec07c64e3026a7ba4056cb763fdb80bfa54f"),
     "logistic-coherent-csit": (
-        "1143108352bb31a6422db4b6269f31c5e1719d024fa30f5ed483ea75d521a0c2",
-        "c55962ba8b8a42c9f847052b6b3cc4ab03fb865414db2974ec1d37853d5cbd4e"),
+        "e2aec90312ba2f65a5093635addddadd4dc2cf7d33096a7b902100b0bed2f7ec",
+        "dd7997df9c5b7b4827ceded6d58451c6889074c448628587913241532cdb079a"),
     "logistic-three-aggregators-2-trials": (
-        "6fd8301083eafc6584d344eaecd1a5e7953a0d3e0e0814f00ba5ca1801208b55",
-        "27cbdffb19afc55ec40d5f1e016766e5123909525ef9d3c53815eef40edce0d6"),
+        "8b4ac2cfafccf75008d646707bef80218001c679ee38f7d144caf2d0800c33e3",
+        "b1b12386580fcc47bc6dab61dd523dced6c282de81bd46ca804fd0dc1ca3be46"),
 }
 
 
@@ -111,7 +112,7 @@ def test_run_fedavg_bytes_pinned(tmp_path, name):
 
 
 # sha256 of moments.csv of the default matrix at 2000 trials per point
-MOMENTS_GOLDEN = "ae253b4abffe9fb65ba47527a19bf0ea95058681be9b940a44b08ba6144f47b0"
+MOMENTS_GOLDEN = "7bf2177bcf2921cc3cc1ddc58633975f2f9b7f7e2ecb0082efdc29493d76a470"
 
 
 def test_validate_moments_bytes_pinned(tmp_path):

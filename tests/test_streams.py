@@ -70,7 +70,7 @@ def test_grid_matches_seed_sequence(seed, prefix, shape, data):
     grid = key.grid(*shape)
     index = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
     leaf, plain = grid.child(*index), key.child(*index)
-    expected = np.random.SeedSequence(seed, spawn_key=plain.path).generate_state(2, np.uint64)
+    expected = np.random.SeedSequence(seed, spawn_key=plain.path).generate_state(3, np.uint64)
     assert np.array_equal(leaf.keys, expected)
     assert np.array_equal(leaf.generator().random(4), plain.generator().random(4))
 
@@ -84,8 +84,19 @@ def test_every_grid_key_matches_seed_sequence(seed, prefix):
         # a leaf reached in steps is the leaf reached at once
         leaf = grid.child(index[0]).child(*index[1:])
         expected = np.random.SeedSequence(seed, spawn_key=prefix + index).generate_state(
-            2, np.uint64)
+            3, np.uint64)
         assert np.array_equal(leaf.keys, expected)
+        # a leaf's words are a strided row of the grid's array, and SFC64
+        # reads a raw buffer: equal words can still seed another state, so
+        # compare the draws too
+        assert np.array_equal(leaf.generator().random(4),
+                              key.child(*index).generator().random(4))
+
+
+def test_streams_are_sfc64():
+    key = StreamKey(4, (1,))
+    for k in (key, key.grid(2).child(1)):
+        assert type(k.generator().bit_generator) is np.random.SFC64
 
 
 def test_grid_leaf_equals_plain_key():
