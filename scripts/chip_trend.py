@@ -9,5 +9,4 @@ from reedsim.cli import main
 HERE = pathlib.Path(__file__).resolve().parent
 
 if __name__ == "__main__":
-    sys.exit(main(["sweep", str(HERE / "configs" / "chip_trend.cfg"),
-                   "--axis", "M", *sys.argv[1:]]))
+    sys.exit(main(["sweep", str(HERE / "configs" / "chip_trend.cfg"), *sys.argv[1:]]))

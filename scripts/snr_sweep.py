@@ -8,5 +8,4 @@ from reedsim.cli import main
 HERE = pathlib.Path(__file__).resolve().parent
 
 if __name__ == "__main__":
-    sys.exit(main(["sweep", str(HERE / "configs" / "snr_sweep.cfg"),
-                   "--axis", "snr_db", *sys.argv[1:]]))
+    sys.exit(main(["sweep", str(HERE / "configs" / "snr_sweep.cfg"), *sys.argv[1:]]))

@@ -3,7 +3,7 @@
 Subcommands:
   validate-moments <config>   Monte Carlo vs closed-form moment matrix
   run-fedavg <config>         matched-seed FedAvg trials per aggregator
-  sweep <config> --axis NAME  cross-product runs over M / snr_db / alpha / beta0
+  sweep <config>              run-fedavg at each of sweep.values for sweep.key
 
 All outputs are CSV (UTF-8, header row, 9-significant-digit floats) plus a
 summary JSON; identical configs produce byte-identical files.
@@ -22,35 +22,19 @@ from typing import Any
 
 import numpy as np
 
-from .config import ConfigError, check_config, load_config, reject_repeats
+from .config import ConfigError, fmt_value, load_config
 from .datasets import IdxFormatError
 from .experiments import default_moment_matrix, run_trial, validate_point
 from .fedavg import DivergenceError, RoundTrace
 
 __all__ = ["main", "cmd_validate_moments", "cmd_run_fedavg", "cmd_sweep"]
 
-_SWEEP_AXES = {
-    "M": "sweep.M_values",
-    "snr_db": "sweep.snr_db_values",
-    "alpha": "sweep.alpha_values",
-    "beta0": "sweep.beta0_values",
-}
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float) or isinstance(x, np.floating):
-        return f"{float(x):.9g}"
-    return str(x)
-
-
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write(",".join(fmt_value(v) for v in row) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -138,45 +122,19 @@ def cmd_run_fedavg(cfg: dict[str, Any], out_dir: str, workers: int = 1) -> int:
     return 0
 
 
-def _apply_axis(cfg: dict[str, Any], axis: str, value) -> dict[str, Any]:
-    """The config of one sweep point, validated like a parsed config."""
-    out = dict(cfg)
-    if axis == "M":
-        # per-chip receive-SNR convention held fixed: eta and noise_var
-        # unchanged, every chip at unit weight
-        out["phy.chips"] = value
-    elif axis == "snr_db":
-        out["phy.snr_db"] = float(value)
-    elif axis == "alpha":
-        out["data.partition"] = "dirichlet"
-        out["data.alpha"] = float(value)
-    elif axis == "beta0":
-        out["fed.beta0"] = float(value)
-    try:
-        check_config(out)
-    except ConfigError as exc:
-        raise ConfigError(f"{_SWEEP_AXES[axis]}: value {_fmt(value)}: {exc}") from None
-    return out
-
-
-def cmd_sweep(cfg: dict[str, Any], out_dir: str, axis: str, workers: int = 1) -> int:
-    if axis not in _SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; "
-                          f"choose from {sorted(_SWEEP_AXES)}")
-    values = cfg[_SWEEP_AXES[axis]]
-    if not values:
-        raise ConfigError(f"{_SWEEP_AXES[axis]}: empty or unset axis")
-    # each value's printed form keys its summary
-    reject_repeats(_SWEEP_AXES[axis], [_fmt(value) for value in values])
-    # every point is validated before the first one runs
-    points = [_apply_axis(cfg, axis, value) for value in values]
-    rows, summary = [], {}
-    for value, (point_rows, point_summary) in zip(values, _run_points(points, workers)):
-        rows += [[_fmt(value)] + row for row in point_rows]
-        summary[_fmt(value)] = point_summary
-    _write_csv(os.path.join(out_dir, f"sweep_{axis}.csv"),
-               [axis] + _FEDAVG_HEADER, rows)
-    _write_json(os.path.join(out_dir, f"sweep_{axis}_summary.json"), summary)
+def cmd_sweep(cfg: dict[str, Any], out_dir: str, workers: int = 1) -> int:
+    key = cfg["sweep.key"]
+    if key is None:
+        raise ConfigError("sweep.key: required by sweep")
+    values, rows, summary = cfg["sweep.values"], [], {}
+    # parse_config validated every point, and each value's printed form,
+    # unique there, keys its summary
+    runs = _run_points([{**cfg, key: value} for value in values], workers)
+    for label, (point_rows, point_summary) in zip(map(fmt_value, values), runs):
+        rows += [[label] + row for row in point_rows]
+        summary[label] = point_summary
+    _write_csv(os.path.join(out_dir, f"sweep_{key}.csv"), [key] + _FEDAVG_HEADER, rows)
+    _write_json(os.path.join(out_dir, f"sweep_{key}_summary.json"), summary)
     return 0
 
 
@@ -192,8 +150,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="worker processes override (default: config workers)")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        if name == "sweep":
-            p.add_argument("--axis", required=True, choices=sorted(_SWEEP_AXES))
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.seed, args.workers)
@@ -203,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_validate_moments(cfg, out_dir, workers)
         if args.command == "run-fedavg":
             return cmd_run_fedavg(cfg, out_dir, workers)
-        return cmd_sweep(cfg, out_dir, args.axis, workers)
+        return cmd_sweep(cfg, out_dir, workers)
     except (ConfigError, IdxFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

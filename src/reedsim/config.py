@@ -22,7 +22,7 @@ from .fedavg import FedRunConfig, Objective, build_objective
 from .streams import StreamKey
 
 __all__ = ["ConfigError", "SCHEMA", "parse_config", "load_config", "check_config",
-           "reject_repeats", "resolve_noise_var", "synth_data", "client_partition",
+           "fmt_value", "resolve_noise_var", "synth_data", "client_partition",
            "run_objective", "fed_run_config"]
 
 
@@ -41,10 +41,6 @@ def _num(x) -> bool:
         return not isinstance(x, bool) and math.isfinite(x)
     except (TypeError, OverflowError):
         return False
-
-
-def _num_list(x) -> bool:
-    return isinstance(x, list) and len(x) > 0 and all(_num(v) for v in x)
 
 
 def _str_list(x) -> bool:
@@ -103,11 +99,10 @@ SCHEMA: dict[str, tuple] = {
     "moments.n_trials": (_is_int, "int", 1_000_000),
     "moments.tolerance": (_num, "number", 0.015),
 
-    "sweep.M_values": (lambda x: _num_list(x) and all(map(_is_int, x)),
-                       "list of ints", [1, 2, 4]),
-    "sweep.snr_db_values": (_num_list, "list of numbers", None),
-    "sweep.alpha_values": (_num_list, "list of numbers", None),
-    "sweep.beta0_values": (_num_list, "list of numbers", None),
+    # one point per value, with only the named key changed
+    "sweep.key": (lambda x: isinstance(x, str) and x in SCHEMA and not x.startswith("sweep."),
+                  "a config key other than sweep.*", None),
+    "sweep.values": (lambda x: isinstance(x, list) and len(x) > 0, "non-empty list", None),
 }
 
 
@@ -134,12 +129,9 @@ def parse_config(text: str, seed: int | None = None,
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{key}: malformed value {value_text.strip()!r} ({exc.msg})") from None
-        checker, type_name, _ = SCHEMA[key]
-        if not checker(value):
-            raise ConfigError(f"{key}: expected {type_name}, got {value!r}")
-        values[key] = value
-    # one quantity, one key; checked before the snr_db sweep axis overrides
-    if "phy.snr_db" in values and "phy.noise_var" in values:
+        values[key] = _checked(key, value)
+    # one quantity, one key, whether set or swept
+    if {"phy.snr_db", "phy.noise_var"} <= values.keys() | {values.get("sweep.key")}:
         raise ConfigError("phy.noise_var: cannot be set together with phy.snr_db")
     for key, override in (("seed", seed), ("workers", workers)):
         if override is not None:
@@ -147,7 +139,36 @@ def parse_config(text: str, seed: int | None = None,
     for key, (_, _, default) in SCHEMA.items():
         values.setdefault(key, default)
     check_config(values)
+    _check_sweep(values)
     return values
+
+
+def _checked(key: str, value):
+    checker, type_name, _ = SCHEMA[key]
+    if not checker(value):
+        raise ConfigError(f"{key}: expected {type_name}, got {value!r}")
+    return value
+
+
+def _check_sweep(cfg: dict[str, Any]) -> None:
+    """Both sweep keys or neither, and at each value a valid config whose
+    value prints in one CSV cell, unlike any other value."""
+    for key, other in (("sweep.key", "sweep.values"), ("sweep.values", "sweep.key")):
+        if cfg[key] is None and cfg[other] is not None:
+            raise ConfigError(f"{key}: required when {other} is set")
+    labels = []
+    for value in cfg["sweep.values"] or []:
+        label = fmt_value(value)
+        if any(c in label for c in ',"\n'):
+            raise ConfigError(f"sweep.values: value {label!r}: a CSV cell cannot "
+                              "hold ',', '\"' or a newline")
+        try:
+            check_config({**cfg, cfg["sweep.key"]: _checked(cfg["sweep.key"], value)})
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.values: value {label}: {exc}") from None
+        if label in labels:
+            raise ConfigError(f"sweep.values: repeated value {label}")
+        labels.append(label)
 
 
 def check_config(cfg: dict[str, Any]) -> None:
@@ -186,11 +207,14 @@ def load_config(path: str, seed: int | None = None,
         return parse_config(f.read(), seed, workers)
 
 
-def reject_repeats(key: str, labels: list) -> None:
-    """Reject a list that holds one label twice, naming the label."""
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ConfigError(f"{key}: repeated value {label}")
+def fmt_value(x) -> str:
+    """The printed form of a value in an output file: bools as 1 and 0,
+    floats to 9 significant digits."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, float) or isinstance(x, np.floating):
+        return f"{float(x):.9g}"
+    return str(x)
 
 
 def resolve_noise_var(cfg: dict[str, Any]) -> float:

@@ -202,7 +202,10 @@ def synth_dataset(kind: str, n: int, seed: int, classes: int = 2, p: int = 2,
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
     rng = StreamKey(seed).generator()
-    means = separation * rng.standard_normal((classes, p))
+    with np.errstate(over="ignore"):
+        means = separation * rng.standard_normal((classes, p))
+    if not np.isfinite(means).all():
+        raise ValueError(f"separation must give finite class means, got {separation}")
     labels = rng.integers(0, classes, size=n)
     features = means[labels] + rng.standard_normal((n, p))
     return LabeledDataset(features=features, labels=labels)

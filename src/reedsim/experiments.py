@@ -17,8 +17,8 @@ from typing import Any
 
 import numpy as np
 
-from .config import (ConfigError, client_partition, fed_run_config, run_objective,
-                     synth_data)
+from .config import (ConfigError, _keyed, client_partition, fed_run_config,
+                     run_objective, synth_data)
 from .datasets import LabeledDataset, load_idx_dataset
 from .estimator import ReedPhyConfig, ScalarInputs, sample_estimates
 from .fedavg import RoundTrace, run_fedavg
@@ -174,10 +174,13 @@ def run_trial(cfg: dict[str, Any], trial: int) -> dict[str, list[RoundTrace]]:
     are built once, and every aggregator of ``fed.aggregators`` runs on them
     in one :func:`run_fedavg` call.  Returns each aggregator's trace, in the
     config's order.  A label of the training data at or above
-    ``data.classes`` is a ConfigError."""
+    ``data.classes``, or a budget whose gains are not finite and > 0, is a
+    ConfigError."""
     train, test, parts = build_experiment_data(cfg, trial)
-    return run_fedavg(fed_run_config(cfg, trial), run_objective(cfg, train, trial),
-                      parts, test)
+    fed, objective = fed_run_config(cfg, trial), run_objective(cfg, train, trial)
+    # the gains depend on the objective's dimension, so run_fedavg checks them
+    with _keyed():
+        return run_fedavg(fed, objective, parts, test)
 
 
 def run_single_trial(cfg: dict[str, Any], trial: int, aggregator: str

@@ -490,8 +490,8 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     There is one client per partition.  The aggregators run in lockstep on
     one set of minibatches, each with its own model; a run of several equals
     each aggregator run alone.  With "reed" and budgets set, the aggregation
-    gain is rescheduled every round from the round's stepsize; the
-    schedule's inputs are checked once, when the run starts.
+    gain is rescheduled every round from the round's stepsize; a run whose
+    gains are not all finite and > 0 stops before its first round.
     """
     K = len(partitions)
     if K == 0:
@@ -507,15 +507,20 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     if objective.uses_batches:
         local_keys = local_keys.grid(cfg.T, K)
     budgeted = "reed" in names and cfg.budgets is not None
-    # the parts of the audit and the gain that no round changes; the public
-    # eta_schedule checks the gain's inputs once, for the whole run
+    # the parts of the audit and the gain that no round changes
     if "reed" in names:
         reed_keys = channel_keys.grid(cfg.T, cfg.phy.n_chips, 2)
         kmd = _audit_denominator(cfg.phy, K, d)
     if budgeted:
-        eta_schedule(cfg.budgets, K, d, cfg.phy.mean_powers, cfg.phy.weight_sum,
-                     cfg.stepsize(0), cfg.Q, cfg.clip_G)
-        numerator = _gain_numerator(cfg.budgets, K, d, cfg.phy.mean_powers)
+        # no schedule increases beta, so the gain is least at round 0 and
+        # most at round T - 1
+        with np.errstate(over="ignore", divide="ignore"):
+            lo, hi = (eta_schedule(cfg.budgets, K, d, cfg.phy.mean_powers, cfg.phy.weight_sum,
+                                   cfg.stepsize(t), cfg.Q, cfg.clip_G) for t in (0, cfg.T - 1))
+            numerator = _gain_numerator(cfg.budgets, K, d, cfg.phy.mean_powers)
+        if not (0 < lo and hi < math.inf):
+            raise ValueError(f"budgets must give finite gains > 0, got {lo} at round 0 "
+                             f"and {hi} at round {cfg.T - 1}")
     grads = [objective.diagnostic_gradient(w, local_keys.child(0, K))] * A
     traces: dict[str, list[RoundTrace]] = {name: [] for name in names}
 

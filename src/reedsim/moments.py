@@ -162,8 +162,10 @@ def energy_audit(increments, cfg: ReedPhyConfig) -> np.ndarray:
 
 
 def _audit_denominator(cfg: ReedPhyConfig, K: int, d: int) -> np.ndarray:
-    """K mu_k^2 d per client, the part of the audit fixed for a run."""
-    return K * np.broadcast_to(cfg.mean_powers, (K,)) * d
+    """K mu_k^2 d per client, the part of the audit fixed for a run.  A
+    product that overflows gives inf, so an audit of 0."""
+    with np.errstate(over="ignore"):
+        return K * np.broadcast_to(cfg.mean_powers, (K,)) * d
 
 
 def _audit(increments: np.ndarray, cfg: ReedPhyConfig, kmd: np.ndarray) -> np.ndarray:

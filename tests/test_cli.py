@@ -105,9 +105,12 @@ class TestConfigParsing:
         assert resolve_noise_var(cfg) == pytest.approx(10.0)
 
     @pytest.mark.parametrize("key", ["phy.chip_weight", "phy.chip_weights",
-                                     "phy.snr_ref_power"])
+                                     "phy.snr_ref_power", "sweep.M_values",
+                                     "sweep.snr_db_values", "sweep.alpha_values",
+                                     "sweep.beta0_values"])
     def test_restating_keys_unknown(self, key):
-        # eta, noise_var and chips each have one key
+        # eta, noise_var and chips each have one key, which sweep.key also
+        # names when the quantity is swept
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             parse_config(f"{key} = 1.0")
 
@@ -115,24 +118,26 @@ class TestConfigParsing:
         # every key set to every garbage value, as a tiny end-to-end CLI
         # run: it succeeds, or stops with status 2 and an "error:" line,
         # never with a traceback
-        axis_of = {key: axis for axis, key in cli._SWEEP_AXES.items()}
+        # garbage in sweep.values runs as a sweep of each key that used to
+        # have its own sweep axis
         cfgfile = tmp_path / "mutated.cfg"
         for key in sorted(SCHEMA):
-            if key.startswith("moments."):
-                command = ["validate-moments"]
-            elif key in axis_of:
-                command = ["sweep", "--axis", axis_of[key]]
-            else:
-                command = ["run-fedavg"]
-            for garbage in ['"x"', "[]", "-3", "1.5", "{}", "null", "true",
-                            "0", "[0]", "[-3]", "[1.5]", "NaN", "Infinity", "-Infinity"]:
-                cfgfile.write_text(_with(TINY, {key: garbage}))
-                status = main([command[0], str(cfgfile), "--out", str(tmp_path / "o"),
-                               *command[1:]])
-                err = capsys.readouterr().err
-                assert status in (0, 2), (key, garbage)
-                assert "Traceback" not in err
-                assert status == 0 or err.startswith("error: "), (key, garbage)
+            command = ("validate-moments" if key.startswith("moments.") else
+                       "sweep" if key.startswith("sweep.") else "run-fedavg")
+            swept = (["phy.chips", "phy.snr_db", "data.alpha", "fed.beta0"]
+                     if key == "sweep.values" else [None])
+            for sweep_key in swept:
+                for garbage in ['"x"', "[]", "-3", "1.5", "{}", "null", "true",
+                                "0", "[0]", "[-3]", "[1.5]", "NaN", "Infinity", "-Infinity"]:
+                    overrides = {key: garbage}
+                    if sweep_key is not None:
+                        overrides["sweep.key"] = f'"{sweep_key}"'
+                    cfgfile.write_text(_with(TINY, overrides))
+                    status = main([command, str(cfgfile), "--out", str(tmp_path / "o")])
+                    err = capsys.readouterr().err
+                    assert status in (0, 2), (key, sweep_key, garbage)
+                    assert "Traceback" not in err
+                    assert status == 0 or err.startswith("error: "), (key, sweep_key, garbage)
 
     def test_partition_stream_replays_no_trial_root(self):
         # trial t's client partition must not redraw the root stream that
@@ -148,10 +153,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
     def test_script_configs_validate(self, path):
-        cfg = load_config(str(path))
-        for axis, key in cli._SWEEP_AXES.items():
-            for value in cfg[key] or []:
-                cli._apply_axis(cfg, axis, value)
+        # loading checks every point of the config's sweep, for sweep too
+        load_config(str(path))
 
 
 class TestValidateMoments:
@@ -254,42 +257,64 @@ class TestRunFedavg:
 class TestSweep:
     def test_single_value_axis_matches_run_fedavg(self, tmp_path):
         cfg = parse_config(_with(FAST_FED, {"fed.aggregators": '["ideal", "reed"]',
-                                            "sweep.M_values": "[1]"}))
+                                            "sweep.key": '"phy.chips"',
+                                            "sweep.values": "[1]"}))
         cmd_run_fedavg(cfg, str(tmp_path / "run"))
-        cmd_sweep(cfg, str(tmp_path / "sweep"), "M")
+        cmd_sweep(cfg, str(tmp_path / "sweep"))
         run_rows = (tmp_path / "run" / "fedavg_trace.csv").read_text().splitlines()[1:]
-        sweep_rows = (tmp_path / "sweep" / "sweep_M.csv").read_text().splitlines()[1:]
+        sweep_rows = (tmp_path / "sweep" / "sweep_phy.chips.csv").read_text().splitlines()[1:]
         assert [r.split(",", 1)[1] for r in sweep_rows] == run_rows
         run_summary = json.loads((tmp_path / "run" / "fedavg_summary.json").read_text())
-        sweep_summary = json.loads((tmp_path / "sweep" / "sweep_M_summary.json").read_text())
+        sweep_summary = json.loads(
+            (tmp_path / "sweep" / "sweep_phy.chips_summary.json").read_text())
         assert sweep_summary == {"1": run_summary}
 
+    @pytest.mark.parametrize("key, values", [
+        ("data.partition", '["iid", "dirichlet"]'),
+        ("fed.model", '["logistic", "mlp"]')])
+    def test_each_point_matches_run_fedavg(self, tmp_path, key, values):
+        # any key can be swept; only that key changes from point to point
+        cfg = parse_config(_with(FAST_FED, {"fed.aggregators": '["ideal", "reed"]',
+                                            "sweep.key": f'"{key}"', "sweep.values": values}))
+        cmd_sweep(cfg, str(tmp_path / "sweep"))
+        header, *rows = (tmp_path / "sweep" / f"sweep_{key}.csv").read_text().splitlines()
+        summary = json.loads((tmp_path / "sweep" / f"sweep_{key}_summary.json").read_text())
+        assert header == ",".join([key] + cli._FEDAVG_HEADER)
+        assert sorted(summary) == sorted(json.loads(values))
+        for value in json.loads(values):
+            out = tmp_path / value
+            cmd_run_fedavg({**cfg, key: value}, str(out))
+            assert [r.split(",", 1)[1] for r in rows if r.startswith(value + ",")] == \
+                (out / "fedavg_trace.csv").read_text().splitlines()[1:]
+            assert summary[value] == json.loads((out / "fedavg_summary.json").read_text())
+
     def test_one_pool_per_sweep_and_workers_match_serial(self, tmp_path, pools):
-        cfg = parse_config(FAST_FED + "sweep.beta0_values = [0.05, 0.2]\n")
-        cmd_sweep(cfg, str(tmp_path / "serial"), "beta0", workers=1)
-        cmd_sweep(cfg, str(tmp_path / "parallel"), "beta0", workers=2)
+        cfg = parse_config(FAST_FED + 'sweep.key = "data.partition"\n'
+                           'sweep.values = ["iid", "dirichlet"]\n')
+        cmd_sweep(cfg, str(tmp_path / "serial"), workers=1)
+        cmd_sweep(cfg, str(tmp_path / "parallel"), workers=2)
         # every (point, trial) run goes through one pool
         assert pools == [2]
-        for name in ("sweep_beta0.csv", "sweep_beta0_summary.json"):
+        for name in ("sweep_data.partition.csv", "sweep_data.partition_summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
 
     def test_empty_axis_rejected(self, tmp_path):
         cfg = parse_config(FAST_FED)
-        with pytest.raises(ConfigError):
-            cmd_sweep(cfg, str(tmp_path), "snr_db")
+        with pytest.raises(ConfigError, match="^sweep.key: required by sweep$"):
+            cmd_sweep(cfg, str(tmp_path))
 
-    def test_unknown_axis_rejected(self, tmp_path):
-        cfg = parse_config(FAST_FED)
-        with pytest.raises(ConfigError):
-            cmd_sweep(cfg, str(tmp_path), "carrier")
+    def test_unknown_axis_rejected(self):
+        for key in ("phy.carrier", "sweep.key", "sweep.values"):
+            with pytest.raises(ConfigError, match="^sweep.key: expected a config key other"):
+                parse_config(f'sweep.key = "{key}"\nsweep.values = [1]')
 
     def test_snr_axis_monotone_eps(self, tmp_path):
         cfg = parse_config(
             FAST_FED.replace('["ideal"]', '["reed"]')
-            + "sweep.snr_db_values = [-10, 0]\nphy.eta = 50.0\n")
-        cmd_sweep(cfg, str(tmp_path), "snr_db")
-        rows = (tmp_path / "sweep_snr_db.csv").read_text().splitlines()[1:]
+            + 'sweep.key = "phy.snr_db"\nsweep.values = [-10, 0]\nphy.eta = 50.0\n')
+        cmd_sweep(cfg, str(tmp_path))
+        rows = (tmp_path / "sweep_phy.snr_db.csv").read_text().splitlines()[1:]
         eps = {}
         for row in rows:
             parts = row.split(",")
@@ -299,51 +324,71 @@ class TestSweep:
         assert mean["0"] < mean["-10"]
 
 
-# (config overrides, sweep axis or None, key the error must start with);
-# the IDX cases read six samples with labels 0, 1, 2, and {test_labels}
-# holds six labels 5
+# a tiny reed run whose energy budget gives an overflowing gain
+BUDGETED = {"fed.aggregators": '["reed"]', "fed.clip_G": "1.0", "fed.budget": "1.0"}
+
+# (config overrides, command, key the error must start with); the IDX
+# cases read six samples with labels 0, 1, 2, and {test_labels} holds six
+# labels 5
 BAD_INPUTS = [
-    ({"phy.eta": "NaN"}, None, "phy.eta"),
-    ({"fed.beta0": "Infinity"}, None, "fed.beta0"),
-    ({"data.separation": "NaN"}, None, "data.separation"),
-    ({"phy.snr_db": "-4000"}, None, "phy.snr_db"),
-    ({"phy.kappa": "1" + "0" * 400}, None, "phy.kappa"),
-    ({"data.classes": "0"}, None, "data.classes"),
-    ({"data.classes": "1"}, None, "data.classes"),
-    ({"data.features": "0"}, None, "data.features"),
-    ({"data.separation": "-1"}, None, "data.separation"),
-    ({"fed.model": '"mlp"', "fed.hidden": "0"}, None, "fed.hidden"),
-    ({"data.test_n": "-1"}, None, "data.test_n"),
-    ({"sweep.alpha_values": "[-1]"}, "alpha", "sweep.alpha_values"),
-    ({"sweep.M_values": "[0]"}, "M", "sweep.M_values"),
-    ({"sweep.M_values": "[1, 0]"}, "M", "sweep.M_values"),
-    ({"sweep.M_values": "[1.5]"}, "M", "sweep.M_values"),
-    ({"sweep.beta0_values": "[0]"}, "beta0", "sweep.beta0_values"),
+    ({"phy.eta": "NaN"}, "run-fedavg", "phy.eta"),
+    ({"fed.beta0": "Infinity"}, "run-fedavg", "fed.beta0"),
+    ({"data.separation": "NaN"}, "run-fedavg", "data.separation"),
+    ({"data.separation": "1e308"}, "run-fedavg", "data.separation"),
+    ({"phy.snr_db": "-4000"}, "run-fedavg", "phy.snr_db"),
+    ({"phy.kappa": "1" + "0" * 400}, "run-fedavg", "phy.kappa"),
+    ({"data.classes": "0"}, "run-fedavg", "data.classes"),
+    ({"data.classes": "1"}, "run-fedavg", "data.classes"),
+    ({"data.features": "0"}, "run-fedavg", "data.features"),
+    ({"data.separation": "-1"}, "run-fedavg", "data.separation"),
+    ({"fed.model": '"mlp"', "fed.hidden": "0"}, "run-fedavg", "fed.hidden"),
+    ({"data.test_n": "-1"}, "run-fedavg", "data.test_n"),
+    *(({**BUDGETED, key: value}, "run-fedavg", "fed.budget") for key, value in (
+        ("fed.budget", "1e308"), ("phy.mean_power", "1e308"), ("fed.beta0", "1e308"),
+        ("fed.beta0", "1e-320"), ("fed.clip_G", "1e-320"))),
+    ({"data.partition": '"dirichlet"', "sweep.key": '"data.alpha"', "sweep.values": "[-1]"},
+     "sweep", "sweep.values"),
+    ({"sweep.key": '"phy.chips"', "sweep.values": "[0]"}, "sweep", "sweep.values"),
+    ({"sweep.key": '"phy.chips"', "sweep.values": "[1, 0]"}, "sweep", "sweep.values"),
+    ({"sweep.key": '"phy.chips"', "sweep.values": "[1.5]"}, "sweep", "sweep.values"),
+    ({"sweep.key": '"fed.beta0"', "sweep.values": "[0]"}, "sweep", "sweep.values"),
+    ({"sweep.key": '"phy.bandwidth"', "sweep.values": "[1]"}, "sweep", "sweep.key"),
+    ({"sweep.key": '"sweep.values"', "sweep.values": "[1]"}, "sweep", "sweep.key"),
+    ({"sweep.values": "[1]"}, "sweep", "sweep.key"),
+    ({}, "sweep", "sweep.key"),
+    # a CSV cell holds a swept value unquoted
+    *(({"sweep.key": '"output.dir"', "sweep.values": f'["a{c}b"]'}, "sweep", "sweep.values")
+      for c in (",", '\\"', "\\n")),
     # a ddof = 1 variance needs two trials
-    ({"moments.n_trials": "1"}, None, "moments.n_trials"),
+    ({"moments.n_trials": "1"}, "run-fedavg", "moments.n_trials"),
     # a repeated value would rerun its trials and share one summary key
-    ({"fed.aggregators": '["ideal", "ideal"]'}, None, "fed.aggregators"),
-    ({"fed.aggregators": '["ideal", "bogus"]'}, None, "fed.aggregators"),
-    ({"sweep.M_values": "[1, 1]"}, "M", "sweep.M_values"),
-    ({"sweep.snr_db_values": "[1, 1.0]"}, "snr_db", "sweep.snr_db_values"),
-    # one key per quantity: snr_db sets the noise variance
-    ({"phy.snr_db": "0", "phy.noise_var": "1.0"}, None, "phy.noise_var"),
+    ({"fed.aggregators": '["ideal", "ideal"]'}, "run-fedavg", "fed.aggregators"),
+    ({"fed.aggregators": '["ideal", "bogus"]'}, "run-fedavg", "fed.aggregators"),
+    ({"sweep.key": '"phy.chips"', "sweep.values": "[1, 1]"}, "sweep", "sweep.values"),
+    ({"sweep.key": '"phy.snr_db"', "sweep.values": "[1, 1.0]"}, "sweep", "sweep.values"),
+    # one key per quantity, set or swept: snr_db sets the noise variance
+    ({"phy.snr_db": "0", "phy.noise_var": "1.0"}, "run-fedavg", "phy.noise_var"),
+    ({"phy.noise_var": "1.0", "sweep.key": '"phy.snr_db"', "sweep.values": "[0]"},
+     "sweep", "phy.noise_var"),
+    ({"phy.snr_db": "0", "sweep.key": '"phy.noise_var"', "sweep.values": "[1.0]"},
+     "sweep", "phy.noise_var"),
     ({"data.source": '"idx"', "data.idx_test_images": '"{images}"'},
-     None, "data.idx_test_labels"),
+     "run-fedavg", "data.idx_test_labels"),
     ({"data.source": '"idx"', "data.idx_test_labels": '"{labels}"'},
-     None, "data.idx_test_images"),
-    ({"data.source": '"idx"', "fed.K": "7"}, None, "fed.K"),
-    ({"data.source": '"idx"', "data.classes": "2"}, None, "data.classes"),
+     "run-fedavg", "data.idx_test_images"),
+    ({"data.source": '"idx"', "fed.K": "7"}, "run-fedavg", "fed.K"),
+    ({"data.source": '"idx"', "data.classes": "2"}, "run-fedavg", "data.classes"),
     ({"data.source": '"idx"', "data.idx_test_images": '"{images}"',
-      "data.idx_test_labels": '"{test_labels}"'}, None, "data.classes"),
+      "data.idx_test_labels": '"{test_labels}"'}, "run-fedavg", "data.classes"),
 ]
 
 
 class TestMain:
-    @pytest.mark.parametrize("overrides, axis, key", BAD_INPUTS, ids=[
-        ",".join(f"{k}={v[:24]}" for k, v in o.items() if k != "data.source")
-        for o, _, _ in BAD_INPUTS])
-    def test_bad_input_names_its_key(self, tmp_path, capsys, overrides, axis, key):
+    @pytest.mark.parametrize("overrides, command, key", BAD_INPUTS, ids=[
+        ",".join(f"{k}={v[:24]}" for k, v in o.items()
+                 if k not in ("data.source", "data.partition")) or command
+        for o, command, _ in BAD_INPUTS])
+    def test_bad_input_names_its_key(self, tmp_path, capsys, overrides, command, key):
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
         test_labels = tmp_path / "test_labels.idx"
         images.write_bytes(write_idx(np.linspace(0.0, 1.0, 24).reshape(6, 4)))
@@ -355,12 +400,15 @@ class TestMain:
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(_with(FAST_FED, overrides))
         out = tmp_path / "o"
-        command = ["run-fedavg"] if axis is None else ["sweep", "--axis", axis]
-        status = main([command[0], str(cfgfile), "--out", str(out), *command[1:]])
+        # record every warning the run would print to stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = main([command, str(cfgfile), "--out", str(out)])
         err = capsys.readouterr().err
         assert status == 2
         assert err.startswith(f"error: {key}: ")
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not out.exists()  # nothing ran
 
     def test_cli_error_reporting(self, tmp_path, capsys):
@@ -421,6 +469,21 @@ class TestMain:
         assert err.splitlines() == [f"error: aggregator 'reed': non-finite {what} after round 0"]
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not out.exists()
+
+    def test_overflowing_audit_denominator_is_silent(self, tmp_path, capsys):
+        # K mu^2 d overflows to inf, which makes every audit 0; without a
+        # budget the run is sound and prints nothing to stderr
+        cfgfile = tmp_path / "loud.cfg"
+        cfgfile.write_text(_with(FAST_FED, {"fed.aggregators": '["reed"]',
+                                            "phy.mean_power": "1e308"}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = main(["run-fedavg", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert status == 0
+        assert capsys.readouterr().err == ""
+        assert caught == []
+        rows = (tmp_path / "o" / "fedavg_trace.csv").read_text().splitlines()[1:]
+        assert {row.rsplit(",", 1)[1] for row in rows} == {"0"}
 
     def test_idx_parsed_once_per_run(self, tmp_path, monkeypatch):
         # the data does not depend on the trial: five trials parse it once
