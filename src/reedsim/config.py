@@ -150,25 +150,35 @@ def _checked(key: str, value):
     return value
 
 
+# keys that say only how or where a command runs, or that only
+# validate-moments reads: every FedAvg point of a sweep over one would be
+# the same run
+_UNSWEPT = ("workers", "output.dir", "moments.n_trials", "moments.tolerance")
+
+
 def _check_sweep(cfg: dict[str, Any]) -> None:
-    """Both sweep keys or neither, and at each value a valid config whose
-    value prints in one CSV cell, unlike any other value."""
+    """Both sweep keys or neither, a key that a FedAvg point reads, and at
+    each value a valid config whose value prints in one CSV cell, unlike
+    any other value."""
     for key, other in (("sweep.key", "sweep.values"), ("sweep.values", "sweep.key")):
         if cfg[key] is None and cfg[other] is not None:
             raise ConfigError(f"{key}: required when {other} is set")
-    labels = []
-    for value in cfg["sweep.values"] or []:
-        label = fmt_value(value)
+    values = cfg["sweep.values"] or []
+    labels = [fmt_value(value) for value in values]
+    for label in labels:
         if any(c in label for c in ',"\n'):
             raise ConfigError(f"sweep.values: value {label!r}: a CSV cell cannot "
                               "hold ',', '\"' or a newline")
+    if cfg["sweep.key"] in _UNSWEPT:
+        raise ConfigError(f"sweep.key: no FedAvg point reads {cfg['sweep.key']}, "
+                          "so every point would be the same run")
+    for value, label in zip(values, labels):
         try:
             check_config({**cfg, cfg["sweep.key"]: _checked(cfg["sweep.key"], value)})
         except ConfigError as exc:
             raise ConfigError(f"sweep.values: value {label}: {exc}") from None
-        if label in labels:
+        if labels.count(label) > 1:
             raise ConfigError(f"sweep.values: repeated value {label}")
-        labels.append(label)
 
 
 def check_config(cfg: dict[str, Any]) -> None:

@@ -72,7 +72,10 @@ class PartitionSpec:
             raise ValueError(f"kind must be 'iid' or 'dirichlet', got {self.kind!r}")
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.kind == "dirichlet" and self.alpha <= 0:
+        # IID clients read no alpha, but a config that sets a bad one is wrong
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if self.kind == "dirichlet" and self.alpha == 0:
             raise ValueError(f"alpha must be > 0 for dirichlet partitions, got {self.alpha}")
 
 

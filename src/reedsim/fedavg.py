@@ -18,14 +18,24 @@ of a round each client draws all of its minibatch indices from its own
 :func:`local_round` does.  They are stacked into a (Q, K, B) index array,
 with short batches padded and masked, and each of the Q steps is one
 :meth:`Objective.stacked_gradient` call over all K clients of all A
-aggregators, A·K rows in aggregator-major order.  Aggregation and
-evaluation stay per aggregator.
+aggregators, A·K rows in aggregator-major order; the K clients' features
+are gathered once and broadcast over the A models.  Aggregation stays per
+aggregator.
+
+Evaluation is stacked too.  Once every aggregator has updated its model,
+one :meth:`Objective.evaluate` call takes the train losses and diagnostic
+gradients of all A models in one pass over the training set, and one
+:meth:`Objective.accuracy` call their test accuracies.  Each row equals
+that model evaluated alone, bit for bit.  The divergence checks then run
+aggregator by aggregator, each checking its model, aggregation error,
+client energy and train loss in turn, so the first aggregator to leave
+the finite numbers is the one named.
 
 The train loss that closes round t and the diagnostic gradient that opens
-round t + 1 are taken at the same model, so one :meth:`Objective.evaluate`
-call computes both and the gradient is carried into the next round.  Only
-round 0 computes its diagnostic gradient on its own, and the last round
-computes only its loss.  Objectives whose gradients never read the batch
+round t + 1 are taken at the same model, so one evaluate call computes
+both.  Only round 0 computes its diagnostic gradient on its own, once for
+the models that all start equal, and the last round computes each
+aggregator's loss alone.  Objectives whose gradients never read the batch
 (``uses_batches`` False) draw no minibatch indices.
 """
 
@@ -33,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,9 +76,15 @@ class Objective:
     """Differentiable empirical risk with exact analytic gradients.
 
     Subclasses bind the training data; a batch is an index into it, an
-    index array or ``slice(None)`` for every sample.  Gradients of several
-    clients at once come from :meth:`stacked_gradient`; the single-batch
-    :meth:`stochastic_gradient` is its K = 1 case.
+    index array or ``slice(None)`` for every sample.  The round loop calls
+    three methods, each on a stack of models: :meth:`stacked_gradient` for
+    the local steps of every client under every model, and
+    :meth:`evaluate` and :meth:`accuracy` once per round for all A models
+    at once.  Each row of a stacked result equals that model evaluated
+    alone, bit for bit.  The single-model methods (:meth:`loss`,
+    :meth:`stochastic_gradient`, :meth:`full_gradient`) serve the last
+    round's loss, the first round's diagnostic gradient and the reference
+    :func:`local_round`.
     """
 
     dim: int
@@ -77,6 +92,10 @@ class Objective:
     # False for objectives whose gradients never read the batch, so no
     # minibatch is drawn
     uses_batches: bool = True
+
+    # True for objectives whose diagnostic gradient is taken on rows drawn
+    # from the key evaluate gets; for the others no key is built
+    uses_proxy: bool = False
 
     def loss(self, params: np.ndarray, batch) -> float:
         raise NotImplementedError
@@ -86,11 +105,14 @@ class Objective:
 
     def stacked_gradient(self, params: np.ndarray, batches: np.ndarray,
                          lengths: np.ndarray) -> np.ndarray:
-        """Minibatch gradients of K clients in one call.
+        """Minibatch gradients of K clients under each of A models in one
+        call.
 
-        ``params`` is (K, dim) and ``batches`` a (K, B) index array whose
-        row k holds ``lengths[k]`` valid indices; entries past that are
-        padding and do not contribute.  Returns (K, dim).
+        ``batches`` is a (K, B) index array whose row k holds ``lengths[k]``
+        valid indices; entries past that are padding and do not contribute.
+        ``params`` is (A·K, dim), row a·K + k being client k under model a,
+        and every model reads the same K batches.  Returns a new (A·K, dim)
+        array, which the caller may overwrite.
         """
         raise NotImplementedError
 
@@ -102,17 +124,21 @@ class Objective:
         an objective overrides it with a subsampled proxy."""
         return self.full_gradient(params)
 
-    def evaluate(self, params: np.ndarray, key: StreamKey) -> tuple[float, np.ndarray]:
-        """Full-train loss and diagnostic gradient at ``params``."""
-        return self.loss(params, _ALL), self.diagnostic_gradient(params, key)
+    def evaluate(self, params: np.ndarray,
+                 key: StreamKey | None) -> tuple[np.ndarray, np.ndarray]:
+        """Full-train losses (A,) and diagnostic gradients (A, dim) of A
+        models (A, dim); with ``uses_proxy``, the proxy rows are drawn once
+        from ``key`` for all of them."""
+        raise NotImplementedError
 
     def init_params(self, key: StreamKey) -> np.ndarray:
         raise NotImplementedError
 
     def accuracy(self, params: np.ndarray, features: np.ndarray,
-                 labels: np.ndarray) -> float:
-        """Classification accuracy; 0.0 for objectives without classes."""
-        return 0.0
+                 labels: np.ndarray) -> np.ndarray:
+        """Classification accuracies (A,) of A models (A, dim); 0.0 for
+        objectives without classes."""
+        return np.zeros(len(params))
 
 
 class QuadraticObjective(Objective):
@@ -138,45 +164,80 @@ class QuadraticObjective(Objective):
     def full_gradient(self, params):
         return self.curvatures * params
 
+    def evaluate(self, params, key):
+        # one dot product per model, as loss takes it: a stacked matmul sums
+        # in another order (rows are indexed, which is cheaper than iterating)
+        return (np.array([self.loss(params[a]) for a in range(len(params))]),
+                self.curvatures * params)
+
     def init_params(self, key):
         return np.ones(self.dim)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over axis 1, the class axis of (K, C, B) logits."""
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over axis -2, the class axis of (..., C, B) logits, in
+    place."""
+    z -= z.max(axis=-2, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-2, keepdims=True)
+    return z
 
 
-def _mean_xent(P: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of one batch from its (1, C, n) class
-    probabilities and (1, n) labels."""
-    y = labels[0]
-    return float(-np.mean(np.log(P[0, y, np.arange(y.size)] + 1e-300)))
+def _label_entries(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Flat index of each sample's true-class entry in the (..., C, B)
+    class probabilities of its (..., B) labels.  The index is the same for
+    every model of a stack, which the probabilities may lead with."""
+    *lead, B = labels.shape
+    rows = np.arange(math.prod(lead)).reshape(*lead, 1)
+    return ((rows * n_classes + labels) * B + np.arange(B)).ravel()
 
 
-def _xent_logit_grad(P: np.ndarray, labels: np.ndarray,
+def _mean_xent(P: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy (A,) of A models' (A, C, n) class probabilities;
+    each row is reduced alone, so it equals that model's loss."""
+    return np.array([-np.mean(np.log(row[entries] + 1e-300))
+                     for row in P.reshape(len(P), -1)])
+
+
+def _xent_logit_grad(P: np.ndarray, entries: np.ndarray,
                      lengths: np.ndarray) -> np.ndarray:
-    """Gradient of each client's summed cross-entropy with respect to its
-    logits, computed in place from (K, C, B) class probabilities.  Columns
-    past a client's batch length are padding and come out zero; callers
-    divide the parameter gradient by the lengths."""
-    K, _, B = P.shape
-    cols = np.arange(B)
-    P[np.arange(K)[:, None], labels, cols] -= 1.0
-    if lengths.min() < B:
-        P *= (cols < lengths[:, None])[:, None, :]
+    """Gradient of each batch's summed cross-entropy with respect to its
+    logits, computed in place from the (..., C, B) class probabilities of
+    batches whose label entries are ``entries``.  With K stacked batches
+    (``lengths`` is (K,)), columns past a batch's length are padding and come
+    out zero; callers divide the parameter gradient by the lengths."""
+    block = entries.size * P.shape[-2]
+    P.reshape(-1)[(np.arange(P.size // block)[:, None] * block + entries).ravel()] -= 1.0
+    for k in np.flatnonzero(lengths < P.shape[-1]):
+        P[..., k, :, lengths[k]:] *= 0.0
     return P
+
+
+def _pack(pieces: list[np.ndarray], lengths: np.ndarray, dim: int) -> np.ndarray:
+    """(..., dim) gradients whose rows are each (..., *shape) piece's rows
+    flattened in turn, divided by the batch lengths, which broadcast
+    against the leading dims."""
+    lead = pieces[0].shape[:-2]
+    grads = np.empty(lead + (dim,))
+    start = 0
+    for piece in pieces:
+        tail = piece.shape[len(lead):]
+        size = math.prod(tail)
+        np.divide(piece, lengths.reshape(lengths.shape + (1,) * len(tail)),
+                  out=grads[..., start:start + size].reshape(lead + tail))
+        start += size
+    return grads
 
 
 class _Classifier(Objective):
     """Softmax classifier over a labeled dataset.
 
-    Subclasses write the forward and backward pass once, over stacked
-    (K, dim) parameters and (K, B, p) features.  Activations are kept
-    feature-major, as (K, C, B) logits and (K, H, B) hidden units, so that
-    reductions over the classes run along contiguous rows.
+    Subclasses write the forward and backward pass once, over (..., dim)
+    parameters and (..., B, p) features that broadcast against them: a
+    stack of A models reads one (K, B, p) gather of the K clients' batches,
+    or the (n, p) training set itself.  Activations are kept feature-major,
+    as (..., C, B) logits and (..., H, B) hidden units, so that reductions
+    over the classes run along contiguous rows.
     """
 
     def __init__(self, data: LabeledDataset, n_classes: int):
@@ -188,17 +249,21 @@ class _Classifier(Objective):
         self.data = data
         self.n_classes = n_classes
         self.n_features = data.features.shape[1]
+        self._train = self._single(_ALL)
 
     def _single(self, batch):
-        """Features (1, n, p), labels (1, n) and length (1,) of one batch."""
+        """Features (n, p), label entries (n,) and length (1,) of one batch."""
         y = self.data.labels[batch]
-        return self.data.features[batch][None], y[None], np.array([y.size])
+        return self.data.features[batch], _label_entries(y, self.n_classes), np.array([y.size])
 
     def stacked_gradient(self, params, batches, lengths):
-        return self._gradients(params, self.data.features[batches],
-                               self.data.labels[batches], lengths)
+        grads = self._gradients(params.reshape(-1, len(batches), self.dim),
+                                self.data.features[batches],
+                                _label_entries(self.data.labels[batches], self.n_classes),
+                                lengths)
+        return grads.reshape(len(params), self.dim)
 
-    def _gradients(self, params, X, labels, lengths):
+    def _gradients(self, params, X, entries, lengths):
         raise NotImplementedError
 
 
@@ -209,27 +274,30 @@ class LogisticObjective(_Classifier):
         super().__init__(data, n_classes)
         self.dim = (self.n_features + 1) * n_classes
 
-    def _probs(self, params, X):
-        """(K, C, B) class probabilities."""
+    def _logits(self, params, X):
+        """(..., C, B) logits."""
         split = self.n_features * self.n_classes
-        W = params[:, :split].reshape(len(params), self.n_features, self.n_classes)
-        b = params[:, split:, None]
-        return _softmax(W.transpose(0, 2, 1) @ X.transpose(0, 2, 1) + b)
+        W = params[..., :split].reshape(params.shape[:-1] + (self.n_features, self.n_classes))
+        Z = W.swapaxes(-1, -2) @ X.swapaxes(-1, -2)
+        Z += params[..., split:, None]
+        return Z
 
-    def _backward(self, X, P, labels, lengths):
-        """Gradients (K, dim) from the forward pass's probabilities, which
+    def _probs(self, params, X):
+        """(..., C, B) class probabilities."""
+        return _softmax(self._logits(params, X))
+
+    def _backward(self, X, P, entries, lengths):
+        """Gradients (..., dim) from the forward pass's probabilities, which
         are overwritten."""
-        dZ = _xent_logit_grad(P, labels, lengths)
-        gW = (dZ @ X).transpose(0, 2, 1)
-        grads = np.concatenate([gW.reshape(len(X), -1), dZ.sum(axis=2)], axis=1)
-        return grads / lengths[:, None]
+        dZ = _xent_logit_grad(P, entries, lengths)
+        return _pack([(dZ @ X).swapaxes(-1, -2), dZ.sum(axis=-1)], lengths, self.dim)
 
-    def _gradients(self, params, X, labels, lengths):
-        return self._backward(X, self._probs(params, X), labels, lengths)
+    def _gradients(self, params, X, entries, lengths):
+        return self._backward(X, self._probs(params, X), entries, lengths)
 
     def loss(self, params, batch):
-        X, y, _ = self._single(batch)
-        return _mean_xent(self._probs(params[None], X), y)
+        X, entries, _ = self._single(batch)
+        return float(_mean_xent(self._probs(params[None], X), entries)[0])
 
     def stochastic_gradient(self, params, batch):
         return self._gradients(params[None], *self._single(batch))[0]
@@ -238,27 +306,16 @@ class LogisticObjective(_Classifier):
         return self.stochastic_gradient(params, _ALL)
 
     def evaluate(self, params, key):
-        """Loss and exact gradient from one pass over the training set."""
-        X, y, n = self._single(_ALL)
-        P = self._probs(params[None], X)
-        return _mean_xent(P, y), self._backward(X, P, y, n)[0]
+        """Losses and exact gradients from one pass over the training set."""
+        X, entries, n = self._train
+        P = self._probs(params, X)
+        return _mean_xent(P, entries), self._backward(X, P, entries, n)
 
     def init_params(self, key):
         return np.zeros(self.dim)
 
     def accuracy(self, params, features, labels):
-        P = self._probs(params[None], features[None])[0]
-        return float(np.mean(P.argmax(axis=0) == labels))
-
-
-@lru_cache(maxsize=1)
-def _proxy_rows(key: StreamKey, n: int, size: int) -> np.ndarray:
-    """``size`` of ``n`` training rows, drawn without replacement from
-    ``key``.  Every aggregator of a run evaluates a round with the same key,
-    so the last draw is kept, read-only, and shared."""
-    rows = key.generator().choice(n, size=size, replace=False)
-    rows.flags.writeable = False
-    return rows
+        return np.mean(self._logits(params, features).argmax(axis=-2) == labels, axis=-1)
 
 
 class MlpObjective(_Classifier):
@@ -277,35 +334,41 @@ class MlpObjective(_Classifier):
         self._shapes = [(p, H), (H, 1), (H, C), (C, 1)]
 
     def _unpack(self, params):
-        """W1 (K, p, H), b1 (K, H, 1), W2 (K, H, C), b2 (K, C, 1) of
-        (K, dim) parameters."""
+        """W1 (..., p, H), b1 (..., H, 1), W2 (..., H, C), b2 (..., C, 1) of
+        (..., dim) parameters."""
         out, start = [], 0
         for shape in self._shapes:
-            size = int(np.prod(shape))
-            out.append(params[:, start:start + size].reshape((len(params),) + shape))
+            size = math.prod(shape)
+            out.append(params[..., start:start + size].reshape(params.shape[:-1] + shape))
             start += size
         return out
 
     def _forward(self, params, X):
-        """(K, H, B) hidden activations and (K, C, B) logits."""
+        """(..., H, B) hidden activations and (..., C, B) logits."""
         W1, b1, W2, b2 = self._unpack(params)
-        A = np.tanh(W1.transpose(0, 2, 1) @ X.transpose(0, 2, 1) + b1)
-        return A, W2.transpose(0, 2, 1) @ A + b2
+        act = W1.swapaxes(-1, -2) @ X.swapaxes(-1, -2)
+        act += b1
+        np.tanh(act, out=act)
+        Z = W2.swapaxes(-1, -2) @ act
+        Z += b2
+        return act, Z
 
-    def _gradients(self, params, X, labels, lengths):
+    def _backward(self, params, X, act, P, entries, lengths):
+        """Gradients (..., dim) from the forward pass's hidden activations
+        and probabilities; the probabilities are overwritten."""
         W2 = self._unpack(params)[2]
-        A, Z = self._forward(params, X)
-        dZ = _xent_logit_grad(_softmax(Z), labels, lengths)
-        dA = (W2 @ dZ) * (1.0 - A**2)
-        K = len(params)
-        grads = np.concatenate([
-            (dA @ X).transpose(0, 2, 1).reshape(K, -1), dA.sum(axis=2),
-            (A @ dZ.transpose(0, 2, 1)).reshape(K, -1), dZ.sum(axis=2)], axis=1)
-        return grads / lengths[:, None]
+        dZ = _xent_logit_grad(P, entries, lengths)
+        dA = (W2 @ dZ) * (1.0 - act**2)
+        return _pack([(dA @ X).swapaxes(-1, -2), dA.sum(axis=-1),
+                      act @ dZ.swapaxes(-1, -2), dZ.sum(axis=-1)], lengths, self.dim)
+
+    def _gradients(self, params, X, entries, lengths):
+        act, Z = self._forward(params, X)
+        return self._backward(params, X, act, _softmax(Z), entries, lengths)
 
     def loss(self, params, batch):
-        X, y, _ = self._single(batch)
-        return _mean_xent(_softmax(self._forward(params[None], X)[1]), y)
+        X, entries, _ = self._single(batch)
+        return float(_mean_xent(_softmax(self._forward(params[None], X)[1]), entries)[0])
 
     def stochastic_gradient(self, params, batch):
         return self._gradients(params[None], *self._single(batch))[0]
@@ -313,19 +376,40 @@ class MlpObjective(_Classifier):
     def full_gradient(self, params):
         return self.stochastic_gradient(params, _ALL)
 
+    @property
+    def uses_proxy(self):
+        return len(self.data) > self.proxy_samples
+
+    def _diagnostic_rows(self, key):
+        """Every training row up to ``proxy_samples`` of them; above that,
+        ``proxy_samples`` rows drawn without replacement from ``key``."""
+        if not self.uses_proxy:
+            return _ALL
+        return key.generator().choice(len(self.data), size=self.proxy_samples,
+                                      replace=False)
+
     def diagnostic_gradient(self, params, key):
-        n = len(self.data)
-        if n <= self.proxy_samples:
-            return self.full_gradient(params)
-        return self.stochastic_gradient(params, _proxy_rows(key, n, self.proxy_samples))
+        return self.stochastic_gradient(params, self._diagnostic_rows(key))
+
+    def evaluate(self, params, key):
+        """Losses from one forward pass over the training set; the gradients
+        reuse it unless they are taken on proxy rows."""
+        X, entries, n = self._train
+        act, Z = self._forward(params, X)
+        P = _softmax(Z)
+        losses = _mean_xent(P, entries)
+        rows = self._diagnostic_rows(key)
+        if rows is _ALL:
+            return losses, self._backward(params, X, act, P, entries, n)
+        return losses, self._gradients(params, *self._single(rows))
 
     def init_params(self, key):
         rng = key.generator()
         return 0.05 * rng.standard_normal(self.dim)
 
     def accuracy(self, params, features, labels):
-        Z = self._forward(params[None], features[None])[1][0]
-        return float(np.mean(Z.argmax(axis=0) == labels))
+        Z = self._forward(params, features)[1]
+        return np.mean(Z.argmax(axis=-2) == labels, axis=-1)
 
 
 def build_objective(kind: str, data: LabeledDataset | None = None, *, d: int = 0,
@@ -502,6 +586,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     w = objective.init_params(root.child(_DOM_INIT))
     d = objective.dim
     models = [w] * A
+    stack = np.stack(models)  # row a: aggregator a's model
     # every (round, client) and (round, chip, branch) key of the run at once
     local_keys, channel_keys = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
     if objective.uses_batches:
@@ -521,8 +606,9 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         if not (0 < lo and hi < math.inf):
             raise ValueError(f"budgets must give finite gains > 0, got {lo} at round 0 "
                              f"and {hi} at round {cfg.T - 1}")
-    grads = [objective.diagnostic_gradient(w, local_keys.child(0, K))] * A
+    grads = np.broadcast_to(objective.diagnostic_gradient(w, local_keys.child(0, K)), (A, d))
     traces: dict[str, list[RoundTrace]] = {name: [] for name in names}
+    test_acc = [0.0] * A
 
     # a diverging run overflows; the checks below name what went non-finite
     # instead of letting NumPy warn about every step on the way
@@ -531,57 +617,68 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             beta = cfg.stepsize(t)
 
             # the minibatches do not depend on the aggregator; row a·K + k of the
-            # (A·K)-row stack is client k under aggregator a
+            # (A·K)-row stack is client k under aggregator a, and every
+            # aggregator reads the same K batches
             if objective.uses_batches:
                 batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
                                                   local_keys.child(t))
-                if A > 1:
-                    batches, lengths = np.tile(batches, (1, A, 1)), np.tile(lengths, (1, A))
             else:
                 batches = lengths = [None] * cfg.Q
-            local = np.repeat(np.stack(models) if A > 1 else models[0][None], K, axis=0)
+            local = np.repeat(stack, K, axis=0)
             for q in range(cfg.Q):
-                g = objective.stacked_gradient(local, batches[q], lengths[q])
-                local = local - beta * clip_gradient(g, cfg.clip_G)
+                # in place: stacked_gradient returns a new array, and local is a copy
+                step = clip_gradient(objective.stacked_gradient(local, batches[q], lengths[q]),
+                                     cfg.clip_G)
+                step *= beta
+                local -= step
 
             phy = cfg.phy
             if budgeted:
                 phy = phy.with_eta(_gain(numerator, phy.weight_sum, beta, cfg.Q, cfg.clip_G))
+            eps_norm_sq, max_energy = [], []
             for a, name in enumerate(names):
                 w = models[a]
                 increments = local[a * K:(a + 1) * K] - w
                 ideal = aggregate_ideal(increments)
-                max_energy = 0.0
+                energy = 0.0
                 if name == "reed":
                     update = aggregate_reed(increments, phy, reed_keys.child(t))
-                    max_energy = float(_audit(increments, phy, kmd).max())
+                    energy = float(_audit(increments, phy, kmd).max())
                 elif name == "coherent_csit":
                     update = aggregate_coherent_csit(increments, cfg.phy, channel_keys.child(t))
                 else:
                     update = ideal
                 eps = update - ideal
-                eps_norm_sq = float(eps @ eps)
+                models[a] = w + update
+                eps_norm_sq.append(float(eps @ eps))
+                max_energy.append(energy)
+            # one aggregator's model is stacked without a copy
+            stack = np.stack(models) if A > 1 else models[0][None]
 
-                w = models[a] = w + update
-                for what, finite in (("model", np.isfinite(w).all()),
-                                     ("eps_norm_sq", math.isfinite(eps_norm_sq)),
-                                     ("max_client_energy", math.isfinite(max_energy))):
+            # every model at once; the gradients are round t + 1's diagnostic
+            # gradients, and after the last round no trace reads them
+            if t + 1 < cfg.T:
+                key = local_keys.child(t + 1, K) if objective.uses_proxy else None
+                losses, next_grads = objective.evaluate(stack, key)
+            else:
+                losses, next_grads = [objective.loss(w, _ALL) for w in models], None
+            if test_data is not None:
+                test_acc = objective.accuracy(stack, test_data.features,
+                                              test_data.labels).tolist()
+
+            # aggregator by aggregator, so the first to leave the finite
+            # numbers is the one named
+            for a, name in enumerate(names):
+                loss = float(losses[a])
+                for what, finite in (("model", np.isfinite(models[a]).all()),
+                                     ("eps_norm_sq", math.isfinite(eps_norm_sq[a])),
+                                     ("max_client_energy", math.isfinite(max_energy[a])),
+                                     ("train loss", math.isfinite(loss))):
                     if not finite:
                         raise DivergenceError(f"aggregator {name!r}: non-finite {what} "
                                               f"after round {t}")
-
-                # the gradient is round t + 1's diagnostic gradient; after the
-                # last round no trace reads it
-                grad_norm_sq = float(grads[a] @ grads[a])
-                if t + 1 < cfg.T:
-                    train_loss, grads[a] = objective.evaluate(w, local_keys.child(t + 1, K))
-                else:
-                    train_loss = objective.loss(w, _ALL)
-                if not np.isfinite(train_loss):
-                    raise DivergenceError(f"aggregator {name!r}: non-finite train loss "
-                                          f"after round {t}")
-                test_acc = (objective.accuracy(w, test_data.features, test_data.labels)
-                            if test_data is not None else 0.0)
-                traces[name].append(RoundTrace(t, train_loss, test_acc, grad_norm_sq,
-                                               eps_norm_sq, max_energy))
+                g = grads[a]
+                traces[name].append(RoundTrace(t, loss, test_acc[a], float(g @ g),
+                                               eps_norm_sq[a], max_energy[a]))
+            grads = next_grads
     return traces

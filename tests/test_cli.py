@@ -372,6 +372,15 @@ BAD_INPUTS = [
      "sweep", "phy.noise_var"),
     ({"phy.snr_db": "0", "sweep.key": '"phy.noise_var"', "sweep.values": "[1.0]"},
      "sweep", "phy.noise_var"),
+    # a key that no FedAvg point reads would make every point the same run
+    ({"sweep.key": '"workers"', "sweep.values": "[1, 2]"}, "sweep", "sweep.key"),
+    ({"sweep.key": '"output.dir"', "sweep.values": '["a", "b"]'}, "sweep", "sweep.key"),
+    ({"sweep.key": '"moments.n_trials"', "sweep.values": "[2, 3]"}, "sweep", "sweep.key"),
+    ({"sweep.key": '"moments.tolerance"', "sweep.values": "[0.1, 0.2]"},
+     "sweep", "sweep.key"),
+    # IID clients read no alpha, but a bad one is still an error
+    ({"data.alpha": "-3"}, "run-fedavg", "data.alpha"),
+    ({"sweep.key": '"data.alpha"', "sweep.values": "[0.3, -3]"}, "sweep", "sweep.values"),
     ({"data.source": '"idx"', "data.idx_test_images": '"{images}"'},
      "run-fedavg", "data.idx_test_labels"),
     ({"data.source": '"idx"', "data.idx_test_labels": '"{labels}"'},
@@ -410,6 +419,20 @@ class TestMain:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not out.exists()  # nothing ran
+
+    @pytest.mark.parametrize("overrides", [
+        {"data.alpha": "-3"}, {"data.alpha": "NaN"}, {"data.alpha": "Infinity"},
+        *({"sweep.key": '"data.alpha"', "sweep.values": values}
+          for values in ("[-3]", "[0.3, -1e-9]", "[NaN]", "[-Infinity]", "[1e400]"))])
+    @pytest.mark.parametrize("command", ["run-fedavg", "sweep"])
+    def test_bad_iid_alpha_names_data_alpha(self, tmp_path, capsys, overrides, command):
+        cfgfile = tmp_path / "iid.cfg"
+        cfgfile.write_text(_with(TINY, overrides))
+        assert main([command, str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "data.alpha: " in err, err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_cli_error_reporting(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

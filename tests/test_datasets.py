@@ -106,6 +106,13 @@ class TestPartition:
         with pytest.raises(ValueError):
             PartitionSpec("stratified", 3, seed=0)
 
+    @pytest.mark.parametrize("kind", ["iid", "dirichlet"])
+    @pytest.mark.parametrize("alpha", [-3.0, -1e-300, np.inf, np.nan])
+    def test_alpha_checked_for_every_kind(self, kind, alpha):
+        # IID clients read no alpha, yet a bad one is still an error
+        with pytest.raises(ValueError, match="^alpha must be finite and >= 0"):
+            PartitionSpec(kind, 3, seed=0, alpha=alpha)
+
     @given(n=st.integers(10, 300), K=st.integers(1, 10),
            seed=st.integers(0, 10**6),
            kind=st.sampled_from(["iid", "dirichlet"]))

@@ -310,39 +310,47 @@ class TestBatchedTraining:
         ds, _ = _ragged_setup()
         obj = _objective("logistic", ds)
         w = 0.3 * StreamKey(6).generator().standard_normal(obj.dim)
-        loss, grad = obj.evaluate(w, KEY)
-        assert loss == obj.loss(w, np.arange(len(ds)))
-        assert np.array_equal(grad, obj.full_gradient(w))
+        loss, grad = obj.evaluate(w[None], KEY)
+        assert loss[0] == obj.loss(w, np.arange(len(ds)))
+        assert np.array_equal(grad[0], obj.full_gradient(w))
 
     def test_one_stacked_gradient_per_step_and_one_full_pass_per_round(self, monkeypatch):
         ds, parts = _ragged_setup()
         obj = _objective("logistic", ds)
-        calls = {"stacked": 0, "stochastic": 0, "local_round": 0}
-        full_passes = []
         cls = LogisticObjective
+        calls = {"stacked": 0, "stochastic": 0, "local_round": 0}
+        full_passes, full_backward = [], []
         for name in ("stacked_gradient", "stochastic_gradient"):
             def spy(self, *args, _fn=getattr(cls, name), _key=name.split("_")[0]):
                 calls[_key] += 1
                 return _fn(self, *args)
             monkeypatch.setattr(cls, name, spy)
-        full_backward = []
         probs, backward = cls._probs, cls._backward
+        # a pass over the training set reads its (n, p) features
         monkeypatch.setattr(cls, "_probs", lambda self, params, X: (
-            full_passes.append(X.shape[1] == len(ds)) or probs(self, params, X)))
+            full_passes.append(X.shape[-2] == len(ds)) or probs(self, params, X)))
         monkeypatch.setattr(cls, "_backward", lambda self, X, *a: (
-            full_backward.append(X.shape[1] == len(ds)) or backward(self, X, *a)))
+            full_backward.append(X.shape[-2] == len(ds)) or backward(self, X, *a)))
         monkeypatch.setattr(fedavg, "local_round", lambda *a, **kw: calls.update(
             local_round=calls["local_round"] + 1))
-        K, T = len(parts), 3
-        cfg = FedRunConfig(Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.1, seed=1)
-        run_fedavg(cfg, obj, parts)
-        assert calls["stacked"] == self.Q * T  # not K * Q * T
-        assert calls["local_round"] == 0
-        # round 0: its own diagnostic gradient; every round: one evaluate
-        # pass, which after the last round computes the loss alone
-        assert calls["stochastic"] == 1
-        assert sum(full_passes) == T + 1
-        assert sum(full_backward) == T
+        T = 3
+        for aggregators in (("ideal",), ("ideal", "reed", "coherent_csit")):
+            A = len(aggregators)
+            calls.update(stacked=0, stochastic=0)
+            full_passes.clear()
+            full_backward.clear()
+            cfg = FedRunConfig(Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.1,
+                               aggregators=aggregators, seed=1)
+            run_fedavg(cfg, obj, parts, ds)
+            assert calls["stacked"] == self.Q * T  # not A * K * Q * T
+            assert calls["local_round"] == 0
+            # round 0: one diagnostic gradient for every aggregator; each
+            # round before the last: one evaluate pass over all of them; the
+            # last round: each aggregator's loss alone.  Accuracy reads the
+            # logits, not the probabilities.
+            assert calls["stochastic"] == 1
+            assert sum(full_passes) == T + A  # not 1 + T·A, one per aggregator and round
+            assert sum(full_backward) == T
 
     @pytest.mark.parametrize("kind,draws", [("quadratic", False), ("logistic", True)])
     def test_batch_free_objective_draws_no_batches(self, monkeypatch, kind, draws):
@@ -356,6 +364,74 @@ class TestBatchedTraining:
         run_fedavg(cfg, obj, parts)
         assert obj.uses_batches is draws
         assert len(keys) == (T if draws else 0)
+
+
+class TestStackedEvaluation:
+    """evaluate and accuracy on a stack of A models against each model
+    alone: every row must be bit-identical, whatever its place in the
+    stack."""
+
+    KINDS = ["quadratic", "logistic", "mlp-full", "mlp-proxy"]
+
+    def _setup(self, kind):
+        if kind == "mlp-proxy":
+            # above proxy_samples, the MLP's diagnostic gradient is subsampled
+            ds, _ = _blob_setup(n=MlpObjective.proxy_samples + 88, K=4)
+            obj = _objective("mlp", ds)
+        else:
+            ds, _ = _ragged_setup()
+            obj = _objective(kind.removesuffix("-full"), ds)
+        params = 0.3 * StreamKey(11).generator().standard_normal((3, obj.dim))
+        return obj, ds, params
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stacked_evaluate_equals_each_model_alone(self, kind):
+        obj, ds, params = self._setup(kind)
+        losses, grads = obj.evaluate(params, KEY)
+        assert losses.shape == (3,) and grads.shape == (3, obj.dim)
+        assert len(set(losses.tolist())) == 3  # three distinct models
+        for a, w in enumerate(params):
+            alone_loss, alone_grad = obj.evaluate(params[a:a + 1], KEY)
+            assert alone_loss.shape == (1,) and alone_grad.shape == (1, obj.dim)
+            assert alone_loss[0] == losses[a]
+            assert (alone_grad[0] == grads[a]).all()
+            # and each equals the single-model methods
+            assert losses[a] == obj.loss(w, np.arange(len(ds)))
+            assert (grads[a] == obj.diagnostic_gradient(w, KEY)).all()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stacked_accuracy_equals_each_model_alone(self, kind):
+        obj, ds, params = self._setup(kind)
+        acc = obj.accuracy(params, ds.features, ds.labels)
+        assert acc.shape == (3,)
+        for a in range(3):
+            assert obj.accuracy(params[a:a + 1], ds.features, ds.labels)[0] == acc[a]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_permuting_the_stack_permutes_the_results(self, kind):
+        obj, ds, params = self._setup(kind)
+        losses, grads = obj.evaluate(params, KEY)
+        acc = obj.accuracy(params, ds.features, ds.labels)
+        for order in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
+            shuffled_losses, shuffled_grads = obj.evaluate(params[order], KEY)
+            assert (shuffled_losses == losses[order]).all()
+            assert (shuffled_grads == grads[order]).all()
+            assert (obj.accuracy(params[order], ds.features, ds.labels) == acc[order]).all()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_evaluation_key_built_only_for_proxy_rows(self, monkeypatch, kind):
+        obj, ds, _ = self._setup(kind)
+        keys = []
+        evaluate = type(obj).evaluate
+        monkeypatch.setattr(type(obj), "evaluate", lambda self, params, key: (
+            keys.append(key) or evaluate(self, params, key)))
+        K, T = 3, 3
+        cfg = FedRunConfig(Q=1, T=T, batch_size=8, beta0=0.05, seed=2)
+        run_fedavg(cfg, obj, partition(ds, PartitionSpec("iid", K, seed=0)), ds)
+        assert obj.uses_proxy is (kind == "mlp-proxy")
+        # rounds 1 .. T - 1; the key of round t is (local, t, K), as in round 0
+        assert keys == [StreamKey(cfg.seed, (fedavg._DOM_LOCAL, t, K)) if obj.uses_proxy
+                        else None for t in range(1, T)]
 
 
 class TestLockstep:
@@ -413,8 +489,9 @@ data.features = 4
         assert calls == {"build": 1, "batches": T}
 
     def test_mlp_proxy_rows_drawn_once_per_round(self, monkeypatch):
-        # every aggregator evaluates round t with the key (local, t, K), so
-        # the proxy rows are drawn once per round, not once per aggregator
+        # every aggregator evaluates round t in one call with the key
+        # (local, t, K), so the proxy rows are drawn once per round, not once
+        # per aggregator
         cfg, obj, parts, test = list(self._setups())[-1]
         assert isinstance(obj, MlpObjective)
         K = len(parts)
@@ -427,7 +504,6 @@ data.features = 4
             return original(key)
 
         monkeypatch.setattr(StreamKey, "generator", counting)
-        fedavg._proxy_rows.cache_clear()
         run_fedavg(replace(cfg, aggregators=self.AGGREGATORS), obj, parts, test)
         assert draws == [(fedavg._DOM_LOCAL, t, K) for t in range(cfg.T)]
 
