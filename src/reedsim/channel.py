@@ -38,7 +38,8 @@ __all__ = [
 def _complex_gaussian(rng: np.random.Generator, energy, size) -> np.ndarray:
     # E|x|^2 = energy; real and imaginary parts iid N(0, energy/2), drawn as
     # interleaved (re, im) pairs of one standard-normal array
-    unit = rng.standard_normal(tuple(np.atleast_1d(size)) + (2,)).view(np.complex128)
+    shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+    unit = rng.standard_normal(shape + (2,)).view(np.complex128)
     return np.sqrt(np.asarray(energy) / 2.0) * unit[..., 0]
 
 
@@ -53,7 +54,7 @@ def _unit_phasor(phi: np.ndarray) -> np.ndarray:
 def sample_fading(rng: np.random.Generator, mean_power, size):
     """Rayleigh fading coefficient h ~ CN(0, mean_power)."""
     # NaN fails every comparison, so these checks reject it too
-    if not np.all(np.asarray(mean_power) >= 0):
+    if not (np.asarray(mean_power) >= 0).all():
         raise ValueError(f"mean_power must be >= 0, got {mean_power}")
     return _complex_gaussian(rng, mean_power, size)
 
@@ -69,7 +70,7 @@ def sample_energy(rng: np.random.Generator, mean_energy, size):
     """Detected energy |y|^2 of y ~ CN(0, mean_energy): mean_energy times a
     standard exponential."""
     mean = np.asarray(mean_energy)
-    if not np.all(mean >= 0):
+    if not (mean >= 0).all():
         raise ValueError(f"mean_energy must be >= 0, got {mean_energy}")
     return _sample_energy(rng, mean, size)
 
@@ -103,7 +104,7 @@ def sample_general_fading(rng: np.random.Generator, mean_power, kappa: float, si
     degenerates to constant modulus).  All phases are drawn before all
     on/off flags.
     """
-    if not np.all(np.asarray(mean_power) >= 0):
+    if not (np.asarray(mean_power) >= 0).all():
         raise ValueError(f"mean_power must be >= 0, got {mean_power}")
     if not kappa >= 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")

@@ -283,7 +283,7 @@ def synth_data(cfg: dict[str, Any], n: int, trial: int) -> LabeledDataset:
 @_keyed()
 def _partition_spec(cfg: dict[str, Any], trial: int) -> PartitionSpec:
     # the trial's own domain 3 (a run uses 0-2): replays no trial's root stream
-    seed = int(StreamKey(_trial_seed(cfg, trial)).child(3).generator().integers(2**63))
+    seed = int(StreamKey(_trial_seed(cfg, trial)).generator(3).integers(2**63))
     return PartitionSpec(kind=cfg["data.partition"], K=cfg["fed.K"], seed=seed,
                          alpha=cfg["data.alpha"])
 

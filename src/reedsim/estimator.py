@@ -159,31 +159,37 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
     normalized weighted energy difference, shape (n,).
 
     Stream layout: chip m and branch b (0 for the positive part, 1 for the
-    negative) draw from the single stream ``key.child(m, b)``.
+    negative) draw from the single stream ``key.child(m, b)``, whose
+    generator is built as ``key.generator(m, b)`` without the child key.
 
     - kappa = 2: one (R, n) array of detected energies, exponential with
       mean eta * c_m * S_bj + noise_var, where S_bj is the branch's sum of
-      parts in column j.  Every stream draws into one (R, n) buffer that
-      the call owns; its antennas are summed into row 0 in place, and the
-      positive branch is added to the returned total, the negative one
+      parts in column j.  Each branch's column sums are taken once per
+      call, not once per chip.  Every stream draws into one (R, n) buffer
+      that the call owns; its antennas are summed into row 0 in place, and
+      the positive branch is added to the returned total, the negative one
       subtracted.  So a call holds about (R + 1) * n doubles at its peak,
-      plus, for (K, n) parts, the n means of the stream being drawn.
+      plus, for (K, n) parts, the two branches' column sums and the means
+      of the stream being drawn, 3n more.
     - kappa != 2: columns in blocks of ``_BLOCK``; each block of width w
       draws noise (R, w), then fading (Ka, R, w).  Ka counts the clients
       whose part is nonzero somewhere in the row, so a silent client draws
       nothing.
     """
     total = np.zeros(n)
-    if cfg.kappa == 2.0:
+    rayleigh = cfg.kappa == 2.0
+    if rayleigh:
         energy = np.empty((cfg.antennas, n))
+        # each branch's column sums, taken once per call; the means are >= 0
+        # by construction: the parts are >= 0, and eta, c and noise_var were
+        # checked by ReedPhyConfig
+        sums = (np.add.reduce(pos, 0), np.add.reduce(neg, 0))
+        mean = np.empty_like(sums[0])
     for m, c in enumerate(cfg.chip_weights):
         for branch, part in enumerate((pos, neg)):
-            rng = key.child(m, branch).generator()
-            if cfg.kappa == 2.0:
-                # >= 0 by construction: the parts are >= 0, and eta, c and
-                # noise_var were checked by ReedPhyConfig
-                mean = part.sum(axis=0)
-                mean *= cfg.eta * c
+            rng = key.generator(m, branch)
+            if rayleigh:
+                np.multiply(sums[branch], cfg.eta * c, out=mean)
                 mean += cfg.noise_var
                 _sample_energy(rng, mean, out=energy)
                 # row by row, the order in which sum(axis=0) adds the rows
@@ -208,26 +214,29 @@ def reference_estimate(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey)
     Each (chip, branch) stream draws noise for every antenna, then fading
     for every (active client, antenna).  For kappa != 2 these are the
     kernel's draws at n = 1; for kappa = 2 the kernel draws the detected
-    energies instead, so the two agree in law.  Returns the sum over chips,
-    branches and antennas of sign * |y|^2, divided by eta * C_M * R.
+    energies instead, so the two agree in law.  A branch's symbols are
+    then formed for all its chips and antennas at once, each adding the
+    clients one by one.  Returns the sum over chips, branches and antennas
+    of sign * |y|^2, divided by eta * C_M * R.
     """
     R = cfg.antennas
+    mean_powers = np.broadcast_to(cfg.mean_powers, inputs.values.shape)
     total = 0.0
-    for m, c in enumerate(cfg.chip_weights):
-        for branch, sign, part in ((0, 1.0, inputs.pos), (1, -1.0, inputs.neg)):
-            active = np.flatnonzero(part > 0)
-            powers = np.broadcast_to(cfg.mean_powers, part.shape)[active]
-            rng = key.child(m, branch).generator()
-            z = sample_noise(rng, cfg.noise_var, R)
-            size = (active.size, R)
-            h = (sample_fading(rng, powers[:, None], size) if cfg.kappa == 2.0 else
-                 sample_general_fading(rng, powers[:, None], cfg.kappa, size))
-            for r in range(R):
-                y = 0.0 + 0.0j
-                for i, k in enumerate(active):
-                    y += h[i, r] * (np.sqrt(cfg.eta * c * part[k]) / np.sqrt(powers[i]))
-                total += sign * abs(y + z[r]) ** 2
-    return float(total / (cfg.eta * cfg.weight_sum * R))
+    for branch, (sign, part) in enumerate(((1.0, inputs.pos), (-1.0, inputs.neg))):
+        active = (part > 0).nonzero()[0]
+        powers = mean_powers[active]
+        size = (active.size, R)
+        z, h = [], []
+        for m in range(cfg.n_chips):
+            rng = key.generator(m, branch)
+            z.append(sample_noise(rng, cfg.noise_var, R))
+            h.append(sample_fading(rng, powers[:, None], size) if cfg.kappa == 2.0 else
+                     sample_general_fading(rng, powers[:, None], cfg.kappa, size))
+        # (M, Ka) amplitudes; sum(axis=1) adds the clients' rows in turn
+        amps = np.sqrt(cfg.eta * cfg.chip_weights[:, None] * part[active]) / np.sqrt(powers)
+        y = (np.array(h) * amps[..., None]).sum(axis=1) + z
+        total += sign * float((y.real**2 + y.imag**2).sum())
+    return total / (cfg.eta * cfg.weight_sum * R)
 
 
 def sample_estimates(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey,
@@ -242,7 +251,8 @@ def aggregate_ideal(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:
     arr = np.asarray(increments, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"increments must be a (K, d) array, got shape {arr.shape}")
-    return arr.mean(axis=0)
+    # what arr.mean(axis=0) computes, without its wrapper
+    return np.add.reduce(arr, 0) / len(arr)
 
 
 def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig,

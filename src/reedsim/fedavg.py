@@ -192,6 +192,33 @@ def _label_entries(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return ((rows * n_classes + labels) * B + np.arange(B)).ravel()
 
 
+def _accuracy(Z: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Accuracies (...,) of (..., C, n) logits: the share of the n samples
+    whose label is ``Z.argmax(axis=-2)``, without that argmax, which is slow
+    along the strided class axis.
+
+    Z is overwritten.  A label wins outright when its logit exceeds every
+    other class's; the few columns with a tie or a NaN at the top are
+    settled by argmax itself, so its rule (the first class at the max, a
+    NaN counting as the max) holds exactly.
+    """
+    *lead, C, n = Z.shape
+    # flat indices into Z, which 1-D fancy indexing reads and writes fastest
+    flat = Z.reshape(-1)
+    entries = _label_entries(np.broadcast_to(labels, (*lead, n)), C)
+    own = flat[entries]
+    flat[entries] = -np.inf
+    rival = Z.max(axis=-2)  # the best logit of any other class
+    own = own.reshape(rival.shape)
+    hit = own > rival
+    unsure = ~(hit | (own < rival))
+    if unsure.any():
+        flat[entries] = own.reshape(-1)
+        at = np.nonzero(unsure)
+        hit[at] = np.moveaxis(Z, -2, -1)[at].argmax(axis=-1) == labels[at[-1]]
+    return np.mean(hit, axis=-1)
+
+
 def _mean_xent(P: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Mean cross-entropy (A,) of A models' (A, C, n) class probabilities;
     each row is reduced alone, so it equals that model's loss."""
@@ -315,7 +342,7 @@ class LogisticObjective(_Classifier):
         return np.zeros(self.dim)
 
     def accuracy(self, params, features, labels):
-        return np.mean(self._logits(params, features).argmax(axis=-2) == labels, axis=-1)
+        return _accuracy(self._logits(params, features), labels)
 
 
 class MlpObjective(_Classifier):
@@ -408,8 +435,7 @@ class MlpObjective(_Classifier):
         return 0.05 * rng.standard_normal(self.dim)
 
     def accuracy(self, params, features, labels):
-        Z = self._forward(params, features)[1]
-        return np.mean(Z.argmax(axis=-2) == labels, axis=-1)
+        return _accuracy(self._forward(params, features)[1], labels)
 
 
 def build_objective(kind: str, data: LabeledDataset | None = None, *, d: int = 0,
@@ -499,17 +525,30 @@ class DivergenceError(RuntimeError):
 
 def clip_gradient(g: np.ndarray, clip_G: float | None) -> np.ndarray:
     """Scale a gradient, or each row of a stack of them, to norm at most
-    clip_G."""
+    clip_G, in place; returns ``g``.
+
+    Each row is multiplied by clip_G / max(norm, clip_G).  When no norm
+    exceeds clip_G that factor is exactly 1 for every row, and ``g`` is
+    returned untouched, which is the same bits.
+    """
     if clip_G is None:
         return g
-    # the reduction np.linalg.norm runs, without its wrapper
-    norm = np.sqrt(np.add.reduce(g * g, axis=-1, keepdims=True))
-    return g * (clip_G / np.maximum(norm, clip_G))
+    # the reduction np.linalg.norm runs, without its wrapper; the factor is
+    # formed in the norm's buffer
+    scale = np.add.reduce(g * g, axis=-1, keepdims=True)
+    # the largest norm, as sqrt is monotone; False for a NaN norm
+    if math.sqrt(scale.max()) <= clip_G:
+        return g
+    np.sqrt(scale, out=scale)
+    np.maximum(scale, clip_G, out=scale)
+    np.divide(clip_G, scale, out=scale)
+    g *= scale
+    return g
 
 
 def _client_batches(indices, Q: int, batch_size: int,
-                    key: StreamKey) -> tuple[np.ndarray, list[int]]:
-    """The minibatches of one client's Q local steps.
+                    rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+    """The minibatches of one client's Q local steps, drawn from ``rng``.
 
     Minibatches are taken without replacement from a shuffle of the
     client's indices, reshuffling whenever the shuffle is used up.  Returns
@@ -522,7 +561,6 @@ def _client_batches(indices, Q: int, batch_size: int,
         raise ValueError("client dataset is empty")
     width = min(batch_size, n)
     per_shuffle = -(-n // width)
-    rng = key.generator()
     shuffles = np.zeros((-(-Q // per_shuffle), per_shuffle * width), dtype=np.intp)
     for row in shuffles:
         row[:n] = rng.permutation(indices)
@@ -533,13 +571,13 @@ def _client_batches(indices, Q: int, batch_size: int,
 def _round_batches(partitions: list[np.ndarray], Q: int, batch_size: int,
                    key: StreamKey) -> tuple[np.ndarray, np.ndarray]:
     """The minibatches of every client's Q local steps, client k drawn
-    from ``key.child(k)``: a (Q, K, B) index array and the (Q, K) batch
-    lengths."""
+    from the stream ``key.child(k)``: a (Q, K, B) index array and the
+    (Q, K) batch lengths."""
     width = min(batch_size, max(np.size(p) for p in partitions))
     batches = np.zeros((Q, len(partitions), width), dtype=np.intp)
     lengths = np.empty((Q, len(partitions)), dtype=np.intp)
     for k, part in enumerate(partitions):
-        rows, lengths[:, k] = _client_batches(part, Q, batch_size, key.child(k))
+        rows, lengths[:, k] = _client_batches(part, Q, batch_size, key.generator(k))
         batches[:, k, :rows.shape[1]] = rows
     return batches, lengths
 
@@ -557,7 +595,7 @@ def local_round(params: np.ndarray, objective: Objective, client_indices: np.nda
         raise ValueError("Q must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    batches, lengths = _client_batches(client_indices, Q, batch_size, key)
+    batches, lengths = _client_batches(client_indices, Q, batch_size, key.generator())
     w = params.copy()
     for batch, n in zip(batches, lengths):
         g = clip_gradient(objective.stochastic_gradient(w, batch[:n]), clip_G)
@@ -596,6 +634,8 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     if "reed" in names:
         reed_keys = channel_keys.grid(cfg.T, cfg.phy.n_chips, 2)
         kmd = _audit_denominator(cfg.phy, K, d)
+    if "coherent_csit" in names:
+        csit_keys = channel_keys.grid(cfg.T)
     if budgeted:
         # no schedule increases beta, so the gain is least at round 0 and
         # most at round T - 1
@@ -645,7 +685,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                     update = aggregate_reed(increments, phy, reed_keys.child(t))
                     energy = float(_audit(increments, phy, kmd).max())
                 elif name == "coherent_csit":
-                    update = aggregate_coherent_csit(increments, cfg.phy, channel_keys.child(t))
+                    update = aggregate_coherent_csit(increments, cfg.phy, csit_keys.child(t))
                 else:
                     update = ideal
                 eps = update - ideal

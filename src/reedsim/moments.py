@@ -170,7 +170,7 @@ def _audit_denominator(cfg: ReedPhyConfig, K: int, d: int) -> np.ndarray:
 
 def _audit(increments: np.ndarray, cfg: ReedPhyConfig, kmd: np.ndarray) -> np.ndarray:
     """The audit of (K, d) increments from its per-run denominator."""
-    return cfg.eta * cfg.weight_sum / kmd * np.abs(increments).sum(axis=1)
+    return cfg.eta * cfg.weight_sum / kmd * np.add.reduce(np.abs(increments), 1)
 
 
 def theorem_bound_rhs(consts: ConvergenceConstants, beta: float, Q: int, T: int,

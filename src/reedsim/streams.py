@@ -14,6 +14,11 @@ SeedSequence's hash, instead of building one SeedSequence per stream.  Its
 words are the same as SeedSequence's, bit for bit (``tests/test_streams.py``
 checks this, and the first draws of every leaf, over seeds and paths that
 take one or several 32-bit words), so a grid changes no draw.
+
+``key.generator(*index)`` is ``key.child(*index).generator()`` without
+the child key: a caller that builds one generator per (chip, branch) or
+per client names the leaf by its index, and on a grid node SFC64 is
+seeded straight from that leaf's row of the grid's words.
 """
 
 from __future__ import annotations
@@ -47,23 +52,28 @@ def _hash_steps(const: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarr
 
 
 @functools.cache
-def _fixed_key_seed():
-    """A seed sequence that hands SFC64 stored seed words.  Defined on first
-    use, so importing this module does not load ``numpy.random``."""
+def _leaf_generator():
+    """The function that builds a leaf's generator from its stored seed
+    words.  Defined on first use, so importing this module does not load
+    ``numpy.random``."""
+    from numpy.random import SFC64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
     class FixedKey(ISeedSequence):
+        """A seed sequence that hands SFC64 stored seed words."""
+
         def __init__(self, key: np.ndarray):
             self.key = key
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 3 or np.dtype(dtype) != np.uint64:
+            # SFC64 asks for np.uint64 itself, so the identity test decides
+            if n_words != 3 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
                 raise ValueError("a fixed key seeds only SFC64's three words")
-            # SFC64 reads the words from the raw buffer, ignoring strides, and
-            # a grid leaf's words are a strided row of the grid's array
-            return np.ascontiguousarray(self.key)
+            # SFC64 reads the words from the raw buffer, ignoring strides; a
+            # grid keeps each leaf's words contiguous
+            return self.key
 
-    return FixedKey
+    return lambda words: Generator(SFC64(FixedKey(words)))
 
 
 @dataclass(frozen=True)
@@ -78,8 +88,12 @@ class StreamKey:
     chip, branch) under the run seed.
 
     ``keys`` is set only on the nodes of a :meth:`grid`: the SFC64 seed
-    words of the node's grid below it, shape (..., 3), or one leaf's
-    words, shape (3,).  It takes no part in ``==`` or the hash.
+    words of the node's grid below it, a C-contiguous array of shape
+    (..., 3), or one leaf's words, shape (3,).  It takes no part in ``==``
+    or the hash.
+
+    :meth:`generator` takes the index of a child, so the stream of a leaf
+    is drawn from without building the leaf's key.
     """
 
     seed: int
@@ -92,12 +106,19 @@ class StreamKey:
         On a grid node, a child inside the grid keeps its keys; any other
         child is a plain key of the same stream.
         """
+        return StreamKey(self.seed, *self._descend(indices))
+
+    def _descend(self, indices) -> tuple[tuple[int, ...], np.ndarray | None]:
+        """The path and the grid keys of ``child(*indices)``."""
         indices = tuple(map(int, indices))
         keys = self.keys
-        if keys is not None and len(indices) < keys.ndim and all(
-                0 <= i < n for i, n in zip(indices, keys.shape)):
-            return StreamKey(self.seed, self.path + indices, keys[indices])
-        return StreamKey(self.seed, self.path + indices)
+        # NumPy would wrap a negative index, and rejects one past the end
+        if keys is not None and len(indices) < keys.ndim and (not indices or min(indices) >= 0):
+            try:
+                return self.path + indices, keys[indices]
+            except IndexError:
+                pass
+        return self.path + indices, None
 
     def grid(self, *shape: int) -> "StreamKey":
         """This stream as a grid node: every child ``child(*i)`` with
@@ -126,16 +147,22 @@ class StreamKey:
         out = (mixer[:, [0, 1, 2, 3, 0, 1]] ^ before) * after
         out ^= out >> 16
         out = out.astype(np.uint64)
-        keys = out[:, 0::2] | out[:, 1::2] << 32
+        # in C order, so that every leaf's three words are contiguous
+        keys = np.ascontiguousarray(out[:, 0::2] | out[:, 1::2] << 32)
         return StreamKey(self.seed, self.path, keys.reshape(*shape, 3))
 
-    def generator(self) -> np.random.Generator:
-        """Fresh generator for this stream (SFC64)."""
-        if self.keys is None:
-            seed = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        elif self.keys.shape == (3,):
-            seed = _fixed_key_seed()(self.keys)
-        else:
-            raise ValueError(f"stream {self.path} is a grid node, not a leaf; "
-                             "address a leaf with child()")
-        return np.random.Generator(np.random.SFC64(seed))
+    def generator(self, *index: int) -> np.random.Generator:
+        """Fresh generator for this stream (SFC64), or, given an index, for
+        the stream ``child(*index)``, draw for draw and error for error.
+
+        With an index no child key is built: on a grid node, an index that
+        reaches a leaf seeds SFC64 from the leaf's row of the grid's keys.
+        """
+        path, keys = self._descend(index) if index else (self.path, self.keys)
+        if keys is None:
+            seed = np.random.SeedSequence(entropy=self.seed, spawn_key=path)
+            return np.random.Generator(np.random.SFC64(seed))
+        if keys.shape != (3,):
+            raise ValueError(f"stream {path} is a grid node, not a leaf; "
+                             "address a leaf with child() or generator(*index)")
+        return _leaf_generator()(keys)

@@ -153,9 +153,9 @@ class TestKernelStreams:
         calls = []
         original = StreamKey.generator
 
-        def counting(key):
-            calls.append(key.path)
-            return original(key)
+        def counting(key, *index):
+            calls.append(key.child(*index).path)
+            return original(key, *index)
 
         monkeypatch.setattr(StreamKey, "generator", counting)
         return calls
@@ -212,7 +212,8 @@ def _rayleigh_with_temporaries(pos, neg, cfg, key, n):
 
 class TestRayleighKernelBits:
     @pytest.mark.parametrize("noise_var", [0.0, 0.7], ids=["nv0", "nv0.7"])
-    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.5, 2.0]], ids=["M1", "M3"])
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.5, 2.0], [1.0, 0.25, 2.0, 0.5]],
+                             ids=["M1", "M3", "M4"])
     @pytest.mark.parametrize("antennas", [1, 2, 3], ids=["R1", "R2", "R3"])
     def test_bit_identical_to_temporaries(self, antennas, weights, noise_var):
         # per-client mean powers, a silent client and a zero coordinate
@@ -221,10 +222,12 @@ class TestRayleighKernelBits:
         cfg = ReedPhyConfig(eta=2.5, noise_var=noise_var, mean_powers=[0.5, 1.0, 2.0],
                             chip_weights=weights, antennas=antennas)
         u = inc / len(inc)
-        assert np.array_equal(
-            aggregate_reed(inc, cfg, KEY.child(22)),
-            _rayleigh_with_temporaries(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg,
-                                       KEY.child(22), inc.shape[1]))
+        expected = _rayleigh_with_temporaries(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg,
+                                              KEY.child(22), inc.shape[1])
+        # on a plain key, and on a grid node, whose (chip, branch) generators
+        # take the leaf path of StreamKey.generator
+        for key in (KEY.child(22), KEY.child(22).grid(len(weights), 2)):
+            assert np.array_equal(aggregate_reed(inc, cfg, key), expected)
         inp = ScalarInputs(inc[:, 0])
         assert np.array_equal(
             sample_estimates(inp, cfg, KEY.child(23), 1000),

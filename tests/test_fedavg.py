@@ -8,8 +8,8 @@ from reedsim.config import parse_config
 from reedsim.datasets import PartitionSpec, partition, synth_dataset
 from reedsim.estimator import ReedPhyConfig, aggregate_ideal
 from reedsim.fedavg import (FedRunConfig, LogisticObjective, MlpObjective,
-                            QuadraticObjective, _round_batches, build_objective,
-                            local_round, run_fedavg)
+                            QuadraticObjective, _accuracy, _round_batches, build_objective,
+                            clip_gradient, local_round, run_fedavg)
 from reedsim.streams import StreamKey
 
 KEY = StreamKey(8128)
@@ -101,6 +101,26 @@ class TestLocalRound:
         Q, beta, G = 10, 0.5, 0.2
         delta = local_round(w, obj, parts[0], Q, beta, 16, KEY.child(1), clip_G=G)
         assert np.linalg.norm(delta) <= beta * Q * G + 1e-12
+
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 7)], ids=["one", "stack"])
+    def test_clip_gradient_scales_in_place_bit_for_bit(self, shape):
+        # rows far below, near and far above each bound
+        g = StreamKey(4).generator().standard_normal(shape)
+        if g.ndim == 2:
+            g *= np.array([[0.01], [0.3], [1.0], [10.0], [1e3]])
+        nan = g.copy()
+        nan[..., 0] = np.nan
+        # every row clipped, some rows, none; a NaN norm goes through the
+        # arithmetic too
+        for clip_G in (0.05, 1.0, 30.0, 1e6):
+            for grad in (g, nan):
+                norm = np.sqrt(np.add.reduce(grad * grad, axis=-1, keepdims=True))
+                expected = grad * (clip_G / np.maximum(norm, clip_G))
+                out = grad.copy()
+                assert clip_gradient(out, clip_G) is out
+                assert np.array_equal(out, expected, equal_nan=True)
+        assert clip_gradient(g, None) is g
 
 
 class TestRunFedavg:
@@ -498,10 +518,11 @@ data.features = 4
         draws = []
         original = StreamKey.generator
 
-        def counting(key):
-            if len(key.path) == 3 and key.path[2] == K:
-                draws.append(key.path)
-            return original(key)
+        def counting(key, *index):
+            path = key.child(*index).path
+            if len(path) == 3 and path[2] == K:
+                draws.append(path)
+            return original(key, *index)
 
         monkeypatch.setattr(StreamKey, "generator", counting)
         run_fedavg(replace(cfg, aggregators=self.AGGREGATORS), obj, parts, test)
@@ -520,3 +541,111 @@ data.features = 4
     def test_aggregators_rejected(self, aggregators):
         with pytest.raises(ValueError, match="^aggregators must"):
             FedRunConfig(Q=1, T=1, batch_size=4, beta0=0.1, aggregators=aggregators)
+
+
+class TestGeneratorBuilds:
+    """Every generator of a trial is built through StreamKey.generator, the
+    method the benchmark's tracer counts, so no stream escapes the count."""
+
+    @pytest.mark.parametrize("model", ["quadratic", "logistic"])
+    def test_builds_per_round(self, monkeypatch, model):
+        builds = []
+        original = StreamKey.generator
+        monkeypatch.setattr(StreamKey, "generator", lambda key, *index: (
+            builds.append(key.child(*index).path) or original(key, *index)))
+        K, M = 3, 2
+        extra = ("""
+fed.model = "quadratic"
+fed.quad_dim = 4
+fed.clip_G = 1.0
+fed.budget = 1.0
+data.synth_kind = "quadratic-free"
+data.test_n = 0
+""" if model == "quadratic" else """
+data.classes = 3
+data.features = 4
+data.test_n = 20
+""")
+        # a reed round draws 2M channel streams, plus one minibatch stream
+        # per client for an objective that reads its batches
+        per_round = 2 * M + (K if model == "logistic" else 0)
+        for T in (2, 5):
+            builds.clear()
+            experiments.run_trial(parse_config(f"""
+fed.K = {K}
+fed.Q = 2
+fed.T = {T}
+fed.batch_size = 8
+fed.aggregators = ["ideal", "reed"]
+data.synth_n = 60
+phy.chips = {M}
+""" + extra), 0)
+            # c = 5 per run, as in a benchmark unit: the config check and the
+            # trial each build the partition's seed and the synthetic data or
+            # the quadratic's curvatures, and the trial builds the partition
+            assert len(builds) == 5 + T * per_round
+            channel = [path for path in builds if path[:1] == (fedavg._DOM_CHANNEL,)]
+            assert channel == [(fedavg._DOM_CHANNEL, t, m, b)
+                               for t in range(T) for m in range(M) for b in (0, 1)]
+
+    def test_coherent_rounds_draw_from_grid_leaves(self, monkeypatch):
+        # the per-round key of coherent_csit is a leaf of one grid over the
+        # rounds, so its generator is seeded from stored words
+        keys = []
+        coherent = fedavg.aggregate_coherent_csit
+        monkeypatch.setattr(fedavg, "aggregate_coherent_csit", lambda inc, phy, key: (
+            keys.append(key) or coherent(inc, phy, key)))
+        ds, parts = _blob_setup(K=3)
+        T = 4
+        cfg = FedRunConfig(Q=1, T=T, batch_size=16, beta0=0.1, seed=6,
+                           aggregators=("coherent_csit", "reed"),
+                           phy=ReedPhyConfig(eta=3.0, noise_var=0.5))
+        run_fedavg(cfg, build_objective("logistic", ds), parts, ds)
+        assert keys == [StreamKey(cfg.seed, (fedavg._DOM_CHANNEL, t)) for t in range(T)]
+        assert all(key.keys is not None and key.keys.shape == (3,) for key in keys)
+
+
+class TestAccuracyTies:
+    """accuracy takes argmax's answer without calling argmax on the whole
+    stack, ties and non-finite logits included."""
+
+    @staticmethod
+    def _argmax_accuracy(Z, labels):
+        return np.mean(Z.argmax(axis=-2) == labels, axis=-1)
+
+    def test_equals_argmax_on_tied_and_non_finite_logits(self):
+        rng = StreamKey(71).generator()
+        for trial in range(300):
+            A, C, n = rng.integers(1, 4), rng.integers(2, 6), rng.integers(1, 40)
+            # a few integer levels make ties at the top common
+            Z = rng.integers(-2, 3, size=(A, C, n)).astype(float)
+            if trial % 3 == 0:
+                Z[rng.random(Z.shape) < 0.1] = rng.choice([np.inf, -np.inf, np.nan])
+            if trial % 5 == 0:
+                Z = Z[0]  # one model, (C, n)
+            labels = rng.integers(0, C, size=n)
+            assert np.array_equal(_accuracy(Z.copy(), labels),
+                                  self._argmax_accuracy(Z, labels))
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_objectives_break_ties_like_argmax(self, kind):
+        ds, _ = _ragged_setup()
+        obj = _objective(kind, ds)
+        params = 0.3 * StreamKey(72).generator().standard_normal((3, obj.dim))
+        # model 0 has every logit equal (class 0 wins every sample); in
+        # model 1 classes 1 and 2 share their weights, so they tie wherever
+        # they lead
+        params[0] = 0.0
+        if kind == "logistic":
+            W = params[1, :obj.n_features * obj.n_classes].reshape(obj.n_features, -1)
+            b = params[1, obj.n_features * obj.n_classes:]
+        else:
+            _, _, W, b = obj._unpack(params[1])
+        W[:, 2] = W[:, 1]
+        b[2] = b[1]
+        logits = (obj._logits(params, ds.features) if kind == "logistic"
+                  else obj._forward(params, ds.features)[1])
+        assert (logits[1, 1] == logits[1, 2]).all()
+        expected = self._argmax_accuracy(logits, ds.labels)
+        assert expected[0] == np.mean(ds.labels == 0)
+        assert np.array_equal(obj.accuracy(params, ds.features, ds.labels), expected)

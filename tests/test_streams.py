@@ -86,8 +86,8 @@ def test_every_grid_key_matches_seed_sequence(seed, prefix):
         expected = np.random.SeedSequence(seed, spawn_key=prefix + index).generate_state(
             3, np.uint64)
         assert np.array_equal(leaf.keys, expected)
-        # a leaf's words are a strided row of the grid's array, and SFC64
-        # reads a raw buffer: equal words can still seed another state, so
+        # SFC64 reads a leaf's words from the raw buffer, ignoring strides:
+        # equal words laid out otherwise would seed another state, so
         # compare the draws too
         assert np.array_equal(leaf.generator().random(4),
                               key.child(*index).generator().random(4))
@@ -124,3 +124,78 @@ def test_child_outside_grid_is_plain_key():
         assert np.array_equal(child.generator().random(3), key.child(*index).generator().random(3))
     # NumPy would wrap a negative index; it addresses no stream of the grid
     assert grid.child(-1, 0).keys is None
+
+
+def _draws_or_error(build):
+    """The first draws of ``build()``'s generator, or its error's type and
+    message."""
+    try:
+        return build().random(4).tolist()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_generator_is_child_generator(key, index):
+    assert _draws_or_error(lambda: key.generator(*index)) == \
+        _draws_or_error(lambda: key.child(*index).generator())
+
+
+def test_generator_by_index_on_grid_leaves():
+    key = StreamKey(61, (2, 5))
+    grid = key.grid(3, 2, 2)
+    for index in np.ndindex(3, 2, 2):
+        _assert_generator_is_child_generator(grid, index)
+        # from a node part way down, and from the plain key
+        _assert_generator_is_child_generator(grid.child(index[0]), index[1:])
+        _assert_generator_is_child_generator(key, index)
+        assert np.array_equal(grid.generator(*index).random(4),
+                              key.child(*index).generator().random(4))
+
+
+def test_generator_by_index_off_the_leaves():
+    key = StreamKey(62, (4,))
+    grid = key.grid(3, 2)
+    # partial indices address grid nodes, which have no generator
+    for index in ((), (0,), (2,)):
+        _assert_generator_is_child_generator(grid, index)
+        with pytest.raises(ValueError, match=r"^stream \(4,( \d)?\) is a grid node"):
+            grid.generator(*index)
+    # out of range or past the leaves: plain keys of the same stream
+    for index in ((3, 0), (0, 2), (1, 1, 0), (2**40, 1)):
+        _assert_generator_is_child_generator(grid, index)
+        assert np.array_equal(grid.generator(*index).random(4),
+                              StreamKey(62, (4,) + index).generator().random(4))
+    # a negative index addresses no stream, on the grid or off it
+    for index in ((-1, 0), (0, -1)):
+        _assert_generator_is_child_generator(grid, index)
+        with pytest.raises(ValueError):
+            grid.generator(*index)
+    # the indices child() accepts: NumPy integers, and int() of the rest
+    for index in ((np.int64(1), np.uint8(0)), (True, 1.0)):
+        _assert_generator_is_child_generator(grid, index)
+    for index in (("a", 0), (None,)):
+        _assert_generator_is_child_generator(grid, index)
+        with pytest.raises((ValueError, TypeError)):
+            grid.generator(*index)
+
+
+def test_generator_by_index_on_plain_keys():
+    key = StreamKey(63, (1,))
+    for index in ((), (0,), (3, 7), (2**33, 0, 1)):
+        _assert_generator_is_child_generator(key, index)
+    # a leaf's child is a plain key below the leaf
+    leaf = key.grid(2).child(1)
+    _assert_generator_is_child_generator(leaf, ())
+    _assert_generator_is_child_generator(leaf, (0,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, prefix=st.lists(_ENTRY, max_size=3),
+       shape=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+def test_generator_by_index_over_grid_shapes(seed, prefix, shape, data):
+    grid = StreamKey(seed, tuple(prefix)).grid(*shape)
+    # in range or one past it, leaves, partial and past the leaves
+    index = tuple(data.draw(st.lists(st.integers(-1, 4), max_size=len(shape) + 1)))
+    _assert_generator_is_child_generator(grid, index)
+    leaf = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+    _assert_generator_is_child_generator(grid, leaf)
