@@ -201,6 +201,9 @@ def _cross_validate(cfg: dict[str, Any]) -> None:
         raise ConfigError(f"moments.tolerance: must be > 0, got {cfg['moments.tolerance']}")
     if cfg["data.synth_n"] < cfg["fed.K"]:
         raise ConfigError("data.synth_n: must be >= fed.K")
+    if cfg["data.synth_kind"] == "quadratic-free" and cfg["fed.model"] != "quadratic":
+        raise ConfigError("data.synth_kind: 'quadratic-free' builds all-zero rows with "
+                          f"one label, nothing to train fed.model = {cfg['fed.model']!r} on")
     if cfg["data.source"] == "idx":
         for key in ("data.idx_images", "data.idx_labels"):
             if cfg[key] is None:

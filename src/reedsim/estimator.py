@@ -16,9 +16,9 @@ have no closed energy law and are superposed client by client; their
 uniform fading phase makes a transmit phase dither redundant.
 
 Both vector entry points run one kernel, ``_paired_energy``, which adds
-two stream levels, (chip, branch), below the caller's key.
-``reference_estimate`` is a per-client scalar superposition: it reads the
-kernel's draws for kappa != 2 and matches it in law for kappa = 2.
+two stream levels, (chip, branch), below the caller's key.  The
+superposition is ``_superposed_energy`` alone; ``reference_estimates`` runs
+it at every kappa, so at kappa = 2 it is the kernel's reference in law.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .streams import StreamKey
 __all__ = [
     "ScalarInputs",
     "ReedPhyConfig",
-    "reference_estimate",
+    "reference_estimates",
     "sample_estimates",
     "aggregate_ideal",
     "aggregate_reed",
@@ -131,7 +131,10 @@ class ReedPhyConfig:
 def _superposed_energy(rng: np.random.Generator, part: np.ndarray, c: float,
                        cfg: ReedPhyConfig, n: int) -> np.ndarray:
     """Received energy of one (chip, branch) stream summed over antennas,
-    superposed client by client; shape (n,)."""
+    superposed client by client; shape (n,).  Each block of w <= ``_BLOCK``
+    columns draws noise (R, w), then fading (Ka, R, w) for the Ka clients
+    whose part is nonzero somewhere in the row: Rayleigh at kappa = 2, the
+    two-point law otherwise."""
     R = cfg.antennas
     active = part.any(axis=1)
     Ka = int(active.sum())
@@ -143,14 +146,16 @@ def _superposed_energy(rng: np.random.Generator, part: np.ndarray, c: float,
         cols = slice(start, min(start + _BLOCK, n))
         w = cols.stop - start
         z = sample_noise(rng, cfg.noise_var, (R, w))
-        h = sample_general_fading(rng, powers[:, None, None], cfg.kappa, (Ka, R, w))
+        size = (Ka, R, w)
+        h = (sample_fading(rng, powers[:, None, None], size) if cfg.kappa == 2.0 else
+             sample_general_fading(rng, powers[:, None, None], cfg.kappa, size))
         y = (h * amps[:, None, cols]).sum(axis=0) + z
         out[cols] = (y.real**2 + y.imag**2).sum(axis=0)
     return out
 
 
 def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
-                   key: StreamKey, n: int) -> np.ndarray:
+                   key: StreamKey, n: int, *, superpose: bool = False) -> np.ndarray:
     """The paired-energy pipeline: encode, fade, superpose, add noise and
     detect, for n independent columns at once.
 
@@ -162,22 +167,21 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
     negative) draw from the single stream ``key.child(m, b)``, whose
     generator is built as ``key.generator(m, b)`` without the child key.
 
-    - kappa = 2: one (R, n) array of detected energies, exponential with
-      mean eta * c_m * S_bj + noise_var, where S_bj is the branch's sum of
-      parts in column j.  Each branch's column sums are taken once per
-      call, not once per chip.  Every stream draws into one (R, n) buffer
-      that the call owns; its antennas are summed into row 0 in place, and
-      the positive branch is added to the returned total, the negative one
-      subtracted.  So a call holds about (R + 1) * n doubles at its peak,
-      plus, for (K, n) parts, the two branches' column sums and the means
-      of the stream being drawn, 3n more.
-    - kappa != 2: columns in blocks of ``_BLOCK``; each block of width w
-      draws noise (R, w), then fading (Ka, R, w).  Ka counts the clients
-      whose part is nonzero somewhere in the row, so a silent client draws
-      nothing.
+    - kappa = 2, unless ``superpose`` is set: one (R, n) array of
+      detected energies, exponential with mean eta * c_m * S_bj +
+      noise_var, where S_bj is the branch's sum of parts in column j.
+      Each branch's column sums are taken once per call, not once per
+      chip.  Every stream draws into one (R, n) buffer that the call owns;
+      its antennas are summed into row 0 in place, and the positive branch
+      is added to the returned total, the negative one subtracted.  So a
+      call holds about (R + 1) * n doubles at its peak, plus, for (K, n)
+      parts, the two branches' column sums and the means of the stream
+      being drawn, 3n more.
+    - otherwise ``_superposed_energy`` adds the clients' faded symbols;
+      only ``reference_estimates`` sets ``superpose``.
     """
     total = np.zeros(n)
-    rayleigh = cfg.kappa == 2.0
+    rayleigh = cfg.kappa == 2.0 and not superpose
     if rayleigh:
         energy = np.empty((cfg.antennas, n))
         # each branch's column sums, taken once per call; the means are >= 0
@@ -186,7 +190,7 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
         sums = (np.add.reduce(pos, 0), np.add.reduce(neg, 0))
         mean = np.empty_like(sums[0])
     for m, c in enumerate(cfg.chip_weights):
-        for branch, part in enumerate((pos, neg)):
+        for branch, (part, combine) in enumerate(((pos, np.add), (neg, np.subtract))):
             rng = key.generator(m, branch)
             if rayleigh:
                 np.multiply(sums[branch], cfg.eta * c, out=mean)
@@ -198,45 +202,9 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
                 received = energy[0]
             else:
                 received = _superposed_energy(rng, part, c, cfg, n)
-            if branch == 0:
-                total += received
-            else:
-                total -= received
+            combine(total, received, out=total)
     total /= cfg.eta * cfg.weight_sum * cfg.antennas
     return total
-
-
-def reference_estimate(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey) -> float:
-    """Scalar reference of the paired-energy kernel: one chip- and
-    antenna-diverse estimate of ``inputs.signed_sum``, superposed client
-    by client.
-
-    Each (chip, branch) stream draws noise for every antenna, then fading
-    for every (active client, antenna).  For kappa != 2 these are the
-    kernel's draws at n = 1; for kappa = 2 the kernel draws the detected
-    energies instead, so the two agree in law.  A branch's symbols are
-    then formed for all its chips and antennas at once, each adding the
-    clients one by one.  Returns the sum over chips, branches and antennas
-    of sign * |y|^2, divided by eta * C_M * R.
-    """
-    R = cfg.antennas
-    mean_powers = np.broadcast_to(cfg.mean_powers, inputs.values.shape)
-    total = 0.0
-    for branch, (sign, part) in enumerate(((1.0, inputs.pos), (-1.0, inputs.neg))):
-        active = (part > 0).nonzero()[0]
-        powers = mean_powers[active]
-        size = (active.size, R)
-        z, h = [], []
-        for m in range(cfg.n_chips):
-            rng = key.generator(m, branch)
-            z.append(sample_noise(rng, cfg.noise_var, R))
-            h.append(sample_fading(rng, powers[:, None], size) if cfg.kappa == 2.0 else
-                     sample_general_fading(rng, powers[:, None], cfg.kappa, size))
-        # (M, Ka) amplitudes; sum(axis=1) adds the clients' rows in turn
-        amps = np.sqrt(cfg.eta * cfg.chip_weights[:, None] * part[active]) / np.sqrt(powers)
-        y = (np.array(h) * amps[..., None]).sum(axis=1) + z
-        total += sign * float((y.real**2 + y.imag**2).sum())
-    return total / (cfg.eta * cfg.weight_sum * R)
 
 
 def sample_estimates(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey,
@@ -246,11 +214,25 @@ def sample_estimates(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey,
     return _paired_energy(inputs.pos[:, None], inputs.neg[:, None], cfg, key, n_trials)
 
 
-def aggregate_ideal(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Coordinate-wise arithmetic mean of (K, d) client increments."""
+def reference_estimates(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey,
+                        n_trials: int) -> np.ndarray:
+    """``sample_estimates`` with every kappa superposed client by client:
+    at kappa = 2 a reference in law for the kernel's detected energies."""
+    return _paired_energy(inputs.pos[:, None], inputs.neg[:, None], cfg, key, n_trials,
+                          superpose=True)
+
+
+def _increments(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Client increments as a float (K, d) array; K and d come from its shape."""
     arr = np.asarray(increments, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"increments must be a (K, d) array, got shape {arr.shape}")
+    return arr
+
+
+def aggregate_ideal(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Coordinate-wise arithmetic mean of (K, d) client increments."""
+    arr = _increments(increments)
     # what arr.mean(axis=0) computes, without its wrapper
     return np.add.reduce(arr, 0) / len(arr)
 
@@ -264,9 +246,7 @@ def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig
     columns, so the received energies are independent across coordinates,
     branches, chips and antennas.
     """
-    arr = np.asarray(increments, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"increments must be a (K, d) array, got shape {arr.shape}")
+    arr = _increments(increments)
     K, d = arr.shape
     u = arr / K
     return _paired_energy(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg, key, d)
@@ -277,11 +257,8 @@ def aggregate_coherent_csit(increments: list[np.ndarray] | np.ndarray, cfg: Reed
     """Coherent channel-inversion reference: ideal mean plus Re(z)/sqrt(eta)
     with fresh receiver noise per coordinate; reads only ``cfg.eta`` and
     ``cfg.noise_var``."""
-    arr = np.asarray(increments, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"increments must be a (K, d) array, got shape {arr.shape}")
-    mean = arr.mean(axis=0)
+    mean = aggregate_ideal(increments)
     if cfg.noise_var == 0:
         return mean
-    z = sample_noise(key.generator(), cfg.noise_var, size=arr.shape[1])
+    z = sample_noise(key.generator(), cfg.noise_var, size=mean.size)
     return mean + z.real / np.sqrt(cfg.eta)

@@ -623,8 +623,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     root = StreamKey(cfg.seed)
     w = objective.init_params(root.child(_DOM_INIT))
     d = objective.dim
-    models = [w] * A
-    stack = np.stack(models)  # row a: aggregator a's model
+    stack = np.repeat(w[None], A, axis=0)  # row a: aggregator a's model
     # every (round, client) and (round, chip, branch) key of the run at once
     local_keys, channel_keys = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
     if objective.uses_batches:
@@ -677,8 +676,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                 phy = phy.with_eta(_gain(numerator, phy.weight_sum, beta, cfg.Q, cfg.clip_G))
             eps_norm_sq, max_energy = [], []
             for a, name in enumerate(names):
-                w = models[a]
-                increments = local[a * K:(a + 1) * K] - w
+                increments = local[a * K:(a + 1) * K] - stack[a]
                 ideal = aggregate_ideal(increments)
                 energy = 0.0
                 if name == "reed":
@@ -689,11 +687,9 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                 else:
                     update = ideal
                 eps = update - ideal
-                models[a] = w + update
+                stack[a] += update
                 eps_norm_sq.append(float(eps @ eps))
                 max_energy.append(energy)
-            # one aggregator's model is stacked without a copy
-            stack = np.stack(models) if A > 1 else models[0][None]
 
             # every model at once; the gradients are round t + 1's diagnostic
             # gradients, and after the last round no trace reads them
@@ -701,7 +697,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                 key = local_keys.child(t + 1, K) if objective.uses_proxy else None
                 losses, next_grads = objective.evaluate(stack, key)
             else:
-                losses, next_grads = [objective.loss(w, _ALL) for w in models], None
+                losses, next_grads = [objective.loss(w, _ALL) for w in stack], None
             if test_data is not None:
                 test_acc = objective.accuracy(stack, test_data.features,
                                               test_data.labels).tolist()
@@ -710,7 +706,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             # numbers is the one named
             for a, name in enumerate(names):
                 loss = float(losses[a])
-                for what, finite in (("model", np.isfinite(models[a]).all()),
+                for what, finite in (("model", np.isfinite(stack[a]).all()),
                                      ("eps_norm_sq", math.isfinite(eps_norm_sq[a])),
                                      ("max_client_energy", math.isfinite(max_energy[a])),
                                      ("train loss", math.isfinite(loss))):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import ReedPhyConfig, ScalarInputs
+from .estimator import ReedPhyConfig, ScalarInputs, _increments
 
 __all__ = [
     "MomentReport",
@@ -155,9 +155,7 @@ def _gain(numerator: np.float64, C_M: float, beta: float, Q: int, G: float) -> f
 def energy_audit(increments, cfg: ReedPhyConfig) -> np.ndarray:
     """Realized per-client average transmit energy of (K, d) increments,
     (eta C_M) / (K mu_k^2 d) * ||increment_k||_1."""
-    arr = np.asarray(increments, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"increments must be a (K, d) array, got shape {arr.shape}")
+    arr = _increments(increments)
     return _audit(arr, cfg, _audit_denominator(cfg, *arr.shape))
 
 

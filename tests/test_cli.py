@@ -342,6 +342,12 @@ BAD_INPUTS = [
     ({"data.features": "0"}, "run-fedavg", "data.features"),
     ({"data.separation": "-1"}, "run-fedavg", "data.separation"),
     ({"fed.model": '"mlp"', "fed.hidden": "0"}, "run-fedavg", "fed.hidden"),
+    # placeholder rows hold nothing for a classifier to train on
+    *(({"fed.model": model, "data.synth_kind": '"quadratic-free"'}, "run-fedavg",
+       "data.synth_kind") for model in ('"logistic"', '"mlp"')),
+    ({"fed.model": '"quadratic"', "data.synth_kind": '"quadratic-free"',
+      "sweep.key": '"fed.model"', "sweep.values": '["quadratic", "logistic"]'},
+     "sweep", "sweep.values"),
     ({"data.test_n": "-1"}, "run-fedavg", "data.test_n"),
     *(({**BUDGETED, key: value}, "run-fedavg", "fed.budget") for key, value in (
         ("fed.budget", "1e308"), ("phy.mean_power", "1e308"), ("fed.beta0", "1e308"),

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import reedsim
 from reedsim import estimator
+from reedsim.channel import sample_fading, sample_general_fading, sample_noise
 from reedsim.estimator import (_BLOCK, ReedPhyConfig, ScalarInputs,
                                aggregate_coherent_csit, aggregate_ideal,
-                               aggregate_reed, reference_estimate, sample_estimates)
+                               aggregate_reed, reference_estimates, sample_estimates)
 from reedsim.moments import variance_chip
 from reedsim.streams import StreamKey
 
@@ -35,17 +36,41 @@ class TestScalarInputs:
         assert inp.s_plus >= 0 and inp.s_minus >= 0
 
 
+def _per_client_oracle(inp, cfg, key):
+    """One estimate superposed client by client through the public
+    samplers: stream (m, b) draws noise (R,), then fading (Ka, R) for the
+    Ka clients with a nonzero part, and y = sum_k h_k * sqrt(eta * c_m *
+    part_k / mu_k^2) + z.  Returns sum of sign * |y|^2 over eta * C_M * R."""
+    R = cfg.antennas
+    mu2 = np.broadcast_to(cfg.mean_powers, inp.values.shape)
+    total = 0.0
+    for m, c in enumerate(cfg.chip_weights):
+        for branch, (sign, part) in enumerate(((1.0, inp.pos), (-1.0, inp.neg))):
+            rng = key.generator(m, branch)
+            active = np.flatnonzero(part)
+            z = sample_noise(rng, cfg.noise_var, R)
+            size = (active.size, R)
+            h = (sample_fading(rng, mu2[active, None], size) if cfg.kappa == 2.0 else
+                 sample_general_fading(rng, mu2[active, None], cfg.kappa, size))
+            y = z
+            for h_k, k in zip(h, active):
+                y = y + h_k * np.sqrt(cfg.eta * c * part[k] / mu2[k])
+            total += sign * float(np.sum(y.real**2 + y.imag**2))
+    return total / (cfg.eta * cfg.weight_sum * R)
+
+
 class TestPairedObservation:
     def test_no_signal_no_noise(self):
-        est = reference_estimate(ScalarInputs([0.0, 0.0]), ReedPhyConfig(noise_var=0.0),
-                                 KEY.child(0))
-        assert est == 0.0
+        est = reference_estimates(ScalarInputs([0.0, 0.0]), ReedPhyConfig(noise_var=0.0),
+                                  KEY.child(0), 1)
+        assert np.array_equal(est, [0.0])
 
     def test_single_client_noiseless_mean(self):
         # the estimate is e_plus = |h|^2 with unit mean power; e_minus is zero
         inp = ScalarInputs([1.0])
         cfg = ReedPhyConfig(noise_var=0.0)
-        e = np.array([reference_estimate(inp, cfg, KEY.child(1, i)) for i in range(2000)])
+        e = np.array([reference_estimates(inp, cfg, KEY.child(1, i), 1)[0]
+                      for i in range(2000)])
         assert np.all(e >= 0.0)
         assert abs(e.mean() - 1.0) < 4.0 / np.sqrt(2000)
 
@@ -66,18 +91,19 @@ class TestPairedObservation:
         return inp, ReedPhyConfig(eta=2.0, noise_var=0.3, mean_powers=powers,
                                   chip_weights=weights, antennas=antennas, kappa=kappa)
 
-    @pytest.mark.parametrize("kappa", [3.0], ids=["kappa3"])
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0], ids=["kappa1", "kappa2", "kappa3"])
     @pytest.mark.parametrize("antennas", [1, 2], ids=["R1", "R2"])
     @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.5]], ids=["M1", "M2"])
     @pytest.mark.parametrize("values", [[-0.8], [1.5, 0.0, -0.5]], ids=["K1", "K3"])
     def test_matches_vectorized_pipeline(self, values, weights, antennas, kappa):
-        # for kappa != 2 the scalar reference reads the kernel's draws at n = 1
+        # the vectorized superposition reads the per-client oracle's draws
         inp, cfg = self._cfg(values, weights, antennas, kappa)
         for i in range(4):
             key = KEY.child(3, i)
-            est = reference_estimate(inp, cfg, key)
-            vec = sample_estimates(inp, cfg, key, 1)
-            assert est == pytest.approx(float(vec[0]), rel=1e-12, abs=0.0)
+            est = reference_estimates(inp, cfg, key, 1)
+            assert est.shape == (1,)
+            assert float(est[0]) == pytest.approx(_per_client_oracle(inp, cfg, key),
+                                                  rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("kappa,weights,antennas", [
         (3.0, [1.0, 0.5], 2), (4.0, [1.0], 3), (1.0, [0.7, 0.3, 1.0], 2)],
@@ -98,7 +124,8 @@ class TestPairedObservation:
     def test_rayleigh_kernel_matches_reference_in_law(self, values, weights, antennas):
         # for kappa = 2 the kernel draws detected energies, not the
         # superposition: compare its first two moments with the closed form
-        # and with the client-by-client reference.  The estimate is a signed
+        # and with the client-by-client reference, whose n_ref estimates are
+        # the columns of one call.  The estimate is a signed
         # weighted sum of independent exponentials, so its excess kurtosis is
         # at most 6 and a sample variance of n draws has relative standard
         # error at most sqrt(8 / n).
@@ -106,8 +133,7 @@ class TestPairedObservation:
         law = variance_chip(inp, cfg)
         n_vec, n_ref = 200_000, 20_000
         vec = sample_estimates(inp, cfg, KEY.child(17), n_vec)
-        keys = KEY.child(18).grid(n_ref, cfg.n_chips, 2)
-        ref = np.array([reference_estimate(inp, cfg, keys.child(i)) for i in range(n_ref)])
+        ref = reference_estimates(inp, cfg, KEY.child(18), n_ref)
         se_mean = np.sqrt(law.variance / np.array([n_vec, n_ref]))
         se_var = law.variance * np.sqrt(8.0 / np.array([n_vec, n_ref]))
         assert abs(vec.mean() - law.mean) < 5.0 * se_mean[0]
