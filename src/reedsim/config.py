@@ -26,6 +26,9 @@ __all__ = ["ConfigError", "SCHEMA", "parse_config", "load_config", "check_config
            "run_objective", "fed_run_config"]
 
 
+_DECODER = json.JSONDecoder()
+
+
 class ConfigError(ValueError):
     """Malformed or invalid experiment configuration."""
 
@@ -113,23 +116,20 @@ def parse_config(text: str, seed: int | None = None,
     given, replace the document's values before validation."""
     values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # a '#' before the line's first '=' starts a comment; after it, the
+        # value decides whether a '#' is quoted
+        head = raw.split("#", 1)[0]
+        if not head.strip():
             continue
-        if "=" not in line:
+        if "=" not in head:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value_text = line.partition("=")
+        key, _, value_text = raw.partition("=")
         key = key.strip()
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        try:
-            value = json.loads(value_text.strip())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{key}: malformed value {value_text.strip()!r} ({exc.msg})") from None
-        values[key] = _checked(key, value)
+        values[key] = _checked(key, _decoded(key, value_text.strip()))
     # one quantity, one key, whether set or swept
     if {"phy.snr_db", "phy.noise_var"} <= values.keys() | {values.get("sweep.key")}:
         raise ConfigError("phy.noise_var: cannot be set together with phy.snr_db")
@@ -141,6 +141,19 @@ def parse_config(text: str, seed: int | None = None,
     check_config(values)
     _check_sweep(values)
     return values
+
+
+def _decoded(key: str, text: str):
+    """The JSON value at the start of ``text``, which may be followed only
+    by whitespace and a ``#`` comment."""
+    try:
+        value, end = _DECODER.raw_decode(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{key}: malformed value {text!r} ({exc.msg})") from None
+    rest = text[end:].lstrip()
+    if rest and rest[0] != "#":
+        raise ConfigError(f"{key}: malformed value {text!r} (Extra data)")
+    return value
 
 
 def _checked(key: str, value):

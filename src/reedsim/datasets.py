@@ -7,6 +7,7 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -98,7 +99,8 @@ def parse_idx(data: bytes) -> np.ndarray:
             f"truncated IDX header: expected {header_len} bytes, got {len(data)}")
     dims = struct.unpack(f">{n_dims}I", data[4:header_len])
     payload = data[header_len:]
-    expected = int(np.prod(dims))
+    # the exact product: a fixed-width one can wrap and pass the check
+    expected = math.prod(dims)
     if len(payload) != expected:
         raise IdxFormatError(
             f"IDX payload length mismatch: expected {expected} bytes, got {len(payload)}")
@@ -140,6 +142,9 @@ def load_idx_dataset(images_path: str, labels_path: str) -> LabeledDataset:
     labels = _read_idx(labels_path)
     if features.ndim != 2 or labels.ndim != 1:
         raise IdxFormatError("images/labels files swapped or malformed")
+    if len(features) != len(labels):
+        raise IdxFormatError(f"{images_path} holds {len(features)} images but "
+                             f"{labels_path} holds {len(labels)} labels")
     return LabeledDataset(features=features, labels=labels)
 
 

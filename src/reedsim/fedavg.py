@@ -31,12 +31,17 @@ aggregator by aggregator, each checking its model, aggregation error,
 client energy and train loss in turn, so the first aggregator to leave
 the finite numbers is the one named.
 
-The train loss that closes round t and the diagnostic gradient that opens
-round t + 1 are taken at the same model, so one evaluate call computes
-both.  Only round 0 computes its diagnostic gradient on its own, once for
-the models that all start equal, and the last round computes each
-aggregator's loss alone.  Objectives whose gradients never read the batch
-(``uses_batches`` False) draw no minibatch indices.
+Each model state, the models after s rounds for s = 0 … T, is evaluated
+by one evaluate call and nothing else: state 0 before round 0, state s
+after round s - 1.  The train loss that closes round t and the diagnostic
+gradient that opens round t + 1 are taken at the same model, so one call
+gives both; the losses of state 0 and the gradients of state T go unread.
+Objectives whose gradients never read the batch (``uses_batches`` False)
+draw no minibatch indices.
+
+With "reed" and energy budgets, every round's aggregation gain is formed
+and checked before round 0, so a run whose gains are not all finite and
+> 0 stops before its first local step, naming the first bad round.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import numpy as np
 from .estimator import (ReedPhyConfig, aggregate_coherent_csit, aggregate_ideal,
                         aggregate_reed)
 from .datasets import LabeledDataset
-from .moments import _audit, _audit_denominator, _gain, _gain_numerator, eta_schedule
+from .moments import _audit, _audit_denominator, _gain, _gain_numerator
 from .streams import StreamKey
 
 __all__ = [
@@ -82,9 +87,10 @@ class Objective:
     :meth:`evaluate` and :meth:`accuracy` once per round for all A models
     at once.  Each row of a stacked result equals that model evaluated
     alone, bit for bit.  The single-model methods (:meth:`loss`,
-    :meth:`stochastic_gradient`, :meth:`full_gradient`) serve the last
-    round's loss, the first round's diagnostic gradient and the reference
-    :func:`local_round`.
+    :meth:`stochastic_gradient`, :meth:`full_gradient`,
+    :meth:`diagnostic_gradient`) are not on the run path: they serve the
+    reference :func:`local_round` and the tests and traces that compare
+    against them.
     """
 
     dim: int
@@ -628,24 +634,29 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     local_keys, channel_keys = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
     if objective.uses_batches:
         local_keys = local_keys.grid(cfg.T, K)
-    budgeted = "reed" in names and cfg.budgets is not None
-    # the parts of the audit and the gain that no round changes
+    # the parts of the audit that no round changes
     if "reed" in names:
         reed_keys = channel_keys.grid(cfg.T, cfg.phy.n_chips, 2)
         kmd = _audit_denominator(cfg.phy, K, d)
     if "coherent_csit" in names:
         csit_keys = channel_keys.grid(cfg.T)
-    if budgeted:
-        # no schedule increases beta, so the gain is least at round 0 and
-        # most at round T - 1
-        with np.errstate(over="ignore", divide="ignore"):
-            lo, hi = (eta_schedule(cfg.budgets, K, d, cfg.phy.mean_powers, cfg.phy.weight_sum,
-                                   cfg.stepsize(t), cfg.Q, cfg.clip_G) for t in (0, cfg.T - 1))
+    gains = None
+    if "reed" in names and cfg.budgets is not None:
+        # every round's gain, checked before the first round runs
+        with np.errstate(all="ignore"):
             numerator = _gain_numerator(cfg.budgets, K, d, cfg.phy.mean_powers)
-        if not (0 < lo and hi < math.inf):
-            raise ValueError(f"budgets must give finite gains > 0, got {lo} at round 0 "
-                             f"and {hi} at round {cfg.T - 1}")
-    grads = np.broadcast_to(objective.diagnostic_gradient(w, local_keys.child(0, K)), (A, d))
+            gains = [_gain(numerator, cfg.phy.weight_sum, cfg.stepsize(t), cfg.Q, cfg.clip_G)
+                     for t in range(cfg.T)]
+        for t, gain in enumerate(gains):
+            if not 0 < gain < math.inf:
+                raise ValueError(f"budgets must give finite gains > 0, got {gain} at round {t}")
+
+    def evaluate(s):
+        """Train losses and diagnostic gradients of model state s, the
+        models after s rounds."""
+        return objective.evaluate(stack, local_keys.child(s, K) if objective.uses_proxy else None)
+
+    grads = evaluate(0)[1]
     traces: dict[str, list[RoundTrace]] = {name: [] for name in names}
     test_acc = [0.0] * A
 
@@ -671,9 +682,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                 step *= beta
                 local -= step
 
-            phy = cfg.phy
-            if budgeted:
-                phy = phy.with_eta(_gain(numerator, phy.weight_sum, beta, cfg.Q, cfg.clip_G))
+            phy = cfg.phy if gains is None else cfg.phy.with_eta(gains[t])
             eps_norm_sq, max_energy = [], []
             for a, name in enumerate(names):
                 increments = local[a * K:(a + 1) * K] - stack[a]
@@ -693,11 +702,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
 
             # every model at once; the gradients are round t + 1's diagnostic
             # gradients, and after the last round no trace reads them
-            if t + 1 < cfg.T:
-                key = local_keys.child(t + 1, K) if objective.uses_proxy else None
-                losses, next_grads = objective.evaluate(stack, key)
-            else:
-                losses, next_grads = [objective.loss(w, _ALL) for w in stack], None
+            losses, next_grads = evaluate(t + 1)
             if test_data is not None:
                 test_acc = objective.accuracy(stack, test_data.features,
                                               test_data.labels).tolist()

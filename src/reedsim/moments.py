@@ -133,8 +133,9 @@ def eta_schedule(budgets, K: int, d: int, mean_powers, C_M: float, beta: float,
     return _gain(_gain_numerator(E, K, d, mu2), C_M, beta, Q, G)
 
 
-# The unchecked cores below let a FedAvg run check its inputs once, through
-# the public functions, and then reuse the per-run parts every round.
+# The unchecked cores below let a FedAvg run form the per-run parts once and
+# reuse them every round.  Its inputs are checked by the configs that hold
+# them, and it checks every round's gain itself before the first round.
 
 def _gain_numerator(E: np.ndarray, K: int, d: int, mu2: np.ndarray) -> np.float64:
     """min_k E_k K sqrt(d) mu_k^2, the part of the gain fixed for a run.

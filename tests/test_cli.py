@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import struct
 import warnings
 
 import numpy as np
@@ -79,16 +80,20 @@ class TestConfigParsing:
             parse_config('fed.K = "ten"')
 
     def test_malformed_value(self):
-        with pytest.raises(ConfigError, match="fed.K"):
-            parse_config("fed.K = [1,")
+        for line in ("fed.K = [1,", "fed.K = 3 4", "fed.K = 3 4  # note",
+                     'output.dir = "out#1'):
+            with pytest.raises(ConfigError, match=f"^{line.split()[0]}: malformed value"):
+                parse_config(line)
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("fed.K = 1\nfed.K = 2")
 
     def test_comments_and_blank_lines(self):
-        cfg = parse_config("# comment\n\nfed.K = 5  # trailing\n")
+        cfg = parse_config('# comment\n\nfed.K = 5  # trailing\n'
+                           'output.dir = "out#1"  # a quoted # is no comment\n')
         assert cfg["fed.K"] == 5
+        assert cfg["output.dir"] == "out#1"
 
     def test_cross_validation(self):
         with pytest.raises(ConfigError, match="fed.budget"):
@@ -352,6 +357,13 @@ BAD_INPUTS = [
     *(({**BUDGETED, key: value}, "run-fedavg", "fed.budget") for key, value in (
         ("fed.budget", "1e308"), ("phy.mean_power", "1e308"), ("fed.beta0", "1e308"),
         ("fed.beta0", "1e-320"), ("fed.clip_G", "1e-320"))),
+    # under inv_sqrt the smallest stepsize rounds to 0 from round 3 on, and
+    # round 0's gain already overflows
+    ({**BUDGETED, "fed.model": '"quadratic"', "fed.schedule": '"inv_sqrt"',
+      "fed.beta0": "5e-324", "fed.T": "5"}, "run-fedavg", "fed.budget"),
+    # an overflowing numerator over an overflowing denominator: a NaN gain
+    ({**BUDGETED, "fed.budget": "1e308", "phy.mean_power": "1e308", "fed.clip_G": "1e308",
+      "fed.beta0": "1e308"}, "run-fedavg", "fed.budget"),
     ({"data.partition": '"dirichlet"', "sweep.key": '"data.alpha"', "sweep.values": "[-1]"},
      "sweep", "sweep.values"),
     ({"sweep.key": '"phy.chips"', "sweep.values": "[0]"}, "sweep", "sweep.values"),
@@ -536,15 +548,38 @@ class TestMain:
 
     def test_malformed_idx_file_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.idx"
-        bad.write_bytes(b"\x12\x34\x56\x78\x00\x00")
         cfgfile = tmp_path / "idx.cfg"
         cfgfile.write_text(FAST_FED + f'data.source = "idx"\n'
                            f'data.idx_images = "{bad}"\ndata.idx_labels = "{bad}"\n')
+        for payload, what in (
+                (b"\x12\x34\x56\x78\x00\x00", "bad IDX magic"),
+                # 4 * 2**31 * 2**31 bytes wrap to 0 in a 64-bit product
+                (struct.pack(">IIII", 0x803, 4, 2**31, 2**31), "IDX payload length mismatch")):
+            bad.write_bytes(payload)
+            status = main(["run-fedavg", str(cfgfile), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert status == 2
+            assert err.startswith("error: ") and what in err and str(bad) in err
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("pair", ["train", "test"])
+    def test_idx_count_mismatch_rejected(self, tmp_path, capsys, pair):
+        # six images, five labels: one line naming both files and both counts
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        short = tmp_path / "short_labels.idx"
+        images.write_bytes(write_idx(np.linspace(0.0, 1.0, 24).reshape(6, 4)))
+        labels.write_bytes(write_idx(np.array([0, 1, 2, 0, 1, 2])))
+        short.write_bytes(write_idx(np.array([0, 1, 2, 0, 1])))
+        train_labels, test_labels = (short, labels) if pair == "train" else (labels, short)
+        cfgfile = tmp_path / "idx.cfg"
+        cfgfile.write_text(_with(FAST_FED, {
+            "data.source": '"idx"', "data.idx_images": f'"{images}"',
+            "data.idx_labels": f'"{train_labels}"', "data.idx_test_images": f'"{images}"',
+            "data.idx_test_labels": f'"{test_labels}"'}))
         status = main(["run-fedavg", str(cfgfile), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert status == 2
-        assert err.startswith("error: ") and "bad IDX magic" in err and str(bad) in err
-        assert "Traceback" not in err
+        assert err == f"error: {images} holds 6 images but {short} holds 5 labels\n"
 
     def test_cli_end_to_end(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

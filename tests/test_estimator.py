@@ -372,12 +372,10 @@ class TestAggregators:
 
     @pytest.mark.parametrize("eta,target,tol", [(1.0, 0.5, 0.01), (100.0, 0.005, 0.02)])
     def test_coherent_noise_variance(self, eta, target, tol):
-        inc = np.zeros((1, 1))
         cfg = ReedPhyConfig(eta=eta, noise_var=1.0)
         n = 1_000_000 // 10
-        keys = KEY.child(13, int(eta)).grid(n)
-        draws = np.array([aggregate_coherent_csit(inc, cfg, keys.child(i))[0]
-                          for i in range(n)])
+        # one call over n coordinates: each draws its own receiver noise
+        draws = aggregate_coherent_csit(np.zeros((1, n)), cfg, KEY.child(13, int(eta)))
         # 1e5 draws: CLT band at relative ~0.9%; tolerances from the contract
         assert abs(draws.var() - target) < 2 * tol * target
 

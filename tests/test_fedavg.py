@@ -199,8 +199,9 @@ class TestRunFedavg:
             assert t.max_client_energy <= 1.0 + 1e-12
 
     def test_budgeted_reed_checks_once_per_run(self, monkeypatch):
-        # the round loop reuses the parts of the gain and the audit that the
-        # run checked at its start, so the check count does not grow with T
+        # every gain is formed and checked at the run's start from the
+        # unchecked cores, whose inputs the configs checked, and the round
+        # loop reuses the audit's denominator: no round calls the checks
         calls = []
         check = moments._check
         monkeypatch.setattr(moments, "_check",
@@ -214,7 +215,26 @@ class TestRunFedavg:
                                phy=ReedPhyConfig(noise_var=0.5))
             run_fedavg(cfg, obj, [np.arange(5)] * 3)
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        assert counts[0] == counts[1] == 0
+
+    def test_bad_middle_gain_rejected_before_the_first_step(self, monkeypatch):
+        # a stepsize of 0 at round 2 alone gives that round an infinite gain;
+        # the run stops before any local step and names the round
+        stepsize = FedRunConfig.stepsize
+        monkeypatch.setattr(FedRunConfig, "stepsize",
+                            lambda self, t: 0.0 if t == 2 else stepsize(self, t))
+        obj = build_objective("quadratic", d=4, curvature_range=(0.5, 2.0), seed=1)
+        steps = []
+        stacked = QuadraticObjective.stacked_gradient
+        monkeypatch.setattr(QuadraticObjective, "stacked_gradient",
+                            lambda self, *a: steps.append(1) or stacked(self, *a))
+        cfg = FedRunConfig(Q=2, T=5, batch_size=5, beta0=0.05, clip_G=1.0,
+                           aggregators=("ideal", "reed"), budgets=np.ones(3),
+                           phy=ReedPhyConfig(noise_var=0.5))
+        with pytest.raises(ValueError, match=r"^budgets must give finite gains > 0, "
+                                             r"got inf at round 2$"):
+            run_fedavg(cfg, obj, [np.arange(5)] * 3)
+        assert steps == []
 
     def test_matched_seed_aggregators_share_local_randomness(self):
         # identical increments round 0: the first-round ideal update of the
@@ -355,7 +375,6 @@ class TestBatchedTraining:
             local_round=calls["local_round"] + 1))
         T = 3
         for aggregators in (("ideal",), ("ideal", "reed", "coherent_csit")):
-            A = len(aggregators)
             calls.update(stacked=0, stochastic=0)
             full_passes.clear()
             full_backward.clear()
@@ -364,13 +383,12 @@ class TestBatchedTraining:
             run_fedavg(cfg, obj, parts, ds)
             assert calls["stacked"] == self.Q * T  # not A * K * Q * T
             assert calls["local_round"] == 0
-            # round 0: one diagnostic gradient for every aggregator; each
-            # round before the last: one evaluate pass over all of them; the
-            # last round: each aggregator's loss alone.  Accuracy reads the
+            # one evaluate pass over all aggregators per model state, the
+            # initial one and one after each round.  Accuracy reads the
             # logits, not the probabilities.
-            assert calls["stochastic"] == 1
-            assert sum(full_passes) == T + A  # not 1 + T·A, one per aggregator and round
-            assert sum(full_backward) == T
+            assert calls["stochastic"] == 0
+            assert sum(full_passes) == T + 1  # not 1 + T·A, one per aggregator and round
+            assert sum(full_backward) == T + 1
 
     @pytest.mark.parametrize("kind,draws", [("quadratic", False), ("logistic", True)])
     def test_batch_free_objective_draws_no_batches(self, monkeypatch, kind, draws):
@@ -449,9 +467,39 @@ class TestStackedEvaluation:
         cfg = FedRunConfig(Q=1, T=T, batch_size=8, beta0=0.05, seed=2)
         run_fedavg(cfg, obj, partition(ds, PartitionSpec("iid", K, seed=0)), ds)
         assert obj.uses_proxy is (kind == "mlp-proxy")
-        # rounds 1 .. T - 1; the key of round t is (local, t, K), as in round 0
-        assert keys == [StreamKey(cfg.seed, (fedavg._DOM_LOCAL, t, K)) if obj.uses_proxy
-                        else None for t in range(1, T)]
+        # model states 0 .. T; the key of state s is (local, s, K)
+        assert keys == [StreamKey(cfg.seed, (fedavg._DOM_LOCAL, s, K)) if obj.uses_proxy
+                        else None for s in range(T + 1)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_path_uses_only_the_stacked_api(self, monkeypatch, kind):
+        # each of the model states 0 .. T is evaluated by one evaluate call;
+        # run_fedavg itself calls no single-model method and no checked gain
+        obj, ds, _ = self._setup(kind)
+        cls = type(obj)
+        calls, depth = [], [0]
+        for name in ("evaluate", "loss", "full_gradient", "diagnostic_gradient",
+                     "stochastic_gradient"):
+            def spy(self, *args, _fn=getattr(cls, name), _name=name):
+                # only the outermost call counts: the quadratic's evaluate
+                # takes each model's loss
+                if not depth[0]:
+                    calls.append(_name)
+                depth[0] += 1
+                try:
+                    return _fn(self, *args)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(cls, name, spy)
+        monkeypatch.setattr(moments, "eta_schedule",
+                            lambda *a: calls.append("eta_schedule"))
+        K, T = 3, 3
+        cfg = FedRunConfig(Q=1, T=T, batch_size=8, beta0=0.05, schedule="inv_sqrt",
+                           clip_G=1.0, aggregators=("ideal", "reed"), budgets=np.ones(K),
+                           seed=2)
+        run_fedavg(cfg, obj, partition(ds, PartitionSpec("iid", K, seed=0)), ds)
+        assert obj.uses_proxy is (kind == "mlp-proxy")
+        assert calls == ["evaluate"] * (T + 1)
 
 
 class TestLockstep:
@@ -509,8 +557,8 @@ data.features = 4
         assert calls == {"build": 1, "batches": T}
 
     def test_mlp_proxy_rows_drawn_once_per_round(self, monkeypatch):
-        # every aggregator evaluates round t in one call with the key
-        # (local, t, K), so the proxy rows are drawn once per round, not once
+        # every aggregator evaluates model state s in one call with the key
+        # (local, s, K), so the proxy rows are drawn once per state, not once
         # per aggregator
         cfg, obj, parts, test = list(self._setups())[-1]
         assert isinstance(obj, MlpObjective)
@@ -526,7 +574,7 @@ data.features = 4
 
         monkeypatch.setattr(StreamKey, "generator", counting)
         run_fedavg(replace(cfg, aggregators=self.AGGREGATORS), obj, parts, test)
-        assert draws == [(fedavg._DOM_LOCAL, t, K) for t in range(cfg.T)]
+        assert draws == [(fedavg._DOM_LOCAL, s, K) for s in range(cfg.T + 1)]
 
     def test_divergence_names_the_aggregator(self):
         ds, parts = _blob_setup(K=3)
