@@ -12,8 +12,7 @@ from .moments import (ConvergenceConstants, MomentReport, energy_audit,
                       variance_chip)
 from .fedavg import (FedRunConfig, Objective, RoundTrace, build_objective,
                      local_round, run_fedavg)
-from .datasets import (LabeledDataset, PartitionSpec, parse_idx, partition,
-                       synth_dataset, write_idx)
+from .datasets import LabeledDataset, PartitionSpec, parse_idx, partition, synth_dataset
 
 __all__ = [
     "StreamKey",
@@ -24,6 +23,6 @@ __all__ = [
     "theorem_bound_rhs",
     "Objective", "FedRunConfig", "RoundTrace", "build_objective",
     "local_round", "run_fedavg",
-    "LabeledDataset", "PartitionSpec", "parse_idx", "write_idx",
+    "LabeledDataset", "PartitionSpec", "parse_idx",
     "partition", "synth_dataset",
 ]

@@ -312,7 +312,7 @@ def client_partition(cfg: dict[str, Any], train: LabeledDataset,
 
 @_keyed()
 def run_objective(cfg: dict[str, Any], train: LabeledDataset, trial: int) -> Objective:
-    # each model reads its own fields and ignores the others
+    # each model reads its own fields, and build_objective checks them all
     return build_objective(
         cfg["fed.model"], train, d=cfg["fed.quad_dim"],
         curvature_range=(cfg["fed.quad_curv_min"], cfg["fed.quad_curv_max"]),

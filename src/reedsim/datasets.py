@@ -1,8 +1,8 @@
 """Dataset ingestion and client partitioning.
 
-IDX binary parsing/serialization, synthetic generators, and IID /
-label-aware Dirichlet partitioners.  Datasets are immutable after
-construction and safe to share across workers.
+IDX binary parsing, synthetic generators, and IID / label-aware
+Dirichlet partitioners.  Datasets are immutable after construction and
+safe to share across workers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "LabeledDataset",
     "PartitionSpec",
     "parse_idx",
-    "write_idx",
     "load_idx_dataset",
     "partition",
     "synth_dataset",
@@ -111,23 +110,6 @@ def parse_idx(data: bytes) -> np.ndarray:
     return raw.reshape(n, rows * cols).astype(float) / 255.0
 
 
-def write_idx(array: np.ndarray, rows: int | None = None, cols: int | None = None) -> bytes:
-    """Serialize labels (1-D int) or images (2-D in [0,1]) back to IDX bytes."""
-    arr = np.asarray(array)
-    if arr.ndim == 1:
-        payload = arr.astype(np.uint8).tobytes()
-        return struct.pack(">II", _MAGIC_LABELS, arr.size) + payload
-    if arr.ndim == 2:
-        n, p = arr.shape
-        if rows is None or cols is None:
-            rows, cols = 1, p
-        if rows * cols != p:
-            raise ValueError("rows * cols must equal the feature width")
-        bytes_img = np.rint(arr * 255.0).astype(np.uint8)
-        return struct.pack(">IIII", _MAGIC_IMAGES, n, rows, cols) + bytes_img.tobytes()
-    raise ValueError("array must be 1-D labels or 2-D images")
-
-
 def _read_idx(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
@@ -199,16 +181,18 @@ def synth_dataset(kind: str, n: int, seed: int, classes: int = 2, p: int = 2,
     "gaussian-blobs": unit-variance clusters around class means drawn
     N(0, separation^2 I); linearly separable at large separation.
     "quadratic-free": placeholder rows for dataset-free objectives.
+
+    Every field is checked, whichever kind reads it.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if kind == "quadratic-free":
-        return LabeledDataset(features=np.zeros((n, 1)), labels=np.zeros(n, dtype=int))
-    if kind != "gaussian-blobs":
+    if kind not in ("gaussian-blobs", "quadratic-free"):
         raise ValueError(f"kind must be 'gaussian-blobs' or 'quadratic-free', got {kind!r}")
     for name, value, low in (("classes", classes, 1), ("p", p, 1), ("separation", separation, 0)):
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
+    if kind == "quadratic-free":
+        return LabeledDataset(features=np.zeros((n, 1)), labels=np.zeros(n, dtype=int))
     rng = StreamKey(seed).generator()
     with np.errstate(over="ignore"):
         means = separation * rng.standard_normal((classes, p))

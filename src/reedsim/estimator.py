@@ -17,8 +17,9 @@ uniform fading phase makes a transmit phase dither redundant.
 
 Both vector entry points run one kernel, ``_paired_energy``, which adds
 two stream levels, (chip, branch), below the caller's key.  The
-superposition is ``_superposed_energy`` alone; ``reference_estimates`` runs
-it at every kappa, so at kappa = 2 it is the kernel's reference in law.
+superposition is ``_superposed_energy`` alone.  The kernel runs it at
+every kappa but 2; the test suite runs it at kappa = 2 too, as the
+kernel's reference in law.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .streams import StreamKey
 __all__ = [
     "ScalarInputs",
     "ReedPhyConfig",
-    "reference_estimates",
     "sample_estimates",
     "aggregate_ideal",
     "aggregate_reed",
@@ -155,7 +155,7 @@ def _superposed_energy(rng: np.random.Generator, part: np.ndarray, c: float,
 
 
 def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
-                   key: StreamKey, n: int, *, superpose: bool = False) -> np.ndarray:
+                   key: StreamKey, n: int) -> np.ndarray:
     """The paired-energy pipeline: encode, fade, superpose, add noise and
     detect, for n independent columns at once.
 
@@ -167,21 +167,19 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
     negative) draw from the single stream ``key.child(m, b)``, whose
     generator is built as ``key.generator(m, b)`` without the child key.
 
-    - kappa = 2, unless ``superpose`` is set: one (R, n) array of
-      detected energies, exponential with mean eta * c_m * S_bj +
-      noise_var, where S_bj is the branch's sum of parts in column j.
-      Each branch's column sums are taken once per call, not once per
-      chip.  Every stream draws into one (R, n) buffer that the call owns;
-      its antennas are summed into row 0 in place, and the positive branch
-      is added to the returned total, the negative one subtracted.  So a
-      call holds about (R + 1) * n doubles at its peak, plus, for (K, n)
-      parts, the two branches' column sums and the means of the stream
-      being drawn, 3n more.
-    - otherwise ``_superposed_energy`` adds the clients' faded symbols;
-      only ``reference_estimates`` sets ``superpose``.
+    - kappa = 2: one (R, n) array of detected energies, exponential
+      with mean eta * c_m * S_bj + noise_var, where S_bj is the branch's
+      sum of parts in column j.  Each branch's column sums are taken once
+      per call, not once per chip.  Every stream draws into one (R, n)
+      buffer that the call owns; its antennas are summed into row 0 in
+      place, and the positive branch is added to the returned total, the
+      negative one subtracted.  So a call holds about (R + 1) * n doubles
+      at its peak, plus, for (K, n) parts, the two branches' column sums
+      and the means of the stream being drawn, 3n more.
+    - otherwise ``_superposed_energy`` adds the clients' faded symbols.
     """
     total = np.zeros(n)
-    rayleigh = cfg.kappa == 2.0 and not superpose
+    rayleigh = cfg.kappa == 2.0
     if rayleigh:
         energy = np.empty((cfg.antennas, n))
         # each branch's column sums, taken once per call; the means are >= 0
@@ -212,14 +210,6 @@ def sample_estimates(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey,
     """Vectorized Monte Carlo: n_trials independent chip-diverse estimates
     of ``inputs.signed_sum``, one kernel column per trial."""
     return _paired_energy(inputs.pos[:, None], inputs.neg[:, None], cfg, key, n_trials)
-
-
-def reference_estimates(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey,
-                        n_trials: int) -> np.ndarray:
-    """``sample_estimates`` with every kappa superposed client by client:
-    at kappa = 2 a reference in law for the kernel's detected energies."""
-    return _paired_energy(inputs.pos[:, None], inputs.neg[:, None], cfg, key, n_trials,
-                          superpose=True)
 
 
 def _increments(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:

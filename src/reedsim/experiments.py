@@ -158,14 +158,11 @@ def build_experiment_data(cfg: dict[str, Any], trial: int
                                   f"{classes} for test labels up to {test.labels.max()}")
     else:
         n_train, n_test = cfg["data.synth_n"], cfg["data.test_n"]
-        if cfg["data.synth_kind"] == "gaussian-blobs" and n_test > 0:
-            # one pool so train and test share the class means
-            pool = synth_data(cfg, n_train + n_test, trial)
-            train = LabeledDataset(pool.features[:n_train], pool.labels[:n_train])
-            test = LabeledDataset(pool.features[n_train:], pool.labels[n_train:])
-        else:
-            train = synth_data(cfg, n_train, trial)
-            test = None
+        # one pool, so train and test share the class means
+        pool = synth_data(cfg, n_train + n_test, trial)
+        train = LabeledDataset(pool.features[:n_train], pool.labels[:n_train])
+        test = (LabeledDataset(pool.features[n_train:], pool.labels[n_train:])
+                if n_test > 0 else None)
     return train, test, client_partition(cfg, train, trial)
 
 

@@ -81,14 +81,15 @@ class Objective:
     """Differentiable empirical risk with exact analytic gradients.
 
     Subclasses bind the training data; a batch is an index into it, an
-    index array or ``slice(None)`` for every sample.  The round loop calls
-    three methods, each on a stack of models: :meth:`stacked_gradient` for
-    the local steps of every client under every model, and
-    :meth:`evaluate` and :meth:`accuracy` once per round for all A models
-    at once.  Each row of a stacked result equals that model evaluated
-    alone, bit for bit.  The single-model methods (:meth:`loss`,
-    :meth:`stochastic_gradient`, :meth:`full_gradient`,
-    :meth:`diagnostic_gradient`) are not on the run path: they serve the
+    index array or ``slice(None)`` for every sample.  This base declares
+    what the round loop calls: :meth:`init_params` once per run, and three
+    methods on a stack of models, :meth:`stacked_gradient` for the local
+    steps of every client under every model, and :meth:`evaluate` and
+    :meth:`accuracy` once per model state for all A models at once.  Each
+    row of a stacked result equals that model evaluated alone, bit for
+    bit.  The subclasses' single-model methods (``loss``,
+    ``stochastic_gradient``, ``full_gradient``) and
+    :meth:`diagnostic_gradient` are not on the run path: they serve the
     reference :func:`local_round` and the tests and traces that compare
     against them.
     """
@@ -103,12 +104,6 @@ class Objective:
     # from the key evaluate gets; for the others no key is built
     uses_proxy: bool = False
 
-    def loss(self, params: np.ndarray, batch) -> float:
-        raise NotImplementedError
-
-    def stochastic_gradient(self, params: np.ndarray, batch) -> np.ndarray:
-        raise NotImplementedError
-
     def stacked_gradient(self, params: np.ndarray, batches: np.ndarray,
                          lengths: np.ndarray) -> np.ndarray:
         """Minibatch gradients of K clients under each of A models in one
@@ -122,12 +117,10 @@ class Objective:
         """
         raise NotImplementedError
 
-    def full_gradient(self, params: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def diagnostic_gradient(self, params: np.ndarray, key: StreamKey) -> np.ndarray:
-        """The gradient whose squared norm the trace records; exact unless
-        an objective overrides it with a subsampled proxy."""
+        """The gradient whose squared norm the trace records: the
+        subclass's exact ``full_gradient``, unless it overrides this with a
+        subsampled proxy."""
         return self.full_gradient(params)
 
     def evaluate(self, params: np.ndarray,
@@ -358,8 +351,6 @@ class MlpObjective(_Classifier):
     proxy_samples = 512
 
     def __init__(self, data: LabeledDataset, hidden: int, n_classes: int):
-        if hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {hidden}")
         super().__init__(data, n_classes)
         self.hidden = hidden
         p, H, C = self.n_features, hidden, n_classes
@@ -444,17 +435,22 @@ class MlpObjective(_Classifier):
         return _accuracy(self._forward(params, features)[1], labels)
 
 
-def build_objective(kind: str, data: LabeledDataset | None = None, *, d: int = 0,
+def build_objective(kind: str, data: LabeledDataset | None = None, *,
+                    d: int | None = None,
                     curvature_range: tuple[float, float] = (1.0, 1.0),
                     seed: int = 0, hidden: int = 16,
                     n_classes: int | None = None) -> Objective:
-    """Construct one of the supported objective families."""
+    """Construct one of the supported objective families.  The quadratic
+    needs ``d``.  Every field given is checked, whichever family reads it,
+    before anything is drawn or allocated."""
+    if d is None and kind == "quadratic" or d is not None and d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    lo, hi = curvature_range
+    if lo <= 0 or hi < lo:
+        raise ValueError(f"curvature_range must satisfy 0 < low <= high, got ({lo}, {hi})")
+    if hidden < 1:
+        raise ValueError(f"hidden must be >= 1, got {hidden}")
     if kind == "quadratic":
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        lo, hi = curvature_range
-        if lo <= 0 or hi < lo:
-            raise ValueError(f"curvature_range must satisfy 0 < low <= high, got ({lo}, {hi})")
         rng = StreamKey(seed).generator()
         return QuadraticObjective(rng.uniform(lo, hi, size=d))
     if data is None:

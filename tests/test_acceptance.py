@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from reedsim.config import parse_config
-from reedsim.datasets import (PartitionSpec, parse_idx, partition, synth_dataset,
-                              write_idx)
+from reedsim.datasets import PartitionSpec, parse_idx, partition, synth_dataset
 from reedsim.estimator import (ReedPhyConfig, ScalarInputs, aggregate_ideal,
                                aggregate_reed, sample_estimates)
-from reedsim.experiments import run_single_trial
+from reedsim.experiments import run_single_trial, run_trial
 from reedsim.fedavg import (FedRunConfig, build_objective, local_round, run_fedavg)
 from reedsim.moments import (energy_audit, eta_schedule, sigma_air_bound,
                              variance_chip)
 from reedsim.streams import StreamKey
+
+from reference import write_idx
 
 N = 1_000_000
 KEY = StreamKey(12345)
@@ -92,14 +93,16 @@ phy.eta = 300.0
 def test_c5_chip_diversity_closes_the_accuracy_gap():
     cfg = parse_config(C5_CONFIG)
     trials = 10
-    final_acc = {}
-    for label, agg, M in [("ideal", "ideal", 1), ("M1", "reed", 1),
-                          ("M2", "reed", 2), ("M4", "reed", 4)]:
-        point = dict(cfg)
-        point["phy.chips"] = M
-        accs = [run_single_trial(point, t, agg)[-1].test_acc
-                for t in range(trials)]
-        final_acc[label] = float(np.mean(accs))
+    # ideal and reed at M = 1 in one lockstep run per trial, which equals
+    # each aggregator run alone
+    point = {**cfg, "phy.chips": 1, "fed.aggregators": ["ideal", "reed"]}
+    runs = [run_trial(point, t) for t in range(trials)]
+    final_acc = {label: float(np.mean([run[agg][-1].test_acc for run in runs]))
+                 for label, agg in (("ideal", "ideal"), ("M1", "reed"))}
+    for M in (2, 4):
+        point = {**cfg, "phy.chips": M}
+        accs = [run_single_trial(point, t, "reed")[-1].test_acc for t in range(trials)]
+        final_acc[f"M{M}"] = float(np.mean(accs))
     gap = {M: final_acc["ideal"] - final_acc[f"M{M}"] for M in (1, 2, 4)}
     ordered = gap[4] <= gap[2] <= gap[1]
     closed = gap[4] <= 0.4 * gap[1]

@@ -12,12 +12,13 @@ from reedsim import cli, experiments
 from reedsim.cli import cmd_run_fedavg, cmd_sweep, cmd_validate_moments, main
 from reedsim.config import (SCHEMA, ConfigError, _partition_spec, _trial_seed, load_config,
                             parse_config, resolve_noise_var)
-from reedsim.datasets import write_idx
 from reedsim.estimator import ReedPhyConfig, ScalarInputs, sample_estimates
 from reedsim.experiments import (MomentPoint, default_moment_matrix,
                                  run_single_trial, run_trial, validate_point)
 from reedsim.fedavg import RoundTrace
 from reedsim.streams import StreamKey
+
+from reference import write_idx
 
 FAST_FED = """
 trials = 2
@@ -347,6 +348,15 @@ BAD_INPUTS = [
     ({"data.features": "0"}, "run-fedavg", "data.features"),
     ({"data.separation": "-1"}, "run-fedavg", "data.separation"),
     ({"fed.model": '"mlp"', "fed.hidden": "0"}, "run-fedavg", "fed.hidden"),
+    # a model's keys are checked whichever model runs
+    ({"fed.hidden": "-4"}, "run-fedavg", "fed.hidden"),
+    ({"fed.quad_dim": "0"}, "run-fedavg", "fed.quad_dim"),
+    ({"fed.quad_curv_max": "0.5"}, "run-fedavg", "fed.quad_curv_min, fed.quad_curv_max"),
+    ({"fed.model": '"mlp"', "fed.quad_dim": "0"}, "run-fedavg", "fed.quad_dim"),
+    # and the data keys whichever kind of data is built
+    *(({"fed.model": '"quadratic"', "data.synth_kind": '"quadratic-free"', key: value},
+       "run-fedavg", key) for key, value in (
+        ("data.classes", "0"), ("data.features", "0"), ("data.separation", "-1"))),
     # placeholder rows hold nothing for a classifier to train on
     *(({"fed.model": model, "data.synth_kind": '"quadratic-free"'}, "run-fedavg",
        "data.synth_kind") for model in ('"logistic"', '"mlp"')),

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reedsim.datasets import (IdxFormatError, LabeledDataset, PartitionSpec,
-                              parse_idx, partition, synth_dataset, write_idx)
+                              parse_idx, partition, synth_dataset)
 from reedsim.fedavg import build_objective
 from reedsim.streams import StreamKey
+
+from reference import write_idx
 
 
 class TestIdxParser:

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reedsim
-from reedsim import estimator
+from reedsim import (channel, cli, config, datasets, estimator, experiments, fedavg, moments,
+                     streams)
 from reedsim.channel import sample_fading, sample_general_fading, sample_noise
 from reedsim.estimator import (_BLOCK, ReedPhyConfig, ScalarInputs,
                                aggregate_coherent_csit, aggregate_ideal,
-                               aggregate_reed, reference_estimates, sample_estimates)
+                               aggregate_reed, sample_estimates)
 from reedsim.moments import variance_chip
 from reedsim.streams import StreamKey
+
+from reference import reference_estimates
 
 KEY = StreamKey(271828)
 
@@ -385,6 +388,8 @@ class TestAggregators:
             ReedPhyConfig(eta=0.0, noise_var=1.0)
 
 
-@pytest.mark.parametrize("module", [reedsim, estimator], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [
+    reedsim, estimator, channel, cli, config, datasets, experiments, fedavg, moments, streams],
+    ids=lambda m: m.__name__)
 def test_public_names_resolve(module):
     assert all(hasattr(module, name) for name in module.__all__)
