@@ -10,7 +10,7 @@ from .estimator import (ReedPhyConfig, ScalarInputs, aggregate_coherent_csit,
 from .moments import (ConvergenceConstants, MomentReport, energy_audit,
                       eta_schedule, sigma_air_bound, theorem_bound_rhs,
                       variance_chip)
-from .fedavg import (FedRunConfig, Objective, RoundTrace, build_objective,
+from .fedavg import (TRACE_COLUMNS, FedRunConfig, Objective, build_objective,
                      local_round, run_fedavg)
 from .datasets import LabeledDataset, PartitionSpec, parse_idx, partition, synth_dataset
 
@@ -21,7 +21,7 @@ __all__ = [
     "MomentReport", "ConvergenceConstants",
     "variance_chip", "sigma_air_bound", "eta_schedule", "energy_audit",
     "theorem_bound_rhs",
-    "Objective", "FedRunConfig", "RoundTrace", "build_objective",
+    "Objective", "FedRunConfig", "TRACE_COLUMNS", "build_objective",
     "local_round", "run_fedavg",
     "LabeledDataset", "PartitionSpec", "parse_idx",
     "partition", "synth_dataset",

@@ -6,7 +6,9 @@ Subcommands:
   sweep <config>              run-fedavg at each of sweep.values for sweep.key
 
 All outputs are CSV (UTF-8, header row, 9-significant-digit floats) plus a
-summary JSON; identical configs produce byte-identical files.
+summary JSON; identical configs produce byte-identical files.  A trace CSV
+row is one round of one trial under one aggregator: trial, round and
+aggregator, then one cell per ``fedavg.TRACE_COLUMNS`` name.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
 from functools import partial
 from typing import Any
 
@@ -25,16 +26,15 @@ import numpy as np
 from .config import ConfigError, fmt_value, load_config
 from .datasets import IdxFormatError
 from .experiments import default_moment_matrix, run_trial, validate_point
-from .fedavg import DivergenceError, RoundTrace
+from .fedavg import TRACE_COLUMNS, DivergenceError
 
 __all__ = ["main", "cmd_validate_moments", "cmd_run_fedavg", "cmd_sweep"]
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+    """Write a header and rows of printed cells."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(fmt_value(v) for v in row) + "\n")
+        f.writelines(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -63,8 +63,8 @@ def cmd_validate_moments(cfg: dict[str, Any], out_dir: str, workers: int = 1) ->
     tol = cfg["moments.tolerance"]
     results = _map(partial(validate_point, n_trials=n_trials, tolerance=tol,
                            seed=cfg["seed"]), points, workers)
-    rows = [[r.point_id, r.s, r.mc_mean, r.cf_mean, r.mc_var, r.cf_var,
-             r.rel_err, r.passed] for r in results]
+    rows = [[fmt_value(v) for v in (r.point_id, r.s, r.mc_mean, r.cf_mean, r.mc_var,
+                                    r.cf_var, r.rel_err, r.passed)] for r in results]
     _write_csv(os.path.join(out_dir, "moments.csv"),
                ["point_id", "s", "mc_mean", "cf_mean", "mc_var", "cf_var",
                 "rel_err", "pass"], rows)
@@ -79,17 +79,21 @@ def _trial_job(job):
     return run_trial(*job)
 
 
-# trial, round and aggregator, then every other RoundTrace field
-_TRACE_FIELDS = [f.name for f in fields(RoundTrace) if f.name != "round"]
-_FEDAVG_HEADER = ["trial", "round", "aggregator"] + _TRACE_FIELDS
+_FEDAVG_HEADER = ["trial", "round", "aggregator", *TRACE_COLUMNS]
 
 
-def _summary(final: list) -> dict:
+def _cells(trace: np.ndarray) -> list[tuple[str, ...]]:
+    """The printed cells of a (T, F) trace, one tuple per round, formatted
+    column by column."""
+    return list(zip(*([f"{x:.9g}" for x in column] for column in trace.T.tolist())))
+
+
+def _summary(final: np.ndarray) -> dict:
     """Mean and spread over the trials of one aggregator's final-round
-    traces."""
+    trace rows, a (trials, F) array."""
     out = {"trials": len(final)}
     for name in ("test_acc", "train_loss"):
-        x = np.array([getattr(tr, name) for tr in final])
+        x = final[:, TRACE_COLUMNS.index(name)]
         out[f"final_{name}_mean"] = float(x.mean())
         out[f"final_{name}_std"] = float(x.std(ddof=1)) if x.size > 1 else 0.0
     return out
@@ -105,9 +109,10 @@ def _run_points(points: list[dict[str, Any]], workers: int) -> list[tuple[list, 
     for cfg in points:
         trials = [next(runs) for _ in range(cfg["trials"])]
         aggs = cfg["fed.aggregators"]
-        rows = [[trial, tr.round, agg] + [getattr(tr, f) for f in _TRACE_FIELDS]
-                for agg in aggs for trial, run in enumerate(trials) for tr in run[agg]]
-        out.append((rows, {agg: _summary([run[agg][-1] for run in trials])
+        rows = [[str(trial), str(t), agg, *cells]
+                for agg in aggs for trial, run in enumerate(trials)
+                for t, cells in enumerate(_cells(run[agg]))]
+        out.append((rows, {agg: _summary(np.array([run[agg][-1] for run in trials]))
                            for agg in sorted(aggs)}))
     return out
 

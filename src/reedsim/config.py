@@ -198,8 +198,10 @@ def check_config(cfg: dict[str, Any]) -> None:
     """Validate a filled-in config: the rules no constructor owns, then the
     typed objects of a trial, built on no data."""
     _cross_validate(cfg)
-    if cfg["data.source"] == "synth":
-        synth_data(cfg, 0, 0)
+    # each synthetic key's own rules hold whatever the source, but only
+    # synthetic data draws its class means
+    kind = cfg["data.synth_kind"] if cfg["data.source"] == "synth" else "quadratic-free"
+    synth_data({**cfg, "data.synth_kind": kind}, 0, 0)
     _partition_spec(cfg, 0)
     run_objective(cfg, LabeledDataset(np.zeros((0, 1)), np.zeros(0)), 0)
     fed_run_config(cfg, 0)
@@ -207,16 +209,18 @@ def check_config(cfg: dict[str, Any]) -> None:
 
 def _cross_validate(cfg: dict[str, Any]) -> None:
     for key, low in (("seed", 0), ("trials", 1), ("workers", 1), ("moments.n_trials", 2),
-                     ("phy.chips", 1), ("data.test_n", 0)):
+                     ("phy.chips", 1), ("data.test_n", 0), ("data.synth_n", 0)):
         if cfg[key] < low:
             raise ConfigError(f"{key}: must be >= {low}, got {cfg[key]}")
     if cfg["moments.tolerance"] <= 0:
         raise ConfigError(f"moments.tolerance: must be > 0, got {cfg['moments.tolerance']}")
-    if cfg["data.synth_n"] < cfg["fed.K"]:
-        raise ConfigError("data.synth_n: must be >= fed.K")
-    if cfg["data.synth_kind"] == "quadratic-free" and cfg["fed.model"] != "quadratic":
-        raise ConfigError("data.synth_kind: 'quadratic-free' builds all-zero rows with "
-                          f"one label, nothing to train fed.model = {cfg['fed.model']!r} on")
+    # the relations of the synthetic keys bind only the data they build
+    if cfg["data.source"] == "synth":
+        if cfg["data.synth_n"] < cfg["fed.K"]:
+            raise ConfigError("data.synth_n: must be >= fed.K")
+        if cfg["data.synth_kind"] == "quadratic-free" and cfg["fed.model"] != "quadratic":
+            raise ConfigError("data.synth_kind: 'quadratic-free' builds all-zero rows with "
+                              f"one label, nothing to train fed.model = {cfg['fed.model']!r} on")
     if cfg["data.source"] == "idx":
         for key in ("data.idx_images", "data.idx_labels"):
             if cfg[key] is None:

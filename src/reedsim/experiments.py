@@ -21,7 +21,7 @@ from .config import (ConfigError, _keyed, client_partition, fed_run_config,
                      run_objective, synth_data)
 from .datasets import LabeledDataset, load_idx_dataset
 from .estimator import ReedPhyConfig, ScalarInputs, sample_estimates
-from .fedavg import RoundTrace, run_fedavg
+from .fedavg import run_fedavg
 from .moments import variance_chip
 from .streams import StreamKey
 
@@ -166,7 +166,7 @@ def build_experiment_data(cfg: dict[str, Any], trial: int
     return train, test, client_partition(cfg, train, trial)
 
 
-def run_trial(cfg: dict[str, Any], trial: int) -> dict[str, list[RoundTrace]]:
+def run_trial(cfg: dict[str, Any], trial: int) -> dict[str, np.ndarray]:
     """One trial of a validated config: its data, partition and objective
     are built once, and every aggregator of ``fed.aggregators`` runs on them
     in one :func:`run_fedavg` call.  Returns each aggregator's trace, in the
@@ -180,8 +180,7 @@ def run_trial(cfg: dict[str, Any], trial: int) -> dict[str, list[RoundTrace]]:
         return run_fedavg(fed, objective, parts, test)
 
 
-def run_single_trial(cfg: dict[str, Any], trial: int, aggregator: str
-                     ) -> list[RoundTrace]:
+def run_single_trial(cfg: dict[str, Any], trial: int, aggregator: str) -> np.ndarray:
     """The trace of one aggregator's run of one trial, whatever
     ``fed.aggregators`` lists."""
     return run_trial({**cfg, "fed.aggregators": [aggregator]}, trial)[aggregator]

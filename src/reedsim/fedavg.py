@@ -3,7 +3,9 @@
 Each round: broadcast the global model, run Q local minibatch SGD steps on
 every client, form increments, aggregate (ideal mean, noncoherent
 paired-energy, or coherent channel-inversion reference), apply the server
-update and record a trace.  All randomness flows through per-(round,
+update and record the round's row of a trace.  A trace is one (T, F) float
+array per aggregator: row t is round t and column f the quantity named
+``TRACE_COLUMNS[f]``.  All randomness flows through per-(round,
 client) stream keys, so runs are reproducible and the aggregator choice
 never perturbs data order or model initialization.
 
@@ -64,7 +66,7 @@ __all__ = [
     "MlpObjective",
     "build_objective",
     "FedRunConfig",
-    "RoundTrace",
+    "TRACE_COLUMNS",
     "DivergenceError",
     "local_round",
     "run_fedavg",
@@ -75,6 +77,9 @@ _DOM_INIT, _DOM_LOCAL, _DOM_CHANNEL = 0, 1, 2
 
 # the whole training set, as a batch
 _ALL = slice(None)
+
+# the per-round quantities of a trace, one column each, in order
+TRACE_COLUMNS = ("train_loss", "test_acc", "grad_norm_sq", "eps_norm_sq", "max_client_energy")
 
 
 class Objective:
@@ -507,18 +512,6 @@ class FedRunConfig:
         return self.beta0 / np.sqrt(1.0 + t)
 
 
-@dataclass(frozen=True)
-class RoundTrace:
-    """Per-round record of one FedAvg run; each field is a trace CSV column."""
-
-    round: int
-    train_loss: float
-    test_acc: float
-    grad_norm_sq: float
-    eps_norm_sq: float
-    max_client_energy: float
-
-
 class DivergenceError(RuntimeError):
     """A run left the finite numbers: its model, train loss, aggregation
     error or largest client energy is NaN or infinite.  The message names
@@ -607,9 +600,10 @@ def local_round(params: np.ndarray, objective: Objective, client_indices: np.nda
 
 def run_fedavg(cfg: FedRunConfig, objective: Objective,
                partitions: list[np.ndarray],
-               test_data: LabeledDataset | None = None) -> dict[str, list[RoundTrace]]:
+               test_data: LabeledDataset | None = None) -> dict[str, np.ndarray]:
     """Run T rounds of full-participation FedAvg under every aggregator of
-    ``cfg`` and return each one's trace, in the order of ``cfg.aggregators``.
+    ``cfg`` and return each one's trace, a (T, len(TRACE_COLUMNS)) array, in
+    the order of ``cfg.aggregators``.  Without ``test_data``, test_acc is 0.
 
     There is one client per partition.  The aggregators run in lockstep on
     one set of minibatches, each with its own model; a run of several equals
@@ -653,14 +647,16 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         return objective.evaluate(stack, local_keys.child(s, K) if objective.uses_proxy else None)
 
     grads = evaluate(0)[1]
-    traces: dict[str, list[RoundTrace]] = {name: [] for name in names}
-    test_acc = [0.0] * A
+    # row t of trace[a] is aggregator a's round t; test_acc stays 0 without test data
+    trace = np.zeros((A, cfg.T, len(TRACE_COLUMNS)))
 
     # a diverging run overflows; the checks below name what went non-finite
     # instead of letting NumPy warn about every step on the way
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(cfg.T):
             beta = cfg.stepsize(t)
+            # round t's columns, in TRACE_COLUMNS order: (A,) views into trace
+            train_loss, test_acc, grad_norm_sq, eps_norm_sq, max_energy = trace[:, t].T
 
             # the minibatches do not depend on the aggregator; row a·K + k of the
             # (A·K)-row stack is client k under aggregator a, and every
@@ -679,43 +675,37 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                 local -= step
 
             phy = cfg.phy if gains is None else cfg.phy.with_eta(gains[t])
-            eps_norm_sq, max_energy = [], []
             for a, name in enumerate(names):
                 increments = local[a * K:(a + 1) * K] - stack[a]
                 ideal = aggregate_ideal(increments)
-                energy = 0.0
                 if name == "reed":
                     update = aggregate_reed(increments, phy, reed_keys.child(t))
-                    energy = float(_audit(increments, phy, kmd).max())
+                    max_energy[a] = _audit(increments, phy, kmd).max()
                 elif name == "coherent_csit":
                     update = aggregate_coherent_csit(increments, cfg.phy, csit_keys.child(t))
                 else:
                     update = ideal
                 eps = update - ideal
                 stack[a] += update
-                eps_norm_sq.append(float(eps @ eps))
-                max_energy.append(energy)
+                eps_norm_sq[a] = eps @ eps
 
             # every model at once; the gradients are round t + 1's diagnostic
             # gradients, and after the last round no trace reads them
             losses, next_grads = evaluate(t + 1)
+            train_loss[:] = losses
             if test_data is not None:
-                test_acc = objective.accuracy(stack, test_data.features,
-                                              test_data.labels).tolist()
+                test_acc[:] = objective.accuracy(stack, test_data.features, test_data.labels)
 
             # aggregator by aggregator, so the first to leave the finite
             # numbers is the one named
             for a, name in enumerate(names):
-                loss = float(losses[a])
                 for what, finite in (("model", np.isfinite(stack[a]).all()),
                                      ("eps_norm_sq", math.isfinite(eps_norm_sq[a])),
                                      ("max_client_energy", math.isfinite(max_energy[a])),
-                                     ("train loss", math.isfinite(loss))):
+                                     ("train loss", math.isfinite(train_loss[a]))):
                     if not finite:
                         raise DivergenceError(f"aggregator {name!r}: non-finite {what} "
                                               f"after round {t}")
-                g = grads[a]
-                traces[name].append(RoundTrace(t, loss, test_acc[a], float(g @ g),
-                                               eps_norm_sq[a], max_energy[a]))
+                grad_norm_sq[a] = grads[a] @ grads[a]
             grads = next_grads
-    return traces
+    return dict(zip(names, trace))

@@ -7,6 +7,8 @@ Not collected: test modules import it by name.
   kernel's detected energies.
 - ``write_idx``: IDX serialization, the inverse of
   :func:`reedsim.datasets.parse_idx`, for parser fixtures.
+- ``column``: one named quantity of a :func:`reedsim.fedavg.run_fedavg`
+  trace.
 """
 
 import struct
@@ -15,6 +17,7 @@ import numpy as np
 
 from reedsim import estimator
 from reedsim.datasets import _MAGIC_IMAGES, _MAGIC_LABELS
+from reedsim.fedavg import TRACE_COLUMNS
 
 
 def reference_estimates(inputs: estimator.ScalarInputs, cfg: estimator.ReedPhyConfig,
@@ -49,3 +52,9 @@ def write_idx(array: np.ndarray, rows: int | None = None, cols: int | None = Non
         bytes_img = np.rint(arr * 255.0).astype(np.uint8)
         return struct.pack(">IIII", _MAGIC_IMAGES, n, rows, cols) + bytes_img.tobytes()
     raise ValueError("array must be 1-D labels or 2-D images")
+
+
+def column(trace: np.ndarray, name: str) -> np.ndarray:
+    """The ``TRACE_COLUMNS`` column ``name`` of a trace: one value per round
+    of a (T, F) trace, or the one value of an (F,) round row."""
+    return trace[..., TRACE_COLUMNS.index(name)]

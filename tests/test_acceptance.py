@@ -16,7 +16,7 @@ from reedsim.moments import (energy_audit, eta_schedule, sigma_air_bound,
                              variance_chip)
 from reedsim.streams import StreamKey
 
-from reference import write_idx
+from reference import column, write_idx
 
 N = 1_000_000
 KEY = StreamKey(12345)
@@ -97,11 +97,12 @@ def test_c5_chip_diversity_closes_the_accuracy_gap():
     # each aggregator run alone
     point = {**cfg, "phy.chips": 1, "fed.aggregators": ["ideal", "reed"]}
     runs = [run_trial(point, t) for t in range(trials)]
-    final_acc = {label: float(np.mean([run[agg][-1].test_acc for run in runs]))
+    final_acc = {label: float(np.mean([column(run[agg][-1], "test_acc") for run in runs]))
                  for label, agg in (("ideal", "ideal"), ("M1", "reed"))}
     for M in (2, 4):
         point = {**cfg, "phy.chips": M}
-        accs = [run_single_trial(point, t, "reed")[-1].test_acc for t in range(trials)]
+        accs = [column(run_single_trial(point, t, "reed")[-1], "test_acc")
+                for t in range(trials)]
         final_acc[f"M{M}"] = float(np.mean(accs))
     gap = {M: final_acc["ideal"] - final_acc[f"M{M}"] for M in (1, 2, 4)}
     ordered = gap[4] <= gap[2] <= gap[1]
@@ -161,7 +162,7 @@ def test_c7_energy_feasibility_and_scaling():
                            phy=ReedPhyConfig(noise_var=1.0),
                            budgets=np.full(5, budget), seed=33)
     traces = run_fedavg(run_cfg, obj, parts)["reed"]
-    run_ok = all(t.max_client_energy <= budget + 1e-12 for t in traces)
+    run_ok = all(column(t, "max_client_energy") <= budget + 1e-12 for t in traces)
 
     # (b) 1000 random bounded increments stay within heterogeneous budgets
     rng = StreamKey(34).generator()
@@ -198,7 +199,7 @@ def _c8_avg_grad_norm(seed: int, T: int) -> float:
                        phy=ReedPhyConfig(noise_var=1.0),
                        budgets=np.ones(10), seed=seed)
     traces = run_fedavg(cfg, obj, parts)["reed"]
-    return float(np.mean([t.grad_norm_sq for t in traces]))
+    return float(np.mean([column(t, "grad_norm_sq") for t in traces]))
 
 
 def test_c8_stationarity_scaling():

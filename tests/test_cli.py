@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import pathlib
@@ -15,7 +14,7 @@ from reedsim.config import (SCHEMA, ConfigError, _partition_spec, _trial_seed, l
 from reedsim.estimator import ReedPhyConfig, ScalarInputs, sample_estimates
 from reedsim.experiments import (MomentPoint, default_moment_matrix,
                                  run_single_trial, run_trial, validate_point)
-from reedsim.fedavg import RoundTrace
+from reedsim.fedavg import TRACE_COLUMNS
 from reedsim.streams import StreamKey
 
 from reference import write_idx
@@ -232,15 +231,13 @@ class TestRunFedavg:
         cfg2 = dict(cfg)
         cfg2["fed.aggregators"] = ["ideal", "reed"]
         alongside = run_trial(cfg2, 0)["ideal"]
-        assert alone == alongside
+        assert np.array_equal(alone, alongside)
 
     def test_trace_header_is_round_trace_fields(self, tmp_path):
         cfg = parse_config(FAST_FED)
         cmd_run_fedavg(cfg, str(tmp_path))
         header = (tmp_path / "fedavg_trace.csv").read_text().splitlines()[0].split(",")
-        names = [f.name for f in dataclasses.fields(RoundTrace)]
-        assert names[0] == "round"
-        assert header == ["trial", "round", "aggregator"] + names[1:]
+        assert header == ["trial", "round", "aggregator", *TRACE_COLUMNS]
 
     def test_one_job_starts_no_pool(self, tmp_path, pools):
         # one trial is one job, which runs in this process
@@ -414,6 +411,10 @@ BAD_INPUTS = [
     ({"data.source": '"idx"', "data.idx_test_labels": '"{labels}"'},
      "run-fedavg", "data.idx_test_images"),
     ({"data.source": '"idx"', "fed.K": "7"}, "run-fedavg", "fed.K"),
+    # IDX data reads no synthetic key, but a bad one is still an error
+    ({"data.source": '"idx"', "data.features": "-3"}, "run-fedavg", "data.features"),
+    ({"data.source": '"idx"', "data.separation": "-2"}, "run-fedavg", "data.separation"),
+    ({"data.source": '"idx"', "data.synth_n": "-1"}, "run-fedavg", "data.synth_n"),
     ({"data.source": '"idx"', "data.classes": "2"}, "run-fedavg", "data.classes"),
     ({"data.source": '"idx"', "data.idx_test_images": '"{images}"',
       "data.idx_test_labels": '"{test_labels}"'}, "run-fedavg", "data.classes"),
@@ -555,6 +556,19 @@ class TestMain:
         train = experiments.build_experiment_data(cfg, 0)[0]
         assert len(train) == 9
         assert not train.features.flags.writeable and not train.labels.flags.writeable
+
+    def test_idx_binds_no_synthetic_relation(self, tmp_path):
+        # six samples over three clients: the synthetic size below fed.K,
+        # and a synthetic kind that no classifier trains on, are never read
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(write_idx(np.linspace(0.0, 1.0, 24).reshape(6, 4)))
+        labels.write_bytes(write_idx(np.array([0, 1, 2, 0, 1, 2])))
+        cfgfile = tmp_path / "idx.cfg"
+        cfgfile.write_text(_with(FAST_FED, {
+            "data.source": '"idx"', "data.idx_images": f'"{images}"',
+            "data.idx_labels": f'"{labels}"', "data.synth_n": "2",
+            "data.synth_kind": '"quadratic-free"'}))
+        assert main(["run-fedavg", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
 
     def test_malformed_idx_file_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.idx"

@@ -7,10 +7,12 @@ from reedsim import experiments, fedavg, moments
 from reedsim.config import parse_config
 from reedsim.datasets import PartitionSpec, partition, synth_dataset
 from reedsim.estimator import ReedPhyConfig, aggregate_ideal
-from reedsim.fedavg import (FedRunConfig, LogisticObjective, MlpObjective,
+from reedsim.fedavg import (TRACE_COLUMNS, FedRunConfig, LogisticObjective, MlpObjective,
                             QuadraticObjective, _accuracy, _round_batches, build_objective,
                             clip_gradient, local_round, run_fedavg)
 from reedsim.streams import StreamKey
+
+from reference import column
 
 KEY = StreamKey(8128)
 
@@ -142,18 +144,29 @@ class TestRunFedavg:
     def test_seed_determinism(self):
         a = self._run("reed", phy=ReedPhyConfig(eta=5.0, noise_var=0.5))
         b = self._run("reed", phy=ReedPhyConfig(eta=5.0, noise_var=0.5))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_ideal_eps_identically_zero(self):
         traces = self._run("ideal")
-        assert all(t.eps_norm_sq == 0.0 for t in traces)
+        assert all(column(t, "eps_norm_sq") == 0.0 for t in traces)
 
     def test_trace_fields_sane(self):
         traces = self._run("reed", phy=ReedPhyConfig(eta=5.0, noise_var=0.5))
+        assert traces.shape == (5, len(TRACE_COLUMNS))
         for t in traces:
-            assert 0.0 <= t.test_acc <= 1.0
-            assert t.eps_norm_sq >= 0.0
-            assert np.isfinite(t.train_loss)
+            assert 0.0 <= column(t, "test_acc") <= 1.0
+            assert column(t, "eps_norm_sq") >= 0.0
+            assert np.isfinite(column(t, "train_loss"))
+        # one trace per aggregator, in the config's order; without a test
+        # set, test_acc reads 0
+        ds, parts = _blob_setup(K=3)
+        names = ("reed", "ideal", "coherent_csit")
+        cfg = FedRunConfig(Q=2, T=3, batch_size=32, beta0=0.1, aggregators=names)
+        untested = run_fedavg(cfg, build_objective("logistic", ds), parts)
+        assert list(untested) == list(names)
+        for trace in untested.values():
+            assert trace.shape == (3, len(TRACE_COLUMNS))
+            assert (column(trace, "test_acc") == 0.0).all()
 
     def test_reed_single_client_constant_modulus_matches_ideal_trajectory(self):
         # K = 1, |h|^2 = mu^2 and no noise: reed agrees with ideal up to
@@ -162,9 +175,9 @@ class TestRunFedavg:
         degenerate = self._run(
             "reed", K=1, phy=ReedPhyConfig(noise_var=0.0, kappa=1.0))
         for a, b in zip(clean, degenerate):
-            assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
-            assert a.test_acc == b.test_acc
-            assert b.eps_norm_sq < 1e-20
+            assert column(a, "train_loss") == pytest.approx(column(b, "train_loss"), rel=1e-12)
+            assert column(a, "test_acc") == column(b, "test_acc")
+            assert column(b, "eps_norm_sq") < 1e-20
 
     def test_single_client_ideal_is_centralized_sgd(self):
         obj = build_objective("quadratic", d=3, curvature_range=(1.0, 1.0))
@@ -176,7 +189,7 @@ class TestRunFedavg:
         for t in range(4):
             w = w - 0.1 * w
         # final loss recorded by the harness equals the hand-rolled value
-        assert traces[-1].train_loss == pytest.approx(0.5 * float(w @ w))
+        assert column(traces[-1], "train_loss") == pytest.approx(0.5 * float(w @ w))
 
     def test_ideal_quadratic_loss_monotone(self):
         obj = build_objective("quadratic", d=5, curvature_range=(0.5, 2.0), seed=1)
@@ -184,7 +197,7 @@ class TestRunFedavg:
         cfg = FedRunConfig(Q=3, T=10, batch_size=5, beta0=0.05,
                            aggregators=("ideal",), seed=2)
         traces = run_fedavg(cfg, obj, parts)["ideal"]
-        losses = [t.train_loss for t in traces]
+        losses = column(traces, "train_loss")
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_budget_requires_clipping(self):
@@ -196,7 +209,7 @@ class TestRunFedavg:
         traces = self._run("reed", clip_G=0.5, budgets=np.full(3, 1.0),
                           phy=ReedPhyConfig(noise_var=0.5))
         for t in traces:
-            assert t.max_client_energy <= 1.0 + 1e-12
+            assert column(t, "max_client_energy") <= 1.0 + 1e-12
 
     def test_budgeted_reed_checks_once_per_run(self, monkeypatch):
         # every gain is formed and checked at the run's start from the
@@ -242,7 +255,8 @@ class TestRunFedavg:
         clean = self._run("ideal", T=1)
         noisy = self._run("coherent_csit", T=1,
                          phy=ReedPhyConfig(eta=1e12, noise_var=1e-12))
-        assert clean[0].train_loss == pytest.approx(noisy[0].train_loss, rel=1e-6)
+        assert column(clean[0], "train_loss") == pytest.approx(column(noisy[0], "train_loss"),
+                                                               rel=1e-6)
 
 
 def _ragged_setup():
@@ -331,14 +345,14 @@ class TestBatchedTraining:
         root = StreamKey(cfg.seed)
         w = obj.init_params(root.child(0))
         for t in range(T):
-            _assert_rel(traces[t].grad_norm_sq,
+            _assert_rel(column(traces[t], "grad_norm_sq"),
                         float(np.sum(obj.diagnostic_gradient(w, root.child(1, t, K))**2)))
             inc = np.stack([local_round(w, obj, parts[k], self.Q, cfg.stepsize(t),
                                         self.BATCH, root.child(1, t, k), clip_G)
                             for k in range(K)])
             _assert_rel(recorded[t], inc)
             w = w + aggregate_ideal(inc)
-            _assert_rel(traces[t].train_loss, obj.loss(w, np.arange(len(ds))))
+            _assert_rel(column(traces[t], "train_loss"), obj.loss(w, np.arange(len(ds))))
         if clip_G is not None:
             # clipping is active from the first step on
             batches, lengths = _round_batches(parts, self.Q, self.BATCH, root.child(1, 0))
@@ -529,7 +543,7 @@ class TestLockstep:
             assert list(together) == list(self.AGGREGATORS)
             for name in self.AGGREGATORS:
                 alone = run_fedavg(replace(cfg, aggregators=(name,)), obj, parts, test)
-                assert together[name] == alone[name], (type(obj).__name__, name)
+                assert np.array_equal(together[name], alone[name]), (type(obj).__name__, name)
 
     def test_one_data_build_and_one_batch_draw_per_round(self, monkeypatch):
         calls = {"build": 0, "batches": 0}

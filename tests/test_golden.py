@@ -1,5 +1,5 @@
-"""Golden outputs: the exact bytes of five tiny run-fedavg runs and one
-small validate-moments run.
+"""Golden outputs: the exact bytes of five tiny run-fedavg runs, one tiny
+sweep and one small validate-moments run.
 
 Every draw of a run comes from a fixed stream layout, so any change to how
 stream keys are derived or consumed changes these hashes.  A change that
@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from reedsim.cli import cmd_run_fedavg, cmd_validate_moments
+from reedsim.cli import cmd_run_fedavg, cmd_sweep, cmd_validate_moments
 from reedsim.config import parse_config
 
 _COMMON = """
@@ -109,6 +109,32 @@ def test_run_fedavg_bytes_pinned(tmp_path, name):
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                     for f in ("fedavg_trace.csv", "fedavg_summary.json"))
     assert digests == GOLDEN[name]
+
+
+# a float-valued axis, so each label is a value's printed form; two
+# aggregators over two trials at each point
+SWEEP_CONFIG = _COMMON.replace("trials = 1", "trials = 2") + """
+fed.beta0 = 0.1
+fed.aggregators = ["ideal", "reed"]
+data.synth_n = 120
+data.test_n = 40
+data.classes = 3
+data.features = 4
+sweep.key = "phy.snr_db"
+sweep.values = [-5, 2.5]
+"""
+
+# sha256 of sweep_phy.snr_db.csv and sweep_phy.snr_db_summary.json
+SWEEP_GOLDEN = (
+    "32b978cea60b23a829b81006dc4c22df166b48ea4e352ad7149476695871dd7c",
+    "cd885fe0914cd4c0b84d0c7437495eca317e9500e548a340118ef69d77bed2a6")
+
+
+def test_sweep_bytes_pinned(tmp_path):
+    assert cmd_sweep(parse_config(SWEEP_CONFIG), str(tmp_path)) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("sweep_phy.snr_db.csv", "sweep_phy.snr_db_summary.json"))
+    assert digests == SWEEP_GOLDEN
 
 
 # sha256 of moments.csv of the default matrix at 2000 trials per point
