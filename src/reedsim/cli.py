@@ -6,9 +6,14 @@ Subcommands:
   sweep <config>              run-fedavg at each of sweep.values for sweep.key
 
 All outputs are CSV (UTF-8, header row, 9-significant-digit floats) plus a
-summary JSON; identical configs produce byte-identical files.  A trace CSV
-row is one round of one trial under one aggregator: trial, round and
-aggregator, then one cell per ``fedavg.TRACE_COLUMNS`` name.
+summary JSON; identical configs produce byte-identical files, for any
+worker count.  Each file is written whole beside its target, then renamed
+over it.  A trace CSV row is one round of one trial under one aggregator:
+trial, round and aggregator, then one cell per ``fedavg.TRACE_COLUMNS`` name.
+
+FedAvg runs one job per (group, trial).  A group is every point of a sweep
+over a phy.* key, whose aggregators run as arms of one FedAvg run with
+``ideal`` once for all points, or else one point.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, suppress
 from functools import partial
 from typing import Any
 
@@ -30,16 +36,30 @@ from .fedavg import TRACE_COLUMNS, DivergenceError
 
 __all__ = ["main", "cmd_validate_moments", "cmd_run_fedavg", "cmd_sweep"]
 
+@contextmanager
+def _replacing(path: str):
+    """A temporary text file beside ``path``, renamed over it once written
+    whole; if writing raises, it is removed and ``path`` is left as it was."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     """Write a header and rows of printed cells."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with _replacing(path) as f:
         f.writelines(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _write_json(path: str, payload: dict) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
+    with _replacing(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -99,26 +119,28 @@ def _summary(final: np.ndarray) -> dict:
     return out
 
 
-def _run_points(points: list[dict[str, Any]], workers: int) -> list[tuple[list, dict]]:
-    """The trace rows and per-aggregator summary of each config in
-    ``points``, with every (point, trial) run in one map.  Rows go by
-    aggregator, then trial, then round."""
-    jobs = [(cfg, trial) for cfg in points for trial in range(cfg["trials"])]
+def _run_points(groups: list[list[dict[str, Any]]], workers: int) -> list[tuple[list, dict]]:
+    """The trace rows and per-aggregator summary of each config of
+    ``groups``, configs that differ only in phy.* keys, with every (group,
+    trial) job run in one map.  Rows go by aggregator, then trial, then
+    round."""
+    jobs = [(group, trial) for group in groups for trial in range(group[0]["trials"])]
     runs = iter(_map(_trial_job, jobs, workers))
     out = []
-    for cfg in points:
-        trials = [next(runs) for _ in range(cfg["trials"])]
-        aggs = cfg["fed.aggregators"]
-        rows = [[str(trial), str(t), agg, *cells]
-                for agg in aggs for trial, run in enumerate(trials)
-                for t, cells in enumerate(_cells(run[agg]))]
-        out.append((rows, {agg: _summary(np.array([run[agg][-1] for run in trials]))
-                           for agg in sorted(aggs)}))
+    for group in groups:
+        # each config of the group with its runs of every trial
+        for cfg, trials in zip(group, zip(*[next(runs) for _ in range(group[0]["trials"])])):
+            aggs = cfg["fed.aggregators"]
+            rows = [[str(trial), str(t), agg, *cells]
+                    for agg in aggs for trial, run in enumerate(trials)
+                    for t, cells in enumerate(_cells(run[agg]))]
+            out.append((rows, {agg: _summary(np.array([run[agg][-1] for run in trials]))
+                               for agg in sorted(aggs)}))
     return out
 
 
 def cmd_run_fedavg(cfg: dict[str, Any], out_dir: str, workers: int = 1) -> int:
-    [(rows, summary)] = _run_points([cfg], workers)
+    [(rows, summary)] = _run_points([[cfg]], workers)
     _write_csv(os.path.join(out_dir, "fedavg_trace.csv"), _FEDAVG_HEADER, rows)
     _write_json(os.path.join(out_dir, "fedavg_summary.json"), summary)
     for agg, stats in summary.items():
@@ -133,8 +155,10 @@ def cmd_sweep(cfg: dict[str, Any], out_dir: str, workers: int = 1) -> int:
         raise ConfigError("sweep.key: required by sweep")
     values, rows, summary = cfg["sweep.values"], [], {}
     # parse_config validated every point, and each value's printed form,
-    # unique there, keys its summary
-    runs = _run_points([{**cfg, key: value} for value in values], workers)
+    # unique there, keys its summary.  The points of a phy.* axis differ
+    # only in what the arms read, so they form one group
+    points = [{**cfg, key: value} for value in values]
+    runs = _run_points([points] if key.startswith("phy.") else [[p] for p in points], workers)
     for label, (point_rows, point_summary) in zip(map(fmt_value, values), runs):
         rows += [[label] + row for row in point_rows]
         summary[label] = point_summary

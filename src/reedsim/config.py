@@ -46,10 +46,6 @@ def _num(x) -> bool:
         return False
 
 
-def _str_list(x) -> bool:
-    return isinstance(x, list) and len(x) > 0 and all(isinstance(v, str) for v in x)
-
-
 # key -> (checker, human-readable type, default); defaults of None mean unset
 SCHEMA: dict[str, tuple] = {
     "seed": (_is_int, "int", 0),
@@ -72,7 +68,11 @@ SCHEMA: dict[str, tuple] = {
     "fed.schedule": (lambda x: x in ("constant", "inv_sqrt"),
                      "'constant' or 'inv_sqrt'", "inv_sqrt"),
     "fed.clip_G": (_num, "number", None),
-    "fed.aggregators": (_str_list, "list of strings", ["ideal", "reed"]),
+    "fed.aggregators": (lambda x: isinstance(x, list) and all(
+                            v in ("ideal", "reed", "coherent_csit") for v in x)
+                        and 0 < len(set(x)) == len(x),
+                        "distinct names out of 'ideal', 'reed' and 'coherent_csit'",
+                        ["ideal", "reed"]),
     "fed.budget": (_num, "number", None),
     "fed.model": (lambda x: x in ("quadratic", "logistic", "mlp"),
                   "'quadratic', 'logistic' or 'mlp'", "logistic"),
@@ -204,7 +204,7 @@ def check_config(cfg: dict[str, Any]) -> None:
     synth_data({**cfg, "data.synth_kind": kind}, 0, 0)
     _partition_spec(cfg, 0)
     run_objective(cfg, LabeledDataset(np.zeros((0, 1)), np.zeros(0)), 0)
-    fed_run_config(cfg, 0)
+    fed_run_config(cfg, 0, [(agg, cfg) for agg in cfg["fed.aggregators"]])
 
 
 def _cross_validate(cfg: dict[str, Any]) -> None:
@@ -267,7 +267,7 @@ _FIELD_KEYS = {
     "eta": "phy.eta", "noise_var": "phy.noise_var", "mean_powers": "phy.mean_power",
     "antennas": "phy.antennas", "kappa": "phy.kappa", "K": "fed.K", "Q": "fed.Q",
     "T": "fed.T", "batch_size": "fed.batch_size", "beta0": "fed.beta0",
-    "aggregators": "fed.aggregators", "budgets": "fed.budget", "clip_G": "fed.clip_G",
+    "arms": "fed.aggregators", "budgets": "fed.budget", "clip_G": "fed.clip_G",
     "hidden": "fed.hidden", "d": "fed.quad_dim",
     "curvature_range": "fed.quad_curv_min, fed.quad_curv_max",
     "alpha": "data.alpha", "classes": "data.classes", "n_classes": "data.classes",
@@ -325,15 +325,17 @@ def run_objective(cfg: dict[str, Any], train: LabeledDataset, trial: int) -> Obj
 
 
 @_keyed()
-def fed_run_config(cfg: dict[str, Any], trial: int) -> FedRunConfig:
-    phy = ReedPhyConfig(
-        eta=cfg["phy.eta"], noise_var=resolve_noise_var(cfg), antennas=cfg["phy.antennas"],
-        mean_powers=np.array([cfg["phy.mean_power"]]), chip_weights=np.ones(cfg["phy.chips"]),
-        kappa=cfg["phy.kappa"])
+def fed_run_config(cfg: dict[str, Any], trial: int, arms: list[tuple[str, dict]]) -> FedRunConfig:
+    """The run of one trial of ``cfg`` over ``arms``, (aggregator, config)
+    pairs: each arm's radio is built from its own config's phy.* keys."""
     # one budget, like one mean power, is shared by every client
     budgets = None if cfg["fed.budget"] is None else np.array([cfg["fed.budget"]])
     return FedRunConfig(
         Q=cfg["fed.Q"], T=cfg["fed.T"], batch_size=cfg["fed.batch_size"],
         beta0=cfg["fed.beta0"], schedule=cfg["fed.schedule"], clip_G=cfg["fed.clip_G"],
-        aggregators=cfg["fed.aggregators"], phy=phy, budgets=budgets,
-        seed=_trial_seed(cfg, trial))
+        arms=tuple((agg, ReedPhyConfig(
+            eta=point["phy.eta"], noise_var=resolve_noise_var(point),
+            antennas=point["phy.antennas"], mean_powers=np.array([point["phy.mean_power"]]),
+            chip_weights=np.ones(point["phy.chips"]), kappa=point["phy.kappa"]))
+            for agg, point in arms),
+        budgets=budgets, seed=_trial_seed(cfg, trial))

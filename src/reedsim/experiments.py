@@ -1,9 +1,10 @@
 """Experiment drivers shared by the CLI and the test suite.
 
 Moment-law validation points (Monte Carlo against closed form) and
-config-driven FedAvg trials.  A trial builds its data, partition and
-objective once and runs every aggregator on them in lockstep, so the
-matched-seed contract holds by construction: the aggregator choice never
+config-driven FedAvg trials.  A trial of a group of configs that differ
+only in phy.* keys builds its data, partition and objective once and runs
+every arm of every config on them in lockstep, so the matched-seed
+contract holds by construction: neither the aggregator nor the radio ever
 perturbs data partitioning, model initialization or local minibatch order.
 """
 
@@ -166,21 +167,27 @@ def build_experiment_data(cfg: dict[str, Any], trial: int
     return train, test, client_partition(cfg, train, trial)
 
 
-def run_trial(cfg: dict[str, Any], trial: int) -> dict[str, np.ndarray]:
-    """One trial of a validated config: its data, partition and objective
-    are built once, and every aggregator of ``fed.aggregators`` runs on them
-    in one :func:`run_fedavg` call.  Returns each aggregator's trace, in the
-    config's order.  A label of the training data at or above
-    ``data.classes``, or a budget whose gains are not finite and > 0, is a
-    ConfigError."""
-    train, test, parts = build_experiment_data(cfg, trial)
-    fed, objective = fed_run_config(cfg, trial), run_objective(cfg, train, trial)
+def run_trial(points: list[dict[str, Any]], trial: int) -> list[dict[str, np.ndarray]]:
+    """One trial of validated configs that differ only in phy.* keys: the
+    data, partition and objective are built once, and one :func:`run_fedavg`
+    call runs one ``ideal`` arm, which reads no phy.* key, and each config's
+    other aggregators.  Returns each config's traces by aggregator.  A label
+    of the training data at or above ``data.classes``, or a budget whose
+    gains are not finite and > 0, is a ConfigError."""
+    train, test, parts = build_experiment_data(points[0], trial)
+    # each config's aggregators, as (aggregator, index of the config it reads)
+    slots = [{agg: (agg, 0 if agg == "ideal" else i) for agg in point["fed.aggregators"]}
+             for i, point in enumerate(points)]
+    arms = list(dict.fromkeys(arm for slot in slots for arm in slot.values()))
+    fed = fed_run_config(points[0], trial, [(agg, points[i]) for agg, i in arms])
+    objective = run_objective(points[0], train, trial)
     # the gains depend on the objective's dimension, so run_fedavg checks them
     with _keyed():
-        return run_fedavg(fed, objective, parts, test)
+        traces = run_fedavg(fed, objective, parts, test)
+    return [{agg: traces[arms.index(arm)] for agg, arm in slot.items()} for slot in slots]
 
 
 def run_single_trial(cfg: dict[str, Any], trial: int, aggregator: str) -> np.ndarray:
     """The trace of one aggregator's run of one trial, whatever
     ``fed.aggregators`` lists."""
-    return run_trial({**cfg, "fed.aggregators": [aggregator]}, trial)[aggregator]
+    return run_trial([{**cfg, "fed.aggregators": [aggregator]}], trial)[0][aggregator]

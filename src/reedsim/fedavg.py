@@ -4,34 +4,34 @@ Each round: broadcast the global model, run Q local minibatch SGD steps on
 every client, form increments, aggregate (ideal mean, noncoherent
 paired-energy, or coherent channel-inversion reference), apply the server
 update and record the round's row of a trace.  A trace is one (T, F) float
-array per aggregator: row t is round t and column f the quantity named
+array per arm: row t is round t and column f the quantity named
 ``TRACE_COLUMNS[f]``.  All randomness flows through per-(round,
 client) stream keys, so runs are reproducible and the aggregator choice
 never perturbs data order or model initialization.
 
-One run holds several aggregators, each with its own global model, in
-lockstep.  The local streams and minibatches do not depend on the
-aggregator, so they are drawn once per round for all of them, and a run
-of several aggregators equals each one run alone, trace for trace.
+One run holds several arms, each an aggregator and the ``ReedPhyConfig``
+it reads with its own global model, in lockstep.  The local streams and
+minibatches do not depend on the arm, so they are drawn once per round
+for all of them, and a run of several arms equals each arm run alone,
+trace for trace.
 
-Local training is batched across clients and aggregators.  At the start
-of a round each client draws all of its minibatch indices from its own
+Local training is batched across clients and arms.  At the start of a
+round each client draws all of its minibatch indices from its own
 (round, client) stream, exactly as the single-client reference
 :func:`local_round` does.  They are stacked into a (Q, K, B) index array,
 with short batches padded and masked, and each of the Q steps is one
-:meth:`Objective.stacked_gradient` call over all K clients of all A
-aggregators, A·K rows in aggregator-major order; the K clients' features
-are gathered once and broadcast over the A models.  Aggregation stays per
-aggregator.
+:meth:`Objective.stacked_gradient` call over all K clients of all A arms,
+A·K rows in arm-major order; the K clients' features are gathered once
+and broadcast over the A models.  Aggregation stays per arm.
 
-Evaluation is stacked too.  Once every aggregator has updated its model,
-one :meth:`Objective.evaluate` call takes the train losses and diagnostic
+Evaluation is stacked too.  Once every arm has updated its model, one
+:meth:`Objective.evaluate` call takes the train losses and diagnostic
 gradients of all A models in one pass over the training set, and one
 :meth:`Objective.accuracy` call their test accuracies.  Each row equals
 that model evaluated alone, bit for bit.  The divergence checks then run
-aggregator by aggregator, each checking its model, aggregation error,
-client energy and train loss in turn, so the first aggregator to leave
-the finite numbers is the one named.
+arm by arm, each checking its model, aggregation error, client energy and
+train loss in turn, so the first arm to leave the finite numbers is the
+one named, by its aggregator.
 
 Each model state, the models after s rounds for s = 0 … T, is evaluated
 by one evaluate call and nothing else: state 0 before round 0, state s
@@ -41,15 +41,16 @@ gives both; the losses of state 0 and the gradients of state T go unread.
 Objectives whose gradients never read the batch (``uses_batches`` False)
 draw no minibatch indices.
 
-With "reed" and energy budgets, every round's aggregation gain is formed
-and checked before round 0, so a run whose gains are not all finite and
-> 0 stops before its first local step, naming the first bad round.
+With "reed" arms and energy budgets, every round's aggregation gain is
+formed and checked before round 0, so a run whose gains are not all
+finite and > 0 stops before its first local step, naming the first bad
+round.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -470,7 +471,8 @@ def build_objective(kind: str, data: LabeledDataset | None = None, *,
 
 @dataclass(frozen=True)
 class FedRunConfig:
-    """One FedAvg run: protocol sizes, stepsizes, aggregators and radio."""
+    """One FedAvg run: protocol sizes, stepsizes and arms, each an
+    aggregator and the radio it reads."""
 
     Q: int
     T: int
@@ -478,8 +480,7 @@ class FedRunConfig:
     beta0: float
     schedule: str = "constant"  # "constant" | "inv_sqrt"
     clip_G: float | None = None
-    aggregators: tuple[str, ...] = ("ideal",)
-    phy: ReedPhyConfig = field(default_factory=ReedPhyConfig)
+    arms: tuple[tuple[str, ReedPhyConfig], ...] = (("ideal", ReedPhyConfig()),)
     budgets: np.ndarray | None = None
     seed: int = 0
 
@@ -491,12 +492,12 @@ class FedRunConfig:
             raise ValueError(f"beta0 must be finite and > 0, got {self.beta0}")
         if self.schedule not in ("constant", "inv_sqrt"):
             raise ValueError(f"schedule must be 'constant' or 'inv_sqrt', got {self.schedule!r}")
-        object.__setattr__(self, "aggregators", tuple(self.aggregators))
-        names = set(self.aggregators)
-        if not names <= {"ideal", "reed", "coherent_csit"} or not (
-                0 < len(names) == len(self.aggregators)):
-            raise ValueError("aggregators must be distinct names out of 'ideal', 'reed' "
-                             f"and 'coherent_csit', got {self.aggregators!r}")
+        object.__setattr__(self, "arms", tuple(self.arms))
+        if not self.arms or not all(
+                isinstance(arm, tuple) and len(arm) == 2 and isinstance(arm[1], ReedPhyConfig)
+                and arm[0] in ("ideal", "reed", "coherent_csit") for arm in self.arms):
+            raise ValueError("arms must be (aggregator, ReedPhyConfig) pairs, each aggregator "
+                             f"'ideal', 'reed' or 'coherent_csit', got {self.arms!r}")
         if self.budgets is not None:
             object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float))
             if not ((self.budgets > 0) & (self.budgets < np.inf)).all():
@@ -515,7 +516,7 @@ class FedRunConfig:
 class DivergenceError(RuntimeError):
     """A run left the finite numbers: its model, train loss, aggregation
     error or largest client energy is NaN or infinite.  The message names
-    the aggregator and the round."""
+    the arm's aggregator and the round."""
 
 
 def clip_gradient(g: np.ndarray, clip_G: float | None) -> np.ndarray:
@@ -600,46 +601,50 @@ def local_round(params: np.ndarray, objective: Objective, client_indices: np.nda
 
 def run_fedavg(cfg: FedRunConfig, objective: Objective,
                partitions: list[np.ndarray],
-               test_data: LabeledDataset | None = None) -> dict[str, np.ndarray]:
-    """Run T rounds of full-participation FedAvg under every aggregator of
-    ``cfg`` and return each one's trace, a (T, len(TRACE_COLUMNS)) array, in
-    the order of ``cfg.aggregators``.  Without ``test_data``, test_acc is 0.
+               test_data: LabeledDataset | None = None) -> np.ndarray:
+    """Run T rounds of full-participation FedAvg under every arm of ``cfg``
+    and return their traces, an (A, T, len(TRACE_COLUMNS)) array in the
+    order of ``cfg.arms``.  Without ``test_data``, test_acc is 0.
 
-    There is one client per partition.  The aggregators run in lockstep on
-    one set of minibatches, each with its own model; a run of several equals
-    each aggregator run alone.  With "reed" and budgets set, the aggregation
-    gain is rescheduled every round from the round's stepsize; a run whose
-    gains are not all finite and > 0 stops before its first round.
+    There is one client per partition.  The arms run in lockstep on one set
+    of minibatches, each with its own model; a run of several equals each
+    arm run alone.  With "reed" and budgets set, the aggregation gain is
+    rescheduled every round from the round's stepsize; a run whose gains
+    are not all finite and > 0 stops before its first round.
     """
     K = len(partitions)
     if K == 0:
         raise ValueError("partitions must hold at least one client")
-    names = cfg.aggregators
-    A = len(names)
+    A = len(cfg.arms)
     root = StreamKey(cfg.seed)
     w = objective.init_params(root.child(_DOM_INIT))
     d = objective.dim
-    stack = np.repeat(w[None], A, axis=0)  # row a: aggregator a's model
-    # every (round, client) and (round, chip, branch) key of the run at once
+    stack = np.repeat(w[None], A, axis=0)  # row a: arm a's model
+    # every (round, client) and (round, chip, branch) key of the run at once;
+    # a leaf's words do not depend on the grid's shape, so one grid over the
+    # most chips serves every reed arm
     local_keys, channel_keys = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
     if objective.uses_batches:
         local_keys = local_keys.grid(cfg.T, K)
-    # the parts of the audit that no round changes
-    if "reed" in names:
-        reed_keys = channel_keys.grid(cfg.T, cfg.phy.n_chips, 2)
-        kmd = _audit_denominator(cfg.phy, K, d)
-    if "coherent_csit" in names:
+    reed_chips = [phy.n_chips for name, phy in cfg.arms if name == "reed"]
+    if reed_chips:
+        reed_keys = channel_keys.grid(cfg.T, max(reed_chips), 2)
+    if any(name == "coherent_csit" for name, _ in cfg.arms):
         csit_keys = channel_keys.grid(cfg.T)
-    gains = None
-    if "reed" in names and cfg.budgets is not None:
-        # every round's gain, checked before the first round runs
-        with np.errstate(all="ignore"):
-            numerator = _gain_numerator(cfg.budgets, K, d, cfg.phy.mean_powers)
-            gains = [_gain(numerator, cfg.phy.weight_sum, cfg.stepsize(t), cfg.Q, cfg.clip_G)
-                     for t in range(cfg.T)]
-        for t, gain in enumerate(gains):
-            if not 0 < gain < math.inf:
-                raise ValueError(f"budgets must give finite gains > 0, got {gain} at round {t}")
+    # each arm's parts that no round changes: its audit's denominator and,
+    # for a budgeted reed arm, every round's gain, checked before round 0
+    kmds = [_audit_denominator(phy, K, d) for _, phy in cfg.arms]
+    gains = [None] * A
+    for a, (name, phy) in enumerate(cfg.arms):
+        if name == "reed" and cfg.budgets is not None:
+            with np.errstate(all="ignore"):
+                numerator = _gain_numerator(cfg.budgets, K, d, phy.mean_powers)
+                gains[a] = [_gain(numerator, phy.weight_sum, cfg.stepsize(t), cfg.Q, cfg.clip_G)
+                            for t in range(cfg.T)]
+            for t, gain in enumerate(gains[a]):
+                if not 0 < gain < math.inf:
+                    raise ValueError(f"budgets must give finite gains > 0, got {gain} "
+                                     f"at round {t}")
 
     def evaluate(s):
         """Train losses and diagnostic gradients of model state s, the
@@ -647,7 +652,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         return objective.evaluate(stack, local_keys.child(s, K) if objective.uses_proxy else None)
 
     grads = evaluate(0)[1]
-    # row t of trace[a] is aggregator a's round t; test_acc stays 0 without test data
+    # row t of trace[a] is arm a's round t; test_acc stays 0 without test data
     trace = np.zeros((A, cfg.T, len(TRACE_COLUMNS)))
 
     # a diverging run overflows; the checks below name what went non-finite
@@ -658,9 +663,9 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             # round t's columns, in TRACE_COLUMNS order: (A,) views into trace
             train_loss, test_acc, grad_norm_sq, eps_norm_sq, max_energy = trace[:, t].T
 
-            # the minibatches do not depend on the aggregator; row a·K + k of the
-            # (A·K)-row stack is client k under aggregator a, and every
-            # aggregator reads the same K batches
+            # the minibatches do not depend on the arm; row a·K + k of the
+            # (A·K)-row stack is client k under arm a, and every arm reads
+            # the same K batches
             if objective.uses_batches:
                 batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
                                                   local_keys.child(t))
@@ -674,15 +679,15 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                 step *= beta
                 local -= step
 
-            phy = cfg.phy if gains is None else cfg.phy.with_eta(gains[t])
-            for a, name in enumerate(names):
+            for a, (name, phy) in enumerate(cfg.arms):
                 increments = local[a * K:(a + 1) * K] - stack[a]
                 ideal = aggregate_ideal(increments)
                 if name == "reed":
+                    phy = phy if gains[a] is None else phy.with_eta(gains[a][t])
                     update = aggregate_reed(increments, phy, reed_keys.child(t))
-                    max_energy[a] = _audit(increments, phy, kmd).max()
+                    max_energy[a] = _audit(increments, phy, kmds[a]).max()
                 elif name == "coherent_csit":
-                    update = aggregate_coherent_csit(increments, cfg.phy, csit_keys.child(t))
+                    update = aggregate_coherent_csit(increments, phy, csit_keys.child(t))
                 else:
                     update = ideal
                 eps = update - ideal
@@ -696,9 +701,9 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             if test_data is not None:
                 test_acc[:] = objective.accuracy(stack, test_data.features, test_data.labels)
 
-            # aggregator by aggregator, so the first to leave the finite
-            # numbers is the one named
-            for a, name in enumerate(names):
+            # arm by arm, so the first to leave the finite numbers is the
+            # one named
+            for a, (name, _) in enumerate(cfg.arms):
                 for what, finite in (("model", np.isfinite(stack[a]).all()),
                                      ("eps_norm_sq", math.isfinite(eps_norm_sq[a])),
                                      ("max_client_energy", math.isfinite(max_energy[a])),
@@ -708,4 +713,4 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                                               f"after round {t}")
                 grad_norm_sq[a] = grads[a] @ grads[a]
             grads = next_grads
-    return dict(zip(names, trace))
+    return trace

@@ -9,6 +9,8 @@ Not collected: test modules import it by name.
   :func:`reedsim.datasets.parse_idx`, for parser fixtures.
 - ``column``: one named quantity of a :func:`reedsim.fedavg.run_fedavg`
   trace.
+- ``arms``: the arms of a :class:`reedsim.fedavg.FedRunConfig` that runs
+  several aggregators on one radio.
 """
 
 import struct
@@ -58,3 +60,10 @@ def column(trace: np.ndarray, name: str) -> np.ndarray:
     """The ``TRACE_COLUMNS`` column ``name`` of a trace: one value per round
     of a (T, F) trace, or the one value of an (F,) round row."""
     return trace[..., TRACE_COLUMNS.index(name)]
+
+
+def arms(*names: str, phy: estimator.ReedPhyConfig | None = None) -> tuple:
+    """One arm per aggregator name, every one on the radio ``phy`` (the
+    default radio if None)."""
+    phy = phy or estimator.ReedPhyConfig()
+    return tuple((name, phy) for name in names)

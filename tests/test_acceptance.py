@@ -10,13 +10,13 @@ from reedsim.config import parse_config
 from reedsim.datasets import PartitionSpec, parse_idx, partition, synth_dataset
 from reedsim.estimator import (ReedPhyConfig, ScalarInputs, aggregate_ideal,
                                aggregate_reed, sample_estimates)
-from reedsim.experiments import run_single_trial, run_trial
+from reedsim.experiments import run_trial
 from reedsim.fedavg import (FedRunConfig, build_objective, local_round, run_fedavg)
 from reedsim.moments import (energy_audit, eta_schedule, sigma_air_bound,
                              variance_chip)
 from reedsim.streams import StreamKey
 
-from reference import column, write_idx
+from reference import arms, column, write_idx
 
 N = 1_000_000
 KEY = StreamKey(12345)
@@ -93,17 +93,16 @@ phy.eta = 300.0
 def test_c5_chip_diversity_closes_the_accuracy_gap():
     cfg = parse_config(C5_CONFIG)
     trials = 10
-    # ideal and reed at M = 1 in one lockstep run per trial, which equals
-    # each aggregator run alone
-    point = {**cfg, "phy.chips": 1, "fed.aggregators": ["ideal", "reed"]}
-    runs = [run_trial(point, t) for t in range(trials)]
-    final_acc = {label: float(np.mean([column(run[agg][-1], "test_acc") for run in runs]))
-                 for label, agg in (("ideal", "ideal"), ("M1", "reed"))}
-    for M in (2, 4):
-        point = {**cfg, "phy.chips": M}
-        accs = [column(run_single_trial(point, t, "reed")[-1], "test_acc")
-                for t in range(trials)]
-        final_acc[f"M{M}"] = float(np.mean(accs))
+    # ideal and reed at M = 1, 2 and 4 in one lockstep run per trial: one
+    # ideal arm and one reed arm per M, each equal to that arm run alone
+    chips = (1, 2, 4)
+    points = [{**cfg, "phy.chips": M, "fed.aggregators": ["ideal", "reed"]} for M in chips]
+    runs = [run_trial(points, t) for t in range(trials)]
+    final_acc = {"ideal": float(np.mean([column(run[0]["ideal"][-1], "test_acc")
+                                         for run in runs]))}
+    for i, M in enumerate(chips):
+        final_acc[f"M{M}"] = float(np.mean([column(run[i]["reed"][-1], "test_acc")
+                                            for run in runs]))
     gap = {M: final_acc["ideal"] - final_acc[f"M{M}"] for M in (1, 2, 4)}
     ordered = gap[4] <= gap[2] <= gap[1]
     closed = gap[4] <= 0.4 * gap[1]
@@ -158,10 +157,10 @@ def test_c7_energy_feasibility_and_scaling():
     obj = build_objective("logistic", ds, n_classes=3)
     budget = 1.0
     run_cfg = FedRunConfig(Q=5, T=50, batch_size=16, beta0=0.05,
-                           schedule="inv_sqrt", clip_G=0.5, aggregators=("reed",),
-                           phy=ReedPhyConfig(noise_var=1.0),
+                           schedule="inv_sqrt", clip_G=0.5,
+                           arms=arms("reed", phy=ReedPhyConfig(noise_var=1.0)),
                            budgets=np.full(5, budget), seed=33)
-    traces = run_fedavg(run_cfg, obj, parts)["reed"]
+    [traces] = run_fedavg(run_cfg, obj, parts)
     run_ok = all(column(t, "max_client_energy") <= budget + 1e-12 for t in traces)
 
     # (b) 1000 random bounded increments stay within heterogeneous budgets
@@ -195,10 +194,9 @@ def _c8_avg_grad_norm(seed: int, T: int) -> float:
     parts = partition(ds, PartitionSpec("iid", 10, seed=1))
     cfg = FedRunConfig(Q=5, T=T, batch_size=20,
                        beta0=0.4 / np.sqrt(T), schedule="constant",
-                       clip_G=1.0, aggregators=("reed",),
-                       phy=ReedPhyConfig(noise_var=1.0),
+                       clip_G=1.0, arms=arms("reed", phy=ReedPhyConfig(noise_var=1.0)),
                        budgets=np.ones(10), seed=seed)
-    traces = run_fedavg(cfg, obj, parts)["reed"]
+    [traces] = run_fedavg(cfg, obj, parts)
     return float(np.mean([column(t, "grad_norm_sq") for t in traces]))
 
 

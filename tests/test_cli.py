@@ -230,7 +230,7 @@ class TestRunFedavg:
         alone = run_single_trial(cfg, 0, "ideal")
         cfg2 = dict(cfg)
         cfg2["fed.aggregators"] = ["ideal", "reed"]
-        alongside = run_trial(cfg2, 0)["ideal"]
+        alongside = run_trial([cfg2], 0)[0]["ideal"]
         assert np.array_equal(alone, alongside)
 
     def test_trace_header_is_round_trace_fields(self, tmp_path):
@@ -255,6 +255,23 @@ class TestRunFedavg:
         cmd_run_fedavg(cfg, str(tmp_path / "parallel"), workers=2)
         assert (tmp_path / "serial" / "fedavg_trace.csv").read_bytes() == \
             (tmp_path / "parallel" / "fedavg_trace.csv").read_bytes()
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("write, good, bad", [
+        (cli._write_csv, (["a", "b"], [["1", "2"]]), (["a", "b"], [["3", "4"], ["5", 6]])),
+        (cli._write_json, ({"a": 1},), ({"a": 2, "b": object()},))], ids=["csv", "json"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, write, good, bad):
+        # the second write raises partway, on a cell or value it cannot print
+        path = tmp_path / "out" / "file"
+        write(str(path), *good)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write(str(path), *bad)
+        assert path.read_bytes() == before
+        assert os.listdir(path.parent) == ["file"]
+        write(str(path), *good)
+        assert path.read_bytes() == before
 
 
 class TestSweep:
@@ -301,6 +318,20 @@ class TestSweep:
         for name in ("sweep_data.partition.csv", "sweep_data.partition_summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
+
+    def test_one_pool_per_phy_sweep_and_workers_match_serial(self, tmp_path, pools):
+        # the points of a phy.* sweep run as one job per trial, so the pool
+        # is never larger than the trial count
+        cfg = parse_config(_with(FAST_FED, {"fed.aggregators": '["ideal", "reed"]',
+                                            "sweep.key": '"phy.chips"',
+                                            "sweep.values": "[1, 2, 4]"}))
+        for workers in (1, 2, 3):
+            cmd_sweep(cfg, str(tmp_path / str(workers)), workers=workers)
+        assert pools == [min(2, cfg["trials"]), min(3, cfg["trials"])]
+        for name in ("sweep_phy.chips.csv", "sweep_phy.chips_summary.json"):
+            serial = (tmp_path / "1" / name).read_bytes()
+            assert (tmp_path / "2" / name).read_bytes() == serial
+            assert (tmp_path / "3" / name).read_bytes() == serial
 
     def test_empty_axis_rejected(self, tmp_path):
         cfg = parse_config(FAST_FED)

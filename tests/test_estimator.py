@@ -310,6 +310,23 @@ class TestEstimates:
         b = sample_estimates(inp, chips, KEY.child(7, 1), 400_000)
         assert abs(a.var() - b.var()) < 0.03 * variance_chip(inp, simo).variance
 
+    @pytest.mark.parametrize("kappa", [2.0, 3.0])
+    def test_equal_energy_forms_are_one_model(self, kappa):
+        # the kernel and the law read only the products eta * c_m and the
+        # normalization eta * C_M, so unit-weight chips at gain eta / M and
+        # weight-1/M chips at gain eta differ only by rounding
+        inp = ScalarInputs([2.0, -1.0, 0.3])
+        M, eta = 3, 2.5
+        unit = ReedPhyConfig(eta=eta / M, noise_var=0.7, chip_weights=np.ones(M),
+                             antennas=2, kappa=kappa)
+        spread = ReedPhyConfig(eta=eta, noise_var=0.7, chip_weights=np.full(M, 1 / M),
+                               antennas=2, kappa=kappa)
+        a = sample_estimates(inp, unit, KEY.child(8), 20_000)
+        b = sample_estimates(inp, spread, KEY.child(8), 20_000)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+        law = [dataclasses.astuple(variance_chip(inp, cfg)) for cfg in (unit, spread)]
+        assert law[0] == pytest.approx(law[1], rel=1e-12, abs=0)
+
 
 class TestAggregators:
     def test_ideal_mean(self):

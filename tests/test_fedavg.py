@@ -12,7 +12,7 @@ from reedsim.fedavg import (TRACE_COLUMNS, FedRunConfig, LogisticObjective, MlpO
                             clip_gradient, local_round, run_fedavg)
 from reedsim.streams import StreamKey
 
-from reference import column
+from reference import arms, column
 
 KEY = StreamKey(8128)
 
@@ -130,9 +130,8 @@ class TestRunFedavg:
         ds, parts = _blob_setup(K=K)
         obj = build_objective("logistic", ds)
         cfg = FedRunConfig(Q=2, T=T, batch_size=32, beta0=0.1,
-                           aggregators=(aggregator,), seed=seed,
-                           phy=phy or ReedPhyConfig(), **kw)
-        return run_fedavg(cfg, obj, parts, ds)[aggregator]
+                           arms=arms(aggregator, phy=phy), seed=seed, **kw)
+        return run_fedavg(cfg, obj, parts, ds)[0]
 
     def test_empty_partition_list_rejected(self):
         ds, _ = _blob_setup(K=3)
@@ -157,16 +156,16 @@ class TestRunFedavg:
             assert 0.0 <= column(t, "test_acc") <= 1.0
             assert column(t, "eps_norm_sq") >= 0.0
             assert np.isfinite(column(t, "train_loss"))
-        # one trace per aggregator, in the config's order; without a test
-        # set, test_acc reads 0
+        # one trace per arm, in the config's order; without a test set,
+        # test_acc reads 0
         ds, parts = _blob_setup(K=3)
         names = ("reed", "ideal", "coherent_csit")
-        cfg = FedRunConfig(Q=2, T=3, batch_size=32, beta0=0.1, aggregators=names)
+        cfg = FedRunConfig(Q=2, T=3, batch_size=32, beta0=0.1, arms=arms(*names))
         untested = run_fedavg(cfg, build_objective("logistic", ds), parts)
-        assert list(untested) == list(names)
-        for trace in untested.values():
-            assert trace.shape == (3, len(TRACE_COLUMNS))
-            assert (column(trace, "test_acc") == 0.0).all()
+        assert untested.shape == (len(names), 3, len(TRACE_COLUMNS))
+        assert (column(untested, "test_acc") == 0.0).all()
+        assert (column(untested[names.index("ideal")], "eps_norm_sq") == 0.0).all()
+        assert (column(untested[names.index("reed")], "max_client_energy") > 0.0).all()
 
     def test_reed_single_client_constant_modulus_matches_ideal_trajectory(self):
         # K = 1, |h|^2 = mu^2 and no noise: reed agrees with ideal up to
@@ -182,9 +181,8 @@ class TestRunFedavg:
     def test_single_client_ideal_is_centralized_sgd(self):
         obj = build_objective("quadratic", d=3, curvature_range=(1.0, 1.0))
         parts = [np.arange(10)]
-        cfg = FedRunConfig(Q=1, T=4, batch_size=10, beta0=0.1,
-                           aggregators=("ideal",), seed=0)
-        traces = run_fedavg(cfg, obj, parts)["ideal"]
+        cfg = FedRunConfig(Q=1, T=4, batch_size=10, beta0=0.1, arms=arms("ideal"), seed=0)
+        [traces] = run_fedavg(cfg, obj, parts)
         w = np.ones(3)
         for t in range(4):
             w = w - 0.1 * w
@@ -194,9 +192,8 @@ class TestRunFedavg:
     def test_ideal_quadratic_loss_monotone(self):
         obj = build_objective("quadratic", d=5, curvature_range=(0.5, 2.0), seed=1)
         parts = [np.arange(i * 5, (i + 1) * 5) for i in range(2)]
-        cfg = FedRunConfig(Q=3, T=10, batch_size=5, beta0=0.05,
-                           aggregators=("ideal",), seed=2)
-        traces = run_fedavg(cfg, obj, parts)["ideal"]
+        cfg = FedRunConfig(Q=3, T=10, batch_size=5, beta0=0.05, arms=arms("ideal"), seed=2)
+        [traces] = run_fedavg(cfg, obj, parts)
         losses = column(traces, "train_loss")
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -224,8 +221,8 @@ class TestRunFedavg:
         for T in (3, 12):
             calls.clear()
             cfg = FedRunConfig(Q=2, T=T, batch_size=5, beta0=0.05, schedule="inv_sqrt",
-                               clip_G=1.0, aggregators=("reed",), budgets=np.ones(3),
-                               phy=ReedPhyConfig(noise_var=0.5))
+                               clip_G=1.0, arms=arms("reed", phy=ReedPhyConfig(noise_var=0.5)),
+                               budgets=np.ones(3))
             run_fedavg(cfg, obj, [np.arange(5)] * 3)
             counts.append(len(calls))
         assert counts[0] == counts[1] == 0
@@ -242,8 +239,8 @@ class TestRunFedavg:
         monkeypatch.setattr(QuadraticObjective, "stacked_gradient",
                             lambda self, *a: steps.append(1) or stacked(self, *a))
         cfg = FedRunConfig(Q=2, T=5, batch_size=5, beta0=0.05, clip_G=1.0,
-                           aggregators=("ideal", "reed"), budgets=np.ones(3),
-                           phy=ReedPhyConfig(noise_var=0.5))
+                           arms=arms("ideal", "reed", phy=ReedPhyConfig(noise_var=0.5)),
+                           budgets=np.ones(3))
         with pytest.raises(ValueError, match=r"^budgets must give finite gains > 0, "
                                              r"got inf at round 2$"):
             run_fedavg(cfg, obj, [np.arange(5)] * 3)
@@ -339,7 +336,7 @@ class TestBatchedTraining:
         recorded = []
         monkeypatch.setattr(fedavg, "aggregate_ideal",
                             lambda inc: recorded.append(inc) or aggregate_ideal(inc))
-        traces = run_fedavg(cfg, obj, parts)["ideal"]
+        [traces] = run_fedavg(cfg, obj, parts)
         assert len(recorded) == T
 
         root = StreamKey(cfg.seed)
@@ -393,7 +390,7 @@ class TestBatchedTraining:
             full_passes.clear()
             full_backward.clear()
             cfg = FedRunConfig(Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.1,
-                               aggregators=aggregators, seed=1)
+                               arms=arms(*aggregators), seed=1)
             run_fedavg(cfg, obj, parts, ds)
             assert calls["stacked"] == self.Q * T  # not A * K * Q * T
             assert calls["local_round"] == 0
@@ -509,7 +506,7 @@ class TestStackedEvaluation:
                             lambda *a: calls.append("eta_schedule"))
         K, T = 3, 3
         cfg = FedRunConfig(Q=1, T=T, batch_size=8, beta0=0.05, schedule="inv_sqrt",
-                           clip_G=1.0, aggregators=("ideal", "reed"), budgets=np.ones(K),
+                           clip_G=1.0, arms=arms("ideal", "reed"), budgets=np.ones(K),
                            seed=2)
         run_fedavg(cfg, obj, partition(ds, PartitionSpec("iid", K, seed=0)), ds)
         assert obj.uses_proxy is (kind == "mlp-proxy")
@@ -517,33 +514,52 @@ class TestStackedEvaluation:
 
 
 class TestLockstep:
-    """Several aggregators in one run_fedavg call against each run alone."""
+    """Several arms in one run_fedavg call against each arm run alone."""
 
     AGGREGATORS = ("ideal", "reed", "coherent_csit")
+    PHY = ReedPhyConfig(eta=4.0, noise_var=0.5, chip_weights=np.ones(2))
+    # radios that differ from PHY in one field each: the chips, the
+    # antennas, a kappa other than 2, the mean power and the gain
+    RADIOS = (PHY, replace(PHY, chip_weights=np.ones(3)), replace(PHY, chip_weights=np.ones(1)),
+              replace(PHY, antennas=2), replace(PHY, kappa=3.0),
+              replace(PHY, mean_powers=np.array([0.6])), replace(PHY, eta=9.0))
 
     def _setups(self):
-        phy = ReedPhyConfig(eta=4.0, noise_var=0.5, chip_weights=np.ones(2))
         quadratic = build_objective("quadratic", d=6, curvature_range=(0.5, 2.0), seed=1)
+        # budgeted: each reed arm's gains follow its own chips and mean power
         yield (FedRunConfig(Q=3, T=5, batch_size=5, beta0=0.05, schedule="inv_sqrt",
-                            clip_G=1.0, budgets=np.ones(4), phy=phy, seed=3),
+                            clip_G=1.0, budgets=np.ones(4), seed=3),
                quadratic, [np.arange(5)] * 4, None)
         ds, parts = _ragged_setup()
-        yield (FedRunConfig(Q=7, T=4, batch_size=16, beta0=0.2, clip_G=0.05, phy=phy,
-                            seed=9),
+        yield (FedRunConfig(Q=7, T=4, batch_size=16, beta0=0.2, clip_G=0.05, seed=9),
                _objective("logistic", ds), parts, ds)
         # above proxy_samples, the MLP's diagnostic gradient is subsampled
         ds, parts = _blob_setup(n=MlpObjective.proxy_samples + 88, K=4)
-        yield (FedRunConfig(Q=3, T=4, batch_size=32, beta0=0.1, phy=phy, seed=5),
+        yield (FedRunConfig(Q=3, T=4, batch_size=32, beta0=0.1, seed=5),
                _objective("mlp", ds), parts, ds)
 
+    def _assert_each_arm_alone(self, cfg, obj, parts, test, run_arms):
+        together = run_fedavg(replace(cfg, arms=run_arms), obj, parts, test)
+        assert together.shape == (len(run_arms), cfg.T, len(TRACE_COLUMNS))
+        for a, arm in enumerate(run_arms):
+            [alone] = run_fedavg(replace(cfg, arms=(arm,)), obj, parts, test)
+            assert np.array_equal(together[a], alone), (type(obj).__name__, a, arm[0])
+        return together
+
     def test_lockstep_equals_each_aggregator_alone(self):
-        for cfg, obj, parts, test in self._setups():
-            together = run_fedavg(replace(cfg, aggregators=self.AGGREGATORS), obj,
-                                  parts, test)
-            assert list(together) == list(self.AGGREGATORS)
-            for name in self.AGGREGATORS:
-                alone = run_fedavg(replace(cfg, aggregators=(name,)), obj, parts, test)
-                assert np.array_equal(together[name], alone[name]), (type(obj).__name__, name)
+        for setup in self._setups():
+            self._assert_each_arm_alone(*setup, arms(*self.AGGREGATORS, phy=self.PHY))
+
+    def test_lockstep_equals_each_arm_alone(self):
+        # one ideal arm, and a reed and a coherent_csit arm on every radio
+        run_arms = (("ideal", self.PHY),) + tuple(
+            (name, radio) for radio in self.RADIOS for name in ("reed", "coherent_csit"))
+        for setup in self._setups():
+            together = self._assert_each_arm_alone(*setup, run_arms)
+            # the radios are not all the same run
+            reed = {together[a].tobytes() for a, (name, _) in enumerate(run_arms)
+                    if name == "reed"}
+            assert len(reed) >= len(self.RADIOS) - 1
 
     def test_one_data_build_and_one_batch_draw_per_round(self, monkeypatch):
         calls = {"build": 0, "batches": 0}
@@ -566,14 +582,23 @@ data.test_n = 20
 data.classes = 3
 data.features = 4
 """)
-        traces = experiments.run_trial(cfg, 0)
-        assert [len(traces[name]) for name in ("ideal", "reed")] == [T, T]
+        # a three-point phy.chips group: one ideal arm and three reed arms
+        points = [{**cfg, "phy.chips": M} for M in (1, 2, 4)]
+        traces = experiments.run_trial(points, 0)
+        assert [[len(point[name]) for name in ("ideal", "reed")] for point in traces] == \
+            [[T, T]] * 3
         assert calls == {"build": 1, "batches": T}
+        # each point's traces are its own run's, ideal included
+        for point, together in zip(points, traces):
+            [alone] = experiments.run_trial([point], 0)
+            assert list(together) == list(alone)
+            for name in alone:
+                assert np.array_equal(together[name], alone[name])
 
     def test_mlp_proxy_rows_drawn_once_per_round(self, monkeypatch):
-        # every aggregator evaluates model state s in one call with the key
+        # every arm evaluates model state s in one call with the key
         # (local, s, K), so the proxy rows are drawn once per state, not once
-        # per aggregator
+        # per arm
         cfg, obj, parts, test = list(self._setups())[-1]
         assert isinstance(obj, MlpObjective)
         K = len(parts)
@@ -587,22 +612,34 @@ data.features = 4
             return original(key, *index)
 
         monkeypatch.setattr(StreamKey, "generator", counting)
-        run_fedavg(replace(cfg, aggregators=self.AGGREGATORS), obj, parts, test)
+        run_fedavg(replace(cfg, arms=arms(*self.AGGREGATORS, phy=self.PHY)), obj, parts, test)
         assert draws == [(fedavg._DOM_LOCAL, s, K) for s in range(cfg.T + 1)]
 
     def test_divergence_names_the_aggregator(self):
         ds, parts = _blob_setup(K=3)
-        cfg = FedRunConfig(Q=2, T=2, batch_size=32, beta0=0.1, aggregators=("ideal", "reed"),
-                           phy=ReedPhyConfig(noise_var=1e308))
+        cfg = FedRunConfig(Q=2, T=2, batch_size=32, beta0=0.1,
+                           arms=arms("ideal", "reed", phy=ReedPhyConfig(noise_var=1e308)))
         with pytest.raises(RuntimeError,
                            match=r"^aggregator 'reed': non-finite model after round 0$"):
             run_fedavg(cfg, build_objective("logistic", ds), parts, ds)
+        # two arms that diverge in the same round: the first in order is
+        # named, with what it left the finite numbers by
+        loud, sound = ReedPhyConfig(noise_var=1e308), ReedPhyConfig()
+        for run_arms, message in (
+                ((("reed", sound), ("coherent_csit", loud), ("reed", loud)),
+                 "aggregator 'coherent_csit': non-finite eps_norm_sq"),
+                ((("ideal", sound), ("reed", loud), ("coherent_csit", loud)),
+                 "aggregator 'reed': non-finite model")):
+            with pytest.raises(RuntimeError, match=f"^{message} after round 0$"):
+                run_fedavg(replace(cfg, arms=run_arms), build_objective("logistic", ds),
+                           parts, ds)
 
-    @pytest.mark.parametrize("aggregators", [(), ("ideal", "bogus"), ("reed", "reed"),
-                                             "reed"])
+    @pytest.mark.parametrize("aggregators", [
+        (), (("ideal", ReedPhyConfig()), ("bogus", ReedPhyConfig())), ("reed", "reed"), "reed"])
     def test_aggregators_rejected(self, aggregators):
-        with pytest.raises(ValueError, match="^aggregators must"):
-            FedRunConfig(Q=1, T=1, batch_size=4, beta0=0.1, aggregators=aggregators)
+        # no arm, an unknown aggregator, and aggregators without a radio
+        with pytest.raises(ValueError, match="^arms must"):
+            FedRunConfig(Q=1, T=1, batch_size=4, beta0=0.1, arms=aggregators)
 
 
 class TestGeneratorBuilds:
@@ -633,7 +670,7 @@ data.test_n = 20
         per_round = 2 * M + (K if model == "logistic" else 0)
         for T in (2, 5):
             builds.clear()
-            experiments.run_trial(parse_config(f"""
+            experiments.run_trial([parse_config(f"""
 fed.K = {K}
 fed.Q = 2
 fed.T = {T}
@@ -641,7 +678,7 @@ fed.batch_size = 8
 fed.aggregators = ["ideal", "reed"]
 data.synth_n = 60
 phy.chips = {M}
-""" + extra), 0)
+""" + extra)], 0)
             # c = 5 per run, as in a benchmark unit: the config check and the
             # trial each build the partition's seed and the synthetic data or
             # the quadratic's curvatures, and the trial builds the partition
@@ -660,8 +697,8 @@ phy.chips = {M}
         ds, parts = _blob_setup(K=3)
         T = 4
         cfg = FedRunConfig(Q=1, T=T, batch_size=16, beta0=0.1, seed=6,
-                           aggregators=("coherent_csit", "reed"),
-                           phy=ReedPhyConfig(eta=3.0, noise_var=0.5))
+                           arms=arms("coherent_csit", "reed",
+                                     phy=ReedPhyConfig(eta=3.0, noise_var=0.5)))
         run_fedavg(cfg, build_objective("logistic", ds), parts, ds)
         assert keys == [StreamKey(cfg.seed, (fedavg._DOM_CHANNEL, t)) for t in range(T)]
         assert all(key.keys is not None and key.keys.shape == (3,) for key in keys)

@@ -1,5 +1,5 @@
-"""Golden outputs: the exact bytes of five tiny run-fedavg runs, one tiny
-sweep and one small validate-moments run.
+"""Golden outputs: the exact bytes of five tiny run-fedavg runs, two tiny
+sweeps and one small validate-moments run.
 
 Every draw of a run comes from a fixed stream layout, so any change to how
 stream keys are derived or consumed changes these hashes.  A change that
@@ -135,6 +135,33 @@ def test_sweep_bytes_pinned(tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                     for f in ("sweep_phy.snr_db.csv", "sweep_phy.snr_db_summary.json"))
     assert digests == SWEEP_GOLDEN
+
+
+# a phy.* axis, whose points run as one job per trial: ideal runs once and
+# is written into both points, reed and coherent_csit once per point
+CHIPS_SWEEP_CONFIG = _COMMON.replace("trials = 1", "trials = 2") + """
+fed.beta0 = 0.1
+fed.aggregators = ["ideal", "reed", "coherent_csit"]
+data.synth_n = 120
+data.test_n = 40
+data.classes = 3
+data.features = 4
+phy.noise_var = 0.5
+sweep.key = "phy.chips"
+sweep.values = [1, 2]
+"""
+
+# sha256 of sweep_phy.chips.csv and sweep_phy.chips_summary.json
+CHIPS_SWEEP_GOLDEN = (
+    "59e0ebc93d14a7d372528609c4a480b317e6d100773875a908c93431d0a477ac",
+    "9692f9156f697b45652674fd86d487b6300cd0d2f1d733dd90e7e72cc076540a")
+
+
+def test_chips_sweep_bytes_pinned(tmp_path):
+    assert cmd_sweep(parse_config(CHIPS_SWEEP_CONFIG), str(tmp_path)) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("sweep_phy.chips.csv", "sweep_phy.chips_summary.json"))
+    assert digests == CHIPS_SWEEP_GOLDEN
 
 
 # sha256 of moments.csv of the default matrix at 2000 trials per point
