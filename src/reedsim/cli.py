@@ -12,8 +12,8 @@ over it.  A trace CSV row is one round of one trial under one aggregator:
 trial, round and aggregator, then one cell per ``fedavg.TRACE_COLUMNS`` name.
 
 FedAvg runs one job per (group, trial).  A group is every point of a sweep
-over a phy.* key, whose aggregators run as arms of one FedAvg run with
-``ideal`` once for all points, or else one point.
+over a phy.* key, whose aggregators run as arms of one FedAvg run, each
+distinct arm once (``experiments.run_trial``), or else one point.
 """
 
 from __future__ import annotations

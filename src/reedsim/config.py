@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .datasets import LabeledDataset, PartitionSpec, partition, synth_dataset
-from .estimator import ReedPhyConfig
+from .estimator import ReedPhyConfig, radio_read
 from .fedavg import FedRunConfig, Objective, build_objective
 from .streams import StreamKey
 
@@ -271,7 +271,7 @@ _FIELD_KEYS = {
     "hidden": "fed.hidden", "d": "fed.quad_dim",
     "curvature_range": "fed.quad_curv_min, fed.quad_curv_max",
     "alpha": "data.alpha", "classes": "data.classes", "n_classes": "data.classes",
-    "p": "data.features", "separation": "data.separation",
+    "p": "data.features", "separation": "data.separation", "means": "data.classes, data.features",
 }
 
 
@@ -327,15 +327,15 @@ def run_objective(cfg: dict[str, Any], train: LabeledDataset, trial: int) -> Obj
 @_keyed()
 def fed_run_config(cfg: dict[str, Any], trial: int, arms: list[tuple[str, dict]]) -> FedRunConfig:
     """The run of one trial of ``cfg`` over ``arms``, (aggregator, config)
-    pairs: each arm's radio is built from its own config's phy.* keys."""
+    pairs: each arm's radio is what its aggregator reads of its config's."""
     # one budget, like one mean power, is shared by every client
     budgets = None if cfg["fed.budget"] is None else np.array([cfg["fed.budget"]])
     return FedRunConfig(
         Q=cfg["fed.Q"], T=cfg["fed.T"], batch_size=cfg["fed.batch_size"],
         beta0=cfg["fed.beta0"], schedule=cfg["fed.schedule"], clip_G=cfg["fed.clip_G"],
-        arms=tuple((agg, ReedPhyConfig(
+        arms=tuple((agg, radio_read(agg, ReedPhyConfig(
             eta=point["phy.eta"], noise_var=resolve_noise_var(point),
             antennas=point["phy.antennas"], mean_powers=np.array([point["phy.mean_power"]]),
-            chip_weights=np.ones(point["phy.chips"]), kappa=point["phy.kappa"]))
+            chip_weights=np.ones(point["phy.chips"]), kappa=point["phy.kappa"])))
             for agg, point in arms),
         budgets=budgets, seed=_trial_seed(cfg, trial))

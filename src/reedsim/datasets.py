@@ -194,8 +194,11 @@ def synth_dataset(kind: str, n: int, seed: int, classes: int = 2, p: int = 2,
     if kind == "quadratic-free":
         return LabeledDataset(features=np.zeros((n, 1)), labels=np.zeros(n, dtype=int))
     rng = StreamKey(seed).generator()
-    with np.errstate(over="ignore"):
-        means = separation * rng.standard_normal((classes, p))
+    try:
+        with np.errstate(over="ignore"):
+            means = separation * rng.standard_normal((classes, p))
+    except (MemoryError, ValueError) as exc:  # a shape NumPy cannot allocate
+        raise ValueError(f"means too large: {exc}") from None
     if not np.isfinite(means).all():
         raise ValueError(f"separation must give finite class means, got {separation}")
     labels = rng.integers(0, classes, size=n)

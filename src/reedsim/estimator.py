@@ -39,6 +39,7 @@ __all__ = [
     "aggregate_ideal",
     "aggregate_reed",
     "aggregate_coherent_csit",
+    "radio_read",
 ]
 
 # columns superposed per block; bounds the (Ka, R, block) fading array
@@ -79,9 +80,9 @@ class ScalarInputs:
         return float(self.values.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReedPhyConfig:
-    """Physical-layer configuration of the paired-energy aggregator."""
+    """Physical-layer configuration of the paired-energy aggregator; equal by value."""
 
     eta: float = 1.0
     noise_var: float = 0.0
@@ -116,6 +117,16 @@ class ReedPhyConfig:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
         object.__setattr__(self, "n_chips", int(c.size))
         object.__setattr__(self, "weight_sum", float(c.sum()))
+
+    def _value(self) -> tuple:
+        return (self.eta, self.noise_var, self.antennas, self.kappa, self.mean_powers.shape,
+                *self.mean_powers.flat, self.chip_weights.shape, *self.chip_weights.flat)
+
+    def __eq__(self, other):
+        return isinstance(other, ReedPhyConfig) and self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
     def with_eta(self, eta: float) -> "ReedPhyConfig":
         """This configuration with gain ``eta``.  Checks only ``eta``: the
@@ -245,10 +256,17 @@ def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig
 def aggregate_coherent_csit(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig,
                             key: StreamKey) -> np.ndarray:
     """Coherent channel-inversion reference: ideal mean plus Re(z)/sqrt(eta)
-    with fresh receiver noise per coordinate; reads only ``cfg.eta`` and
-    ``cfg.noise_var``."""
+    with fresh receiver noise per coordinate.  Reads only ``cfg.eta`` and
+    ``cfg.noise_var`` (``radio_read``): radios equal in both are one run."""
     mean = aggregate_ideal(increments)
     if cfg.noise_var == 0:
         return mean
     z = sample_noise(key.generator(), cfg.noise_var, size=mean.size)
     return mean + z.real / np.sqrt(cfg.eta)
+
+
+def radio_read(aggregator: str, cfg: ReedPhyConfig) -> ReedPhyConfig:
+    """What ``aggregator`` reads of ``cfg``, with defaults in every other field.
+    Blind to budgets: a budgeted ``reed`` arm keeps the ``eta`` it never reads."""
+    fields = {"ideal": (), "coherent_csit": ("eta", "noise_var"), "reed": None}[aggregator]
+    return cfg if fields is None else ReedPhyConfig(**{f: getattr(cfg, f) for f in fields})

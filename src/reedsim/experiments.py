@@ -6,13 +6,14 @@ only in phy.* keys builds its data, partition and objective once and runs
 every arm of every config on them in lockstep, so the matched-seed
 contract holds by construction: neither the aggregator nor the radio ever
 perturbs data partitioning, model initialization or local minibatch order.
+Arms equal in what they read (``estimator.radio_read``) are one run.
 """
 
 from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any
 
@@ -170,21 +171,19 @@ def build_experiment_data(cfg: dict[str, Any], trial: int
 def run_trial(points: list[dict[str, Any]], trial: int) -> list[dict[str, np.ndarray]]:
     """One trial of validated configs that differ only in phy.* keys: the
     data, partition and objective are built once, and one :func:`run_fedavg`
-    call runs one ``ideal`` arm, which reads no phy.* key, and each config's
-    other aggregators.  Returns each config's traces by aggregator.  A label
-    of the training data at or above ``data.classes``, or a budget whose
-    gains are not finite and > 0, is a ConfigError."""
+    call runs each distinct arm once.  Returns each config's traces by
+    aggregator.  A label of the training data at or above ``data.classes``,
+    or a budget whose gains are not finite and > 0, is a ConfigError."""
     train, test, parts = build_experiment_data(points[0], trial)
-    # each config's aggregators, as (aggregator, index of the config it reads)
-    slots = [{agg: (agg, 0 if agg == "ideal" else i) for agg in point["fed.aggregators"]}
-             for i, point in enumerate(points)]
-    arms = list(dict.fromkeys(arm for slot in slots for arm in slot.values()))
-    fed = fed_run_config(points[0], trial, [(agg, points[i]) for agg, i in arms])
+    fed = fed_run_config(points[0], trial, [(agg, point) for point in points
+                                            for agg in point["fed.aggregators"]])
+    arms = list(dict.fromkeys(fed.arms))  # equal arms are one run
     objective = run_objective(points[0], train, trial)
     # the gains depend on the objective's dimension, so run_fedavg checks them
     with _keyed():
-        traces = run_fedavg(fed, objective, parts, test)
-    return [{agg: traces[arms.index(arm)] for agg, arm in slot.items()} for slot in slots]
+        traces = run_fedavg(replace(fed, arms=arms), objective, parts, test)
+    runs = iter(traces[arms.index(arm)] for arm in fed.arms)  # in the order listed
+    return [{agg: next(runs) for agg in point["fed.aggregators"]} for point in points]
 
 
 def run_single_trial(cfg: dict[str, Any], trial: int, aggregator: str) -> np.ndarray:

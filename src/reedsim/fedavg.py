@@ -10,10 +10,10 @@ client) stream keys, so runs are reproducible and the aggregator choice
 never perturbs data order or model initialization.
 
 One run holds several arms, each an aggregator and the ``ReedPhyConfig``
-it reads with its own global model, in lockstep.  The local streams and
-minibatches do not depend on the arm, so they are drawn once per round
-for all of them, and a run of several arms equals each arm run alone,
-trace for trace.
+it reads (``estimator.radio_read``) with its own global model, in
+lockstep.  The local streams and minibatches do not depend on the arm,
+so they are drawn once per round for all of them, and a run of several
+arms equals each arm run alone, trace for trace: equal arms are one run.
 
 Local training is batched across clients and arms.  At the start of a
 round each client draws all of its minibatch indices from its own

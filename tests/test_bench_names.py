@@ -1,6 +1,8 @@
-"""The benchmark tracer names reedsim functions and methods as strings, so a
-rename or a move would only show when a traced benchmark run fails.  These
-tests resolve every name the way ``Tracer.__enter__`` does."""
+"""The benchmark tracer names reedsim functions and methods as strings, and
+its workloads write reedsim configs as text, so a rename, a move or a
+config rule that rejects a workload would only show when a benchmark run
+fails.  These tests resolve every name the way ``Tracer.__enter__`` does,
+and parse every workload's config."""
 
 import importlib
 import importlib.util
@@ -9,13 +11,16 @@ import sys
 
 import pytest
 
-TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from reedsim.config import parse_config
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
+def _load_bench(name):
     # by file path, so that the benchmark's own modules shadow nothing on
-    # sys.path; registered only while it runs, which its dataclass needs
-    spec = importlib.util.spec_from_file_location("reedsim_bench_tracer", TRACER_PATH)
+    # sys.path; registered only while it runs, which its dataclasses need
+    spec = importlib.util.spec_from_file_location(f"reedsim_bench_{name}",
+                                                  BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
@@ -25,7 +30,7 @@ def _load_tracer():
     return module
 
 
-TARGETS = [(layer, target) for layer, targets in _load_tracer().LAYERS.items()
+TARGETS = [(layer, target) for layer, targets in _load_bench("tracer").LAYERS.items()
            for target in targets]
 
 
@@ -39,3 +44,12 @@ def test_tracer_target_resolves(layer, target):
         assert name in vars(getattr(owner, cls_name)), (layer, target)
     else:
         assert callable(getattr(owner, qualname, None)), (layer, target)
+
+
+WORKLOADS = _load_bench("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_config_validates(name):
+    # parsing checks the whole config, as the benchmark's unit would
+    parse_config(WORKLOADS[name].config_text(0))

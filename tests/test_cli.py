@@ -375,6 +375,10 @@ BAD_INPUTS = [
     ({"data.classes": "1"}, "run-fedavg", "data.classes"),
     ({"data.features": "0"}, "run-fedavg", "data.features"),
     ({"data.separation": "-1"}, "run-fedavg", "data.separation"),
+    # class means NumPy refuses at once: petabytes, and more entries than an
+    # array index holds
+    *(({"data.features": "1" + "0" * zeros}, "run-fedavg", "data.classes, data.features")
+      for zeros in (15, 19)),
     ({"fed.model": '"mlp"', "fed.hidden": "0"}, "run-fedavg", "fed.hidden"),
     # a model's keys are checked whichever model runs
     ({"fed.hidden": "-4"}, "run-fedavg", "fed.hidden"),

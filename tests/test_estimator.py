@@ -11,7 +11,7 @@ from reedsim import (channel, cli, config, datasets, estimator, experiments, fed
 from reedsim.channel import sample_fading, sample_general_fading, sample_noise
 from reedsim.estimator import (_BLOCK, ReedPhyConfig, ScalarInputs,
                                aggregate_coherent_csit, aggregate_ideal,
-                               aggregate_reed, sample_estimates)
+                               aggregate_reed, radio_read, sample_estimates)
 from reedsim.moments import variance_chip
 from reedsim.streams import StreamKey
 
@@ -175,6 +175,32 @@ class TestReedPhyConfig:
         # an empty weight vector sums to 0
         with pytest.raises(ValueError, match="^chip_weights .* positive sum"):
             ReedPhyConfig(chip_weights=[])
+
+    RADIO = dict(eta=2.0, noise_var=0.3, mean_powers=[0.5, 2.0], chip_weights=[1.0, 0.5, 0.5],
+                 antennas=2, kappa=3.0)
+
+    def test_equal_by_value(self):
+        # fresh arrays with equal entries, two or more chips included
+        a, b = ReedPhyConfig(**self.RADIO), ReedPhyConfig(**self.RADIO)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        two = ReedPhyConfig(chip_weights=np.ones(2))
+        assert two == ReedPhyConfig(chip_weights=np.ones(2))
+        assert hash(two) == hash(ReedPhyConfig(chip_weights=np.ones(2)))
+        assert a.with_eta(4.0) == dataclasses.replace(a, eta=4.0)
+        assert a != "radio"
+
+    @pytest.mark.parametrize("field, value", [
+        ("eta", 2.5), ("noise_var", 0.0), ("mean_powers", [0.5, 2.5]),
+        ("mean_powers", [0.5, 2.0, 2.0]), ("mean_powers", [[0.5, 2.0]]),
+        ("chip_weights", [1.0, 0.5, 0.25]), ("chip_weights", [1.0, 0.5]), ("antennas", 3),
+        ("kappa", 2.0)], ids=["eta", "noise_var", "mean_powers-entry", "mean_powers-length",
+                              "mean_powers-shape", "chip_weights-entry", "chip_weights-length",
+                              "antennas", "kappa"])
+    def test_unequal_in_any_one_field(self, field, value):
+        # an entry, or only the shape, of an array differs too
+        a = ReedPhyConfig(**self.RADIO)
+        b = dataclasses.replace(a, **{field: value})
+        assert a != b and not a == b
 
 
 class TestKernelStreams:
@@ -398,6 +424,17 @@ class TestAggregators:
         draws = aggregate_coherent_csit(np.zeros((1, n)), cfg, KEY.child(13, int(eta)))
         # 1e5 draws: CLT band at relative ~0.9%; tolerances from the contract
         assert abs(draws.var() - target) < 2 * tol * target
+
+    def test_radio_read_is_what_each_aggregator_reads(self):
+        cfg = ReedPhyConfig(eta=3.0, noise_var=0.5, mean_powers=[0.5, 2.0],
+                            chip_weights=[1.0, 0.5], antennas=2, kappa=3.0)
+        assert radio_read("ideal", cfg) == ReedPhyConfig()
+        assert radio_read("coherent_csit", cfg) == ReedPhyConfig(eta=3.0, noise_var=0.5)
+        assert radio_read("reed", cfg) == cfg
+        inc = KEY.child(14).generator().normal(size=(2, 50))
+        assert np.array_equal(aggregate_coherent_csit(inc, cfg, KEY.child(15)),
+                              aggregate_coherent_csit(inc, radio_read("coherent_csit", cfg),
+                                                      KEY.child(15)))
 
     def test_coherent_eta_validation(self):
         # the coherent aggregator reads eta from the config, which rejects it

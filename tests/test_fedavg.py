@@ -560,10 +560,22 @@ class TestLockstep:
             reed = {together[a].tobytes() for a, (name, _) in enumerate(run_arms)
                     if name == "reed"}
             assert len(reed) >= len(self.RADIOS) - 1
+            # but coherent_csit reads only eta and noise_var: the radios that
+            # share them are one run
+            coherent = {}
+            for a, (name, radio) in enumerate(run_arms):
+                if name == "coherent_csit":
+                    coherent.setdefault((radio.eta, radio.noise_var), set()).add(
+                        together[a].tobytes())
+            assert [len(runs) for runs in coherent.values()] == [1, 1]
 
     def test_one_data_build_and_one_batch_draw_per_round(self, monkeypatch):
         calls = {"build": 0, "batches": 0}
         build, batches = experiments.build_experiment_data, fedavg._round_batches
+        runs = []
+        run = experiments.run_fedavg
+        monkeypatch.setattr(experiments, "run_fedavg",
+                            lambda cfg, *a: runs.append(cfg.arms) or run(cfg, *a))
 
         def counting(name, fn):
             return lambda *a: calls.update({name: calls[name] + 1}) or fn(*a)
@@ -576,18 +588,22 @@ fed.K = 3
 fed.Q = 2
 fed.T = {T}
 fed.batch_size = 8
-fed.aggregators = ["ideal", "reed"]
+fed.aggregators = ["ideal", "reed", "coherent_csit"]
 data.synth_n = 60
 data.test_n = 20
 data.classes = 3
 data.features = 4
+phy.noise_var = 0.5
 """)
-        # a three-point phy.chips group: one ideal arm and three reed arms
+        # a three-point phy.chips group: one ideal arm, one coherent_csit arm,
+        # which reads no chips, and three reed arms
         points = [{**cfg, "phy.chips": M} for M in (1, 2, 4)]
         traces = experiments.run_trial(points, 0)
-        assert [[len(point[name]) for name in ("ideal", "reed")] for point in traces] == \
-            [[T, T]] * 3
+        assert [[len(point[name]) for name in ("ideal", "reed", "coherent_csit")]
+                for point in traces] == [[T, T, T]] * 3
         assert calls == {"build": 1, "batches": T}
+        assert [name for name, _ in runs[0]] == [
+            "ideal", "reed", "coherent_csit", "reed", "reed"]
         # each point's traces are its own run's, ideal included
         for point, together in zip(points, traces):
             [alone] = experiments.run_trial([point], 0)

@@ -137,8 +137,9 @@ def test_sweep_bytes_pinned(tmp_path):
     assert digests == SWEEP_GOLDEN
 
 
-# a phy.* axis, whose points run as one job per trial: ideal runs once and
-# is written into both points, reed and coherent_csit once per point
+# a phy.* axis, whose points run as one job per trial: ideal, and
+# coherent_csit, which reads no chips, run once and are written into both
+# points; reed runs once per point
 CHIPS_SWEEP_CONFIG = _COMMON.replace("trials = 1", "trials = 2") + """
 fed.beta0 = 0.1
 fed.aggregators = ["ideal", "reed", "coherent_csit"]
