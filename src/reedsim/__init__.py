@@ -6,7 +6,7 @@ aggregation via energy differences over paired resource elements.
 
 from .streams import StreamKey
 from .estimator import (ReedPhyConfig, ScalarInputs, aggregate_coherent_csit,
-                        aggregate_ideal, aggregate_reed, sample_estimates)
+                        aggregate_ideal, aggregate_reed, chip_streams, sample_estimates)
 from .moments import (ConvergenceConstants, MomentReport, energy_audit,
                       eta_schedule, sigma_air_bound, theorem_bound_rhs,
                       variance_chip)
@@ -17,7 +17,7 @@ from .datasets import LabeledDataset, PartitionSpec, parse_idx, partition, synth
 __all__ = [
     "StreamKey",
     "ScalarInputs", "ReedPhyConfig", "sample_estimates",
-    "aggregate_ideal", "aggregate_reed", "aggregate_coherent_csit",
+    "aggregate_ideal", "aggregate_reed", "aggregate_coherent_csit", "chip_streams",
     "MomentReport", "ConvergenceConstants",
     "variance_chip", "sigma_air_bound", "eta_schedule", "energy_audit",
     "theorem_bound_rhs",

@@ -272,6 +272,7 @@ _FIELD_KEYS = {
     "curvature_range": "fed.quad_curv_min, fed.quad_curv_max",
     "alpha": "data.alpha", "classes": "data.classes", "n_classes": "data.classes",
     "p": "data.features", "separation": "data.separation", "means": "data.classes, data.features",
+    "n": "data.synth_n, data.test_n",
 }
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +175,16 @@ def _largest_remainder(props: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+@contextmanager
+def _allocating(name: str):
+    """Report a shape NumPy cannot allocate, raised in the block, as a
+    ValueError that starts with ``name``, the field that sets the shape."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"{name} too large: {exc}") from None
+
+
 def synth_dataset(kind: str, n: int, seed: int, classes: int = 2, p: int = 2,
                   separation: float = 1.0) -> LabeledDataset:
     """Reproducible synthetic data.
@@ -194,13 +205,11 @@ def synth_dataset(kind: str, n: int, seed: int, classes: int = 2, p: int = 2,
     if kind == "quadratic-free":
         return LabeledDataset(features=np.zeros((n, 1)), labels=np.zeros(n, dtype=int))
     rng = StreamKey(seed).generator()
-    try:
-        with np.errstate(over="ignore"):
-            means = separation * rng.standard_normal((classes, p))
-    except (MemoryError, ValueError) as exc:  # a shape NumPy cannot allocate
-        raise ValueError(f"means too large: {exc}") from None
+    with _allocating("means"), np.errstate(over="ignore"):
+        means = separation * rng.standard_normal((classes, p))
     if not np.isfinite(means).all():
         raise ValueError(f"separation must give finite class means, got {separation}")
-    labels = rng.integers(0, classes, size=n)
-    features = means[labels] + rng.standard_normal((n, p))
+    with _allocating("n"):
+        labels = rng.integers(0, classes, size=n)
+        features = means[labels] + rng.standard_normal((n, p))
     return LabeledDataset(features=features, labels=labels)

@@ -15,11 +15,14 @@ are independent given the parts.  So the kernel draws the detected energy
 have no closed energy law and are superposed client by client; their
 uniform fading phase makes a transmit phase dither redundant.
 
-Both vector entry points run one kernel, ``_paired_energy``, which adds
-two stream levels, (chip, branch), below the caller's key.  The
-superposition is ``_superposed_energy`` alone.  The kernel runs it at
-every kappa but 2; the test suite runs it at kappa = 2 too, as the
-kernel's reference in law.
+Both vector entry points run one kernel, ``_paired_energy``, which draws
+chip m's branch b from the generator at [m][b] of the caller's (M, 2)
+streams.  ``chip_streams(cfg, key)`` builds them, at ``key.generator(m,
+b)``: ``sample_estimates`` once per call, and a FedAvg run once per
+``reed`` arm, which every round then reads on from where the last one
+stopped.  The superposition is ``_superposed_energy`` alone.  The kernel
+runs it at every kappa but 2; the test suite runs it at kappa = 2 too, as
+the kernel's reference in law.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .streams import StreamKey
 __all__ = [
     "ScalarInputs",
     "ReedPhyConfig",
+    "chip_streams",
     "sample_estimates",
     "aggregate_ideal",
     "aggregate_reed",
@@ -165,8 +169,14 @@ def _superposed_energy(rng: np.random.Generator, part: np.ndarray, c: float,
     return out
 
 
+def chip_streams(cfg: ReedPhyConfig, key: StreamKey) -> list[tuple[np.random.Generator, ...]]:
+    """The (M, 2) streams of the paired-energy kernel on ``cfg``: chip m's
+    branch b (0 positive, 1 negative) at ``key.generator(m, b)``."""
+    return [(key.generator(m, 0), key.generator(m, 1)) for m in range(cfg.n_chips)]
+
+
 def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
-                   key: StreamKey, n: int) -> np.ndarray:
+                   streams: list[tuple[np.random.Generator, ...]], n: int) -> np.ndarray:
     """The paired-energy pipeline: encode, fade, superpose, add noise and
     detect, for n independent columns at once.
 
@@ -175,8 +185,8 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
     normalized weighted energy difference, shape (n,).
 
     Stream layout: chip m and branch b (0 for the positive part, 1 for the
-    negative) draw from the single stream ``key.child(m, b)``, whose
-    generator is built as ``key.generator(m, b)`` without the child key.
+    negative) draw from the single generator ``streams[m][b]``, on from
+    wherever its last draw stopped; ``chip_streams`` builds them.
 
     - kappa = 2: one (R, n) array of detected energies, exponential
       with mean eta * c_m * S_bj + noise_var, where S_bj is the branch's
@@ -198,9 +208,9 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
         # checked by ReedPhyConfig
         sums = (np.add.reduce(pos, 0), np.add.reduce(neg, 0))
         mean = np.empty_like(sums[0])
-    for m, c in enumerate(cfg.chip_weights):
+    for c, pair in zip(cfg.chip_weights, streams):
         for branch, (part, combine) in enumerate(((pos, np.add), (neg, np.subtract))):
-            rng = key.generator(m, branch)
+            rng = pair[branch]
             if rayleigh:
                 np.multiply(sums[branch], cfg.eta * c, out=mean)
                 mean += cfg.noise_var
@@ -219,8 +229,10 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
 def sample_estimates(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey,
                      n_trials: int) -> np.ndarray:
     """Vectorized Monte Carlo: n_trials independent chip-diverse estimates
-    of ``inputs.signed_sum``, one kernel column per trial."""
-    return _paired_energy(inputs.pos[:, None], inputs.neg[:, None], cfg, key, n_trials)
+    of ``inputs.signed_sum``, one kernel column per trial, on the streams
+    ``chip_streams(cfg, key)``."""
+    return _paired_energy(inputs.pos[:, None], inputs.neg[:, None], cfg,
+                          chip_streams(cfg, key), n_trials)
 
 
 def _increments(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -239,8 +251,9 @@ def aggregate_ideal(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:
 
 
 def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig,
-                   key: StreamKey) -> np.ndarray:
-    """Noncoherent aggregation of client increments, coordinate-wise.
+                   streams: list[tuple[np.random.Generator, ...]]) -> np.ndarray:
+    """Noncoherent aggregation of client increments, coordinate-wise, drawn
+    from the (M, 2) generators ``streams`` (``chip_streams``).
 
     Coordinate j uses scalar inputs u_{k,j} = [increment_k]_j / K so the
     estimate targets the ideal mean.  Coordinates are the kernel's
@@ -248,20 +261,24 @@ def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig
     branches, chips and antennas.
     """
     arr = _increments(increments)
+    if len(streams) != cfg.n_chips:
+        raise ValueError(f"streams must hold one pair per chip, {cfg.n_chips}, "
+                         f"got {len(streams)}")
     K, d = arr.shape
     u = arr / K
-    return _paired_energy(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg, key, d)
+    return _paired_energy(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg, streams, d)
 
 
 def aggregate_coherent_csit(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig,
-                            key: StreamKey) -> np.ndarray:
+                            rng: np.random.Generator) -> np.ndarray:
     """Coherent channel-inversion reference: ideal mean plus Re(z)/sqrt(eta)
-    with fresh receiver noise per coordinate.  Reads only ``cfg.eta`` and
-    ``cfg.noise_var`` (``radio_read``): radios equal in both are one run."""
+    with fresh receiver noise per coordinate, drawn from ``rng``.  Reads only
+    ``cfg.eta`` and ``cfg.noise_var`` (``radio_read``): radios equal in both
+    are one run."""
     mean = aggregate_ideal(increments)
     if cfg.noise_var == 0:
         return mean
-    z = sample_noise(key.generator(), cfg.noise_var, size=mean.size)
+    z = sample_noise(rng, cfg.noise_var, size=mean.size)
     return mean + z.real / np.sqrt(cfg.eta)
 
 

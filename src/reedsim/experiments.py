@@ -69,7 +69,7 @@ def default_moment_matrix() -> list[MomentPoint]:
     {0, 0.5, 2}, K in {1, 3, 10} and M in {1, 2, 4}."""
     rng = StreamKey(20260826).generator()
     points = []
-    grid = [
+    matrix = [
         # (eta, noise_var, K, M)
         (0.5, 0.0, 1, 1),
         (0.5, 0.5, 3, 2),
@@ -84,7 +84,7 @@ def default_moment_matrix() -> list[MomentPoint]:
         (10.0, 2.0, 10, 1),
         (1.0, 2.0, 10, 4),
     ]
-    for i, (eta, nv, K, M) in enumerate(grid):
+    for i, (eta, nv, K, M) in enumerate(matrix):
         u = np.round(rng.uniform(-2.0, 2.0, size=K), 3)
         if np.all(u == 0):
             u[0] = 1.0

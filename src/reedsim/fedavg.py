@@ -5,21 +5,34 @@ every client, form increments, aggregate (ideal mean, noncoherent
 paired-energy, or coherent channel-inversion reference), apply the server
 update and record the round's row of a trace.  A trace is one (T, F) float
 array per arm: row t is round t and column f the quantity named
-``TRACE_COLUMNS[f]``.  All randomness flows through per-(round,
-client) stream keys, so runs are reproducible and the aggregator choice
-never perturbs data order or model initialization.
+``TRACE_COLUMNS[f]``.  All randomness flows through seeded streams, so
+runs are reproducible and the aggregator choice never perturbs data order
+or model initialization.
+
+Stream layout 5: a run builds each of its streams once, before round 0,
+and every round reads on from where the last one stopped.  Under the run
+seed, client k's minibatches come from the stream (local, k) and the
+MLP's proxy rows from (local, K); each ``reed`` arm builds its own
+generators of (channel, m, b) for chip m and branch b, and each
+``coherent_csit`` arm its own of (channel,) for the receiver noise.  So
+besides the model's initialisation a run builds K generators for an
+objective that reads batches, 2M per ``reed`` arm, 1 per
+``coherent_csit`` arm and 1 for proxy rows, whatever its T, and a run of
+T₁ rounds is the first T₁ rounds of any longer run.
 
 One run holds several arms, each an aggregator and the ``ReedPhyConfig``
 it reads (``estimator.radio_read``) with its own global model, in
 lockstep.  The local streams and minibatches do not depend on the arm,
 so they are drawn once per round for all of them, and a run of several
 arms equals each arm run alone, trace for trace: equal arms are one run.
+Arms on one radio draw the same channel values, and so do the chips two
+``reed`` arms share.
 
 Local training is batched across clients and arms.  At the start of a
 round each client draws all of its minibatch indices from its own
-(round, client) stream, exactly as the single-client reference
-:func:`local_round` does.  They are stacked into a (Q, K, B) index array,
-with short batches padded and masked, and each of the Q steps is one
+stream, exactly as the single-client reference :func:`local_round` does.
+They are stacked into a (Q, K, B) index array, with short batches padded
+and masked, and each of the Q steps is one
 :meth:`Objective.stacked_gradient` call over all K clients of all A arms,
 A·K rows in arm-major order; the K clients' features are gathered once
 and broadcast over the A models.  Aggregation stays per arm.
@@ -55,8 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import (ReedPhyConfig, aggregate_coherent_csit, aggregate_ideal,
-                        aggregate_reed)
-from .datasets import LabeledDataset
+                        aggregate_reed, chip_streams)
+from .datasets import LabeledDataset, _allocating
 from .moments import _audit, _audit_denominator, _gain, _gain_numerator
 from .streams import StreamKey
 
@@ -107,7 +120,7 @@ class Objective:
     uses_batches: bool = True
 
     # True for objectives whose diagnostic gradient is taken on rows drawn
-    # from the key evaluate gets; for the others no key is built
+    # from the generator evaluate gets; for the others none is built
     uses_proxy: bool = False
 
     def stacked_gradient(self, params: np.ndarray, batches: np.ndarray,
@@ -123,17 +136,18 @@ class Objective:
         """
         raise NotImplementedError
 
-    def diagnostic_gradient(self, params: np.ndarray, key: StreamKey) -> np.ndarray:
+    def diagnostic_gradient(self, params: np.ndarray,
+                            rng: np.random.Generator | None) -> np.ndarray:
         """The gradient whose squared norm the trace records: the
         subclass's exact ``full_gradient``, unless it overrides this with a
         subsampled proxy."""
         return self.full_gradient(params)
 
     def evaluate(self, params: np.ndarray,
-                 key: StreamKey | None) -> tuple[np.ndarray, np.ndarray]:
+                 rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
         """Full-train losses (A,) and diagnostic gradients (A, dim) of A
         models (A, dim); with ``uses_proxy``, the proxy rows are drawn once
-        from ``key`` for all of them."""
+        from ``rng`` for all of them."""
         raise NotImplementedError
 
     def init_params(self, key: StreamKey) -> np.ndarray:
@@ -169,7 +183,7 @@ class QuadraticObjective(Objective):
     def full_gradient(self, params):
         return self.curvatures * params
 
-    def evaluate(self, params, key):
+    def evaluate(self, params, rng):
         # one dot product per model, as loss takes it: a stacked matmul sums
         # in another order (rows are indexed, which is cheaper than iterating)
         return (np.array([self.loss(params[a]) for a in range(len(params))]),
@@ -337,7 +351,7 @@ class LogisticObjective(_Classifier):
     def full_gradient(self, params):
         return self.stochastic_gradient(params, _ALL)
 
-    def evaluate(self, params, key):
+    def evaluate(self, params, rng):
         """Losses and exact gradients from one pass over the training set."""
         X, entries, n = self._train
         P = self._probs(params, X)
@@ -410,32 +424,32 @@ class MlpObjective(_Classifier):
     def uses_proxy(self):
         return len(self.data) > self.proxy_samples
 
-    def _diagnostic_rows(self, key):
+    def _diagnostic_rows(self, rng):
         """Every training row up to ``proxy_samples`` of them; above that,
-        ``proxy_samples`` rows drawn without replacement from ``key``."""
+        ``proxy_samples`` rows drawn without replacement from ``rng``."""
         if not self.uses_proxy:
             return _ALL
-        return key.generator().choice(len(self.data), size=self.proxy_samples,
-                                      replace=False)
+        return rng.choice(len(self.data), size=self.proxy_samples, replace=False)
 
-    def diagnostic_gradient(self, params, key):
-        return self.stochastic_gradient(params, self._diagnostic_rows(key))
+    def diagnostic_gradient(self, params, rng):
+        return self.stochastic_gradient(params, self._diagnostic_rows(rng))
 
-    def evaluate(self, params, key):
+    def evaluate(self, params, rng):
         """Losses from one forward pass over the training set; the gradients
         reuse it unless they are taken on proxy rows."""
         X, entries, n = self._train
         act, Z = self._forward(params, X)
         P = _softmax(Z)
         losses = _mean_xent(P, entries)
-        rows = self._diagnostic_rows(key)
+        rows = self._diagnostic_rows(rng)
         if rows is _ALL:
             return losses, self._backward(params, X, act, P, entries, n)
         return losses, self._gradients(params, *self._single(rows))
 
     def init_params(self, key):
-        rng = key.generator()
-        return 0.05 * rng.standard_normal(self.dim)
+        # a run's first array of length dim; a config check builds none
+        with _allocating("hidden"):
+            return 0.05 * key.generator().standard_normal(self.dim)
 
     def accuracy(self, params, features, labels):
         return _accuracy(self._forward(params, features)[1], labels)
@@ -457,8 +471,9 @@ def build_objective(kind: str, data: LabeledDataset | None = None, *,
     if hidden < 1:
         raise ValueError(f"hidden must be >= 1, got {hidden}")
     if kind == "quadratic":
-        rng = StreamKey(seed).generator()
-        return QuadraticObjective(rng.uniform(lo, hi, size=d))
+        with _allocating("d"):
+            curvatures = StreamKey(seed).generator().uniform(lo, hi, size=d)
+        return QuadraticObjective(curvatures)
     if data is None:
         raise ValueError(f"objective kind {kind!r} needs a dataset")
     classes = n_classes if n_classes is not None else data.n_classes
@@ -565,33 +580,34 @@ def _client_batches(indices, Q: int, batch_size: int,
 
 
 def _round_batches(partitions: list[np.ndarray], Q: int, batch_size: int,
-                   key: StreamKey) -> tuple[np.ndarray, np.ndarray]:
+                   rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """The minibatches of every client's Q local steps, client k drawn
-    from the stream ``key.child(k)``: a (Q, K, B) index array and the
-    (Q, K) batch lengths."""
+    from ``rngs[k]``: a (Q, K, B) index array and the (Q, K) batch
+    lengths."""
     width = min(batch_size, max(np.size(p) for p in partitions))
     batches = np.zeros((Q, len(partitions), width), dtype=np.intp)
     lengths = np.empty((Q, len(partitions)), dtype=np.intp)
-    for k, part in enumerate(partitions):
-        rows, lengths[:, k] = _client_batches(part, Q, batch_size, key.generator(k))
+    for k, (part, rng) in enumerate(zip(partitions, rngs)):
+        rows, lengths[:, k] = _client_batches(part, Q, batch_size, rng)
         batches[:, k, :rows.shape[1]] = rows
     return batches, lengths
 
 
 def local_round(params: np.ndarray, objective: Objective, client_indices: np.ndarray,
-                Q: int, beta: float, batch_size: int, key: StreamKey,
+                Q: int, beta: float, batch_size: int, rng: np.random.Generator,
                 clip_G: float | None = None) -> np.ndarray:
-    """Q local minibatch SGD steps of one client; returns the increment
-    w_Q - w_0.
+    """Q local minibatch SGD steps of one client, its minibatches drawn
+    from ``rng``; returns the increment w_Q - w_0.
 
     The single-client reference for the batched steps of
-    :func:`run_fedavg`: the same minibatches, one gradient call each.
+    :func:`run_fedavg`: given the client's run-long generator round after
+    round, the same minibatches, one gradient call each.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    batches, lengths = _client_batches(client_indices, Q, batch_size, key.generator())
+    batches, lengths = _client_batches(client_indices, Q, batch_size, rng)
     w = params.copy()
     for batch, n in zip(batches, lengths):
         g = clip_gradient(objective.stochastic_gradient(w, batch[:n]), clip_G)
@@ -620,17 +636,6 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     w = objective.init_params(root.child(_DOM_INIT))
     d = objective.dim
     stack = np.repeat(w[None], A, axis=0)  # row a: arm a's model
-    # every (round, client) and (round, chip, branch) key of the run at once;
-    # a leaf's words do not depend on the grid's shape, so one grid over the
-    # most chips serves every reed arm
-    local_keys, channel_keys = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
-    if objective.uses_batches:
-        local_keys = local_keys.grid(cfg.T, K)
-    reed_chips = [phy.n_chips for name, phy in cfg.arms if name == "reed"]
-    if reed_chips:
-        reed_keys = channel_keys.grid(cfg.T, max(reed_chips), 2)
-    if any(name == "coherent_csit" for name, _ in cfg.arms):
-        csit_keys = channel_keys.grid(cfg.T)
     # each arm's parts that no round changes: its audit's denominator and,
     # for a budgeted reed arm, every round's gain, checked before round 0
     kmds = [_audit_denominator(phy, K, d) for _, phy in cfg.arms]
@@ -646,12 +651,15 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                     raise ValueError(f"budgets must give finite gains > 0, got {gain} "
                                      f"at round {t}")
 
-    def evaluate(s):
-        """Train losses and diagnostic gradients of model state s, the
-        models after s rounds."""
-        return objective.evaluate(stack, local_keys.child(s, K) if objective.uses_proxy else None)
+    # every stream of the run, built once and read round after round
+    local_key, channel_key = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
+    client_rngs = [local_key.generator(k) for k in range(K)] if objective.uses_batches else None
+    proxy_rng = local_key.generator(K) if objective.uses_proxy else None
+    channels = [chip_streams(phy, channel_key) if name == "reed" else
+                channel_key.generator() if name == "coherent_csit" else None
+                for name, phy in cfg.arms]
 
-    grads = evaluate(0)[1]
+    grads = objective.evaluate(stack, proxy_rng)[1]
     # row t of trace[a] is arm a's round t; test_acc stays 0 without test data
     trace = np.zeros((A, cfg.T, len(TRACE_COLUMNS)))
 
@@ -668,7 +676,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             # the same K batches
             if objective.uses_batches:
                 batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
-                                                  local_keys.child(t))
+                                                  client_rngs)
             else:
                 batches = lengths = [None] * cfg.Q
             local = np.repeat(stack, K, axis=0)
@@ -684,10 +692,10 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                 ideal = aggregate_ideal(increments)
                 if name == "reed":
                     phy = phy if gains[a] is None else phy.with_eta(gains[a][t])
-                    update = aggregate_reed(increments, phy, reed_keys.child(t))
+                    update = aggregate_reed(increments, phy, channels[a])
                     max_energy[a] = _audit(increments, phy, kmds[a]).max()
                 elif name == "coherent_csit":
-                    update = aggregate_coherent_csit(increments, phy, csit_keys.child(t))
+                    update = aggregate_coherent_csit(increments, phy, channels[a])
                 else:
                     update = ideal
                 eps = update - ideal
@@ -696,7 +704,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
 
             # every model at once; the gradients are round t + 1's diagnostic
             # gradients, and after the last round no trace reads them
-            losses, next_grads = evaluate(t + 1)
+            losses, next_grads = objective.evaluate(stack, proxy_rng)
             train_loss[:] = losses
             if test_data is not None:
                 test_acc[:] = objective.accuracy(stack, test_data.features, test_data.labels)

@@ -9,7 +9,7 @@ import pytest
 from reedsim.config import parse_config
 from reedsim.datasets import PartitionSpec, parse_idx, partition, synth_dataset
 from reedsim.estimator import (ReedPhyConfig, ScalarInputs, aggregate_ideal,
-                               aggregate_reed, sample_estimates)
+                               aggregate_reed, chip_streams, sample_estimates)
 from reedsim.experiments import run_trial
 from reedsim.fedavg import (FedRunConfig, build_objective, local_round, run_fedavg)
 from reedsim.moments import (energy_audit, eta_schedule, sigma_air_bound,
@@ -118,7 +118,7 @@ def _frozen_increments(K=5, Q=10, beta=0.05, batch=16, clip_G=0.5):
     obj = build_objective("logistic", ds, n_classes=3)
     w = 0.2 * StreamKey(23).generator().standard_normal(obj.dim)
     inc = np.stack([
-        local_round(w, obj, parts[k], Q, beta, batch, StreamKey(24).child(k),
+        local_round(w, obj, parts[k], Q, beta, batch, StreamKey(24).generator(k),
                     clip_G=clip_G)
         for k in range(K)])
     return inc, obj.dim
@@ -135,7 +135,7 @@ def test_c6_aggregation_error_audit():
     n_trials = 2000
     eps = np.empty((n_trials, d))
     for i in range(n_trials):
-        eps[i] = aggregate_reed(inc, cfg, StreamKey(25).child(i)) - ideal
+        eps[i] = aggregate_reed(inc, cfg, chip_streams(cfg, StreamKey(25).child(i))) - ideal
     # per-coordinate CLT bands from the closed-form coordinate variances
     coord_var = np.array([
         variance_chip(ScalarInputs(inc[:, j] / K), cfg).variance for j in range(d)])

@@ -380,6 +380,11 @@ BAD_INPUTS = [
     *(({"data.features": "1" + "0" * zeros}, "run-fedavg", "data.classes, data.features")
       for zeros in (15, 19)),
     ({"fed.model": '"mlp"', "fed.hidden": "0"}, "run-fedavg", "fed.hidden"),
+    # shapes NumPy refuses at once: the train/test pool, the quadratic's
+    # curvatures and the MLP's parameters
+    ({"data.synth_n": "1" + "0" * 15}, "run-fedavg", "data.synth_n, data.test_n"),
+    ({"fed.model": '"quadratic"', "fed.quad_dim": "1" + "0" * 15}, "run-fedavg", "fed.quad_dim"),
+    ({"fed.model": '"mlp"', "fed.hidden": "1" + "0" * 15}, "run-fedavg", "fed.hidden"),
     # a model's keys are checked whichever model runs
     ({"fed.hidden": "-4"}, "run-fedavg", "fed.hidden"),
     ({"fed.quad_dim": "0"}, "run-fedavg", "fed.quad_dim"),

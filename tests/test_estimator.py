@@ -11,7 +11,7 @@ from reedsim import (channel, cli, config, datasets, estimator, experiments, fed
 from reedsim.channel import sample_fading, sample_general_fading, sample_noise
 from reedsim.estimator import (_BLOCK, ReedPhyConfig, ScalarInputs,
                                aggregate_coherent_csit, aggregate_ideal,
-                               aggregate_reed, radio_read, sample_estimates)
+                               aggregate_reed, chip_streams, radio_read, sample_estimates)
 from reedsim.moments import variance_chip
 from reedsim.streams import StreamKey
 
@@ -222,11 +222,38 @@ class TestKernelStreams:
             cfg = ReedPhyConfig(eta=1.0, noise_var=0.5, chip_weights=np.ones(chips),
                                 antennas=2, kappa=kappa)
             calls.clear()
-            aggregate_reed(np.arange(-6.0, 6.0).reshape(4, 3), cfg, KEY.child(14))
-            assert sorted(calls) == [(14, m, b) for m in range(chips) for b in (0, 1)]
+            streams = chip_streams(cfg, KEY.child(14))
+            assert calls == [(14, m, b) for m in range(chips) for b in (0, 1)]
+            # the aggregator reads the streams it is given and builds none
             calls.clear()
+            aggregate_reed(np.arange(-6.0, 6.0).reshape(4, 3), cfg, streams)
+            assert calls == []
             sample_estimates(ScalarInputs([1.0, -2.0, 0.5]), cfg, KEY.child(15), 10)
-            assert len(calls) == 2 * chips
+            assert calls == [(15, m, b) for m in range(chips) for b in (0, 1)]
+
+    def test_streams_need_one_pair_per_chip(self):
+        cfg = ReedPhyConfig(chip_weights=np.ones(3))
+        for chips in (2, 4):
+            streams = chip_streams(ReedPhyConfig(chip_weights=np.ones(chips)), KEY.child(14))
+            with pytest.raises(ValueError, match="^streams must hold one pair per chip, 3, "):
+                aggregate_reed(np.ones((2, 3)), cfg, streams)
+
+    @pytest.mark.parametrize("kappa", [2.0, 3.0])
+    def test_calls_read_on_along_the_streams(self, kappa):
+        # a second call on one set of streams reads on past the first; at
+        # kappa = 2 and one antenna a call over d columns draws the streams'
+        # next d values, so the two calls equal one call over both calls'
+        # columns on a fresh set
+        cfg = ReedPhyConfig(eta=2.0, noise_var=0.5, chip_weights=[1.0, 0.5], kappa=kappa)
+        inc = KEY.child(20).generator().normal(size=(3, 10))
+        streams = chip_streams(cfg, KEY.child(21))
+        first, second = (aggregate_reed(inc[:, cols], cfg, streams)
+                         for cols in (slice(0, 4), slice(4, 10)))
+        fresh = aggregate_reed(inc[:, 4:10], cfg, chip_streams(cfg, KEY.child(21)))
+        assert not np.array_equal(second, fresh)
+        if kappa == 2.0:
+            whole = aggregate_reed(inc, cfg, chip_streams(cfg, KEY.child(21)))
+            assert np.array_equal(np.concatenate([first, second]), whole)
 
     def test_rayleigh_kernel_draws_only_energies(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -235,7 +262,8 @@ class TestKernelStreams:
         for name in ("sample_fading", "sample_general_fading", "sample_noise"):
             monkeypatch.setattr(estimator, name, forbidden)
         cfg = ReedPhyConfig(eta=1.0, noise_var=0.5, chip_weights=[1.0, 0.5], antennas=2)
-        out = aggregate_reed(np.arange(-6.0, 6.0).reshape(4, 3), cfg, KEY.child(19))
+        out = aggregate_reed(np.arange(-6.0, 6.0).reshape(4, 3), cfg,
+                             chip_streams(cfg, KEY.child(19)))
         assert out.shape == (3,) and np.all(np.isfinite(out))
 
     def test_multi_block_draws_finite_and_repeatable(self):
@@ -279,10 +307,8 @@ class TestRayleighKernelBits:
         u = inc / len(inc)
         expected = _rayleigh_with_temporaries(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg,
                                               KEY.child(22), inc.shape[1])
-        # on a plain key, and on a grid node, whose (chip, branch) generators
-        # take the leaf path of StreamKey.generator
-        for key in (KEY.child(22), KEY.child(22).grid(len(weights), 2)):
-            assert np.array_equal(aggregate_reed(inc, cfg, key), expected)
+        assert np.array_equal(aggregate_reed(inc, cfg, chip_streams(cfg, KEY.child(22))),
+                              expected)
         inp = ScalarInputs(inc[:, 0])
         assert np.array_equal(
             sample_estimates(inp, cfg, KEY.child(23), 1000),
@@ -379,23 +405,23 @@ class TestAggregators:
         inc = np.array([[1.0, -2.0, 0.5, 0.0]])
         cfg = ReedPhyConfig(noise_var=0.0, mean_powers=[2.0], chip_weights=[1.0, 0.5],
                             antennas=2, kappa=1.0)
-        out = aggregate_reed(inc, cfg, KEY.child(8))
+        out = aggregate_reed(inc, cfg, chip_streams(cfg, KEY.child(8)))
         assert np.allclose(out, aggregate_ideal(inc), rtol=1e-14, atol=0.0)
 
     def test_reed_zero_increments(self):
         inc = np.zeros((3, 4))
         cfg = ReedPhyConfig(noise_var=0.0)
-        assert np.array_equal(aggregate_reed(inc, cfg, KEY.child(9)), np.zeros(4))
+        assert np.array_equal(aggregate_reed(inc, cfg, chip_streams(cfg, KEY.child(9))),
+                              np.zeros(4))
 
     def test_reed_unbiased(self):
         inc = np.array([[1.0, -0.5, 0.2], [0.5, 1.0, -0.4]])
         cfg = ReedPhyConfig(eta=1.0, noise_var=0.5)
         n = 20_000
-        keys = KEY.child(10).grid(n, 1, 2)
         sums = np.zeros(3)
         sq = np.zeros(3)
         for i in range(n):
-            est = aggregate_reed(inc, cfg, keys.child(i))
+            est = aggregate_reed(inc, cfg, chip_streams(cfg, KEY.child(10, i)))
             sums += est
             sq += est**2
         mean = sums / n
@@ -407,13 +433,14 @@ class TestAggregators:
         # tiny positive signal, noisy channel: some draws must be negative
         inc = np.array([[0.01]])
         cfg = ReedPhyConfig(eta=1.0, noise_var=1.0)
-        keys = KEY.child(11).grid(10_000, 1, 2)
-        draws = [aggregate_reed(inc, cfg, keys.child(i))[0] for i in range(10_000)]
+        draws = [aggregate_reed(inc, cfg, chip_streams(cfg, KEY.child(11, i)))[0]
+                 for i in range(10_000)]
         assert min(draws) < 0.0
 
     def test_coherent_zero_noise_is_ideal(self):
         inc = np.array([[1.0, 2.0], [3.0, -4.0]])
-        out = aggregate_coherent_csit(inc, ReedPhyConfig(noise_var=0.0), KEY.child(12))
+        out = aggregate_coherent_csit(inc, ReedPhyConfig(noise_var=0.0),
+                                      KEY.child(12).generator())
         assert np.array_equal(out, aggregate_ideal(inc))
 
     @pytest.mark.parametrize("eta,target,tol", [(1.0, 0.5, 0.01), (100.0, 0.005, 0.02)])
@@ -421,7 +448,7 @@ class TestAggregators:
         cfg = ReedPhyConfig(eta=eta, noise_var=1.0)
         n = 1_000_000 // 10
         # one call over n coordinates: each draws its own receiver noise
-        draws = aggregate_coherent_csit(np.zeros((1, n)), cfg, KEY.child(13, int(eta)))
+        draws = aggregate_coherent_csit(np.zeros((1, n)), cfg, KEY.generator(13, int(eta)))
         # 1e5 draws: CLT band at relative ~0.9%; tolerances from the contract
         assert abs(draws.var() - target) < 2 * tol * target
 
@@ -432,9 +459,9 @@ class TestAggregators:
         assert radio_read("coherent_csit", cfg) == ReedPhyConfig(eta=3.0, noise_var=0.5)
         assert radio_read("reed", cfg) == cfg
         inc = KEY.child(14).generator().normal(size=(2, 50))
-        assert np.array_equal(aggregate_coherent_csit(inc, cfg, KEY.child(15)),
+        assert np.array_equal(aggregate_coherent_csit(inc, cfg, KEY.generator(15)),
                               aggregate_coherent_csit(inc, radio_read("coherent_csit", cfg),
-                                                      KEY.child(15)))
+                                                      KEY.generator(15)))
 
     def test_coherent_eta_validation(self):
         # the coherent aggregator reads eta from the config, which rejects it

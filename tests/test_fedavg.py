@@ -6,6 +6,7 @@ import pytest
 from reedsim import experiments, fedavg, moments
 from reedsim.config import parse_config
 from reedsim.datasets import PartitionSpec, partition, synth_dataset
+from reedsim.channel import sample_noise
 from reedsim.estimator import ReedPhyConfig, aggregate_ideal
 from reedsim.fedavg import (TRACE_COLUMNS, FedRunConfig, LogisticObjective, MlpObjective,
                             QuadraticObjective, _accuracy, _round_batches, build_objective,
@@ -79,21 +80,23 @@ class TestLocalRound:
     def test_beta_zero_rejected(self):
         obj = build_objective("quadratic", d=2)
         with pytest.raises(ValueError):
-            local_round(np.ones(2), obj, np.arange(10), 1, 0.0, 4, KEY)
+            local_round(np.ones(2), obj, np.arange(10), 1, 0.0, 4, KEY.generator())
 
     def test_empty_client_rejected(self):
         obj = build_objective("quadratic", d=2)
         with pytest.raises(ValueError):
-            local_round(np.ones(2), obj, np.array([]), 1, 0.1, 4, KEY)
+            local_round(np.ones(2), obj, np.array([]), 1, 0.1, 4, KEY.generator())
 
     def test_single_quadratic_step(self):
         obj = build_objective("quadratic", d=2, curvature_range=(1.0, 1.0))
-        delta = local_round(np.array([1.0, 0.0]), obj, np.arange(10), 1, 0.1, 10, KEY)
+        delta = local_round(np.array([1.0, 0.0]), obj, np.arange(10), 1, 0.1, 10,
+                            KEY.generator())
         assert np.allclose(delta, [-0.1, 0.0])
 
     def test_two_quadratic_steps_compose(self):
         obj = build_objective("quadratic", d=2, curvature_range=(1.0, 1.0))
-        delta = local_round(np.array([1.0, 0.0]), obj, np.arange(10), 2, 0.1, 10, KEY)
+        delta = local_round(np.array([1.0, 0.0]), obj, np.arange(10), 2, 0.1, 10,
+                            KEY.generator())
         assert np.allclose(delta, [-0.19, 0.0])
 
     def test_clipping_bounds_increment(self):
@@ -101,7 +104,7 @@ class TestLocalRound:
         obj = build_objective("logistic", ds)
         w = StreamKey(3).generator().standard_normal(obj.dim)
         Q, beta, G = 10, 0.5, 0.2
-        delta = local_round(w, obj, parts[0], Q, beta, 16, KEY.child(1), clip_G=G)
+        delta = local_round(w, obj, parts[0], Q, beta, 16, KEY.generator(1), clip_G=G)
         assert np.linalg.norm(delta) <= beta * Q * G + 1e-12
 
 
@@ -278,8 +281,14 @@ def _assert_rel(actual, reference, rel=1e-12):
     assert np.max(np.abs(actual - reference)) <= rel * np.max(np.abs(reference))
 
 
+def _client_rngs(key, K):
+    """Client k's minibatch generator at ``key.generator(k)``, for k < K."""
+    return [key.generator(k) for k in range(K)]
+
+
 def _record_local_round_batches(monkeypatch, obj, parts, Q, batch_size, key):
-    """The minibatches local_round feeds to stochastic_gradient, per client."""
+    """The minibatches local_round feeds to stochastic_gradient, per client,
+    client k drawing from ``key.generator(k)``."""
     seen = []
     original = type(obj).stochastic_gradient
     monkeypatch.setattr(type(obj), "stochastic_gradient",
@@ -287,7 +296,7 @@ def _record_local_round_batches(monkeypatch, obj, parts, Q, batch_size, key):
     per_client = []
     for k, part in enumerate(parts):
         seen.clear()
-        local_round(np.zeros(obj.dim), obj, part, Q, 0.1, batch_size, key.child(k))
+        local_round(np.zeros(obj.dim), obj, part, Q, 0.1, batch_size, key.generator(k))
         per_client.append(list(seen))
     return per_client
 
@@ -300,7 +309,8 @@ class TestBatchedTraining:
     def test_batch_indices_equal_local_round(self, monkeypatch):
         ds, parts = _ragged_setup()
         obj = _objective("logistic", ds)
-        batches, lengths = _round_batches(parts, self.Q, self.BATCH, KEY)
+        batches, lengths = _round_batches(parts, self.Q, self.BATCH,
+                                          _client_rngs(KEY, len(parts)))
         expected = _record_local_round_batches(monkeypatch, obj, parts, self.Q,
                                                self.BATCH, KEY)
         assert batches.shape == (self.Q, len(parts), self.BATCH)
@@ -317,7 +327,8 @@ class TestBatchedTraining:
     def test_stacked_gradient_matches_per_client(self, kind):
         ds, parts = _ragged_setup()
         obj = _objective(kind, ds)
-        batches, lengths = _round_batches(parts, self.Q, self.BATCH, KEY)
+        batches, lengths = _round_batches(parts, self.Q, self.BATCH,
+                                          _client_rngs(KEY, len(parts)))
         params = 0.3 * StreamKey(5).generator().standard_normal((len(parts), obj.dim))
         for q in range(self.Q):
             stacked = obj.stacked_gradient(params, batches[q], lengths[q])
@@ -339,20 +350,24 @@ class TestBatchedTraining:
         [traces] = run_fedavg(cfg, obj, parts)
         assert len(recorded) == T
 
+        # each client's generator and the proxy rows' are built once and
+        # read on, round after round
         root = StreamKey(cfg.seed)
         w = obj.init_params(root.child(0))
+        clients, proxy = _client_rngs(root.child(1), K), root.generator(1, K)
         for t in range(T):
             _assert_rel(column(traces[t], "grad_norm_sq"),
-                        float(np.sum(obj.diagnostic_gradient(w, root.child(1, t, K))**2)))
+                        float(np.sum(obj.diagnostic_gradient(w, proxy)**2)))
             inc = np.stack([local_round(w, obj, parts[k], self.Q, cfg.stepsize(t),
-                                        self.BATCH, root.child(1, t, k), clip_G)
+                                        self.BATCH, clients[k], clip_G)
                             for k in range(K)])
             _assert_rel(recorded[t], inc)
             w = w + aggregate_ideal(inc)
             _assert_rel(column(traces[t], "train_loss"), obj.loss(w, np.arange(len(ds))))
         if clip_G is not None:
             # clipping is active from the first step on
-            batches, lengths = _round_batches(parts, self.Q, self.BATCH, root.child(1, 0))
+            batches, lengths = _round_batches(parts, self.Q, self.BATCH,
+                                              _client_rngs(root.child(1), K))
             w0 = np.tile(obj.init_params(root.child(0)), (K, 1))
             g0 = obj.stacked_gradient(w0, batches[0], lengths[0])
             assert np.max(np.linalg.norm(g0, axis=1)) > clip_G
@@ -361,7 +376,7 @@ class TestBatchedTraining:
         ds, _ = _ragged_setup()
         obj = _objective("logistic", ds)
         w = 0.3 * StreamKey(6).generator().standard_normal(obj.dim)
-        loss, grad = obj.evaluate(w[None], KEY)
+        loss, grad = obj.evaluate(w[None], None)
         assert loss[0] == obj.loss(w, np.arange(len(ds)))
         assert np.array_equal(grad[0], obj.full_gradient(w))
 
@@ -405,14 +420,14 @@ class TestBatchedTraining:
     def test_batch_free_objective_draws_no_batches(self, monkeypatch, kind, draws):
         ds, parts = _ragged_setup()
         obj = _objective(kind, ds)
-        keys = []
-        monkeypatch.setattr(fedavg, "_round_batches", lambda parts, Q, B, key: (
-            keys.append(key) or _round_batches(parts, Q, B, key)))
+        calls = []
+        monkeypatch.setattr(fedavg, "_round_batches", lambda parts, Q, B, rngs: (
+            calls.append(rngs) or _round_batches(parts, Q, B, rngs)))
         T = 3
         cfg = FedRunConfig(Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.1)
         run_fedavg(cfg, obj, parts)
         assert obj.uses_batches is draws
-        assert len(keys) == (T if draws else 0)
+        assert len(calls) == (T if draws else 0)
 
 
 class TestStackedEvaluation:
@@ -436,17 +451,19 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("kind", KINDS)
     def test_stacked_evaluate_equals_each_model_alone(self, kind):
         obj, ds, params = self._setup(kind)
-        losses, grads = obj.evaluate(params, KEY)
+        # a fresh generator per call, so that every call draws the same
+        # proxy rows
+        losses, grads = obj.evaluate(params, KEY.generator())
         assert losses.shape == (3,) and grads.shape == (3, obj.dim)
         assert len(set(losses.tolist())) == 3  # three distinct models
         for a, w in enumerate(params):
-            alone_loss, alone_grad = obj.evaluate(params[a:a + 1], KEY)
+            alone_loss, alone_grad = obj.evaluate(params[a:a + 1], KEY.generator())
             assert alone_loss.shape == (1,) and alone_grad.shape == (1, obj.dim)
             assert alone_loss[0] == losses[a]
             assert (alone_grad[0] == grads[a]).all()
             # and each equals the single-model methods
             assert losses[a] == obj.loss(w, np.arange(len(ds)))
-            assert (grads[a] == obj.diagnostic_gradient(w, KEY)).all()
+            assert (grads[a] == obj.diagnostic_gradient(w, KEY.generator())).all()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_stacked_accuracy_equals_each_model_alone(self, kind):
@@ -459,10 +476,10 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("kind", KINDS)
     def test_permuting_the_stack_permutes_the_results(self, kind):
         obj, ds, params = self._setup(kind)
-        losses, grads = obj.evaluate(params, KEY)
+        losses, grads = obj.evaluate(params, KEY.generator())
         acc = obj.accuracy(params, ds.features, ds.labels)
         for order in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
-            shuffled_losses, shuffled_grads = obj.evaluate(params[order], KEY)
+            shuffled_losses, shuffled_grads = obj.evaluate(params[order], KEY.generator())
             assert (shuffled_losses == losses[order]).all()
             assert (shuffled_grads == grads[order]).all()
             assert (obj.accuracy(params[order], ds.features, ds.labels) == acc[order]).all()
@@ -470,17 +487,29 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("kind", KINDS)
     def test_evaluation_key_built_only_for_proxy_rows(self, monkeypatch, kind):
         obj, ds, _ = self._setup(kind)
-        keys = []
+        rngs, rows = [], []
         evaluate = type(obj).evaluate
-        monkeypatch.setattr(type(obj), "evaluate", lambda self, params, key: (
-            keys.append(key) or evaluate(self, params, key)))
+        monkeypatch.setattr(type(obj), "evaluate", lambda self, params, rng: (
+            rngs.append(rng) or evaluate(self, params, rng)))
+        if obj.uses_proxy:
+            diagnostic_rows = MlpObjective._diagnostic_rows
+            monkeypatch.setattr(MlpObjective, "_diagnostic_rows", lambda self, rng: (
+                rows.append(diagnostic_rows(self, rng)) or rows[-1]))
         K, T = 3, 3
         cfg = FedRunConfig(Q=1, T=T, batch_size=8, beta0=0.05, seed=2)
         run_fedavg(cfg, obj, partition(ds, PartitionSpec("iid", K, seed=0)), ds)
         assert obj.uses_proxy is (kind == "mlp-proxy")
-        # model states 0 .. T; the key of state s is (local, s, K)
-        assert keys == [StreamKey(cfg.seed, (fedavg._DOM_LOCAL, s, K)) if obj.uses_proxy
-                        else None for s in range(T + 1)]
+        # model states 0 .. T, all evaluated with one generator, built at
+        # (local, K), whose proxy rows each state reads on from the last
+        assert len(rngs) == T + 1
+        if not obj.uses_proxy:
+            assert rngs == [None] * (T + 1)
+            return
+        assert all(rng is rngs[0] for rng in rngs) and len(rows) == T + 1
+        proxy = StreamKey(cfg.seed).generator(fedavg._DOM_LOCAL, K)
+        for drawn in rows:
+            assert np.array_equal(drawn, proxy.choice(len(ds), size=obj.proxy_samples,
+                                                      replace=False))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_run_path_uses_only_the_stacked_api(self, monkeypatch, kind):
@@ -513,6 +542,24 @@ class TestStackedEvaluation:
         assert calls == ["evaluate"] * (T + 1)
 
 
+def _run_setups():
+    """(FedRunConfig, objective, partitions, test data) of a budgeted
+    quadratic run, a logistic run on ragged clients and an MLP run with
+    proxy rows."""
+    quadratic = build_objective("quadratic", d=6, curvature_range=(0.5, 2.0), seed=1)
+    # budgeted: each reed arm's gains follow its own chips and mean power
+    yield (FedRunConfig(Q=3, T=5, batch_size=5, beta0=0.05, schedule="inv_sqrt",
+                        clip_G=1.0, budgets=np.ones(4), seed=3),
+           quadratic, [np.arange(5)] * 4, None)
+    ds, parts = _ragged_setup()
+    yield (FedRunConfig(Q=7, T=4, batch_size=16, beta0=0.2, clip_G=0.05, seed=9),
+           _objective("logistic", ds), parts, ds)
+    # above proxy_samples, the MLP's diagnostic gradient is subsampled
+    ds, parts = _blob_setup(n=MlpObjective.proxy_samples + 88, K=4)
+    yield (FedRunConfig(Q=3, T=4, batch_size=32, beta0=0.1, seed=5),
+           _objective("mlp", ds), parts, ds)
+
+
 class TestLockstep:
     """Several arms in one run_fedavg call against each arm run alone."""
 
@@ -524,20 +571,6 @@ class TestLockstep:
               replace(PHY, antennas=2), replace(PHY, kappa=3.0),
               replace(PHY, mean_powers=np.array([0.6])), replace(PHY, eta=9.0))
 
-    def _setups(self):
-        quadratic = build_objective("quadratic", d=6, curvature_range=(0.5, 2.0), seed=1)
-        # budgeted: each reed arm's gains follow its own chips and mean power
-        yield (FedRunConfig(Q=3, T=5, batch_size=5, beta0=0.05, schedule="inv_sqrt",
-                            clip_G=1.0, budgets=np.ones(4), seed=3),
-               quadratic, [np.arange(5)] * 4, None)
-        ds, parts = _ragged_setup()
-        yield (FedRunConfig(Q=7, T=4, batch_size=16, beta0=0.2, clip_G=0.05, seed=9),
-               _objective("logistic", ds), parts, ds)
-        # above proxy_samples, the MLP's diagnostic gradient is subsampled
-        ds, parts = _blob_setup(n=MlpObjective.proxy_samples + 88, K=4)
-        yield (FedRunConfig(Q=3, T=4, batch_size=32, beta0=0.1, seed=5),
-               _objective("mlp", ds), parts, ds)
-
     def _assert_each_arm_alone(self, cfg, obj, parts, test, run_arms):
         together = run_fedavg(replace(cfg, arms=run_arms), obj, parts, test)
         assert together.shape == (len(run_arms), cfg.T, len(TRACE_COLUMNS))
@@ -547,14 +580,14 @@ class TestLockstep:
         return together
 
     def test_lockstep_equals_each_aggregator_alone(self):
-        for setup in self._setups():
+        for setup in _run_setups():
             self._assert_each_arm_alone(*setup, arms(*self.AGGREGATORS, phy=self.PHY))
 
     def test_lockstep_equals_each_arm_alone(self):
         # one ideal arm, and a reed and a coherent_csit arm on every radio
         run_arms = (("ideal", self.PHY),) + tuple(
             (name, radio) for radio in self.RADIOS for name in ("reed", "coherent_csit"))
-        for setup in self._setups():
+        for setup in _run_setups():
             together = self._assert_each_arm_alone(*setup, run_arms)
             # the radios are not all the same run
             reed = {together[a].tobytes() for a, (name, _) in enumerate(run_arms)
@@ -612,24 +645,21 @@ phy.noise_var = 0.5
                 assert np.array_equal(together[name], alone[name])
 
     def test_mlp_proxy_rows_drawn_once_per_round(self, monkeypatch):
-        # every arm evaluates model state s in one call with the key
-        # (local, s, K), so the proxy rows are drawn once per state, not once
-        # per arm
-        cfg, obj, parts, test = list(self._setups())[-1]
+        # every arm evaluates model state s in one call, so the proxy rows
+        # are drawn once per state, not once per arm, from the one stream
+        # (local, K) that the run builds
+        cfg, obj, parts, test = list(_run_setups())[-1]
         assert isinstance(obj, MlpObjective)
         K = len(parts)
-        draws = []
-        original = StreamKey.generator
-
-        def counting(key, *index):
-            path = key.child(*index).path
-            if len(path) == 3 and path[2] == K:
-                draws.append(path)
-            return original(key, *index)
-
-        monkeypatch.setattr(StreamKey, "generator", counting)
+        builds, draws = [], []
+        original, diagnostic_rows = StreamKey.generator, MlpObjective._diagnostic_rows
+        monkeypatch.setattr(StreamKey, "generator", lambda key, *index: (
+            builds.append(key.child(*index).path) or original(key, *index)))
+        monkeypatch.setattr(MlpObjective, "_diagnostic_rows", lambda self, rng: (
+            draws.append(rng) or diagnostic_rows(self, rng)))
         run_fedavg(replace(cfg, arms=arms(*self.AGGREGATORS, phy=self.PHY)), obj, parts, test)
-        assert draws == [(fedavg._DOM_LOCAL, s, K) for s in range(cfg.T + 1)]
+        assert builds.count((fedavg._DOM_LOCAL, K)) == 1
+        assert len(draws) == cfg.T + 1 and all(rng is draws[0] for rng in draws)
 
     def test_divergence_names_the_aggregator(self):
         ds, parts = _blob_setup(K=3)
@@ -660,30 +690,46 @@ phy.noise_var = 0.5
 
 class TestGeneratorBuilds:
     """Every generator of a trial is built through StreamKey.generator, the
-    method the benchmark's tracer counts, so no stream escapes the count."""
+    method the benchmark's tracer counts, so no stream escapes the count;
+    and a run builds each of its streams once (stream layout 5)."""
 
-    @pytest.mark.parametrize("model", ["quadratic", "logistic"])
-    def test_builds_per_round(self, monkeypatch, model):
+    @pytest.mark.parametrize("model", ["quadratic", "logistic", "mlp"])
+    def test_builds_per_run(self, monkeypatch, model):
         builds = []
         original = StreamKey.generator
         monkeypatch.setattr(StreamKey, "generator", lambda key, *index: (
             builds.append(key.child(*index).path) or original(key, *index)))
         K, M = 3, 2
-        extra = ("""
+        extra = {"quadratic": """
 fed.model = "quadratic"
 fed.quad_dim = 4
 fed.clip_G = 1.0
 fed.budget = 1.0
 data.synth_kind = "quadratic-free"
+data.synth_n = 60
 data.test_n = 0
-""" if model == "quadratic" else """
+""", "logistic": """
+data.synth_n = 60
 data.classes = 3
 data.features = 4
 data.test_n = 20
-""")
-        # a reed round draws 2M channel streams, plus one minibatch stream
-        # per client for an objective that reads its batches
-        per_round = 2 * M + (K if model == "logistic" else 0)
+""", "mlp": f"""
+fed.model = "mlp"
+fed.hidden = 3
+data.synth_n = {MlpObjective.proxy_samples + 1}
+data.classes = 3
+data.features = 4
+data.test_n = 20
+"""}[model]
+        # c = 5 per run, as in a benchmark unit: the config check and the
+        # trial each build the partition's seed and the synthetic data or
+        # the quadratic's curvatures, and the trial builds the partition;
+        # the MLP builds its initialisation too
+        c = 6 if model == "mlp" else 5
+        # one minibatch stream per client for an objective that reads its
+        # batches, 2M channel streams per reed arm, one noise stream per
+        # coherent_csit arm, and the MLP's proxy rows: none per round
+        per_run = c + (K if model != "quadratic" else 0) + 2 * M + 1 + (model == "mlp")
         for T in (2, 5):
             builds.clear()
             experiments.run_trial([parse_config(f"""
@@ -691,33 +737,86 @@ fed.K = {K}
 fed.Q = 2
 fed.T = {T}
 fed.batch_size = 8
-fed.aggregators = ["ideal", "reed"]
-data.synth_n = 60
+fed.aggregators = ["ideal", "reed", "coherent_csit"]
 phy.chips = {M}
+phy.noise_var = 0.5
 """ + extra)], 0)
-            # c = 5 per run, as in a benchmark unit: the config check and the
-            # trial each build the partition's seed and the synthetic data or
-            # the quadratic's curvatures, and the trial builds the partition
-            assert len(builds) == 5 + T * per_round
+            assert len(builds) == per_run
             channel = [path for path in builds if path[:1] == (fedavg._DOM_CHANNEL,)]
-            assert channel == [(fedavg._DOM_CHANNEL, t, m, b)
-                               for t in range(T) for m in range(M) for b in (0, 1)]
+            assert sorted(channel) == [(fedavg._DOM_CHANNEL,)] + [
+                (fedavg._DOM_CHANNEL, m, b) for m in range(M) for b in (0, 1)]
 
-    def test_coherent_rounds_draw_from_grid_leaves(self, monkeypatch):
-        # the per-round key of coherent_csit is a leaf of one grid over the
-        # rounds, so its generator is seeded from stored words
-        keys = []
+    def test_every_reed_arm_builds_its_own_streams(self, monkeypatch):
+        # a phy.chips group: each reed arm builds 2M streams of its own,
+        # chip m of every arm at the same path (common draws)
+        builds = []
+        original = StreamKey.generator
+        monkeypatch.setattr(StreamKey, "generator", lambda key, *index: (
+            builds.append(key.child(*index).path) or original(key, *index)))
+        cfg = parse_config("""
+fed.K = 3
+fed.Q = 2
+fed.T = 3
+fed.batch_size = 8
+data.synth_n = 60
+data.test_n = 20
+data.classes = 3
+data.features = 4
+""")
+        experiments.run_trial([{**cfg, "phy.chips": M} for M in (1, 2, 4)], 0)
+        channel = [path for path in builds if path[:1] == (fedavg._DOM_CHANNEL,)]
+        assert sorted(channel) == sorted((fedavg._DOM_CHANNEL, m, b)
+                                         for M in (1, 2, 4) for m in range(M) for b in (0, 1))
+
+    def test_coherent_rounds_read_on_one_stream(self, monkeypatch):
+        # every round of a coherent_csit arm draws from the one generator
+        # its run built at (channel,), on from where the last round stopped
+        rngs = []
         coherent = fedavg.aggregate_coherent_csit
-        monkeypatch.setattr(fedavg, "aggregate_coherent_csit", lambda inc, phy, key: (
-            keys.append(key) or coherent(inc, phy, key)))
+        monkeypatch.setattr(fedavg, "aggregate_coherent_csit", lambda inc, phy, rng: (
+            rngs.append(rng) or coherent(inc, phy, rng)))
         ds, parts = _blob_setup(K=3)
+        obj = build_objective("logistic", ds)
         T = 4
+        phy = ReedPhyConfig(eta=3.0, noise_var=0.5)
         cfg = FedRunConfig(Q=1, T=T, batch_size=16, beta0=0.1, seed=6,
-                           arms=arms("coherent_csit", "reed",
-                                     phy=ReedPhyConfig(eta=3.0, noise_var=0.5)))
-        run_fedavg(cfg, build_objective("logistic", ds), parts, ds)
-        assert keys == [StreamKey(cfg.seed, (fedavg._DOM_CHANNEL, t)) for t in range(T)]
-        assert all(key.keys is not None and key.keys.shape == (3,) for key in keys)
+                           arms=arms("coherent_csit", "ideal", phy=phy))
+        coherent_trace, ideal_trace = run_fedavg(cfg, obj, parts, ds)
+        assert len(rngs) == T and all(rng is rngs[0] for rng in rngs)
+        # round t's aggregation error is the noise it drew, up to the
+        # rounding of adding it to the mean and taking it off again
+        noise = StreamKey(cfg.seed).generator(fedavg._DOM_CHANNEL)
+        for t in range(T):
+            eps = sample_noise(noise, phy.noise_var, size=obj.dim).real / np.sqrt(phy.eta)
+            assert column(coherent_trace[t], "eps_norm_sq") == pytest.approx(eps @ eps, rel=1e-9)
+        assert (column(ideal_trace, "eps_norm_sq") == 0).all()
+
+
+class TestStreamLayout:
+    """What run-long streams promise: a short run is the start of a long
+    one, and arms that need the same draws get them."""
+
+    def test_short_run_is_a_prefix_of_a_long_run(self):
+        for cfg, obj, parts, test in _run_setups():
+            # budgeted under inv_sqrt: every round's gain and stepsize differ
+            cfg = replace(cfg, schedule="inv_sqrt", clip_G=cfg.clip_G or 1.0,
+                          budgets=np.ones(len(parts)),
+                          arms=arms(*TestLockstep.AGGREGATORS, phy=TestLockstep.PHY))
+            long = run_fedavg(replace(cfg, T=5), obj, parts, test)
+            for T in (1, 3):
+                short = run_fedavg(replace(cfg, T=T), obj, parts, test)
+                assert np.array_equal(short, long[:, :T]), (type(obj).__name__, T)
+
+    def test_zero_weight_chip_leaves_the_draws_alone(self):
+        # at noise_var = 0 a chip of weight 0 receives exactly 0, and chip 0
+        # reads the same stream in either arm, so [1, 0] is [1], trace for
+        # trace
+        for cfg, obj, parts, test in _run_setups():
+            run_arms = (("reed", ReedPhyConfig(eta=4.0, chip_weights=[1.0, 0.0])),
+                        ("reed", ReedPhyConfig(eta=4.0, chip_weights=[1.0])))
+            two, one = run_fedavg(replace(cfg, arms=run_arms), obj, parts, test)
+            assert np.array_equal(two, one), type(obj).__name__
+            assert (column(two, "eps_norm_sq") > 0).all()
 
 
 class TestAccuracyTies:

@@ -4,7 +4,9 @@ sweeps and one small validate-moments run.
 Every draw of a run comes from a fixed stream layout, so any change to how
 stream keys are derived or consumed changes these hashes.  A change that
 alters the layout on purpose updates them, and says so.  These are the
-digests of stream layout 4 (SFC64 streams).
+digests of stream layout 5 (SFC64 streams, each built once per run and
+read round after round).  ``MOMENTS_GOLDEN`` has not changed since layout
+4: validate-moments builds its streams once per point, as it did then.
 """
 
 import hashlib
@@ -86,20 +88,20 @@ phy.noise_var = 0.5
 # sha256 of fedavg_trace.csv and fedavg_summary.json
 GOLDEN = {
     "budget-quadratic-reed": (
-        "688023fbdee98734e998aecceea92a4327cf30395a24b9a41ffa12d6ed2e203f",
-        "ffb025bcba9d158ccf787b39ab0f28c32adee18bdf31989a1d108cec248da9a1"),
+        "981ad3a66264619bac056522aa6613cf23545fb66ea55ceecd447da563da68a7",
+        "007bf47c662bf8c1d38950db2ae1e69f643471e6bda4ed9b4799b1fddf69914f"),
     "budget-quadratic-reed-inv-sqrt": (
-        "c16cbb7fd333df86143cc64795cd049d27e044cd63c61863fcc5d5d115009cdb",
-        "cb35e4543bd833cb3d421b0ccb50727801beb33e1f3311863046ea5d2fbcaf35"),
+        "7fc3f448e4465e5f591802dcb3a249710de8d9e05940b1287ff1244b07aa409b",
+        "992c28c572f5e66dfa9d2fcd99a03cb270a289b0e2e303d8dfc4f0e9ccdbf8b7"),
     "dirichlet-logistic-reed-M2": (
-        "9d7e76aaef1a98a130ed68aefd8bd7c8b9daa3084587a0475684e1dc6d557e4b",
-        "2b1d1cdf39b1f39afcc8a4855ce4ec07c64e3026a7ba4056cb763fdb80bfa54f"),
+        "0b3748af0fe805bba29666ca4c60df9f5fb17c8f93e5e79d9b9080f0bf0e6faf",
+        "74f3e47451f36a94f533ff80f551f75f9bb41697c4676e8d7d1540274259feec"),
     "logistic-coherent-csit": (
-        "e2aec90312ba2f65a5093635addddadd4dc2cf7d33096a7b902100b0bed2f7ec",
-        "dd7997df9c5b7b4827ceded6d58451c6889074c448628587913241532cdb079a"),
+        "c4416f473701e999656c0153304a5aaa1a7aecf9aa57802b694db6e703ef2adf",
+        "356049def3e18a7018ce03ae728712c252b9ad6be9205b2f95d2f3dec81a4fcf"),
     "logistic-three-aggregators-2-trials": (
-        "8b4ac2cfafccf75008d646707bef80218001c679ee38f7d144caf2d0800c33e3",
-        "b1b12386580fcc47bc6dab61dd523dced6c282de81bd46ca804fd0dc1ca3be46"),
+        "a15df5ee06d075ada2de834321850d091c75438715514fac5ace6b121cbe9afe",
+        "8ee0aa0e74cbe09a4ecca30d704b63b90d29d92a6acbabb3e23be3d1ab6cf77d"),
 }
 
 
@@ -126,8 +128,8 @@ sweep.values = [-5, 2.5]
 
 # sha256 of sweep_phy.snr_db.csv and sweep_phy.snr_db_summary.json
 SWEEP_GOLDEN = (
-    "32b978cea60b23a829b81006dc4c22df166b48ea4e352ad7149476695871dd7c",
-    "cd885fe0914cd4c0b84d0c7437495eca317e9500e548a340118ef69d77bed2a6")
+    "e7d3eeb5750b464f58d8844d6efc6d8b3f888a9b1c1752f2148e522f0b0fbd04",
+    "5902737cbd15150eafb2b4aee52c5c182e75ad4f044f7015313280a1f9f83220")
 
 
 def test_sweep_bytes_pinned(tmp_path):
@@ -154,8 +156,8 @@ sweep.values = [1, 2]
 
 # sha256 of sweep_phy.chips.csv and sweep_phy.chips_summary.json
 CHIPS_SWEEP_GOLDEN = (
-    "59e0ebc93d14a7d372528609c4a480b317e6d100773875a908c93431d0a477ac",
-    "9692f9156f697b45652674fd86d487b6300cd0d2f1d733dd90e7e72cc076540a")
+    "68960c99ecd5d24c235b5588b83fdc6b8f7553f352bf45f3ae948aaaef3ea5b8",
+    "30ab07dcb1ba90e5a2547ad4fe652cfaea17337669ce610cdd32156590c18ecc")
 
 
 def test_chips_sweep_bytes_pinned(tmp_path):

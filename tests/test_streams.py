@@ -1,7 +1,10 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reedsim import streams
 from reedsim.streams import StreamKey
 
 
@@ -62,68 +65,39 @@ _SEEDS = st.sampled_from([0, 2**32, 2**63 - 1, 2**130 + 7]) | st.integers(0, 2**
 _ENTRY = st.integers(0, 40) | st.integers(2**32, 2**70)
 
 
+def _seed_sequence_draws(seed, path, n=4):
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=path))).random(n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=_SEEDS, prefix=st.lists(_ENTRY, max_size=4),
-       shape=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
-def test_grid_matches_seed_sequence(seed, prefix, shape, data):
+       index=st.lists(_ENTRY, max_size=3))
+def test_generator_matches_seed_sequence(seed, prefix, index):
     key = StreamKey(seed, tuple(prefix))
-    grid = key.grid(*shape)
-    index = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
-    leaf, plain = grid.child(*index), key.child(*index)
-    expected = np.random.SeedSequence(seed, spawn_key=plain.path).generate_state(3, np.uint64)
-    assert np.array_equal(leaf.keys, expected)
-    assert np.array_equal(leaf.generator().random(4), plain.generator().random(4))
+    expected = _seed_sequence_draws(seed, tuple(prefix + index))
+    assert np.array_equal(key.generator(*index).random(4), expected)
+    assert np.array_equal(key.child(*index).generator().random(4), expected)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1, 2**130 + 7])
 @pytest.mark.parametrize("prefix", [(), (3,), (2**32, 1), (0, 7, 2**40, 5)])
 def test_every_grid_key_matches_seed_sequence(seed, prefix):
+    # every key of a (3, 2, 2) grid of child indices below the prefix
     key = StreamKey(seed, prefix)
-    grid = key.grid(3, 2, 2)
     for index in np.ndindex(3, 2, 2):
         # a leaf reached in steps is the leaf reached at once
-        leaf = grid.child(index[0]).child(*index[1:])
-        expected = np.random.SeedSequence(seed, spawn_key=prefix + index).generate_state(
-            3, np.uint64)
-        assert np.array_equal(leaf.keys, expected)
-        # SFC64 reads a leaf's words from the raw buffer, ignoring strides:
-        # equal words laid out otherwise would seed another state, so
-        # compare the draws too
-        assert np.array_equal(leaf.generator().random(4),
-                              key.child(*index).generator().random(4))
+        leaf = key.child(index[0]).child(*index[1:])
+        assert leaf == key.child(*index)
+        expected = _seed_sequence_draws(seed, prefix + index)
+        assert np.array_equal(leaf.generator().random(4), expected)
+        assert np.array_equal(key.generator(*index).random(4), expected)
 
 
 def test_streams_are_sfc64():
     key = StreamKey(4, (1,))
-    for k in (key, key.grid(2).child(1)):
-        assert type(k.generator().bit_generator) is np.random.SFC64
-
-
-def test_grid_leaf_equals_plain_key():
-    key = StreamKey(31, (2,))
-    leaf, plain = key.grid(4, 3).child(2, 1), key.child(2, 1)
-    assert leaf == plain
-    assert hash(leaf) == hash(plain)
-    assert {leaf: 1}[plain] == 1
-
-
-def test_grid_node_is_not_a_leaf():
-    grid = StreamKey(8).grid(2, 3)
-    for node in (grid, grid.child(1)):
-        with pytest.raises(ValueError, match="not a leaf"):
-            node.generator()
-
-
-def test_child_outside_grid_is_plain_key():
-    key = StreamKey(8, (1,))
-    grid = key.grid(2, 3)
-    for index in ((1, 3), (2, 0), (1, 2, 5)):
-        child = grid.child(*index)
-        assert child.keys is None
-        assert child == key.child(*index)
-        assert np.array_equal(child.generator().random(3), key.child(*index).generator().random(3))
-    # NumPy would wrap a negative index; it addresses no stream of the grid
-    assert grid.child(-1, 0).keys is None
+    for rng in (key.generator(), key.generator(1)):
+        assert type(rng.bit_generator) is np.random.SFC64
 
 
 def _draws_or_error(build):
@@ -140,62 +114,32 @@ def _assert_generator_is_child_generator(key, index):
         _draws_or_error(lambda: key.child(*index).generator())
 
 
-def test_generator_by_index_on_grid_leaves():
-    key = StreamKey(61, (2, 5))
-    grid = key.grid(3, 2, 2)
-    for index in np.ndindex(3, 2, 2):
-        _assert_generator_is_child_generator(grid, index)
-        # from a node part way down, and from the plain key
-        _assert_generator_is_child_generator(grid.child(index[0]), index[1:])
-        _assert_generator_is_child_generator(key, index)
-        assert np.array_equal(grid.generator(*index).random(4),
-                              key.child(*index).generator().random(4))
-
-
-def test_generator_by_index_off_the_leaves():
-    key = StreamKey(62, (4,))
-    grid = key.grid(3, 2)
-    # partial indices address grid nodes, which have no generator
-    for index in ((), (0,), (2,)):
-        _assert_generator_is_child_generator(grid, index)
-        with pytest.raises(ValueError, match=r"^stream \(4,( \d)?\) is a grid node"):
-            grid.generator(*index)
-    # out of range or past the leaves: plain keys of the same stream
-    for index in ((3, 0), (0, 2), (1, 1, 0), (2**40, 1)):
-        _assert_generator_is_child_generator(grid, index)
-        assert np.array_equal(grid.generator(*index).random(4),
-                              StreamKey(62, (4,) + index).generator().random(4))
-    # a negative index addresses no stream, on the grid or off it
-    for index in ((-1, 0), (0, -1)):
-        _assert_generator_is_child_generator(grid, index)
-        with pytest.raises(ValueError):
-            grid.generator(*index)
-    # the indices child() accepts: NumPy integers, and int() of the rest
-    for index in ((np.int64(1), np.uint8(0)), (True, 1.0)):
-        _assert_generator_is_child_generator(grid, index)
-    for index in (("a", 0), (None,)):
-        _assert_generator_is_child_generator(grid, index)
-        with pytest.raises((ValueError, TypeError)):
-            grid.generator(*index)
-
-
 def test_generator_by_index_on_plain_keys():
     key = StreamKey(63, (1,))
     for index in ((), (0,), (3, 7), (2**33, 0, 1)):
         _assert_generator_is_child_generator(key, index)
-    # a leaf's child is a plain key below the leaf
-    leaf = key.grid(2).child(1)
-    _assert_generator_is_child_generator(leaf, ())
-    _assert_generator_is_child_generator(leaf, (0,))
+    # a negative index addresses no stream
+    for index in ((-1, 0), (0, -1)):
+        _assert_generator_is_child_generator(key, index)
+        with pytest.raises(ValueError):
+            key.generator(*index)
+    # the indices child() accepts: NumPy integers, and int() of the rest
+    for index in ((np.int64(1), np.uint8(0)), (True, 1.0)):
+        _assert_generator_is_child_generator(key, index)
+    for index in (("a", 0), (None,)):
+        _assert_generator_is_child_generator(key, index)
+        with pytest.raises((ValueError, TypeError)):
+            key.generator(*index)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=_SEEDS, prefix=st.lists(_ENTRY, max_size=3),
-       shape=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
-def test_generator_by_index_over_grid_shapes(seed, prefix, shape, data):
-    grid = StreamKey(seed, tuple(prefix)).grid(*shape)
-    # in range or one past it, leaves, partial and past the leaves
-    index = tuple(data.draw(st.lists(st.integers(-1, 4), max_size=len(shape) + 1)))
-    _assert_generator_is_child_generator(grid, index)
-    leaf = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
-    _assert_generator_is_child_generator(grid, leaf)
+def test_streams_are_built_only_in_streams_module():
+    # every stream is built through StreamKey.generator, which the tests
+    # and the benchmark's tracer count; generators are passed between
+    # modules, so a stray build elsewhere would escape both
+    src = pathlib.Path(streams.__file__).parent
+    builders = ("SFC64(", "Generator(", "SeedSequence(", "default_rng(")
+    stray = [(path.name, lineno, line.strip())
+             for path in sorted(src.glob("*.py")) if path.name != "streams.py"
+             for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+             if any(builder in line for builder in builders)]
+    assert stray == []
