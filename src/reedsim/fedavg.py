@@ -50,7 +50,8 @@ Each model state, the models after s rounds for s = 0 … T, is evaluated
 by one evaluate call and nothing else: state 0 before round 0, state s
 after round s - 1.  The train loss that closes round t and the diagnostic
 gradient that opens round t + 1 are taken at the same model, so one call
-gives both; the losses of state 0 and the gradients of state T go unread.
+gives both.  The losses of state 0 go unread, and state T is evaluated for
+its losses alone: no backward pass, and no proxy rows drawn.
 Objectives whose gradients never read the batch (``uses_batches`` False)
 draw no minibatch indices.
 
@@ -143,11 +144,13 @@ class Objective:
         subsampled proxy."""
         return self.full_gradient(params)
 
-    def evaluate(self, params: np.ndarray,
-                 rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, params: np.ndarray, rng: np.random.Generator | None,
+                 gradients: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Full-train losses (A,) and diagnostic gradients (A, dim) of A
         models (A, dim); with ``uses_proxy``, the proxy rows are drawn once
-        from ``rng`` for all of them."""
+        from ``rng`` for all of them.  Without ``gradients``, the losses
+        alone, with None for the gradients: no backward pass is taken and
+        nothing is drawn."""
         raise NotImplementedError
 
     def init_params(self, key: StreamKey) -> np.ndarray:
@@ -183,23 +186,23 @@ class QuadraticObjective(Objective):
     def full_gradient(self, params):
         return self.curvatures * params
 
-    def evaluate(self, params, rng):
+    def evaluate(self, params, rng, gradients=True):
         # one dot product per model, as loss takes it: a stacked matmul sums
         # in another order (rows are indexed, which is cheaper than iterating)
         return (np.array([self.loss(params[a]) for a in range(len(params))]),
-                self.curvatures * params)
+                self.curvatures * params if gradients else None)
 
     def init_params(self, key):
         return np.ones(self.dim)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over axis -2, the class axis of (..., C, B) logits, in
-    place."""
+def _softmax_parts(z: np.ndarray) -> np.ndarray:
+    """Softmax over axis -2, the class axis of (..., C, B) logits, left as
+    a quotient: z becomes exp(z - max) in place, and its (..., 1, B) column
+    sums are returned."""
     z -= z.max(axis=-2, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-2, keepdims=True)
-    return z
+    return z.sum(axis=-2, keepdims=True)
 
 
 def _label_entries(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -238,51 +241,89 @@ def _accuracy(Z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.mean(hit, axis=-1)
 
 
-def _mean_xent(P: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy (A,) of A models' (A, C, n) class probabilities;
-    each row is reduced alone, so it equals that model's loss."""
-    return np.array([-np.mean(np.log(row[entries] + 1e-300))
-                     for row in P.reshape(len(P), -1)])
+def _mean_xent(E: np.ndarray, sums: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy (A,) of A models' class probabilities E / sums
+    (:func:`_softmax_parts`); each row is reduced alone, so it equals that
+    model's loss."""
+    return np.array([-np.mean(np.log(e[entries] / s + 1e-300))
+                     for e, s in zip(E.reshape(len(E), -1), sums.reshape(len(E), -1))])
 
 
-def _xent_logit_grad(P: np.ndarray, entries: np.ndarray,
-                     lengths: np.ndarray) -> np.ndarray:
-    """Gradient of each batch's summed cross-entropy with respect to its
-    logits, computed in place from the (..., C, B) class probabilities of
-    batches whose label entries are ``entries``.  With K stacked batches
-    (``lengths`` is (K,)), columns past a batch's length are padding and come
-    out zero; callers divide the parameter gradient by the lengths."""
-    block = entries.size * P.shape[-2]
-    P.reshape(-1)[(np.arange(P.size // block)[:, None] * block + entries).ravel()] -= 1.0
-    for k in np.flatnonzero(lengths < P.shape[-1]):
-        P[..., k, :, lengths[k]:] *= 0.0
-    return P
+def _targets(labels: np.ndarray, n_classes: int, weights) -> np.ndarray:
+    """(..., C, B) one-hot targets of (..., B) labels, times the weights."""
+    return (labels[..., None, :] == np.arange(n_classes)[:, None]) * weights
 
 
-def _pack(pieces: list[np.ndarray], lengths: np.ndarray, dim: int) -> np.ndarray:
-    """(..., dim) gradients whose rows are each (..., *shape) piece's rows
-    flattened in turn, divided by the batch lengths, which broadcast
-    against the leading dims."""
-    lead = pieces[0].shape[:-2]
-    grads = np.empty(lead + (dim,))
-    start = 0
-    for piece in pieces:
-        tail = piece.shape[len(lead):]
-        size = math.prod(tail)
-        np.divide(piece, lengths.reshape(lengths.shape + (1,) * len(tail)),
-                  out=grads[..., start:start + size].reshape(lead + tail))
-        start += size
-    return grads
+def _xent_logit_grad(E: np.ndarray, sums: np.ndarray, targets: np.ndarray,
+                     weights) -> np.ndarray:
+    """Gradient of a weighted sum of cross-entropies with respect to the
+    logits, (E / sums - one-hot) · weights, in place in E; ``targets`` is
+    the one-hot times the weights (:func:`_targets`).  The weights are per
+    column, 1/length on a batch's columns and 0 on its padding, so that
+    each batch's parameter gradient is its mean."""
+    E *= weights / sums
+    E -= targets
+    return E
+
+
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """(..., m + 1, B) copy of (..., m, B) inputs whose last row is the
+    constant input 1."""
+    out = np.ones(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1]))
+    out[..., :-1, :] = x
+    return out
+
+
+def _affine(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(..., O, B) outputs of the affine maps whose (..., m + 1, O) weights
+    read (..., m + 1, B) inputs, each column's last input the constant 1.
+    Against one 2-D input, the L maps' weights are stacked into one
+    (L·O, m + 1) matrix, so that all of them are one matmul; each of its
+    rows is the same bits as that map's alone (the stacked-evaluation tests
+    hold it to that)."""
+    Wt = weights.swapaxes(-1, -2)
+    if x.ndim > 2:
+        return Wt @ x
+    return (Wt.reshape(-1, x.shape[0]) @ x).reshape(Wt.shape[:-1] + x.shape[1:])
+
+
+def _affine_grad(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(..., m + 1, O) weight gradients of :func:`_affine` from the
+    gradients (..., O, B) of its outputs, one matmul per map.  A matmul over
+    the stacked maps would sum the B columns in an order that can depend on
+    how many maps there are, so its rows would not be each map's alone.
+    Against one 2-D input, each map's (O, B) @ (B, m + 1) runs along the
+    long rows of both, which is faster for wide inputs."""
+    if x.ndim > 2:
+        return x @ dout.swapaxes(-1, -2)
+    return (dout @ x.T).swapaxes(-1, -2)
+
+
+def _flat(grads: np.ndarray) -> np.ndarray:
+    """(..., a·b) rows of (..., a, b) weight gradients."""
+    return grads.reshape(grads.shape[:-2] + (-1,))
 
 
 class _Classifier(Objective):
     """Softmax classifier over a labeled dataset.
 
-    Subclasses write the forward and backward pass once, over (..., dim)
-    parameters and (..., B, p) features that broadcast against them: a
-    stack of A models reads one (K, B, p) gather of the K clients' batches,
-    or the (n, p) training set itself.  Activations are kept feature-major,
-    as (..., C, B) logits and (..., H, B) hidden units, so that reductions
+    Every layer is one affine map, read as one matrix: a layer over m
+    inputs has (m + 1, O) weights whose last row is its bias, the weight of
+    a constant input 1 that follows the m others.  The training set is held
+    in that form twice: as (n, p + 1) rows, sample i's features and then a
+    1, which the clients' batches are gathered from, and as their
+    contiguous (p + 1, n) transpose, which every pass over the whole set
+    reads.  The test set's inputs are built the same way, once.
+
+    Subclasses write the forward pass ``_forward(params, x)``, which
+    returns (..., C, B) logits and what the backward pass reads, and the
+    backward pass ``_backward(params, x, cache, dZ)``, which returns
+    (..., dim) gradients from the logits' gradients dZ.  Both run once over
+    (..., dim) parameters and (..., p + 1, B) inputs that broadcast against
+    them: a stack of A models reads one (K, p + 1, B) gather of the K
+    clients' batches, or the (p + 1, n) training inputs, against which the
+    A models' first layers are one matmul.  Activations are feature-major,
+    (..., C, B) logits and (..., H + 1, B) hidden units, so that reductions
     over the classes run along contiguous rows.
     """
 
@@ -295,77 +336,107 @@ class _Classifier(Objective):
         self.data = data
         self.n_classes = n_classes
         self.n_features = data.features.shape[1]
-        self._train = self._single(_ALL)
+        self._inputs = _with_ones(data.features.T)
+        self._rows = np.ascontiguousarray(self._inputs.T)
+        self._entries = _label_entries(data.labels, n_classes)
+        # each sample weighs 1/n in the full-train gradient (an empty set
+        # has none to weigh)
+        self._weight = 1.0 / max(len(data), 1)
+        self._targets = _targets(data.labels, n_classes, self._weight)
+        self._test = (None, None)  # the features accuracy last read, and their inputs
 
-    def _single(self, batch):
-        """Features (n, p), label entries (n,) and length (1,) of one batch."""
-        y = self.data.labels[batch]
-        return self.data.features[batch], _label_entries(y, self.n_classes), np.array([y.size])
+    def _batch(self, batch):
+        """Inputs (p + 1, B) and labels (B,) of one batch."""
+        return self._inputs[:, batch], self.data.labels[batch]
+
+    def _gradients(self, params, x, labels, weights):
+        Z, cache = self._forward(params, x)
+        sums = _softmax_parts(Z)
+        dZ = _xent_logit_grad(Z, sums, _targets(labels, self.n_classes, weights), weights)
+        return self._backward(params, x, cache, dZ)
+
+    def _batch_gradients(self, params, batch):
+        """Mean gradients (A, dim) of A models on one batch."""
+        x, labels = self._batch(batch)
+        return self._gradients(params, x, labels, 1.0 / labels.size)
+
+    def _losses(self, params, batch):
+        """Mean cross-entropies (A,) of A models on one batch."""
+        x, labels = self._batch(batch)
+        E = self._forward(params, x)[0]
+        return _mean_xent(E, _softmax_parts(E), _label_entries(labels, self.n_classes))
+
+    def _test_inputs(self, features):
+        """(p + 1, n) inputs of ``features``, built once for the test set
+        that every round's accuracy reads."""
+        if self._test[0] is not features:
+            self._test = (features, _with_ones(features.T))
+        return self._test[1]
 
     def stacked_gradient(self, params, batches, lengths):
-        grads = self._gradients(params.reshape(-1, len(batches), self.dim),
-                                self.data.features[batches],
-                                _label_entries(self.data.labels[batches], self.n_classes),
-                                lengths)
+        K, B = batches.shape
+        lengths = lengths[:, None]
+        weights = (np.arange(B) < lengths) / lengths
+        grads = self._gradients(params.reshape(-1, K, self.dim),
+                                self._rows.take(batches, axis=0).swapaxes(1, 2),
+                                self.data.labels[batches], weights[:, None, :])
         return grads.reshape(len(params), self.dim)
 
-    def _gradients(self, params, X, entries, lengths):
-        raise NotImplementedError
+    def evaluate(self, params, rng, gradients=True):
+        """Losses from one forward pass over the training set; the gradients
+        reuse it unless they are taken on proxy rows."""
+        Z, cache = self._forward(params, self._inputs)
+        sums = _softmax_parts(Z)
+        losses = _mean_xent(Z, sums, self._entries)
+        if not gradients:
+            return losses, None
+        if self.uses_proxy:
+            return losses, self._batch_gradients(params, self._diagnostic_rows(rng))
+        dZ = _xent_logit_grad(Z, sums, self._targets, self._weight)
+        return losses, self._backward(params, self._inputs, cache, dZ)
 
 
 class LogisticObjective(_Classifier):
-    """Multinomial logistic regression with bias, mean cross-entropy."""
+    """Multinomial logistic regression with bias, mean cross-entropy.
+
+    The parameters are the (p, C) weights W, row-major, then the C biases
+    b: one (p + 1, C) matrix [W; b] whose last row weighs the constant
+    feature, so that the logits of a row [x, 1] are x·W + b.
+    """
 
     def __init__(self, data: LabeledDataset, n_classes: int):
         super().__init__(data, n_classes)
         self.dim = (self.n_features + 1) * n_classes
 
-    def _logits(self, params, X):
-        """(..., C, B) logits."""
-        split = self.n_features * self.n_classes
-        W = params[..., :split].reshape(params.shape[:-1] + (self.n_features, self.n_classes))
-        Z = W.swapaxes(-1, -2) @ X.swapaxes(-1, -2)
-        Z += params[..., split:, None]
-        return Z
+    def _forward(self, params, x):
+        return _affine(params.reshape(params.shape[:-1] + (-1, self.n_classes)), x), None
 
-    def _probs(self, params, X):
-        """(..., C, B) class probabilities."""
-        return _softmax(self._logits(params, X))
-
-    def _backward(self, X, P, entries, lengths):
-        """Gradients (..., dim) from the forward pass's probabilities, which
-        are overwritten."""
-        dZ = _xent_logit_grad(P, entries, lengths)
-        return _pack([(dZ @ X).swapaxes(-1, -2), dZ.sum(axis=-1)], lengths, self.dim)
-
-    def _gradients(self, params, X, entries, lengths):
-        return self._backward(X, self._probs(params, X), entries, lengths)
+    def _backward(self, params, x, cache, dZ):
+        return _flat(_affine_grad(dZ, x))
 
     def loss(self, params, batch):
-        X, entries, _ = self._single(batch)
-        return float(_mean_xent(self._probs(params[None], X), entries)[0])
+        return float(self._losses(params[None], batch)[0])
 
     def stochastic_gradient(self, params, batch):
-        return self._gradients(params[None], *self._single(batch))[0]
+        return self._batch_gradients(params[None], batch)[0]
 
     def full_gradient(self, params):
         return self.stochastic_gradient(params, _ALL)
-
-    def evaluate(self, params, rng):
-        """Losses and exact gradients from one pass over the training set."""
-        X, entries, n = self._train
-        P = self._probs(params, X)
-        return _mean_xent(P, entries), self._backward(X, P, entries, n)
 
     def init_params(self, key):
         return np.zeros(self.dim)
 
     def accuracy(self, params, features, labels):
-        return _accuracy(self._logits(params, features), labels)
+        return _accuracy(self._forward(params, self._test_inputs(features))[0], labels)
 
 
 class MlpObjective(_Classifier):
-    """One-hidden-layer tanh perceptron with softmax cross-entropy."""
+    """One-hidden-layer tanh perceptron with softmax cross-entropy.
+
+    The parameters are W1 (p, H), b1 (H), W2 (H, C) and b2 (C), each
+    row-major, in turn: two matrices [W1; b1] (p + 1, H) and [W2; b2]
+    (H + 1, C), each layer's bias the weight of a constant input.
+    """
 
     # the diagnostic gradient is taken on this many training samples
     proxy_samples = 512
@@ -373,49 +444,33 @@ class MlpObjective(_Classifier):
     def __init__(self, data: LabeledDataset, hidden: int, n_classes: int):
         super().__init__(data, n_classes)
         self.hidden = hidden
-        p, H, C = self.n_features, hidden, n_classes
-        self.dim = p * H + H + H * C + C
-        self._shapes = [(p, H), (H, 1), (H, C), (C, 1)]
+        self.dim = (self.n_features + 1) * hidden + (hidden + 1) * n_classes
 
-    def _unpack(self, params):
-        """W1 (..., p, H), b1 (..., H, 1), W2 (..., H, C), b2 (..., C, 1) of
-        (..., dim) parameters."""
-        out, start = [], 0
-        for shape in self._shapes:
-            size = math.prod(shape)
-            out.append(params[..., start:start + size].reshape(params.shape[:-1] + shape))
-            start += size
-        return out
+    def _layers(self, params):
+        """[W1; b1] (..., p + 1, H) and [W2; b2] (..., H + 1, C) of (..., dim)
+        parameters."""
+        lead, split = params.shape[:-1], (self.n_features + 1) * self.hidden
+        return (params[..., :split].reshape(lead + (self.n_features + 1, self.hidden)),
+                params[..., split:].reshape(lead + (self.hidden + 1, self.n_classes)))
 
-    def _forward(self, params, X):
-        """(..., H, B) hidden activations and (..., C, B) logits."""
-        W1, b1, W2, b2 = self._unpack(params)
-        act = W1.swapaxes(-1, -2) @ X.swapaxes(-1, -2)
-        act += b1
-        np.tanh(act, out=act)
-        Z = W2.swapaxes(-1, -2) @ act
-        Z += b2
-        return act, Z
+    def _forward(self, params, x):
+        """(..., C, B) logits and the (..., H + 1, B) hidden activations,
+        with their constant row."""
+        W1, W2 = self._layers(params)
+        act = _with_ones(np.tanh(_affine(W1, x)))
+        return _affine(W2, act), act
 
-    def _backward(self, params, X, act, P, entries, lengths):
-        """Gradients (..., dim) from the forward pass's hidden activations
-        and probabilities; the probabilities are overwritten."""
-        W2 = self._unpack(params)[2]
-        dZ = _xent_logit_grad(P, entries, lengths)
-        dA = (W2 @ dZ) * (1.0 - act**2)
-        return _pack([(dA @ X).swapaxes(-1, -2), dA.sum(axis=-1),
-                      act @ dZ.swapaxes(-1, -2), dZ.sum(axis=-1)], lengths, self.dim)
-
-    def _gradients(self, params, X, entries, lengths):
-        act, Z = self._forward(params, X)
-        return self._backward(params, X, act, _softmax(Z), entries, lengths)
+    def _backward(self, params, x, act, dZ):
+        W2 = self._layers(params)[1][..., :-1, :]
+        dA = (W2 @ dZ) * (1.0 - act[..., :-1, :]**2)
+        return np.concatenate([_flat(_affine_grad(dA, x)), _flat(_affine_grad(dZ, act))],
+                              axis=-1)
 
     def loss(self, params, batch):
-        X, entries, _ = self._single(batch)
-        return float(_mean_xent(_softmax(self._forward(params[None], X)[1]), entries)[0])
+        return float(self._losses(params[None], batch)[0])
 
     def stochastic_gradient(self, params, batch):
-        return self._gradients(params[None], *self._single(batch))[0]
+        return self._batch_gradients(params[None], batch)[0]
 
     def full_gradient(self, params):
         return self.stochastic_gradient(params, _ALL)
@@ -434,25 +489,13 @@ class MlpObjective(_Classifier):
     def diagnostic_gradient(self, params, rng):
         return self.stochastic_gradient(params, self._diagnostic_rows(rng))
 
-    def evaluate(self, params, rng):
-        """Losses from one forward pass over the training set; the gradients
-        reuse it unless they are taken on proxy rows."""
-        X, entries, n = self._train
-        act, Z = self._forward(params, X)
-        P = _softmax(Z)
-        losses = _mean_xent(P, entries)
-        rows = self._diagnostic_rows(rng)
-        if rows is _ALL:
-            return losses, self._backward(params, X, act, P, entries, n)
-        return losses, self._gradients(params, *self._single(rows))
-
     def init_params(self, key):
         # a run's first array of length dim; a config check builds none
         with _allocating("hidden"):
             return 0.05 * key.generator().standard_normal(self.dim)
 
     def accuracy(self, params, features, labels):
-        return _accuracy(self._forward(params, features)[1], labels)
+        return _accuracy(self._forward(params, self._test_inputs(features))[0], labels)
 
 
 def build_objective(kind: str, data: LabeledDataset | None = None, *,
@@ -703,8 +746,8 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                 eps_norm_sq[a] = eps @ eps
 
             # every model at once; the gradients are round t + 1's diagnostic
-            # gradients, and after the last round no trace reads them
-            losses, next_grads = objective.evaluate(stack, proxy_rng)
+            # gradients, so after the last round none are taken
+            losses, next_grads = objective.evaluate(stack, proxy_rng, gradients=t + 1 < cfg.T)
             train_loss[:] = losses
             if test_data is not None:
                 test_acc[:] = objective.accuracy(stack, test_data.features, test_data.labels)

@@ -391,12 +391,12 @@ class TestBatchedTraining:
                 calls[_key] += 1
                 return _fn(self, *args)
             monkeypatch.setattr(cls, name, spy)
-        probs, backward = cls._probs, cls._backward
-        # a pass over the training set reads its (n, p) features
-        monkeypatch.setattr(cls, "_probs", lambda self, params, X: (
-            full_passes.append(X.shape[-2] == len(ds)) or probs(self, params, X)))
-        monkeypatch.setattr(cls, "_backward", lambda self, X, *a: (
-            full_backward.append(X.shape[-2] == len(ds)) or backward(self, X, *a)))
+        softmax_parts, backward = fedavg._softmax_parts, cls._backward
+        # a pass over the training set reads all n of its samples
+        monkeypatch.setattr(fedavg, "_softmax_parts", lambda Z: (
+            full_passes.append(Z.shape[-1] == len(ds)) or softmax_parts(Z)))
+        monkeypatch.setattr(cls, "_backward", lambda self, params, x, *a: (
+            full_backward.append(x.shape[-1] == len(ds)) or backward(self, params, x, *a)))
         monkeypatch.setattr(fedavg, "local_round", lambda *a, **kw: calls.update(
             local_round=calls["local_round"] + 1))
         T = 3
@@ -414,7 +414,8 @@ class TestBatchedTraining:
             # logits, not the probabilities.
             assert calls["stochastic"] == 0
             assert sum(full_passes) == T + 1  # not 1 + T·A, one per aggregator and round
-            assert sum(full_backward) == T + 1
+            # no trace reads the last state's gradients
+            assert sum(full_backward) == T
 
     @pytest.mark.parametrize("kind,draws", [("quadratic", False), ("logistic", True)])
     def test_batch_free_objective_draws_no_batches(self, monkeypatch, kind, draws):
@@ -428,6 +429,52 @@ class TestBatchedTraining:
         run_fedavg(cfg, obj, parts)
         assert obj.uses_batches is draws
         assert len(calls) == (T if draws else 0)
+
+
+class TestClassifierPasses:
+    """The classifiers' stacked passes against central differences of
+    ``loss`` on short and padded batches, and the parameter layout they
+    read."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_stacked_passes_match_finite_differences(self, kind):
+        ds, parts = _ragged_setup()
+        obj = _objective(kind, ds)
+        K, Q = len(parts), 2
+        # widths 16: short batches of 5, 3 and 1 sample, padded
+        batches, lengths = _round_batches(parts, Q, 16, _client_rngs(KEY, K))
+        assert (lengths < 16).any()
+        rng = StreamKey(73).generator()
+        params = 0.3 * rng.standard_normal((2, obj.dim))  # two models
+        full = obj.evaluate(params, None)[1]
+        stacked = [obj.stacked_gradient(np.repeat(params, K, axis=0), batches[q], lengths[q])
+                   for q in range(Q)]
+        h = 1e-5
+
+        def central(w, batch, v):
+            return (obj.loss(w + h * v, batch) - obj.loss(w - h * v, batch)) / (2 * h)
+
+        for a, w in enumerate(params):
+            for _ in range(3):
+                v = rng.standard_normal(obj.dim)
+                v /= np.linalg.norm(v)
+                assert central(w, np.arange(len(ds)), v) == pytest.approx(
+                    float(full[a] @ v), rel=1e-4, abs=1e-7)
+                for q in range(Q):
+                    for k in range(K):
+                        batch = batches[q, k, :lengths[q, k]]
+                        assert central(w, batch, v) == pytest.approx(
+                            float(stacked[q][a * K + k] @ v), rel=1e-4, abs=1e-7)
+
+    def test_logistic_logits_are_w_x_plus_b(self):
+        # the parameters are W (p, C), row-major, then b (C)
+        ds, _ = _ragged_setup()
+        obj = _objective("logistic", ds)
+        params = 0.3 * StreamKey(74).generator().standard_normal((3, obj.dim))
+        p, C = obj.n_features, obj.n_classes
+        W, b = params[:, :p * C].reshape(3, p, C), params[:, p * C:]
+        expected = W.swapaxes(1, 2) @ ds.features.T + b[:, :, None]
+        _assert_rel(obj._forward(params, fedavg._with_ones(ds.features.T))[0], expected)
 
 
 class TestStackedEvaluation:
@@ -489,8 +536,8 @@ class TestStackedEvaluation:
         obj, ds, _ = self._setup(kind)
         rngs, rows = [], []
         evaluate = type(obj).evaluate
-        monkeypatch.setattr(type(obj), "evaluate", lambda self, params, rng: (
-            rngs.append(rng) or evaluate(self, params, rng)))
+        monkeypatch.setattr(type(obj), "evaluate", lambda self, params, rng, **kw: (
+            rngs.append(rng) or evaluate(self, params, rng, **kw)))
         if obj.uses_proxy:
             diagnostic_rows = MlpObjective._diagnostic_rows
             monkeypatch.setattr(MlpObjective, "_diagnostic_rows", lambda self, rng: (
@@ -500,12 +547,13 @@ class TestStackedEvaluation:
         run_fedavg(cfg, obj, partition(ds, PartitionSpec("iid", K, seed=0)), ds)
         assert obj.uses_proxy is (kind == "mlp-proxy")
         # model states 0 .. T, all evaluated with one generator, built at
-        # (local, K), whose proxy rows each state reads on from the last
+        # (local, K), whose proxy rows each state reads on from the last;
+        # state T is evaluated for its losses alone and draws none
         assert len(rngs) == T + 1
         if not obj.uses_proxy:
             assert rngs == [None] * (T + 1)
             return
-        assert all(rng is rngs[0] for rng in rngs) and len(rows) == T + 1
+        assert all(rng is rngs[0] for rng in rngs) and len(rows) == T
         proxy = StreamKey(cfg.seed).generator(fedavg._DOM_LOCAL, K)
         for drawn in rows:
             assert np.array_equal(drawn, proxy.choice(len(ds), size=obj.proxy_samples,
@@ -520,14 +568,14 @@ class TestStackedEvaluation:
         calls, depth = [], [0]
         for name in ("evaluate", "loss", "full_gradient", "diagnostic_gradient",
                      "stochastic_gradient"):
-            def spy(self, *args, _fn=getattr(cls, name), _name=name):
+            def spy(self, *args, _fn=getattr(cls, name), _name=name, **kw):
                 # only the outermost call counts: the quadratic's evaluate
                 # takes each model's loss
                 if not depth[0]:
                     calls.append(_name)
                 depth[0] += 1
                 try:
-                    return _fn(self, *args)
+                    return _fn(self, *args, **kw)
                 finally:
                     depth[0] -= 1
             monkeypatch.setattr(cls, name, spy)
@@ -647,7 +695,8 @@ phy.noise_var = 0.5
     def test_mlp_proxy_rows_drawn_once_per_round(self, monkeypatch):
         # every arm evaluates model state s in one call, so the proxy rows
         # are drawn once per state, not once per arm, from the one stream
-        # (local, K) that the run builds
+        # (local, K) that the run builds; the last state, evaluated for its
+        # losses alone, draws none
         cfg, obj, parts, test = list(_run_setups())[-1]
         assert isinstance(obj, MlpObjective)
         K = len(parts)
@@ -659,7 +708,7 @@ phy.noise_var = 0.5
             draws.append(rng) or diagnostic_rows(self, rng)))
         run_fedavg(replace(cfg, arms=arms(*self.AGGREGATORS, phy=self.PHY)), obj, parts, test)
         assert builds.count((fedavg._DOM_LOCAL, K)) == 1
-        assert len(draws) == cfg.T + 1 and all(rng is draws[0] for rng in draws)
+        assert len(draws) == cfg.T and all(rng is draws[0] for rng in draws)
 
     def test_divergence_names_the_aggregator(self):
         ds, parts = _blob_setup(K=3)
@@ -847,18 +896,14 @@ class TestAccuracyTies:
         obj = _objective(kind, ds)
         params = 0.3 * StreamKey(72).generator().standard_normal((3, obj.dim))
         # model 0 has every logit equal (class 0 wins every sample); in
-        # model 1 classes 1 and 2 share their weights, so they tie wherever
-        # they lead
+        # model 1 classes 1 and 2 share their weights and biases, so they
+        # tie wherever they lead.  The last layer's weights are one
+        # (m + 1, C) matrix whose last row is the biases.
         params[0] = 0.0
-        if kind == "logistic":
-            W = params[1, :obj.n_features * obj.n_classes].reshape(obj.n_features, -1)
-            b = params[1, obj.n_features * obj.n_classes:]
-        else:
-            _, _, W, b = obj._unpack(params[1])
+        W = (params[1].reshape(-1, obj.n_classes) if kind == "logistic"
+             else obj._layers(params[1])[1])
         W[:, 2] = W[:, 1]
-        b[2] = b[1]
-        logits = (obj._logits(params, ds.features) if kind == "logistic"
-                  else obj._forward(params, ds.features)[1])
+        logits = obj._forward(params, fedavg._with_ones(ds.features.T))[0]
         assert (logits[1, 1] == logits[1, 2]).all()
         expected = self._argmax_accuracy(logits, ds.labels)
         assert expected[0] == np.mean(ds.labels == 0)
