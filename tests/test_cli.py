@@ -51,18 +51,32 @@ TINY = _with(FAST_FED, {"trials": "1", "fed.aggregators": '["ideal", "reed"]',
                         "moments.n_trials": "2000", "moments.tolerance": "1.0"})
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """The max_workers of every process pool that cli starts."""
+def _recorded_pools(monkeypatch, executor: str) -> list[int]:
+    """The max_workers of every pool of cli's ``executor`` class that cli
+    starts."""
     started = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(getattr(cli, executor)):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, executor, RecordingPool)
     return started
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool that cli starts."""
+    return _recorded_pools(monkeypatch, "ProcessPoolExecutor")
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """The max_workers of every thread pool that cli starts, on four usable
+    cores unless the test sets another count."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 4)
+    return _recorded_pools(monkeypatch, "ThreadPoolExecutor")
 
 
 class TestConfigParsing:
@@ -190,6 +204,30 @@ class TestValidateMoments:
             assert result.mc_mean == float(kept[-1].mean())
             assert result.mc_var == float(kept[-1].var(ddof=1))
 
+    @pytest.mark.parametrize("cores", [1, 2, 3, 16])
+    def test_one_thread_per_usable_core(self, tmp_path, monkeypatch, pools, thread_pools,
+                                        cores):
+        # at most one thread per point, and none on one core
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        assert cmd_validate_moments(parse_config(TINY), str(tmp_path), workers=1) == 0
+        n_points = len(default_moment_matrix())
+        assert thread_pools == ([min(cores, n_points)] if cores > 1 else [])
+        assert pools == []
+
+    def test_workers_start_processes_not_threads(self, tmp_path, pools, thread_pools):
+        assert cmd_validate_moments(parse_config(TINY), str(tmp_path), workers=2) == 0
+        assert pools == [2]
+        assert thread_pools == []
+
+    def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert cli._usable_cores() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cores() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert cli._usable_cores() == 6
+
     def test_negative_control_flagged(self):
         point = MomentPoint(
             point_id="wrong_eta",
@@ -239,12 +277,12 @@ class TestRunFedavg:
         header = (tmp_path / "fedavg_trace.csv").read_text().splitlines()[0].split(",")
         assert header == ["trial", "round", "aggregator", *TRACE_COLUMNS]
 
-    def test_one_job_starts_no_pool(self, tmp_path, pools):
+    def test_one_job_starts_no_pool(self, tmp_path, pools, thread_pools):
         # one trial is one job, which runs in this process
         cfg = parse_config(_with(FAST_FED, {"trials": "1"}))
         cmd_run_fedavg(cfg, str(tmp_path / "serial"), workers=1)
         cmd_run_fedavg(cfg, str(tmp_path / "parallel"), workers=2)
-        assert pools == []
+        assert pools == [] and thread_pools == []
         for name in ("fedavg_trace.csv", "fedavg_summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
@@ -308,18 +346,21 @@ class TestSweep:
                 (out / "fedavg_trace.csv").read_text().splitlines()[1:]
             assert summary[value] == json.loads((out / "fedavg_summary.json").read_text())
 
-    def test_one_pool_per_sweep_and_workers_match_serial(self, tmp_path, pools):
+    def test_one_pool_per_sweep_and_workers_match_serial(self, tmp_path, pools,
+                                                         thread_pools):
         cfg = parse_config(FAST_FED + 'sweep.key = "data.partition"\n'
                            'sweep.values = ["iid", "dirichlet"]\n')
         cmd_sweep(cfg, str(tmp_path / "serial"), workers=1)
         cmd_sweep(cfg, str(tmp_path / "parallel"), workers=2)
         # every (point, trial) run goes through one pool
         assert pools == [2]
+        assert thread_pools == []
         for name in ("sweep_data.partition.csv", "sweep_data.partition_summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
 
-    def test_one_pool_per_phy_sweep_and_workers_match_serial(self, tmp_path, pools):
+    def test_one_pool_per_phy_sweep_and_workers_match_serial(self, tmp_path, pools,
+                                                             thread_pools):
         # the points of a phy.* sweep run as one job per trial, so the pool
         # is never larger than the trial count
         cfg = parse_config(_with(FAST_FED, {"fed.aggregators": '["ideal", "reed"]',
@@ -328,6 +369,7 @@ class TestSweep:
         for workers in (1, 2, 3):
             cmd_sweep(cfg, str(tmp_path / str(workers)), workers=workers)
         assert pools == [min(2, cfg["trials"]), min(3, cfg["trials"])]
+        assert thread_pools == []
         for name in ("sweep_phy.chips.csv", "sweep_phy.chips_summary.json"):
             serial = (tmp_path / "1" / name).read_bytes()
             assert (tmp_path / "2" / name).read_bytes() == serial
@@ -531,7 +573,7 @@ class TestMain:
         assert err.startswith("error: workers: must be >= 1")
         assert "Traceback" not in err
 
-    def test_config_workers_used_and_byte_identical(self, tmp_path, pools):
+    def test_config_workers_used_and_byte_identical(self, tmp_path, pools, thread_pools):
         outputs = []
         for workers, flag in ((1, []), (2, []), (2, ["--workers", "1"])):
             cfgfile = tmp_path / "workers.cfg"
@@ -541,6 +583,7 @@ class TestMain:
             outputs.append((out / "fedavg_trace.csv").read_bytes())
         # only the config's workers = 2 starts a pool; --workers overrides it
         assert pools == [2]
+        assert thread_pools == []
         assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("overrides, what", [

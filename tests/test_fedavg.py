@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -588,6 +592,53 @@ class TestStackedEvaluation:
         run_fedavg(cfg, obj, partition(ds, PartitionSpec("iid", K, seed=0)), ds)
         assert obj.uses_proxy is (kind == "mlp-proxy")
         assert calls == ["evaluate"] * (T + 1)
+
+
+# Stacked against alone at full-train sizes, in a fresh interpreter whose
+# BLAS thread count is set before NumPy loads.  At n <= 600 even one
+# stacked gradient matmul over all the models happens to be row-exact, yet
+# at n = 2000 (one thread) or n = 6000 (two) it is not, so only these sizes
+# hold _affine_grad to one matmul per model.
+_EXACT_AT_SCALE = """
+import numpy as np
+from reedsim.datasets import synth_dataset
+from reedsim.fedavg import build_objective
+from reedsim.streams import StreamKey
+
+A, K = 3, 2
+for n in (2000, 6000):
+    ds = synth_dataset("gaussian-blobs", n, seed=0, classes=10, p=20, separation=2.0)
+    # two clients whose batches span the set, the second with padding
+    batches = np.arange(n).reshape(K, -1)
+    lengths = np.array([n // K, n // K - 7])
+    for kind in ("logistic", "mlp"):
+        obj = build_objective(kind, ds, hidden=16, seed=2)
+        obj.proxy_samples = n  # the MLP's diagnostic gradient on every row
+        rng = StreamKey(11).generator()
+        params = 0.3 * rng.standard_normal((A, obj.dim))
+        losses, grads = obj.evaluate(params, None)
+        clients = 0.3 * rng.standard_normal((A * K, obj.dim))
+        stacked = obj.stacked_gradient(clients, batches, lengths)
+        for a in range(A):
+            alone_loss, alone_grad = obj.evaluate(params[a:a + 1], None)
+            assert alone_loss[0] == losses[a], ("evaluate loss", n, kind, a)
+            assert (alone_grad[0] == grads[a]).all(), ("evaluate gradient", n, kind, a)
+            rows = slice(a * K, (a + 1) * K)
+            alone = obj.stacked_gradient(clients[rows], batches, lengths)
+            assert (alone == stacked[rows]).all(), ("stacked_gradient", n, kind, a)
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_stacked_rows_exact_at_full_train_sizes(blas_threads):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "OMP_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                       os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _EXACT_AT_SCALE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _run_setups():

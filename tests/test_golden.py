@@ -1,5 +1,6 @@
 """Golden outputs: the exact bytes of five tiny run-fedavg runs, two tiny
-sweeps and one small validate-moments run.
+sweeps and one small validate-moments run, the last at every usable-core
+count and worker count.
 
 Every draw of a run comes from a fixed stream layout, so any change to how
 stream keys are derived or consumed changes these hashes.  A change that
@@ -19,6 +20,7 @@ import hashlib
 
 import pytest
 
+from reedsim import cli
 from reedsim.cli import cmd_run_fedavg, cmd_sweep, cmd_validate_moments
 from reedsim.config import parse_config
 
@@ -182,3 +184,26 @@ def test_validate_moments_bytes_pinned(tmp_path):
     assert cmd_validate_moments(cfg, str(tmp_path)) == 0
     digest = hashlib.sha256((tmp_path / "moments.csv").read_bytes()).hexdigest()
     assert digest == MOMENTS_GOLDEN
+
+
+@pytest.mark.parametrize("cores, workers", [(1, 1), (2, 1), (3, 1), (16, 1), (2, 2)])
+def test_validate_moments_bytes_any_cores_or_workers(tmp_path, monkeypatch, cores, workers):
+    # one thread per usable core at workers = 1, else worker processes
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    cfg = parse_config("seed = 7\nmoments.n_trials = 2000\nmoments.tolerance = 0.2\n")
+    assert cmd_validate_moments(cfg, str(tmp_path), workers) == 0
+    digest = hashlib.sha256((tmp_path / "moments.csv").read_bytes()).hexdigest()
+    assert digest == MOMENTS_GOLDEN
+
+
+def test_validate_moments_threads_match_serial_at_20000_trials(tmp_path, monkeypatch,
+                                                              capsys):
+    # long enough that the points' draws overlap on threads
+    cfg = parse_config("seed = 7\nmoments.n_trials = 20000\nmoments.tolerance = 0.2\n")
+    outputs = []
+    for cores in (1, 2, 16):
+        monkeypatch.setattr(cli, "_usable_cores", lambda cores=cores: cores)
+        assert cmd_validate_moments(cfg, str(tmp_path / str(cores))) == 0
+        outputs.append(((tmp_path / str(cores) / "moments.csv").read_bytes(),
+                        capsys.readouterr().out))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
