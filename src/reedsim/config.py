@@ -17,8 +17,8 @@ from typing import Any
 import numpy as np
 
 from .datasets import LabeledDataset, PartitionSpec, partition, synth_dataset
-from .estimator import ReedPhyConfig, radio_read
-from .fedavg import FedRunConfig, Objective, build_objective
+from .estimator import ReedPhyConfig
+from .fedavg import AGGREGATORS, FedRunConfig, Objective, build_objective
 from .streams import StreamKey
 
 __all__ = ["ConfigError", "SCHEMA", "parse_config", "load_config", "check_config",
@@ -68,10 +68,9 @@ SCHEMA: dict[str, tuple] = {
     "fed.schedule": (lambda x: x in ("constant", "inv_sqrt"),
                      "'constant' or 'inv_sqrt'", "inv_sqrt"),
     "fed.clip_G": (_num, "number", None),
-    "fed.aggregators": (lambda x: isinstance(x, list) and all(
-                            v in ("ideal", "reed", "coherent_csit") for v in x)
+    "fed.aggregators": (lambda x: isinstance(x, list) and all(v in tuple(AGGREGATORS) for v in x)
                         and 0 < len(set(x)) == len(x),
-                        "distinct names out of 'ideal', 'reed' and 'coherent_csit'",
+                        f"distinct names out of {', '.join(map(repr, AGGREGATORS))}",
                         ["ideal", "reed"]),
     "fed.budget": (_num, "number", None),
     "fed.model": (lambda x: x in ("quadratic", "logistic", "mlp"),
@@ -328,15 +327,15 @@ def run_objective(cfg: dict[str, Any], train: LabeledDataset, trial: int) -> Obj
 @_keyed()
 def fed_run_config(cfg: dict[str, Any], trial: int, arms: list[tuple[str, dict]]) -> FedRunConfig:
     """The run of one trial of ``cfg`` over ``arms``, (aggregator, config)
-    pairs: each arm's radio is what its aggregator reads of its config's."""
+    pairs, each arm on its config's radio."""
     # one budget, like one mean power, is shared by every client
     budgets = None if cfg["fed.budget"] is None else np.array([cfg["fed.budget"]])
     return FedRunConfig(
         Q=cfg["fed.Q"], T=cfg["fed.T"], batch_size=cfg["fed.batch_size"],
         beta0=cfg["fed.beta0"], schedule=cfg["fed.schedule"], clip_G=cfg["fed.clip_G"],
-        arms=tuple((agg, radio_read(agg, ReedPhyConfig(
+        arms=tuple((agg, ReedPhyConfig(
             eta=point["phy.eta"], noise_var=resolve_noise_var(point),
             antennas=point["phy.antennas"], mean_powers=np.array([point["phy.mean_power"]]),
-            chip_weights=np.ones(point["phy.chips"]), kappa=point["phy.kappa"])))
+            chip_weights=np.ones(point["phy.chips"]), kappa=point["phy.kappa"]))
             for agg, point in arms),
         budgets=budgets, seed=_trial_seed(cfg, trial))

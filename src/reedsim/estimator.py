@@ -43,7 +43,6 @@ __all__ = [
     "aggregate_ideal",
     "aggregate_reed",
     "aggregate_coherent_csit",
-    "radio_read",
 ]
 
 # columns superposed per block; bounds the (Ka, R, block) fading array
@@ -273,17 +272,11 @@ def aggregate_coherent_csit(increments: list[np.ndarray] | np.ndarray, cfg: Reed
                             rng: np.random.Generator) -> np.ndarray:
     """Coherent channel-inversion reference: ideal mean plus Re(z)/sqrt(eta)
     with fresh receiver noise per coordinate, drawn from ``rng``.  Reads only
-    ``cfg.eta`` and ``cfg.noise_var`` (``radio_read``): radios equal in both
-    are one run."""
+    ``cfg.eta`` and ``cfg.noise_var`` (``fedavg.AGGREGATORS``): radios equal
+    in both are one run."""
     mean = aggregate_ideal(increments)
     if cfg.noise_var == 0:
         return mean
     z = sample_noise(rng, cfg.noise_var, size=mean.size)
     return mean + z.real / np.sqrt(cfg.eta)
 
-
-def radio_read(aggregator: str, cfg: ReedPhyConfig) -> ReedPhyConfig:
-    """What ``aggregator`` reads of ``cfg``, with defaults in every other field.
-    Blind to budgets: a budgeted ``reed`` arm keeps the ``eta`` it never reads."""
-    fields = {"ideal": (), "coherent_csit": ("eta", "noise_var"), "reed": None}[aggregator]
-    return cfg if fields is None else ReedPhyConfig(**{f: getattr(cfg, f) for f in fields})

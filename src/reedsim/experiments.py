@@ -6,7 +6,7 @@ only in phy.* keys builds its data, partition and objective once and runs
 every arm of every config on them in lockstep, so the matched-seed
 contract holds by construction: neither the aggregator nor the radio ever
 perturbs data partitioning, model initialization or local minibatch order.
-Arms equal in what they read (``estimator.radio_read``) are one run.
+Arms equal in what they read (``fedavg.radio_read``) are one run.
 """
 
 from __future__ import annotations

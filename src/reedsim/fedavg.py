@@ -1,13 +1,12 @@
 """Full-participation FedAvg over pluggable aggregators.
 
 Each round: broadcast the global model, run Q local minibatch SGD steps on
-every client, form increments, aggregate (ideal mean, noncoherent
-paired-energy, or coherent channel-inversion reference), apply the server
-update and record the round's row of a trace.  A trace is one (T, F) float
-array per arm: row t is round t and column f the quantity named
-``TRACE_COLUMNS[f]``.  All randomness flows through seeded streams, so
-runs are reproducible and the aggregator choice never perturbs data order
-or model initialization.
+every client, form increments, aggregate them by each arm's round (the
+registry ``AGGREGATORS``), apply the server update and record the round's
+row of a trace.  A trace is one (T, F) float array per arm: row t is round
+t and column f the quantity named ``TRACE_COLUMNS[f]``.  All randomness
+flows through seeded streams, so runs are reproducible and the aggregator
+choice never perturbs data order or model initialization.
 
 Stream layout 5: a run builds each of its streams once, before round 0,
 and every round reads on from where the last one stopped.  Under the run
@@ -21,10 +20,10 @@ objective that reads batches, 2M per ``reed`` arm, 1 per
 T₁ rounds is the first T₁ rounds of any longer run.
 
 One run holds several arms, each an aggregator and the ``ReedPhyConfig``
-it reads (``estimator.radio_read``) with its own global model, in
-lockstep.  The local streams and minibatches do not depend on the arm,
-so they are drawn once per round for all of them, and a run of several
-arms equals each arm run alone, trace for trace: equal arms are one run.
+it reads (:func:`radio_read`) with its own global model, in lockstep.
+The local streams and minibatches do not depend on the arm, so they are
+drawn once per round for all of them, and a run of several arms equals
+each arm run alone, trace for trace: equal arms are one run.
 Arms on one radio draw the same channel values, and so do the chips two
 ``reed`` arms share.
 
@@ -55,16 +54,15 @@ its losses alone: no backward pass, and no proxy rows drawn.
 Objectives whose gradients never read the batch (``uses_batches`` False)
 draw no minibatch indices.
 
-With "reed" arms and energy budgets, every round's aggregation gain is
-formed and checked before round 0, so a run whose gains are not all
-finite and > 0 stops before its first local step, naming the first bad
-round.
+Each arm's start (``AGGREGATORS``) builds what its rounds reuse before
+round 0 and checks a budgeted ``reed`` arm's every gain, so a run whose
+gains are not all finite and > 0 stops before its first local step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -527,10 +525,55 @@ def build_objective(kind: str, data: LabeledDataset | None = None, *,
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
+def _start_ideal(phy, cfg, channel_key, K, d):
+    return lambda increments, ideal, t: (ideal, 0.0)
+
+
+def _start_coherent_csit(phy, cfg, channel_key, K, d):
+    rng = channel_key.generator()
+    return lambda increments, ideal, t: (aggregate_coherent_csit(increments, phy, rng), 0.0)
+
+
+def _start_reed(phy, cfg, channel_key, K, d):
+    """A reed arm's streams, audit denominator and checked budgeted gains."""
+    gains = None
+    if cfg.budgets is not None:
+        with np.errstate(all="ignore"):
+            numerator = _gain_numerator(cfg.budgets, K, d, phy.mean_powers)
+            gains = [_gain(numerator, phy.weight_sum, cfg.stepsize(t), cfg.Q, cfg.clip_G)
+                     for t in range(cfg.T)]
+        for t, gain in enumerate(gains):
+            if not 0 < gain < math.inf:
+                raise ValueError(f"budgets must give finite gains > 0, got {gain} at round {t}")
+    streams, kmd = chip_streams(phy, channel_key), _audit_denominator(phy, K, d)
+    def round_(increments, ideal, t):
+        radio = phy if gains is None else phy.with_eta(gains[t])
+        return aggregate_reed(increments, radio, streams), _audit(increments, radio, kmd).max()
+    return round_
+
+
+# aggregator -> (the radio fields it reads, whether budgets set its gain in
+# eta's place, its start (phy, cfg, channel_key, K, d) -> its round (increments,
+# ideal, t) -> (update, max_client_energy), which calls aggregate_* by name)
+AGGREGATORS = {
+    "ideal": ((), False, _start_ideal),
+    "reed": (tuple(f.name for f in fields(ReedPhyConfig) if f.init), True, _start_reed),
+    "coherent_csit": (("eta", "noise_var"), False, _start_coherent_csit),
+}
+
+
+def radio_read(aggregator: str, phy: ReedPhyConfig, budgets=None) -> ReedPhyConfig:
+    """What ``aggregator`` reads of ``phy``, with defaults in every other
+    field; none of ``eta`` if ``budgets``, when set, give its gain."""
+    reads, budgeted, _ = AGGREGATORS[aggregator]
+    return ReedPhyConfig(**{f: getattr(phy, f) for f in reads
+                            if not (budgeted and budgets is not None and f == "eta")})
+
+
 @dataclass(frozen=True)
 class FedRunConfig:
     """One FedAvg run: protocol sizes, stepsizes and arms, each an
-    aggregator and the radio it reads."""
+    aggregator and what it reads of its radio (equal arms compare equal)."""
 
     Q: int
     T: int
@@ -550,12 +593,13 @@ class FedRunConfig:
             raise ValueError(f"beta0 must be finite and > 0, got {self.beta0}")
         if self.schedule not in ("constant", "inv_sqrt"):
             raise ValueError(f"schedule must be 'constant' or 'inv_sqrt', got {self.schedule!r}")
-        object.__setattr__(self, "arms", tuple(self.arms))
         if not self.arms or not all(
                 isinstance(arm, tuple) and len(arm) == 2 and isinstance(arm[1], ReedPhyConfig)
-                and arm[0] in ("ideal", "reed", "coherent_csit") for arm in self.arms):
+                and arm[0] in tuple(AGGREGATORS) for arm in self.arms):
             raise ValueError("arms must be (aggregator, ReedPhyConfig) pairs, each aggregator "
-                             f"'ideal', 'reed' or 'coherent_csit', got {self.arms!r}")
+                             f"one of {', '.join(map(repr, AGGREGATORS))}, got {self.arms!r}")
+        object.__setattr__(self, "arms", tuple((name, radio_read(name, phy, self.budgets))
+                                               for name, phy in self.arms))
         if self.budgets is not None:
             object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float))
             if not ((self.budgets > 0) & (self.budgets < np.inf)).all():
@@ -667,9 +711,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
 
     There is one client per partition.  The arms run in lockstep on one set
     of minibatches, each with its own model; a run of several equals each
-    arm run alone.  With "reed" and budgets set, the aggregation gain is
-    rescheduled every round from the round's stepsize; a run whose gains
-    are not all finite and > 0 stops before its first round.
+    arm run alone.
     """
     K = len(partitions)
     if K == 0:
@@ -679,28 +721,11 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     w = objective.init_params(root.child(_DOM_INIT))
     d = objective.dim
     stack = np.repeat(w[None], A, axis=0)  # row a: arm a's model
-    # each arm's parts that no round changes: its audit's denominator and,
-    # for a budgeted reed arm, every round's gain, checked before round 0
-    kmds = [_audit_denominator(phy, K, d) for _, phy in cfg.arms]
-    gains = [None] * A
-    for a, (name, phy) in enumerate(cfg.arms):
-        if name == "reed" and cfg.budgets is not None:
-            with np.errstate(all="ignore"):
-                numerator = _gain_numerator(cfg.budgets, K, d, phy.mean_powers)
-                gains[a] = [_gain(numerator, phy.weight_sum, cfg.stepsize(t), cfg.Q, cfg.clip_G)
-                            for t in range(cfg.T)]
-            for t, gain in enumerate(gains[a]):
-                if not 0 < gain < math.inf:
-                    raise ValueError(f"budgets must give finite gains > 0, got {gain} "
-                                     f"at round {t}")
-
     # every stream of the run, built once and read round after round
     local_key, channel_key = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
     client_rngs = [local_key.generator(k) for k in range(K)] if objective.uses_batches else None
     proxy_rng = local_key.generator(K) if objective.uses_proxy else None
-    channels = [chip_streams(phy, channel_key) if name == "reed" else
-                channel_key.generator() if name == "coherent_csit" else None
-                for name, phy in cfg.arms]
+    rounds = [AGGREGATORS[name][-1](phy, cfg, channel_key, K, d) for name, phy in cfg.arms]
 
     grads = objective.evaluate(stack, proxy_rng)[1]
     # row t of trace[a] is arm a's round t; test_acc stays 0 without test data
@@ -730,17 +755,10 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                 step *= beta
                 local -= step
 
-            for a, (name, phy) in enumerate(cfg.arms):
+            for a, round_ in enumerate(rounds):
                 increments = local[a * K:(a + 1) * K] - stack[a]
                 ideal = aggregate_ideal(increments)
-                if name == "reed":
-                    phy = phy if gains[a] is None else phy.with_eta(gains[a][t])
-                    update = aggregate_reed(increments, phy, channels[a])
-                    max_energy[a] = _audit(increments, phy, kmds[a]).max()
-                elif name == "coherent_csit":
-                    update = aggregate_coherent_csit(increments, phy, channels[a])
-                else:
-                    update = ideal
+                update, max_energy[a] = round_(increments, ideal, t)
                 eps = update - ideal
                 stack[a] += update
                 eps_norm_sq[a] = eps @ eps

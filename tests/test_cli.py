@@ -471,6 +471,8 @@ BAD_INPUTS = [
     # a repeated value would rerun its trials and share one summary key
     ({"fed.aggregators": '["ideal", "ideal"]'}, "run-fedavg", "fed.aggregators"),
     ({"fed.aggregators": '["ideal", "bogus"]'}, "run-fedavg", "fed.aggregators"),
+    # a name the registry cannot even look up, being unhashable
+    ({"fed.aggregators": '[["reed"]]'}, "run-fedavg", "fed.aggregators"),
     ({"sweep.key": '"phy.chips"', "sweep.values": "[1, 1]"}, "sweep", "sweep.values"),
     ({"sweep.key": '"phy.snr_db"', "sweep.values": "[1, 1.0]"}, "sweep", "sweep.values"),
     # one key per quantity, set or swept: snr_db sets the noise variance

@@ -11,7 +11,7 @@ from reedsim import (channel, cli, config, datasets, estimator, experiments, fed
 from reedsim.channel import sample_fading, sample_general_fading, sample_noise
 from reedsim.estimator import (_BLOCK, ReedPhyConfig, ScalarInputs,
                                aggregate_coherent_csit, aggregate_ideal,
-                               aggregate_reed, chip_streams, radio_read, sample_estimates)
+                               aggregate_reed, chip_streams, sample_estimates)
 from reedsim.moments import variance_chip
 from reedsim.streams import StreamKey
 
@@ -451,17 +451,6 @@ class TestAggregators:
         draws = aggregate_coherent_csit(np.zeros((1, n)), cfg, KEY.generator(13, int(eta)))
         # 1e5 draws: CLT band at relative ~0.9%; tolerances from the contract
         assert abs(draws.var() - target) < 2 * tol * target
-
-    def test_radio_read_is_what_each_aggregator_reads(self):
-        cfg = ReedPhyConfig(eta=3.0, noise_var=0.5, mean_powers=[0.5, 2.0],
-                            chip_weights=[1.0, 0.5], antennas=2, kappa=3.0)
-        assert radio_read("ideal", cfg) == ReedPhyConfig()
-        assert radio_read("coherent_csit", cfg) == ReedPhyConfig(eta=3.0, noise_var=0.5)
-        assert radio_read("reed", cfg) == cfg
-        inc = KEY.child(14).generator().normal(size=(2, 50))
-        assert np.array_equal(aggregate_coherent_csit(inc, cfg, KEY.generator(15)),
-                              aggregate_coherent_csit(inc, radio_read("coherent_csit", cfg),
-                                                      KEY.generator(15)))
 
     def test_coherent_eta_validation(self):
         # the coherent aggregator reads eta from the config, which rejects it

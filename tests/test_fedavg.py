@@ -11,10 +11,10 @@ from reedsim import experiments, fedavg, moments
 from reedsim.config import parse_config
 from reedsim.datasets import PartitionSpec, partition, synth_dataset
 from reedsim.channel import sample_noise
-from reedsim.estimator import ReedPhyConfig, aggregate_ideal
+from reedsim.estimator import ReedPhyConfig, aggregate_coherent_csit, aggregate_ideal
 from reedsim.fedavg import (TRACE_COLUMNS, FedRunConfig, LogisticObjective, MlpObjective,
                             QuadraticObjective, _accuracy, _round_batches, build_objective,
-                            clip_gradient, local_round, run_fedavg)
+                            clip_gradient, local_round, radio_read, run_fedavg)
 from reedsim.streams import StreamKey
 
 from reference import arms, column
@@ -743,6 +743,44 @@ phy.noise_var = 0.5
             for name in alone:
                 assert np.array_equal(together[name], alone[name])
 
+    def test_budgeted_eta_group_runs_one_reed_arm(self, monkeypatch):
+        # with fed.budget set, reed's gain is the budget's and it reads no
+        # eta: a three-point phy.eta group runs one reed arm, while
+        # coherent_csit, which reads eta, runs one arm per value
+        runs = []
+        run = experiments.run_fedavg
+        monkeypatch.setattr(experiments, "run_fedavg",
+                            lambda cfg, *a: runs.append(cfg.arms) or run(cfg, *a))
+        cfg = parse_config("""
+fed.K = 3
+fed.Q = 2
+fed.T = 3
+fed.batch_size = 8
+fed.clip_G = 1.0
+fed.budget = 0.5
+data.synth_n = 60
+data.test_n = 20
+data.classes = 3
+data.features = 4
+phy.noise_var = 0.5
+""")
+        for aggregators, coherent in ((["ideal", "reed"], 0),
+                                      (["ideal", "reed", "coherent_csit"], 3)):
+            points = [{**cfg, "fed.aggregators": aggregators, "phy.eta": eta}
+                      for eta in (1.0, 50.0, 300.0)]
+            runs.clear()
+            traces = experiments.run_trial(points, 0)
+            names = [name for name, _ in runs[0]]
+            assert (names.count("ideal"), names.count("reed"),
+                    names.count("coherent_csit")) == (1, 1, coherent)
+            # each point's traces are those of the point run alone, byte
+            # for byte
+            for point, together in zip(points, traces):
+                [alone] = experiments.run_trial([point], 0)
+                assert list(together) == list(alone)
+                for name in alone:
+                    assert together[name].tobytes() == alone[name].tobytes()
+
     def test_mlp_proxy_rows_drawn_once_per_round(self, monkeypatch):
         # every arm evaluates model state s in one call, so the proxy rows
         # are drawn once per state, not once per arm, from the one stream
@@ -779,6 +817,30 @@ phy.noise_var = 0.5
             with pytest.raises(RuntimeError, match=f"^{message} after round 0$"):
                 run_fedavg(replace(cfg, arms=run_arms), build_objective("logistic", ds),
                            parts, ds)
+
+    def test_radio_read_is_what_each_aggregator_reads(self):
+        cfg = ReedPhyConfig(eta=3.0, noise_var=0.5, mean_powers=[0.5, 2.0],
+                            chip_weights=[1.0, 0.5], antennas=2, kappa=3.0)
+        assert radio_read("ideal", cfg) == ReedPhyConfig()
+        assert radio_read("coherent_csit", cfg) == ReedPhyConfig(eta=3.0, noise_var=0.5)
+        assert radio_read("reed", cfg) == cfg
+        key = StreamKey(271828)
+        inc = key.child(14).generator().normal(size=(2, 50))
+        assert np.array_equal(aggregate_coherent_csit(inc, cfg, key.generator(15)),
+                              aggregate_coherent_csit(inc, radio_read("coherent_csit", cfg),
+                                                      key.generator(15)))
+        # under budgets reed's gain is the budgets', so it reads every field
+        # but eta, which takes its default; the others read what they did
+        budgets = np.ones(2)
+        assert radio_read("reed", cfg, budgets) == replace(cfg, eta=ReedPhyConfig().eta)
+        for name in ("ideal", "coherent_csit"):
+            assert radio_read(name, cfg, budgets) == radio_read(name, cfg)
+        # and a run config holds its arms' reads, budgeted or not
+        for run_budgets in (None, budgets):
+            run = FedRunConfig(Q=1, T=1, batch_size=4, beta0=0.1, clip_G=1.0,
+                               arms=arms(*self.AGGREGATORS, phy=cfg), budgets=run_budgets)
+            assert run.arms == tuple((name, radio_read(name, cfg, run_budgets))
+                                     for name in self.AGGREGATORS)
 
     @pytest.mark.parametrize("aggregators", [
         (), (("ideal", ReedPhyConfig()), ("bogus", ReedPhyConfig())), ("reed", "reed"), "reed"])
@@ -890,6 +952,26 @@ data.features = 4
             eps = sample_noise(noise, phy.noise_var, size=obj.dim).real / np.sqrt(phy.eta)
             assert column(coherent_trace[t], "eps_norm_sq") == pytest.approx(eps @ eps, rel=1e-9)
         assert (column(ideal_trace, "eps_norm_sq") == 0).all()
+
+    def test_reed_rounds_call_the_module_aggregate_reed(self, monkeypatch):
+        # every round of a reed arm calls fedavg.aggregate_reed, looked up
+        # when the round runs, as the benchmark's tracer wraps it: once per
+        # round, always on the one streams list its run built
+        calls = []
+        reed = fedavg.aggregate_reed
+        monkeypatch.setattr(fedavg, "aggregate_reed", lambda inc, phy, streams: (
+            calls.append(streams) or reed(inc, phy, streams)))
+        ds, parts = _blob_setup(K=3)
+        obj = build_objective("logistic", ds)
+        T = 4
+        phy = ReedPhyConfig(eta=3.0, noise_var=0.5, chip_weights=np.ones(2))
+        cfg = FedRunConfig(Q=1, T=T, batch_size=16, beta0=0.1, seed=6,
+                           arms=arms("reed", "ideal", phy=phy))
+        traced = run_fedavg(cfg, obj, parts, ds)
+        assert len(calls) == T and all(streams is calls[0] for streams in calls)
+        assert len(calls[0]) == phy.n_chips
+        monkeypatch.undo()
+        assert np.array_equal(run_fedavg(cfg, obj, parts, ds), traced)
 
 
 class TestStreamLayout:
