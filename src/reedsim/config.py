@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .datasets import LabeledDataset, PartitionSpec, partition, synth_dataset
+from .datasets import LabeledDataset, PartitionSpec, _allocating, partition, synth_dataset
 from .estimator import ReedPhyConfig
 from .fedavg import AGGREGATORS, FedRunConfig, Objective, build_objective
 from .streams import StreamKey
@@ -267,7 +267,8 @@ _FIELD_KEYS = {
     "antennas": "phy.antennas", "kappa": "phy.kappa", "K": "fed.K", "Q": "fed.Q",
     "T": "fed.T", "batch_size": "fed.batch_size", "beta0": "fed.beta0",
     "arms": "fed.aggregators", "budgets": "fed.budget", "clip_G": "fed.clip_G",
-    "hidden": "fed.hidden", "d": "fed.quad_dim",
+    "hidden": "fed.hidden", "d": "fed.quad_dim", "chips": "phy.chips",
+    "n_trials": "moments.n_trials",
     "curvature_range": "fed.quad_curv_min, fed.quad_curv_max",
     "alpha": "data.alpha", "classes": "data.classes", "n_classes": "data.classes",
     "p": "data.features", "separation": "data.separation", "means": "data.classes, data.features",
@@ -324,6 +325,12 @@ def run_objective(cfg: dict[str, Any], train: LabeledDataset, trial: int) -> Obj
         n_classes=cfg["data.classes"])
 
 
+def _chip_weights(chips: int) -> np.ndarray:
+    """Unit weights for ``chips`` chips, a count NumPy may refuse."""
+    with _allocating("chips"):
+        return np.ones(chips)
+
+
 @_keyed()
 def fed_run_config(cfg: dict[str, Any], trial: int, arms: list[tuple[str, dict]]) -> FedRunConfig:
     """The run of one trial of ``cfg`` over ``arms``, (aggregator, config)
@@ -336,6 +343,6 @@ def fed_run_config(cfg: dict[str, Any], trial: int, arms: list[tuple[str, dict]]
         arms=tuple((agg, ReedPhyConfig(
             eta=point["phy.eta"], noise_var=resolve_noise_var(point),
             antennas=point["phy.antennas"], mean_powers=np.array([point["phy.mean_power"]]),
-            chip_weights=np.ones(point["phy.chips"]), kappa=point["phy.kappa"]))
+            chip_weights=_chip_weights(point["phy.chips"]), kappa=point["phy.kappa"]))
             for agg, point in arms),
         budgets=budgets, seed=_trial_seed(cfg, trial))

@@ -159,10 +159,13 @@ def _superposed_energy(rng: np.random.Generator, part: np.ndarray, c: float,
     for start in range(0, n, _BLOCK):
         cols = slice(start, min(start + _BLOCK, n))
         w = cols.stop - start
-        z = sample_noise(rng, cfg.noise_var, (R, w))
         size = (Ka, R, w)
-        h = (sample_fading(rng, powers[:, None, None], size) if cfg.kappa == 2.0 else
-             sample_general_fading(rng, powers[:, None, None], cfg.kappa, size))
+        try:
+            z = sample_noise(rng, cfg.noise_var, (R, w))
+            h = (sample_fading(rng, powers[:, None, None], size) if cfg.kappa == 2.0 else
+                 sample_general_fading(rng, powers[:, None, None], cfg.kappa, size))
+        except MemoryError as exc:  # w and Ka are bounded, so R is what fails
+            raise ValueError(f"antennas too large: {exc}") from None
         y = (h * amps[:, None, cols]).sum(axis=0) + z
         out[cols] = (y.real**2 + y.imag**2).sum(axis=0)
     return out
@@ -201,7 +204,10 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
     total = np.zeros(n)
     rayleigh = cfg.kappa == 2.0
     if rayleigh:
-        energy = np.empty((cfg.antennas, n))
+        try:
+            energy = np.empty((cfg.antennas, n))
+        except MemoryError as exc:  # n fits in total, so R is what fails
+            raise ValueError(f"antennas too large: {exc}") from None
         # each branch's column sums, taken once per call; the means are >= 0
         # by construction: the parts are >= 0, and eta, c and noise_var were
         # checked by ReedPhyConfig

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import (ConfigError, _keyed, client_partition, fed_run_config,
                      run_objective, synth_data)
-from .datasets import LabeledDataset, load_idx_dataset
+from .datasets import LabeledDataset, _allocating, load_idx_dataset
 from .estimator import ReedPhyConfig, ScalarInputs, sample_estimates
 from .fedavg import run_fedavg
 from .moments import variance_chip
@@ -106,8 +106,9 @@ def validate_point(point: MomentPoint, n_trials: int, tolerance: float,
     variance)."""
     cf = variance_chip(point.inputs, point.cf_cfg or point.cfg)
     stream_id = zlib.crc32(point.point_id.encode()) & 0x7FFFFFFF
-    draws = sample_estimates(point.inputs, point.cfg,
-                             StreamKey(seed).child(stream_id), n_trials)
+    with _keyed(), _allocating("n_trials"):
+        draws = sample_estimates(point.inputs, point.cfg,
+                                 StreamKey(seed).child(stream_id), n_trials)
     mc_mean = float(draws.mean())
     # draws.var(ddof=1) on the draws' own memory: np.var's operations in its
     # order, so the same bits without its n-long temporary

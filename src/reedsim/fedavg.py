@@ -69,7 +69,7 @@ import numpy as np
 from .estimator import (ReedPhyConfig, aggregate_coherent_csit, aggregate_ideal,
                         aggregate_reed, chip_streams)
 from .datasets import LabeledDataset, _allocating
-from .moments import _audit, _audit_denominator, _gain, _gain_numerator
+from .moments import _audit, _audit_denominator, eta_schedule
 from .streams import StreamKey
 
 __all__ = [
@@ -538,13 +538,10 @@ def _start_reed(phy, cfg, channel_key, K, d):
     """A reed arm's streams, audit denominator and checked budgeted gains."""
     gains = None
     if cfg.budgets is not None:
-        with np.errstate(all="ignore"):
-            numerator = _gain_numerator(cfg.budgets, K, d, phy.mean_powers)
-            gains = [_gain(numerator, phy.weight_sum, cfg.stepsize(t), cfg.Q, cfg.clip_G)
-                     for t in range(cfg.T)]
-        for t, gain in enumerate(gains):
-            if not 0 < gain < math.inf:
-                raise ValueError(f"budgets must give finite gains > 0, got {gain} at round {t}")
+        with _allocating("T"):
+            betas = np.fromiter(map(cfg.stepsize, range(cfg.T)), float, cfg.T)
+        gains = eta_schedule(cfg.budgets, K, d, phy.mean_powers, phy.weight_sum, betas,
+                             cfg.Q, cfg.clip_G).tolist()  # floats: cheaper to read per round
     streams, kmd = chip_streams(phy, channel_key), _audit_denominator(phy, K, d)
     def round_(increments, ideal, t):
         radio = phy if gains is None else phy.with_eta(gains[t])
@@ -729,7 +726,8 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
 
     grads = objective.evaluate(stack, proxy_rng)[1]
     # row t of trace[a] is arm a's round t; test_acc stays 0 without test data
-    trace = np.zeros((A, cfg.T, len(TRACE_COLUMNS)))
+    with _allocating("T"):
+        trace = np.zeros((A, cfg.T, len(TRACE_COLUMNS)))
 
     # a diverging run overflows; the checks below name what went non-finite
     # instead of letting NumPy warn about every step on the way
@@ -742,11 +740,14 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             # the minibatches do not depend on the arm; row a·K + k of the
             # (A·K)-row stack is client k under arm a, and every arm reads
             # the same K batches
-            if objective.uses_batches:
-                batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
-                                                  client_rngs)
-            else:
-                batches = lengths = [None] * cfg.Q
+            try:
+                if objective.uses_batches:
+                    batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
+                                                      client_rngs)
+                else:
+                    batches = lengths = [None] * cfg.Q
+            except MemoryError as exc:  # Q sizes every round's batches: round 0 fails
+                raise ValueError(f"Q too large: {str(exc) or 'out of memory'}") from None
             local = np.repeat(stack, K, axis=0)
             for q in range(cfg.Q):
                 # in place: stacked_gradient returns a new array, and local is a copy

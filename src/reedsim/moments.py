@@ -6,8 +6,8 @@ paired-energy estimator, split into self-noise, signal-noise and receiver
 noise, for any chip weights, antenna count and fading fourth-moment ratio
 kappa; the single-shot Rayleigh estimator is its one-chip, one-antenna,
 kappa = 2 case.  The aggregation-error second-moment bound reads the same
-coefficients.  The energy-feasible gain schedule and the stationarity
-bound complete the module.
+coefficients.  The energy-feasible gain schedule, every round's gain of
+a FedAvg run in one call, and the stationarity bound complete the module.
 """
 
 from __future__ import annotations
@@ -121,36 +121,29 @@ def sigma_air_bound(beta: float, Q: int, G: float, d: int, eta: float,
     return self_coef * bqg**2 + signal_coef * np.sqrt(d) * bqg + d * receiver_noise
 
 
-def eta_schedule(budgets, K: int, d: int, mean_powers, C_M: float, beta: float,
-                 Q: int, G: float) -> float:
-    """Largest gain feasible for every client's average-energy budget:
-    min_k E_k K sqrt(d) mu_k^2 / (C_M beta Q G)."""
+def eta_schedule(budgets, K: int, d: int, mean_powers, C_M: float, beta,
+                 Q: int, G: float):
+    """Largest gain feasible for every client's average-energy budget,
+    min_k E_k K sqrt(d) mu_k^2 / (C_M beta Q G): a float at one stepsize
+    ``beta``, or an array at an array of them, round t's at index t.  The
+    min before dividing by the positive denominator is the same float, as
+    rounded division is monotone.  One budget or mean power serves every
+    client; numpy rejects lengths that neither match nor are 1."""
     E = np.atleast_1d(np.asarray(budgets, dtype=float))
     mu2 = np.atleast_1d(np.asarray(mean_powers, dtype=float))
-    _check(budgets=E, mean_powers=mu2, C_M=C_M, beta=beta, G=G)
+    betas = np.asarray(beta, dtype=float)
+    _check(budgets=E, mean_powers=mu2, C_M=C_M, G=G)
+    _check(strict=False, beta=betas)
     if K < 1 or d < 1 or Q < 1:
         raise ValueError(f"K, d and Q must be >= 1, got {K}, {d} and {Q}")
-    return _gain(_gain_numerator(E, K, d, mu2), C_M, beta, Q, G)
-
-
-# The unchecked cores below let a FedAvg run form the per-run parts once and
-# reuse them every round.  Its inputs are checked by the configs that hold
-# them, and it checks every round's gain itself before the first round.
-
-def _gain_numerator(E: np.ndarray, K: int, d: int, mu2: np.ndarray) -> np.float64:
-    """min_k E_k K sqrt(d) mu_k^2, the part of the gain fixed for a run.
-
-    One budget or mean power is shared by every client; numpy rejects
-    lengths that neither match nor are 1.  A numpy scalar, so that a
-    denominator that underflows to 0 gives inf, not ZeroDivisionError."""
-    return np.min(E * K * np.sqrt(d) * mu2)
-
-
-def _gain(numerator: np.float64, C_M: float, beta: float, Q: int, G: float) -> float:
-    """The gain from its per-run numerator.  Taking the min before dividing
-    by the positive C_M beta Q G gives the same float: correctly rounded
-    division by a positive number is monotone."""
-    return float(numerator / (C_M * beta * Q * G))
+    with np.errstate(all="ignore"):
+        gains = np.min(E * K * np.sqrt(d) * mu2) / (C_M * betas * Q * G)
+    # a stepsize of 0 gives an infinite gain; NaN fails both comparisons
+    bad = np.flatnonzero(~((0 < gains) & (gains < np.inf)))
+    if bad.size:
+        raise ValueError(f"budgets must give finite gains > 0, got {gains.flat[bad[0]]} "
+                         f"at round {bad[0]}")
+    return gains if gains.ndim else float(gains)
 
 
 def energy_audit(increments, cfg: ReedPhyConfig) -> np.ndarray:

@@ -427,6 +427,16 @@ BAD_INPUTS = [
     ({"data.synth_n": "1" + "0" * 15}, "run-fedavg", "data.synth_n, data.test_n"),
     ({"fed.model": '"quadratic"', "fed.quad_dim": "1" + "0" * 15}, "run-fedavg", "fed.quad_dim"),
     ({"fed.model": '"mlp"', "fed.hidden": "1" + "0" * 15}, "run-fedavg", "fed.hidden"),
+    # and the trace, the stepsizes, a round's batches, the chip weights, the
+    # kernel's rows per antenna and the moment draws
+    *(({**overrides, "fed.T": "1" + "0" * 15}, "run-fedavg", "fed.T")
+      for overrides in ({}, BUDGETED)),
+    *(({"fed.model": model, "fed.Q": "1" + "0" * 15}, "run-fedavg", "fed.Q")
+      for model in ('"logistic"', '"quadratic"')),
+    ({"phy.chips": "1" + "0" * 15}, "run-fedavg", "phy.chips"),
+    *(({"fed.aggregators": '["reed"]', "phy.kappa": kappa, "phy.antennas": "1" + "0" * 15},
+       "run-fedavg", "phy.antennas") for kappa in ("2", "3")),
+    ({"moments.n_trials": "1" + "0" * 15}, "validate-moments", "moments.n_trials"),
     # a model's keys are checked whichever model runs
     ({"fed.hidden": "-4"}, "run-fedavg", "fed.hidden"),
     ({"fed.quad_dim": "0"}, "run-fedavg", "fed.quad_dim"),

@@ -216,13 +216,15 @@ class TestRunFedavg:
             assert column(t, "max_client_energy") <= 1.0 + 1e-12
 
     def test_budgeted_reed_checks_once_per_run(self, monkeypatch):
-        # every gain is formed and checked at the run's start from the
-        # unchecked cores, whose inputs the configs checked, and the round
-        # loop reuses the audit's denominator: no round calls the checks
+        # every gain is formed and checked at the run's start by one
+        # eta_schedule call over the run's stepsizes, and the round loop
+        # reuses the audit's denominator: no round calls the checks
         calls = []
         check = moments._check
         monkeypatch.setattr(moments, "_check",
                             lambda *a, **kw: calls.append(1) or check(*a, **kw))
+        moments.eta_schedule(np.ones(3), 3, 4, np.ones(1), 1.0, np.full(3, 0.05), 2, 1.0)
+        one_call = len(calls)
         obj = build_objective("quadratic", d=4, curvature_range=(0.5, 2.0), seed=1)
         counts = []
         for T in (3, 12):
@@ -232,7 +234,7 @@ class TestRunFedavg:
                                budgets=np.ones(3))
             run_fedavg(cfg, obj, [np.arange(5)] * 3)
             counts.append(len(calls))
-        assert counts[0] == counts[1] == 0
+        assert counts[0] == counts[1] == one_call > 0
 
     def test_bad_middle_gain_rejected_before_the_first_step(self, monkeypatch):
         # a stepsize of 0 at round 2 alone gives that round an infinite gain;
@@ -566,7 +568,8 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("kind", KINDS)
     def test_run_path_uses_only_the_stacked_api(self, monkeypatch, kind):
         # each of the model states 0 .. T is evaluated by one evaluate call;
-        # run_fedavg itself calls no single-model method and no checked gain
+        # run_fedavg itself calls no single-model method, and the gains come
+        # from one eta_schedule call before round 0
         obj, ds, _ = self._setup(kind)
         cls = type(obj)
         calls, depth = [], [0]
@@ -583,15 +586,16 @@ class TestStackedEvaluation:
                 finally:
                     depth[0] -= 1
             monkeypatch.setattr(cls, name, spy)
-        monkeypatch.setattr(moments, "eta_schedule",
-                            lambda *a: calls.append("eta_schedule"))
+        schedule = fedavg.eta_schedule
+        monkeypatch.setattr(fedavg, "eta_schedule",
+                            lambda *a: calls.append("eta_schedule") or schedule(*a))
         K, T = 3, 3
         cfg = FedRunConfig(Q=1, T=T, batch_size=8, beta0=0.05, schedule="inv_sqrt",
                            clip_G=1.0, arms=arms("ideal", "reed"), budgets=np.ones(K),
                            seed=2)
         run_fedavg(cfg, obj, partition(ds, PartitionSpec("iid", K, seed=0)), ds)
         assert obj.uses_proxy is (kind == "mlp-proxy")
-        assert calls == ["evaluate"] * (T + 1)
+        assert calls == ["eta_schedule"] + ["evaluate"] * (T + 1)
 
 
 # Stacked against alone at full-train sizes, in a fresh interpreter whose

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from reedsim.estimator import ReedPhyConfig, ScalarInputs
 from reedsim.fedavg import FedRunConfig
-from reedsim.moments import (ConvergenceConstants, _audit, _audit_denominator, _gain,
-                             _gain_numerator, energy_audit, eta_schedule, sigma_air_bound,
-                             theorem_bound_rhs, variance_chip)
+from reedsim.moments import (ConvergenceConstants, _audit, _audit_denominator, energy_audit,
+                             eta_schedule, sigma_air_bound, theorem_bound_rhs, variance_chip)
 from reedsim.streams import StreamKey
 
 inputs_strategy = st.lists(
@@ -177,22 +176,24 @@ def _per_client(data, K):
 
 
 class TestPerRunCores:
-    """A FedAvg run computes these parts once and reuses them every round;
-    the result must equal the public functions bit for bit."""
+    """A FedAvg run forms these once, before round 0, and reuses them every
+    round; the result must equal the public functions bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), K=st.integers(1, 8), d=st.integers(1, 10**6),
            Q=st.integers(1, 50), C_M=_positive, G=_positive, beta0=_positive,
            schedule=st.sampled_from(["constant", "inv_sqrt"]))
-    def test_gain_from_run_numerator_is_eta_schedule(self, data, K, d, Q, C_M, G, beta0,
-                                                     schedule):
+    def test_schedule_over_stepsizes_is_each_scalar_call(self, data, K, d, Q, C_M, G, beta0,
+                                                         schedule):
         E, mu2 = _per_client(data, K), _per_client(data, K)
-        numerator = _gain_numerator(E, K, d, mu2)
         fed = FedRunConfig(Q=Q, T=1, batch_size=1, beta0=beta0, schedule=schedule)
-        for t in (0, 1, 2, 7, 99, 12345):
+        rounds = (0, 1, 2, 7, 99, 12345)
+        etas = eta_schedule(E, K, d, mu2, C_M, np.array([fed.stepsize(t) for t in rounds]),
+                            Q, G)
+        assert etas.shape == (len(rounds),)
+        for t, eta in zip(rounds, etas):
             beta = fed.stepsize(t)
-            eta = eta_schedule(E, K, d, mu2, C_M, beta, Q, G)
-            assert _gain(numerator, C_M, beta, Q, G) == eta
+            assert eta_schedule(E, K, d, mu2, C_M, beta, Q, G) == eta
             # the min taken after dividing each client's term, as written
             assert np.min(E * K * np.sqrt(d) * mu2 / (C_M * beta * Q * G)) == eta
 
