@@ -197,10 +197,8 @@ def check_config(cfg: dict[str, Any]) -> None:
     """Validate a filled-in config: the rules no constructor owns, then the
     typed objects of a trial, built on no data."""
     _cross_validate(cfg)
-    # each synthetic key's own rules hold whatever the source, but only
-    # synthetic data draws its class means
-    kind = cfg["data.synth_kind"] if cfg["data.source"] == "synth" else "quadratic-free"
-    synth_data({**cfg, "data.synth_kind": kind}, 0, 0)
+    # each synthetic key's own rules hold whatever the source or kind
+    synth_data(cfg, 0, 0)
     _partition_spec(cfg, 0)
     run_objective(cfg, LabeledDataset(np.zeros((0, 1)), np.zeros(0)), 0)
     fed_run_config(cfg, 0, [(agg, cfg) for agg in cfg["fed.aggregators"]])
@@ -215,11 +213,11 @@ def _cross_validate(cfg: dict[str, Any]) -> None:
         raise ConfigError(f"moments.tolerance: must be > 0, got {cfg['moments.tolerance']}")
     # the relations of the synthetic keys bind only the data they build
     if cfg["data.source"] == "synth":
-        if cfg["data.synth_n"] < cfg["fed.K"]:
+        if cfg["data.synth_kind"] == "gaussian-blobs" and cfg["data.synth_n"] < cfg["fed.K"]:
             raise ConfigError("data.synth_n: must be >= fed.K")
         if cfg["data.synth_kind"] == "quadratic-free" and cfg["fed.model"] != "quadratic":
-            raise ConfigError("data.synth_kind: 'quadratic-free' builds all-zero rows with "
-                              f"one label, nothing to train fed.model = {cfg['fed.model']!r} on")
+            raise ConfigError("data.synth_kind: 'quadratic-free' builds no data, nothing "
+                              f"to train fed.model = {cfg['fed.model']!r} on")
     if cfg["data.source"] == "idx":
         for key in ("data.idx_images", "data.idx_labels"):
             if cfg[key] is None:
@@ -296,9 +294,8 @@ def _trial_seed(cfg: dict[str, Any], trial: int) -> int:
 
 @_keyed()
 def synth_data(cfg: dict[str, Any], n: int, trial: int) -> LabeledDataset:
-    return synth_dataset(cfg["data.synth_kind"], n, seed=_trial_seed(cfg, trial),
-                         classes=cfg["data.classes"], p=cfg["data.features"],
-                         separation=cfg["data.separation"])
+    return synth_dataset(n, seed=_trial_seed(cfg, trial), classes=cfg["data.classes"],
+                         p=cfg["data.features"], separation=cfg["data.separation"])
 
 
 @_keyed()
@@ -316,7 +313,7 @@ def client_partition(cfg: dict[str, Any], train: LabeledDataset,
 
 
 @_keyed()
-def run_objective(cfg: dict[str, Any], train: LabeledDataset, trial: int) -> Objective:
+def run_objective(cfg: dict[str, Any], train: LabeledDataset | None, trial: int) -> Objective:
     # each model reads its own fields, and build_objective checks them all
     return build_objective(
         cfg["fed.model"], train, d=cfg["fed.quad_dim"],

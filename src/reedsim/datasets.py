@@ -1,6 +1,6 @@
 """Dataset ingestion and client partitioning.
 
-IDX binary parsing, synthetic generators, and IID / label-aware
+IDX binary parsing, a Gaussian-blob generator, and IID / label-aware
 Dirichlet partitioners.  Datasets are immutable after construction and
 safe to share across workers.
 """
@@ -182,28 +182,19 @@ def _allocating(name: str):
     try:
         yield
     except (MemoryError, ValueError) as exc:
-        raise ValueError(f"{name} too large: {exc}") from None
+        raise ValueError(f"{name} too large: {str(exc) or 'out of memory'}") from None
 
 
-def synth_dataset(kind: str, n: int, seed: int, classes: int = 2, p: int = 2,
+def synth_dataset(n: int, seed: int, classes: int = 2, p: int = 2,
                   separation: float = 1.0) -> LabeledDataset:
-    """Reproducible synthetic data.
-
-    "gaussian-blobs": unit-variance clusters around class means drawn
-    N(0, separation^2 I); linearly separable at large separation.
-    "quadratic-free": placeholder rows for dataset-free objectives.
-
-    Every field is checked, whichever kind reads it.
-    """
+    """Reproducible Gaussian blobs: unit-variance clusters around class
+    means drawn N(0, separation^2 I); linearly separable at large
+    separation."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if kind not in ("gaussian-blobs", "quadratic-free"):
-        raise ValueError(f"kind must be 'gaussian-blobs' or 'quadratic-free', got {kind!r}")
     for name, value, low in (("classes", classes, 1), ("p", p, 1), ("separation", separation, 0)):
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
-    if kind == "quadratic-free":
-        return LabeledDataset(features=np.zeros((n, 1)), labels=np.zeros(n, dtype=int))
     rng = StreamKey(seed).generator()
     with _allocating("means"), np.errstate(over="ignore"):
         means = separation * rng.standard_normal((classes, p))

@@ -22,7 +22,8 @@ b)``: ``sample_estimates`` once per call, and a FedAvg run once per
 ``reed`` arm, which every round then reads on from where the last one
 stopped.  The superposition is ``_superposed_energy`` alone.  The kernel
 runs it at every kappa but 2; the test suite runs it at kappa = 2 too, as
-the kernel's reference in law.
+the kernel's reference in law.  The coherent baseline takes the clients'
+mean, which a FedAvg round forms once for all its arms.
 """
 
 from __future__ import annotations
@@ -274,13 +275,13 @@ def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig
     return _paired_energy(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg, streams, d)
 
 
-def aggregate_coherent_csit(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig,
+def aggregate_coherent_csit(mean: np.ndarray, cfg: ReedPhyConfig,
                             rng: np.random.Generator) -> np.ndarray:
-    """Coherent channel-inversion reference: ideal mean plus Re(z)/sqrt(eta)
-    with fresh receiver noise per coordinate, drawn from ``rng``.  Reads only
-    ``cfg.eta`` and ``cfg.noise_var`` (``fedavg.AGGREGATORS``): radios equal
-    in both are one run."""
-    mean = aggregate_ideal(increments)
+    """Coherent channel-inversion reference: the clients' mean increment, a
+    (d,) float array as :func:`aggregate_ideal` returns it, plus
+    Re(z)/sqrt(eta) with fresh receiver noise per coordinate, drawn from
+    ``rng``.  Reads only ``cfg.eta`` and ``cfg.noise_var``
+    (``fedavg.AGGREGATORS``): radios equal in both are one run."""
     if cfg.noise_var == 0:
         return mean
     z = sample_noise(rng, cfg.noise_var, size=mean.size)

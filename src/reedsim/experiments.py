@@ -7,6 +7,8 @@ every arm of every config on them in lockstep, so the matched-seed
 contract holds by construction: neither the aggregator nor the radio ever
 perturbs data partitioning, model initialization or local minibatch order.
 Arms equal in what they read (``fedavg.radio_read``) are one run.
+A ``quadratic-free`` trial builds no data: its objective reads no batch,
+so ``fed.K`` empty partitions are all it needs, to count the clients.
 """
 
 from __future__ import annotations
@@ -142,14 +144,19 @@ def _parsed_idx(images: str, labels: str, stamp: tuple) -> LabeledDataset:
     return data
 
 
-def build_experiment_data(cfg: dict[str, Any], trial: int
-                          ) -> tuple[LabeledDataset, LabeledDataset | None, list[np.ndarray]]:
-    """Train set, optional test set and client partition for one trial.
+def build_experiment_data(cfg: dict[str, Any], trial: int) -> tuple[
+        LabeledDataset | None, LabeledDataset | None, list[np.ndarray]]:
+    """Train set, optional test set and client partition for one trial: no
+    sets and ``fed.K`` empty partitions for ``quadratic-free`` data, and no
+    test set where it has no rows, so that test_acc reads 0.
 
     Depends only on the data config, base seed and trial index, never on
     the aggregator (matched-seed contract).  A ``fed.K`` above the number
     of samples, or an IDX test label at or above ``data.classes`` for a
     classifier, is a ConfigError."""
+    if cfg["data.source"] == "synth" and cfg["data.synth_kind"] == "quadratic-free":
+        with _keyed(), _allocating("K"):
+            return None, None, [np.empty(0, dtype=int)] * cfg["fed.K"]
     if cfg["data.source"] == "idx":
         train = _idx_dataset(cfg["data.idx_images"], cfg["data.idx_labels"])
         test = None
@@ -164,9 +171,9 @@ def build_experiment_data(cfg: dict[str, Any], trial: int
         # one pool, so train and test share the class means
         pool = synth_data(cfg, n_train + n_test, trial)
         train = LabeledDataset(pool.features[:n_train], pool.labels[:n_train])
-        test = (LabeledDataset(pool.features[n_train:], pool.labels[n_train:])
-                if n_test > 0 else None)
-    return train, test, client_partition(cfg, train, trial)
+        test = LabeledDataset(pool.features[n_train:], pool.labels[n_train:])
+    # an empty dataset is falsy, so a test set with no rows becomes None
+    return train, test or None, client_partition(cfg, train, trial)
 
 
 def run_trial(points: list[dict[str, Any]], trial: int) -> list[dict[str, np.ndarray]]:

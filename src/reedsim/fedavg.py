@@ -531,7 +531,7 @@ def _start_ideal(phy, cfg, channel_key, K, d):
 
 def _start_coherent_csit(phy, cfg, channel_key, K, d):
     rng = channel_key.generator()
-    return lambda increments, ideal, t: (aggregate_coherent_csit(increments, phy, rng), 0.0)
+    return lambda increments, ideal, t: (aggregate_coherent_csit(ideal, phy, rng), 0.0)
 
 
 def _start_reed(phy, cfg, channel_key, K, d):

@@ -2,7 +2,8 @@
 its workloads write reedsim configs as text, so a rename, a move or a
 config rule that rejects a workload would only show when a benchmark run
 fails.  These tests resolve every name the way ``Tracer.__enter__`` does,
-and parse every workload's config."""
+parse every workload's config, and build the data of every FedAvg
+workload's trials, the set-up that ``setup_probe.py`` times."""
 
 import importlib
 import importlib.util
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 from reedsim.config import parse_config
+from reedsim.experiments import build_experiment_data
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -53,3 +55,11 @@ WORKLOADS = _load_bench("workloads").WORKLOADS
 def test_workload_config_validates(name):
     # parsing checks the whole config, as the benchmark's unit would
     parse_config(WORKLOADS[name].config_text(0))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, w in WORKLOADS.items() if w.is_fedavg))
+def test_workload_data_builds(name):
+    # one partition per client for every trial, as setup_probe.py builds them
+    cfg = parse_config(WORKLOADS[name].config_text(0))
+    for trial in range(cfg["trials"]):
+        assert len(build_experiment_data(cfg, trial)[2]) == cfg["fed.K"]

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reedsim import cli, experiments
+from reedsim import cli, config, experiments
 from reedsim.cli import cmd_run_fedavg, cmd_sweep, cmd_validate_moments, main
 from reedsim.config import (SCHEMA, ConfigError, _partition_spec, _trial_seed, load_config,
                             parse_config, resolve_noise_var)
@@ -287,6 +287,20 @@ class TestRunFedavg:
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
 
+    def test_quadratic_free_trial_builds_no_data(self, monkeypatch):
+        # the quadratic reads no batch: its trial synthesizes no row and
+        # draws no partition, and its clients are fed.K empty partitions
+        cfg = parse_config(_with(FAST_FED, QUADRATIC_FREE))
+        called = []
+        for name in ("synth_dataset", "partition"):
+            monkeypatch.setattr(config, name, lambda *args, name=name, **kwargs: (
+                called.append(name)))
+        train, test, parts = experiments.build_experiment_data(cfg, 0)
+        assert train is None and test is None
+        assert len(parts) == cfg["fed.K"] and all(part.size == 0 for part in parts)
+        run_trial([cfg], 0)
+        assert called == []
+
     def test_workers_match_serial(self, tmp_path):
         cfg = parse_config(FAST_FED)
         cmd_run_fedavg(cfg, str(tmp_path / "serial"), workers=1)
@@ -400,6 +414,9 @@ class TestSweep:
         assert mean["0"] < mean["-10"]
 
 
+# the quadratic on quadratic-free data, which builds none
+QUADRATIC_FREE = {"fed.model": '"quadratic"', "data.synth_kind": '"quadratic-free"'}
+
 # a tiny reed run whose energy budget gives an overflowing gain
 BUDGETED = {"fed.aggregators": '["reed"]', "fed.clip_G": "1.0", "fed.budget": "1.0"}
 
@@ -442,16 +459,17 @@ BAD_INPUTS = [
     ({"fed.quad_dim": "0"}, "run-fedavg", "fed.quad_dim"),
     ({"fed.quad_curv_max": "0.5"}, "run-fedavg", "fed.quad_curv_min, fed.quad_curv_max"),
     ({"fed.model": '"mlp"', "fed.quad_dim": "0"}, "run-fedavg", "fed.quad_dim"),
-    # and the data keys whichever kind of data is built
-    *(({"fed.model": '"quadratic"', "data.synth_kind": '"quadratic-free"', key: value},
-       "run-fedavg", key) for key, value in (
-        ("data.classes", "0"), ("data.features", "0"), ("data.separation", "-1"))),
-    # placeholder rows hold nothing for a classifier to train on
+    # and the data keys whichever kind of data is built, or none
+    *(({**QUADRATIC_FREE, key: value}, "run-fedavg", key) for key, value in (
+        ("data.classes", "0"), ("data.features", "0"), ("data.separation", "-1"),
+        ("data.separation", "1e308"))),
+    # quadratic-free builds no data for a classifier to train on
     *(({"fed.model": model, "data.synth_kind": '"quadratic-free"'}, "run-fedavg",
        "data.synth_kind") for model in ('"logistic"', '"mlp"')),
-    ({"fed.model": '"quadratic"', "data.synth_kind": '"quadratic-free"',
-      "sweep.key": '"fed.model"', "sweep.values": '["quadratic", "logistic"]'},
+    ({**QUADRATIC_FREE, "sweep.key": '"fed.model"', "sweep.values": '["quadratic", "logistic"]'},
      "sweep", "sweep.values"),
+    # its clients are as many empty partitions, a list Python refuses
+    ({**QUADRATIC_FREE, "fed.K": "1" + "0" * 15}, "run-fedavg", "fed.K"),
     ({"data.test_n": "-1"}, "run-fedavg", "data.test_n"),
     *(({**BUDGETED, key: value}, "run-fedavg", "fed.budget") for key, value in (
         ("fed.budget", "1e308"), ("phy.mean_power", "1e308"), ("fed.beta0", "1e308"),
@@ -508,6 +526,8 @@ BAD_INPUTS = [
     # IDX data reads no synthetic key, but a bad one is still an error
     ({"data.source": '"idx"', "data.features": "-3"}, "run-fedavg", "data.features"),
     ({"data.source": '"idx"', "data.separation": "-2"}, "run-fedavg", "data.separation"),
+    # (1e308 spelled apart from the synthetic case's, for a test id of its own)
+    ({"data.source": '"idx"', "data.separation": "1.0e308"}, "run-fedavg", "data.separation"),
     ({"data.source": '"idx"', "data.synth_n": "-1"}, "run-fedavg", "data.synth_n"),
     ({"data.source": '"idx"', "data.classes": "2"}, "run-fedavg", "data.classes"),
     ({"data.source": '"idx"', "data.idx_test_images": '"{images}"',
@@ -664,6 +684,40 @@ class TestMain:
             "data.idx_labels": f'"{labels}"', "data.synth_n": "2",
             "data.synth_kind": '"quadratic-free"'}))
         assert main(["run-fedavg", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+
+    def test_quadratic_free_binds_no_synthetic_size(self, tmp_path):
+        # no rows are built, so five clients over a synthetic size of two
+        # are sound
+        cfgfile = tmp_path / "quadratic.cfg"
+        cfgfile.write_text(_with(FAST_FED, {**QUADRATIC_FREE, "fed.K": "5",
+                                            "data.synth_n": "2"}))
+        assert main(["run-fedavg", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+
+    def test_empty_idx_test_set_is_none(self, tmp_path, capsys):
+        # a test set with no rows is no test set: test_acc reads 0, and the
+        # summary is strict JSON, with no NaN from a mean over no rows
+        paths = {name: tmp_path / f"{name}.idx"
+                 for name in ("images", "labels", "test_images", "test_labels")}
+        paths["images"].write_bytes(write_idx(np.linspace(0.0, 1.0, 24).reshape(6, 4)))
+        paths["labels"].write_bytes(write_idx(np.array([0, 1, 2, 0, 1, 2])))
+        paths["test_images"].write_bytes(write_idx(np.zeros((0, 4))))
+        paths["test_labels"].write_bytes(write_idx(np.zeros(0, dtype=int)))
+        cfgfile = tmp_path / "idx.cfg"
+        cfgfile.write_text(_with(FAST_FED, {"data.source": '"idx"', **{
+            f"data.idx_{name}": f'"{path}"' for name, path in paths.items()}}))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run-fedavg", str(cfgfile), "--out", str(out)]) == 0
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err == ""
+        header, *rows = (out / "fedavg_trace.csv").read_text().splitlines()
+        acc = header.split(",").index("test_acc")
+        assert rows and {row.split(",")[acc] for row in rows} == {"0"}
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+        json.loads((out / "fedavg_summary.json").read_text(), parse_constant=reject)
 
     def test_malformed_idx_file_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.idx"

@@ -59,25 +59,25 @@ class TestPartition:
         assert np.array_equal(np.sort(all_idx), np.arange(n))
 
     def test_single_client_gets_everything(self):
-        ds = synth_dataset("gaussian-blobs", 20, seed=0, classes=2, p=2)
+        ds = synth_dataset(20, seed=0, classes=2, p=2)
         parts = partition(ds, PartitionSpec("iid", 1, seed=1))
         self._check_cover(parts, 20)
         assert len(parts) == 1
 
     def test_iid_balanced(self):
-        ds = synth_dataset("gaussian-blobs", 10, seed=0, classes=2, p=2)
+        ds = synth_dataset(10, seed=0, classes=2, p=2)
         parts = partition(ds, PartitionSpec("iid", 3, seed=1))
         sizes = sorted(len(p) for p in parts)
         assert sizes == [3, 3, 4]
         self._check_cover(parts, 10)
 
     def test_k_larger_than_n_rejected(self):
-        ds = synth_dataset("gaussian-blobs", 3, seed=0, classes=2, p=2)
+        ds = synth_dataset(3, seed=0, classes=2, p=2)
         with pytest.raises(ValueError):
             partition(ds, PartitionSpec("iid", 5, seed=1))
 
     def test_dirichlet_skewed_histograms(self):
-        ds = synth_dataset("gaussian-blobs", 2000, seed=3, classes=10, p=2)
+        ds = synth_dataset(2000, seed=3, classes=10, p=2)
         skewed = False
         for seed in range(10):
             parts = partition(ds, PartitionSpec("dirichlet", 10, seed=seed, alpha=0.3))
@@ -89,14 +89,14 @@ class TestPartition:
         assert skewed
 
     def test_dirichlet_no_empty_clients(self):
-        ds = synth_dataset("gaussian-blobs", 60, seed=5, classes=3, p=2)
+        ds = synth_dataset(60, seed=5, classes=3, p=2)
         for seed in range(20):
             parts = partition(ds, PartitionSpec("dirichlet", 10, seed=seed, alpha=0.1))
             assert all(p.size > 0 for p in parts)
             self._check_cover(parts, 60)
 
     def test_determinism(self):
-        ds = synth_dataset("gaussian-blobs", 100, seed=0, classes=4, p=3)
+        ds = synth_dataset(100, seed=0, classes=4, p=3)
         spec = PartitionSpec("dirichlet", 5, seed=11, alpha=0.3)
         a = partition(ds, spec)
         b = partition(ds, spec)
@@ -120,7 +120,7 @@ class TestPartition:
            kind=st.sampled_from(["iid", "dirichlet"]))
     @settings(max_examples=40, deadline=None)
     def test_disjoint_cover_property(self, n, K, seed, kind):
-        ds = synth_dataset("gaussian-blobs", n, seed=seed % 17, classes=3, p=2)
+        ds = synth_dataset(n, seed=seed % 17, classes=3, p=2)
         spec = PartitionSpec(kind, K, seed=seed, alpha=0.3)
         parts = partition(ds, spec)
         self._check_cover(parts, n)
@@ -128,17 +128,11 @@ class TestPartition:
 
 class TestSynthData:
     def test_empty_dataset(self):
-        ds = synth_dataset("gaussian-blobs", 0, seed=0, classes=2, p=2)
+        ds = synth_dataset(0, seed=0, classes=2, p=2)
         assert len(ds) == 0
 
-    def test_quadratic_free_placeholder(self):
-        ds = synth_dataset("quadratic-free", 5, seed=0)
-        assert len(ds) == 5
-        assert np.all(ds.features == 0)
-
     def test_zero_separation_chance_level(self):
-        ds = synth_dataset("gaussian-blobs", 3000, seed=1, classes=3, p=5,
-                           separation=0.0)
+        ds = synth_dataset(3000, seed=1, classes=3, p=5, separation=0.0)
         obj = build_objective("logistic", ds, n_classes=3)
         w = obj.init_params(StreamKey(0))
         for _ in range(100):
@@ -147,8 +141,7 @@ class TestSynthData:
         assert acc < 0.45  # chance is 1/3
 
     def test_large_separation_separable(self):
-        ds = synth_dataset("gaussian-blobs", 3000, seed=2, classes=3, p=5,
-                           separation=10.0)
+        ds = synth_dataset(3000, seed=2, classes=3, p=5, separation=10.0)
         obj = build_objective("logistic", ds, n_classes=3)
         w = obj.init_params(StreamKey(0))
         for _ in range(200):
@@ -156,7 +149,7 @@ class TestSynthData:
         assert obj.accuracy(w, ds.features, ds.labels) >= 0.99
 
     def test_reproducible(self):
-        a = synth_dataset("gaussian-blobs", 50, seed=7, classes=2, p=3)
-        b = synth_dataset("gaussian-blobs", 50, seed=7, classes=2, p=3)
+        a = synth_dataset(50, seed=7, classes=2, p=3)
+        b = synth_dataset(50, seed=7, classes=2, p=3)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)

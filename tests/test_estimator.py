@@ -439,7 +439,7 @@ class TestAggregators:
 
     def test_coherent_zero_noise_is_ideal(self):
         inc = np.array([[1.0, 2.0], [3.0, -4.0]])
-        out = aggregate_coherent_csit(inc, ReedPhyConfig(noise_var=0.0),
+        out = aggregate_coherent_csit(aggregate_ideal(inc), ReedPhyConfig(noise_var=0.0),
                                       KEY.child(12).generator())
         assert np.array_equal(out, aggregate_ideal(inc))
 
@@ -447,8 +447,9 @@ class TestAggregators:
     def test_coherent_noise_variance(self, eta, target, tol):
         cfg = ReedPhyConfig(eta=eta, noise_var=1.0)
         n = 1_000_000 // 10
-        # one call over n coordinates: each draws its own receiver noise
-        draws = aggregate_coherent_csit(np.zeros((1, n)), cfg, KEY.generator(13, int(eta)))
+        # one call over n coordinates of a zero mean: each draws its own
+        # receiver noise
+        draws = aggregate_coherent_csit(np.zeros(n), cfg, KEY.generator(13, int(eta)))
         # 1e5 draws: CLT band at relative ~0.9%; tolerances from the contract
         assert abs(draws.var() - target) < 2 * tol * target
 

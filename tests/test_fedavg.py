@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reedsim import experiments, fedavg, moments
+from reedsim import estimator, experiments, fedavg, moments
 from reedsim.config import parse_config
 from reedsim.datasets import PartitionSpec, partition, synth_dataset
 from reedsim.channel import sample_noise
@@ -23,8 +23,7 @@ KEY = StreamKey(8128)
 
 
 def _blob_setup(n=600, classes=3, p=4, K=3, seed=0, separation=3.0):
-    ds = synth_dataset("gaussian-blobs", n, seed=seed, classes=classes, p=p,
-                       separation=separation)
+    ds = synth_dataset(n, seed=seed, classes=classes, p=p, separation=separation)
     parts = partition(ds, PartitionSpec("iid", K, seed=seed + 1))
     return ds, parts
 
@@ -270,7 +269,7 @@ def _ragged_setup():
     # batch (one of them a single sample) and two with a short last batch.
     # The index arrays are fixed (a stride-7 walk over the 120 rows) rather
     # than drawn, so no stream layout moves them
-    ds = synth_dataset("gaussian-blobs", 120, seed=0, classes=3, p=4, separation=3.0)
+    ds = synth_dataset(120, seed=0, classes=3, p=4, separation=3.0)
     order = np.arange(120) * 7 % 120
     parts = [np.sort(chunk) for chunk in np.split(order, np.cumsum([5, 19, 5, 1]))]
     assert [p.size for p in parts] == [5, 19, 5, 1, 90]
@@ -611,7 +610,7 @@ from reedsim.streams import StreamKey
 
 A, K = 3, 2
 for n in (2000, 6000):
-    ds = synth_dataset("gaussian-blobs", n, seed=0, classes=10, p=20, separation=2.0)
+    ds = synth_dataset(n, seed=0, classes=10, p=20, separation=2.0)
     # two clients whose batches span the set, the second with padding
     batches = np.arange(n).reshape(K, -1)
     lengths = np.array([n // K, n // K - 7])
@@ -829,9 +828,9 @@ phy.noise_var = 0.5
         assert radio_read("coherent_csit", cfg) == ReedPhyConfig(eta=3.0, noise_var=0.5)
         assert radio_read("reed", cfg) == cfg
         key = StreamKey(271828)
-        inc = key.child(14).generator().normal(size=(2, 50))
-        assert np.array_equal(aggregate_coherent_csit(inc, cfg, key.generator(15)),
-                              aggregate_coherent_csit(inc, radio_read("coherent_csit", cfg),
+        mean = aggregate_ideal(key.child(14).generator().normal(size=(2, 50)))
+        assert np.array_equal(aggregate_coherent_csit(mean, cfg, key.generator(15)),
+                              aggregate_coherent_csit(mean, radio_read("coherent_csit", cfg),
                                                       key.generator(15)))
         # under budgets reed's gain is the budgets', so it reads every field
         # but eta, which takes its default; the others read what they did
@@ -887,11 +886,14 @@ data.classes = 3
 data.features = 4
 data.test_n = 20
 """}[model]
-        # c = 5 per run, as in a benchmark unit: the config check and the
-        # trial each build the partition's seed and the synthetic data or
-        # the quadratic's curvatures, and the trial builds the partition;
-        # the MLP builds its initialisation too
-        c = 6 if model == "mlp" else 5
+        # c per run, as in a benchmark unit.  A classifier's is 5: the
+        # config check and the trial each build the partition's seed and the
+        # synthetic data, and the trial builds the partition; the MLP builds
+        # its initialisation too.  A quadratic-free trial builds no data,
+        # partition or partition seed, so the quadratic's is 4: the config
+        # check's class means, partition seed and curvatures, and the
+        # trial's curvatures
+        c = {"quadratic": 4, "logistic": 5, "mlp": 6}[model]
         # one minibatch stream per client for an objective that reads its
         # batches, 2M channel streams per reed arm, one noise stream per
         # coherent_csit arm, and the MLP's proxy rows: none per round
@@ -939,8 +941,8 @@ data.features = 4
         # its run built at (channel,), on from where the last round stopped
         rngs = []
         coherent = fedavg.aggregate_coherent_csit
-        monkeypatch.setattr(fedavg, "aggregate_coherent_csit", lambda inc, phy, rng: (
-            rngs.append(rng) or coherent(inc, phy, rng)))
+        monkeypatch.setattr(fedavg, "aggregate_coherent_csit", lambda mean, phy, rng: (
+            rngs.append(rng) or coherent(mean, phy, rng)))
         ds, parts = _blob_setup(K=3)
         obj = build_objective("logistic", ds)
         T = 4
@@ -956,6 +958,19 @@ data.features = 4
             eps = sample_noise(noise, phy.noise_var, size=obj.dim).real / np.sqrt(phy.eta)
             assert column(coherent_trace[t], "eps_norm_sq") == pytest.approx(eps @ eps, rel=1e-9)
         assert (column(ideal_trace, "eps_norm_sq") == 0).all()
+
+    def test_coherent_round_takes_the_mean_once(self, monkeypatch):
+        # a coherent_csit round adds its noise to the mean the round loop
+        # formed, so T rounds take T means, counted in either module
+        calls = []
+        monkeypatch.setattr(fedavg, "aggregate_ideal",
+                            lambda inc: calls.append(inc) or aggregate_ideal(inc))
+        monkeypatch.setattr(estimator, "aggregate_ideal", fedavg.aggregate_ideal)
+        T = 5
+        cfg = FedRunConfig(Q=1, T=T, batch_size=4, beta0=0.1,
+                           arms=arms("coherent_csit", phy=ReedPhyConfig(noise_var=0.5)))
+        run_fedavg(cfg, build_objective("quadratic", d=3), [np.empty(0, dtype=int)] * 2)
+        assert len(calls) == T
 
     def test_reed_rounds_call_the_module_aggregate_reed(self, monkeypatch):
         # every round of a reed arm calls fedavg.aggregate_reed, looked up
