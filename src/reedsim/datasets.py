@@ -48,6 +48,8 @@ class LabeledDataset:
             raise ValueError("features must be 2-D")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features rows must match labels length")
+        if self.labels.size and self.labels.min() < 0:
+            raise ValueError(f"labels must be >= 0, got {self.labels.min()}")
         if self.features.size and not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
 

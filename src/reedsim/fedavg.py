@@ -212,28 +212,28 @@ def _label_entries(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return ((rows * n_classes + labels) * B + np.arange(B)).ravel()
 
 
-def _accuracy(Z: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _accuracy(Z: np.ndarray, labels: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Accuracies (...,) of (..., C, n) logits: the share of the n samples
     whose label is ``Z.argmax(axis=-2)``, without that argmax, which is slow
-    along the strided class axis.
+    along the strided class axis.  ``entries`` are the labels' entries in
+    one model's (C, n) logits (:func:`_label_entries`).
 
     Z is overwritten.  A label wins outright when its logit exceeds every
     other class's; the few columns with a tie or a NaN at the top are
     settled by argmax itself, so its rule (the first class at the max, a
     NaN counting as the max) holds exactly.
     """
-    *lead, C, n = Z.shape
-    # flat indices into Z, which 1-D fancy indexing reads and writes fastest
-    flat = Z.reshape(-1)
-    entries = _label_entries(np.broadcast_to(labels, (*lead, n)), C)
-    own = flat[entries]
-    flat[entries] = -np.inf
+    # one row per model, read and written along it by 1-D indexing, the fastest
+    models = Z.reshape(-1, Z.shape[-2] * entries.size)
+    own = models.take(entries, axis=1)
+    for row in models:
+        row[entries] = -np.inf
     rival = Z.max(axis=-2)  # the best logit of any other class
-    own = own.reshape(rival.shape)
-    hit = own > rival
-    unsure = ~(hit | (own < rival))
+    hit = own.reshape(rival.shape) > rival
+    unsure = ~(hit | (own.reshape(rival.shape) < rival))
     if unsure.any():
-        flat[entries] = own.reshape(-1)
+        for row, row_own in zip(models, own):
+            row[entries] = row_own
         at = np.nonzero(unsure)
         hit[at] = np.moveaxis(Z, -2, -1)[at].argmax(axis=-1) == labels[at[-1]]
     return np.mean(hit, axis=-1)
@@ -247,20 +247,17 @@ def _mean_xent(E: np.ndarray, sums: np.ndarray, entries: np.ndarray) -> np.ndarr
                      for e, s in zip(E.reshape(len(E), -1), sums.reshape(len(E), -1))])
 
 
-def _targets(labels: np.ndarray, n_classes: int, weights) -> np.ndarray:
-    """(..., C, B) one-hot targets of (..., B) labels, times the weights."""
-    return (labels[..., None, :] == np.arange(n_classes)[:, None]) * weights
-
-
-def _xent_logit_grad(E: np.ndarray, sums: np.ndarray, targets: np.ndarray,
+def _xent_logit_grad(E: np.ndarray, sums: np.ndarray, entries: np.ndarray,
                      weights) -> np.ndarray:
     """Gradient of a weighted sum of cross-entropies with respect to the
-    logits, (E / sums - one-hot) · weights, in place in E; ``targets`` is
-    the one-hot times the weights (:func:`_targets`).  The weights are per
+    logits, (E / sums - one-hot) · weights, in place in E: each column's
+    weight is subtracted at its label's entry, ``entries`` in one model's
+    (..., C, B) probabilities (:func:`_label_entries`).  The weights are per
     column, 1/length on a batch's columns and 0 on its padding, so that
     each batch's parameter gradient is its mean."""
     E *= weights / sums
-    E -= targets
+    for row in E.reshape(-1, E.shape[-2] * entries.size):  # one model's
+        row[entries] -= np.ravel(weights)
     return E
 
 
@@ -308,10 +305,10 @@ class _Classifier(Objective):
     Every layer is one affine map, read as one matrix: a layer over m
     inputs has (m + 1, O) weights whose last row is its bias, the weight of
     a constant input 1 that follows the m others.  The training set is held
-    in that form twice: as (n, p + 1) rows, sample i's features and then a
-    1, which the clients' batches are gathered from, and as their
-    contiguous (p + 1, n) transpose, which every pass over the whole set
-    reads.  The test set's inputs are built the same way, once.
+    in that form once, as (n, p + 1) rows, sample i's features and then a
+    1: the clients' batches are gathered from them, and every pass over the
+    whole set reads their (p + 1, n) transpose, a view.  The test set's
+    inputs are built once, as a contiguous (p + 1, n) array.
 
     Subclasses write the forward pass ``_forward(params, x)``, which
     returns (..., C, B) logits and what the backward pass reads, and the
@@ -334,23 +331,22 @@ class _Classifier(Objective):
         self.data = data
         self.n_classes = n_classes
         self.n_features = data.features.shape[1]
-        self._inputs = _with_ones(data.features.T)
-        self._rows = np.ascontiguousarray(self._inputs.T)
+        self._rows = np.hstack((data.features, np.ones((len(data), 1))))
         self._entries = _label_entries(data.labels, n_classes)
         # each sample weighs 1/n in the full-train gradient (an empty set
         # has none to weigh)
         self._weight = 1.0 / max(len(data), 1)
-        self._targets = _targets(data.labels, n_classes, self._weight)
-        self._test = (None, None)  # the features accuracy last read, and their inputs
+        # the test features and labels accuracy last read, their inputs and entries
+        self._test = (None, None, None, None)
 
     def _batch(self, batch):
         """Inputs (p + 1, B) and labels (B,) of one batch."""
-        return self._inputs[:, batch], self.data.labels[batch]
+        return self._rows[batch].T, self.data.labels[batch]
 
     def _gradients(self, params, x, labels, weights):
         Z, cache = self._forward(params, x)
         sums = _softmax_parts(Z)
-        dZ = _xent_logit_grad(Z, sums, _targets(labels, self.n_classes, weights), weights)
+        dZ = _xent_logit_grad(Z, sums, _label_entries(labels, self.n_classes), weights)
         return self._backward(params, x, cache, dZ)
 
     def _batch_gradients(self, params, batch):
@@ -364,12 +360,14 @@ class _Classifier(Objective):
         E = self._forward(params, x)[0]
         return _mean_xent(E, _softmax_parts(E), _label_entries(labels, self.n_classes))
 
-    def _test_inputs(self, features):
-        """(p + 1, n) inputs of ``features``, built once for the test set
-        that every round's accuracy reads."""
-        if self._test[0] is not features:
-            self._test = (features, _with_ones(features.T))
-        return self._test[1]
+    def _test_accuracy(self, params, features, labels):
+        """Accuracies (A,) of A models on a test set whose (p + 1, n) inputs
+        and label entries are built once, for the one every round reads."""
+        if self._test[0] is not features or self._test[1] is not labels:
+            self._test = (features, labels, _with_ones(features.T),
+                          _label_entries(labels, self.n_classes))
+        inputs, entries = self._test[2:]
+        return _accuracy(self._forward(params, inputs)[0], labels, entries)
 
     def stacked_gradient(self, params, batches, lengths):
         K, B = batches.shape
@@ -383,15 +381,15 @@ class _Classifier(Objective):
     def evaluate(self, params, rng, gradients=True):
         """Losses from one forward pass over the training set; the gradients
         reuse it unless they are taken on proxy rows."""
-        Z, cache = self._forward(params, self._inputs)
+        Z, cache = self._forward(params, self._rows.T)
         sums = _softmax_parts(Z)
         losses = _mean_xent(Z, sums, self._entries)
         if not gradients:
             return losses, None
         if self.uses_proxy:
             return losses, self._batch_gradients(params, self._diagnostic_rows(rng))
-        dZ = _xent_logit_grad(Z, sums, self._targets, self._weight)
-        return losses, self._backward(params, self._inputs, cache, dZ)
+        dZ = _xent_logit_grad(Z, sums, self._entries, self._weight)
+        return losses, self._backward(params, self._rows.T, cache, dZ)
 
 
 class LogisticObjective(_Classifier):
@@ -425,7 +423,7 @@ class LogisticObjective(_Classifier):
         return np.zeros(self.dim)
 
     def accuracy(self, params, features, labels):
-        return _accuracy(self._forward(params, self._test_inputs(features))[0], labels)
+        return self._test_accuracy(params, features, labels)
 
 
 class MlpObjective(_Classifier):
@@ -493,7 +491,7 @@ class MlpObjective(_Classifier):
             return 0.05 * key.generator().standard_normal(self.dim)
 
     def accuracy(self, params, features, labels):
-        return _accuracy(self._forward(params, self._test_inputs(features))[0], labels)
+        return self._test_accuracy(params, features, labels)
 
 
 def build_objective(kind: str, data: LabeledDataset | None = None, *,

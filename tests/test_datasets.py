@@ -126,6 +126,15 @@ class TestPartition:
         self._check_cover(parts, n)
 
 
+class TestLabeledDataset:
+    def test_negative_label_rejected(self):
+        # a label outside [0, C) would put its sample's target on another
+        # class's entry, or on none
+        X = np.zeros((6, 2))
+        with pytest.raises(ValueError, match="^labels must be >= 0, got -1"):
+            LabeledDataset(X, [0, 1, 2, -1, 1, 0])
+
+
 class TestSynthData:
     def test_empty_dataset(self):
         ds = synth_dataset(0, seed=0, classes=2, p=2)

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from reedsim.datasets import PartitionSpec, partition, synth_dataset
 from reedsim.channel import sample_noise
 from reedsim.estimator import ReedPhyConfig, aggregate_coherent_csit, aggregate_ideal
 from reedsim.fedavg import (TRACE_COLUMNS, FedRunConfig, LogisticObjective, MlpObjective,
-                            QuadraticObjective, _accuracy, _round_batches, build_objective,
-                            clip_gradient, local_round, radio_read, run_fedavg)
+                            QuadraticObjective, _accuracy, _label_entries, _round_batches,
+                            build_objective, clip_gradient, local_round, radio_read, run_fedavg)
 from reedsim.streams import StreamKey
 
 from reference import arms, column
@@ -481,6 +482,29 @@ class TestClassifierPasses:
         expected = W.swapaxes(1, 2) @ ds.features.T + b[:, :, None]
         _assert_rel(obj._forward(params, fedavg._with_ones(ds.features.T))[0], expected)
 
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_training_inputs_held_once(self, kind):
+        # one (n, p + 1) block that every pass reads, and O(n) label
+        # entries: no transposed copy and no (C, n) one-hot targets
+        n, p = 2000, 50
+        ds = synth_dataset(n, seed=0, classes=10, p=p)
+        tracemalloc.start()
+        try:
+            obj = build_objective(kind, ds, hidden=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * (p + 1) * 8 + 6 * n * 8
+        obj.proxy_samples = n  # the MLP's diagnostic gradient over the whole set
+        read, forward = [], obj._forward
+        obj._forward = lambda params, x: (read.append(x), forward(params, x))[1]
+        params = 0.1 * StreamKey(75).generator().standard_normal((2, obj.dim))
+        obj.evaluate(params, None)
+        obj.full_gradient(params[0])
+        obj.loss(params[0], slice(None))
+        assert len(read) == 3
+        assert all(np.shares_memory(x, obj._rows) for x in read)
+
 
 class TestStackedEvaluation:
     """evaluate and accuracy on a stack of A models against each model
@@ -601,7 +625,9 @@ class TestStackedEvaluation:
 # BLAS thread count is set before NumPy loads.  At n <= 600 even one
 # stacked gradient matmul over all the models happens to be row-exact, yet
 # at n = 2000 (one thread) or n = 6000 (two) it is not, so only these sizes
-# hold _affine_grad to one matmul per model.
+# hold _affine_grad to one matmul per model.  At p = 784, the width of the
+# paper's images, the full passes hand BLAS the training rows' transposed
+# view over a much longer reduction.
 _EXACT_AT_SCALE = """
 import numpy as np
 from reedsim.datasets import synth_dataset
@@ -609,8 +635,8 @@ from reedsim.fedavg import build_objective
 from reedsim.streams import StreamKey
 
 A, K = 3, 2
-for n in (2000, 6000):
-    ds = synth_dataset(n, seed=0, classes=10, p=20, separation=2.0)
+for n, p in ((2000, 20), (6000, 20), (2000, 784)):
+    ds = synth_dataset(n, seed=0, classes=10, p=p, separation=2.0)
     # two clients whose batches span the set, the second with padding
     batches = np.arange(n).reshape(K, -1)
     lengths = np.array([n // K, n // K - 7])
@@ -1039,7 +1065,8 @@ class TestAccuracyTies:
             if trial % 5 == 0:
                 Z = Z[0]  # one model, (C, n)
             labels = rng.integers(0, C, size=n)
-            assert np.array_equal(_accuracy(Z.copy(), labels),
+            entries = _label_entries(labels, C)
+            assert np.array_equal(_accuracy(Z.copy(), labels, entries),
                                   self._argmax_accuracy(Z, labels))
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
