@@ -32,7 +32,7 @@ import numpy as np
 from .config import ConfigError, fmt_value, load_config
 from .datasets import IdxFormatError
 from .experiments import default_moment_matrix, run_trial, validate_point
-from .fedavg import TRACE_COLUMNS, DivergenceError
+from .fedavg import TRACE_COLUMNS, DivergenceError, _usable_cores
 
 __all__ = ["main", "cmd_validate_moments", "cmd_run_fedavg", "cmd_sweep"]
 
@@ -62,14 +62,6 @@ def _write_json(path: str, payload: dict) -> None:
     with _replacing(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on: its affinity mask, which
-    ``taskset`` sets, where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _map(fn, items: list, workers: int, threads: bool = False) -> list:

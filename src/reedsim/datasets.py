@@ -43,7 +43,13 @@ class LabeledDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+            object.__setattr__(self, "labels", labels.astype(int))
+        if labels.ndim != 1:
+            raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
+        if not np.array_equal(self.labels, labels):
+            raise ValueError(f"labels must be integers, got {labels[self.labels != labels][0]}")
         if self.features.ndim != 2:
             raise ValueError("features must be 2-D")
         if self.features.shape[0] != self.labels.shape[0]:

@@ -40,10 +40,15 @@ Evaluation is stacked too.  Once every arm has updated its model, one
 :meth:`Objective.evaluate` call takes the train losses and diagnostic
 gradients of all A models in one pass over the training set, and one
 :meth:`Objective.accuracy` call their test accuracies.  Each row equals
-that model evaluated alone, bit for bit.  The divergence checks then run
-arm by arm, each checking its model, aggregation error, client energy and
-train loss in turn, so the first arm to leave the finite numbers is the
-one named, by its aggregator.
+that model evaluated alone, bit for bit.  For an objective that reads
+batches, on more than one usable core and outside a process pool, these
+calls run on a second thread, on a copy of the models, while the main
+thread trains the next round; the main thread then closes the round.
+Otherwise they run in line, right after the round.  Closing round t fills
+its losses and accuracies and runs its divergence checks arm by arm,
+each checking its model, aggregation error, client energy and train loss
+in turn, so the first arm to leave the finite numbers is the one named,
+by its aggregator, in the same words on either path.
 
 Each model state, the models after s rounds for s = 0 … T, is evaluated
 by one evaluate call and nothing else: state 0 before round 0, state s
@@ -62,6 +67,8 @@ gains are not all finite and > 0 stops before its first local step.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -91,8 +98,9 @@ _DOM_INIT, _DOM_LOCAL, _DOM_CHANNEL = 0, 1, 2
 # the whole training set, as a batch
 _ALL = slice(None)
 
-# the per-round quantities of a trace, one column each, in order
+# the per-round quantities of a trace, one column each, in order, and their indices
 TRACE_COLUMNS = ("train_loss", "test_acc", "grad_norm_sq", "eps_norm_sq", "max_client_energy")
+_LOSS, _ACC, _GRAD, _EPS, _ENERGY = range(len(TRACE_COLUMNS))
 
 
 class Objective:
@@ -105,11 +113,13 @@ class Objective:
     steps of every client under every model, and :meth:`evaluate` and
     :meth:`accuracy` once per model state for all A models at once.  Each
     row of a stacked result equals that model evaluated alone, bit for
-    bit.  The subclasses' single-model methods (``loss``,
-    ``stochastic_gradient``, ``full_gradient``) and
-    :meth:`diagnostic_gradient` are not on the run path: they serve the
-    reference :func:`local_round` and the tests and traces that compare
-    against them.
+    bit.  :meth:`evaluate` and :meth:`accuracy` may run on another thread,
+    concurrently with :meth:`stacked_gradient`, so they must not write any
+    state that :meth:`stacked_gradient` reads.  The subclasses'
+    single-model methods (``loss``, ``stochastic_gradient``,
+    ``full_gradient``) and :meth:`diagnostic_gradient` are not on the run
+    path: they serve the reference :func:`local_round` and the tests and
+    traces that compare against them.
     """
 
     dim: int
@@ -288,10 +298,15 @@ def _affine_grad(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
     the stacked maps would sum the B columns in an order that can depend on
     how many maps there are, so its rows would not be each map's alone.
     Against one 2-D input, each map's (O, B) @ (B, m + 1) runs along the
-    long rows of both, which is faster for wide inputs."""
+    long rows of both, which is faster for wide inputs.  It is np.dot, the
+    same bits as @: NumPy's matmul over the stack holds the GIL through
+    its BLAS calls, and np.dot lets another thread run beside it."""
     if x.ndim > 2:
         return x @ dout.swapaxes(-1, -2)
-    return (dout @ x.T).swapaxes(-1, -2)
+    out = np.empty(dout.shape[:-1] + x.shape[:1])
+    for g, o in zip(dout.reshape(-1, *dout.shape[-2:]), out.reshape(-1, *out.shape[-2:])):
+        np.dot(g, x.T, out=o)
+    return out.swapaxes(-1, -2)
 
 
 def _flat(grads: np.ndarray) -> np.ndarray:
@@ -697,6 +712,14 @@ def local_round(params: np.ndarray, objective: Objective, client_indices: np.nda
     return w - params
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask, which
+    ``taskset`` sets, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_fedavg(cfg: FedRunConfig, objective: Objective,
                partitions: list[np.ndarray],
                test_data: LabeledDataset | None = None) -> np.ndarray:
@@ -727,13 +750,50 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     with _allocating("T"):
         trace = np.zeros((A, cfg.T, len(TRACE_COLUMNS)))
 
-    # a diverging run overflows; the checks below name what went non-finite
+    def evaluated(models, t):
+        """The models after round t, their train losses, round t + 1's
+        diagnostic gradients (none after the last round) and their test
+        accuracies (None without test data)."""
+        losses, next_grads = objective.evaluate(models, proxy_rng, gradients=t + 1 < cfg.T)
+        return (models, losses, next_grads, None if test_data is None else
+                objective.accuracy(models, test_data.features, test_data.labels))
+
+    def close(t, grads, models, losses, next_grads, acc):
+        """Round t's columns from its evaluation and then its divergence
+        checks; returns round t + 1's diagnostic gradients."""
+        row = trace[:, t]
+        row[:, _LOSS] = losses
+        if acc is not None:
+            row[:, _ACC] = acc
+        # arm by arm, so the first to leave the finite numbers is the one named
+        for a, (name, _) in enumerate(cfg.arms):
+            for what, finite in (("model", np.isfinite(models[a]).all()),
+                                 ("eps_norm_sq", math.isfinite(row[a, _EPS])),
+                                 ("max_client_energy", math.isfinite(row[a, _ENERGY])),
+                                 ("train loss", math.isfinite(row[a, _LOSS]))):
+                if not finite:
+                    raise DivergenceError(f"aggregator {name!r}: non-finite {what} "
+                                          f"after round {t}")
+            row[a, _GRAD] = grads[a] @ grads[a]
+        return next_grads
+
+    # a classifier's evaluation of each state runs on a second core while
+    # the next round trains, unless this process is one of a pool's, which
+    # keeps its cores busy already.  The thread sets its own error state,
+    # and leaving the loop, however, joins it
+    pool = pending = None
+    if objective.uses_batches and _usable_cores() > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        from multiprocessing import parent_process
+        if parent_process() is None:
+            pool = ThreadPoolExecutor(1, initializer=lambda: np.seterr(over="ignore",
+                                                                       invalid="ignore"))
+    # a diverging run overflows; the checks name what went non-finite
     # instead of letting NumPy warn about every step on the way
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), pool or nullcontext():
         for t in range(cfg.T):
             beta = cfg.stepsize(t)
-            # round t's columns, in TRACE_COLUMNS order: (A,) views into trace
-            train_loss, test_acc, grad_norm_sq, eps_norm_sq, max_energy = trace[:, t].T
+            row = trace[:, t]  # round t's row of every arm
 
             # the minibatches do not depend on the arm; row a·K + k of the
             # (A·K)-row stack is client k under arm a, and every arm reads
@@ -757,28 +817,19 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             for a, round_ in enumerate(rounds):
                 increments = local[a * K:(a + 1) * K] - stack[a]
                 ideal = aggregate_ideal(increments)
-                update, max_energy[a] = round_(increments, ideal, t)
+                update, row[a, _ENERGY] = round_(increments, ideal, t)
                 eps = update - ideal
                 stack[a] += update
-                eps_norm_sq[a] = eps @ eps
+                row[a, _EPS] = eps @ eps
 
-            # every model at once; the gradients are round t + 1's diagnostic
-            # gradients, so after the last round none are taken
-            losses, next_grads = objective.evaluate(stack, proxy_rng, gradients=t + 1 < cfg.T)
-            train_loss[:] = losses
-            if test_data is not None:
-                test_acc[:] = objective.accuracy(stack, test_data.features, test_data.labels)
-
-            # arm by arm, so the first to leave the finite numbers is the
-            # one named
-            for a, (name, _) in enumerate(cfg.arms):
-                for what, finite in (("model", np.isfinite(stack[a]).all()),
-                                     ("eps_norm_sq", math.isfinite(eps_norm_sq[a])),
-                                     ("max_client_energy", math.isfinite(max_energy[a])),
-                                     ("train loss", math.isfinite(train_loss[a]))):
-                    if not finite:
-                        raise DivergenceError(f"aggregator {name!r}: non-finite {what} "
-                                              f"after round {t}")
-                grad_norm_sq[a] = grads[a] @ grads[a]
-            grads = next_grads
+            # every model at once: here, or on the thread, on a copy, while
+            # round t + 1 trains, and round t closes once round t + 1 has
+            if pool is None:
+                grads = close(t, grads, *evaluated(stack, t))
+                continue
+            if pending is not None:
+                grads = close(t - 1, grads, *pending.result())
+            pending = pool.submit(evaluated, stack.copy(), t)
+        if pending is not None:
+            close(cfg.T - 1, grads, *pending.result())
     return trace

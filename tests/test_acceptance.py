@@ -2,10 +2,12 @@
 line with the measured quantity at its stated tolerance."""
 
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
 
+from reedsim import cli
 from reedsim.config import parse_config
 from reedsim.datasets import PartitionSpec, parse_idx, partition, synth_dataset
 from reedsim.estimator import (ReedPhyConfig, ScalarInputs, aggregate_ideal,
@@ -97,7 +99,8 @@ def test_c5_chip_diversity_closes_the_accuracy_gap():
     # ideal arm and one reed arm per M, each equal to that arm run alone
     chips = (1, 2, 4)
     points = [{**cfg, "phy.chips": M, "fed.aggregators": ["ideal", "reed"]} for M in chips]
-    runs = [run_trial(points, t) for t in range(trials)]
+    # the trials are independent jobs, run on one process per usable core
+    runs = cli._map(partial(run_trial, points), list(range(trials)), cli._usable_cores())
     final_acc = {"ideal": float(np.mean([column(run[0]["ideal"][-1], "test_acc")
                                          for run in runs]))}
     for i, M in enumerate(chips):
@@ -199,8 +202,9 @@ def _c8_avg_grad_norm(seed: int, T: int) -> float:
 
 
 def test_c8_stationarity_scaling():
-    g400 = np.mean([_c8_avg_grad_norm(s, 400) for s in range(10)])
-    g1600 = np.mean([_c8_avg_grad_norm(s, 1600) for s in range(10)])
+    # the 20 runs are independent jobs, run on one process per usable core
+    g400, g1600 = (np.mean(cli._map(partial(_c8_avg_grad_norm, T=T), list(range(10)),
+                                    cli._usable_cores())) for T in (400, 1600))
     ratio = g1600 / g400
     _report("C8", ratio <= 0.6,
             f"avg grad^2: T=400 -> {g400:.4f}, T=1600 -> {g1600:.4f}, "

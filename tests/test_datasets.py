@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,24 @@ class TestLabeledDataset:
         X = np.zeros((6, 2))
         with pytest.raises(ValueError, match="^labels must be >= 0, got -1"):
             LabeledDataset(X, [0, 1, 2, -1, 1, 0])
+
+    @pytest.mark.parametrize("labels, got", [([1.7, 0.2], "1.7"), ([0.0, np.nan], "nan"),
+                                             ([np.inf, 1.0], "inf")])
+    def test_non_integral_label_rejected(self, labels, got):
+        # a cast would truncate 1.7 to class 1, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^labels must be integers, got {got}$"):
+                LabeledDataset(np.zeros((2, 2)), labels)
+
+    def test_integral_labels_of_any_dtype_kept(self):
+        for labels in ([1.0, 0.0], np.array([1, 0], dtype=np.uint8), [True, False]):
+            assert LabeledDataset(np.zeros((2, 2)), labels).labels.tolist() == [1, 0]
+
+    def test_labels_must_be_one_dimensional(self):
+        # (n, 1) labels have n rows, and would reach the label entries as a batch
+        with pytest.raises(ValueError, match=r"^labels must be 1-D, got shape \(2, 1\)$"):
+            LabeledDataset(np.zeros((2, 2)), [[1], [0]])
 
 
 class TestSynthData:

@@ -1,8 +1,11 @@
+import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -627,16 +630,21 @@ class TestStackedEvaluation:
 # at n = 2000 (one thread) or n = 6000 (two) it is not, so only these sizes
 # hold _affine_grad to one matmul per model.  At p = 784, the width of the
 # paper's images, the full passes hand BLAS the training rows' transposed
-# view over a much longer reduction.
+# view over a much longer reduction.  There, too, the full-train backward's
+# np.dot per model must give the bits of the matmul it stands in for.
 _EXACT_AT_SCALE = """
 import numpy as np
 from reedsim.datasets import synth_dataset
-from reedsim.fedavg import build_objective
+from reedsim.fedavg import _affine_grad, build_objective
 from reedsim.streams import StreamKey
 
 A, K = 3, 2
 for n, p in ((2000, 20), (6000, 20), (2000, 784)):
     ds = synth_dataset(n, seed=0, classes=10, p=p, separation=2.0)
+    x = build_objective("logistic", ds)._rows.T
+    for O in (10, 16):  # the logits' and the MLP's hidden units' gradients
+        dout = StreamKey(5).generator().standard_normal((A, O, n))
+        assert (_affine_grad(dout, x) == (dout @ x.T).swapaxes(-1, -2)).all(), ("np.dot", n, p)
     # two clients whose batches span the set, the second with padding
     batches = np.arange(n).reshape(K, -1)
     lengths = np.array([n // K, n // K - 7])
@@ -686,6 +694,26 @@ def _run_setups():
     ds, parts = _blob_setup(n=MlpObjective.proxy_samples + 88, K=4)
     yield (FedRunConfig(Q=3, T=4, batch_size=32, beta0=0.1, seed=5),
            _objective("mlp", ds), parts, ds)
+
+
+def _assert_divergence_messages():
+    ds, parts = _blob_setup(K=3)
+    cfg = FedRunConfig(Q=2, T=2, batch_size=32, beta0=0.1,
+                       arms=arms("ideal", "reed", phy=ReedPhyConfig(noise_var=1e308)))
+    with pytest.raises(RuntimeError,
+                       match=r"^aggregator 'reed': non-finite model after round 0$"):
+        run_fedavg(cfg, build_objective("logistic", ds), parts, ds)
+    # two arms that diverge in the same round: the first in order is
+    # named, with what it left the finite numbers by
+    loud, sound = ReedPhyConfig(noise_var=1e308), ReedPhyConfig()
+    for run_arms, message in (
+            ((("reed", sound), ("coherent_csit", loud), ("reed", loud)),
+             "aggregator 'coherent_csit': non-finite eps_norm_sq"),
+            ((("ideal", sound), ("reed", loud), ("coherent_csit", loud)),
+             "aggregator 'reed': non-finite model")):
+        with pytest.raises(RuntimeError, match=f"^{message} after round 0$"):
+            run_fedavg(replace(cfg, arms=run_arms), build_objective("logistic", ds),
+                       parts, ds)
 
 
 class TestLockstep:
@@ -829,23 +857,7 @@ phy.noise_var = 0.5
         assert len(draws) == cfg.T and all(rng is draws[0] for rng in draws)
 
     def test_divergence_names_the_aggregator(self):
-        ds, parts = _blob_setup(K=3)
-        cfg = FedRunConfig(Q=2, T=2, batch_size=32, beta0=0.1,
-                           arms=arms("ideal", "reed", phy=ReedPhyConfig(noise_var=1e308)))
-        with pytest.raises(RuntimeError,
-                           match=r"^aggregator 'reed': non-finite model after round 0$"):
-            run_fedavg(cfg, build_objective("logistic", ds), parts, ds)
-        # two arms that diverge in the same round: the first in order is
-        # named, with what it left the finite numbers by
-        loud, sound = ReedPhyConfig(noise_var=1e308), ReedPhyConfig()
-        for run_arms, message in (
-                ((("reed", sound), ("coherent_csit", loud), ("reed", loud)),
-                 "aggregator 'coherent_csit': non-finite eps_norm_sq"),
-                ((("ideal", sound), ("reed", loud), ("coherent_csit", loud)),
-                 "aggregator 'reed': non-finite model")):
-            with pytest.raises(RuntimeError, match=f"^{message} after round 0$"):
-                run_fedavg(replace(cfg, arms=run_arms), build_objective("logistic", ds),
-                           parts, ds)
+        _assert_divergence_messages()
 
     def test_radio_read_is_what_each_aggregator_reads(self):
         cfg = ReedPhyConfig(eta=3.0, noise_var=0.5, mean_powers=[0.5, 2.0],
@@ -1087,3 +1099,179 @@ class TestAccuracyTies:
         expected = self._argmax_accuracy(logits, ds.labels)
         assert expected[0] == np.mean(ds.labels == 0)
         assert np.array_equal(obj.accuracy(params, ds.features, ds.labels), expected)
+
+
+def _on_cores(monkeypatch, cores, *run):
+    """run_fedavg(*run) with ``cores`` usable cores, and the threads that
+    evaluated its model states 1 .. T."""
+    monkeypatch.setattr(fedavg, "_usable_cores", lambda: cores)
+    obj = run[1]
+    evaluate, threads = type(obj).evaluate, []
+
+    def spy(self, params, rng, **kw):
+        if kw:  # states 1 .. T; state 0 is evaluated before round 0
+            threads.append(threading.current_thread())
+        return evaluate(self, params, rng, **kw)
+
+    monkeypatch.setattr(type(obj), "evaluate", spy)
+    try:
+        return run_fedavg(*run), threads
+    finally:
+        monkeypatch.setattr(type(obj), "evaluate", evaluate)
+
+
+def _overlap_setups():
+    """(FedRunConfig, classifier, partitions, test data) of runs that take
+    the evaluation thread on two cores: logistic and MLP, with and without
+    proxy rows and test data, on several arms."""
+    three = arms("ideal", "reed", "coherent_csit",
+                 phy=ReedPhyConfig(eta=4.0, noise_var=0.5, chip_weights=np.ones(2)))
+    for cfg, obj, parts, test in list(_run_setups())[1:]:
+        for run_arms in (cfg.arms, three):
+            for data in (test, None):
+                yield replace(cfg, arms=run_arms), obj, parts, data
+    ds, parts = _blob_setup(n=200, K=4)  # below proxy_samples, the MLP reads every row
+    yield FedRunConfig(Q=2, T=3, batch_size=16, beta0=0.1, arms=three, seed=4), \
+        _objective("mlp", ds), parts, ds
+
+
+class TestOverlappedEvaluation:
+    """On more than one core, a classifier's model states are evaluated on
+    a second thread while the next round trains; the trace must be the
+    serial one, byte for byte, and the thread must not outlive the run."""
+
+    def test_traces_equal_on_one_and_two_cores(self, monkeypatch):
+        for setup in _overlap_setups():
+            serial, inline = _on_cores(monkeypatch, 1, *setup)
+            overlapped, worker = _on_cores(monkeypatch, 2, *setup)
+            assert overlapped.tobytes() == serial.tobytes()
+            T = setup[0].T
+            assert inline == [threading.main_thread()] * T
+            assert len(worker) == T and len(set(worker)) == 1
+            assert worker[0] is not threading.main_thread()
+
+    def test_batch_free_objective_evaluates_inline(self, monkeypatch):
+        cfg, obj, parts, test = next(_run_setups())
+        trace, threads = _on_cores(monkeypatch, 2, cfg, obj, parts, test)
+        assert threads == [threading.main_thread()] * cfg.T
+        assert trace.tobytes() == _on_cores(monkeypatch, 1, cfg, obj, parts, test)[0].tobytes()
+
+    def test_pool_process_evaluates_inline(self, monkeypatch):
+        # a pool's process leaves the other cores to the pool's other processes
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        cfg, obj, parts, test = list(_run_setups())[1]
+        trace, threads = _on_cores(monkeypatch, 2, cfg, obj, parts, test)
+        assert threads == [threading.main_thread()] * cfg.T
+        monkeypatch.undo()
+        assert trace.tobytes() == _on_cores(monkeypatch, 1, cfg, obj, parts, test)[0].tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_divergence_messages_on_either_path(self, monkeypatch, cores):
+        monkeypatch.setattr(fedavg, "_usable_cores", lambda: cores)
+        _assert_divergence_messages()
+
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_diverging_run_on_the_thread_warns_nothing(self, monkeypatch, T):
+        # the thread runs under the loop's error state, set by itself
+        monkeypatch.setattr(fedavg, "_usable_cores", lambda: 2)
+        ds, parts = _blob_setup(K=3)
+        cfg = FedRunConfig(Q=2, T=T, batch_size=32, beta0=0.1,
+                           arms=arms("ideal", "reed", phy=ReedPhyConfig(noise_var=1e308)))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(fedavg.DivergenceError, match="^aggregator 'reed': non-finite "
+                                                              "model after round 0$"):
+                run_fedavg(cfg, build_objective("mlp", ds, hidden=6), parts, ds)
+        assert [w.message for w in seen] == []
+
+    def _assert_joined(self, monkeypatch, run, *, raises=None):
+        """Run on two cores; every thread the run started must have ended
+        by the time run_fedavg returns or raises."""
+        before = set(threading.enumerate())
+        monkeypatch.setattr(fedavg, "_usable_cores", lambda: 2)
+        if raises is None:
+            run()
+        else:
+            with pytest.raises(raises[0], match=raises[1]):
+                run()
+        started = [t for t in threading.enumerate() if t not in before]
+        alive = [t.is_alive() for t in started]
+        for t in started:
+            t.join(timeout=10)
+        assert alive == [False] * len(started)
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        cfg, obj, parts, test = list(_run_setups())[1]
+        seen = []
+        evaluate = type(obj).evaluate
+        monkeypatch.setattr(type(obj), "evaluate", lambda self, *a, **kw: (
+            seen.append(threading.current_thread()) or evaluate(self, *a, **kw)))
+        self._assert_joined(monkeypatch, lambda: run_fedavg(cfg, obj, parts, test))
+        # state 0 on this thread, and states 1 .. T on one that has ended
+        [worker] = set(seen) - {threading.main_thread()}
+        assert not worker.is_alive()
+
+    def test_no_thread_outlives_a_divergence(self, monkeypatch):
+        ds, parts = _blob_setup(K=3)
+        cfg = FedRunConfig(Q=2, T=4, batch_size=32, beta0=0.1,
+                           arms=arms("reed", phy=ReedPhyConfig(noise_var=1e308)))
+        self._assert_joined(monkeypatch, lambda: run_fedavg(
+            cfg, build_objective("logistic", ds), parts, ds),
+            raises=(fedavg.DivergenceError, "after round 0$"))
+
+    def test_thread_error_surfaces_at_the_join(self, monkeypatch):
+        cfg, obj, parts, test = list(_run_setups())[1]
+        accuracy, states = type(obj).accuracy, []
+
+        def failing(self, params, *args):
+            states.append(threading.current_thread())
+            if len(states) == 2:
+                raise ArithmeticError("state 2")
+            return accuracy(self, params, *args)
+
+        monkeypatch.setattr(type(obj), "accuracy", failing)
+        self._assert_joined(monkeypatch, lambda: run_fedavg(cfg, obj, parts, test),
+                            raises=(ArithmeticError, "^state 2$"))
+        assert len(states) == 2 and threading.main_thread() not in states
+
+    def test_main_thread_error_joins_the_thread(self, monkeypatch):
+        # round 2 fails on the main thread while state 2 is on the thread
+        cfg, obj, parts, test = list(_run_setups())[1]
+        stacked, calls = type(obj).stacked_gradient, []
+
+        def failing(self, *args):
+            calls.append(None)
+            if len(calls) > 2 * cfg.Q:
+                raise ArithmeticError("round 2")
+            return stacked(self, *args)
+
+        monkeypatch.setattr(type(obj), "stacked_gradient", failing)
+        self._assert_joined(monkeypatch, lambda: run_fedavg(cfg, obj, parts, test),
+                            raises=(ArithmeticError, "^round 2$"))
+
+    def test_fine_thread_switching_keeps_the_bytes(self, monkeypatch):
+        # switching threads every microsecond interleaves the rounds' work
+        # with the evaluation at many more points
+        cfg, obj, parts, test = list(_run_setups())[-1]
+        serial = _on_cores(monkeypatch, 1, cfg, obj, parts, test)[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            overlapped = _on_cores(monkeypatch, 2, cfg, obj, parts, test)[0]
+        finally:
+            sys.setswitchinterval(interval)
+        assert overlapped.tobytes() == serial.tobytes()
+
+
+def test_import_starts_no_thread():
+    # run_fedavg loads its thread pool only when a run takes it, so that
+    # importing reedsim stays cheap
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", (
+        "import sys, threading, reedsim\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert 'concurrent.futures' not in sys.modules\n")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
