@@ -11,7 +11,9 @@ worker count.  Each file is written whole beside its target, then renamed
 over it.  A trace CSV row is one round of one trial under one aggregator:
 trial, round and aggregator, then one cell per ``fedavg.TRACE_COLUMNS`` name.
 
-FedAvg runs one job per (group, trial).  A group is every point of a sweep
+The moment points, whose draws release the GIL, run on one thread per
+usable core; FedAvg, whose round loop holds it, runs one job per (group,
+trial) in a pool of ``workers`` processes.  A group is every point of a sweep
 over a phy.* key, whose aggregators run as arms of one FedAvg run, each
 distinct arm once (``experiments.run_trial``), or else one point.
 """
@@ -30,7 +32,6 @@ from typing import Any
 import numpy as np
 
 from .config import ConfigError, fmt_value, load_config
-from .datasets import IdxFormatError
 from .experiments import default_moment_matrix, run_trial, validate_point
 from .fedavg import TRACE_COLUMNS, DivergenceError, _usable_cores
 
@@ -75,29 +76,21 @@ def _map(fn, items: list, workers: int, threads: bool = False) -> list:
     return [fn(item) for item in items]
 
 
-def cmd_validate_moments(cfg: dict[str, Any], out_dir: str, workers: int = 1) -> int:
+def cmd_validate_moments(cfg: dict[str, Any], out_dir: str) -> int:
     """Run the moment-law matrix; returns a nonzero exit status if any
-    point misses its tolerance.  The points are independent, and NumPy
-    releases the GIL in their draws and long ufunc loops, so at ``workers``
-    = 1 they run on one thread per usable core; above 1, in that many
-    processes.  Either way the results come back in matrix order."""
-    points = default_moment_matrix()
-    n_trials = cfg["moments.n_trials"]
-    tol = cfg["moments.tolerance"]
-    threads = workers == 1
-    results = _map(partial(validate_point, n_trials=n_trials, tolerance=tol,
-                           seed=cfg["seed"]), points,
-                   _usable_cores() if threads else workers, threads)
+    point misses its tolerance.  NumPy releases the GIL in the independent
+    points' draws, so they run on one thread per usable core, in order."""
+    results = _map(partial(validate_point, n_trials=cfg["moments.n_trials"],
+                           tolerance=cfg["moments.tolerance"], seed=cfg["seed"]),
+                   default_moment_matrix(), _usable_cores(), threads=True)
     rows = [[fmt_value(v) for v in (r.point_id, r.s, r.mc_mean, r.cf_mean, r.mc_var,
                                     r.cf_var, r.rel_err, r.passed)] for r in results]
     _write_csv(os.path.join(out_dir, "moments.csv"),
                ["point_id", "s", "mc_mean", "cf_mean", "mc_var", "cf_var",
                 "rel_err", "pass"], rows)
-    n_fail = sum(1 for r in results if not r.passed)
     for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.point_id} "
-              f"rel_err={r.rel_err:.4f}")
-    return 1 if n_fail else 0
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.point_id} rel_err={r.rel_err:.4f}")
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _trial_job(job):
@@ -181,25 +174,21 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a dotted-key config file")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes override (default: config workers)")
+                       help="worker processes for run-fedavg and sweep "
+                            "(default: config workers)")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.seed, args.workers)
         out_dir = args.out if args.out is not None else cfg["output.dir"]
-        workers = cfg["workers"]
         if args.command == "validate-moments":
-            return cmd_validate_moments(cfg, out_dir, workers)
-        if args.command == "run-fedavg":
-            return cmd_run_fedavg(cfg, out_dir, workers)
-        return cmd_sweep(cfg, out_dir, workers)
-    except (ConfigError, IdxFormatError, OSError) as exc:
+            return cmd_validate_moments(cfg, out_dir)
+        run = cmd_run_fedavg if args.command == "run-fedavg" else cmd_sweep
+        return run(cfg, out_dir, cfg["workers"])
+    except (ConfigError, OSError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, DivergenceError) else 2
 
 
 if __name__ == "__main__":

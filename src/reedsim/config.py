@@ -211,13 +211,13 @@ def _cross_validate(cfg: dict[str, Any]) -> None:
             raise ConfigError(f"{key}: must be >= {low}, got {cfg[key]}")
     if cfg["moments.tolerance"] <= 0:
         raise ConfigError(f"moments.tolerance: must be > 0, got {cfg['moments.tolerance']}")
-    # the relations of the synthetic keys bind only the data they build
-    if cfg["data.source"] == "synth":
-        if cfg["data.synth_kind"] == "gaussian-blobs" and cfg["data.synth_n"] < cfg["fed.K"]:
-            raise ConfigError("data.synth_n: must be >= fed.K")
-        if cfg["data.synth_kind"] == "quadratic-free" and cfg["fed.model"] != "quadratic":
+    # the synthetic keys' relations bind only a classifier's data: a quadratic builds none
+    if cfg["data.source"] == "synth" and cfg["fed.model"] != "quadratic":
+        if cfg["data.synth_kind"] == "quadratic-free":
             raise ConfigError("data.synth_kind: 'quadratic-free' builds no data, nothing "
                               f"to train fed.model = {cfg['fed.model']!r} on")
+        if cfg["data.synth_n"] < cfg["fed.K"]:
+            raise ConfigError("data.synth_n: must be >= fed.K")
     if cfg["data.source"] == "idx":
         for key in ("data.idx_images", "data.idx_labels"):
             if cfg[key] is None:

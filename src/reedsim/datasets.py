@@ -31,7 +31,11 @@ _MAGIC_LABELS = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX payload."""
+    """Malformed IDX payload, of the file ``filename`` where one is to blame."""
+
+    def __init__(self, message: str, filename: str | None = None):
+        super().__init__(message)
+        self.filename = filename
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ def _read_idx(path: str) -> np.ndarray:
     try:
         return parse_idx(data)
     except IdxFormatError as exc:
-        raise IdxFormatError(f"{path}: {exc}") from None
+        raise IdxFormatError(f"{path}: {exc}", path) from None
 
 
 def load_idx_dataset(images_path: str, labels_path: str) -> LabeledDataset:

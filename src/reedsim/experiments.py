@@ -7,8 +7,8 @@ every arm of every config on them in lockstep, so the matched-seed
 contract holds by construction: neither the aggregator nor the radio ever
 perturbs data partitioning, model initialization or local minibatch order.
 Arms equal in what they read (``fedavg.radio_read``) are one run.
-A ``quadratic-free`` trial builds no data: its objective reads no batch,
-so ``fed.K`` empty partitions are all it needs, to count the clients.
+A quadratic trial builds no data, whatever its source: its objective reads
+no batch, so ``fed.K`` empty partitions are all it needs, to count clients.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import (ConfigError, _keyed, client_partition, fed_run_config,
                      run_objective, synth_data)
-from .datasets import LabeledDataset, _allocating, load_idx_dataset
+from .datasets import IdxFormatError, LabeledDataset, _allocating, load_idx_dataset
 from .estimator import ReedPhyConfig, ScalarInputs, sample_estimates
 from .fedavg import run_fedavg
 from .moments import variance_chip
@@ -128,12 +128,18 @@ def validate_point(point: MomentPoint, n_trials: int, tolerance: float,
                         mc_var, cf.variance, rel_err, passed)
 
 
-def _idx_dataset(images: str, labels: str) -> LabeledDataset:
-    """The IDX pair at these paths, parsed once per process while neither
-    file changes (same modification time and size); every trial shares it,
-    so its arrays are read-only."""
-    stamp = tuple((st.st_mtime_ns, st.st_size) for st in map(os.stat, (images, labels)))
-    return _parsed_idx(images, labels, stamp)
+def _idx_dataset(cfg: dict[str, Any], which: str = "") -> LabeledDataset:
+    """The IDX pair at ``data.idx_{which}images`` and ``..._labels``, parsed
+    once per process while neither file changes (same modification time and
+    size) and shared, read-only, by every trial.  A read error is a
+    ConfigError under the key of the file it names, else under both keys."""
+    keys = (f"data.idx_{which}images", f"data.idx_{which}labels")
+    paths = [cfg[key] for key in keys]
+    try:
+        return _parsed_idx(*paths, tuple((s.st_mtime_ns, s.st_size) for s in map(os.stat, paths)))
+    except (OSError, IdxFormatError) as exc:
+        named = [key for key, path in zip(keys, paths) if path == exc.filename] or keys
+        raise ConfigError(f"{', '.join(named)}: {exc}") from None
 
 
 @lru_cache(maxsize=2)  # the train pair and the test pair
@@ -147,25 +153,25 @@ def _parsed_idx(images: str, labels: str, stamp: tuple) -> LabeledDataset:
 def build_experiment_data(cfg: dict[str, Any], trial: int) -> tuple[
         LabeledDataset | None, LabeledDataset | None, list[np.ndarray]]:
     """Train set, optional test set and client partition for one trial: no
-    sets and ``fed.K`` empty partitions for ``quadratic-free`` data, and no
-    test set where it has no rows, so that test_acc reads 0.
+    sets and ``fed.K`` empty partitions for any quadratic trial, and no test
+    set where it has no rows, so that test_acc reads 0.
 
     Depends only on the data config, base seed and trial index, never on
     the aggregator (matched-seed contract).  A ``fed.K`` above the number
-    of samples, or an IDX test label at or above ``data.classes`` for a
-    classifier, is a ConfigError."""
-    if cfg["data.source"] == "synth" and cfg["data.synth_kind"] == "quadratic-free":
+    of samples, an IDX file that cannot be read, or an IDX test label at or
+    above ``data.classes``, is a ConfigError."""
+    if cfg["fed.model"] == "quadratic":
         with _keyed(), _allocating("K"):
             return None, None, [np.empty(0, dtype=int)] * cfg["fed.K"]
     if cfg["data.source"] == "idx":
-        train = _idx_dataset(cfg["data.idx_images"], cfg["data.idx_labels"])
+        train = _idx_dataset(cfg)
         test = None
         if cfg["data.idx_test_images"] is not None:
-            test = _idx_dataset(cfg["data.idx_test_images"], cfg["data.idx_test_labels"])
-            classes = cfg["data.classes"]
-            if cfg["fed.model"] != "quadratic" and test.labels.max(initial=0) >= classes:
+            test = _idx_dataset(cfg, "test_")
+            if test.n_classes > cfg["data.classes"]:
                 raise ConfigError(f"data.classes: must exceed every test label, got "
-                                  f"{classes} for test labels up to {test.labels.max()}")
+                                  f"{cfg['data.classes']} for test labels up to "
+                                  f"{test.labels.max()}")
     else:
         n_train, n_test = cfg["data.synth_n"], cfg["data.test_n"]
         # one pool, so train and test share the class means

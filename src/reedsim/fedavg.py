@@ -322,8 +322,8 @@ class _Classifier(Objective):
     a constant input 1 that follows the m others.  The training set is held
     in that form once, as (n, p + 1) rows, sample i's features and then a
     1: the clients' batches are gathered from them, and every pass over the
-    whole set reads their (p + 1, n) transpose, a view.  The test set's
-    inputs are built once, as a contiguous (p + 1, n) array.
+    whole set reads their (p + 1, n) transpose, a view, beside the labels.
+    The test set's inputs are built once, as a contiguous (p + 1, n) array.
 
     Subclasses write the forward pass ``_forward(params, x)``, which
     returns (..., C, B) logits and what the backward pass reads, and the
@@ -343,7 +343,7 @@ class _Classifier(Objective):
         if len(data) and data.labels.max() >= n_classes:
             raise ValueError(f"n_classes must exceed every label, got {n_classes} "
                              f"for labels up to {data.labels.max()}")
-        self.data = data
+        self._labels = data.labels
         self.n_classes = n_classes
         self.n_features = data.features.shape[1]
         self._rows = np.hstack((data.features, np.ones((len(data), 1))))
@@ -356,7 +356,7 @@ class _Classifier(Objective):
 
     def _batch(self, batch):
         """Inputs (p + 1, B) and labels (B,) of one batch."""
-        return self._rows[batch].T, self.data.labels[batch]
+        return self._rows[batch].T, self._labels[batch]
 
     def _gradients(self, params, x, labels, weights):
         Z, cache = self._forward(params, x)
@@ -390,7 +390,7 @@ class _Classifier(Objective):
         weights = (np.arange(B) < lengths) / lengths
         grads = self._gradients(params.reshape(-1, K, self.dim),
                                 self._rows.take(batches, axis=0).swapaxes(1, 2),
-                                self.data.labels[batches], weights[:, None, :])
+                                self._labels[batches], weights[:, None, :])
         return grads.reshape(len(params), self.dim)
 
     def evaluate(self, params, rng, gradients=True):
@@ -488,14 +488,14 @@ class MlpObjective(_Classifier):
 
     @property
     def uses_proxy(self):
-        return len(self.data) > self.proxy_samples
+        return len(self._rows) > self.proxy_samples
 
     def _diagnostic_rows(self, rng):
         """Every training row up to ``proxy_samples`` of them; above that,
         ``proxy_samples`` rows drawn without replacement from ``rng``."""
         if not self.uses_proxy:
             return _ALL
-        return rng.choice(len(self.data), size=self.proxy_samples, replace=False)
+        return rng.choice(len(self._rows), size=self.proxy_samples, replace=False)
 
     def diagnostic_gradient(self, params, rng):
         return self.stochastic_gradient(params, self._diagnostic_rows(rng))

@@ -209,15 +209,25 @@ class TestValidateMoments:
                                         cores):
         # at most one thread per point, and none on one core
         monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-        assert cmd_validate_moments(parse_config(TINY), str(tmp_path), workers=1) == 0
+        assert cmd_validate_moments(parse_config(TINY), str(tmp_path)) == 0
         n_points = len(default_moment_matrix())
         assert thread_pools == ([min(cores, n_points)] if cores > 1 else [])
         assert pools == []
 
-    def test_workers_start_processes_not_threads(self, tmp_path, pools, thread_pools):
-        assert cmd_validate_moments(parse_config(TINY), str(tmp_path), workers=2) == 0
-        assert pools == [2]
-        assert thread_pools == []
+    def test_workers_start_no_process_pool(self, tmp_path, monkeypatch, pools, thread_pools):
+        # workers sizes only the FedAvg pool: at any workers the points run
+        # on one thread per usable core, and in this process on one core
+        cfgfile = tmp_path / "moments.cfg"
+        cfgfile.write_text(TINY)
+        n_points = len(default_moment_matrix())
+        for cores in (1, 4, 16):
+            monkeypatch.setattr(cli, "_usable_cores", lambda cores=cores: cores)
+            for workers in (2, 3):
+                thread_pools.clear()
+                assert main(["validate-moments", str(cfgfile), "--workers", str(workers),
+                             "--out", str(tmp_path / f"{cores}-{workers}")]) == 0
+                assert thread_pools == ([min(cores, n_points)] if cores > 1 else [])
+        assert pools == []
 
     def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -685,6 +695,55 @@ class TestMain:
             "data.synth_kind": '"quadratic-free"'}))
         assert main(["run-fedavg", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("data", [
+        {"data.synth_n": "2"},
+        {"data.source": '"idx"', "data.idx_images": '"{absent}/images.idx"',
+         "data.idx_labels": '"{absent}/labels.idx"'}], ids=["blobs-below-K", "absent-idx"])
+    def test_quadratic_trial_builds_no_data(self, tmp_path, monkeypatch, data):
+        # whatever its data keys say, a quadratic trial draws, partitions and
+        # opens nothing, and writes the bytes of its quadratic-free form
+        configs = [parse_config(_with(FAST_FED, overrides)) for overrides in (
+            QUADRATIC_FREE, {"fed.model": '"quadratic"', **{
+                k: v.format(absent=tmp_path / "absent") for k, v in data.items()}})]
+        called = []
+        for module, name in ((config, "synth_dataset"), (config, "partition"),
+                             (experiments, "load_idx_dataset"), (experiments, "_idx_dataset")):
+            monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: (
+                called.append(name)))
+        for i, cfg in enumerate(configs):
+            assert cmd_run_fedavg(cfg, str(tmp_path / str(i))) == 0
+        assert called == []
+        assert (tmp_path / "1" / "fedavg_trace.csv").read_bytes() == \
+            (tmp_path / "0" / "fedavg_trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("name, content, key", [
+        ("images", None, "data.idx_images"),
+        ("labels", b"\x00", "data.idx_labels"),
+        ("test_images", None, "data.idx_test_images"),
+        ("test_labels", b"\x00\x00\x08\x01\x00\x00\x00\x02", "data.idx_test_labels")],
+        ids=["missing-images", "truncated-labels", "missing-test-images",
+             "truncated-test-labels"])
+    def test_idx_read_error_names_its_key(self, tmp_path, capsys, name, content, key):
+        # a file that cannot be read or parsed is reported under its key,
+        # with its path (test_idx_count_mismatch_rejected has the pair's case)
+        paths = {part: tmp_path / f"{part}.idx"
+                 for part in ("images", "labels", "test_images", "test_labels")}
+        for which in ("", "test_"):
+            paths[f"{which}images"].write_bytes(write_idx(np.zeros((6, 4))))
+            paths[f"{which}labels"].write_bytes(write_idx(np.arange(6) % 3))
+        if content is None:
+            paths[name].unlink()
+        else:
+            paths[name].write_bytes(content)
+        cfgfile = tmp_path / "idx.cfg"
+        cfgfile.write_text(_with(FAST_FED, {"data.source": '"idx"', **{
+            f"data.idx_{part}": f'"{path}"' for part, path in paths.items()}}))
+        assert main(["run-fedavg", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and len(err.splitlines()) == 1
+        assert str(paths[name]) in err
+        assert not (tmp_path / "o").exists()
+
     def test_quadratic_free_binds_no_synthetic_size(self, tmp_path):
         # no rows are built, so five clients over a synthetic size of two
         # are sound
@@ -737,7 +796,8 @@ class TestMain:
 
     @pytest.mark.parametrize("pair", ["train", "test"])
     def test_idx_count_mismatch_rejected(self, tmp_path, capsys, pair):
-        # six images, five labels: one line naming both files and both counts
+        # six images, five labels: one line naming both keys, both files and
+        # both counts
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
         short = tmp_path / "short_labels.idx"
         images.write_bytes(write_idx(np.linspace(0.0, 1.0, 24).reshape(6, 4)))
@@ -752,7 +812,8 @@ class TestMain:
         status = main(["run-fedavg", str(cfgfile), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert status == 2
-        assert err == f"error: {images} holds 6 images but {short} holds 5 labels\n"
+        keys = "data.idx_{0}images, data.idx_{0}labels".format("" if pair == "train" else "test_")
+        assert err == f"error: {keys}: {images} holds 6 images but {short} holds 5 labels\n"
 
     def test_cli_end_to_end(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

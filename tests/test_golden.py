@@ -1,6 +1,6 @@
 """Golden outputs: the exact bytes of five tiny run-fedavg runs, two tiny
 sweeps and one small validate-moments run, the last at every usable-core
-count and worker count.
+count and ``--workers`` value.
 
 Every draw of a run comes from a fixed stream layout, so any change to how
 stream keys are derived or consumed changes these hashes.  A change that
@@ -187,13 +187,22 @@ def test_validate_moments_bytes_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("cores, workers", [(1, 1), (2, 1), (3, 1), (16, 1), (2, 2)])
-def test_validate_moments_bytes_any_cores_or_workers(tmp_path, monkeypatch, cores, workers):
-    # one thread per usable core at workers = 1, else worker processes
-    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-    cfg = parse_config("seed = 7\nmoments.n_trials = 2000\nmoments.tolerance = 0.2\n")
-    assert cmd_validate_moments(cfg, str(tmp_path), workers) == 0
-    digest = hashlib.sha256((tmp_path / "moments.csv").read_bytes()).hexdigest()
+def test_validate_moments_bytes_any_cores_or_workers(tmp_path, monkeypatch, capsys, cores,
+                                                     workers):
+    # one thread per usable core, whatever --workers says; the lines printed
+    # are those of the run in this process
+    cfgfile = tmp_path / "moments.cfg"
+    cfgfile.write_text("seed = 7\nmoments.n_trials = 2000\nmoments.tolerance = 0.2\n")
+    outputs = []
+    for usable, flag in ((1, "1"), (cores, str(workers))):
+        monkeypatch.setattr(cli, "_usable_cores", lambda usable=usable: usable)
+        out = tmp_path / f"{usable}-{flag}"
+        assert cli.main(["validate-moments", str(cfgfile), "--workers", flag,
+                         "--out", str(out)]) == 0
+        outputs.append(capsys.readouterr().out)
+    digest = hashlib.sha256((out / "moments.csv").read_bytes()).hexdigest()
     assert digest == MOMENTS_GOLDEN
+    assert outputs[1] == outputs[0]
 
 
 def test_validate_moments_threads_match_serial_at_20000_trials(tmp_path, monkeypatch,
