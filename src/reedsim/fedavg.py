@@ -27,14 +27,21 @@ each arm run alone, trace for trace: equal arms are one run.
 Arms on one radio draw the same channel values, and so do the chips two
 ``reed`` arms share.
 
-Local training is batched across clients and arms.  At the start of a
-round each client draws all of its minibatch indices from its own
-stream, exactly as the single-client reference :func:`local_round` does.
-They are stacked into a (Q, K, B) index array, with short batches padded
-and masked, and each of the Q steps is one
+Local training is batched across clients and arms, and what the steps
+read is built where it changes.  Once per run, a minibatch plan
+(:class:`_MinibatchPlan`) holds each client's shuffle buffer and the
+(Q, K) batch lengths and (Q, K, 1, B) column weights, which are the same
+every round.  At the start of a round each client draws all of its
+minibatch indices from its own stream, in one call, exactly as the
+single-client reference :func:`local_round` does; they fill a (Q, K, B)
+index array, with short batches padded and masked.  The objective then
+takes every step's targets (a classifier's label entries) in one pass,
+:meth:`Objective.step_targets`.  Each of the Q steps is one
 :meth:`Objective.stacked_gradient` call over all K clients of all A arms,
-A·K rows in arm-major order; the K clients' features are gathered once
-and broadcast over the A models.  Aggregation stays per arm.
+A·K rows in arm-major order, which gathers the K clients' features once
+and broadcasts them over the A models.  An objective that reads no batch
+gets None in their place, from one tuple of Q steps built per run.
+Aggregation stays per arm.
 
 Evaluation is stacked too.  Once every arm has updated its model, one
 :meth:`Objective.evaluate` call takes the train losses and diagnostic
@@ -57,7 +64,7 @@ gradient that opens round t + 1 are taken at the same model, so one call
 gives both.  The losses of state 0 go unread, and state T is evaluated for
 its losses alone: no backward pass, and no proxy rows drawn.
 Objectives whose gradients never read the batch (``uses_batches`` False)
-draw no minibatch indices.
+build no plan and draw no minibatch indices.
 
 Each arm's start (``AGGREGATORS``) builds what its rounds reuse before
 round 0 and checks a budgeted ``reed`` arm's every gain, so a run whose
@@ -108,9 +115,10 @@ class Objective:
 
     Subclasses bind the training data; a batch is an index into it, an
     index array or ``slice(None)`` for every sample.  This base declares
-    what the round loop calls: :meth:`init_params` once per run, and three
-    methods on a stack of models, :meth:`stacked_gradient` for the local
-    steps of every client under every model, and :meth:`evaluate` and
+    what the round loop calls: :meth:`init_params` once per run,
+    :meth:`step_targets` once per round on its batches, and three methods
+    on a stack of models, :meth:`stacked_gradient` for the local steps of
+    every client under every model, and :meth:`evaluate` and
     :meth:`accuracy` once per model state for all A models at once.  Each
     row of a stacked result equals that model evaluated alone, bit for
     bit.  :meth:`evaluate` and :meth:`accuracy` may run on another thread,
@@ -133,16 +141,27 @@ class Objective:
     uses_proxy: bool = False
 
     def stacked_gradient(self, params: np.ndarray, batches: np.ndarray,
-                         lengths: np.ndarray) -> np.ndarray:
+                         targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Minibatch gradients of K clients under each of A models in one
         call.
 
-        ``batches`` is a (K, B) index array whose row k holds ``lengths[k]``
-        valid indices; entries past that are padding and do not contribute.
-        ``params`` is (A·K, dim), row a·K + k being client k under model a,
-        and every model reads the same K batches.  Returns a new (A·K, dim)
-        array, which the caller may overwrite.
+        ``batches`` is a (K, B) index array whose row k holds client k's
+        batch, padded with index 0.  ``weights`` (K, 1, B) weigh its
+        columns, 1/length on the batch and 0 on the padding, which does not
+        contribute.  ``targets`` is this step's row of what
+        :meth:`step_targets` made of the round's batches.  ``params`` is
+        (A·K, dim), row a·K + k being client k under model a, and every
+        model reads the same K batches.  Returns a new (A·K, dim) array,
+        which the caller may overwrite.  An objective that reads no batch
+        (``uses_batches`` False) gets None for the batches, targets and
+        weights.
         """
+        raise NotImplementedError
+
+    def step_targets(self, batches: np.ndarray) -> np.ndarray:
+        """What the Q steps of a round read of their (Q, K, B) batches
+        beside the inputs, taken once per round: row q is step q's
+        ``targets``."""
         raise NotImplementedError
 
     def diagnostic_gradient(self, params: np.ndarray,
@@ -188,7 +207,7 @@ class QuadraticObjective(Objective):
     def stochastic_gradient(self, params, batch=None):
         return self.curvatures * params
 
-    def stacked_gradient(self, params, batches=None, lengths=None):
+    def stacked_gradient(self, params, batches=None, targets=None, weights=None):
         return self.curvatures * params
 
     def full_gradient(self, params):
@@ -214,12 +233,14 @@ def _softmax_parts(z: np.ndarray) -> np.ndarray:
 
 
 def _label_entries(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Flat index of each sample's true-class entry in the (..., C, B)
-    class probabilities of its (..., B) labels.  The index is the same for
-    every model of a stack, which the probabilities may lead with."""
-    *lead, B = labels.shape
-    rows = np.arange(math.prod(lead)).reshape(*lead, 1)
-    return ((rows * n_classes + labels) * B + np.arange(B)).ravel()
+    """Flat index of each sample's true-class entry in the (K, C, B) class
+    probabilities of (K, B) labels, as (K·B,) entries; (B,) labels are one
+    row, K = 1.  The index is the same for every model of a stack, which the
+    probabilities may lead with.  Labels (Q, K, B) of Q steps give one row
+    of entries per step, (Q, K·B)."""
+    K, B = labels.shape[-2:] if labels.ndim > 1 else (1, labels.size)
+    entries = (np.arange(K)[:, None] * n_classes + labels) * B + np.arange(B)
+    return entries.reshape(labels.shape[:-2] + (-1,))
 
 
 def _accuracy(Z: np.ndarray, labels: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -358,16 +379,16 @@ class _Classifier(Objective):
         """Inputs (p + 1, B) and labels (B,) of one batch."""
         return self._rows[batch].T, self._labels[batch]
 
-    def _gradients(self, params, x, labels, weights):
+    def _gradients(self, params, x, entries, weights):
         Z, cache = self._forward(params, x)
         sums = _softmax_parts(Z)
-        dZ = _xent_logit_grad(Z, sums, _label_entries(labels, self.n_classes), weights)
-        return self._backward(params, x, cache, dZ)
+        return self._backward(params, x, cache, _xent_logit_grad(Z, sums, entries, weights))
 
     def _batch_gradients(self, params, batch):
         """Mean gradients (A, dim) of A models on one batch."""
         x, labels = self._batch(batch)
-        return self._gradients(params, x, labels, 1.0 / labels.size)
+        return self._gradients(params, x, _label_entries(labels, self.n_classes),
+                               1.0 / labels.size)
 
     def _losses(self, params, batch):
         """Mean cross-entropies (A,) of A models on one batch."""
@@ -384,14 +405,16 @@ class _Classifier(Objective):
         inputs, entries = self._test[2:]
         return _accuracy(self._forward(params, inputs)[0], labels, entries)
 
-    def stacked_gradient(self, params, batches, lengths):
-        K, B = batches.shape
-        lengths = lengths[:, None]
-        weights = (np.arange(B) < lengths) / lengths
-        grads = self._gradients(params.reshape(-1, K, self.dim),
-                                self._rows.take(batches, axis=0).swapaxes(1, 2),
-                                self._labels[batches], weights[:, None, :])
+    def stacked_gradient(self, params, batches, targets, weights):
+        grads = self._gradients(params.reshape(-1, len(batches), self.dim),
+                                self._rows.take(batches, axis=0).swapaxes(1, 2), targets,
+                                weights)
         return grads.reshape(len(params), self.dim)
+
+    def step_targets(self, batches):
+        """Each step's label entries (:func:`_label_entries`): (Q, K·B) of
+        (Q, K, B) batches, row q in one model's (K, C, B) probabilities."""
+        return _label_entries(self._labels.take(batches), self.n_classes)
 
     def evaluate(self, params, rng, gradients=True):
         """Losses from one forward pass over the training set; the gradients
@@ -676,18 +699,52 @@ def _client_batches(indices, Q: int, batch_size: int,
     return shuffles.reshape(-1, width)[:Q], lengths
 
 
-def _round_batches(partitions: list[np.ndarray], Q: int, batch_size: int,
-                   rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """The minibatches of every client's Q local steps, client k drawn
-    from ``rngs[k]``: a (Q, K, B) index array and the (Q, K) batch
-    lengths."""
-    width = min(batch_size, max(np.size(p) for p in partitions))
-    batches = np.zeros((Q, len(partitions), width), dtype=np.intp)
-    lengths = np.empty((Q, len(partitions)), dtype=np.intp)
-    for k, (part, rng) in enumerate(zip(partitions, rngs)):
-        rows, lengths[:, k] = _client_batches(part, Q, batch_size, rng)
-        batches[:, k, :rows.shape[1]] = rows
-    return batches, lengths
+class _MinibatchPlan:
+    """Every client's minibatches of a round's Q local steps, round after
+    round, client k's drawn from ``rngs[k]`` exactly as
+    :func:`_client_batches` draws them.
+
+    What is the same every round is built once per run.  Client k's
+    shuffles are written in place into block k of one (K, R, B) index
+    array, its Q batches of width min(B, n) row after row, padded with
+    index 0, and copied from there into the contiguous (Q, K, B)
+    ``batches``, row q the K batches of step q, which the steps' gathers
+    read fastest.  The (Q, K) ``lengths`` and the (Q, K, 1, B) column
+    ``weights``, 1/length on a batch's columns and 0 on its padding, so
+    that each batch's gradient is its mean, do not depend on the draws.
+    """
+
+    def __init__(self, partitions: list[np.ndarray], Q: int, batch_size: int,
+                 rngs: list[np.random.Generator]):
+        sizes = np.array([np.size(p) for p in partitions])
+        if not sizes.all():
+            raise ValueError("client dataset is empty")
+        B = min(batch_size, sizes.max())
+        # each client's batch width, batches per shuffle and shuffles per round
+        widths = np.minimum(B, sizes)
+        per_shuffle = -(-sizes // widths)
+        shuffles = -(-Q // per_shuffle)
+        # the largest array first, so that too large a Q fails before any is filled
+        index = np.zeros((len(sizes), (shuffles * per_shuffle).max(), B), dtype=np.intp)
+        self._drawn = index[:, :Q].swapaxes(0, 1)
+        self.batches = np.empty(self._drawn.shape, dtype=np.intp)
+        self.lengths = np.minimum(widths, sizes - widths * (np.arange(Q)[:, None] % per_shuffle))
+        lengths = self.lengths[:, :, None, None]
+        self.weights = (np.arange(B) < lengths) / lengths
+        # one permuted call a round shuffles a client's S copies of its
+        # indices, row after row, as S permutation calls would
+        self._shuffles = [
+            (np.broadcast_to(np.asarray(part, dtype=np.intp), (S, n)), rng,
+             block[:S * per].reshape(S, per * B)[:, :n])
+            for part, rng, block, n, per, S in zip(partitions, rngs, index, sizes.tolist(),
+                                                   per_shuffle.tolist(), shuffles.tolist())]
+
+    def draw(self) -> np.ndarray:
+        """Draw a round's minibatches into ``batches`` and return it."""
+        for indices, rng, out in self._shuffles:
+            rng.permuted(indices, axis=1, out=out)
+        np.copyto(self.batches, self._drawn)
+        return self.batches
 
 
 def local_round(params: np.ndarray, objective: Objective, client_indices: np.ndarray,
@@ -739,9 +796,18 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     w = objective.init_params(root.child(_DOM_INIT))
     d = objective.dim
     stack = np.repeat(w[None], A, axis=0)  # row a: arm a's model
-    # every stream of the run, built once and read round after round
+    # every stream of the run, built once and read round after round; the
+    # client streams fill the minibatch plan.  Q sizes the plan, or a
+    # batch-free run's Q steps without inputs, so too large a Q fails here
     local_key, channel_key = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
-    client_rngs = [local_key.generator(k) for k in range(K)] if objective.uses_batches else None
+    try:
+        if objective.uses_batches:
+            plan = _MinibatchPlan(partitions, cfg.Q, cfg.batch_size,
+                                  [local_key.generator(k) for k in range(K)])
+        else:
+            plan, steps = None, ((None, None, None),) * cfg.Q
+    except MemoryError as exc:
+        raise ValueError(f"Q too large: {str(exc) or 'out of memory'}") from None
     proxy_rng = local_key.generator(K) if objective.uses_proxy else None
     rounds = [AGGREGATORS[name][-1](phy, cfg, channel_key, K, d) for name, phy in cfg.arms]
 
@@ -797,19 +863,14 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
 
             # the minibatches do not depend on the arm; row a·K + k of the
             # (A·K)-row stack is client k under arm a, and every arm reads
-            # the same K batches
-            try:
-                if objective.uses_batches:
-                    batches, lengths = _round_batches(partitions, cfg.Q, cfg.batch_size,
-                                                      client_rngs)
-                else:
-                    batches = lengths = [None] * cfg.Q
-            except MemoryError as exc:  # Q sizes every round's batches: round 0 fails
-                raise ValueError(f"Q too large: {str(exc) or 'out of memory'}") from None
+            # the same K batches, and their targets, taken once a round
+            if plan is not None:
+                drawn = plan.draw()
+                steps = zip(drawn, objective.step_targets(drawn), plan.weights)
             local = np.repeat(stack, K, axis=0)
-            for q in range(cfg.Q):
+            for batches, targets, weights in steps:
                 # in place: stacked_gradient returns a new array, and local is a copy
-                step = clip_gradient(objective.stacked_gradient(local, batches[q], lengths[q]),
+                step = clip_gradient(objective.stacked_gradient(local, batches, targets, weights),
                                      cfg.clip_G)
                 step *= beta
                 local -= step

@@ -17,8 +17,9 @@ from reedsim.datasets import PartitionSpec, partition, synth_dataset
 from reedsim.channel import sample_noise
 from reedsim.estimator import ReedPhyConfig, aggregate_coherent_csit, aggregate_ideal
 from reedsim.fedavg import (TRACE_COLUMNS, FedRunConfig, LogisticObjective, MlpObjective,
-                            QuadraticObjective, _accuracy, _label_entries, _round_batches,
-                            build_objective, clip_gradient, local_round, radio_read, run_fedavg)
+                            QuadraticObjective, _MinibatchPlan, _accuracy, _client_batches,
+                            _label_entries, build_objective, clip_gradient, local_round,
+                            radio_read, run_fedavg)
 from reedsim.streams import StreamKey
 
 from reference import arms, column
@@ -295,6 +296,21 @@ def _client_rngs(key, K):
     return [key.generator(k) for k in range(K)]
 
 
+def _plan(parts, Q, batch_size, key=KEY):
+    """The minibatch plan of one client per partition, client k drawing
+    from ``key.generator(k)``."""
+    return _MinibatchPlan(parts, Q, batch_size, _client_rngs(key, len(parts)))
+
+
+def _steps(obj, plan):
+    """A round's stacked_gradient inputs after the parameters, drawn from
+    ``plan``, one tuple per step, as run_fedavg passes them."""
+    batches = plan.draw()
+    if not obj.uses_batches:
+        return [(None, None, None)] * len(batches)
+    return list(zip(batches, obj.step_targets(batches), plan.weights))
+
+
 def _record_local_round_batches(monkeypatch, obj, parts, Q, batch_size, key):
     """The minibatches local_round feeds to stochastic_gradient, per client,
     client k drawing from ``key.generator(k)``."""
@@ -310,6 +326,65 @@ def _record_local_round_batches(monkeypatch, obj, parts, Q, batch_size, key):
     return per_client
 
 
+class TestMinibatchPlan:
+    """The run-long minibatch plan against the per-client draws it stands in
+    for: the same batches from the same generators, and each step's inputs
+    as a per-step computation would make them."""
+
+    Q, BATCH = 7, 16  # Q forces a reshuffle on every client but the largest
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("S", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 17, 600])
+    def test_permuted_rows_are_sequential_permutations(self, n, S, dtype):
+        # one permuted call over S stacked copies draws what S permutation
+        # calls draw, and leaves the generator where they leave it
+        indices = (np.arange(n) * 7 % 1201).astype(dtype)
+        ours, theirs = KEY.generator(n, S), KEY.generator(n, S)
+        out = np.zeros((S, n + 3), dtype=np.intp)
+        ours.permuted(np.broadcast_to(indices, (S, n)), axis=1, out=out[:, :n])
+        assert np.array_equal(out[:, :n], [theirs.permutation(indices) for _ in range(S)])
+        assert (out[:, n:] == 0).all()
+        assert ours.integers(1 << 62, size=4).tolist() == theirs.integers(1 << 62, size=4).tolist()
+
+    def test_batches_equal_client_batches_round_after_round(self):
+        # reshuffles, the single-sample client and padded short batches,
+        # over several rounds of run-long generators
+        ds, parts = _ragged_setup()
+        K, B = len(parts), self.BATCH
+        plan, twins = _plan(parts, self.Q, B), _client_rngs(KEY, K)
+        assert plan.batches.shape == (self.Q, K, B) and plan.lengths.shape == (self.Q, K)
+        for t in range(4):
+            batches = plan.draw()
+            assert batches is plan.batches and batches.flags.c_contiguous
+            for k, part in enumerate(parts):
+                rows, lengths = _client_batches(part, self.Q, B, twins[k])
+                width = rows.shape[1]
+                assert plan.lengths[:, k].tolist() == lengths
+                assert np.array_equal(batches[:, k, :width], rows), (t, k)
+                assert (batches[:, k, width:] == 0).all()
+        assert (plan.lengths[:, 3] == 1).all()
+
+    def test_step_inputs_equal_per_step_computation(self):
+        ds, parts = _ragged_setup()
+        obj = _objective("logistic", ds)
+        plan = _plan(parts, self.Q, self.BATCH)
+        for t in range(3):
+            steps = _steps(obj, plan)
+            assert len(steps) == self.Q
+            for q, (batches, entries, weights) in enumerate(steps):
+                assert np.array_equal(batches, plan.batches[q])
+                assert np.array_equal(entries, _label_entries(ds.labels[batches], obj.n_classes))
+                lengths = plan.lengths[q][:, None]
+                expected = ((np.arange(self.BATCH) < lengths) / lengths)[:, None, :]
+                assert weights.shape == expected.shape
+                assert (weights == expected).all()
+
+    def test_empty_client_rejected(self):
+        with pytest.raises(ValueError, match="^client dataset is empty$"):
+            _plan([np.arange(4), np.arange(0)], self.Q, self.BATCH)
+
+
 class TestBatchedTraining:
     """run_fedavg's stacked steps against the per-client local_round loop."""
 
@@ -318,8 +393,8 @@ class TestBatchedTraining:
     def test_batch_indices_equal_local_round(self, monkeypatch):
         ds, parts = _ragged_setup()
         obj = _objective("logistic", ds)
-        batches, lengths = _round_batches(parts, self.Q, self.BATCH,
-                                          _client_rngs(KEY, len(parts)))
+        plan = _plan(parts, self.Q, self.BATCH)
+        batches, lengths = plan.draw(), plan.lengths
         expected = _record_local_round_batches(monkeypatch, obj, parts, self.Q,
                                                self.BATCH, KEY)
         assert batches.shape == (self.Q, len(parts), self.BATCH)
@@ -336,11 +411,11 @@ class TestBatchedTraining:
     def test_stacked_gradient_matches_per_client(self, kind):
         ds, parts = _ragged_setup()
         obj = _objective(kind, ds)
-        batches, lengths = _round_batches(parts, self.Q, self.BATCH,
-                                          _client_rngs(KEY, len(parts)))
+        plan = _plan(parts, self.Q, self.BATCH)
+        steps, batches, lengths = _steps(obj, plan), plan.batches, plan.lengths
         params = 0.3 * StreamKey(5).generator().standard_normal((len(parts), obj.dim))
         for q in range(self.Q):
-            stacked = obj.stacked_gradient(params, batches[q], lengths[q])
+            stacked = obj.stacked_gradient(params, *steps[q])
             for k in range(len(parts)):
                 single = obj.stochastic_gradient(params[k], batches[q, k, :lengths[q, k]])
                 _assert_rel(stacked[k], single)
@@ -375,10 +450,9 @@ class TestBatchedTraining:
             _assert_rel(column(traces[t], "train_loss"), obj.loss(w, np.arange(len(ds))))
         if clip_G is not None:
             # clipping is active from the first step on
-            batches, lengths = _round_batches(parts, self.Q, self.BATCH,
-                                              _client_rngs(root.child(1), K))
+            steps = _steps(obj, _plan(parts, self.Q, self.BATCH, root.child(1)))
             w0 = np.tile(obj.init_params(root.child(0)), (K, 1))
-            g0 = obj.stacked_gradient(w0, batches[0], lengths[0])
+            g0 = obj.stacked_gradient(w0, *steps[0])
             assert np.max(np.linalg.norm(g0, axis=1)) > clip_G
 
     def test_fused_logistic_evaluate_equals_loss_and_full_gradient(self):
@@ -431,8 +505,9 @@ class TestBatchedTraining:
         ds, parts = _ragged_setup()
         obj = _objective(kind, ds)
         calls = []
-        monkeypatch.setattr(fedavg, "_round_batches", lambda parts, Q, B, rngs: (
-            calls.append(rngs) or _round_batches(parts, Q, B, rngs)))
+        draw = _MinibatchPlan.draw
+        monkeypatch.setattr(_MinibatchPlan, "draw", lambda plan: (
+            calls.append(plan) or draw(plan)))
         T = 3
         cfg = FedRunConfig(Q=self.Q, T=T, batch_size=self.BATCH, beta0=0.1)
         run_fedavg(cfg, obj, parts)
@@ -451,12 +526,13 @@ class TestClassifierPasses:
         obj = _objective(kind, ds)
         K, Q = len(parts), 2
         # widths 16: short batches of 5, 3 and 1 sample, padded
-        batches, lengths = _round_batches(parts, Q, 16, _client_rngs(KEY, K))
+        plan = _plan(parts, Q, 16)
+        steps, batches, lengths = _steps(obj, plan), plan.batches, plan.lengths
         assert (lengths < 16).any()
         rng = StreamKey(73).generator()
         params = 0.3 * rng.standard_normal((2, obj.dim))  # two models
         full = obj.evaluate(params, None)[1]
-        stacked = [obj.stacked_gradient(np.repeat(params, K, axis=0), batches[q], lengths[q])
+        stacked = [obj.stacked_gradient(np.repeat(params, K, axis=0), *steps[q])
                    for q in range(Q)]
         h = 1e-5
 
@@ -647,7 +723,8 @@ for n, p in ((2000, 20), (6000, 20), (2000, 784)):
         assert (_affine_grad(dout, x) == (dout @ x.T).swapaxes(-1, -2)).all(), ("np.dot", n, p)
     # two clients whose batches span the set, the second with padding
     batches = np.arange(n).reshape(K, -1)
-    lengths = np.array([n // K, n // K - 7])
+    lengths = np.array([n // K, n // K - 7])[:, None, None]
+    weights = (np.arange(n // K) < lengths) / lengths
     for kind in ("logistic", "mlp"):
         obj = build_objective(kind, ds, hidden=16, seed=2)
         obj.proxy_samples = n  # the MLP's diagnostic gradient on every row
@@ -655,13 +732,14 @@ for n, p in ((2000, 20), (6000, 20), (2000, 784)):
         params = 0.3 * rng.standard_normal((A, obj.dim))
         losses, grads = obj.evaluate(params, None)
         clients = 0.3 * rng.standard_normal((A * K, obj.dim))
-        stacked = obj.stacked_gradient(clients, batches, lengths)
+        inputs = batches, obj.step_targets(batches[None])[0], weights
+        stacked = obj.stacked_gradient(clients, *inputs)
         for a in range(A):
             alone_loss, alone_grad = obj.evaluate(params[a:a + 1], None)
             assert alone_loss[0] == losses[a], ("evaluate loss", n, kind, a)
             assert (alone_grad[0] == grads[a]).all(), ("evaluate gradient", n, kind, a)
             rows = slice(a * K, (a + 1) * K)
-            alone = obj.stacked_gradient(clients[rows], batches, lengths)
+            alone = obj.stacked_gradient(clients[rows], *inputs)
             assert (alone == stacked[rows]).all(), ("stacked_gradient", n, kind, a)
 """
 
@@ -760,7 +838,7 @@ class TestLockstep:
 
     def test_one_data_build_and_one_batch_draw_per_round(self, monkeypatch):
         calls = {"build": 0, "batches": 0}
-        build, batches = experiments.build_experiment_data, fedavg._round_batches
+        build, draw = experiments.build_experiment_data, fedavg._MinibatchPlan.draw
         runs = []
         run = experiments.run_fedavg
         monkeypatch.setattr(experiments, "run_fedavg",
@@ -770,7 +848,7 @@ class TestLockstep:
             return lambda *a: calls.update({name: calls[name] + 1}) or fn(*a)
 
         monkeypatch.setattr(experiments, "build_experiment_data", counting("build", build))
-        monkeypatch.setattr(fedavg, "_round_batches", counting("batches", batches))
+        monkeypatch.setattr(fedavg._MinibatchPlan, "draw", counting("batches", draw))
         T = 3
         cfg = parse_config(f"""
 fed.K = 3
