@@ -190,10 +190,12 @@ def _largest_remainder(props: np.ndarray, total: int) -> np.ndarray:
 @contextmanager
 def _allocating(name: str):
     """Report a shape NumPy cannot allocate, raised in the block, as a
-    ValueError that starts with ``name``, the field that sets the shape."""
+    ValueError that starts with ``name``, the field that sets the shape.
+    A size beyond a C integer's range raises OverflowError, which is
+    reported alike."""
     try:
         yield
-    except (MemoryError, ValueError) as exc:
+    except (MemoryError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} too large: {str(exc) or 'out of memory'}") from None
 
 

@@ -30,38 +30,46 @@ Arms on one radio draw the same channel values, and so do the chips two
 Local training is batched across clients and arms, and what the steps
 read is built where it changes.  Once per run, a minibatch plan
 (:class:`_MinibatchPlan`) holds each client's shuffle buffer and the
-(Q, K) batch lengths and (Q, K, 1, B) column weights, which are the same
+(Q, K) batch lengths and (Q, 1, K·B) column weights, which are the same
 every round.  At the start of a round each client draws all of its
 minibatch indices from its own stream, in one call, exactly as the
 single-client reference :func:`local_round` does; they fill a (Q, K, B)
 index array, with short batches padded and masked.  The objective then
-takes every step's targets (a classifier's label entries) in one pass,
-:meth:`Objective.step_targets`.  Each of the Q steps is one
-:meth:`Objective.stacked_gradient` call over all K clients of all A arms,
-A·K rows in arm-major order, which gathers the K clients' features once
-and broadcasts them over the A models.  An objective that reads no batch
-gets None in their place, from one tuple of Q steps built per run.
+takes every step's targets for all A models (a classifier's label
+entries) in one pass, :meth:`Objective.step_targets`.  Each of the Q
+steps is one :meth:`Objective.stacked_gradient` call over all K clients
+of all A arms, A·K rows in arm-major order, which gathers the K clients'
+features once and broadcasts them over the A models.  A classifier lays
+a step's logits out class-major: model a's logits for the K clients'
+batches are one (C, K·B) block, so that the softmax and the
+cross-entropy run along rows of K·B columns, and one indexed call
+reaches the label entries of all A models.  An objective that reads no
+batch gets None in their place, from one tuple of Q steps built per run.
 Aggregation stays per arm.
 
 Evaluation is stacked too.  Once every arm has updated its model, one
 :meth:`Objective.evaluate` call takes the train losses and diagnostic
 gradients of all A models in one pass over the training set, and one
-:meth:`Objective.accuracy` call their test accuracies.  Each row equals
-that model evaluated alone, bit for bit.  For an objective that reads
-batches, on more than one usable core and outside a process pool, these
-calls run on a second thread, on a copy of the models, while the main
-thread trains the next round; the main thread then closes the round.
-Otherwise they run in line, right after the round.  Closing round t fills
-its losses and accuracies and runs its divergence checks arm by arm,
-each checking its model, aggregation error, client energy and train loss
-in turn, so the first arm to leave the finite numbers is the one named,
-by its aggregator, in the same words on either path.
+:meth:`Objective.accuracy` call their test accuracies; the label entries
+of both sets are built once per run, for the stack of A models, and each
+is read by one indexed call per pass.  Each row equals that model
+evaluated alone, bit for bit.  For an objective that reads batches, on
+more than one usable core and outside a process pool, these calls run on
+a second thread, on a copy of the models, while the main thread trains
+the next round, and state 0's while round 0 trains, so that the main
+thread evaluates nothing; it then closes the round.  Otherwise they run
+in line, state 0's before round 0 and the others right after their
+round.  Closing round t fills its losses and accuracies and runs its
+divergence checks arm by arm, each checking its model, aggregation
+error, client energy and train loss in turn, so the first arm to leave
+the finite numbers is the one named, by its aggregator, in the same
+words on either path.
 
 Each model state, the models after s rounds for s = 0 … T, is evaluated
-by one evaluate call and nothing else: state 0 before round 0, state s
-after round s - 1.  The train loss that closes round t and the diagnostic
-gradient that opens round t + 1 are taken at the same model, so one call
-gives both.  The losses of state 0 go unread, and state T is evaluated for
+by one evaluate call and nothing else: state 0 before or beside round 0,
+state s after round s - 1.  The train loss that closes round t and the
+diagnostic gradient that opens round t + 1 are taken at the same model,
+so one call gives both.  The losses of state 0 go unread, and state T is evaluated for
 its losses alone: no backward pass, and no proxy rows drawn.
 Objectives whose gradients never read the batch (``uses_batches`` False)
 build no plan and draw no minibatch indices.
@@ -146,22 +154,22 @@ class Objective:
         call.
 
         ``batches`` is a (K, B) index array whose row k holds client k's
-        batch, padded with index 0.  ``weights`` (K, 1, B) weigh its
-        columns, 1/length on the batch and 0 on the padding, which does not
-        contribute.  ``targets`` is this step's row of what
-        :meth:`step_targets` made of the round's batches.  ``params`` is
-        (A·K, dim), row a·K + k being client k under model a, and every
-        model reads the same K batches.  Returns a new (A·K, dim) array,
-        which the caller may overwrite.  An objective that reads no batch
-        (``uses_batches`` False) gets None for the batches, targets and
-        weights.
+        batch, padded with index 0.  ``weights`` (1, K·B) weigh its
+        columns, batch after batch, 1/length on a batch and 0 on its
+        padding, which does not contribute.  ``targets`` is this step's row
+        of what :meth:`step_targets` made of the round's batches for the A
+        models.  ``params`` is (A·K, dim), row a·K + k being client k under
+        model a, and every model reads the same K batches.  Returns a new
+        (A·K, dim) array, which the caller may overwrite.  An objective that
+        reads no batch (``uses_batches`` False) gets None for the batches,
+        targets and weights.
         """
         raise NotImplementedError
 
-    def step_targets(self, batches: np.ndarray) -> np.ndarray:
+    def step_targets(self, batches: np.ndarray, models: int) -> np.ndarray:
         """What the Q steps of a round read of their (Q, K, B) batches
-        beside the inputs, taken once per round: row q is step q's
-        ``targets``."""
+        beside the inputs, for a stack of ``models`` models, taken once per
+        round: row q is step q's ``targets``."""
         raise NotImplementedError
 
     def diagnostic_gradient(self, params: np.ndarray,
@@ -232,14 +240,19 @@ def _softmax_parts(z: np.ndarray) -> np.ndarray:
     return z.sum(axis=-2, keepdims=True)
 
 
-def _label_entries(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Flat index of each sample's true-class entry in the (K, C, B) class
-    probabilities of (K, B) labels, as (K·B,) entries; (B,) labels are one
-    row, K = 1.  The index is the same for every model of a stack, which the
-    probabilities may lead with.  Labels (Q, K, B) of Q steps give one row
-    of entries per step, (Q, K·B)."""
-    K, B = labels.shape[-2:] if labels.ndim > 1 else (1, labels.size)
-    entries = (np.arange(K)[:, None] * n_classes + labels) * B + np.arange(B)
+def _label_entries(labels: np.ndarray, n_classes: int, models: int = 1) -> np.ndarray:
+    """Flat index of each sample's true-class entry in the class-major
+    (models, C, K, B) class probabilities of a stack of models that all read
+    (K, B) labels, as (models·K·B,) entries: the entry of model a, class c,
+    batch k and column j is ((a·C + c)·K + k)·B + j, so model a's entries
+    fall in its (C, K·B) block.  (n,) labels are one batch, K = 1, and one
+    model's entries are then c·n + j.  Labels (Q, K, B) of Q steps give one
+    row of entries per step, (Q, models·K·B)."""
+    if labels.ndim == 1:
+        labels = labels[None]
+    K, B = labels.shape[-2:]
+    one = (labels * K + np.arange(K)[:, None]) * B + np.arange(B)  # model 0's
+    entries = one[..., None, :, :] + (np.arange(models) * (n_classes * K * B))[:, None, None]
     return entries.reshape(labels.shape[:-2] + (-1,))
 
 
@@ -247,24 +260,22 @@ def _accuracy(Z: np.ndarray, labels: np.ndarray, entries: np.ndarray) -> np.ndar
     """Accuracies (...,) of (..., C, n) logits: the share of the n samples
     whose label is ``Z.argmax(axis=-2)``, without that argmax, which is slow
     along the strided class axis.  ``entries`` are the labels' entries in
-    one model's (C, n) logits (:func:`_label_entries`).
+    the whole stack of logits (:func:`_label_entries`).
 
     Z is overwritten.  A label wins outright when its logit exceeds every
     other class's; the few columns with a tie or a NaN at the top are
     settled by argmax itself, so its rule (the first class at the max, a
     NaN counting as the max) holds exactly.
     """
-    # one row per model, read and written along it by 1-D indexing, the fastest
-    models = Z.reshape(-1, Z.shape[-2] * entries.size)
-    own = models.take(entries, axis=1)
-    for row in models:
-        row[entries] = -np.inf
+    # every model's entries read and written at once by 1-D indexing, the fastest
+    flat = Z.reshape(-1)
+    own = flat[entries]
+    flat[entries] = -np.inf
     rival = Z.max(axis=-2)  # the best logit of any other class
     hit = own.reshape(rival.shape) > rival
     unsure = ~(hit | (own.reshape(rival.shape) < rival))
     if unsure.any():
-        for row, row_own in zip(models, own):
-            row[entries] = row_own
+        flat[entries] = own
         at = np.nonzero(unsure)
         hit[at] = np.moveaxis(Z, -2, -1)[at].argmax(axis=-1) == labels[at[-1]]
     return np.mean(hit, axis=-1)
@@ -272,23 +283,29 @@ def _accuracy(Z: np.ndarray, labels: np.ndarray, entries: np.ndarray) -> np.ndar
 
 def _mean_xent(E: np.ndarray, sums: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Mean cross-entropy (A,) of A models' class probabilities E / sums
-    (:func:`_softmax_parts`); each row is reduced alone, so it equals that
-    model's loss."""
-    return np.array([-np.mean(np.log(e[entries] / s + 1e-300))
-                     for e, s in zip(E.reshape(len(E), -1), sums.reshape(len(E), -1))])
+    (:func:`_softmax_parts`), ``entries`` the labels' entries in all of E;
+    each model's row is reduced alone, so it equals that model's loss."""
+    p = E.reshape(-1)[entries].reshape(len(E), -1)
+    p /= sums.reshape(len(E), -1)
+    p += 1e-300
+    return -np.log(p, out=p).mean(axis=-1)
 
 
 def _xent_logit_grad(E: np.ndarray, sums: np.ndarray, entries: np.ndarray,
                      weights) -> np.ndarray:
     """Gradient of a weighted sum of cross-entropies with respect to the
     logits, (E / sums - one-hot) · weights, in place in E: each column's
-    weight is subtracted at its label's entry, ``entries`` in one model's
-    (..., C, B) probabilities (:func:`_label_entries`).  The weights are per
-    column, 1/length on a batch's columns and 0 on its padding, so that
-    each batch's parameter gradient is its mean."""
+    weight is subtracted at its label's entry, ``entries`` those of the
+    labels in all of E's (A, C, n) probabilities (:func:`_label_entries`).
+    The weights are per column, a scalar or (1, n), 1/length on a batch's
+    columns and 0 on its padding, so that each batch's parameter gradient
+    is its mean."""
     E *= weights / sums
-    for row in E.reshape(-1, E.shape[-2] * entries.size):  # one model's
-        row[entries] -= np.ravel(weights)
+    flat = E.reshape(-1)
+    own = flat[entries]
+    labelled = own.reshape(len(E), -1)  # a view: model a's row of own
+    labelled -= weights
+    flat[entries] = own
     return E
 
 
@@ -330,6 +347,30 @@ def _affine_grad(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.swapaxes(-1, -2)
 
 
+def _logits(weights: np.ndarray, inputs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(..., C, n) logits of the last layer, whose (..., m + 1, C) weights
+    read its (..., m + 1, B) inputs (:func:`_affine`).  When x, the first
+    layer's inputs, are K clients' (K, p + 1, B) batches, the logits are
+    class-major, (..., C, K·B): each model's logits for all K batches are
+    one (C, K·B) block, which the per-client matmul writes through its
+    (..., K, C, B) transposed view."""
+    if x.ndim == 2:
+        return _affine(weights, inputs)
+    K, B = x.shape[0], x.shape[-1]
+    Z = np.empty(weights.shape[:-3] + (weights.shape[-1], K, B))
+    np.matmul(weights.swapaxes(-1, -2), inputs, out=Z.swapaxes(-2, -3))
+    return Z.reshape(Z.shape[:-2] + (K * B,))
+
+
+def _per_client(dZ: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (..., K, C, B) view of class-major (..., C, K·B) logits'
+    gradients (:func:`_logits`) that the K clients' layers read, x being
+    their (K, p + 1, B) batches; dZ itself for one (p + 1, n) input."""
+    if x.ndim == 2:
+        return dZ
+    return dZ.reshape(dZ.shape[:-1] + (x.shape[0], -1)).swapaxes(-2, -3)
+
+
 def _flat(grads: np.ndarray) -> np.ndarray:
     """(..., a·b) rows of (..., a, b) weight gradients."""
     return grads.reshape(grads.shape[:-2] + (-1,))
@@ -347,15 +388,21 @@ class _Classifier(Objective):
     The test set's inputs are built once, as a contiguous (p + 1, n) array.
 
     Subclasses write the forward pass ``_forward(params, x)``, which
-    returns (..., C, B) logits and what the backward pass reads, and the
+    returns (..., C, n) logits and what the backward pass reads, and the
     backward pass ``_backward(params, x, cache, dZ)``, which returns
     (..., dim) gradients from the logits' gradients dZ.  Both run once over
     (..., dim) parameters and (..., p + 1, B) inputs that broadcast against
     them: a stack of A models reads one (K, p + 1, B) gather of the K
     clients' batches, or the (p + 1, n) training inputs, against which the
     A models' first layers are one matmul.  Activations are feature-major,
-    (..., C, B) logits and (..., H + 1, B) hidden units, so that reductions
-    over the classes run along contiguous rows.
+    so that reductions over the classes run along contiguous rows: hidden
+    units are (..., H + 1, B), per client in a local step, and logits are
+    (A, C, columns) in every pass.  A pass over one set of n samples has n
+    columns; a local step's logits are class-major (:func:`_logits`), K·B
+    columns, model a's logits for the K batches one (C, K·B) block.  So the
+    softmax and the cross-entropy run on one shape in every pass, along
+    rows of all its columns, and reach the label entries of all A models
+    (:func:`_label_entries`) by one indexed call.
     """
 
     def __init__(self, data: LabeledDataset, n_classes: int):
@@ -368,65 +415,84 @@ class _Classifier(Objective):
         self.n_classes = n_classes
         self.n_features = data.features.shape[1]
         self._rows = np.hstack((data.features, np.ones((len(data), 1))))
-        self._entries = _label_entries(data.labels, n_classes)
         # each sample weighs 1/n in the full-train gradient (an empty set
         # has none to weigh)
         self._weight = 1.0 / max(len(data), 1)
-        # the test features and labels accuracy last read, their inputs and entries
-        self._test = (None, None, None, None)
+        # the label entries of the stacks evaluate and accuracy last read,
+        # and the test features accuracy last read with their inputs: each
+        # is built once for the A models of a run
+        self._train_entries = self._test_entries = (None, 0, None)
+        self._test = (None, None)
+
+    def _entries(self, cached, labels, models):
+        """(labels, models, entries), the label entries of a stack of
+        ``models`` models reading ``labels``: ``cached`` if it holds them,
+        else built anew."""
+        if cached[0] is not labels or cached[1] != models:
+            cached = (labels, models, _label_entries(labels, self.n_classes, models))
+        return cached
 
     def _batch(self, batch):
         """Inputs (p + 1, B) and labels (B,) of one batch."""
         return self._rows[batch].T, self._labels[batch]
 
-    def _gradients(self, params, x, entries, weights):
-        Z, cache = self._forward(params, x)
+    def _gradients(self, params, inputs, x, entries, weights):
+        """Gradients of the weighted cross-entropies; the forward pass reads
+        ``inputs`` and the backward pass x, the same values."""
+        Z, cache = self._forward(params, inputs)
         sums = _softmax_parts(Z)
         return self._backward(params, x, cache, _xent_logit_grad(Z, sums, entries, weights))
 
     def _batch_gradients(self, params, batch):
         """Mean gradients (A, dim) of A models on one batch."""
         x, labels = self._batch(batch)
-        return self._gradients(params, x, _label_entries(labels, self.n_classes),
+        return self._gradients(params, x, x, _label_entries(labels, self.n_classes, len(params)),
                                1.0 / labels.size)
 
     def _losses(self, params, batch):
         """Mean cross-entropies (A,) of A models on one batch."""
         x, labels = self._batch(batch)
         E = self._forward(params, x)[0]
-        return _mean_xent(E, _softmax_parts(E), _label_entries(labels, self.n_classes))
+        return _mean_xent(E, _softmax_parts(E),
+                          _label_entries(labels, self.n_classes, len(params)))
 
     def _test_accuracy(self, params, features, labels):
         """Accuracies (A,) of A models on a test set whose (p + 1, n) inputs
         and label entries are built once, for the one every round reads."""
-        if self._test[0] is not features or self._test[1] is not labels:
-            self._test = (features, labels, _with_ones(features.T),
-                          _label_entries(labels, self.n_classes))
-        inputs, entries = self._test[2:]
-        return _accuracy(self._forward(params, inputs)[0], labels, entries)
+        if self._test[0] is not features:
+            self._test = (features, _with_ones(features.T))
+        # one (dim,) model reads one model's entries too
+        self._test_entries = self._entries(self._test_entries, labels, params.size // self.dim)
+        return _accuracy(self._forward(params, self._test[1])[0], labels,
+                         self._test_entries[2])
 
     def stacked_gradient(self, params, batches, targets, weights):
+        x = self._rows.take(batches, axis=0).swapaxes(1, 2)
+        # the forward matmul reads a contiguous copy of the batches faster,
+        # to the same bits; a copy would change the backward's bits
         grads = self._gradients(params.reshape(-1, len(batches), self.dim),
-                                self._rows.take(batches, axis=0).swapaxes(1, 2), targets,
-                                weights)
+                                np.ascontiguousarray(x), x, targets, weights)
         return grads.reshape(len(params), self.dim)
 
-    def step_targets(self, batches):
-        """Each step's label entries (:func:`_label_entries`): (Q, K·B) of
-        (Q, K, B) batches, row q in one model's (K, C, B) probabilities."""
-        return _label_entries(self._labels.take(batches), self.n_classes)
+    def step_targets(self, batches, models):
+        """Each step's label entries (:func:`_label_entries`): (Q,
+        models·K·B) of (Q, K, B) batches, row q in the class-major (models,
+        C, K·B) probabilities of step q."""
+        return _label_entries(self._labels.take(batches), self.n_classes, models)
 
     def evaluate(self, params, rng, gradients=True):
         """Losses from one forward pass over the training set; the gradients
         reuse it unless they are taken on proxy rows."""
         Z, cache = self._forward(params, self._rows.T)
         sums = _softmax_parts(Z)
-        losses = _mean_xent(Z, sums, self._entries)
+        self._train_entries = self._entries(self._train_entries, self._labels, len(params))
+        entries = self._train_entries[2]
+        losses = _mean_xent(Z, sums, entries)
         if not gradients:
             return losses, None
         if self.uses_proxy:
             return losses, self._batch_gradients(params, self._diagnostic_rows(rng))
-        dZ = _xent_logit_grad(Z, sums, self._entries, self._weight)
+        dZ = _xent_logit_grad(Z, sums, entries, self._weight)
         return losses, self._backward(params, self._rows.T, cache, dZ)
 
 
@@ -443,10 +509,10 @@ class LogisticObjective(_Classifier):
         self.dim = (self.n_features + 1) * n_classes
 
     def _forward(self, params, x):
-        return _affine(params.reshape(params.shape[:-1] + (-1, self.n_classes)), x), None
+        return _logits(params.reshape(params.shape[:-1] + (-1, self.n_classes)), x, x), None
 
     def _backward(self, params, x, cache, dZ):
-        return _flat(_affine_grad(dZ, x))
+        return _flat(_affine_grad(_per_client(dZ, x), x))
 
     def loss(self, params, batch):
         return float(self._losses(params[None], batch)[0])
@@ -488,14 +554,15 @@ class MlpObjective(_Classifier):
                 params[..., split:].reshape(lead + (self.hidden + 1, self.n_classes)))
 
     def _forward(self, params, x):
-        """(..., C, B) logits and the (..., H + 1, B) hidden activations,
-        with their constant row."""
+        """(..., C, n) logits (:func:`_logits`) and the (..., H + 1, B)
+        hidden activations, with their constant row, per client."""
         W1, W2 = self._layers(params)
         act = _with_ones(np.tanh(_affine(W1, x)))
-        return _affine(W2, act), act
+        return _logits(W2, act, x), act
 
     def _backward(self, params, x, act, dZ):
         W2 = self._layers(params)[1][..., :-1, :]
+        dZ = _per_client(dZ, x)
         dA = (W2 @ dZ) * (1.0 - act[..., :-1, :]**2)
         return np.concatenate([_flat(_affine_grad(dA, x)), _flat(_affine_grad(dZ, act))],
                               axis=-1)
@@ -709,9 +776,11 @@ class _MinibatchPlan:
     array, its Q batches of width min(B, n) row after row, padded with
     index 0, and copied from there into the contiguous (Q, K, B)
     ``batches``, row q the K batches of step q, which the steps' gathers
-    read fastest.  The (Q, K) ``lengths`` and the (Q, K, 1, B) column
-    ``weights``, 1/length on a batch's columns and 0 on its padding, so
-    that each batch's gradient is its mean, do not depend on the draws.
+    read fastest.  The (Q, K) ``lengths`` and the (Q, 1, K·B) column
+    ``weights`` do not depend on the draws.  Row q of the weights weighs the
+    class-major columns of step q's logits, its K batches in turn: 1/length
+    on a batch's columns and 0 on its padding, so that each batch's
+    gradient is its mean.
     """
 
     def __init__(self, partitions: list[np.ndarray], Q: int, batch_size: int,
@@ -723,14 +792,17 @@ class _MinibatchPlan:
         # each client's batch width, batches per shuffle and shuffles per round
         widths = np.minimum(B, sizes)
         per_shuffle = -(-sizes // widths)
-        shuffles = -(-Q // per_shuffle)
-        # the largest array first, so that too large a Q fails before any is filled
-        index = np.zeros((len(sizes), (shuffles * per_shuffle).max(), B), dtype=np.intp)
-        self._drawn = index[:, :Q].swapaxes(0, 1)
-        self.batches = np.empty(self._drawn.shape, dtype=np.intp)
-        self.lengths = np.minimum(widths, sizes - widths * (np.arange(Q)[:, None] % per_shuffle))
-        lengths = self.lengths[:, :, None, None]
-        self.weights = (np.arange(B) < lengths) / lengths
+        # Q sizes every array, the largest first, so that too large a Q
+        # fails before any is filled
+        with _allocating("Q"):
+            shuffles = -(-Q // per_shuffle)
+            index = np.zeros((len(sizes), (shuffles * per_shuffle).max(), B), dtype=np.intp)
+            self._drawn = index[:, :Q].swapaxes(0, 1)
+            self.batches = np.empty(self._drawn.shape, dtype=np.intp)
+            self.lengths = np.minimum(widths,
+                                      sizes - widths * (np.arange(Q)[:, None] % per_shuffle))
+            lengths = self.lengths[:, :, None]
+            self.weights = ((np.arange(B) < lengths) / lengths).reshape(Q, 1, -1)
         # one permuted call a round shuffles a client's S copies of its
         # indices, row after row, as S permutation calls would
         self._shuffles = [
@@ -800,18 +872,15 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     # client streams fill the minibatch plan.  Q sizes the plan, or a
     # batch-free run's Q steps without inputs, so too large a Q fails here
     local_key, channel_key = root.child(_DOM_LOCAL), root.child(_DOM_CHANNEL)
-    try:
-        if objective.uses_batches:
-            plan = _MinibatchPlan(partitions, cfg.Q, cfg.batch_size,
-                                  [local_key.generator(k) for k in range(K)])
-        else:
+    if objective.uses_batches:
+        plan = _MinibatchPlan(partitions, cfg.Q, cfg.batch_size,
+                              [local_key.generator(k) for k in range(K)])
+    else:
+        with _allocating("Q"):
             plan, steps = None, ((None, None, None),) * cfg.Q
-    except MemoryError as exc:
-        raise ValueError(f"Q too large: {str(exc) or 'out of memory'}") from None
     proxy_rng = local_key.generator(K) if objective.uses_proxy else None
     rounds = [AGGREGATORS[name][-1](phy, cfg, channel_key, K, d) for name, phy in cfg.arms]
 
-    grads = objective.evaluate(stack, proxy_rng)[1]
     # row t of trace[a] is arm a's round t; test_acc stays 0 without test data
     with _allocating("T"):
         trace = np.zeros((A, cfg.T, len(TRACE_COLUMNS)))
@@ -847,7 +916,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     # the next round trains, unless this process is one of a pool's, which
     # keeps its cores busy already.  The thread sets its own error state,
     # and leaving the loop, however, joins it
-    pool = pending = None
+    pool = None
     if objective.uses_batches and _usable_cores() > 1:
         from concurrent.futures import ThreadPoolExecutor
         from multiprocessing import parent_process
@@ -857,6 +926,12 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     # a diverging run overflows; the checks name what went non-finite
     # instead of letting NumPy warn about every step on the way
     with np.errstate(over="ignore", invalid="ignore"), pool or nullcontext():
+        # state 0's diagnostic gradients open round 0: here, or on the
+        # thread, on a copy, while round 0 trains
+        if pool is None:
+            grads = objective.evaluate(stack, proxy_rng)[1]
+        else:
+            pending = pool.submit(objective.evaluate, stack.copy(), proxy_rng)
         for t in range(cfg.T):
             beta = cfg.stepsize(t)
             row = trace[:, t]  # round t's row of every arm
@@ -866,7 +941,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             # the same K batches, and their targets, taken once a round
             if plan is not None:
                 drawn = plan.draw()
-                steps = zip(drawn, objective.step_targets(drawn), plan.weights)
+                steps = zip(drawn, objective.step_targets(drawn, A), plan.weights)
             local = np.repeat(stack, K, axis=0)
             for batches, targets, weights in steps:
                 # in place: stacked_gradient returns a new array, and local is a copy
@@ -885,12 +960,12 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
 
             # every model at once: here, or on the thread, on a copy, while
             # round t + 1 trains, and round t closes once round t + 1 has
+            # (after round 0, state 0's gradients are read)
             if pool is None:
                 grads = close(t, grads, *evaluated(stack, t))
                 continue
-            if pending is not None:
-                grads = close(t - 1, grads, *pending.result())
+            grads = close(t - 1, grads, *pending.result()) if t else pending.result()[1]
             pending = pool.submit(evaluated, stack.copy(), t)
-        if pending is not None:
+        if pool is not None:
             close(cfg.T - 1, grads, *pending.result())
     return trace

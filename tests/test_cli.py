@@ -460,6 +460,13 @@ BAD_INPUTS = [
       for overrides in ({}, BUDGETED)),
     *(({"fed.model": model, "fed.Q": "1" + "0" * 15}, "run-fedavg", "fed.Q")
       for model in ('"logistic"', '"quadratic"')),
+    # at the C5 shape, 10 clients and 64-sample batches: a plan larger than
+    # NumPy's largest size, and a Q beyond a C integer's range
+    *(({"fed.model": model, "fed.K": "10", "fed.batch_size": "64", "data.synth_n": "1000",
+        "fed.Q": "1" + "0" * zeros}, "run-fedavg", "fed.Q")
+      for model in ('"logistic"', '"quadratic"') for zeros in (16, 20)),
+    # budgeted stepsizes for more rounds than a C integer counts
+    ({**BUDGETED, "fed.T": "1" + "0" * 20}, "run-fedavg", "fed.T"),
     ({"phy.chips": "1" + "0" * 15}, "run-fedavg", "phy.chips"),
     *(({"fed.aggregators": '["reed"]', "phy.kappa": kappa, "phy.antennas": "1" + "0" * 15},
        "run-fedavg", "phy.antennas") for kappa in ("2", "3")),

@@ -302,13 +302,14 @@ def _plan(parts, Q, batch_size, key=KEY):
     return _MinibatchPlan(parts, Q, batch_size, _client_rngs(key, len(parts)))
 
 
-def _steps(obj, plan):
-    """A round's stacked_gradient inputs after the parameters, drawn from
-    ``plan``, one tuple per step, as run_fedavg passes them."""
+def _steps(obj, plan, models=1):
+    """A round's stacked_gradient inputs after the parameters of
+    ``models`` models, drawn from ``plan``, one tuple per step, as
+    run_fedavg passes them."""
     batches = plan.draw()
     if not obj.uses_batches:
         return [(None, None, None)] * len(batches)
-    return list(zip(batches, obj.step_targets(batches), plan.weights))
+    return list(zip(batches, obj.step_targets(batches, models), plan.weights))
 
 
 def _record_local_round_batches(monkeypatch, obj, parts, Q, batch_size, key):
@@ -370,19 +371,64 @@ class TestMinibatchPlan:
         obj = _objective("logistic", ds)
         plan = _plan(parts, self.Q, self.BATCH)
         for t in range(3):
-            steps = _steps(obj, plan)
+            steps = _steps(obj, plan, models=2)
             assert len(steps) == self.Q
             for q, (batches, entries, weights) in enumerate(steps):
                 assert np.array_equal(batches, plan.batches[q])
-                assert np.array_equal(entries, _label_entries(ds.labels[batches], obj.n_classes))
+                assert np.array_equal(entries, _label_entries(ds.labels[batches], obj.n_classes,
+                                                              2))
+                # the K batches' weights in turn, over the class-major columns
                 lengths = plan.lengths[q][:, None]
-                expected = ((np.arange(self.BATCH) < lengths) / lengths)[:, None, :]
+                expected = ((np.arange(self.BATCH) < lengths) / lengths).reshape(1, -1)
                 assert weights.shape == expected.shape
                 assert (weights == expected).all()
 
     def test_empty_client_rejected(self):
-        with pytest.raises(ValueError, match="^client dataset is empty$"):
-            _plan([np.arange(4), np.arange(0)], self.Q, self.BATCH)
+        # in its own words, even where Q is too large as well
+        for Q in (self.Q, 10**20):
+            with pytest.raises(ValueError, match="^client dataset is empty$"):
+                _plan([np.arange(4), np.arange(0)], Q, self.BATCH)
+
+    # at the C5 shape, 10 clients and 64-sample batches, the plan's index
+    # array would exceed NumPy's largest size, and then a C integer's range
+    @pytest.mark.parametrize("Q", [10**16, 10**20])
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_oversized_Q_names_Q(self, kind, Q):
+        ds, parts = _blob_setup(n=1000, K=10)
+        cfg = FedRunConfig(Q=Q, T=1, batch_size=64, beta0=0.1)
+        with pytest.raises(ValueError, match="^Q too large: "):
+            run_fedavg(cfg, _objective(kind, ds), parts)
+
+
+class TestLabelEntries:
+    """The label entries of a stack of models against a per-model,
+    per-sample reference: model a's entry of sample (k, j) is its true
+    class's in the model's own (C, K·B) block of class-major logits."""
+
+    @pytest.mark.parametrize("A, K, B, C", [(1, 1, 7, 3), (3, 1, 5, 2), (2, 4, 6, 5),
+                                            (3, 10, 64, 10)])
+    def test_stacked_entries_index_each_models_block(self, A, K, B, C):
+        labels = StreamKey(76).generator().integers(0, C, size=(K, B))
+        entries = _label_entries(labels, C, A)
+        assert entries.shape == (A * K * B,)
+        expected = [np.ravel_multi_index((a, labels[k, j], k * B + j), (A, C, K * B))
+                    for a in range(A) for k in range(K) for j in range(B)]
+        assert entries.tolist() == expected
+        # Q steps' labels give each step's row
+        steps = np.stack([labels, (labels + 1) % C])
+        assert np.array_equal(_label_entries(steps, C, A),
+                              [entries, _label_entries(steps[1], C, A)])
+
+    def test_one_batch_entries_are_the_full_train_entries(self):
+        # (n,) labels are one batch of n: c·n + j for one model, and the
+        # class-major block of each model of a stack in turn
+        n, C, A = 37, 4, 3
+        labels = StreamKey(77).generator().integers(0, C, size=n)
+        assert np.array_equal(_label_entries(labels, C), labels * n + np.arange(n))
+        assert np.array_equal(_label_entries(labels[None], C), labels * n + np.arange(n))
+        assert np.array_equal(_label_entries(labels, C, A),
+                              np.concatenate([a * C * n + labels * n + np.arange(n)
+                                              for a in range(A)]))
 
 
 class TestBatchedTraining:
@@ -527,7 +573,7 @@ class TestClassifierPasses:
         K, Q = len(parts), 2
         # widths 16: short batches of 5, 3 and 1 sample, padded
         plan = _plan(parts, Q, 16)
-        steps, batches, lengths = _steps(obj, plan), plan.batches, plan.lengths
+        steps, batches, lengths = _steps(obj, plan, models=2), plan.batches, plan.lengths
         assert (lengths < 16).any()
         rng = StreamKey(73).generator()
         params = 0.3 * rng.standard_normal((2, obj.dim))  # two models
@@ -723,8 +769,8 @@ for n, p in ((2000, 20), (6000, 20), (2000, 784)):
         assert (_affine_grad(dout, x) == (dout @ x.T).swapaxes(-1, -2)).all(), ("np.dot", n, p)
     # two clients whose batches span the set, the second with padding
     batches = np.arange(n).reshape(K, -1)
-    lengths = np.array([n // K, n // K - 7])[:, None, None]
-    weights = (np.arange(n // K) < lengths) / lengths
+    lengths = np.array([n // K, n // K - 7])[:, None]
+    weights = ((np.arange(n // K) < lengths) / lengths).reshape(1, -1)
     for kind in ("logistic", "mlp"):
         obj = build_objective(kind, ds, hidden=16, seed=2)
         obj.proxy_samples = n  # the MLP's diagnostic gradient on every row
@@ -732,8 +778,9 @@ for n, p in ((2000, 20), (6000, 20), (2000, 784)):
         params = 0.3 * rng.standard_normal((A, obj.dim))
         losses, grads = obj.evaluate(params, None)
         clients = 0.3 * rng.standard_normal((A * K, obj.dim))
-        inputs = batches, obj.step_targets(batches[None])[0], weights
-        stacked = obj.stacked_gradient(clients, *inputs)
+        stacked = obj.stacked_gradient(clients, batches,
+                                       obj.step_targets(batches[None], A)[0], weights)
+        inputs = batches, obj.step_targets(batches[None], 1)[0], weights
         for a in range(A):
             alone_loss, alone_grad = obj.evaluate(params[a:a + 1], None)
             assert alone_loss[0] == losses[a], ("evaluate loss", n, kind, a)
@@ -1155,7 +1202,7 @@ class TestAccuracyTies:
             if trial % 5 == 0:
                 Z = Z[0]  # one model, (C, n)
             labels = rng.integers(0, C, size=n)
-            entries = _label_entries(labels, C)
+            entries = _label_entries(labels, C, Z.size // (C * n))
             assert np.array_equal(_accuracy(Z.copy(), labels, entries),
                                   self._argmax_accuracy(Z, labels))
 
@@ -1181,14 +1228,13 @@ class TestAccuracyTies:
 
 def _on_cores(monkeypatch, cores, *run):
     """run_fedavg(*run) with ``cores`` usable cores, and the threads that
-    evaluated its model states 1 .. T."""
+    evaluated its model states 0 .. T."""
     monkeypatch.setattr(fedavg, "_usable_cores", lambda: cores)
     obj = run[1]
     evaluate, threads = type(obj).evaluate, []
 
     def spy(self, params, rng, **kw):
-        if kw:  # states 1 .. T; state 0 is evaluated before round 0
-            threads.append(threading.current_thread())
+        threads.append(threading.current_thread())
         return evaluate(self, params, rng, **kw)
 
     monkeypatch.setattr(type(obj), "evaluate", spy)
@@ -1224,14 +1270,32 @@ class TestOverlappedEvaluation:
             overlapped, worker = _on_cores(monkeypatch, 2, *setup)
             assert overlapped.tobytes() == serial.tobytes()
             T = setup[0].T
-            assert inline == [threading.main_thread()] * T
-            assert len(worker) == T and len(set(worker)) == 1
+            assert inline == [threading.main_thread()] * (T + 1)
+            # state 0 too: the main thread evaluates nothing
+            assert len(worker) == T + 1 and len(set(worker)) == 1
             assert worker[0] is not threading.main_thread()
+
+    def test_proxy_rows_drawn_in_state_order_on_the_thread(self, monkeypatch):
+        # states 0 .. T - 1 draw their proxy rows on the thread, one after
+        # the other from the run's one generator, as the serial run does
+        cfg, obj, parts, test = list(_run_setups())[-1]
+        assert obj.uses_proxy
+        diagnostic_rows, drawn = MlpObjective._diagnostic_rows, []
+        monkeypatch.setattr(MlpObjective, "_diagnostic_rows", lambda self, rng: (
+            drawn.append((threading.current_thread(), diagnostic_rows(self, rng)))
+            or drawn[-1][1]))
+        _on_cores(monkeypatch, 2, cfg, obj, parts, test)
+        proxy = StreamKey(cfg.seed).generator(fedavg._DOM_LOCAL, len(parts))
+        assert len(drawn) == cfg.T
+        for thread, rows in drawn:
+            assert thread is not threading.main_thread()
+            assert np.array_equal(rows, proxy.choice(len(obj._rows), size=obj.proxy_samples,
+                                                     replace=False))
 
     def test_batch_free_objective_evaluates_inline(self, monkeypatch):
         cfg, obj, parts, test = next(_run_setups())
         trace, threads = _on_cores(monkeypatch, 2, cfg, obj, parts, test)
-        assert threads == [threading.main_thread()] * cfg.T
+        assert threads == [threading.main_thread()] * (cfg.T + 1)
         assert trace.tobytes() == _on_cores(monkeypatch, 1, cfg, obj, parts, test)[0].tobytes()
 
     def test_pool_process_evaluates_inline(self, monkeypatch):
@@ -1239,7 +1303,7 @@ class TestOverlappedEvaluation:
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         cfg, obj, parts, test = list(_run_setups())[1]
         trace, threads = _on_cores(monkeypatch, 2, cfg, obj, parts, test)
-        assert threads == [threading.main_thread()] * cfg.T
+        assert threads == [threading.main_thread()] * (cfg.T + 1)
         monkeypatch.undo()
         assert trace.tobytes() == _on_cores(monkeypatch, 1, cfg, obj, parts, test)[0].tobytes()
 
@@ -1285,9 +1349,9 @@ class TestOverlappedEvaluation:
         monkeypatch.setattr(type(obj), "evaluate", lambda self, *a, **kw: (
             seen.append(threading.current_thread()) or evaluate(self, *a, **kw)))
         self._assert_joined(monkeypatch, lambda: run_fedavg(cfg, obj, parts, test))
-        # state 0 on this thread, and states 1 .. T on one that has ended
-        [worker] = set(seen) - {threading.main_thread()}
-        assert not worker.is_alive()
+        # states 0 .. T on one thread, which has ended
+        [worker] = set(seen)
+        assert worker is not threading.main_thread() and not worker.is_alive()
 
     def test_no_thread_outlives_a_divergence(self, monkeypatch):
         ds, parts = _blob_setup(K=3)

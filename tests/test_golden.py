@@ -1,4 +1,4 @@
-"""Golden outputs: the exact bytes of five tiny run-fedavg runs, two tiny
+"""Golden outputs: the exact bytes of seven tiny run-fedavg runs, two tiny
 sweeps and one small validate-moments run, the last at every usable-core
 count and ``--workers`` value.
 
@@ -13,7 +13,10 @@ A change to a classifier's arithmetic can move these hashes too, with the
 layout unchanged.  ``SWEEP_GOLDEN``'s summary moved in the last digits of
 one standard deviation when the classifiers began to read each bias as the
 weight of a constant feature, so that the logits and gradients sum in
-another order; the other hashes did not move.
+another order; the other hashes did not move.  The two MLP runs, one with
+a full-train diagnostic gradient and one on proxy rows, were pinned
+before a local step's logits became class-major, (C, K·B) per model, and
+kept their bytes through that change.
 """
 
 import hashlib
@@ -91,6 +94,33 @@ data.features = 4
 phy.chips = 2
 phy.noise_var = 0.5
 """,
+    # the MLP's full-train diagnostic gradient, at most proxy_samples rows
+    "mlp-ideal-reed": _COMMON + """
+fed.beta0 = 0.1
+fed.model = "mlp"
+fed.hidden = 5
+fed.aggregators = ["ideal", "reed"]
+data.synth_n = 120
+data.test_n = 40
+data.classes = 3
+data.features = 4
+phy.chips = 2
+phy.noise_var = 0.5
+""",
+    # above proxy_samples, the diagnostic gradient is taken on proxy rows
+    "mlp-proxy-reed-coherent-csit": _COMMON + """
+fed.beta0 = 0.1
+fed.model = "mlp"
+fed.hidden = 5
+fed.aggregators = ["reed", "coherent_csit"]
+data.synth_n = 600
+data.test_n = 40
+data.classes = 3
+data.features = 4
+data.partition = "dirichlet"
+data.alpha = 0.5
+phy.noise_var = 0.5
+""",
 }
 
 # sha256 of fedavg_trace.csv and fedavg_summary.json
@@ -110,6 +140,12 @@ GOLDEN = {
     "logistic-three-aggregators-2-trials": (
         "a15df5ee06d075ada2de834321850d091c75438715514fac5ace6b121cbe9afe",
         "8ee0aa0e74cbe09a4ecca30d704b63b90d29d92a6acbabb3e23be3d1ab6cf77d"),
+    "mlp-ideal-reed": (
+        "709401c5207f4ec33971a58a0ed3fe2b9daf205681bc77cf10523df4b0237f03",
+        "36dc0f47b2374390f1cb004a7662f5f8da4d1a72747b44e02de0939760945e62"),
+    "mlp-proxy-reed-coherent-csit": (
+        "45103d50d89c3c7bab368afa9d39c731f8b74db4a7d435066d500d54c35e7e63",
+        "b4e3ed177c574cad0b166a45147280f0333e827e696477274f88ce33b3740609"),
 }
 
 
