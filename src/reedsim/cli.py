@@ -31,7 +31,8 @@ from typing import Any
 
 import numpy as np
 
-from .config import ConfigError, fmt_value, load_config
+from .config import ConfigError, _keyed, fmt_value, load_config
+from .datasets import _allocating
 from .experiments import default_moment_matrix, run_trial, validate_point
 from .fedavg import TRACE_COLUMNS, DivergenceError, _usable_cores
 
@@ -122,7 +123,11 @@ def _run_points(groups: list[list[dict[str, Any]]], workers: int) -> list[tuple[
     ``groups``, configs that differ only in phy.* keys, with every (group,
     trial) job run in one map.  Rows go by aggregator, then trial, then
     round."""
-    jobs = [(group, trial) for group in groups for trial in range(group[0]["trials"])]
+    # the job list is sized before any job is built, so that too many
+    # trials fail at once
+    with _keyed(), _allocating("trials"):
+        jobs = [None] * sum(group[0]["trials"] for group in groups)
+    jobs[:] = [(group, trial) for group in groups for trial in range(group[0]["trials"])]
     runs = iter(_map(_trial_job, jobs, workers))
     out = []
     for group in groups:

@@ -266,10 +266,11 @@ _FIELD_KEYS = {
     "T": "fed.T", "batch_size": "fed.batch_size", "beta0": "fed.beta0",
     "arms": "fed.aggregators", "budgets": "fed.budget", "clip_G": "fed.clip_G",
     "hidden": "fed.hidden", "d": "fed.quad_dim", "chips": "phy.chips",
-    "n_trials": "moments.n_trials",
+    "n_trials": "moments.n_trials", "trials": "trials",
     "curvature_range": "fed.quad_curv_min, fed.quad_curv_max",
     "alpha": "data.alpha", "classes": "data.classes", "n_classes": "data.classes",
-    "p": "data.features", "separation": "data.separation", "means": "data.classes, data.features",
+    "p": "data.features", "separation": "data.separation",
+    "means": "data.classes, data.features", "weights": "data.classes, data.features",
     "n": "data.synth_n, data.test_n",
 }
 

@@ -53,24 +53,24 @@ gradients of all A models in one pass over the training set, and one
 :meth:`Objective.accuracy` call their test accuracies; the label entries
 of both sets are built once per run, for the stack of A models, and each
 is read by one indexed call per pass.  Each row equals that model
-evaluated alone, bit for bit.  For an objective that reads batches, on
-more than one usable core and outside a process pool, these calls run on
-a second thread, on a copy of the models, while the main thread trains
-the next round, and state 0's while round 0 trains, so that the main
-thread evaluates nothing; it then closes the round.  Otherwise they run
-in line, state 0's before round 0 and the others right after their
-round.  Closing round t fills its losses and accuracies and runs its
-divergence checks arm by arm, each checking its model, aggregation
-error, client energy and train loss in turn, so the first arm to leave
-the finite numbers is the one named, by its aggregator, in the same
-words on either path.
+evaluated alone, bit for bit.
 
-Each model state, the models after s rounds for s = 0 … T, is evaluated
-by one evaluate call and nothing else: state 0 before or beside round 0,
-state s after round s - 1.  The train loss that closes round t and the
-diagnostic gradient that opens round t + 1 are taken at the same model,
-so one call gives both.  The losses of state 0 go unread, and state T is evaluated for
-its losses alone: no backward pass, and no proxy rows drawn.
+Each model state, the models after s rounds for s = 0 … T, is copied
+when it is reached, state 0 before round 0, into a pending evaluation: a
+call that returns its losses, diagnostic gradients and accuracies.
+Round t closes once round t + 1 has trained, the last after the loop,
+by the call of state t + 1.  For an objective that reads batches, on
+more than one usable core and outside a process pool, the call collects
+what a second thread evaluated while the main thread trained; otherwise
+it evaluates, in line.  Closing round t fills its losses and accuracies
+and runs its divergence checks arm by arm, each checking its model,
+aggregation error, client energy and train loss in turn, so the first
+arm to leave the finite numbers is the one named, by its aggregator, in
+the same words on either path.  The train loss that closes round t and
+the diagnostic gradient that opens round t + 1 are taken at the same
+model, by one evaluate call; the losses of state 0 go unread, and state
+T is evaluated for its losses alone: no backward pass, and no proxy rows
+drawn.
 Objectives whose gradients never read the batch (``uses_batches`` False)
 build no plan and draw no minibatch indices.
 
@@ -85,6 +85,7 @@ import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -139,6 +140,10 @@ class Objective:
     """
 
     dim: int
+
+    # the constructor field that sets dim, which a run names when it cannot
+    # allocate its model-sized arrays
+    dim_field: str = "dim"
 
     # False for objectives whose gradients never read the batch, so no
     # minibatch is drawn
@@ -202,6 +207,7 @@ class QuadraticObjective(Objective):
     """f(w) = 1/2 sum_i lambda_i w_i^2, independent of the data rows."""
 
     uses_batches = False
+    dim_field = "d"
 
     def __init__(self, curvatures: np.ndarray):
         self.curvatures = np.asarray(curvatures, dtype=float)
@@ -504,6 +510,8 @@ class LogisticObjective(_Classifier):
     feature, so that the logits of a row [x, 1] are x·W + b.
     """
 
+    dim_field = "weights"
+
     def __init__(self, data: LabeledDataset, n_classes: int):
         super().__init__(data, n_classes)
         self.dim = (self.n_features + 1) * n_classes
@@ -537,6 +545,8 @@ class MlpObjective(_Classifier):
     row-major, in turn: two matrices [W1; b1] (p + 1, H) and [W2; b2]
     (H + 1, C), each layer's bias the weight of a constant input.
     """
+
+    dim_field = "hidden"
 
     # the diagnostic gradient is taken on this many training samples
     proxy_samples = 512
@@ -591,9 +601,7 @@ class MlpObjective(_Classifier):
         return self.stochastic_gradient(params, self._diagnostic_rows(rng))
 
     def init_params(self, key):
-        # a run's first array of length dim; a config check builds none
-        with _allocating("hidden"):
-            return 0.05 * key.generator().standard_normal(self.dim)
+        return 0.05 * key.generator().standard_normal(self.dim)
 
     def accuracy(self, params, features, labels):
         return self._test_accuracy(params, features, labels)
@@ -865,9 +873,15 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         raise ValueError("partitions must hold at least one client")
     A = len(cfg.arms)
     root = StreamKey(cfg.seed)
-    w = objective.init_params(root.child(_DOM_INIT))
     d = objective.dim
-    stack = np.repeat(w[None], A, axis=0)  # row a: arm a's model
+    # the run's model-sized arrays, the largest first, so that too large a
+    # model fails before any is filled: row a of the stack is arm a's model,
+    # and row a·K + k of local, refilled every round, client k's copy of it
+    with _allocating(objective.dim_field):
+        local = np.empty((A * K, d))
+        stack = np.empty((A, d))
+        stack[:] = objective.init_params(root.child(_DOM_INIT))
+    clients = local.reshape(A, K, d)  # a view: clients[a] are arm a's K rows
     # every stream of the run, built once and read round after round; the
     # client streams fill the minibatch plan.  Q sizes the plan, or a
     # batch-free run's Q steps without inputs, so too large a Q fails here
@@ -912,26 +926,24 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             row[a, _GRAD] = grads[a] @ grads[a]
         return next_grads
 
-    # a classifier's evaluation of each state runs on a second core while
-    # the next round trains, unless this process is one of a pool's, which
-    # keeps its cores busy already.  The thread sets its own error state,
-    # and leaving the loop, however, joins it
-    pool = None
+    # a pending evaluation is a call: a classifier's runs on a second core
+    # while the next round trains, unless this process is one of a pool's,
+    # which keeps its cores busy already, and any other in line when its
+    # round closes.  The thread sets its own error state, and leaving the
+    # loop, however, joins it
+    run, pool = partial, None
     if objective.uses_batches and _usable_cores() > 1:
         from concurrent.futures import ThreadPoolExecutor
         from multiprocessing import parent_process
         if parent_process() is None:
             pool = ThreadPoolExecutor(1, initializer=lambda: np.seterr(over="ignore",
                                                                        invalid="ignore"))
+            run = lambda *job: pool.submit(*job).result
     # a diverging run overflows; the checks name what went non-finite
     # instead of letting NumPy warn about every step on the way
     with np.errstate(over="ignore", invalid="ignore"), pool or nullcontext():
-        # state 0's diagnostic gradients open round 0: here, or on the
-        # thread, on a copy, while round 0 trains
-        if pool is None:
-            grads = objective.evaluate(stack, proxy_rng)[1]
-        else:
-            pending = pool.submit(objective.evaluate, stack.copy(), proxy_rng)
+        # state 0's diagnostic gradients open round 0
+        pending = run(objective.evaluate, stack.copy(), proxy_rng)
         for t in range(cfg.T):
             beta = cfg.stepsize(t)
             row = trace[:, t]  # round t's row of every arm
@@ -942,30 +954,26 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             if plan is not None:
                 drawn = plan.draw()
                 steps = zip(drawn, objective.step_targets(drawn, A), plan.weights)
-            local = np.repeat(stack, K, axis=0)
+            clients[:] = stack[:, None]
             for batches, targets, weights in steps:
-                # in place: stacked_gradient returns a new array, and local is a copy
+                # in place: stacked_gradient returns a new array
                 step = clip_gradient(objective.stacked_gradient(local, batches, targets, weights),
                                      cfg.clip_G)
                 step *= beta
                 local -= step
 
             for a, round_ in enumerate(rounds):
-                increments = local[a * K:(a + 1) * K] - stack[a]
+                increments = clients[a] - stack[a]
                 ideal = aggregate_ideal(increments)
                 update, row[a, _ENERGY] = round_(increments, ideal, t)
                 eps = update - ideal
                 stack[a] += update
                 row[a, _EPS] = eps @ eps
 
-            # every model at once: here, or on the thread, on a copy, while
-            # round t + 1 trains, and round t closes once round t + 1 has
-            # (after round 0, state 0's gradients are read)
-            if pool is None:
-                grads = close(t, grads, *evaluated(stack, t))
-                continue
-            grads = close(t - 1, grads, *pending.result()) if t else pending.result()[1]
-            pending = pool.submit(evaluated, stack.copy(), t)
-        if pool is not None:
-            close(cfg.T - 1, grads, *pending.result())
+            # every model at once, on a copy: on the thread while round
+            # t + 1 trains, or in line when round t closes, once round t + 1
+            # has (after round 0, state 0's gradients are read)
+            grads = close(t - 1, grads, *pending()) if t else pending()[1]
+            pending = run(evaluated, stack.copy(), t)
+        close(cfg.T - 1, grads, *pending())
     return trace

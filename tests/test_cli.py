@@ -1,7 +1,10 @@
 import json
 import os
 import pathlib
+import re
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -14,7 +17,7 @@ from reedsim.config import (SCHEMA, ConfigError, _partition_spec, _trial_seed, l
 from reedsim.estimator import ReedPhyConfig, ScalarInputs, sample_estimates
 from reedsim.experiments import (MomentPoint, default_moment_matrix,
                                  run_single_trial, run_trial, validate_point)
-from reedsim.fedavg import TRACE_COLUMNS
+from reedsim.fedavg import TRACE_COLUMNS, LogisticObjective, MlpObjective, QuadraticObjective
 from reedsim.streams import StreamKey
 
 from reference import write_idx
@@ -98,6 +101,10 @@ class TestConfigParsing:
                      'output.dir = "out#1'):
             with pytest.raises(ConfigError, match=f"^{line.split()[0]}: malformed value"):
                 parse_config(line)
+
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'fed.K 3'$"):
+            parse_config("# a comment = no key\nfed.K 3")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -246,6 +253,14 @@ class TestValidateMoments:
             cf_cfg=ReedPhyConfig(eta=3.0, noise_var=1.0))
         result = validate_point(point, 100_000, 0.015, seed=0)
         assert not result.passed
+
+    def test_zero_variance_point_is_exact(self):
+        # no signal and no noise: every draw is the closed-form mean, 0
+        point = MomentPoint(point_id="silent", inputs=ScalarInputs([0.0, 0.0]),
+                            cfg=ReedPhyConfig(noise_var=0.0))
+        result = validate_point(point, 1000, 0.015, seed=0)
+        assert (result.cf_var, result.mc_var, result.mc_mean, result.rel_err) == (0, 0, 0, 0)
+        assert result.passed
 
     def test_noiseless_rows_match_self_noise(self):
         point = MomentPoint(
@@ -549,7 +564,39 @@ BAD_INPUTS = [
     ({"data.source": '"idx"', "data.classes": "2"}, "run-fedavg", "data.classes"),
     ({"data.source": '"idx"', "data.idx_test_images": '"{images}"',
       "data.idx_test_labels": '"{test_labels}"'}, "run-fedavg", "data.classes"),
+    # the images key names the labels file, and the labels key the images file
+    ({"data.source": '"idx"', "data.idx_images": '"{labels}"', "data.idx_labels": '"{images}"'},
+     "run-fedavg", "data.idx_images, data.idx_labels"),
 ]
+
+# sizes NumPy does not refuse at once, each with the key its error must name:
+# the quadratic's, the logistic model's and the MLP's (A·K, dim) local
+# copies, and the job list of too many trials, each more than a process
+# limited to 512 MiB of address space can hold
+OVERSIZED = [
+    ({"fed.model": '"quadratic"', "fed.quad_dim": "10000000"}, "fed.quad_dim"),
+    ({"data.classes": "2000000"}, "data.classes, data.features"),
+    ({"fed.model": '"mlp"', "fed.hidden": "1000000"}, "fed.hidden"),
+    ({"trials": "1" + "0" * 20}, "trials"),
+]
+
+# reedsim.cli.main on each config path after the first argument, under a
+# 512 MiB address space; prints each run's exit status and stderr, or the
+# exception that escaped it
+_UNDER_LIMIT = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from reedsim.cli import main
+runs = []
+for path in sys.argv[2:]:
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            runs.append((main(["run-fedavg", path, "--out", sys.argv[1]]), err.getvalue()))
+    except Exception as exc:
+        runs.append((None, repr(exc)))
+print(json.dumps(runs))
+"""
 
 
 class TestMain:
@@ -593,6 +640,42 @@ class TestMain:
         assert err.startswith("error: ") and "data.alpha: " in err, err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    def test_oversized_arrays_name_their_key(self, tmp_path):
+        # one interpreter for every case; the limit binds it alone
+        pytest.importorskip("resource")
+        paths = []
+        for i, (overrides, _) in enumerate(OVERSIZED):
+            paths.append(tmp_path / f"{i}.cfg")
+            paths[-1].write_text(_with(FAST_FED, {"fed.K": "10", **overrides}))
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _UNDER_LIMIT, str(tmp_path / "o"), *paths],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs = json.loads(done.stdout)
+        for (status, err), (_, key) in zip(runs, OVERSIZED):
+            assert status == 2 and err.startswith(f"error: {key}: too large: "), err
+            assert len(err.splitlines()) == 1
+        assert len(runs) == len(OVERSIZED) and not (tmp_path / "o").exists()
+
+    def test_every_size_guard_names_a_config_key(self):
+        # a size error reaches the user as its config key only through
+        # _FIELD_KEYS; a field missing there would surface as a traceback
+        src = pathlib.Path(config.__file__).parent
+        text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
+        guarded = re.findall(r"_allocating\(([^)]*)\)", text)
+        literal = [arg[1:-1] for arg in guarded if re.fullmatch(r'"\w+"', arg)]
+        # besides the definition, the one guard whose field is not spelled
+        # out is a run's, the field of its model
+        assert sorted(set(guarded) - {f'"{name}"' for name in literal}) == [
+            "name: str", "objective.dim_field"]
+        fields = (literal + re.findall(r'ValueError\(f"(\w+) too large', text)
+                  + [cls.dim_field for cls in (QuadraticObjective, LogisticObjective,
+                                               MlpObjective)])
+        assert "antennas" in fields and "trials" in fields
+        assert [name for name in fields if name not in config._FIELD_KEYS] == []
 
     def test_cli_error_reporting(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -792,6 +875,8 @@ class TestMain:
                            f'data.idx_images = "{bad}"\ndata.idx_labels = "{bad}"\n')
         for payload, what in (
                 (b"\x12\x34\x56\x78\x00\x00", "bad IDX magic"),
+                # a labels magic, then no count
+                (struct.pack(">I", 0x801), "truncated IDX header: expected 8 bytes, got 4"),
                 # 4 * 2**31 * 2**31 bytes wrap to 0 in a 64-bit product
                 (struct.pack(">IIII", 0x803, 4, 2**31, 2**31), "IDX payload length mismatch")):
             bad.write_bytes(payload)

@@ -148,6 +148,15 @@ class TestLabeledDataset:
         for labels in ([1.0, 0.0], np.array([1, 0], dtype=np.uint8), [True, False]):
             assert LabeledDataset(np.zeros((2, 2)), labels).labels.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("features, labels, message", [
+        (np.zeros(2), [0, 1], "features must be 2-D"),
+        (np.zeros((3, 2)), [0, 1], "features rows must match labels length"),
+        ([[0.0, 1.0], [np.inf, 0.0]], [0, 1], "features must be finite"),
+    ], ids=["1-D", "rows", "inf"])
+    def test_malformed_features_rejected(self, features, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LabeledDataset(features, labels)
+
     def test_labels_must_be_one_dimensional(self):
         # (n, 1) labels have n rows, and would reach the label entries as a batch
         with pytest.raises(ValueError, match=r"^labels must be 1-D, got shape \(2, 1\)$"):
@@ -158,6 +167,8 @@ class TestSynthData:
     def test_empty_dataset(self):
         ds = synth_dataset(0, seed=0, classes=2, p=2)
         assert len(ds) == 0
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            synth_dataset(-1, seed=0)
 
     def test_zero_separation_chance_level(self):
         ds = synth_dataset(3000, seed=1, classes=3, p=5, separation=0.0)

@@ -32,6 +32,11 @@ class TestScalarInputs:
         with pytest.raises(ValueError):
             ScalarInputs([np.nan])
 
+    @pytest.mark.parametrize("values", [[[1.0, 2.0]], []], ids=["2-D", "empty"])
+    def test_rejects_other_than_one_nonempty_row(self, values):
+        with pytest.raises(ValueError, match="^values must be a non-empty 1-D array$"):
+            ScalarInputs(values)
+
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     def test_split_property(self, values):
         inp = ScalarInputs(values)

@@ -83,6 +83,19 @@ class TestObjectives:
         with pytest.raises(ValueError):
             build_objective("spline", d=3)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: build_objective("spline", synth_dataset(4, seed=0)),
+         "unknown objective kind 'spline'"),
+        (lambda: QuadraticObjective([1.0, 0.0]), "curvatures must be > 0"),
+        (lambda: FedRunConfig(Q=1, T=1, batch_size=4, beta0=0.1, schedule="cosine"),
+         "schedule must be 'constant' or 'inv_sqrt', got 'cosine'"),
+        (lambda: local_round(np.ones(2), build_objective("quadratic", d=2), np.arange(10), 0,
+                             0.1, 4, KEY.generator()), "Q must be >= 1"),
+    ], ids=["kind", "curvature", "schedule", "local-Q"])
+    def test_invalid_argument_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
 
 class TestLocalRound:
     def test_beta_zero_rejected(self):

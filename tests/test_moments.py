@@ -269,6 +269,19 @@ _NON_FINITE_CASES = [
 ]
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: sigma_air_bound(0.1, 10, 1.0, 0, 1.0, 1.0),
+                 "Q and d must be >= 1, got 10 and 0", id="sigma_air_bound"),
+    pytest.param(lambda: eta_schedule(1.0, 0, 100, 1.0, 1.0, 0.1, 10, 1.0),
+                 "K, d and Q must be >= 1, got 0, 100 and 10", id="eta_schedule"),
+    pytest.param(lambda: theorem_bound_rhs(TestTheoremBound.CONSTS, 0.1, 1, 0, 1, 0.0),
+                 "Q, T and K must be >= 1, got 1, 0 and 1", id="theorem_bound_rhs"),
+])
+def test_sizes_below_one_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("field, call", [pytest.param(field, call, id=f"{where}.{field}")
                                          for where, field, call in _NON_FINITE_CASES])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
