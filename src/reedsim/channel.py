@@ -14,9 +14,15 @@ The public samplers reject a negative or NaN power.  ``_sample_energy`` is
 ``sample_energy`` without that check, for callers whose mean energy is
 >= 0 by construction: the paired-energy kernel in ``reedsim.estimator``,
 whose means are sums of nonnegative parts scaled by an already checked
-``ReedPhyConfig``.  Nothing else should call it.  It can also fill an
-array the caller owns (``out``), so the kernel draws every (chip, branch)
-stream into one reused (R, n) buffer instead of allocating one per stream.
+``ReedPhyConfig``.  Nothing else should call it.  It also sums k
+independent looks at one mean, the energy of k chips and antennas that
+share it: the mean times a Gamma(k) variate, drawn exactly in law.  k = 1
+is one exponential fill, 2 <= k <= 6 the Erlang product form -log of a
+product of k uniforms (Devroye, *Non-Uniform Random Variate Generation*,
+1986, ch. IX), and larger k one ``standard_gamma`` fill (Marsaglia and
+Tsang, *ACM TOMS* 26(3), 2000).  It can fill an array the caller owns
+(``out``), so the kernel draws every stream into one reused n-long buffer,
+and it holds no k-sized array.
 
 The estimator draws no ``sample_dither`` phase: every fading law here
 already carries an independent uniform phase.
@@ -75,18 +81,68 @@ def sample_energy(rng: np.random.Generator, mean_energy, size):
     return _sample_energy(rng, mean, size)
 
 
-def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, size=None, out=None):
-    """``sample_energy`` without its check, for means >= 0 by construction.
+# The largest k that _sample_energy draws as a product of k uniforms; above
+# it one standard_gamma(k) fill is faster.  At n = 50 000 on a 2-core x86
+# VM (NumPy 2.4, SFC64), scaling by the mean included, the product took
+# 374, 674 and 973 us at k = 2, 4 and 6, against 1098, 1074 and 1066 us for
+# standard_gamma, and at k = 7 1121 us against 1069 us.  Each factor 1 - U
+# is at least 2^-53, so a product of at most 6 is at least 2^-318: it can
+# neither underflow nor reach log 0.
+_MAX_PRODUCT_LOOKS = 6
 
-    With ``out`` the standard exponentials are drawn into it and scaled in
-    place, and ``out`` is returned: the same draws and the same products as
-    a call with ``size = out.shape``, and no array is allocated.
+# Values per block in which the product's further factors are drawn, so
+# that a product holds one scratch of at most this many doubles (512 KB)
+# beside its n-long output, whatever n and k are.  On the same VM a
+# 1M-trial validate-moments run peaked at 68.3 MB RSS with exponentials
+# only, 69.3-70.3 MB with blocked products, and 91-99 MB with one n-long
+# scratch in place of the blocks, which wrote the same bytes.
+_SCRATCH = 1 << 16
+
+
+def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, size=None, out=None,
+                   looks: int = 1):
+    """``sample_energy`` without its check, for means >= 0 by construction,
+    summed over ``looks`` = k independent looks: the mean times a Gamma(k)
+    variate.
+
+    The Gamma(k) values are k = 1 a ``standard_exponential`` fill, for
+    2 <= k <= ``_MAX_PRODUCT_LOOKS`` -log of the product of 1 - U over k
+    ``random`` fills of the whole array, taken in order, and above that one
+    ``standard_gamma(k)`` fill.  With ``out`` (C-contiguous) they are drawn
+    into it and scaled in place, and ``out`` is returned: the same draws
+    and the same products as a call with ``size = out.shape``.  The
+    product's further factors pass through one scratch of at most
+    ``_SCRATCH`` values, so a call allocates nothing else.
     """
     if out is None:
-        return mean_energy * rng.standard_exponential(size)
-    rng.standard_exponential(out=out)
+        if looks == 1:
+            return mean_energy * rng.standard_exponential(size)
+        out = np.empty(size)
+    if looks == 1:
+        rng.standard_exponential(out=out)
+    elif looks > _MAX_PRODUCT_LOOKS:
+        rng.standard_gamma(looks, out=out)
+    else:
+        _neg_log_product(rng, looks, out.reshape(-1))
     out *= mean_energy
     return out
+
+
+def _neg_log_product(rng: np.random.Generator, looks: int, out: np.ndarray) -> None:
+    """Fill the 1-D ``out`` with -log of the product of 1 - U over ``looks``
+    ``random`` fills of its length, factor 2 on blockwise through a scratch."""
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    scratch = np.empty(min(out.size, _SCRATCH))
+    for _ in range(looks - 1):
+        for start in range(0, out.size, _SCRATCH):
+            block = out[start:start + _SCRATCH]
+            factor = scratch[:block.size]
+            rng.random(out=factor)
+            np.subtract(1.0, factor, out=factor)
+            block *= factor
+    np.log(out, out=out)
+    np.negative(out, out=out)
 
 
 def sample_dither(rng: np.random.Generator, size):

@@ -10,19 +10,23 @@ reception repeats it over R receive antennas.
 With Rayleigh fading (kappa = 2) the received symbol of one (chip, branch,
 antenna, column) is y = sum_k h_k a_k + z ~ CN(0, eta * c_m * S + sigma^2),
 where S is the branch's sum of parts in that column, and these symbols
-are independent given the parts.  So the kernel draws the detected energy
-|y|^2 directly, one exponential per (antenna, column).  Other fading laws
-have no closed energy law and are superposed client by client; their
-uniform fading phase makes a transmit phase dither redundant.
+are independent given the parts.  So a branch's energy over the g chips of
+one weight and the R antennas is that mean times a Gamma(g R) variate,
+which the kernel draws directly, one value per column (stream layout 6).
+Other fading laws have no closed energy law and are superposed client by
+client, chip by chip; their uniform fading phase makes a transmit phase
+dither redundant.
 
 Both vector entry points run one kernel, ``_paired_energy``, which draws
-chip m's branch b from the generator at [m][b] of the caller's (M, 2)
-streams.  ``chip_streams(cfg, key)`` builds them, at ``key.generator(m,
-b)``: ``sample_estimates`` once per call, and a FedAvg run once per
-``reed`` arm, which every round then reads on from where the last one
-stopped.  The superposition is ``_superposed_energy`` alone.  The kernel
-runs it at every kappa but 2; the test suite runs it at kappa = 2 too, as
-the kernel's reference in law.  The coherent baseline takes the clients'
+the chips of group i of ``ReedPhyConfig.chip_groups`` (at kappa = 2 the
+chips of one weight, otherwise one chip) on branch b from the generator
+at [i][b] of the caller's streams.  ``chip_streams(cfg, key)`` builds
+them, at ``key.generator(m, b)`` for the group's first chip m:
+``sample_estimates`` once per call, and a FedAvg run once per ``reed``
+arm, which every round then reads on from where the last one stopped.
+The superposition is ``_superposed_energy`` alone.  The kernel runs it at
+every kappa but 2; the test suite runs it at kappa = 2 too, chip by chip,
+as the kernel's reference in law.  The coherent baseline takes the clients'
 mean, which a FedAvg round forms once for all its arms.
 """
 
@@ -95,9 +99,13 @@ class ReedPhyConfig:
     antennas: int = 1
     kappa: float = 2.0
     # set from chip_weights in __post_init__, so a read reduces nothing;
-    # with_eta copies them
+    # with_eta copies them.  chip_groups are the chips that one pair of
+    # streams draws, as (first chip, weight, count) in the order of their
+    # first chips: at kappa = 2 all chips of one weight, whose energies sum
+    # to one Gamma draw, and otherwise each chip alone
     n_chips: int = field(init=False, repr=False, compare=False)
     weight_sum: float = field(init=False, repr=False, compare=False)
+    chip_groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean_powers", np.asarray(self.mean_powers, dtype=float))
@@ -121,6 +129,10 @@ class ReedPhyConfig:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
         object.__setattr__(self, "n_chips", int(c.size))
         object.__setattr__(self, "weight_sum", float(c.sum()))
+        groups = {}
+        for m, w in enumerate(c.ravel().tolist()):
+            groups.setdefault(w if self.kappa == 2.0 else m, [m, w, 0])[2] += 1
+        object.__setattr__(self, "chip_groups", tuple(map(tuple, groups.values())))
 
     def _value(self) -> tuple:
         return (self.eta, self.noise_var, self.antennas, self.kappa, self.mean_powers.shape,
@@ -173,9 +185,10 @@ def _superposed_energy(rng: np.random.Generator, part: np.ndarray, c: float,
 
 
 def chip_streams(cfg: ReedPhyConfig, key: StreamKey) -> list[tuple[np.random.Generator, ...]]:
-    """The (M, 2) streams of the paired-energy kernel on ``cfg``: chip m's
-    branch b (0 positive, 1 negative) at ``key.generator(m, b)``."""
-    return [(key.generator(m, 0), key.generator(m, 1)) for m in range(cfg.n_chips)]
+    """The streams of the paired-energy kernel on ``cfg``, one pair per
+    chip group (``cfg.chip_groups``): branch b (0 positive, 1 negative) of
+    the group whose first chip is m at ``key.generator(m, b)``."""
+    return [(key.generator(m, 0), key.generator(m, 1)) for m, _, _ in cfg.chip_groups]
 
 
 def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
@@ -187,44 +200,40 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
     (K, 1) when every column carries the same values.  Returns the
     normalized weighted energy difference, shape (n,).
 
-    Stream layout: chip m and branch b (0 for the positive part, 1 for the
-    negative) draw from the single generator ``streams[m][b]``, on from
-    wherever its last draw stopped; ``chip_streams`` builds them.
+    Stream layout 6: the chips of group i of ``cfg.chip_groups`` on branch
+    b (0 for the positive part, 1 for the negative) draw from the single
+    generator ``streams[i][b]``, on from wherever its last draw stopped;
+    ``chip_streams`` builds them.
 
-    - kappa = 2: one (R, n) array of detected energies, exponential
-      with mean eta * c_m * S_bj + noise_var, where S_bj is the branch's
-      sum of parts in column j.  Each branch's column sums are taken once
-      per call, not once per chip.  Every stream draws into one (R, n)
-      buffer that the call owns; its antennas are summed into row 0 in
-      place, and the positive branch is added to the returned total, the
-      negative one subtracted.  So a call holds about (R + 1) * n doubles
-      at its peak, plus, for (K, n) parts, the two branches' column sums
-      and the means of the stream being drawn, 3n more.
+    - kappa = 2: a group of g chips of weight c draws one detected energy
+      per column, summed over its chips and the R antennas: the mean
+      eta * c * S_bj + noise_var, where S_bj is the branch's sum of parts
+      in column j, times a Gamma(g R) variate (``_sample_energy``).  Each
+      branch's column sums are taken once per call, not once per group.
+      Every stream draws into one n-long buffer that the call owns, and
+      the positive branch is added to the returned total, the negative one
+      subtracted.  So a call holds two n-long arrays at its peak, and a
+      scratch of at most ``channel._SCRATCH`` values, plus, for (K, n)
+      parts, the two branches' column sums and the means of the stream
+      being drawn, 3n more.
     - otherwise ``_superposed_energy`` adds the clients' faded symbols.
     """
     total = np.zeros(n)
     rayleigh = cfg.kappa == 2.0
     if rayleigh:
-        try:
-            energy = np.empty((cfg.antennas, n))
-        except MemoryError as exc:  # n fits in total, so R is what fails
-            raise ValueError(f"antennas too large: {exc}") from None
+        energy = np.empty(n)
         # each branch's column sums, taken once per call; the means are >= 0
         # by construction: the parts are >= 0, and eta, c and noise_var were
         # checked by ReedPhyConfig
         sums = (np.add.reduce(pos, 0), np.add.reduce(neg, 0))
         mean = np.empty_like(sums[0])
-    for c, pair in zip(cfg.chip_weights, streams):
+    for (_, c, count), pair in zip(cfg.chip_groups, streams):
         for branch, (part, combine) in enumerate(((pos, np.add), (neg, np.subtract))):
             rng = pair[branch]
             if rayleigh:
                 np.multiply(sums[branch], cfg.eta * c, out=mean)
                 mean += cfg.noise_var
-                _sample_energy(rng, mean, out=energy)
-                # row by row, the order in which sum(axis=0) adds the rows
-                for r in range(1, cfg.antennas):
-                    energy[0] += energy[r]
-                received = energy[0]
+                received = _sample_energy(rng, mean, out=energy, looks=count * cfg.antennas)
             else:
                 received = _superposed_energy(rng, part, c, cfg, n)
             combine(total, received, out=total)
@@ -259,7 +268,7 @@ def aggregate_ideal(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:
 def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig,
                    streams: list[tuple[np.random.Generator, ...]]) -> np.ndarray:
     """Noncoherent aggregation of client increments, coordinate-wise, drawn
-    from the (M, 2) generators ``streams`` (``chip_streams``).
+    from the generator pairs ``streams``, one per chip group (``chip_streams``).
 
     Coordinate j uses scalar inputs u_{k,j} = [increment_k]_j / K so the
     estimate targets the ideal mean.  Coordinates are the kernel's
@@ -267,8 +276,8 @@ def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig
     branches, chips and antennas.
     """
     arr = _increments(increments)
-    if len(streams) != cfg.n_chips:
-        raise ValueError(f"streams must hold one pair per chip, {cfg.n_chips}, "
+    if len(streams) != len(cfg.chip_groups):
+        raise ValueError(f"streams must hold one pair per chip group, {len(cfg.chip_groups)}, "
                          f"got {len(streams)}")
     K, d = arr.shape
     u = arr / K

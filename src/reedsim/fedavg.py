@@ -8,14 +8,17 @@ t and column f the quantity named ``TRACE_COLUMNS[f]``.  All randomness
 flows through seeded streams, so runs are reproducible and the aggregator
 choice never perturbs data order or model initialization.
 
-Stream layout 5: a run builds each of its streams once, before round 0,
+Stream layout 6: a run builds each of its streams once, before round 0,
 and every round reads on from where the last one stopped.  Under the run
 seed, client k's minibatches come from the stream (local, k) and the
 MLP's proxy rows from (local, K); each ``reed`` arm builds its own
-generators of (channel, m, b) for chip m and branch b, and each
-``coherent_csit`` arm its own of (channel,) for the receiver noise.  So
-besides the model's initialisation a run builds K generators for an
-objective that reads batches, 2M per ``reed`` arm, 1 per
+generators of (channel, m, b) for branch b of each chip group whose first
+chip is m (``ReedPhyConfig.chip_groups``: under Rayleigh fading the chips
+of one weight, otherwise each chip), and each ``coherent_csit`` arm its
+own of (channel,) for the receiver noise.  So besides the model's
+initialisation a run builds K generators for an objective that reads
+batches, 2 per chip group of a ``reed`` arm (2 for the unit-weight chips
+of a config-built arm at kappa = 2, 2M at other kappa), 1 per
 ``coherent_csit`` arm and 1 for proxy rows, whatever its T, and a run of
 T₁ rounds is the first T₁ rounds of any longer run.
 

@@ -8,9 +8,10 @@ run in parallel or in what order streams are consumed.
 
 A stream is an SFC64 generator, NumPy's fastest bit generator, seeded by
 ``SeedSequence(seed, spawn_key=path)``.  A caller builds each stream once
-and reads it in sequence (stream layout 5): a FedAvg run builds all of its
-streams before round 0, and each round draws the next values from them,
-so the number of streams a run builds does not grow with its rounds.
+and reads it in sequence (since stream layout 5; layout 6 is the
+current one): a FedAvg run builds all of its streams before round 0, and
+each round draws the next values from them, so the number of streams a
+run builds does not grow with its rounds.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ class StreamKey:
 
     - under a FedAvg trial seed: (0,) the model's initialisation, (1, k)
       client k's minibatches, (1, K) the MLP's proxy rows, (2,) a
-      ``coherent_csit`` arm's receiver noise, (2, m, b) chip m and branch b
-      of a ``reed`` arm, and (3,) the partition's seed;
+      ``coherent_csit`` arm's receiver noise, (2, m, b) branch b of the
+      chip group of a ``reed`` arm whose first chip is m (under Rayleigh
+      fading the chips of one weight, otherwise chip m alone), and (3,)
+      the partition's seed;
     - the root path () of the trial seed draws the synthetic data or the
       quadratic's curvatures, and that of a partition's seed its split;
-    - validate-moments draws point p's chip m and branch b from (p, m, b)
-      under the run seed.
+    - validate-moments draws branch b of point p's chip group m from
+      (p, m, b) under the run seed.
 
     :meth:`generator` takes the index of a child, so the stream of a leaf
     is built without building the leaf's key.

@@ -3,8 +3,8 @@
 Not collected: test modules import it by name.
 
 - ``reference_estimates``: the estimator's superposition at every kappa,
-  on the kernel's stream layout; at kappa = 2 a reference in law for the
-  kernel's detected energies.
+  chip by chip, on the kernel's streams at kappa != 2; at kappa = 2 a
+  reference in law for the kernel's Gamma-distributed branch energies.
 - ``write_idx``: IDX serialization, the inverse of
   :func:`reedsim.datasets.parse_idx`, for parser fixtures.
 - ``column``: one named quantity of a :func:`reedsim.fedavg.run_fedavg`

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reedsim.channel import (sample_dither, sample_energy, sample_fading,
+from reedsim.channel import (_sample_energy, sample_dither, sample_energy, sample_fading,
                              sample_general_fading, sample_noise)
 from reedsim.streams import StreamKey
 
@@ -79,6 +79,42 @@ def test_energy_deterministic_and_broadcast():
     assert np.array_equal(a, b)
     # the means are powers of two, so dividing them out is exact
     assert np.array_equal(a / means, sample_energy(_rng(17), 1.0, size=(3, 2)))
+
+
+def _erlang_cdf(x, k):
+    """P(Gamma(k) <= x) = 1 - e^-x sum_{i<k} x^i / i! for integer k."""
+    term = np.ones_like(x)
+    tail = np.ones_like(x)
+    for i in range(1, k):
+        term = term * x / i
+        tail += term
+    return 1.0 - np.exp(-x) * tail
+
+
+@pytest.mark.parametrize("looks", [2, 6, 7, 16])
+def test_summed_energy_is_erlang(looks):
+    # k looks at one mean sum to the mean times Gamma(k): a product of k
+    # uniforms up to k = 6, one standard_gamma fill above, so each side of
+    # the threshold is checked.  KS distance of 200k draws against the
+    # Erlang CDF, at the 1% critical value 1.628 / sqrt(n)
+    n = 200_000
+    mean = 0.5
+    x = np.sort(_sample_energy(_rng(18, looks), np.array(mean), size=n, looks=looks))
+    cdf = _erlang_cdf(x / mean, looks)
+    i = np.arange(1, n + 1)
+    distance = max((i / n - cdf).max(), (cdf - (i - 1) / n).max())
+    assert distance < 1.628 / np.sqrt(n), distance
+
+
+def test_summed_energy_into_out_is_the_sized_draw():
+    # out is filled with the draws and products of a call with its size,
+    # on each side of the threshold and across the product's scratch blocks
+    means = np.linspace(0.5, 2.0, 70_000)
+    for looks in (1, 3, 9):
+        out = np.empty(means.size)
+        assert _sample_energy(_rng(19, looks), means, out=out, looks=looks) is out
+        assert np.array_equal(out, _sample_energy(_rng(19, looks), means, size=means.size,
+                                                  looks=looks))
 
 
 def test_dither_unit_modulus():

@@ -470,7 +470,9 @@ BAD_INPUTS = [
     ({"fed.model": '"quadratic"', "fed.quad_dim": "1" + "0" * 15}, "run-fedavg", "fed.quad_dim"),
     ({"fed.model": '"mlp"', "fed.hidden": "1" + "0" * 15}, "run-fedavg", "fed.hidden"),
     # and the trace, the stepsizes, a round's batches, the chip weights, the
-    # kernel's rows per antenna and the moment draws
+    # superposition's fading per antenna (the Rayleigh kernel holds no
+    # array that grows with the antennas, so its run completes) and the
+    # moment draws
     *(({**overrides, "fed.T": "1" + "0" * 15}, "run-fedavg", "fed.T")
       for overrides in ({}, BUDGETED)),
     *(({"fed.model": model, "fed.Q": "1" + "0" * 15}, "run-fedavg", "fed.Q")
@@ -483,8 +485,8 @@ BAD_INPUTS = [
     # budgeted stepsizes for more rounds than a C integer counts
     ({**BUDGETED, "fed.T": "1" + "0" * 20}, "run-fedavg", "fed.T"),
     ({"phy.chips": "1" + "0" * 15}, "run-fedavg", "phy.chips"),
-    *(({"fed.aggregators": '["reed"]', "phy.kappa": kappa, "phy.antennas": "1" + "0" * 15},
-       "run-fedavg", "phy.antennas") for kappa in ("2", "3")),
+    ({"fed.aggregators": '["reed"]', "phy.kappa": "3", "phy.antennas": "1" + "0" * 15},
+     "run-fedavg", "phy.antennas"),
     ({"moments.n_trials": "1" + "0" * 15}, "validate-moments", "moments.n_trials"),
     # a model's keys are checked whichever model runs
     ({"fed.hidden": "-4"}, "run-fedavg", "fed.hidden"),
@@ -676,6 +678,18 @@ class TestMain:
                                                MlpObjective)])
         assert "antennas" in fields and "trials" in fields
         assert [name for name in fields if name not in config._FIELD_KEYS] == []
+
+    def test_rayleigh_run_at_any_antennas_completes(self, tmp_path):
+        # at kappa = 2 a branch's energy over M chips and R antennas is one
+        # Gamma(M R) value per coordinate, so 10**15 antennas allocate
+        # nothing that grows with R
+        cfgfile = tmp_path / "antennas.cfg"
+        cfgfile.write_text(_with(FAST_FED, {"fed.aggregators": '["reed"]',
+                                            "phy.antennas": "1" + "0" * 15}))
+        assert main(["run-fedavg", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+        header, *rows = (tmp_path / "o" / "fedavg_trace.csv").read_text().splitlines()
+        eps = [float(row.split(",")[header.split(",").index("eps_norm_sq")]) for row in rows]
+        assert len(eps) == 2 * 3 and np.isfinite(eps).all()
 
     def test_cli_error_reporting(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

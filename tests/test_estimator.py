@@ -222,26 +222,39 @@ class TestKernelStreams:
 
     @pytest.mark.parametrize("chips", [1, 3])
     def test_one_generator_per_chip_and_branch(self, monkeypatch, chips):
+        # one pair per chip group, at the group's first chip: at kappa != 2
+        # each chip, at kappa = 2 each distinct weight, so uniform chips
+        # build one pair and weights (1, 0.5, 1) a pair at chips 0 and 1
         calls = self._count_generators(monkeypatch)
-        for kappa in (3.0, 2.0):
-            cfg = ReedPhyConfig(eta=1.0, noise_var=0.5, chip_weights=np.ones(chips),
+        for kappa, weights, firsts in ((3.0, np.ones(chips), range(chips)),
+                                       (2.0, np.ones(chips), [0]),
+                                       (2.0, np.resize([1.0, 0.5], chips), range(min(chips, 2)))):
+            cfg = ReedPhyConfig(eta=1.0, noise_var=0.5, chip_weights=weights,
                                 antennas=2, kappa=kappa)
             calls.clear()
             streams = chip_streams(cfg, KEY.child(14))
-            assert calls == [(14, m, b) for m in range(chips) for b in (0, 1)]
+            assert calls == [(14, m, b) for m in firsts for b in (0, 1)]
             # the aggregator reads the streams it is given and builds none
             calls.clear()
             aggregate_reed(np.arange(-6.0, 6.0).reshape(4, 3), cfg, streams)
             assert calls == []
             sample_estimates(ScalarInputs([1.0, -2.0, 0.5]), cfg, KEY.child(15), 10)
-            assert calls == [(15, m, b) for m in range(chips) for b in (0, 1)]
+            assert calls == [(15, m, b) for m in firsts for b in (0, 1)]
 
     def test_streams_need_one_pair_per_chip(self):
-        cfg = ReedPhyConfig(chip_weights=np.ones(3))
-        for chips in (2, 4):
-            streams = chip_streams(ReedPhyConfig(chip_weights=np.ones(chips)), KEY.child(14))
-            with pytest.raises(ValueError, match="^streams must hold one pair per chip, 3, "):
-                aggregate_reed(np.ones((2, 3)), cfg, streams)
+        # one pair per chip group: three chips at kappa = 3, three distinct
+        # weights over four chips at kappa = 2
+        for kappa, weights in ((3.0, np.ones(3)), (2.0, [1.0, 0.5, 0.25, 0.5])):
+            cfg = ReedPhyConfig(chip_weights=weights, kappa=kappa)
+            for groups in (2, 4):
+                other = ReedPhyConfig(chip_weights=np.arange(1.0, groups + 1), kappa=kappa)
+                with pytest.raises(ValueError,
+                                   match="^streams must hold one pair per chip group, 3, "):
+                    aggregate_reed(np.ones((2, 3)), cfg, chip_streams(other, KEY.child(14)))
+        # any number of uniform chips is one group at kappa = 2
+        uniform = ReedPhyConfig(chip_weights=np.ones(4))
+        assert aggregate_reed(np.ones((2, 3)), uniform,
+                              chip_streams(ReedPhyConfig(), KEY.child(14))).shape == (3,)
 
     @pytest.mark.parametrize("kappa", [2.0, 3.0])
     def test_calls_read_on_along_the_streams(self, kappa):
@@ -285,23 +298,45 @@ class TestKernelStreams:
         assert not np.array_equal(a[:_BLOCK], a[_BLOCK:2 * _BLOCK])
 
 
+def _gamma_with_temporaries(rng, k, n):
+    """n Gamma(k) values as stream layout 6 draws them: one exponential at
+    k = 1, -log of the product of 1 - U over k rows of uniforms, multiplied
+    row after row, up to k = 6, and a standard gamma above."""
+    if k == 1:
+        return rng.standard_exponential(n)
+    if k > 6:
+        return rng.standard_gamma(k, n)
+    factors = 1.0 - rng.random((k, n))
+    product = factors[0]
+    for factor in factors[1:]:
+        product = product * factor
+    return -np.log(product)
+
+
 def _rayleigh_with_temporaries(pos, neg, cfg, key, n):
-    """The kappa = 2 kernel as sum over chips and branches of
-    sign * (mean * E).sum(axis=0), over eta * C_M * R, with every
-    temporary it names: the arithmetic the in-place kernel must keep."""
+    """The kappa = 2 kernel as a sum over chip groups and branches of
+    sign * (mean * G), over eta * C_M * R, with every temporary it names:
+    the g chips of weight c, the first of them chip m, draw branch b's
+    G ~ Gamma(g R) from the stream (m, b), and the groups are added in the
+    order of their first chips.  The arithmetic the in-place kernel must
+    keep."""
+    groups = {}
+    for m, c in enumerate(cfg.chip_weights.tolist()):
+        groups.setdefault(c, [m, 0])[1] += 1
     total = np.zeros(n)
-    for m, c in enumerate(cfg.chip_weights):
+    for c, (m, g) in groups.items():
         for branch, sign, part in ((0, 1.0, pos), (1, -1.0, neg)):
-            E = key.child(m, branch).generator().standard_exponential((cfg.antennas, n))
+            G = _gamma_with_temporaries(key.child(m, branch).generator(), g * cfg.antennas, n)
             mean = cfg.eta * c * part.sum(axis=0) + cfg.noise_var
-            total += sign * (mean * E).sum(axis=0)
+            total += sign * (mean * G)
     return total / (cfg.eta * cfg.weight_sum * cfg.antennas)
 
 
 class TestRayleighKernelBits:
     @pytest.mark.parametrize("noise_var", [0.0, 0.7], ids=["nv0", "nv0.7"])
-    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.5, 2.0], [1.0, 0.25, 2.0, 0.5]],
-                             ids=["M1", "M3", "M4"])
+    @pytest.mark.parametrize("weights", [
+        [1.0], [1.0, 0.5, 2.0], [1.0, 0.25, 2.0, 0.5], [1.0, 0.5, 1.0], [1.0] * 7],
+        ids=["M1", "M3", "M4", "M3eq", "M7eq"])
     @pytest.mark.parametrize("antennas", [1, 2, 3], ids=["R1", "R2", "R3"])
     def test_bit_identical_to_temporaries(self, antennas, weights, noise_var):
         # per-client mean powers, a silent client and a zero coordinate
@@ -320,19 +355,34 @@ class TestRayleighKernelBits:
             _rayleigh_with_temporaries(inp.pos[:, None], inp.neg[:, None], cfg,
                                        KEY.child(23), 1000))
 
+    def test_bit_identical_above_the_scratch(self):
+        # the product's further factors are drawn in blocks of _SCRATCH
+        # columns, and read the stream as whole rows do
+        n = channel._SCRATCH + 3
+        inp = ScalarInputs([1.5, -0.4, 0.9])
+        cfg = ReedPhyConfig(eta=2.5, noise_var=0.7, chip_weights=[1.0, 0.5, 1.0], antennas=2)
+        assert np.array_equal(
+            sample_estimates(inp, cfg, KEY.child(26), n),
+            _rayleigh_with_temporaries(inp.pos[:, None], inp.neg[:, None], cfg,
+                                       KEY.child(26), n))
+
     def test_sample_estimates_peak_is_total_and_one_buffer(self):
-        # at R = 1 the call owns the n-long total and one (1, n) energy
-        # buffer; one more n-long temporary per stream would reach 3 * 8n
+        # the call owns the n-long total and one n-long energy buffer; one
+        # more n-long temporary per stream would reach 3 * 8n.  At M = 4
+        # uniform chips each branch is a product of 4 factors, whose further
+        # factors pass through one scratch of _SCRATCH values; unblocked,
+        # they would add an n-long array
         n = 200_000
         inp = ScalarInputs([1.0, -0.5])
-        cfg = ReedPhyConfig(noise_var=0.5)
-        tracemalloc.start()
-        try:
-            sample_estimates(inp, cfg, KEY.child(24), n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * 8 * n
+        for chips, bound in ((1, 2.5 * 8 * n), (4, 2.1 * 8 * n + 8 * channel._SCRATCH)):
+            cfg = ReedPhyConfig(noise_var=0.5, chip_weights=np.ones(chips))
+            tracemalloc.start()
+            try:
+                sample_estimates(inp, cfg, KEY.child(24), n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, chips
 
 
 class TestEstimates:
@@ -356,6 +406,20 @@ class TestEstimates:
         b = sample_estimates(ScalarInputs(-inp.values), cfg, KEY.child(6, 1), n)
         var = variance_chip(inp, cfg).variance
         assert abs((a + b).mean()) < 4.0 * np.sqrt(2.0 * var / n)
+
+    def test_mixed_weights_and_antennas_match_the_law(self):
+        # two chips of weight 1 share one Gamma(4) draw per branch at R = 2,
+        # and the chip of weight 0.5 draws Gamma(2).  The estimate is a
+        # signed weighted sum of independent Gamma variables, so its excess
+        # kurtosis is at most 6 and the sample variance's relative standard
+        # error at most sqrt(8 / n)
+        inp = ScalarInputs([2.0, -1.0, 0.5])
+        cfg = ReedPhyConfig(eta=1.5, noise_var=0.8, chip_weights=[1.0, 0.5, 1.0], antennas=2)
+        n = 400_000
+        draws = sample_estimates(inp, cfg, KEY.child(27), n)
+        law = variance_chip(inp, cfg)
+        assert abs(draws.mean() - law.mean) < 4.0 * np.sqrt(law.variance / n)
+        assert abs(draws.var(ddof=1) - law.variance) < 4.0 * np.sqrt(8.0 / n) * law.variance
 
     def test_simo_matches_fixed_per_chip(self):
         inp = ScalarInputs([2.0, -1.0])

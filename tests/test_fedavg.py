@@ -1032,7 +1032,7 @@ phy.noise_var = 0.5
 class TestGeneratorBuilds:
     """Every generator of a trial is built through StreamKey.generator, the
     method the benchmark's tracer counts, so no stream escapes the count;
-    and a run builds each of its streams once (stream layout 5)."""
+    and a run builds each of its streams once (stream layouts 5 and 6)."""
 
     @pytest.mark.parametrize("model", ["quadratic", "logistic", "mlp"])
     def test_builds_per_run(self, monkeypatch, model):
@@ -1071,9 +1071,10 @@ data.test_n = 20
         # trial's curvatures
         c = {"quadratic": 4, "logistic": 5, "mlp": 6}[model]
         # one minibatch stream per client for an objective that reads its
-        # batches, 2M channel streams per reed arm, one noise stream per
+        # batches, 2 channel streams per distinct chip weight of a reed arm
+        # (its M unit-weight chips are one), one noise stream per
         # coherent_csit arm, and the MLP's proxy rows: none per round
-        per_run = c + (K if model != "quadratic" else 0) + 2 * M + 1 + (model == "mlp")
+        per_run = c + (K if model != "quadratic" else 0) + 2 + 1 + (model == "mlp")
         for T in (2, 5):
             builds.clear()
             experiments.run_trial([parse_config(f"""
@@ -1088,11 +1089,12 @@ phy.noise_var = 0.5
             assert len(builds) == per_run
             channel = [path for path in builds if path[:1] == (fedavg._DOM_CHANNEL,)]
             assert sorted(channel) == [(fedavg._DOM_CHANNEL,)] + [
-                (fedavg._DOM_CHANNEL, m, b) for m in range(M) for b in (0, 1)]
+                (fedavg._DOM_CHANNEL, 0, b) for b in (0, 1)]
 
     def test_every_reed_arm_builds_its_own_streams(self, monkeypatch):
-        # a phy.chips group: each reed arm builds 2M streams of its own,
-        # chip m of every arm at the same path (common draws)
+        # a phy.chips group: each reed arm builds the 2 streams of its
+        # unit-weight chips, at chip 0, the same path in every arm (common
+        # draws)
         builds = []
         original = StreamKey.generator
         monkeypatch.setattr(StreamKey, "generator", lambda key, *index: (
@@ -1109,8 +1111,8 @@ data.features = 4
 """)
         experiments.run_trial([{**cfg, "phy.chips": M} for M in (1, 2, 4)], 0)
         channel = [path for path in builds if path[:1] == (fedavg._DOM_CHANNEL,)]
-        assert sorted(channel) == sorted((fedavg._DOM_CHANNEL, m, b)
-                                         for M in (1, 2, 4) for m in range(M) for b in (0, 1))
+        assert sorted(channel) == sorted((fedavg._DOM_CHANNEL, 0, b)
+                                         for M in (1, 2, 4) for b in (0, 1))
 
     def test_coherent_rounds_read_on_one_stream(self, monkeypatch):
         # every round of a coherent_csit arm draws from the one generator
@@ -1151,7 +1153,8 @@ data.features = 4
     def test_reed_rounds_call_the_module_aggregate_reed(self, monkeypatch):
         # every round of a reed arm calls fedavg.aggregate_reed, looked up
         # when the round runs, as the benchmark's tracer wraps it: once per
-        # round, always on the one streams list its run built
+        # round, always on the one streams list its run built, which holds
+        # one pair for the arm's two unit-weight chips
         calls = []
         reed = fedavg.aggregate_reed
         monkeypatch.setattr(fedavg, "aggregate_reed", lambda inc, phy, streams: (
@@ -1164,7 +1167,7 @@ data.features = 4
                            arms=arms("reed", "ideal", phy=phy))
         traced = run_fedavg(cfg, obj, parts, ds)
         assert len(calls) == T and all(streams is calls[0] for streams in calls)
-        assert len(calls[0]) == phy.n_chips
+        assert len(calls[0]) == 1
         monkeypatch.undo()
         assert np.array_equal(run_fedavg(cfg, obj, parts, ds), traced)
 

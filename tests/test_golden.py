@@ -5,9 +5,15 @@ count and ``--workers`` value.
 Every draw of a run comes from a fixed stream layout, so any change to how
 stream keys are derived or consumed changes these hashes.  A change that
 alters the layout on purpose updates them, and says so.  These are the
-digests of stream layout 5 (SFC64 streams, each built once per run and
-read round after round).  ``MOMENTS_GOLDEN`` has not changed since layout
-4: validate-moments builds its streams once per point, as it did then.
+digests of stream layout 6 (SFC64 streams, each built once per run and
+read round after round; under Rayleigh fading one Gamma draw per branch
+of the chips of one weight, over all antennas).  Layout 6 moved only the
+digests of runs whose ``reed`` arms sum more than one energy per branch,
+several chips or antennas: ``budget-quadratic-reed-inv-sqrt``,
+``dirichlet-logistic-reed-M2``, ``logistic-three-aggregators-2-trials``,
+``mlp-ideal-reed``, ``CHIPS_SWEEP_GOLDEN`` and ``MOMENTS_GOLDEN``.  The
+others, one chip and one antenna or no ``reed`` arm, kept their layout 5
+bytes.
 
 A change to a classifier's arithmetic can move these hashes too, with the
 layout unchanged.  ``SWEEP_GOLDEN``'s summary moved in the last digits of
@@ -129,20 +135,20 @@ GOLDEN = {
         "981ad3a66264619bac056522aa6613cf23545fb66ea55ceecd447da563da68a7",
         "007bf47c662bf8c1d38950db2ae1e69f643471e6bda4ed9b4799b1fddf69914f"),
     "budget-quadratic-reed-inv-sqrt": (
-        "7fc3f448e4465e5f591802dcb3a249710de8d9e05940b1287ff1244b07aa409b",
-        "992c28c572f5e66dfa9d2fcd99a03cb270a289b0e2e303d8dfc4f0e9ccdbf8b7"),
+        "f264fcadb46176184df5b70055661e3f679442ef0564046b534759eda8248972",
+        "e6435f2f23440a8ae4587e1355906eb64287a15f943a7ed8ab9face8be7d0c2f"),
     "dirichlet-logistic-reed-M2": (
-        "0b3748af0fe805bba29666ca4c60df9f5fb17c8f93e5e79d9b9080f0bf0e6faf",
-        "74f3e47451f36a94f533ff80f551f75f9bb41697c4676e8d7d1540274259feec"),
+        "049060fbb9fa76c344847d57315e3871963ec0b44bfc5d133df8a3ae6f3452b7",
+        "ba602a9873cd0dcbb5a82e264e833b92ee624920e48d32df3c98e611b97fd14d"),
     "logistic-coherent-csit": (
         "c4416f473701e999656c0153304a5aaa1a7aecf9aa57802b694db6e703ef2adf",
         "356049def3e18a7018ce03ae728712c252b9ad6be9205b2f95d2f3dec81a4fcf"),
     "logistic-three-aggregators-2-trials": (
-        "a15df5ee06d075ada2de834321850d091c75438715514fac5ace6b121cbe9afe",
-        "8ee0aa0e74cbe09a4ecca30d704b63b90d29d92a6acbabb3e23be3d1ab6cf77d"),
+        "de2c96e20e3d6a1d1a09d6e525a1bf2499c4128ed7f1d052905e20dcf8b77041",
+        "9d9e8990588ce7bb13f403d26f98fdaa580721856cc9d78345780545d1457d55"),
     "mlp-ideal-reed": (
-        "709401c5207f4ec33971a58a0ed3fe2b9daf205681bc77cf10523df4b0237f03",
-        "36dc0f47b2374390f1cb004a7662f5f8da4d1a72747b44e02de0939760945e62"),
+        "70b2d49fba70c84df74b1eb598a4fb52fd44f459bfe4bbbe34c13e02a1f06eb9",
+        "d2dcaa5fd5b65a7abe9e44703694956041f01adb8c8787dc546cadb633d56829"),
     "mlp-proxy-reed-coherent-csit": (
         "45103d50d89c3c7bab368afa9d39c731f8b74db4a7d435066d500d54c35e7e63",
         "b4e3ed177c574cad0b166a45147280f0333e827e696477274f88ce33b3740609"),
@@ -200,8 +206,8 @@ sweep.values = [1, 2]
 
 # sha256 of sweep_phy.chips.csv and sweep_phy.chips_summary.json
 CHIPS_SWEEP_GOLDEN = (
-    "68960c99ecd5d24c235b5588b83fdc6b8f7553f352bf45f3ae948aaaef3ea5b8",
-    "30ab07dcb1ba90e5a2547ad4fe652cfaea17337669ce610cdd32156590c18ecc")
+    "327d543f2517f30ed88ed5aa01a1402ef9f2bbeab95b40b425ffe7b973274f45",
+    "ef400dc7ef20c920d9f9d9aff4055e38aaf32d146ca3fb04f768a23d89ccdd2c")
 
 
 def test_chips_sweep_bytes_pinned(tmp_path):
@@ -212,7 +218,7 @@ def test_chips_sweep_bytes_pinned(tmp_path):
 
 
 # sha256 of moments.csv of the default matrix at 2000 trials per point
-MOMENTS_GOLDEN = "7bf2177bcf2921cc3cc1ddc58633975f2f9b7f7e2ecb0082efdc29493d76a470"
+MOMENTS_GOLDEN = "adda85ae923734ca3053734d49599908c03dc06b142bd5f62fd60db0473d9e17"
 
 
 def test_validate_moments_bytes_pinned(tmp_path):
