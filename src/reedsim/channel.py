@@ -22,7 +22,10 @@ product of k uniforms (Devroye, *Non-Uniform Random Variate Generation*,
 1986, ch. IX), and larger k one ``standard_gamma`` fill (Marsaglia and
 Tsang, *ACM TOMS* 26(3), 2000).  It can fill an array the caller owns
 (``out``), so the kernel draws every stream into one reused n-long buffer,
-and it holds no k-sized array.
+and it holds no k-sized array.  The product's scratch is the caller's too
+when it passes one (``scratch``): each worker of ``validate-moments``
+allocates the kernel's buffers once per call, and every point it draws
+reuses them; every other caller leaves both to the call.
 
 The estimator draws no ``sample_dither`` phase: every fading law here
 already carries an independent uniform phase.
@@ -100,7 +103,7 @@ _SCRATCH = 1 << 16
 
 
 def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, size=None, out=None,
-                   looks: int = 1):
+                   looks: int = 1, scratch=None):
     """``sample_energy`` without its check, for means >= 0 by construction,
     summed over ``looks`` = k independent looks: the mean times a Gamma(k)
     variate.
@@ -112,7 +115,9 @@ def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, size=None,
     into it and scaled in place, and ``out`` is returned: the same draws
     and the same products as a call with ``size = out.shape``.  The
     product's further factors pass through one scratch of at most
-    ``_SCRATCH`` values, so a call allocates nothing else.
+    ``_SCRATCH`` values, so a call allocates nothing else; with ``scratch``,
+    an array of at least min(out.size, ``_SCRATCH``) values, through that,
+    and a call allocates nothing.
     """
     if out is None:
         if looks == 1:
@@ -123,17 +128,21 @@ def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, size=None,
     elif looks > _MAX_PRODUCT_LOOKS:
         rng.standard_gamma(looks, out=out)
     else:
-        _neg_log_product(rng, looks, out.reshape(-1))
+        _neg_log_product(rng, looks, out.reshape(-1), scratch)
     out *= mean_energy
     return out
 
 
-def _neg_log_product(rng: np.random.Generator, looks: int, out: np.ndarray) -> None:
+def _neg_log_product(rng: np.random.Generator, looks: int, out: np.ndarray,
+                     scratch: np.ndarray | None = None) -> None:
     """Fill the 1-D ``out`` with -log of the product of 1 - U over ``looks``
-    ``random`` fills of its length, factor 2 on blockwise through a scratch."""
+    ``random`` fills of its length, factor 2 on blockwise through a scratch
+    of min(out.size, ``_SCRATCH``) values: ``scratch`` if given, else a new
+    one."""
     rng.random(out=out)
     np.subtract(1.0, out, out=out)
-    scratch = np.empty(min(out.size, _SCRATCH))
+    if scratch is None:
+        scratch = np.empty(min(out.size, _SCRATCH))
     for _ in range(looks - 1):
         for start in range(0, out.size, _SCRATCH):
             block = out[start:start + _SCRATCH]

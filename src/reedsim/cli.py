@@ -12,8 +12,11 @@ over it.  A trace CSV row is one round of one trial under one aggregator:
 trial, round and aggregator, then one cell per ``fedavg.TRACE_COLUMNS`` name.
 
 The moment points, whose draws release the GIL, run on one thread per
-usable core; FedAvg, whose round loop holds it, runs one job per (group,
-trial) in a pool of ``workers`` processes.  A group is every point of a sweep
+usable core, at most one per point: this thread and helper threads it
+starts, none on one core.  Each worker draws every point it takes into
+kernel buffers it allocates once per call.  FedAvg, whose round loop holds
+the GIL, runs one job per (group, trial) in a pool of ``workers``
+processes.  A group is every point of a sweep
 over a phy.* key, whose aggregators run as arms of one FedAvg run, each
 distinct arm once (``experiments.run_trial``), or else one point.
 """
@@ -24,15 +27,16 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
-from functools import partial
+from threading import Lock, Thread
 from typing import Any
 
 import numpy as np
 
 from .config import ConfigError, _keyed, fmt_value, load_config
 from .datasets import _allocating
+from .estimator import kernel_buffers
 from .experiments import default_moment_matrix, run_trial, validate_point
 from .fedavg import TRACE_COLUMNS, DivergenceError, _usable_cores
 
@@ -66,24 +70,81 @@ def _write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
-def _map(fn, items: list, workers: int, threads: bool = False) -> list:
+def _map(fn, items: list, workers: int) -> list:
     """``fn`` over ``items`` in order: in a pool of ``workers`` processes,
-    or of threads with ``threads``, at most one per item, when that is more
-    than one, else in this process."""
+    at most one per item, when that is more than one, else in this
+    process."""
     workers = min(workers, len(items))
     if workers > 1:
-        with (ThreadPoolExecutor if threads else ProcessPoolExecutor)(workers) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
+
+
+def _threaded(start, items: list, workers: int) -> list:
+    """The results, in order, of a function over ``items``, taken by
+    min(``workers``, len(items)) workers: this thread and helper threads
+    it starts, none for one worker.
+
+    Every worker takes the index of the next item from one shared iterator
+    under a lock and stores its result by that index.  On its first item
+    a worker calls ``start()`` for the function it applies to every item
+    it takes, so that function may own buffers for the worker's lifetime.
+    The first failure stops any further item from being taken; once every
+    helper has joined, the error of the lowest-index failed item is
+    raised.  Items are taken in order and every taken item runs to its
+    end, so that is the error a serial map would raise."""
+    results, errors, lock = [None] * len(items), {}, Lock()
+    todo = iter(range(len(items)))
+
+    def take():
+        with lock:
+            return None if errors else next(todo, None)
+
+    def work():
+        run = None
+        while (i := take()) is not None:
+            try:
+                if run is None:
+                    run = start()
+                results[i] = run(items[i])
+            except Exception as exc:  # raised in the caller, after the join
+                with lock:
+                    errors[i] = exc
+                return
+
+    helpers = []
+    try:
+        for _ in range(min(workers, len(items)) - 1):
+            thread = Thread(target=work)
+            thread.start()
+            helpers.append(thread)
+        work()
+    finally:
+        # whatever ended this thread's share, the helpers take nothing more
+        with lock:
+            todo = iter(())
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def cmd_validate_moments(cfg: dict[str, Any], out_dir: str) -> int:
     """Run the moment-law matrix; returns a nonzero exit status if any
     point misses its tolerance.  NumPy releases the GIL in the independent
-    points' draws, so they run on one thread per usable core, in order."""
-    results = _map(partial(validate_point, n_trials=cfg["moments.n_trials"],
-                           tolerance=cfg["moments.tolerance"], seed=cfg["seed"]),
-                   default_moment_matrix(), _usable_cores(), threads=True)
+    points' draws, so they run on one thread per usable core, this one and
+    its helpers (``_threaded``), in order.  Each worker allocates one set
+    of kernel buffers per call and draws every point it takes into it."""
+    n, tolerance, seed = cfg["moments.n_trials"], cfg["moments.tolerance"], cfg["seed"]
+
+    def start():
+        with _keyed(), _allocating("n_trials"):
+            buffers = kernel_buffers(n)
+        return lambda point: validate_point(point, n, tolerance, seed, buffers)
+
+    results = _threaded(start, default_moment_matrix(), _usable_cores())
     rows = [[fmt_value(v) for v in (r.point_id, r.s, r.mc_mean, r.cf_mean, r.mc_var,
                                     r.cf_var, r.rel_err, r.passed)] for r in results]
     _write_csv(os.path.join(out_dir, "moments.csv"),

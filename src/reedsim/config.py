@@ -18,7 +18,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, PartitionSpec, _allocating, partition, synth_dataset
 from .estimator import ReedPhyConfig
-from .fedavg import AGGREGATORS, FedRunConfig, Objective, build_objective
+from .fedavg import AGGREGATORS, FedRunConfig, Objective, build_objective, check_objective
 from .streams import StreamKey
 
 __all__ = ["ConfigError", "SCHEMA", "parse_config", "load_config", "check_config",
@@ -195,12 +195,16 @@ def _check_sweep(cfg: dict[str, Any]) -> None:
 
 def check_config(cfg: dict[str, Any]) -> None:
     """Validate a filled-in config: the rules no constructor owns, then the
-    typed objects of a trial, built on no data."""
+    typed objects of a trial, built on no data, with no quadratic drawn."""
     _cross_validate(cfg)
     # each synthetic key's own rules hold whatever the source or kind
     synth_data(cfg, 0, 0)
     _partition_spec(cfg, 0)
-    run_objective(cfg, LabeledDataset(np.zeros((0, 1)), np.zeros(0)), 0)
+    if cfg["fed.model"] == "quadratic":
+        with _keyed():
+            check_objective("quadratic", **_objective_fields(cfg))
+    else:
+        run_objective(cfg, LabeledDataset(np.zeros((0, 1)), np.zeros(0)), 0)
     fed_run_config(cfg, 0, [(agg, cfg) for agg in cfg["fed.aggregators"]])
 
 
@@ -313,14 +317,16 @@ def client_partition(cfg: dict[str, Any], train: LabeledDataset,
     return partition(train, _partition_spec(cfg, trial))
 
 
+def _objective_fields(cfg: dict[str, Any]) -> dict[str, Any]:
+    # each model reads its own fields, and check_objective checks them all
+    return {"d": cfg["fed.quad_dim"], "hidden": cfg["fed.hidden"],
+            "curvature_range": (cfg["fed.quad_curv_min"], cfg["fed.quad_curv_max"])}
+
+
 @_keyed()
 def run_objective(cfg: dict[str, Any], train: LabeledDataset | None, trial: int) -> Objective:
-    # each model reads its own fields, and build_objective checks them all
-    return build_objective(
-        cfg["fed.model"], train, d=cfg["fed.quad_dim"],
-        curvature_range=(cfg["fed.quad_curv_min"], cfg["fed.quad_curv_max"]),
-        seed=_trial_seed(cfg, trial), hidden=cfg["fed.hidden"],
-        n_classes=cfg["data.classes"])
+    return build_objective(cfg["fed.model"], train, seed=_trial_seed(cfg, trial),
+                           n_classes=cfg["data.classes"], **_objective_fields(cfg))
 
 
 def _chip_weights(chips: int) -> np.ndarray:

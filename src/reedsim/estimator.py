@@ -24,6 +24,10 @@ at [i][b] of the caller's streams.  ``chip_streams(cfg, key)`` builds
 them, at ``key.generator(m, b)`` for the group's first chip m:
 ``sample_estimates`` once per call, and a FedAvg run once per ``reed``
 arm, which every round then reads on from where the last one stopped.
+The kernel allocates its n-long total and branch energy per call, unless
+the caller owns them: ``validate-moments`` allocates ``kernel_buffers`` once
+per worker and call and passes them down through ``sample_estimates``;
+FedAvg rounds and every other caller leave them to the kernel.
 The superposition is ``_superposed_energy`` alone.  The kernel runs it at
 every kappa but 2; the test suite runs it at kappa = 2 too, chip by chip,
 as the kernel's reference in law.  The coherent baseline takes the clients'
@@ -37,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _sample_energy, sample_fading, sample_general_fading, sample_noise
+from .channel import (_SCRATCH, _sample_energy, sample_fading, sample_general_fading,
+                      sample_noise)
 from .streams import StreamKey
 
 __all__ = [
@@ -191,8 +196,16 @@ def chip_streams(cfg: ReedPhyConfig, key: StreamKey) -> list[tuple[np.random.Gen
     return [(key.generator(m, 0), key.generator(m, 1)) for m, _, _ in cfg.chip_groups]
 
 
+def kernel_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialized buffers for ``_paired_energy`` over n columns, to pass
+    as its ``buffers``: the n-long total, the n-long branch energy and the
+    product scratch of min(n, ``channel._SCRATCH``) values."""
+    return np.empty(n), np.empty(n), np.empty(min(n, _SCRATCH))
+
+
 def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
-                   streams: list[tuple[np.random.Generator, ...]], n: int) -> np.ndarray:
+                   streams: list[tuple[np.random.Generator, ...]], n: int,
+                   buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """The paired-energy pipeline: encode, fade, superpose, add noise and
     detect, for n independent columns at once.
 
@@ -217,11 +230,21 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
       parts, the two branches' column sums and the means of the stream
       being drawn, 3n more.
     - otherwise ``_superposed_energy`` adds the clients' faded symbols.
+
+    The total, the branch energy and the scratch are new arrays, unless
+    the caller passes them as ``buffers`` (``kernel_buffers(n)``): then the
+    total is ``buffers[0]``, zeroed and returned, and the call draws the
+    same values into them.
     """
-    total = np.zeros(n)
+    if buffers is None:
+        total, energy, scratch = np.zeros(n), None, None
+    else:
+        total, energy, scratch = buffers
+        total.fill(0.0)
     rayleigh = cfg.kappa == 2.0
     if rayleigh:
-        energy = np.empty(n)
+        if energy is None:
+            energy = np.empty(n)
         # each branch's column sums, taken once per call; the means are >= 0
         # by construction: the parts are >= 0, and eta, c and noise_var were
         # checked by ReedPhyConfig
@@ -233,7 +256,8 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
             if rayleigh:
                 np.multiply(sums[branch], cfg.eta * c, out=mean)
                 mean += cfg.noise_var
-                received = _sample_energy(rng, mean, out=energy, looks=count * cfg.antennas)
+                received = _sample_energy(rng, mean, out=energy, looks=count * cfg.antennas,
+                                          scratch=scratch)
             else:
                 received = _superposed_energy(rng, part, c, cfg, n)
             combine(total, received, out=total)
@@ -242,12 +266,14 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
 
 
 def sample_estimates(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey,
-                     n_trials: int) -> np.ndarray:
+                     n_trials: int, buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Vectorized Monte Carlo: n_trials independent chip-diverse estimates
     of ``inputs.signed_sum``, one kernel column per trial, on the streams
-    ``chip_streams(cfg, key)``."""
+    ``chip_streams(cfg, key)``.  With ``buffers`` (``kernel_buffers(n_trials)``)
+    the kernel draws into them and returns the first; the values are the
+    same."""
     return _paired_energy(inputs.pos[:, None], inputs.neg[:, None], cfg,
-                          chip_streams(cfg, key), n_trials)
+                          chip_streams(cfg, key), n_trials, buffers)
 
 
 def _increments(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:

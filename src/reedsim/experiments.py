@@ -99,18 +99,20 @@ def default_moment_matrix() -> list[MomentPoint]:
 
 
 def validate_point(point: MomentPoint, n_trials: int, tolerance: float,
-                   seed: int) -> MomentResult:
+                   seed: int, buffers: tuple[np.ndarray, ...] | None = None) -> MomentResult:
     """Monte Carlo moments vs closed form at one parameter point.
 
     Pass requires the empirical mean inside its 4-sigma CLT band around
     the closed-form mean and the empirical variance within the relative
     tolerance of the closed-form variance (absolute tolerance at zero
-    variance)."""
+    variance).  The draws go into ``buffers``
+    (``estimator.kernel_buffers(n_trials)``) if given, which the point
+    then overwrites, else into arrays of its own."""
     cf = variance_chip(point.inputs, point.cf_cfg or point.cfg)
     stream_id = zlib.crc32(point.point_id.encode()) & 0x7FFFFFFF
     with _keyed(), _allocating("n_trials"):
         draws = sample_estimates(point.inputs, point.cfg,
-                                 StreamKey(seed).child(stream_id), n_trials)
+                                 StreamKey(seed).child(stream_id), n_trials, buffers)
     mc_mean = float(draws.mean())
     # draws.var(ddof=1) on the draws' own memory: np.var's operations in its
     # order, so the same bits without its n-long temporary

@@ -85,6 +85,7 @@ gains are not all finite and > 0 stops before its first local step.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
@@ -127,10 +128,11 @@ class Objective:
 
     Subclasses bind the training data; a batch is an index into it, an
     index array or ``slice(None)`` for every sample.  This base declares
-    what the round loop calls: :meth:`init_params` once per run,
-    :meth:`step_targets` once per round on its batches, and three methods
-    on a stack of models, :meth:`stacked_gradient` for the local steps of
-    every client under every model, and :meth:`evaluate` and
+    what the round loop calls: :meth:`init_params` and
+    :meth:`check_passes` once per run, :meth:`step_targets` once per round
+    on its batches, and three methods on a stack of models,
+    :meth:`stacked_gradient` for the local steps of every client under
+    every model, and :meth:`evaluate` and
     :meth:`accuracy` once per model state for all A models at once.  Each
     row of a stacked result equals that model evaluated alone, bit for
     bit.  :meth:`evaluate` and :meth:`accuracy` may run on another thread,
@@ -204,6 +206,14 @@ class Objective:
         """Classification accuracies (A,) of A models (A, dim); 0.0 for
         objectives without classes."""
         return np.zeros(len(params))
+
+    def check_passes(self, models: int, columns: int) -> None:
+        """Ask for, and give back untouched, the memory that passes of
+        ``models`` models over ``columns`` samples, or over the training set
+        if it is longer, hold at their peak beside the models, so that a run
+        whose passes cannot be held fails once, before round 0, naming the
+        field that sets their size.  Nothing for an objective whose passes
+        hold only model-sized arrays, which the run allocates itself."""
 
 
 class QuadraticObjective(Objective):
@@ -316,6 +326,20 @@ def _xent_logit_grad(E: np.ndarray, sums: np.ndarray, entries: np.ndarray,
     labelled -= weights
     flat[entries] = own
     return E
+
+
+def _reserve(shape: tuple[int, ...]) -> None:
+    """Ask the system for the memory of a float64 array of ``shape`` and
+    give it back untouched, as np.empty would, but outside the C
+    allocator: freeing a block of up to 32 MiB that glibc mapped raises its
+    mmap threshold for the rest of the process, which would move the run's
+    own arrays of that size onto its heap.  A refusal is a MemoryError."""
+    nbytes = 8 * math.prod(shape)
+    try:
+        mmap.mmap(-1, nbytes).close()
+    except OSError:
+        raise MemoryError(f"Unable to allocate {nbytes / 2**30:.3g} GiB for an array with "
+                          f"shape {shape} and data type float64") from None
 
 
 def _with_ones(x: np.ndarray) -> np.ndarray:
@@ -432,6 +456,23 @@ class _Classifier(Objective):
         # is built once for the A models of a run
         self._train_entries = self._test_entries = (None, 0, None)
         self._test = (None, None)
+
+    # arrays of its widest layer's outputs that a step and an evaluation on
+    # the other thread hold at once, besides the gradients: a logistic pass
+    # peaked at 1.0 such arrays (tracemalloc, A = 2 models, K = 10 batches
+    # of 64, n = 4000), an MLP step at 3.9 with the hidden units widest and
+    # its evaluation at 2.0
+    _PASS_ARRAYS = 2
+
+    def _widest(self) -> tuple[int, str]:
+        """The outputs per column of the widest layer, and the field that
+        sets them."""
+        return self.n_classes, "n_classes"
+
+    def check_passes(self, models, columns):
+        rows, field = self._widest()
+        with _allocating(field):
+            _reserve((self._PASS_ARRAYS, models, rows, max(columns, len(self._rows))))
 
     def _entries(self, cached, labels, models):
         """(labels, models, entries), the label entries of a stack of
@@ -550,6 +591,7 @@ class MlpObjective(_Classifier):
     """
 
     dim_field = "hidden"
+    _PASS_ARRAYS = 4
 
     # the diagnostic gradient is taken on this many training samples
     proxy_samples = 512
@@ -558,6 +600,9 @@ class MlpObjective(_Classifier):
         super().__init__(data, n_classes)
         self.hidden = hidden
         self.dim = (self.n_features + 1) * hidden + (hidden + 1) * n_classes
+
+    def _widest(self):
+        return max((self.n_classes, "n_classes"), (self.hidden + 1, "hidden"))
 
     def _layers(self, params):
         """[W1; b1] (..., p + 1, H) and [W2; b2] (..., H + 1, C) of (..., dim)
@@ -610,14 +655,12 @@ class MlpObjective(_Classifier):
         return self._test_accuracy(params, features, labels)
 
 
-def build_objective(kind: str, data: LabeledDataset | None = None, *,
-                    d: int | None = None,
-                    curvature_range: tuple[float, float] = (1.0, 1.0),
-                    seed: int = 0, hidden: int = 16,
-                    n_classes: int | None = None) -> Objective:
-    """Construct one of the supported objective families.  The quadratic
-    needs ``d``.  Every field given is checked, whichever family reads it,
-    before anything is drawn or allocated."""
+def check_objective(kind: str, *, d: int | None = None,
+                    curvature_range: tuple[float, float] = (1.0, 1.0), hidden: int = 16) -> None:
+    """Check the fields :func:`build_objective` reads, every one whichever
+    family reads it, drawing nothing.  A quadratic's d curvatures are
+    allocated and never filled, so that too large a d fails here as their
+    draw would."""
     if d is None and kind == "quadratic" or d is not None and d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     lo, hi = curvature_range
@@ -627,7 +670,21 @@ def build_objective(kind: str, data: LabeledDataset | None = None, *,
         raise ValueError(f"hidden must be >= 1, got {hidden}")
     if kind == "quadratic":
         with _allocating("d"):
-            curvatures = StreamKey(seed).generator().uniform(lo, hi, size=d)
+            np.empty(d)
+
+
+def build_objective(kind: str, data: LabeledDataset | None = None, *,
+                    d: int | None = None,
+                    curvature_range: tuple[float, float] = (1.0, 1.0),
+                    seed: int = 0, hidden: int = 16,
+                    n_classes: int | None = None) -> Objective:
+    """Construct one of the supported objective families.  The quadratic
+    needs ``d``.  Every field given is checked, whichever family reads it,
+    before anything is drawn (:func:`check_objective`)."""
+    check_objective(kind, d=d, curvature_range=curvature_range, hidden=hidden)
+    if kind == "quadratic":
+        with _allocating("d"):
+            curvatures = StreamKey(seed).generator().uniform(*curvature_range, size=d)
         return QuadraticObjective(curvatures)
     if data is None:
         raise ValueError(f"objective kind {kind!r} needs a dataset")
@@ -892,6 +949,9 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
     if objective.uses_batches:
         plan = _MinibatchPlan(partitions, cfg.Q, cfg.batch_size,
                               [local_key.generator(k) for k in range(K)])
+        # a step's K batches are one pass, as are the training and test sets
+        objective.check_passes(A, max(plan.batches[0].size,
+                                      0 if test_data is None else len(test_data)))
     else:
         with _allocating("Q"):
             plan, steps = None, ((None, None, None),) * cfg.Q

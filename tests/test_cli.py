@@ -5,12 +5,14 @@ import re
 import struct
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from reedsim import cli, config, experiments
+from reedsim import cli, config, experiments, fedavg
 from reedsim.cli import cmd_run_fedavg, cmd_sweep, cmd_validate_moments, main
 from reedsim.config import (SCHEMA, ConfigError, _partition_spec, _trial_seed, load_config,
                             parse_config, resolve_noise_var)
@@ -18,6 +20,7 @@ from reedsim.estimator import ReedPhyConfig, ScalarInputs, sample_estimates
 from reedsim.experiments import (MomentPoint, default_moment_matrix,
                                  run_single_trial, run_trial, validate_point)
 from reedsim.fedavg import TRACE_COLUMNS, LogisticObjective, MlpObjective, QuadraticObjective
+from reedsim.datasets import LabeledDataset
 from reedsim.streams import StreamKey
 
 from reference import write_idx
@@ -54,32 +57,35 @@ TINY = _with(FAST_FED, {"trials": "1", "fed.aggregators": '["ideal", "reed"]',
                         "moments.n_trials": "2000", "moments.tolerance": "1.0"})
 
 
-def _recorded_pools(monkeypatch, executor: str) -> list[int]:
-    """The max_workers of every pool of cli's ``executor`` class that cli
-    starts."""
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool that cli starts."""
     started = []
 
-    class RecordingPool(getattr(cli, executor)):
+    class RecordingPool(cli.ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(cli, executor, RecordingPool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     return started
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The max_workers of every process pool that cli starts."""
-    return _recorded_pools(monkeypatch, "ProcessPoolExecutor")
-
-
-@pytest.fixture
-def thread_pools(monkeypatch):
-    """The max_workers of every thread pool that cli starts, on four usable
-    cores unless the test sets another count."""
+def helpers(monkeypatch):
+    """Every helper thread that cli starts, on four usable cores unless the
+    test sets another count.  The calling thread is a worker besides them,
+    so a map over n items on c cores starts min(c, n) - 1."""
     monkeypatch.setattr(cli, "_usable_cores", lambda: 4)
-    return _recorded_pools(monkeypatch, "ThreadPoolExecutor")
+    started = []
+
+    class RecordingThread(cli.Thread):
+        def start(self):
+            super().start()
+            started.append(self)
+
+    monkeypatch.setattr(cli, "Thread", RecordingThread)
+    return started
 
 
 class TestConfigParsing:
@@ -177,6 +183,21 @@ class TestConfigParsing:
         for t in range(10):
             assert first_draws(_partition_spec(cfg, t).seed) not in roots, t
 
+    def test_quadratic_config_parses_without_drawing(self, monkeypatch):
+        # the check sizes the curvatures and builds no objective, at each
+        # sweep value too, and still names fed.quad_dim when it is wrong
+        built = []
+        monkeypatch.setattr(config, "build_objective", lambda *a, **k: built.append(a))
+        monkeypatch.setattr(fedavg.QuadraticObjective, "__init__", lambda *a: built.append(a))
+        quadratic = {"fed.model": '"quadratic"', "fed.quad_dim": "10000000"}
+        cfg = parse_config(_with(FAST_FED, {**quadratic, "sweep.key": '"fed.beta0"',
+                                            "sweep.values": "[0.1, 0.2, 0.3, 0.4]"}))
+        assert cfg["fed.quad_dim"] == 10**7
+        for bad in ("0", "1" + "0" * 15):
+            with pytest.raises(ConfigError, match="^fed.quad_dim: "):
+                parse_config(_with(FAST_FED, {**quadratic, "fed.quad_dim": bad}))
+        assert built == []
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
     def test_script_configs_validate(self, path):
         # loading checks every point of the config's sweep, for sweep too
@@ -212,29 +233,119 @@ class TestValidateMoments:
             assert result.mc_var == float(kept[-1].var(ddof=1))
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 16])
-    def test_one_thread_per_usable_core(self, tmp_path, monkeypatch, pools, thread_pools,
+    def test_one_thread_per_usable_core(self, tmp_path, monkeypatch, pools, helpers,
                                         cores):
-        # at most one thread per point, and none on one core
+        # at most one worker per point, the caller one of them, so no
+        # helper thread on one core
         monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
         assert cmd_validate_moments(parse_config(TINY), str(tmp_path)) == 0
         n_points = len(default_moment_matrix())
-        assert thread_pools == ([min(cores, n_points)] if cores > 1 else [])
+        assert len(helpers) == min(cores, n_points) - 1
         assert pools == []
 
-    def test_workers_start_no_process_pool(self, tmp_path, monkeypatch, pools, thread_pools):
+    def test_workers_start_no_process_pool(self, tmp_path, monkeypatch, pools, helpers):
         # workers sizes only the FedAvg pool: at any workers the points run
-        # on one thread per usable core, and in this process on one core
+        # on one thread per usable core, and on this thread alone on one core
         cfgfile = tmp_path / "moments.cfg"
         cfgfile.write_text(TINY)
         n_points = len(default_moment_matrix())
         for cores in (1, 4, 16):
             monkeypatch.setattr(cli, "_usable_cores", lambda cores=cores: cores)
             for workers in (2, 3):
-                thread_pools.clear()
+                helpers.clear()
                 assert main(["validate-moments", str(cfgfile), "--workers", str(workers),
                              "--out", str(tmp_path / f"{cores}-{workers}")]) == 0
-                assert thread_pools == ([min(cores, n_points)] if cores > 1 else [])
+                assert len(helpers) == min(cores, n_points) - 1
         assert pools == []
+
+    def test_moments_bytes_equal_at_any_core_count(self, tmp_path, monkeypatch, helpers):
+        # and no helper outlives its call
+        written = set()
+        for cores in (1, 2, 3, 16):
+            monkeypatch.setattr(cli, "_usable_cores", lambda cores=cores: cores)
+            assert cmd_validate_moments(parse_config(TINY), str(tmp_path / str(cores))) == 0
+            written.add((tmp_path / str(cores) / "moments.csv").read_bytes())
+        assert len(written) == 1
+        assert len(helpers) == 1 + 2 + 11 and not any(t.is_alive() for t in helpers)
+
+    @pytest.mark.parametrize("cores", [2, 3, 16])
+    def test_point_error_in_a_helper_reaches_the_caller(self, tmp_path, monkeypatch, helpers,
+                                                        cores):
+        # every point a helper takes raises, and so do points 7 and 9 on any
+        # thread: the caller raises point 7's error, or a lower helper
+        # point's, after every helper has joined, and writes nothing
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        ids = [point.point_id for point in default_moment_matrix()]
+        taken, failed = [], []
+
+        def failing(point, *args):
+            taken.append(point.point_id)
+            if threading.current_thread() is not threading.main_thread() or \
+                    point.point_id in (ids[7], ids[9]):
+                failed.append(point.point_id)
+                raise ConfigError(f"failed {point.point_id}")
+            return validate_point(point, *args)
+
+        monkeypatch.setattr(cli, "validate_point", failing)
+        with pytest.raises(ConfigError, match="failed ") as raised:
+            cmd_validate_moments(parse_config(TINY), str(tmp_path))
+        assert str(raised.value) == f"failed {min(failed)}" and min(failed) <= ids[7]
+        # each point is taken once, in order, and after the first failure
+        # none but those the other workers already run
+        assert sorted(taken) == ids[:len(taken)] and len(taken) <= 8 + cores - 1
+        assert len(helpers) == min(cores, len(ids)) - 1
+        assert not any(t.is_alive() for t in helpers)
+        assert not (tmp_path / "moments.csv").exists()
+
+    def test_threaded_map_takes_each_item_once(self, helpers):
+        # more workers than cores, switching threads often: a lost update
+        # of the shared iterator or of the results would show here
+        calls, starts = [], []
+
+        def start():
+            starts.append(threading.current_thread())
+            return lambda item: calls.append(item) or item * item
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = cli._threaded(start, list(range(500)), 16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [i * i for i in range(500)] and sorted(calls) == list(range(500))
+        assert len(helpers) == 15 and not any(t.is_alive() for t in helpers)
+        assert len(set(starts)) == len(starts) <= 16
+
+    @pytest.mark.parametrize("cores", [1, 2, 16])
+    def test_oversized_trials_name_their_key_at_any_core_count(self, tmp_path, capsys,
+                                                                monkeypatch, helpers, cores):
+        # each worker allocates its buffers under the key, on its first point
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        cfgfile = tmp_path / "big.cfg"
+        cfgfile.write_text(_with(TINY, {"moments.n_trials": "1" + "0" * 15}))
+        assert main(["validate-moments", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: moments.n_trials: too large: "), err
+        assert len(err.splitlines()) == 1
+        assert not any(t.is_alive() for t in helpers) and not (tmp_path / "o").exists()
+
+    def test_two_workers_hold_one_set_of_buffers_each(self, tmp_path, monkeypatch, helpers):
+        # at two workers the call's peak is two sets of kernel buffers,
+        # 2n + min(n, 2**16) doubles each, and what does not grow with n (the
+        # matrix, the results and the rows, about 30 KB): no point allocates
+        # n-long arrays of its own beside them.  n is raised so that one more
+        # n-long array would pass the slack
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        cfg = parse_config(_with(TINY, {"moments.n_trials": "20000"}))
+        n = cfg["moments.n_trials"]
+        cmd_validate_moments(cfg, str(tmp_path))  # imports and caches warm
+        tracemalloc.start()
+        try:
+            assert cmd_validate_moments(cfg, str(tmp_path)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (2 * n + min(n, 1 << 16)) * 8 + (64 << 10)
 
     def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -302,12 +413,12 @@ class TestRunFedavg:
         header = (tmp_path / "fedavg_trace.csv").read_text().splitlines()[0].split(",")
         assert header == ["trial", "round", "aggregator", *TRACE_COLUMNS]
 
-    def test_one_job_starts_no_pool(self, tmp_path, pools, thread_pools):
+    def test_one_job_starts_no_pool(self, tmp_path, pools, helpers):
         # one trial is one job, which runs in this process
         cfg = parse_config(_with(FAST_FED, {"trials": "1"}))
         cmd_run_fedavg(cfg, str(tmp_path / "serial"), workers=1)
         cmd_run_fedavg(cfg, str(tmp_path / "parallel"), workers=2)
-        assert pools == [] and thread_pools == []
+        assert pools == [] and helpers == []
         for name in ("fedavg_trace.csv", "fedavg_summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
@@ -386,20 +497,20 @@ class TestSweep:
             assert summary[value] == json.loads((out / "fedavg_summary.json").read_text())
 
     def test_one_pool_per_sweep_and_workers_match_serial(self, tmp_path, pools,
-                                                         thread_pools):
+                                                         helpers):
         cfg = parse_config(FAST_FED + 'sweep.key = "data.partition"\n'
                            'sweep.values = ["iid", "dirichlet"]\n')
         cmd_sweep(cfg, str(tmp_path / "serial"), workers=1)
         cmd_sweep(cfg, str(tmp_path / "parallel"), workers=2)
         # every (point, trial) run goes through one pool
         assert pools == [2]
-        assert thread_pools == []
+        assert helpers == []
         for name in ("sweep_data.partition.csv", "sweep_data.partition_summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
 
     def test_one_pool_per_phy_sweep_and_workers_match_serial(self, tmp_path, pools,
-                                                             thread_pools):
+                                                             helpers):
         # the points of a phy.* sweep run as one job per trial, so the pool
         # is never larger than the trial count
         cfg = parse_config(_with(FAST_FED, {"fed.aggregators": '["ideal", "reed"]',
@@ -408,7 +519,7 @@ class TestSweep:
         for workers in (1, 2, 3):
             cmd_sweep(cfg, str(tmp_path / str(workers)), workers=workers)
         assert pools == [min(2, cfg["trials"]), min(3, cfg["trials"])]
-        assert thread_pools == []
+        assert helpers == []
         for name in ("sweep_phy.chips.csv", "sweep_phy.chips_summary.json"):
             serial = (tmp_path / "1" / name).read_bytes()
             assert (tmp_path / "2" / name).read_bytes() == serial
@@ -573,13 +684,16 @@ BAD_INPUTS = [
 
 # sizes NumPy does not refuse at once, each with the key its error must name:
 # the quadratic's, the logistic model's and the MLP's (A·K, dim) local
-# copies, and the job list of too many trials, each more than a process
-# limited to 512 MiB of address space can hold
+# copies, the job list of too many trials, a step's hidden activations and
+# the full-train logits, each more than a process limited to 512 MiB of
+# address space can hold
 OVERSIZED = [
     ({"fed.model": '"quadratic"', "fed.quad_dim": "10000000"}, "fed.quad_dim"),
     ({"data.classes": "2000000"}, "data.classes, data.features"),
     ({"fed.model": '"mlp"', "fed.hidden": "1000000"}, "fed.hidden"),
     ({"trials": "1" + "0" * 20}, "trials"),
+    ({"fed.model": '"mlp"', "fed.hidden": "200000"}, "fed.hidden"),
+    ({"data.classes": "100000", "data.synth_n": "6000"}, "data.classes"),
 ]
 
 # reedsim.cli.main on each config path after the first argument, under a
@@ -669,13 +783,18 @@ class TestMain:
         text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
         guarded = re.findall(r"_allocating\(([^)]*)\)", text)
         literal = [arg[1:-1] for arg in guarded if re.fullmatch(r'"\w+"', arg)]
-        # besides the definition, the one guard whose field is not spelled
-        # out is a run's, the field of its model
+        # besides the definition, the guards whose field is not spelled out
+        # are a run's, the field of its model, and a classifier's passes,
+        # the field of its widest layer
         assert sorted(set(guarded) - {f'"{name}"' for name in literal}) == [
-            "name: str", "objective.dim_field"]
+            "field", "name: str", "objective.dim_field"]
+        data = LabeledDataset(np.zeros((0, 2)), np.zeros(0))
+        widest = [MlpObjective(data, hidden, 3)._widest()[1] for hidden in (1, 9)]
         fields = (literal + re.findall(r'ValueError\(f"(\w+) too large', text)
                   + [cls.dim_field for cls in (QuadraticObjective, LogisticObjective,
-                                               MlpObjective)])
+                                               MlpObjective)]
+                  + [LogisticObjective(data, 3)._widest()[1], *widest])
+        assert "hidden" in widest and "n_classes" in widest
         assert "antennas" in fields and "trials" in fields
         assert [name for name in fields if name not in config._FIELD_KEYS] == []
 
@@ -719,7 +838,7 @@ class TestMain:
         assert err.startswith("error: workers: must be >= 1")
         assert "Traceback" not in err
 
-    def test_config_workers_used_and_byte_identical(self, tmp_path, pools, thread_pools):
+    def test_config_workers_used_and_byte_identical(self, tmp_path, pools, helpers):
         outputs = []
         for workers, flag in ((1, []), (2, []), (2, ["--workers", "1"])):
             cfgfile = tmp_path / "workers.cfg"
@@ -729,7 +848,7 @@ class TestMain:
             outputs.append((out / "fedavg_trace.csv").read_bytes())
         # only the config's workers = 2 starts a pool; --workers overrides it
         assert pools == [2]
-        assert thread_pools == []
+        assert helpers == []
         assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("overrides, what", [

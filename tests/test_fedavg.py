@@ -1066,10 +1066,10 @@ data.test_n = 20
         # config check and the trial each build the partition's seed and the
         # synthetic data, and the trial builds the partition; the MLP builds
         # its initialisation too.  A quadratic-free trial builds no data,
-        # partition or partition seed, so the quadratic's is 4: the config
-        # check's class means, partition seed and curvatures, and the
-        # trial's curvatures
-        c = {"quadratic": 4, "logistic": 5, "mlp": 6}[model]
+        # partition or partition seed, and the config check draws no
+        # curvatures, so the quadratic's is 3: the config check's class means
+        # and partition seed, and the trial's curvatures
+        c = {"quadratic": 3, "logistic": 5, "mlp": 6}[model]
         # one minibatch stream per client for an objective that reads its
         # batches, 2 channel streams per distinct chip weight of a reed arm
         # (its M unit-weight chips are one), one noise stream per
