@@ -20,12 +20,11 @@ share it: the mean times a Gamma(k) variate, drawn exactly in law.  k = 1
 is one exponential fill, 2 <= k <= 6 the Erlang product form -log of a
 product of k uniforms (Devroye, *Non-Uniform Random Variate Generation*,
 1986, ch. IX), and larger k one ``standard_gamma`` fill (Marsaglia and
-Tsang, *ACM TOMS* 26(3), 2000).  It can fill an array the caller owns
-(``out``), so the kernel draws every stream into one reused n-long buffer,
-and it holds no k-sized array.  The product's scratch is the caller's too
-when it passes one (``scratch``): each worker of ``validate-moments``
-allocates the kernel's buffers once per call, and every point it draws
-reuses them; every other caller leaves both to the call.
+Tsang, *ACM TOMS* 26(3), 2000).  It allocates nothing: it fills ``out``
+and passes the product's factors through ``scratch``, both the kernel's
+``estimator.kernel_buffers``, which each FedAvg ``reed`` arm owns per run,
+each ``validate-moments`` worker per call and each public estimator call
+per call.
 
 The estimator draws no ``sample_dither`` phase: every fading law here
 already carries an independent uniform phase.
@@ -81,7 +80,7 @@ def sample_energy(rng: np.random.Generator, mean_energy, size):
     mean = np.asarray(mean_energy)
     if not (mean >= 0).all():
         raise ValueError(f"mean_energy must be >= 0, got {mean_energy}")
-    return _sample_energy(rng, mean, size)
+    return _sample_energy(rng, mean, np.empty(size))
 
 
 # The largest k that _sample_energy draws as a product of k uniforms; above
@@ -102,27 +101,17 @@ _MAX_PRODUCT_LOOKS = 6
 _SCRATCH = 1 << 16
 
 
-def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, size=None, out=None,
-                   looks: int = 1, scratch=None):
+def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, out: np.ndarray,
+                   looks: int = 1, scratch: np.ndarray | None = None) -> np.ndarray:
     """``sample_energy`` without its check, for means >= 0 by construction,
     summed over ``looks`` = k independent looks: the mean times a Gamma(k)
-    variate.
-
-    The Gamma(k) values are k = 1 a ``standard_exponential`` fill, for
-    2 <= k <= ``_MAX_PRODUCT_LOOKS`` -log of the product of 1 - U over k
-    ``random`` fills of the whole array, taken in order, and above that one
-    ``standard_gamma(k)`` fill.  With ``out`` (C-contiguous) they are drawn
-    into it and scaled in place, and ``out`` is returned: the same draws
-    and the same products as a call with ``size = out.shape``.  The
-    product's further factors pass through one scratch of at most
-    ``_SCRATCH`` values, so a call allocates nothing else; with ``scratch``,
-    an array of at least min(out.size, ``_SCRATCH``) values, through that,
-    and a call allocates nothing.
+    variate, drawn into the C-contiguous ``out``, scaled in place and
+    returned.  The Gamma(k) values are k = 1 a ``standard_exponential``
+    fill, for 2 <= k <= ``_MAX_PRODUCT_LOOKS`` -log of the product of 1 - U
+    over k ``random`` fills of the whole array, taken in order, whose
+    further factors pass through ``scratch`` (at least min(out.size,
+    ``_SCRATCH``) values), and above that one ``standard_gamma(k)`` fill.
     """
-    if out is None:
-        if looks == 1:
-            return mean_energy * rng.standard_exponential(size)
-        out = np.empty(size)
     if looks == 1:
         rng.standard_exponential(out=out)
     elif looks > _MAX_PRODUCT_LOOKS:
@@ -134,15 +123,12 @@ def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, size=None,
 
 
 def _neg_log_product(rng: np.random.Generator, looks: int, out: np.ndarray,
-                     scratch: np.ndarray | None = None) -> None:
+                     scratch: np.ndarray) -> None:
     """Fill the 1-D ``out`` with -log of the product of 1 - U over ``looks``
-    ``random`` fills of its length, factor 2 on blockwise through a scratch
-    of min(out.size, ``_SCRATCH``) values: ``scratch`` if given, else a new
-    one."""
+    ``random`` fills of its length, factor 2 on blockwise through the first
+    min(out.size, ``_SCRATCH``) values of ``scratch``."""
     rng.random(out=out)
     np.subtract(1.0, out, out=out)
-    if scratch is None:
-        scratch = np.empty(min(out.size, _SCRATCH))
     for _ in range(looks - 1):
         for start in range(0, out.size, _SCRATCH):
             block = out[start:start + _SCRATCH]

@@ -24,10 +24,11 @@ at [i][b] of the caller's streams.  ``chip_streams(cfg, key)`` builds
 them, at ``key.generator(m, b)`` for the group's first chip m:
 ``sample_estimates`` once per call, and a FedAvg run once per ``reed``
 arm, which every round then reads on from where the last one stopped.
-The kernel allocates its n-long total and branch energy per call, unless
-the caller owns them: ``validate-moments`` allocates ``kernel_buffers`` once
-per worker and call and passes them down through ``sample_estimates``;
-FedAvg rounds and every other caller leave them to the kernel.
+The kernel draws into n-long buffers its caller owns (``kernel_buffers``):
+a FedAvg ``reed`` arm allocates one set per run, a ``validate-moments``
+worker one set per call, which every point it takes draws into, and
+either public entry point, called without them, one set per call, so
+that no two results share memory.
 The superposition is ``_superposed_energy`` alone.  The kernel runs it at
 every kappa but 2; the test suite runs it at kappa = 2 too, chip by chip,
 as the kernel's reference in law.  The coherent baseline takes the clients'
@@ -161,19 +162,18 @@ class ReedPhyConfig:
 
 
 def _superposed_energy(rng: np.random.Generator, part: np.ndarray, c: float,
-                       cfg: ReedPhyConfig, n: int) -> np.ndarray:
+                       cfg: ReedPhyConfig, out: np.ndarray) -> np.ndarray:
     """Received energy of one (chip, branch) stream summed over antennas,
-    superposed client by client; shape (n,).  Each block of w <= ``_BLOCK``
-    columns draws noise (R, w), then fading (Ka, R, w) for the Ka clients
-    whose part is nonzero somewhere in the row: Rayleigh at kappa = 2, the
-    two-point law otherwise."""
-    R = cfg.antennas
+    superposed client by client into the n-long ``out``, which is returned.
+    Each block of w <= ``_BLOCK`` columns draws noise (R, w), then fading
+    (Ka, R, w) for the Ka clients whose part is nonzero somewhere in the
+    row: Rayleigh at kappa = 2, the two-point law otherwise."""
+    R, n = cfg.antennas, len(out)
     active = part.any(axis=1)
     Ka = int(active.sum())
     powers = np.broadcast_to(cfg.mean_powers, (len(part),))[active]
     amps = np.broadcast_to(
         np.sqrt(cfg.eta * c * part[active]) / np.sqrt(powers)[:, None], (Ka, n))
-    out = np.empty(n)
     for start in range(0, n, _BLOCK):
         cols = slice(start, min(start + _BLOCK, n))
         w = cols.stop - start
@@ -204,14 +204,16 @@ def kernel_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
-                   streams: list[tuple[np.random.Generator, ...]], n: int,
-                   buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+                   streams: list[tuple[np.random.Generator, ...]],
+                   buffers: tuple[np.ndarray, ...]) -> np.ndarray:
     """The paired-energy pipeline: encode, fade, superpose, add noise and
-    detect, for n independent columns at once.
+    detect, for n independent columns at once, into ``buffers``
+    (``kernel_buffers(n)``), which the caller owns and n is read from.
 
     ``pos`` and ``neg`` are the nonnegative branch parts, shape (K, n), or
     (K, 1) when every column carries the same values.  Returns the
-    normalized weighted energy difference, shape (n,).
+    normalized weighted energy difference, shape (n,): the total,
+    ``buffers[0]``, zeroed first.
 
     Stream layout 6: the chips of group i of ``cfg.chip_groups`` on branch
     b (0 for the positive part, 1 for the negative) draw from the single
@@ -223,28 +225,18 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
       eta * c * S_bj + noise_var, where S_bj is the branch's sum of parts
       in column j, times a Gamma(g R) variate (``_sample_energy``).  Each
       branch's column sums are taken once per call, not once per group.
-      Every stream draws into one n-long buffer that the call owns, and
-      the positive branch is added to the returned total, the negative one
-      subtracted.  So a call holds two n-long arrays at its peak, and a
-      scratch of at most ``channel._SCRATCH`` values, plus, for (K, n)
-      parts, the two branches' column sums and the means of the stream
-      being drawn, 3n more.
     - otherwise ``_superposed_energy`` adds the clients' faded symbols.
 
-    The total, the branch energy and the scratch are new arrays, unless
-    the caller passes them as ``buffers`` (``kernel_buffers(n)``): then the
-    total is ``buffers[0]``, zeroed and returned, and the call draws the
-    same values into them.
+    Every stream draws into the branch energy, ``buffers[1]`` (a Gamma
+    product through the scratch, ``buffers[2]``), which is added to the
+    total for the positive branch and subtracted for the negative.  A call
+    allocates no n-long array for (K, 1) parts; for (K, n) parts, the
+    column sums and a stream's means at kappa = 2, 3n, else the amplitudes.
     """
-    if buffers is None:
-        total, energy, scratch = np.zeros(n), None, None
-    else:
-        total, energy, scratch = buffers
-        total.fill(0.0)
+    total, energy, scratch = buffers
+    total.fill(0.0)
     rayleigh = cfg.kappa == 2.0
     if rayleigh:
-        if energy is None:
-            energy = np.empty(n)
         # each branch's column sums, taken once per call; the means are >= 0
         # by construction: the parts are >= 0, and eta, c and noise_var were
         # checked by ReedPhyConfig
@@ -256,11 +248,10 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
             if rayleigh:
                 np.multiply(sums[branch], cfg.eta * c, out=mean)
                 mean += cfg.noise_var
-                received = _sample_energy(rng, mean, out=energy, looks=count * cfg.antennas,
-                                          scratch=scratch)
+                _sample_energy(rng, mean, energy, count * cfg.antennas, scratch)
             else:
-                received = _superposed_energy(rng, part, c, cfg, n)
-            combine(total, received, out=total)
+                _superposed_energy(rng, part, c, cfg, energy)
+            combine(total, energy, out=total)
     total /= cfg.eta * cfg.weight_sum * cfg.antennas
     return total
 
@@ -269,11 +260,11 @@ def sample_estimates(inputs: ScalarInputs, cfg: ReedPhyConfig, key: StreamKey,
                      n_trials: int, buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Vectorized Monte Carlo: n_trials independent chip-diverse estimates
     of ``inputs.signed_sum``, one kernel column per trial, on the streams
-    ``chip_streams(cfg, key)``.  With ``buffers`` (``kernel_buffers(n_trials)``)
-    the kernel draws into them and returns the first; the values are the
-    same."""
+    ``chip_streams(cfg, key)``.  The kernel draws into ``buffers``
+    (``kernel_buffers(n_trials)``) and returns the first, or into a new set
+    if none are passed."""
     return _paired_energy(inputs.pos[:, None], inputs.neg[:, None], cfg,
-                          chip_streams(cfg, key), n_trials, buffers)
+                          chip_streams(cfg, key), buffers or kernel_buffers(n_trials))
 
 
 def _increments(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -292,9 +283,12 @@ def aggregate_ideal(increments: list[np.ndarray] | np.ndarray) -> np.ndarray:
 
 
 def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig,
-                   streams: list[tuple[np.random.Generator, ...]]) -> np.ndarray:
+                   streams: list[tuple[np.random.Generator, ...]],
+                   buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Noncoherent aggregation of client increments, coordinate-wise, drawn
-    from the generator pairs ``streams``, one per chip group (``chip_streams``).
+    from the generator pairs ``streams``, one per chip group (``chip_streams``),
+    into ``buffers`` (``kernel_buffers(d)``), whose first is returned, or
+    into a new set if none are passed.
 
     Coordinate j uses scalar inputs u_{k,j} = [increment_k]_j / K so the
     estimate targets the ideal mean.  Coordinates are the kernel's
@@ -307,7 +301,8 @@ def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig
                          f"got {len(streams)}")
     K, d = arr.shape
     u = arr / K
-    return _paired_energy(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg, streams, d)
+    return _paired_energy(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg, streams,
+                          buffers or kernel_buffers(d))
 
 
 def aggregate_coherent_csit(mean: np.ndarray, cfg: ReedPhyConfig,

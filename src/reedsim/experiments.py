@@ -105,9 +105,9 @@ def validate_point(point: MomentPoint, n_trials: int, tolerance: float,
     Pass requires the empirical mean inside its 4-sigma CLT band around
     the closed-form mean and the empirical variance within the relative
     tolerance of the closed-form variance (absolute tolerance at zero
-    variance).  The draws go into ``buffers``
-    (``estimator.kernel_buffers(n_trials)``) if given, which the point
-    then overwrites, else into arrays of its own."""
+    variance).  The draws overwrite ``buffers`` (``kernel_buffers(n_trials)``),
+    the set a ``validate-moments`` worker owns for the call, or without one
+    a new set that ``sample_estimates`` allocates."""
     cf = variance_chip(point.inputs, point.cf_cfg or point.cfg)
     stream_id = zlib.crc32(point.point_id.encode()) & 0x7FFFFFFF
     with _keyed(), _allocating("n_trials"):

@@ -78,8 +78,10 @@ Objectives whose gradients never read the batch (``uses_batches`` False)
 build no plan and draw no minibatch indices.
 
 Each arm's start (``AGGREGATORS``) builds what its rounds reuse before
-round 0 and checks a budgeted ``reed`` arm's every gain, so a run whose
-gains are not all finite and > 0 stops before its first local step.
+round 0, a ``reed`` arm's streams and kernel buffers among them, and
+checks a budgeted ``reed`` arm's every gain; the run then reserves what
+its rounds' model-sized temporaries need.  So a run whose gains are not
+all finite and > 0, or whose model is too large, stops before round 0.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ from functools import partial
 import numpy as np
 
 from .estimator import (ReedPhyConfig, aggregate_coherent_csit, aggregate_ideal,
-                        aggregate_reed, chip_streams)
+                        aggregate_reed, chip_streams, kernel_buffers)
 from .datasets import LabeledDataset, _allocating
 from .moments import _audit, _audit_denominator, eta_schedule
 from .streams import StreamKey
@@ -696,32 +698,35 @@ def build_objective(kind: str, data: LabeledDataset | None = None, *,
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
-def _start_ideal(phy, cfg, channel_key, K, d):
+def _start_ideal(phy, cfg, channel_key, K, objective):
     return lambda increments, ideal, t: (ideal, 0.0)
 
 
-def _start_coherent_csit(phy, cfg, channel_key, K, d):
+def _start_coherent_csit(phy, cfg, channel_key, K, objective):
     rng = channel_key.generator()
     return lambda increments, ideal, t: (aggregate_coherent_csit(ideal, phy, rng), 0.0)
 
 
-def _start_reed(phy, cfg, channel_key, K, d):
-    """A reed arm's streams, audit denominator and checked budgeted gains."""
-    gains = None
+def _start_reed(phy, cfg, channel_key, K, objective):
+    """A reed arm's streams, audit denominator, checked gains and kernel buffers."""
+    d, gains = objective.dim, None
     if cfg.budgets is not None:
         with _allocating("T"):
             betas = np.fromiter(map(cfg.stepsize, range(cfg.T)), float, cfg.T)
         gains = eta_schedule(cfg.budgets, K, d, phy.mean_powers, phy.weight_sum, betas,
                              cfg.Q, cfg.clip_G).tolist()  # floats: cheaper to read per round
     streams, kmd = chip_streams(phy, channel_key), _audit_denominator(phy, K, d)
+    with _allocating(objective.dim_field):
+        buffers = kernel_buffers(d)
     def round_(increments, ideal, t):
         radio = phy if gains is None else phy.with_eta(gains[t])
-        return aggregate_reed(increments, radio, streams), _audit(increments, radio, kmd).max()
+        return (aggregate_reed(increments, radio, streams, buffers),
+                _audit(increments, radio, kmd).max())
     return round_
 
 
 # aggregator -> (the radio fields it reads, whether budgets set its gain in
-# eta's place, its start (phy, cfg, channel_key, K, d) -> its round (increments,
+# eta's place, its start (phy, cfg, channel_key, K, objective) -> its round (increments,
 # ideal, t) -> (update, max_client_energy), which calls aggregate_* by name)
 AGGREGATORS = {
     "ideal": ((), False, _start_ideal),
@@ -956,7 +961,8 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
         with _allocating("Q"):
             plan, steps = None, ((None, None, None),) * cfg.Q
     proxy_rng = local_key.generator(K) if objective.uses_proxy else None
-    rounds = [AGGREGATORS[name][-1](phy, cfg, channel_key, K, d) for name, phy in cfg.arms]
+    rounds = [AGGREGATORS[name][-1](phy, cfg, channel_key, K, objective)
+              for name, phy in cfg.arms]
 
     # row t of trace[a] is arm a's round t; test_acc stays 0 without test data
     with _allocating("T"):
@@ -1002,6 +1008,17 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
             pool = ThreadPoolExecutor(1, initializer=lambda: np.seterr(over="ignore",
                                                                        invalid="ignore"))
             run = lambda *job: pool.submit(*job).result
+    # a round's model-sized temporaries at their peak, asked for once so that
+    # a model too large for them fails here: a step's last and new gradients
+    # and a third stack (clip_G's squares, an MLP's layers), or a reed arm's
+    # increments, parts and column sums beside the last step, either beside
+    # the models pending evaluation, their gradients and the thread's.
+    # tracemalloc found every round within these rows (A <= 3, K <= 10)
+    rows = 3 * A * K + K + 4
+    if any(name == "reed" for name, _ in cfg.arms):
+        rows = max(rows, A * K + 5 * K + 5)
+    with _allocating(objective.dim_field):
+        _reserve(((2 + (pool is not None)) * A + rows, d))
     # a diverging run overflows; the checks name what went non-finite
     # instead of letting NumPy warn about every step on the way
     with np.errstate(over="ignore", invalid="ignore"), pool or nullcontext():

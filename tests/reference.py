@@ -33,7 +33,7 @@ def reference_estimates(inputs: estimator.ScalarInputs, cfg: estimator.ReedPhyCo
         for branch, (part, combine) in enumerate(((inputs.pos, np.add),
                                                   (inputs.neg, np.subtract))):
             received = estimator._superposed_energy(key.generator(m, branch),
-                                                    part[:, None], c, cfg, n_trials)
+                                                    part[:, None], c, cfg, np.empty(n_trials))
             combine(total, received, out=total)
     total /= cfg.eta * cfg.weight_sum * cfg.antennas
     return total

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from reedsim.channel import (_sample_energy, sample_dither, sample_energy, sample_fading,
-                             sample_general_fading, sample_noise)
+from reedsim.channel import (_SCRATCH, _sample_energy, sample_dither, sample_energy,
+                             sample_fading, sample_general_fading, sample_noise)
 from reedsim.streams import StreamKey
 
 N = 1_000_000
@@ -99,7 +99,8 @@ def test_summed_energy_is_erlang(looks):
     # Erlang CDF, at the 1% critical value 1.628 / sqrt(n)
     n = 200_000
     mean = 0.5
-    x = np.sort(_sample_energy(_rng(18, looks), np.array(mean), size=n, looks=looks))
+    x = np.sort(_sample_energy(_rng(18, looks), np.array(mean), np.empty(n), looks,
+                               np.empty(_SCRATCH)))
     cdf = _erlang_cdf(x / mean, looks)
     i = np.arange(1, n + 1)
     distance = max((i / n - cdf).max(), (cdf - (i - 1) / n).max())
@@ -107,14 +108,26 @@ def test_summed_energy_is_erlang(looks):
 
 
 def test_summed_energy_into_out_is_the_sized_draw():
-    # out is filled with the draws and products of a call with its size,
-    # on each side of the threshold and across the product's scratch blocks
+    # out holds the draws and arithmetic of an unblocked reference of its
+    # size, on each side of the threshold and across the product's scratch
+    # blocks: one exponential fill, -log of the product of 1 - U over k
+    # whole random fills, or one standard_gamma fill, times the means
     means = np.linspace(0.5, 2.0, 70_000)
+    n = means.size
     for looks in (1, 3, 9):
-        out = np.empty(means.size)
-        assert _sample_energy(_rng(19, looks), means, out=out, looks=looks) is out
-        assert np.array_equal(out, _sample_energy(_rng(19, looks), means, size=means.size,
-                                                  looks=looks))
+        rng = _rng(19, looks)
+        if looks == 1:
+            gamma = rng.standard_exponential(n)
+        elif looks == 3:
+            product = 1.0 - rng.random(n)
+            for _ in range(looks - 1):
+                product *= 1.0 - rng.random(n)
+            gamma = -np.log(product)
+        else:
+            gamma = rng.standard_gamma(looks, n)
+        out = np.empty(n)
+        assert _sample_energy(_rng(19, looks), means, out, looks, np.empty(_SCRATCH)) is out
+        assert np.array_equal(out, gamma * means)
 
 
 def test_dither_unit_modulus():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -151,8 +152,11 @@ class TestConfigParsing:
         # run: it succeeds, or stops with status 2 and an "error:" line,
         # never with a traceback
         # garbage in sweep.values runs as a sweep of each key that used to
-        # have its own sweep axis
-        cfgfile = tmp_path / "mutated.cfg"
+        # have its own sweep axis.  Each case writes a new config file and
+        # output directory: on ext4, truncating a file or renaming over one
+        # starts its writeback, so rewriting the same paths in every case
+        # made the test wait on the disk
+        case = itertools.count()
         for key in sorted(SCHEMA):
             command = ("validate-moments" if key.startswith("moments.") else
                        "sweep" if key.startswith("sweep.") else "run-fedavg")
@@ -164,8 +168,10 @@ class TestConfigParsing:
                     overrides = {key: garbage}
                     if sweep_key is not None:
                         overrides["sweep.key"] = f'"{sweep_key}"'
+                    i = next(case)
+                    cfgfile = tmp_path / f"{i}.cfg"
                     cfgfile.write_text(_with(TINY, overrides))
-                    status = main([command, str(cfgfile), "--out", str(tmp_path / "o")])
+                    status = main([command, str(cfgfile), "--out", str(tmp_path / f"o{i}")])
                     err = capsys.readouterr().err
                     assert status in (0, 2), (key, sweep_key, garbage)
                     assert "Traceback" not in err
@@ -684,9 +690,9 @@ BAD_INPUTS = [
 
 # sizes NumPy does not refuse at once, each with the key its error must name:
 # the quadratic's, the logistic model's and the MLP's (A·K, dim) local
-# copies, the job list of too many trials, a step's hidden activations and
-# the full-train logits, each more than a process limited to 512 MiB of
-# address space can hold
+# copies, the job list of too many trials, a step's hidden activations, the
+# full-train logits and a one-client reed round's model-sized temporaries,
+# each more than a process limited to 512 MiB of address space can hold
 OVERSIZED = [
     ({"fed.model": '"quadratic"', "fed.quad_dim": "10000000"}, "fed.quad_dim"),
     ({"data.classes": "2000000"}, "data.classes, data.features"),
@@ -694,6 +700,8 @@ OVERSIZED = [
     ({"trials": "1" + "0" * 20}, "trials"),
     ({"fed.model": '"mlp"', "fed.hidden": "200000"}, "fed.hidden"),
     ({"data.classes": "100000", "data.synth_n": "6000"}, "data.classes"),
+    ({"fed.model": '"quadratic"', "fed.K": "1", "fed.aggregators": '["reed"]',
+      "fed.quad_dim": "4000000"}, "fed.quad_dim"),
 ]
 
 # reedsim.cli.main on each config path after the first argument, under a

@@ -273,6 +273,22 @@ class TestKernelStreams:
             whole = aggregate_reed(inc, cfg, chip_streams(cfg, KEY.child(21)))
             assert np.array_equal(np.concatenate([first, second]), whole)
 
+    @pytest.mark.parametrize("kappa", [2.0, 3.0])
+    def test_public_results_never_alias(self, kappa):
+        # called without buffers, each public call draws into a set of its
+        # own, so a result keeps its values through the next call
+        cfg = ReedPhyConfig(eta=2.0, noise_var=0.5, chip_weights=[1.0, 0.5], kappa=kappa)
+        inc = KEY.child(28).generator().normal(size=(3, 10))
+        streams = chip_streams(cfg, KEY.child(29))
+        inp = ScalarInputs([1.0, -0.5])
+        for call in (lambda: aggregate_reed(inc, cfg, streams),
+                     lambda: sample_estimates(inp, cfg, KEY.child(30), 10)):
+            first = call()
+            kept = first.copy()
+            second = call()
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(first, kept)
+
     def test_rayleigh_kernel_draws_only_energies(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the kappa = 2 kernel superposes no symbols")

@@ -281,6 +281,31 @@ class TestRunFedavg:
         assert column(clean[0], "train_loss") == pytest.approx(column(noisy[0], "train_loss"),
                                                                rel=1e-6)
 
+    @pytest.mark.parametrize("names, K", [(("reed",), 1), (("reed",), 6), (("ideal",), 6),
+                                          (("reed", "ideal", "coherent_csit"), 3)])
+    def test_round_peak_is_what_the_run_reserves(self, monkeypatch, names, K):
+        # the model-sized temporaries of clipped quadratic rounds, evaluated
+        # in line, peak within the rows that the run reserves for them before
+        # round 0, one call of (rows, d), and within 4 rows of it
+        reserved = []
+        monkeypatch.setattr(fedavg, "_reserve", reserved.append)
+        d, A = 100_000, len(names)
+        cfg = FedRunConfig(Q=2, T=3, batch_size=4, beta0=0.1, clip_G=1.0,
+                           arms=arms(*names, phy=ReedPhyConfig(noise_var=0.5,
+                                                               chip_weights=np.ones(3))))
+        obj = build_objective("quadratic", d=d)
+        # the run's own: its models, the clients' copies and the kernel buffers
+        own = 8 * d * (A * K + A) + names.count("reed") * sum(
+            b.nbytes for b in estimator.kernel_buffers(d))
+        tracemalloc.start()
+        try:
+            run_fedavg(cfg, obj, [np.empty(0, dtype=int)] * K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [(rows, width)] = reserved
+        assert width == d and rows - 4 < (peak - own) / (8 * d) <= rows
+
 
 def _ragged_setup():
     # clients of 5, 19, 5, 1 and 90 samples: three smaller than a 16-sample
@@ -1153,21 +1178,27 @@ data.features = 4
     def test_reed_rounds_call_the_module_aggregate_reed(self, monkeypatch):
         # every round of a reed arm calls fedavg.aggregate_reed, looked up
         # when the round runs, as the benchmark's tracer wraps it: once per
-        # round, always on the one streams list its run built, which holds
-        # one pair for the arm's two unit-weight chips
-        calls = []
-        reed = fedavg.aggregate_reed
-        monkeypatch.setattr(fedavg, "aggregate_reed", lambda inc, phy, streams: (
-            calls.append(streams) or reed(inc, phy, streams)))
+        # round, always on the one streams list and the one set of kernel
+        # buffers that its run built for the arm, by one fedavg.kernel_buffers
+        # call per reed arm.  The streams hold one pair for the arm's two
+        # unit-weight chips
+        calls, built = [], []
+        reed, make = fedavg.aggregate_reed, fedavg.kernel_buffers
+        monkeypatch.setattr(fedavg, "aggregate_reed", lambda inc, phy, streams, buffers: (
+            calls.append((streams, buffers)) or reed(inc, phy, streams, buffers)))
+        monkeypatch.setattr(fedavg, "kernel_buffers", lambda d: built.append(make(d)) or built[-1])
         ds, parts = _blob_setup(K=3)
         obj = build_objective("logistic", ds)
         T = 4
         phy = ReedPhyConfig(eta=3.0, noise_var=0.5, chip_weights=np.ones(2))
         cfg = FedRunConfig(Q=1, T=T, batch_size=16, beta0=0.1, seed=6,
-                           arms=arms("reed", "ideal", phy=phy))
+                           arms=(*arms("reed", "ideal", phy=phy), ("reed", phy.with_eta(1.0))))
         traced = run_fedavg(cfg, obj, parts, ds)
-        assert len(calls) == T and all(streams is calls[0] for streams in calls)
-        assert len(calls[0]) == 1
+        assert len(built) == 2 and len(calls) == 2 * T
+        # a round aggregates arm by arm: the first reed arm, then the second
+        for own, buffers in zip((calls[0::2], calls[1::2]), built):
+            assert all(streams is own[0][0] and mine is buffers for streams, mine in own)
+            assert len(own[0][0]) == 1
         monkeypatch.undo()
         assert np.array_equal(run_fedavg(cfg, obj, parts, ds), traced)
 
