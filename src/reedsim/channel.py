@@ -10,21 +10,22 @@ from the same :class:`~reedsim.streams.StreamKey` give bit-identical draws.
 Each call draws and returns one array of shape ``size``; powers broadcast
 against it, so one call can give every client its own mean power.
 
-The public samplers reject a negative or NaN power.  ``_sample_energy`` is
-``sample_energy`` without that check, for callers whose mean energy is
->= 0 by construction: the paired-energy kernel in ``reedsim.estimator``,
-whose means are sums of nonnegative parts scaled by an already checked
-``ReedPhyConfig``.  Nothing else should call it.  It also sums k
-independent looks at one mean, the energy of k chips and antennas that
-share it: the mean times a Gamma(k) variate, drawn exactly in law.  k = 1
-is one exponential fill, 2 <= k <= 6 the Erlang product form -log of a
+The public samplers reject a negative or NaN power.  ``_signed_gamma``
+serves the paired-energy kernel in ``reedsim.estimator``, which scales its
+draws by means it builds itself, sums of nonnegative parts scaled by an
+already checked ``ReedPhyConfig``.  Nothing else should call it.  It
+draws the energy of k independent unit-mean looks, those of k chips and
+antennas that share one mean: a Gamma(k) variate, exact in law.  k = 1 is
+one exponential fill, 2 <= k <= 6 the Erlang product form, the log of a
 product of k uniforms (Devroye, *Non-Uniform Random Variate Generation*,
 1986, ch. IX), and larger k one ``standard_gamma`` fill (Marsaglia and
-Tsang, *ACM TOMS* 26(3), 2000).  It allocates nothing: it fills ``out``
-and passes the product's factors through ``scratch``, both the kernel's
-``estimator.kernel_buffers``, which each FedAvg ``reed`` arm owns per run,
-each ``validate-moments`` worker per call and each public estimator call
-per call.
+Tsang, *ACM TOMS* 26(3), 2000).  The product form leaves the log, which is
+-Gamma(k), and says so by the sign it returns, so that the kernel folds
+the negation into its scale instead of negating n values.  It allocates
+nothing: it fills ``out`` and passes the product's factors through
+``scratch``, both the kernel's ``estimator.kernel_buffers``, which each
+FedAvg ``reed`` arm owns per run, each ``validate-moments`` worker per
+call and each public estimator call per call.
 
 The estimator draws no ``sample_dither`` phase: every fading law here
 already carries an independent uniform phase.
@@ -80,10 +81,13 @@ def sample_energy(rng: np.random.Generator, mean_energy, size):
     mean = np.asarray(mean_energy)
     if not (mean >= 0).all():
         raise ValueError(f"mean_energy must be >= 0, got {mean_energy}")
-    return _sample_energy(rng, mean, np.empty(size))
+    out = np.empty(size)
+    rng.standard_exponential(out=out)
+    out *= mean
+    return out
 
 
-# The largest k that _sample_energy draws as a product of k uniforms; above
+# The largest k that _signed_gamma draws as a product of k uniforms; above
 # it one standard_gamma(k) fill is faster.  At n = 50 000 on a 2-core x86
 # VM (NumPy 2.4, SFC64), scaling by the mean included, the product took
 # 374, 674 and 973 us at k = 2, 4 and 6, against 1098, 1074 and 1066 us for
@@ -101,32 +105,30 @@ _MAX_PRODUCT_LOOKS = 6
 _SCRATCH = 1 << 16
 
 
-def _sample_energy(rng: np.random.Generator, mean_energy: np.ndarray, out: np.ndarray,
-                   looks: int = 1, scratch: np.ndarray | None = None) -> np.ndarray:
-    """``sample_energy`` without its check, for means >= 0 by construction,
-    summed over ``looks`` = k independent looks: the mean times a Gamma(k)
-    variate, drawn into the C-contiguous ``out``, scaled in place and
-    returned.  The Gamma(k) values are k = 1 a ``standard_exponential``
-    fill, for 2 <= k <= ``_MAX_PRODUCT_LOOKS`` -log of the product of 1 - U
-    over k ``random`` fills of the whole array, taken in order, whose
-    further factors pass through ``scratch`` (at least min(out.size,
-    ``_SCRATCH``) values), and above that one ``standard_gamma(k)`` fill.
-    """
+def _signed_gamma(rng: np.random.Generator, out: np.ndarray, looks: int,
+                  scratch: np.ndarray) -> float:
+    """Fill the C-contiguous ``out`` with Gamma(k) variates, k = ``looks``,
+    times the sign it returns: for k = 1 a ``standard_exponential`` fill
+    (+1), for 2 <= k <= ``_MAX_PRODUCT_LOOKS`` the log of the product of
+    1 - U over k ``random`` fills of the whole array, taken in order (-1),
+    whose further factors pass through ``scratch`` (at least min(out.size,
+    ``_SCRATCH``) values), and above that one ``standard_gamma(k)`` fill
+    (+1)."""
     if looks == 1:
         rng.standard_exponential(out=out)
     elif looks > _MAX_PRODUCT_LOOKS:
         rng.standard_gamma(looks, out=out)
     else:
-        _neg_log_product(rng, looks, out.reshape(-1), scratch)
-    out *= mean_energy
-    return out
+        _log_product(rng, looks, out.reshape(-1), scratch)
+        return -1.0
+    return 1.0
 
 
-def _neg_log_product(rng: np.random.Generator, looks: int, out: np.ndarray,
-                     scratch: np.ndarray) -> None:
-    """Fill the 1-D ``out`` with -log of the product of 1 - U over ``looks``
-    ``random`` fills of its length, factor 2 on blockwise through the first
-    min(out.size, ``_SCRATCH``) values of ``scratch``."""
+def _log_product(rng: np.random.Generator, looks: int, out: np.ndarray,
+                 scratch: np.ndarray) -> None:
+    """Fill the 1-D ``out`` with the log of the product of 1 - U over
+    ``looks`` ``random`` fills of its length, factor 2 on blockwise through
+    the first min(out.size, ``_SCRATCH``) values of ``scratch``."""
     rng.random(out=out)
     np.subtract(1.0, out, out=out)
     for _ in range(looks - 1):
@@ -137,7 +139,6 @@ def _neg_log_product(rng: np.random.Generator, looks: int, out: np.ndarray,
             np.subtract(1.0, factor, out=factor)
             block *= factor
     np.log(out, out=out)
-    np.negative(out, out=out)
 
 
 def sample_dither(rng: np.random.Generator, size):

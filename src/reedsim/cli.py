@@ -1,6 +1,7 @@
 """Config-driven command line entry point.
 
-Subcommands:
+Commands, each taking a config and the options --workers, --out and
+--seed, in any order:
   validate-moments <config>   Monte Carlo vs closed-form moment matrix
   run-fedavg <config>         matched-seed FedAvg trials per aggregator
   sweep <config>              run-fedavg at each of sweep.values for sweep.key
@@ -235,15 +236,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="reedsim",
         description="Noncoherent paired-energy aggregation experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("validate-moments", "run-fedavg", "sweep"):
-        p = sub.add_parser(name)
-        p.add_argument("config", help="path to a dotted-key config file")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for run-fedavg and sweep "
-                            "(default: config workers)")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("command", choices=("validate-moments", "run-fedavg", "sweep"))
+    parser.add_argument("config", help="path to a dotted-key config file")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes for run-fedavg and sweep "
+                             "(default: config workers)")
+    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.seed, args.workers)

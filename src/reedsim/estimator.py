@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (_SCRATCH, _sample_energy, sample_fading, sample_general_fading,
+from .channel import (_SCRATCH, _signed_gamma, sample_fading, sample_general_fading,
                       sample_noise)
 from .streams import StreamKey
 
@@ -62,36 +62,32 @@ _BLOCK = 8192
 
 @dataclass(frozen=True)
 class ScalarInputs:
-    """Per-coordinate client values and their positive/negative split."""
+    """Per-coordinate client values and their positive/negative split.
+
+    The split and its sums are taken once, at construction, from a
+    read-only copy of the values: ``pos`` = max(values, 0), ``neg`` =
+    max(-values, 0), and ``s_plus``, ``s_minus`` and ``signed_sum`` the
+    sums of ``pos``, ``neg`` and the values."""
 
     values: np.ndarray
+    pos: np.ndarray = field(init=False, repr=False, compare=False)
+    neg: np.ndarray = field(init=False, repr=False, compare=False)
+    s_plus: float = field(init=False, repr=False, compare=False)
+    s_minus: float = field(init=False, repr=False, compare=False)
+    signed_sum: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, values):
-        object.__setattr__(self, "values", np.asarray(values, dtype=float))
-        if self.values.ndim != 1 or self.values.size < 1:
+        values = np.array(values, dtype=float)
+        if values.ndim != 1 or values.size < 1:
             raise ValueError("values must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-
-    @property
-    def pos(self) -> np.ndarray:
-        return np.maximum(self.values, 0.0)
-
-    @property
-    def neg(self) -> np.ndarray:
-        return np.maximum(-self.values, 0.0)
-
-    @property
-    def s_plus(self) -> float:
-        return float(self.pos.sum())
-
-    @property
-    def s_minus(self) -> float:
-        return float(self.neg.sum())
-
-    @property
-    def signed_sum(self) -> float:
-        return float(self.values.sum())
+        pos, neg = np.maximum(values, 0.0), np.maximum(-values, 0.0)
+        for name, value in (("values", values), ("pos", pos), ("neg", neg)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        for name, value in (("s_plus", pos), ("s_minus", neg), ("signed_sum", values)):
+            object.__setattr__(self, name, float(value.sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +119,8 @@ class ReedPhyConfig:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if self.noise_var < 0:
             raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
+        # -0.0 as 0.0, so that the kernel's negated noise_var is -0.0
+        object.__setattr__(self, "noise_var", self.noise_var + 0.0)
         # a comparison with NaN is false, so these also reject NaN
         mu2, c = self.mean_powers, self.chip_weights
         if not ((mu2 > 0) & (mu2 < np.inf)).all():
@@ -213,7 +211,7 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
     ``pos`` and ``neg`` are the nonnegative branch parts, shape (K, n), or
     (K, 1) when every column carries the same values.  Returns the
     normalized weighted energy difference, shape (n,): the total,
-    ``buffers[0]``, zeroed first.
+    ``buffers[0]``.
 
     Stream layout 6: the chips of group i of ``cfg.chip_groups`` on branch
     b (0 for the positive part, 1 for the negative) draw from the single
@@ -223,35 +221,48 @@ def _paired_energy(pos: np.ndarray, neg: np.ndarray, cfg: ReedPhyConfig,
     - kappa = 2: a group of g chips of weight c draws one detected energy
       per column, summed over its chips and the R antennas: the mean
       eta * c * S_bj + noise_var, where S_bj is the branch's sum of parts
-      in column j, times a Gamma(g R) variate (``_sample_energy``).  Each
-      branch's column sums are taken once per call, not once per group.
+      in column j, times a Gamma(g R) variate (``channel._signed_gamma``).
+      The branch's sign and the draw's are folded into the mean, so the
+      scaled draw is the signed energy.  Each branch's column sums are
+      taken once per call, not once per group.
     - otherwise ``_superposed_energy`` adds the clients' faded symbols.
 
-    Every stream draws into the branch energy, ``buffers[1]`` (a Gamma
-    product through the scratch, ``buffers[2]``), which is added to the
-    total for the positive branch and subtracted for the negative.  A call
-    allocates no n-long array for (K, 1) parts; for (K, n) parts, the
-    column sums and a stream's means at kappa = 2, 3n, else the amplitudes.
+    The first stream draws straight into the total and every later one
+    into the branch energy, ``buffers[1]`` (a Gamma product through the
+    scratch, ``buffers[2]``), which is added to the total, or at kappa != 2
+    subtracted for the negative branch.  These are the bits of a zeroed
+    total that each branch's energy is added to or subtracted from: a
+    negated factor negates a product exactly, a - b is a + (-b), and the
+    first stream's energy is never -0.  A call allocates no n-long array
+    for (K, 1) parts; for (K, n) parts, the column sums and a stream's
+    means at kappa = 2, 3n, else the amplitudes.
     """
     total, energy, scratch = buffers
-    total.fill(0.0)
     rayleigh = cfg.kappa == 2.0
     if rayleigh:
-        # each branch's column sums, taken once per call; the means are >= 0
-        # by construction: the parts are >= 0, and eta, c and noise_var were
-        # checked by ReedPhyConfig
+        # each branch's column sums, taken once per call; a mean is >= 0 by
+        # construction before its sign is folded in: the parts are >= 0, and
+        # eta, c and noise_var were checked by ReedPhyConfig
         sums = (np.add.reduce(pos, 0), np.add.reduce(neg, 0))
         mean = np.empty_like(sums[0])
+    out = total
     for (_, c, count), pair in zip(cfg.chip_groups, streams):
-        for branch, (part, combine) in enumerate(((pos, np.add), (neg, np.subtract))):
-            rng = pair[branch]
+        for branch, part in enumerate((pos, neg)):
             if rayleigh:
-                np.multiply(sums[branch], cfg.eta * c, out=mean)
-                mean += cfg.noise_var
-                _sample_energy(rng, mean, energy, count * cfg.antennas, scratch)
+                # the branch's sign times the draw's: -1 for a negative
+                # branch's exponential or a positive branch's log product
+                sign = _signed_gamma(pair[branch], out, count * cfg.antennas, scratch)
+                sign = -sign if branch else sign
+                np.multiply(sums[branch], sign * (cfg.eta * c), out=mean)
+                mean += sign * cfg.noise_var
+                out *= mean
+                combine = np.add
             else:
-                _superposed_energy(rng, part, c, cfg, energy)
-            combine(total, energy, out=total)
+                _superposed_energy(pair[branch], part, c, cfg, out)
+                combine = np.subtract if branch else np.add
+            if out is energy:
+                combine(total, energy, out=total)
+            out = energy
     total /= cfg.eta * cfg.weight_sum * cfg.antennas
     return total
 
@@ -300,9 +311,12 @@ def aggregate_reed(increments: list[np.ndarray] | np.ndarray, cfg: ReedPhyConfig
         raise ValueError(f"streams must hold one pair per chip group, {len(cfg.chip_groups)}, "
                          f"got {len(streams)}")
     K, d = arr.shape
-    u = arr / K
-    return _paired_energy(np.maximum(u, 0.0), np.maximum(-u, 0.0), cfg, streams,
-                          buffers or kernel_buffers(d))
+    # max(u, 0) and max(-u, 0) of u = arr / K, the same bits without u or
+    # -u: arr / -K is -u
+    parts = np.divide(arr, K), np.divide(arr, -K)
+    for part in parts:
+        np.maximum(part, 0.0, out=part)
+    return _paired_energy(*parts, cfg, streams, buffers or kernel_buffers(d))
 
 
 def aggregate_coherent_csit(mean: np.ndarray, cfg: ReedPhyConfig,

@@ -1009,16 +1009,14 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                                                                        invalid="ignore"))
             run = lambda *job: pool.submit(*job).result
     # a round's model-sized temporaries at their peak, asked for once so that
-    # a model too large for them fails here: a step's last and new gradients
-    # and a third stack (clip_G's squares, an MLP's layers), or a reed arm's
-    # increments, parts and column sums beside the last step, either beside
-    # the models pending evaluation, their gradients and the thread's.
-    # tracemalloc found every round within these rows (A <= 3, K <= 10)
-    rows = 3 * A * K + K + 4
-    if any(name == "reed" for name, _ in cfg.arms):
-        rows = max(rows, A * K + 5 * K + 5)
+    # a model too large for them fails here: beside the models pending
+    # evaluation, their gradients and the thread's, either a step's last and
+    # new gradients and a third stack (clip_G's squares, an MLP's layers),
+    # or, with the last step released, a reed arm's increments, parts,
+    # column sums and means, 3K + 5 rows.  tracemalloc found every round
+    # within 3AK + K + 5 rows (A <= 3, K <= 10)
     with _allocating(objective.dim_field):
-        _reserve(((2 + (pool is not None)) * A + rows, d))
+        _reserve(((2 + (pool is not None)) * A + 3 * A * K + K + 5, d))
     # a diverging run overflows; the checks name what went non-finite
     # instead of letting NumPy warn about every step on the way
     with np.errstate(over="ignore", invalid="ignore"), pool or nullcontext():
@@ -1041,6 +1039,7 @@ def run_fedavg(cfg: FedRunConfig, objective: Objective,
                                      cfg.clip_G)
                 step *= beta
                 local -= step
+            del step  # not alive while the arms aggregate
 
             for a, round_ in enumerate(rounds):
                 increments = clients[a] - stack[a]

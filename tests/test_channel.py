@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reedsim.channel import (_SCRATCH, _sample_energy, sample_dither, sample_energy,
+from reedsim.channel import (_SCRATCH, _signed_gamma, sample_dither, sample_energy,
                              sample_fading, sample_general_fading, sample_noise)
 from reedsim.streams import StreamKey
 
@@ -93,15 +93,17 @@ def _erlang_cdf(x, k):
 
 @pytest.mark.parametrize("looks", [2, 6, 7, 16])
 def test_summed_energy_is_erlang(looks):
-    # k looks at one mean sum to the mean times Gamma(k): a product of k
-    # uniforms up to k = 6, one standard_gamma fill above, so each side of
-    # the threshold is checked.  KS distance of 200k draws against the
-    # Erlang CDF, at the 1% critical value 1.628 / sqrt(n)
+    # k unit-mean looks sum to a Gamma(k) variate, times the sign the draw
+    # returns: a log product of k uniforms up to k = 6, one standard_gamma
+    # fill above, so each side of the threshold is checked.  KS distance
+    # of 200k draws against the Erlang CDF, at the 1% critical value
+    # 1.628 / sqrt(n)
     n = 200_000
-    mean = 0.5
-    x = np.sort(_sample_energy(_rng(18, looks), np.array(mean), np.empty(n), looks,
-                               np.empty(_SCRATCH)))
-    cdf = _erlang_cdf(x / mean, looks)
+    out = np.empty(n)
+    sign = _signed_gamma(_rng(18, looks), out, looks, np.empty(_SCRATCH))
+    assert sign == (-1.0 if looks <= 6 else 1.0)
+    x = np.sort(sign * out)
+    cdf = _erlang_cdf(x, looks)
     i = np.arange(1, n + 1)
     distance = max((i / n - cdf).max(), (cdf - (i - 1) / n).max())
     assert distance < 1.628 / np.sqrt(n), distance
@@ -110,11 +112,10 @@ def test_summed_energy_is_erlang(looks):
 def test_summed_energy_into_out_is_the_sized_draw():
     # out holds the draws and arithmetic of an unblocked reference of its
     # size, on each side of the threshold and across the product's scratch
-    # blocks: one exponential fill, -log of the product of 1 - U over k
-    # whole random fills, or one standard_gamma fill, times the means
-    means = np.linspace(0.5, 2.0, 70_000)
-    n = means.size
-    for looks in (1, 3, 9):
+    # blocks: one exponential fill, the log of the product of 1 - U over k
+    # whole random fills, or one standard_gamma fill
+    n = 70_000
+    for looks, sign in ((1, 1.0), (3, -1.0), (9, 1.0)):
         rng = _rng(19, looks)
         if looks == 1:
             gamma = rng.standard_exponential(n)
@@ -122,12 +123,12 @@ def test_summed_energy_into_out_is_the_sized_draw():
             product = 1.0 - rng.random(n)
             for _ in range(looks - 1):
                 product *= 1.0 - rng.random(n)
-            gamma = -np.log(product)
+            gamma = np.log(product)
         else:
             gamma = rng.standard_gamma(looks, n)
         out = np.empty(n)
-        assert _sample_energy(_rng(19, looks), means, out, looks, np.empty(_SCRATCH)) is out
-        assert np.array_equal(out, gamma * means)
+        assert _signed_gamma(_rng(19, looks), out, looks, np.empty(_SCRATCH)) == sign
+        assert np.array_equal(out.view(np.uint64), gamma.view(np.uint64))
 
 
 def test_dither_unit_modulus():

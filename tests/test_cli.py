@@ -818,6 +818,41 @@ class TestMain:
         eps = [float(row.split(",")[header.split(",").index("eps_norm_sq")]) for row in rows]
         assert len(eps) == 2 * 3 and np.isfinite(eps).all()
 
+    @pytest.mark.parametrize("command, run", [("validate-moments", "cmd_validate_moments"),
+                                              ("run-fedavg", "cmd_run_fedavg"),
+                                              ("sweep", "cmd_sweep")])
+    def test_each_command_takes_a_config_and_every_option(self, monkeypatch, command, run):
+        # the options may stand anywhere, before the command too
+        calls = []
+        monkeypatch.setattr(cli, "load_config", lambda path, seed, workers: calls.append(
+            (path, seed, workers)) or {"output.dir": "unused", "workers": workers})
+        for name in ("cmd_validate_moments", "cmd_run_fedavg", "cmd_sweep"):
+            monkeypatch.setattr(cli, name, lambda cfg, out, *workers, name=name: calls.append(
+                (name, out, *workers)) or 0)
+        for argv in ([command, "c.cfg", "--workers", "3", "--out", "o", "--seed", "7"],
+                     ["--seed", "7", "--out", "o", command, "--workers", "3", "c.cfg"]):
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == [("c.cfg", 7, 3),
+                             (run, "o") if command == "validate-moments" else (run, "o", 3)]
+
+    @pytest.mark.parametrize("argv", [[], ["--out", "o"], ["launch", "c.cfg"], ["sweep"],
+                                      ["run-fedavg", "c.cfg", "--threads", "2"]],
+                             ids=["none", "options-only", "unknown", "no-config", "unknown-option"])
+    def test_malformed_command_line_exits_2_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: reedsim ")
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in ("validate-moments", "run-fedavg", "sweep"))
+
     def test_cli_error_reporting(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("phy.warp = 9\n")

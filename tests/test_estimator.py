@@ -401,6 +401,82 @@ class TestRayleighKernelBits:
             assert peak <= bound, chips
 
 
+def _zero_filled_kernel(pos, neg, cfg, streams, n):
+    """The paired-energy kernel as a zero-filled total that each stream's
+    positive energy is added to (positive branch) or subtracted from
+    (negative branch): at kappa = 2 the mean times a Gamma(g R) draw (an
+    exponential, -log of a product of uniforms over whole rows, or a
+    standard gamma), otherwise the superposition."""
+    total = np.zeros(n)
+    for (_, c, count), pair in zip(cfg.chip_groups, streams):
+        for rng, part, combine in ((pair[0], pos, np.add), (pair[1], neg, np.subtract)):
+            if cfg.kappa == 2.0:
+                mean = np.add.reduce(part, 0) * (cfg.eta * c) + cfg.noise_var
+                energy = _gamma_with_temporaries(rng, count * cfg.antennas, n) * mean
+            else:
+                energy = estimator._superposed_energy(rng, part, c, cfg, np.empty(n))
+            combine(total, energy, out=total)
+    total /= cfg.eta * cfg.weight_sum * cfg.antennas
+    return total
+
+
+class TestKernelBitPatterns:
+    # the first stream draws into the total, and each later one is added
+    # with its sign folded into its scale; these are the zero-filled
+    # total's bits, compared as integers so that a zero's sign shows
+    @pytest.mark.parametrize("kappa", [2.0, 3.0], ids=["kappa2", "kappa3"])
+    @pytest.mark.parametrize("antennas", [1, 2], ids=["R1", "R2"])
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0], [1.0, 0.5, 1.0], [1.0] * 4],
+                             ids=["M1", "M3eq", "M3mixed", "M4eq"])
+    @pytest.mark.parametrize("values, noise_var", [
+        ([1.5, -0.4, 0.0], 0.7), ([1.5, 0.5, 0.0], 0.0), ([-1.5, -0.5, 0.0], 0.0),
+        ([0.0, 0.0, 0.0], 0.0), ([-1.5, 0.0, 2.0], -0.0)],
+        ids=["mixed", "neg-mean0", "pos-mean0", "silent", "nv-0.0"])
+    def test_bits_of_a_zero_filled_total(self, kappa, antennas, weights, values, noise_var):
+        # looks = g R is 1, 2, 3, 4, 6 and 8 across these radios: each
+        # draw form, either side of a product's limit.  (K, 1) parts of
+        # one sign give a branch whose mean is 0 at noise_var 0, the
+        # (K, n) parts a silent column and columns of either sign
+        cfg = ReedPhyConfig(eta=2.5, noise_var=noise_var, mean_powers=[0.5, 1.0, 2.0],
+                            chip_weights=weights, antennas=antennas, kappa=kappa)
+        col = np.array(values)[:, None]
+        inc = np.hstack([col, -col, np.zeros_like(col), col * [[2.0, -3.0]]])
+        for pos, neg in ((np.maximum(col, 0.0), np.maximum(-col, 0.0)),
+                         (np.maximum(inc, 0.0), np.maximum(-inc, 0.0))):
+            n = 300 if pos.shape[1] == 1 else pos.shape[1]
+            got = estimator._paired_energy(pos, neg, cfg, chip_streams(cfg, KEY.child(31)),
+                                           estimator.kernel_buffers(n))
+            expected = _zero_filled_kernel(pos, neg, cfg, chip_streams(cfg, KEY.child(31)), n)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 0.5], [1.0] * 8],
+                             ids=["exponential", "product", "gamma"])
+    def test_rayleigh_call_fills_nothing_and_allocates_no_n_long_array(self, weights):
+        # at kappa = 2 with (K, 1) parts each stream is its draw, one scale
+        # and, after the first, one add into buffers the caller owns
+        n = 50_000
+        fills = []
+
+        class Spy(np.ndarray):
+            def fill(self, value):
+                fills.append(value)
+                super().fill(value)
+
+        cfg = ReedPhyConfig(noise_var=0.5, chip_weights=weights)
+        inp = ScalarInputs([1.0, -0.5, 0.25])
+        buffers = tuple(b.view(Spy) for b in estimator.kernel_buffers(n))
+        streams = chip_streams(cfg, KEY.child(32))
+        tracemalloc.start()
+        try:
+            out = estimator._paired_energy(inp.pos[:, None], inp.neg[:, None], cfg, streams,
+                                           buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is buffers[0] and fills == []
+        assert peak < 8 * n // 4
+
+
 class TestEstimates:
     def test_single_unbiased(self):
         inp = ScalarInputs([2.0, -1.0])
